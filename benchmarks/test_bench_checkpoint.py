@@ -9,13 +9,15 @@ identical seeds:
   (`runtime/reference.py`: one ``derive_rng`` + Laplace call per
   window), the pre-runtime deployment shape;
 - **batch** — the pooled vectorized :class:`BatchExecutor` release;
-- **sharded/thread**, **sharded/process** — :class:`ShardedExecutor`
-  on 4 workers through the checkpoint prepass + parallel replay.
+- **sharded/thread**, **cluster** — :class:`ShardedExecutor` threads
+  and the multi-process :class:`ClusterExecutor` fleet, 4 workers
+  each, through the checkpoint prepass + parallel replay.
 
 Two pinned gates go into ``BENCH_checkpoint.json`` for
 ``benchmarks/check_gates.py``:
 
-- ``checkpoint_bit_identity`` (always): every sharded arm must
+- ``checkpoint_bit_identity`` (always): every parallel arm — the
+  cluster's multi-process replay included — must
   reproduce the batch release, answers, quality and accounting trace
   bit for bit — the checkpoint/replay invariant;
 - ``checkpoint_sharded_vs_sequential`` (hosts with ≥
@@ -52,7 +54,7 @@ from benchmarks.conftest import (
 )
 from repro.datasets.synthetic import synthesize_dataset
 from repro.experiments.runner import WorkloadEvaluation
-from repro.runtime import BatchExecutor, ShardedExecutor
+from repro.runtime import BatchExecutor, ClusterExecutor, ShardedExecutor
 from repro.runtime.reference import reference_w_event_perturb
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import derive_rng
@@ -60,6 +62,9 @@ from repro.utils.tables import ResultTable
 
 #: Workers used by the parallel arms.
 N_WORKERS = 4
+
+#: The parallel arms: threads, and the multi-process cluster fleet.
+PARALLEL = {"sharded/thread": ShardedExecutor, "cluster": ClusterExecutor}
 
 #: Minimum host cores for the speedup floor to be enforceable.
 REQUIRED_CPUS = 4
@@ -121,10 +126,8 @@ def test_checkpoint_sharding(benchmark, results_dir):
     for kind, pipeline in pipelines.items():
         batch_results[kind] = BatchExecutor().run(pipeline, stream, rng=seed)
         batch_trace = _trace_tuple(pipeline.mechanism.last_trace)
-        for backend in ("thread", "process"):
-            sharded = ShardedExecutor(N_WORKERS, backend=backend).run(
-                pipeline, stream, rng=seed
-            )
+        for backend, executor in PARALLEL.items():
+            sharded = executor(N_WORKERS).run(pipeline, stream, rng=seed)
             arm = f"{kind}/{backend}"
             if not (
                 sharded.released == batch_results[kind].released
@@ -158,12 +161,10 @@ def test_checkpoint_sharding(benchmark, results_dir):
 
     executors = {
         "batch": BatchExecutor(),
-        "sharded/thread": ShardedExecutor(
-            N_WORKERS, backend="thread", materialize=False
-        ),
-        "sharded/process": ShardedExecutor(
-            N_WORKERS, backend="process", materialize=False
-        ),
+        **{
+            name: executor(N_WORKERS, materialize=False)
+            for name, executor in PARALLEL.items()
+        },
     }
     times = {}
     paired_sequential = {}
@@ -185,8 +186,8 @@ def test_checkpoint_sharding(benchmark, results_dir):
                 _, seconds = _timed(runner)
                 times[name].append(seconds)
                 round_times[name] = seconds
-            for backend in ("thread", "process"):
-                sharded_name = f"{kind}/sharded/{backend}"
+            for backend in PARALLEL:
+                sharded_name = f"{kind}/{backend}"
                 paired_sequential.setdefault(sharded_name, []).append(
                     round_times[f"{kind}/sequential"]
                     / round_times[sharded_name]
@@ -220,7 +221,7 @@ def test_checkpoint_sharding(benchmark, results_dir):
             seconds=round(sequential_seconds, 4),
             speedup_vs_sequential=1.0,
         )
-        for name in ("batch", "sharded/thread", "sharded/process"):
+        for name in ("batch", *PARALLEL):
             arm = f"{kind}/{name}"
             table.add_row(
                 arm=arm,

@@ -17,9 +17,9 @@ class _TypeEquals:
 
     The built-in predicate constructors avoid closures so that patterns
     (and everything holding them: mechanisms, pipelines, workloads)
-    survive pickling — required by the process backends of
-    :class:`~repro.runtime.executors.ShardedExecutor` and the parallel
-    experiment sweep.
+    survive pickling — required by the worker fleet of
+    :class:`~repro.runtime.cluster.ClusterExecutor` and the process
+    backend of the parallel experiment sweep.
     """
 
     __slots__ = ("event_type",)

@@ -22,6 +22,7 @@ helpers remain as thin wrappers.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -306,9 +307,11 @@ class WorkloadEvaluation:
         (sharded execution is bit-identical to batch under the same
         seed).
         """
-        from repro.runtime.sharding import make_pool, validate_backend
-
-        validate_backend(backend)
+        if backend not in ("thread", "process"):
+            raise ValueError(
+                f"unknown backend {backend!r}; available: "
+                "['thread', 'process']"
+            )
         cells: List[Tuple[str, float]] = [
             (kind, float(epsilon))
             for kind in mechanisms
@@ -333,7 +336,7 @@ class WorkloadEvaluation:
             ]
         if backend == "thread":
             # Threads share this context (and its caches) directly.
-            pool = make_pool("thread", workers)
+            pool = ThreadPoolExecutor(max_workers=workers)
 
             def submit(kind, epsilon, cell_rng):
                 return pool.submit(
@@ -349,9 +352,8 @@ class WorkloadEvaluation:
 
         else:
             # Workers rebuild the context once each from the workload.
-            pool = make_pool(
-                "process",
-                workers,
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
                 initializer=_sweep_worker_init,
                 initargs=(self.workload,),
             )

@@ -12,14 +12,14 @@ interchangeable execution strategies:
   in bounded chunks for the infinite-stream scenario, producing
   bit-identical results for every streamable mechanism;
 - :class:`~repro.runtime.executors.ShardedExecutor` fans contiguous
-  window shards out over a thread or process pool, seeking each
-  shard's stepper to its absolute start window — bit-identical to the
-  batch executor for every seekable mechanism;
-- :class:`~repro.runtime.cluster.ClusterExecutor` ships the same
-  shards to a spawned worker fleet over a framed message protocol
-  (shared-memory descriptors locally, framed bytes otherwise) with
-  heartbeats, timeouts and requeue-on-worker-death — still
-  bit-identical to the batch executor.
+  window shards out over a thread pool, seeking each shard's stepper
+  to its absolute start window (or replaying it from a checkpoint) —
+  bit-identical to the batch executor;
+- :class:`~repro.runtime.cluster.ClusterExecutor`, the multi-process
+  path, ships the same shards to a spawned worker fleet over a framed
+  message protocol (shared-memory descriptors locally, framed bytes
+  otherwise) with heartbeats, timeouts and requeue-on-worker-death —
+  still bit-identical to the batch executor.
 
 See ARCHITECTURE.md for how the layers map onto the runtime.
 """
@@ -48,12 +48,7 @@ from repro.runtime.executors import (
 )
 from repro.runtime.pipeline import StreamPipeline
 from repro.runtime.rng_pool import IndexedRngPool
-from repro.runtime.sharding import (
-    Shard,
-    TransportStats,
-    merge_results,
-    plan_shards,
-)
+from repro.runtime.sharding import Shard, merge_results, plan_shards
 from repro.runtime.shm import ArrayDescriptor, SegmentPlane
 from repro.runtime.stages import (
     IndicatorExtractor,
@@ -82,7 +77,6 @@ __all__ = [
     "Shard",
     "ShardedExecutor",
     "StreamPipeline",
-    "TransportStats",
     "WEventKernel",
     "WindowStage",
     "classify_decisions",

@@ -9,25 +9,30 @@ is one frame::
     !4sBI header  =  magic b"RPC1" | kind | payload length
     payload       =  pickled body (msgpack-shaped dicts and dataclasses)
 
-Work ships as :class:`~repro.runtime.shm.ArrayDescriptor`-style
-descriptors plus a transport URL (the PR-6 wire format):
+The executor is the multi-process fan-out of the shared shard run
+loop (:func:`~repro.runtime.sharding.run_sharded`): planning, the rng
+policy, the checkpoint prepass and the merge happen there; this
+module only ships the tasks.  Work ships as
+:class:`~repro.runtime.shm.ArrayDescriptor` descriptors plus a
+transport URL:
 
-- ``transport="shm"`` (local fleet) — the parent publishes the run's
-  :class:`~repro.runtime.sharding.ShardPlanes` once per worker
+- ``transport="shm"`` (local fleet, the default) — the parent
+  publishes the run's :class:`ShardPlanes` once per worker
   (``shm://<segment>``); workers attach the shared-memory plane
-  directly and a task frame carries only shard bounds and an rng.
-- ``transport="framed"`` (remote-style fallback) — workers never touch
-  the parent's memory; each task frame carries the shard's matrix
-  slice as framed bytes and the shard's outputs ride back the same
-  way.
+  directly, write their outputs into it, and a task frame carries
+  only a :class:`~repro.runtime.sharding.ShardTask`.
+- ``transport="framed"`` (the fallback where ``/dev/shm`` is
+  unavailable) — workers never touch the parent's memory; each task
+  frame carries the shard's matrix slice as framed bytes, the worker
+  writes into arrays sized to its shard, and those ride back to the
+  parent, which deposits them by absolute window slice.
 
-Both transports funnel :class:`~repro.runtime.sharding.ShardReceipt`s
-through the existing :func:`~repro.runtime.sharding.merge_receipts`
-single merge point (the parent deposits framed results into the plane
-itself), so a cluster run is bit-identical to
+Both transports end in :func:`~repro.runtime.sharding.merge_results`,
+so a cluster run is bit-identical to
 :class:`~repro.runtime.executors.BatchExecutor` for seekable
 mechanisms and to the checkpoint-prepass path for sequential
-schedulers (BD/BA/landmark) under the same seed.
+schedulers (BD/BA/landmark) under the same seed.  Every task frame's
+size is counted in ``repro_cluster_task_frame_bytes_total``.
 
 Fault tolerance: every worker heartbeats on a daemon thread; the
 parent requeues a worker's in-flight shard when its pipe drops, its
@@ -48,9 +53,10 @@ import time
 import traceback
 
 from collections import deque
-from dataclasses import dataclass, replace
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +68,14 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import current_recorder, trace_span
 from repro.runtime.executors import PipelineResult
+from repro.runtime.sharding import (
+    ShardJob,
+    ShardOutputs,
+    resolve_pool,
+    run_sharded,
+    run_task,
+)
+from repro.runtime.shm import ArrayDescriptor, SegmentPlane, attach
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 
@@ -74,7 +88,7 @@ TRANSPORTS = ("shm", "framed")
 
 
 def validate_transport(transport: str) -> str:
-    """Reject unknown cluster transports (mirrors validate_backend)."""
+    """Reject unknown cluster transports."""
     if transport not in TRANSPORTS:
         raise ValueError(
             f"unknown transport {transport!r}; available: "
@@ -131,6 +145,69 @@ def _recv_frame(connection):
 
 
 # ---------------------------------------------------------------------------
+# Shared-memory data plane
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardPlanes:
+    """Descriptors of one run's shared-memory data plane.
+
+    Everything an ``shm`` worker needs to reach its input rows and to
+    deposit its outputs without a single pickled array:
+
+    - ``matrix`` — the *full* indicator matrix; workers slice their
+      shard's ``[start, stop)`` row range out of the attached view;
+    - ``answers`` / ``truth`` / ``released`` — the run's output planes,
+      laid out as :class:`~repro.runtime.sharding.ShardOutputs`.
+
+    The whole object pickles to a few hundred bytes however many
+    windows the stream holds.
+    """
+
+    matrix: ArrayDescriptor
+    query_names: Tuple[str, ...]
+    answers: Optional[ArrayDescriptor] = None
+    truth: Optional[ArrayDescriptor] = None
+    released: Optional[ArrayDescriptor] = None
+
+    @classmethod
+    def build(cls, plane: SegmentPlane, job: ShardJob) -> "ShardPlanes":
+        """Share the job's matrix into ``plane``; preallocate outputs.
+
+        The caller owns ``plane`` and closes it (see
+        :class:`~repro.runtime.shm.SegmentPlane`).
+        """
+        n_windows, width = job.matrix.shape
+        names = tuple(job.pipeline.matcher.query_names)
+        per_query = (len(names), n_windows)
+        return cls(
+            matrix=plane.share(job.matrix),
+            query_names=names,
+            answers=plane.allocate(per_query, bool) if names else None,
+            truth=plane.allocate(per_query, bool) if names else None,
+            released=(
+                plane.allocate((n_windows, width), bool)
+                if job.materialize
+                else None
+            ),
+        )
+
+    def outputs(self, view) -> ShardOutputs:
+        """The output planes as arrays, each mapped through ``view``."""
+
+        def mapped(descriptor):
+            return None if descriptor is None else view(descriptor)
+
+        return ShardOutputs(
+            self.query_names,
+            mapped(self.answers),
+            mapped(self.truth),
+            mapped(self.released),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
@@ -141,51 +218,38 @@ _TASK_FAULT_HOOK = None
 
 
 def _execute_task(job: dict, message: dict):
-    """Run one shard under the job's transport; return its result."""
-    from repro.runtime.sharding import (
-        run_shard,
-        run_shard_from_checkpoint,
-        run_shard_from_checkpoint_zero_copy,
-        run_shard_zero_copy,
-    )
+    """Run one shard under the job's transport; return its result.
 
+    ``shm`` workers write into the attached output planes and return
+    the receipt; ``framed`` workers write into arrays sized to their
+    shard and return them with the receipt.
+    """
+    task = message["work"]
     pipeline = job["pipeline"]
-    shard = message["shard"]
-    kwargs = dict(
-        alphabet=job["alphabet"],
-        horizon=job["horizon"],
-        rng=message["rng"],
-    )
-    if job["transport"] == "shm":
-        planes = job["planes"]
-        if job["checkpointed"]:
-            return run_shard_from_checkpoint_zero_copy(
-                pipeline,
-                planes,
-                shard,
-                message["snapshot"],
-                message["decisions"],
-                **kwargs,
-            )
-        return run_shard_zero_copy(pipeline, planes, shard, **kwargs)
-    matrix = message["matrix"]
-    if job["checkpointed"]:
-        part = run_shard_from_checkpoint(
-            pipeline,
-            matrix,
-            shard,
-            message["snapshot"],
-            message["decisions"],
+    kwargs = dict(alphabet=job["alphabet"], horizon=job["horizon"])
+    if job["transport"] == "framed":
+        outputs = ShardOutputs.allocate(
+            pipeline.matcher.query_names,
+            task.shard,
+            len(job["alphabet"]),
             materialize=job["materialize"],
-            **kwargs,
         )
-    else:
-        part = run_shard(
-            pipeline, matrix, shard, materialize=job["materialize"], **kwargs
-        )
-    # The original rows are the input slice the parent already holds;
-    # never frame them back.
-    return replace(part, original=None)
+        rows = message["matrix"]
+        return run_task(pipeline, rows, task, outputs, **kwargs), outputs
+    with ExitStack() as stack:
+        return _run_attached(stack, job["planes"], pipeline, task, **kwargs)
+
+
+def _run_attached(stack, planes, pipeline, task, **kwargs):
+    """Attach the plane and run ``task`` in one frame, so every view of
+    the segments dies on return, before ``stack`` detaches them."""
+
+    def view(descriptor):
+        return stack.enter_context(attach(descriptor))
+
+    shard = task.shard
+    rows = view(planes.matrix)[shard.start : shard.stop]
+    return run_task(pipeline, rows, task, planes.outputs(view), **kwargs)
 
 
 def _worker_main(connection, heartbeat_interval: float) -> None:
@@ -248,7 +312,7 @@ def _worker_main(connection, heartbeat_interval: float) -> None:
                     _ERROR,
                     {
                         "task": payload["task"],
-                        "shard": payload["shard"],
+                        "shard": payload["work"].shard,
                         "traceback": traceback.format_exc(),
                     },
                 )
@@ -291,12 +355,13 @@ class ClusterExecutor:
 
     Drop-in executor (``run(pipeline, indicators, rng=...)``)
     spawning ``n_workers`` subprocesses that speak the module's frame
-    protocol.  Shard planning, rng derivation and merging are shared
-    with :class:`~repro.runtime.executors.ShardedExecutor`, so results
-    are bit-identical to :class:`BatchExecutor` (seekable mechanisms)
-    and to the checkpoint-prepass path (sequential schedulers) under
-    the same seed — including runs where a worker is killed mid-shard
-    and its shard is requeued.
+    protocol.  Shard planning, rng derivation and merging happen in
+    the shared run loop (:func:`~repro.runtime.sharding.run_sharded`,
+    also behind :class:`~repro.runtime.executors.ShardedExecutor`), so
+    results are bit-identical to :class:`BatchExecutor` (seekable
+    mechanisms) and to the checkpoint-prepass path (sequential
+    schedulers) under the same seed — including runs where a worker is
+    killed mid-shard and its shard is requeued.
 
     Parameters
     ----------
@@ -305,8 +370,8 @@ class ClusterExecutor:
     transport:
         ``"shm"`` (default) attaches workers to the shared-memory data
         plane; ``"framed"`` ships shard slices as framed bytes, the
-        remote-style fallback for workers without access to the
-        parent's ``/dev/shm``.
+        fallback for hosts or workers without ``/dev/shm`` (a framed
+        run creates no shared-memory segment).
     n_shards:
         Shard count; defaults to ``n_workers``.
     min_shard_size:
@@ -336,13 +401,8 @@ class ClusterExecutor:
         worker_timeout: float = 10.0,
         max_restarts: Optional[int] = None,
     ):
-        if n_workers is None:
-            n_workers = os.cpu_count() or 1
-        if n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
+        n_workers, n_shards = resolve_pool(n_workers, n_shards)
         validate_transport(transport)
-        if n_shards is not None and n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
         if heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be positive, got "
@@ -355,7 +415,7 @@ class ClusterExecutor:
             )
         self.n_workers = n_workers
         self.transport = transport
-        self.n_shards = n_shards if n_shards is not None else n_workers
+        self.n_shards = n_shards
         self.min_shard_size = min_shard_size
         self.materialize = materialize
         self.heartbeat_interval = heartbeat_interval
@@ -380,21 +440,6 @@ class ClusterExecutor:
             return 0
         return int(self._restarts_counter.value)
 
-    # -- run dispatch (mirrors ShardedExecutor) ------------------------
-
-    @staticmethod
-    def _shard_rng_source(rng: RngLike):
-        from repro.runtime.sharding import clone_rng
-
-        if isinstance(rng, np.random.Generator):
-            # Same policy as ShardedExecutor: shards replay the
-            # generator's current state; the caller's generator
-            # advances one derivation word.
-            source = clone_rng(rng)
-            rng.integers(0, 2**63 - 1)
-            return source
-        return rng
-
     def run(
         self,
         pipeline,
@@ -407,233 +452,64 @@ class ClusterExecutor:
             transport=self.transport,
             windows=len(indicators),
         ):
-            return self._run(pipeline, indicators, rng=rng)
-
-    def _run(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        *,
-        rng: RngLike = None,
-    ) -> PipelineResult:
-        from repro.runtime.sharding import (
-            clone_rng,
-            merge_results,
-            plan_shards,
-            run_shard,
-        )
-
-        runtime = pipeline.runtime_mechanism
-        if not runtime.shardable:
-            if getattr(runtime, "checkpointable", False):
-                return self._run_checkpointed(pipeline, indicators, rng=rng)
-            raise TypeError(
-                f"mechanism {runtime.name!r} supports only batch "
-                "perturbation and cannot be sharded; use BatchExecutor"
-            )
-        shard_source = self._shard_rng_source(rng)
-        matrix = indicators.matrix_view()
-        horizon = matrix.shape[0]
-        shards = plan_shards(
-            horizon, self.n_shards, min_shard_size=self.min_shard_size
-        )
-        if len(shards) <= 1:
-            # Zero or one shard: run in-process, no fleet overhead.
-            parts = [
-                run_shard(
-                    pipeline,
-                    matrix[shard.start : shard.stop],
-                    shard,
-                    alphabet=indicators.alphabet,
-                    horizon=horizon,
-                    rng=clone_rng(shard_source),
-                    materialize=self.materialize,
-                )
-                for shard in shards
-            ]
-            return merge_results(
-                parts,
-                alphabet=indicators.alphabet,
-                query_names=pipeline.matcher.query_names,
-                alpha=pipeline.alpha,
+            return run_sharded(
+                pipeline,
+                indicators,
+                rng=rng,
+                n_shards=self.n_shards,
+                min_shard_size=self.min_shard_size,
                 materialize=self.materialize,
+                fan_out=self._fan_out,
             )
-        tasks = [
-            {"shard": shard, "rng": clone_rng(shard_source)}
-            for shard in shards
-        ]
-        return self._run_fleet(
-            pipeline, indicators, matrix, horizon, tasks, checkpointed=False
-        )
-
-    def _run_checkpointed(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        *,
-        rng: RngLike = None,
-    ) -> PipelineResult:
-        from repro.runtime.sharding import (
-            checkpoint_prepass,
-            clone_rng,
-            merge_results,
-            plan_shards,
-        )
-        from repro.runtime.sharding import _shard_result
-
-        runtime = pipeline.runtime_mechanism
-        shard_source = self._shard_rng_source(rng)
-        matrix = indicators.matrix_view()
-        horizon = matrix.shape[0]
-        shards = plan_shards(
-            horizon, self.n_shards, min_shard_size=self.min_shard_size
-        )
-        if len(shards) <= 1:
-            stepper = runtime.stepper(
-                indicators.alphabet,
-                rng=clone_rng(shard_source),
-                horizon=horizon,
-            )
-            released = stepper.step_block(matrix)
-            parts = [
-                _shard_result(
-                    pipeline,
-                    matrix[shard.start : shard.stop],
-                    shard,
-                    released[shard.start : shard.stop],
-                    materialize=self.materialize,
-                )
-                for shard in shards
-            ]
-            return merge_results(
-                parts,
-                alphabet=indicators.alphabet,
-                query_names=pipeline.matcher.query_names,
-                alpha=pipeline.alpha,
-                materialize=self.materialize,
-            )
-        plan = checkpoint_prepass(
-            pipeline,
-            matrix,
-            shards,
-            alphabet=indicators.alphabet,
-            horizon=horizon,
-            rng=clone_rng(shard_source),
-        )
-        tasks = [
-            {
-                "shard": shard,
-                "rng": clone_rng(shard_source),
-                "snapshot": snapshot,
-                "decisions": decisions,
-            }
-            for shard, snapshot, decisions in zip(
-                plan.shards, plan.snapshots, plan.decisions
-            )
-        ]
-        result = self._run_fleet(
-            pipeline, indicators, matrix, horizon, tasks, checkpointed=True
-        )
-        self._publish_trace(runtime, plan)
-        return result
-
-    @staticmethod
-    def _publish_trace(runtime, plan) -> None:
-        # As in ShardedExecutor: the prepass trace is the authoritative
-        # accounting record, published once after every shard finished.
-        if plan.trace is not None and hasattr(
-            runtime.mechanism, "last_trace"
-        ):
-            runtime.mechanism.last_trace = plan.trace
 
     # -- fleet orchestration -------------------------------------------
 
-    def _run_fleet(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        matrix: np.ndarray,
-        horizon: int,
-        tasks: List[dict],
-        *,
-        checkpointed: bool,
-    ) -> PipelineResult:
-        from repro.runtime.sharding import build_shard_planes, merge_receipts
-        from repro.runtime.shm import SegmentPlane
+    @contextmanager
+    def _fan_out(self, job: ShardJob, tasks):
+        """Run every task on the fleet; yield receipts and outputs."""
+        fleet_job = {
+            "transport": self.transport,
+            "pipeline": job.pipeline,
+            "alphabet": job.alphabet,
+            "horizon": job.horizon,
+            "materialize": job.materialize,
+        }
+        messages = [
+            {"task": index, "work": task} for index, task in enumerate(tasks)
+        ]
+        if self.transport == "framed":
+            for message in messages:
+                shard = message["work"].shard
+                message["matrix"] = np.ascontiguousarray(
+                    job.matrix[shard.start : shard.stop]
+                )
+            fleet_job["url"] = "framed://pipe"
+            outputs = job.outputs()
+            yield self._dispatch(fleet_job, messages, outputs), outputs
+            return
+        with SegmentPlane() as plane:
+            planes = ShardPlanes.build(plane, job)
+            fleet_job["url"] = f"shm://{planes.matrix.segment}"
+            fleet_job["planes"] = planes
+            outputs = planes.outputs(plane.view)
+            yield self._dispatch(fleet_job, messages, outputs), outputs
 
-        plane = SegmentPlane()
-        try:
-            planes = build_shard_planes(
-                plane,
-                matrix,
-                pipeline.matcher.query_names,
-                materialize=self.materialize,
-            )
-            url = (
-                f"shm://{planes.matrix.segment}"
-                if self.transport == "shm"
-                else "framed://pipe"
-            )
-            job = {
-                "transport": self.transport,
-                "url": url,
-                "pipeline": pipeline,
-                "alphabet": indicators.alphabet,
-                "horizon": horizon,
-                "checkpointed": checkpointed,
-                "materialize": self.materialize,
-                # Remote-style workers never see the descriptors.
-                "planes": planes if self.transport == "shm" else None,
-            }
-            messages = []
-            for index, task in enumerate(tasks):
-                message = {
-                    "task": index,
-                    "shard": task["shard"],
-                    "rng": task["rng"],
-                }
-                if checkpointed:
-                    message["snapshot"] = task["snapshot"]
-                    message["decisions"] = task["decisions"]
-                if self.transport == "framed":
-                    shard = task["shard"]
-                    message["matrix"] = np.ascontiguousarray(
-                        matrix[shard.start : shard.stop]
-                    )
-                messages.append(message)
-            receipts = self._dispatch(job, messages, plane, planes)
-            return merge_receipts(
-                receipts,
-                plane,
-                planes,
-                indicators=indicators,
-                alpha=pipeline.alpha,
-                materialize=self.materialize,
-            )
-        finally:
-            plane.close()
-
-    def _deposit_part(self, plane, planes, part):
-        """Write a framed worker's outputs into the plane; receipt back.
+    @staticmethod
+    def _deposit_part(outputs: ShardOutputs, part):
+        """Copy a framed worker's shard-sized outputs into the run's.
 
         The framed transport's counterpart of the shm workers' direct
-        deposit — idempotent by absolute window slice, so a requeued
+        writes — idempotent by absolute window slice, so a requeued
         shard rerun deposits the same bytes.
         """
-        from repro.runtime.sharding import ShardReceipt
-
-        start, stop = part.shard.start, part.shard.stop
-        if planes.released is not None:
-            plane.view(planes.released)[start:stop] = part.released
-        if planes.answers is not None:
-            answers = plane.view(planes.answers)
-            for row, name in enumerate(planes.query_names):
-                answers[row, start:stop] = part.answers[name]
-        if planes.truth is not None:
-            truth = plane.view(planes.truth)
-            for row, name in enumerate(planes.query_names):
-                truth[row, start:stop] = part.true_answers[name]
-        return ShardReceipt(shard=part.shard, counts=part.counts)
+        receipt, shard_outputs = part
+        window = slice(receipt.shard.start, receipt.shard.stop)
+        if outputs.released is not None:
+            outputs.released[window] = shard_outputs.released
+        if outputs.answers is not None:
+            outputs.answers[:, window] = shard_outputs.answers
+            outputs.truth[:, window] = shard_outputs.truth
+        return receipt
 
     def _spawn(self, context, job: dict) -> _Worker:
         parent_connection, child_connection = context.Pipe(duplex=True)
@@ -674,7 +550,7 @@ class ClusterExecutor:
             self._reap(worker)
 
     def _dispatch(
-        self, job: dict, messages: List[dict], plane, planes
+        self, job: dict, messages: List[dict], outputs: ShardOutputs
     ) -> List:
         """Feed the fleet until every task has a receipt.
 
@@ -709,6 +585,10 @@ class ClusterExecutor:
             "repro_cluster_heartbeat_misses_total",
             "Workers declared dead on heartbeat staleness alone.",
         )
+        obs_frame_bytes = registry.counter(
+            "repro_cluster_task_frame_bytes_total",
+            "Bytes of task frames sent to cluster workers.",
+        )
         workers = [self._spawn(context, job) for _ in range(fleet_size)]
         try:
             while len(completed) < len(messages):
@@ -724,8 +604,7 @@ class ClusterExecutor:
                         while worker.connection.poll():
                             kind, payload = _recv_frame(worker.connection)
                             self._handle_frame(
-                                worker, kind, payload, completed, plane,
-                                planes,
+                                worker, kind, payload, completed, outputs
                             )
                         worker.last_seen = now
                     except (EOFError, OSError, ProtocolError):
@@ -769,8 +648,10 @@ class ClusterExecutor:
                         break
                     if worker.ready and worker.task is None:
                         message = pending.popleft()
+                        frame = _pack_frame(_TASK, message)
                         try:
-                            worker.send(_TASK, message)
+                            worker.connection.send_bytes(frame)
+                            obs_frame_bytes.inc(len(frame))
                             worker.task = message
                             worker.task_sent = time.perf_counter()
                         except OSError:
@@ -783,7 +664,7 @@ class ClusterExecutor:
             self._shutdown(workers)
 
     def _handle_frame(
-        self, worker: _Worker, kind: int, payload, completed, plane, planes
+        self, worker: _Worker, kind: int, payload, completed, outputs
     ) -> None:
         if kind == _HELLO:
             worker.ready = True
@@ -810,7 +691,7 @@ class ClusterExecutor:
             ).inc()
             result = payload["result"]
             if self.transport == "framed":
-                result = self._deposit_part(plane, planes, result)
+                result = self._deposit_part(outputs, result)
             completed[task_id] = result
             return
         if kind == _METRICS:

@@ -12,26 +12,24 @@ Both executors take the same prepared pipeline and produce the same
   every streamable mechanism (pinned by
   ``tests/property/test_property_runtime.py``);
 - :class:`ShardedExecutor` partitions the windows into contiguous
-  shards and runs each through a seeked chunk stepper on a worker pool
-  (threads or processes).  For seekable mechanisms its outputs are
-  bit-identical to the batch executor under the same seed, because
-  every shard draws its randomness by absolute window index (see
-  :mod:`repro.runtime.sharding`).  On the process backend shards
-  travel zero-copy: the indicator matrix lives in a shared-memory
-  segment and only ``(segment, dtype, shape)`` descriptors cross the
-  pool (see :mod:`repro.runtime.shm`).
+  shards and runs each through a seeked chunk stepper on a thread
+  pool.  Its outputs are bit-identical to the batch executor under the
+  same seed, because every shard draws its randomness by absolute
+  window index (see :mod:`repro.runtime.sharding`).  The multi-process
+  counterpart is :class:`~repro.runtime.cluster.ClusterExecutor`.
 """
 
 from __future__ import annotations
 
-import os
-
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.obs.tracing import trace_span
+from repro.runtime import sharding
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.runtime.stages import MetricsSink
@@ -41,24 +39,18 @@ from repro.runtime.stages import MetricsSink
 class PipelineResult:
     """Outcome of one pipeline execution.
 
-    ``original``/``released`` are ``None`` when a chunked run is asked
-    not to materialize the streams (bounded-memory mode); the per-query
-    answers and the metrics sink are always populated.
+    ``original``/``released`` are ``None`` when a run is asked not to
+    materialize the streams (bounded-memory mode); the per-query
+    answers, the window count and the metrics sink are always
+    populated.
     """
 
     answers: Dict[str, np.ndarray]
     true_answers: Dict[str, np.ndarray]
+    n_windows: int
     original: Optional[IndicatorStream] = None
     released: Optional[IndicatorStream] = None
     sink: MetricsSink = field(default_factory=MetricsSink)
-
-    @property
-    def n_windows(self) -> int:
-        if self.original is not None:
-            return self.original.n_windows
-        for vector in self.true_answers.values():
-            return int(vector.shape[0])
-        return 0
 
     def quality(self, alpha: Optional[float] = None):
         """Micro-averaged released-versus-truth quality ``Q``."""
@@ -92,6 +84,7 @@ class BatchExecutor:
         return PipelineResult(
             answers=answers,
             true_answers=true_answers,
+            n_windows=len(indicators),
             original=indicators,
             released=released,
             sink=sink,
@@ -187,7 +180,9 @@ class ChunkedExecutor:
         }
         original_parts = []
         released_parts = []
+        n_windows = 0
         for chunk in chunks:
+            n_windows += chunk.shape[0]
             released = stepper.step_block(chunk)
             chunk_answers = matcher.answer(released)
             chunk_truth = matcher.answer(chunk)
@@ -226,6 +221,7 @@ class ChunkedExecutor:
         return PipelineResult(
             answers=answers,
             true_answers=true_answers,
+            n_windows=n_windows,
             original=original,
             released=released_stream,
             sink=sink,
@@ -233,16 +229,16 @@ class ChunkedExecutor:
 
 
 class ShardedExecutor:
-    """Parallel execution over contiguous window shards.
+    """Parallel execution over contiguous window shards on threads.
 
     Splits the stream into (at most) ``n_shards`` balanced contiguous
     shards and executes each through the mechanism's chunk stepper on a
-    worker pool, seeking every shard's stepper to its absolute start
-    window first.  Because seeking reproduces exactly the randomness a
-    sequential run would have consumed, the merged result is
-    *bit-identical* to :class:`BatchExecutor` under the same seed —
-    whatever the backend or worker count (pinned by
-    ``tests/test_runtime_sharding.py`` and
+    thread pool (the hot stages release the GIL inside numpy), seeking
+    every shard's stepper to its absolute start window first.  Because
+    seeking reproduces exactly the randomness a sequential run would
+    have consumed, the merged result is *bit-identical* to
+    :class:`BatchExecutor` under the same seed — whatever the worker
+    count (pinned by ``tests/test_runtime_sharding.py`` and
     ``benchmarks/test_bench_sharding.py``).
 
     Mechanisms whose steppers can seek — the pattern-level flip PPMs,
@@ -257,13 +253,14 @@ class ShardedExecutor:
     :func:`repro.runtime.sharding.checkpoint_prepass`).  Mechanisms
     supporting only batch perturbation raise ``TypeError``.
 
+    Multi-process sharding is
+    :class:`~repro.runtime.cluster.ClusterExecutor`; both executors
+    share one run loop (:func:`repro.runtime.sharding.run_sharded`).
+
     Parameters
     ----------
     n_workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    backend:
-        ``"thread"`` (default; the hot stages release the GIL inside
-        numpy) or ``"process"``.
+        Thread-pool size; defaults to ``os.cpu_count()``.
     n_shards:
         Shard count; defaults to ``n_workers``.
     min_shard_size:
@@ -273,59 +270,21 @@ class ShardedExecutor:
         Keep the original/released indicator streams on the result
         (matching :class:`BatchExecutor`); ``False`` returns only the
         per-query answers and metrics.
-    zero_copy:
-        Ship shards to process-pool workers through shared-memory
-        segments (descriptors only cross the pool) instead of pickling
-        matrix slices; outputs come back through preallocated shared
-        planes.  Defaults to ``None`` — on for the process backend,
-        irrelevant for threads (which share the address space already
-        and always bypass the segment plane).  ``False`` forces the
-        legacy pickled transport, kept for debugging
-        (``"sharded:process:8:copy"`` in executor specs).
-    measure_transport:
-        Record a :class:`~repro.runtime.sharding.TransportStats` on
-        :attr:`last_transport` after each run — the bytes actually
-        pickled into the pool.  Off by default (measuring the pickled
-        size of a copy-mode payload costs an extra serialization pass).
     """
 
     def __init__(
         self,
         n_workers: Optional[int] = None,
         *,
-        backend: str = "thread",
         n_shards: Optional[int] = None,
         min_shard_size: int = 1,
         materialize: bool = True,
-        zero_copy: Optional[bool] = None,
-        measure_transport: bool = False,
     ):
-        from repro.runtime.sharding import validate_backend
-
-        if n_workers is None:
-            n_workers = os.cpu_count() or 1
-        if n_workers <= 0:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
-        validate_backend(backend)
-        if n_shards is not None and n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
-        self.n_workers = n_workers
-        self.backend = backend
-        self.n_shards = n_shards if n_shards is not None else n_workers
+        self.n_workers, self.n_shards = sharding.resolve_pool(
+            n_workers, n_shards
+        )
         self.min_shard_size = min_shard_size
         self.materialize = materialize
-        self.zero_copy = zero_copy
-        self.measure_transport = measure_transport
-        #: TransportStats of the most recent pooled run (None until a
-        #: run actually crossed a pool with measure_transport=True).
-        self.last_transport = None
-
-    @property
-    def uses_zero_copy(self) -> bool:
-        """Whether pooled runs will ship shards via shared memory."""
-        if self.backend != "process":
-            return False
-        return True if self.zero_copy is None else bool(self.zero_copy)
 
     def run(
         self,
@@ -334,363 +293,23 @@ class ShardedExecutor:
         *,
         rng: RngLike = None,
     ) -> PipelineResult:
-        with trace_span(
-            "executor.sharded",
-            backend=self.backend,
-            windows=len(indicators),
-        ):
-            return self._run(pipeline, indicators, rng=rng)
-
-    def _run(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        *,
-        rng: RngLike = None,
-    ) -> PipelineResult:
-        from repro.runtime.sharding import (
-            clone_rng,
-            make_pool,
-            merge_results,
-            plan_shards,
-            run_shard,
-        )
-
-        runtime = pipeline.runtime_mechanism
-        if not runtime.shardable:
-            if getattr(runtime, "checkpointable", False):
-                return self._run_checkpointed(pipeline, indicators, rng=rng)
-            raise TypeError(
-                f"mechanism {runtime.name!r} supports only batch "
-                "perturbation and cannot be sharded; use BatchExecutor"
-            )
-        if isinstance(rng, np.random.Generator):
-            # Shards replay the generator's *current* state (first use is
-            # bit-identical to a batch run from that state); advance the
-            # caller's generator one derivation word — as derive_rng
-            # would — so consecutive runs off one shared generator draw
-            # fresh randomness instead of repeating the previous run's.
-            shard_source = clone_rng(rng)
-            rng.integers(0, 2**63 - 1)
-        else:
-            shard_source = rng
-        matrix = indicators.matrix_view()
-        horizon = matrix.shape[0]
-        shards = plan_shards(
-            horizon, self.n_shards, min_shard_size=self.min_shard_size
-        )
-        if len(shards) <= 1:
-            # Zero or one shard: run in-process, no pool overhead.
-            parts = [
-                run_shard(
-                    pipeline,
-                    matrix[shard.start : shard.stop],
-                    shard,
-                    alphabet=indicators.alphabet,
-                    horizon=horizon,
-                    rng=clone_rng(shard_source),
-                    materialize=self.materialize,
-                )
-                for shard in shards
-            ]
-        elif self.uses_zero_copy:
-            return self._run_zero_copy(
-                pipeline, indicators, matrix, shards, horizon, shard_source
-            )
-        else:
-            submissions = [
-                (
-                    (pipeline, matrix[shard.start : shard.stop], shard),
-                    dict(
-                        alphabet=indicators.alphabet,
-                        horizon=horizon,
-                        rng=clone_rng(shard_source),
-                        materialize=self.materialize,
-                    ),
-                )
-                for shard in shards
-            ]
-            self._record_transport(False, horizon, submissions)
-            pool = make_pool(self.backend, self.n_workers)
-            try:
-                futures = [
-                    pool.submit(run_shard, *args, **kwargs)
-                    for args, kwargs in submissions
-                ]
-                parts = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
-        return merge_results(
-            parts,
-            alphabet=indicators.alphabet,
-            query_names=pipeline.matcher.query_names,
-            alpha=pipeline.alpha,
-            materialize=self.materialize,
-        )
-
-    def _record_transport(self, zero_copy, horizon, submissions):
-        """Record the pool's pickled payload size (opt-in; see
-        ``measure_transport``)."""
-        from repro.runtime.sharding import TransportStats, measure_payload
-
-        if not self.measure_transport:
-            return
-        bytes_pickled = (
-            measure_payload(*submissions)
-            if self.backend == "process"
-            else 0
-        )
-        self.last_transport = TransportStats(
-            backend=self.backend,
-            zero_copy=zero_copy,
-            n_windows=horizon,
-            n_shards=len(submissions),
-            bytes_pickled=bytes_pickled,
-        )
-
-    def _run_zero_copy(
-        self, pipeline, indicators, matrix, shards, horizon, shard_source
-    ) -> PipelineResult:
-        """Pooled seekable execution over the shared-memory plane.
-
-        The indicator matrix is written into one shared segment, the
-        output planes are preallocated, and only descriptors cross the
-        pool; the plane is closed and unlinked in a ``try/finally``
-        whatever the workers do.
-        """
-        from repro.runtime.sharding import (
-            build_shard_planes,
-            clone_rng,
-            make_pool,
-            merge_receipts,
-            run_shard_zero_copy,
-        )
-        from repro.runtime.shm import SegmentPlane
-
-        plane = SegmentPlane()
-        try:
-            planes = build_shard_planes(
-                plane,
-                matrix,
-                pipeline.matcher.query_names,
-                materialize=self.materialize,
-            )
-            submissions = [
-                (
-                    (pipeline, planes, shard),
-                    dict(
-                        alphabet=indicators.alphabet,
-                        horizon=horizon,
-                        rng=clone_rng(shard_source),
-                    ),
-                )
-                for shard in shards
-            ]
-            self._record_transport(True, horizon, submissions)
-            pool = make_pool(self.backend, self.n_workers)
-            try:
-                futures = [
-                    pool.submit(run_shard_zero_copy, *args, **kwargs)
-                    for args, kwargs in submissions
-                ]
-                receipts = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
-            return merge_receipts(
-                receipts,
-                plane,
-                planes,
-                indicators=indicators,
-                alpha=pipeline.alpha,
-                materialize=self.materialize,
-            )
-        finally:
-            plane.close()
-
-    def _run_checkpointed(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        *,
-        rng: RngLike = None,
-    ) -> PipelineResult:
-        """Two-phase execution for checkpointable sequential schedulers.
-
-        Phase one runs the scheduler sequentially over the whole stream
-        without materializing outputs, checkpointing at every shard
-        boundary; phase two replays each shard's window range on the
-        worker pool from the checkpoint at its start.  Randomness is
-        derived by absolute window index, so the merged result — and the
-        mechanism's ``last_trace`` — is bit-identical to
-        :class:`BatchExecutor` under the same seed.
-        """
-        from repro.runtime.sharding import (
-            checkpoint_prepass,
-            clone_rng,
-            make_pool,
-            merge_results,
-            plan_shards,
-            run_shard_from_checkpoint,
-        )
-        from repro.runtime.sharding import _shard_result
-
-        runtime = pipeline.runtime_mechanism
-        if isinstance(rng, np.random.Generator):
-            # Same policy as the seekable path: replay the generator's
-            # current state everywhere, advance the caller's generator
-            # one derivation word so repeated runs draw fresh noise.
-            shard_source = clone_rng(rng)
-            rng.integers(0, 2**63 - 1)
-        else:
-            shard_source = rng
-        matrix = indicators.matrix_view()
-        horizon = matrix.shape[0]
-        shards = plan_shards(
-            horizon, self.n_shards, min_shard_size=self.min_shard_size
-        )
-        if len(shards) <= 1:
-            # Zero or one shard: a plain sequential in-process run (the
-            # prepass would just duplicate it).
-            stepper = runtime.stepper(
-                indicators.alphabet,
-                rng=clone_rng(shard_source),
-                horizon=horizon,
-            )
-            released = stepper.step_block(matrix)
-            parts = [
-                _shard_result(
-                    pipeline,
-                    matrix[shard.start : shard.stop],
-                    shard,
-                    released[shard.start : shard.stop],
-                    materialize=self.materialize,
-                )
-                for shard in shards
-            ]
-        else:
-            plan = checkpoint_prepass(
+        with trace_span("executor.sharded", windows=len(indicators)):
+            return sharding.run_sharded(
                 pipeline,
-                matrix,
-                shards,
-                alphabet=indicators.alphabet,
-                horizon=horizon,
-                rng=clone_rng(shard_source),
-            )
-            if self.uses_zero_copy:
-                result = self._run_checkpointed_zero_copy(
-                    pipeline, indicators, matrix, plan, horizon, shard_source
-                )
-                self._publish_trace(runtime, plan)
-                return result
-            submissions = [
-                (
-                    (
-                        pipeline,
-                        matrix[shard.start : shard.stop],
-                        shard,
-                        snapshot,
-                        decisions,
-                    ),
-                    dict(
-                        alphabet=indicators.alphabet,
-                        horizon=horizon,
-                        rng=clone_rng(shard_source),
-                        materialize=self.materialize,
-                    ),
-                )
-                for shard, snapshot, decisions in zip(
-                    plan.shards, plan.snapshots, plan.decisions
-                )
-            ]
-            self._record_transport(False, horizon, submissions)
-            pool = make_pool(self.backend, self.n_workers)
-            try:
-                futures = [
-                    pool.submit(run_shard_from_checkpoint, *args, **kwargs)
-                    for args, kwargs in submissions
-                ]
-                parts = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
-            self._publish_trace(runtime, plan)
-        return merge_results(
-            parts,
-            alphabet=indicators.alphabet,
-            query_names=pipeline.matcher.query_names,
-            alpha=pipeline.alpha,
-            materialize=self.materialize,
-        )
-
-    @staticmethod
-    def _publish_trace(runtime, plan) -> None:
-        # The prepass trace is the authoritative accounting record of
-        # the run — identical to the batch path's — and is published
-        # once, after every shard finished, so partial shard traces
-        # never race it.
-        if plan.trace is not None and hasattr(
-            runtime.mechanism, "last_trace"
-        ):
-            runtime.mechanism.last_trace = plan.trace
-
-    def _run_checkpointed_zero_copy(
-        self, pipeline, indicators, matrix, plan, horizon, shard_source
-    ) -> PipelineResult:
-        """Pooled checkpoint replay over the shared-memory plane.
-
-        Snapshots and decision slices still travel as pickles (they are
-        small, data-dependent scheduler state); the matrix and every
-        bulky output go through the segment plane exactly as in the
-        seekable path.
-        """
-        from repro.runtime.sharding import (
-            build_shard_planes,
-            clone_rng,
-            make_pool,
-            merge_receipts,
-            run_shard_from_checkpoint_zero_copy,
-        )
-        from repro.runtime.shm import SegmentPlane
-
-        plane = SegmentPlane()
-        try:
-            planes = build_shard_planes(
-                plane,
-                matrix,
-                pipeline.matcher.query_names,
+                indicators,
+                rng=rng,
+                n_shards=self.n_shards,
+                min_shard_size=self.min_shard_size,
                 materialize=self.materialize,
+                fan_out=self._fan_out,
             )
-            submissions = [
-                (
-                    (pipeline, planes, shard, snapshot, decisions),
-                    dict(
-                        alphabet=indicators.alphabet,
-                        horizon=horizon,
-                        rng=clone_rng(shard_source),
-                    ),
-                )
-                for shard, snapshot, decisions in zip(
-                    plan.shards, plan.snapshots, plan.decisions
-                )
-            ]
-            self._record_transport(True, horizon, submissions)
-            pool = make_pool(self.backend, self.n_workers)
-            try:
-                futures = [
-                    pool.submit(
-                        run_shard_from_checkpoint_zero_copy, *args, **kwargs
-                    )
-                    for args, kwargs in submissions
-                ]
-                receipts = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
-            return merge_receipts(
-                receipts,
-                plane,
-                planes,
-                indicators=indicators,
-                alpha=pipeline.alpha,
-                materialize=self.materialize,
+
+    @contextmanager
+    def _fan_out(self, job, tasks):
+        """Run every task on a thread pool over shared plain arrays."""
+        outputs = job.outputs()
+        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+            receipts = list(
+                pool.map(lambda task: job.run(task, outputs), tasks)
             )
-        finally:
-            plane.close()
+        yield receipts, outputs

@@ -1,13 +1,15 @@
-"""Shard planning, per-shard execution and result merging.
+"""Shard planning, the shard runners, the shared run loop and the merge.
 
 The service phase is embarrassingly parallel across windows for every
 mechanism whose stepper can *seek* — skip a prefix of windows while
 still drawing the randomness the batch path would draw for the
 remainder (per-type flip PPMs, whole-matrix randomized response, the
-identity).  :class:`~repro.runtime.executors.ShardedExecutor` splits
-the stream into contiguous shards, runs each shard's windows through a
-seeked chunk stepper on a worker pool, and merges the partial results
-in shard order.
+identity).  Both parallel executors —
+:class:`~repro.runtime.executors.ShardedExecutor` (threads) and
+:class:`~repro.runtime.cluster.ClusterExecutor` (a worker-process
+fleet) — run through :func:`run_sharded`: it splits the stream into
+contiguous shards, hands one task per shard to the executor's fan-out,
+and merges the shards' outputs once (:func:`merge_results`).
 
 Bit-identity with :class:`~repro.runtime.executors.BatchExecutor` under
 the same seed rests on two invariants:
@@ -17,59 +19,37 @@ the same seed rests on two invariants:
    are state-cloned), then seeks to the shard's absolute start window,
    so each shard consumes exactly the slice of the child streams the
    batch path would spend on those windows;
-2. **order-preserving merge** — per-query answer vectors, indicator
-   slices and confusion counts concatenate/sum in shard order, which is
-   window order.
+2. **writes by absolute window slice** — a shard runner writes its
+   answers, truth and released rows into preallocated output arrays at
+   the shard's own window range, so the outputs come out in window
+   order however the shards were scheduled (and a rerun of a shard
+   writes the same bytes to the same place).
 
 Sequential schedulers (BD/BA, landmark) carry data-dependent state from
 window to window and cannot seek, but they *can* checkpoint: their
 releasers snapshot and restore the full release state (scheduler state,
-accounting trace, last release, rng-pool position).  The sharded
-executor parallelizes them in two phases — a cheap sequential
-scheduler-state prepass (:func:`checkpoint_prepass`) walks the stream
-once without materializing outputs, snapshotting at every shard
-boundary; then every shard replays its window range in parallel from
-the checkpoint at its start (:func:`run_shard_from_checkpoint`),
-bit-identical to the batch path because the per-timestamp randomness is
-derived by absolute index.
-
-On the process backend both paths default to **zero-copy transport**
-(:mod:`repro.runtime.shm`): the indicator matrix lives in one shared
-segment, workers receive a :class:`ShardPlanes` bundle of
-``(segment, dtype, shape)`` descriptors plus their shard bounds
-(:func:`run_shard_zero_copy` /
-:func:`run_shard_from_checkpoint_zero_copy`), deposit outputs into
-preallocated shared planes and return a tiny :class:`ShardReceipt`;
-:func:`merge_receipts` then stitches plane views instead of unpickling
-and concatenating per-shard arrays.
+accounting trace, last release, rng-pool position).  The run loop
+parallelizes them in two phases — a cheap sequential scheduler-state
+prepass (:func:`checkpoint_prepass`) walks the stream once without
+materializing outputs, snapshotting at every shard boundary; then every
+shard replays its window range in parallel from the checkpoint at its
+start (:func:`run_shard_from_checkpoint`), bit-identical to the batch
+path because the per-timestamp randomness is derived by absolute index.
 """
 
 from __future__ import annotations
 
 import copy
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.confusion import ConfusionCounts
-from repro.runtime.shm import ArrayDescriptor, SegmentPlane, attach
 from repro.runtime.stages import MetricsSink
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.utils.rng import RngLike
-
-BACKENDS = ("thread", "process")
-
-
-def validate_backend(backend: str) -> str:
-    """Reject unknown worker-pool backends (shared by every consumer)."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; available: {list(BACKENDS)}"
-        )
-    return backend
 
 
 @dataclass(frozen=True)
@@ -138,85 +118,221 @@ def clone_rng(rng: RngLike) -> RngLike:
     return rng
 
 
+def resolve_pool(
+    n_workers: Optional[int], n_shards: Optional[int]
+) -> Tuple[int, int]:
+    """Validate a parallel executor's worker and shard counts.
+
+    ``n_workers`` defaults to ``os.cpu_count()``, ``n_shards`` to the
+    worker count.
+    """
+    if n_workers is None:
+        n_workers = os.cpu_count() or 1
+    if n_workers <= 0:
+        raise ValueError(f"n_workers must be positive, got {n_workers}")
+    if n_shards is not None and n_shards <= 0:
+        raise ValueError(f"n_shards must be positive, got {n_shards}")
+    return n_workers, n_shards if n_shards is not None else n_workers
+
+
+# ---------------------------------------------------------------------------
+# Shard outputs and the runner pair
+# ---------------------------------------------------------------------------
+
+
 @dataclass
-class ShardResult:
-    """The partial pipeline outcome of one shard, ready to merge."""
+class ShardOutputs:
+    """The output arrays shard runners write into.
+
+    - ``answers`` / ``truth`` — ``(n_queries, n)`` boolean arrays, rows
+      ordered as ``query_names``; ``None`` when the pipeline registers
+      no queries;
+    - ``released`` — the ``(n, width)`` released rows; ``None`` when
+      the run does not materialize streams.
+
+    Column (row) ``0`` holds window ``offset``: a whole run's outputs
+    start at window 0, a framed cluster worker's shard-sized outputs at
+    its shard's start.  The arrays are plain ndarrays on threads and
+    views of attached shared-memory segments in cluster workers.
+    """
+
+    query_names: Tuple[str, ...]
+    answers: Optional[np.ndarray]
+    truth: Optional[np.ndarray]
+    released: Optional[np.ndarray]
+    offset: int = 0
+
+    @classmethod
+    def allocate(
+        cls,
+        query_names: Sequence[str],
+        shard: Shard,
+        width: int,
+        *,
+        materialize: bool,
+    ) -> "ShardOutputs":
+        """Uninitialized outputs covering ``shard``'s windows."""
+        names = tuple(query_names)
+        n_windows = shard.n_windows
+        return cls(
+            query_names=names,
+            answers=np.empty((len(names), n_windows), bool) if names else None,
+            truth=np.empty((len(names), n_windows), bool) if names else None,
+            released=(
+                np.empty((n_windows, width), bool) if materialize else None
+            ),
+            offset=shard.start,
+        )
+
+
+@dataclass(frozen=True)
+class ShardReceipt:
+    """What a shard runner returns: its bounds and confusion counts.
+
+    The bulky outputs were already written into the output arrays; only
+    the shard bounds and the four confusion counts travel back.
+    """
 
     shard: Shard
-    answers: Dict[str, np.ndarray]
-    true_answers: Dict[str, np.ndarray]
     counts: ConfusionCounts
-    original: Optional[np.ndarray] = None
-    released: Optional[np.ndarray] = None
 
 
-def _shard_result(
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard's work order.
+
+    ``snapshot`` / ``decisions`` are set on checkpointed runs only: the
+    prepass release state at the shard's start and its recorded
+    scheduler-decision slice (``None`` when the mechanism re-steps).
+    """
+
+    shard: Shard
+    rng: RngLike
+    snapshot: Optional[dict] = None
+    decisions: Optional[tuple] = None
+
+
+def _record(
     pipeline,
-    matrix: np.ndarray,
+    rows: np.ndarray,
     shard: Shard,
     released: np.ndarray,
-    *,
-    materialize: bool,
-) -> ShardResult:
-    """Match and count one shard's released windows (shared tail)."""
+    outputs: ShardOutputs,
+) -> ShardReceipt:
+    """Match one shard's windows and write them into ``outputs``."""
     matcher = pipeline.matcher
     answers = matcher.answer(released)
-    true_answers = matcher.answer(matrix)
+    truth = matcher.answer(rows)
+    window = slice(shard.start - outputs.offset, shard.stop - outputs.offset)
+    if outputs.released is not None:
+        outputs.released[window] = released
+    for row, name in enumerate(outputs.query_names):
+        outputs.answers[row, window] = answers[name]
+        outputs.truth[row, window] = truth[name]
     # Accumulate through the sink so sharded counting can never diverge
     # from the batch/chunked micro-averaging rule.
     sink = MetricsSink()
-    sink.update(true_answers, answers)
-    counts = sink.confusion
-    return ShardResult(
-        shard=shard,
-        answers=answers,
-        true_answers=true_answers,
-        counts=counts,
-        original=matrix if materialize else None,
-        released=released if materialize else None,
-    )
-
-
-def _seeked_release(
-    pipeline,
-    matrix: np.ndarray,
-    shard: Shard,
-    *,
-    alphabet: EventAlphabet,
-    horizon: int,
-    rng: RngLike,
-) -> np.ndarray:
-    """Release one shard's rows through a seeked chunk stepper."""
-    stepper = pipeline.runtime_mechanism.stepper(
-        alphabet, rng=rng, horizon=horizon
-    )
-    stepper.seek(shard.start)
-    return stepper.step_block(matrix)
+    sink.update(truth, answers)
+    return ShardReceipt(shard=shard, counts=sink.confusion)
 
 
 def run_shard(
     pipeline,
-    matrix: np.ndarray,
+    rows: np.ndarray,
     shard: Shard,
+    outputs: ShardOutputs,
     *,
     alphabet: EventAlphabet,
     horizon: int,
     rng: RngLike,
-    materialize: bool = True,
-) -> ShardResult:
-    """Execute one shard's windows through a seeked chunk stepper.
+) -> ShardReceipt:
+    """Release one shard's windows through a seeked chunk stepper.
 
-    ``matrix`` is the shard's slice of the indicator matrix (rows
+    ``rows`` is the shard's slice of the indicator matrix (rows
     ``shard.start:shard.stop`` of the full stream); ``horizon`` is the
     *full* stream length, which budget-per-horizon mechanisms
     (user-level RR) need regardless of shard boundaries.
     """
-    released = _seeked_release(
-        pipeline, matrix, shard, alphabet=alphabet, horizon=horizon, rng=rng
+    stepper = pipeline.runtime_mechanism.stepper(
+        alphabet, rng=rng, horizon=horizon
     )
-    return _shard_result(
-        pipeline, matrix, shard, released, materialize=materialize
+    stepper.seek(shard.start)
+    released = stepper.step_block(rows)
+    return _record(pipeline, rows, shard, released, outputs)
+
+
+def run_shard_from_checkpoint(
+    pipeline,
+    rows: np.ndarray,
+    shard: Shard,
+    outputs: ShardOutputs,
+    snapshot: dict,
+    decisions: Optional[tuple],
+    *,
+    alphabet: EventAlphabet,
+    horizon: int,
+    rng: RngLike,
+) -> ShardReceipt:
+    """Replay one shard's windows from its prepass checkpoint.
+
+    A fresh stepper is restored to the prepass state at ``shard.start``
+    and either replays the recorded decisions (BD/BA — only publishing
+    timestamps cost loop work) or re-steps the range (landmark).  Both
+    are bit-identical to an uninterrupted sequential run because every
+    timestamp's randomness comes from the same index-derived child
+    stream.
+    """
+    stepper = pipeline.runtime_mechanism.stepper(
+        alphabet, rng=rng, horizon=horizon, publish_trace=False
     )
+    stepper.restore(snapshot)
+    if decisions is not None:
+        released = stepper.replay_block(rows, decisions)
+    else:
+        released = stepper.step_block(rows)
+    return _record(pipeline, rows, shard, released, outputs)
+
+
+def run_task(
+    pipeline,
+    rows: np.ndarray,
+    task: ShardTask,
+    outputs: ShardOutputs,
+    *,
+    alphabet: EventAlphabet,
+    horizon: int,
+) -> ShardReceipt:
+    """Run one task through the runner its kind needs.
+
+    The runners are looked up on this module at call time, so a
+    wrapper installed on ``sharding.run_shard`` sees every shard.
+    """
+    if task.snapshot is None:
+        return run_shard(
+            pipeline,
+            rows,
+            task.shard,
+            outputs,
+            alphabet=alphabet,
+            horizon=horizon,
+            rng=task.rng,
+        )
+    return run_shard_from_checkpoint(
+        pipeline,
+        rows,
+        task.shard,
+        outputs,
+        task.snapshot,
+        task.decisions,
+        alphabet=alphabet,
+        horizon=horizon,
+        rng=task.rng,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint prepass
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -227,9 +343,9 @@ class CheckpointPlan:
     first window; ``decisions[i]`` is the recorded scheduler-decision
     slice for shard ``i``'s window range (``None`` when the mechanism
     has no decision replay and shards re-step instead).  ``trace`` is
-    the authoritative accounting trace of the whole run — the merged
-    result publishes it to ``mechanism.last_trace`` so partial shard
-    traces never race it.
+    the authoritative accounting trace of the whole run — the run loop
+    publishes it to ``mechanism.last_trace`` so partial shard traces
+    never race it.
     """
 
     shards: List[Shard]
@@ -280,411 +396,185 @@ def checkpoint_prepass(
     return plan
 
 
-def run_shard_from_checkpoint(
-    pipeline,
-    matrix: np.ndarray,
-    shard: Shard,
-    snapshot: dict,
-    decisions: Optional[tuple],
-    *,
-    alphabet: EventAlphabet,
-    horizon: int,
-    rng: RngLike,
-    materialize: bool = True,
-) -> ShardResult:
-    """Phase two: replay one shard's windows from its checkpoint.
-
-    A fresh stepper is restored to the prepass state at ``shard.start``
-    and either replays the recorded decisions (BD/BA — only publishing
-    timestamps cost loop work) or re-steps the range (landmark).  Both
-    are bit-identical to an uninterrupted sequential run because every
-    timestamp's randomness comes from the same index-derived child
-    stream.
-    """
-    released = _replayed_release(
-        pipeline,
-        matrix,
-        snapshot,
-        decisions,
-        alphabet=alphabet,
-        horizon=horizon,
-        rng=rng,
-    )
-    return _shard_result(
-        pipeline, matrix, shard, released, materialize=materialize
-    )
-
-
-def _replayed_release(
-    pipeline,
-    matrix: np.ndarray,
-    snapshot: dict,
-    decisions: Optional[tuple],
-    *,
-    alphabet: EventAlphabet,
-    horizon: int,
-    rng: RngLike,
-) -> np.ndarray:
-    """Release one shard's rows by replaying from a prepass snapshot."""
-    stepper = pipeline.runtime_mechanism.stepper(
-        alphabet, rng=rng, horizon=horizon, publish_trace=False
-    )
-    stepper.restore(snapshot)
-    if decisions is not None:
-        return stepper.replay_block(matrix, decisions)
-    return stepper.step_block(matrix)
-
-
 # ---------------------------------------------------------------------------
-# Zero-copy shard transport (process backend)
+# The run loop and the merge
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ShardPlanes:
-    """Descriptors of one run's shared-memory data plane.
+class ShardJob:
+    """What every shard of one run shares."""
 
-    Everything a process-pool worker needs to reach its input rows and
-    to deposit its outputs without a single pickled array:
+    pipeline: object
+    matrix: np.ndarray
+    alphabet: EventAlphabet
+    horizon: int
+    materialize: bool
 
-    - ``matrix`` — the *full* indicator matrix; workers slice their
-      shard's ``[start, stop)`` row range out of the attached view;
-    - ``answers`` / ``truth`` — ``(n_queries, n_windows)`` boolean
-      output planes (rows ordered as ``query_names``), absent when the
-      pipeline registers no queries;
-    - ``released`` — the ``(n_windows, width)`` released-rows output
-      plane, absent when the run does not materialize streams.
+    def outputs(self) -> ShardOutputs:
+        """Outputs covering the whole run, as plain ndarrays."""
+        return ShardOutputs.allocate(
+            self.pipeline.matcher.query_names,
+            Shard(0, self.horizon),
+            len(self.alphabet),
+            materialize=self.materialize,
+        )
 
-    The whole object pickles to a few hundred bytes however many
-    windows the stream holds — this is the pool payload that replaces
-    per-shard matrix pickling.
-    """
-
-    matrix: ArrayDescriptor
-    query_names: Tuple[str, ...]
-    answers: Optional[ArrayDescriptor] = None
-    truth: Optional[ArrayDescriptor] = None
-    released: Optional[ArrayDescriptor] = None
-
-
-@dataclass(frozen=True)
-class ShardReceipt:
-    """A zero-copy worker's return value: bounds plus tiny aggregates.
-
-    The bulky outputs were already written into the shared planes; only
-    the shard bounds and the four confusion counts ride back through
-    the pool's result pickle.
-    """
-
-    shard: Shard
-    counts: ConfusionCounts
-
-
-@dataclass(frozen=True)
-class TransportStats:
-    """Bytes actually pickled into the worker pool for one run."""
-
-    backend: str
-    zero_copy: bool
-    n_windows: int
-    n_shards: int
-    bytes_pickled: int
-
-    @property
-    def bytes_per_window(self) -> float:
-        """Pool-transport cost per stream window (the bench metric)."""
-        if self.n_windows == 0:
-            return 0.0
-        return self.bytes_pickled / self.n_windows
-
-
-def measure_payload(*payloads) -> int:
-    """Pickled size of the objects a pool submission would ship."""
-    return sum(
-        len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        for payload in payloads
-    )
-
-
-def build_shard_planes(
-    plane: SegmentPlane,
-    matrix: np.ndarray,
-    query_names: Sequence[str],
-    *,
-    materialize: bool,
-) -> ShardPlanes:
-    """Populate a run's data plane: input matrix in, output planes
-    preallocated.
-
-    The caller owns ``plane`` and must close it in a ``try/finally``
-    around the pool (see :class:`~repro.runtime.shm.SegmentPlane`).
-    """
-    n_windows, width = matrix.shape
-    names = tuple(query_names)
-    return ShardPlanes(
-        matrix=plane.share(matrix),
-        query_names=names,
-        answers=(
-            plane.allocate((len(names), n_windows), bool) if names else None
-        ),
-        truth=(
-            plane.allocate((len(names), n_windows), bool) if names else None
-        ),
-        released=(
-            plane.allocate((n_windows, width), bool) if materialize else None
-        ),
-    )
-
-
-def _deposit_receipt(
-    pipeline,
-    planes: ShardPlanes,
-    shard: Shard,
-    matrix: np.ndarray,
-    released: np.ndarray,
-) -> ShardReceipt:
-    """Write one shard's outputs into the planes; return the receipt."""
-    matcher = pipeline.matcher
-    answers = matcher.answer(released)
-    true_answers = matcher.answer(matrix)
-    if planes.released is not None:
-        with attach(planes.released) as released_plane:
-            released_plane[shard.start : shard.stop] = released
-    if planes.answers is not None:
-        with attach(planes.answers) as answers_plane:
-            for row, name in enumerate(planes.query_names):
-                answers_plane[row, shard.start : shard.stop] = answers[name]
-    if planes.truth is not None:
-        with attach(planes.truth) as truth_plane:
-            for row, name in enumerate(planes.query_names):
-                truth_plane[row, shard.start : shard.stop] = true_answers[
-                    name
-                ]
-    # Same accumulation rule as _shard_result: through the sink, so
-    # zero-copy counting can never diverge from the pickled path.
-    sink = MetricsSink()
-    sink.update(true_answers, answers)
-    return ShardReceipt(shard=shard, counts=sink.confusion)
-
-
-def _seek_task(
-    matrix, pipeline, planes, shard, *, alphabet, horizon, rng
-) -> ShardReceipt:
-    """Release + deposit in one frame, so matrix views die on return."""
-    released = _seeked_release(
-        pipeline, matrix, shard, alphabet=alphabet, horizon=horizon, rng=rng
-    )
-    return _deposit_receipt(pipeline, planes, shard, matrix, released)
-
-
-def run_shard_zero_copy(
-    pipeline,
-    planes: ShardPlanes,
-    shard: Shard,
-    *,
-    alphabet: EventAlphabet,
-    horizon: int,
-    rng: RngLike,
-) -> ShardReceipt:
-    """Zero-copy twin of :func:`run_shard`.
-
-    Attaches the shared matrix, releases rows ``[start, stop)`` through
-    a seeked stepper, writes the outputs into the shared planes and
-    returns only a :class:`ShardReceipt`.  All views of the attached
-    segment live in the task helper's frame, which is gone before the
-    attachment closes — the worker unmaps cleanly between tasks.
-    """
-    attachment = attach(planes.matrix)
-    with attachment:
-        return _seek_task(
-            attachment.array[shard.start : shard.stop],
-            pipeline,
-            planes,
-            shard,
-            alphabet=alphabet,
-            horizon=horizon,
-            rng=rng,
+    def run(self, task: ShardTask, outputs: ShardOutputs) -> ShardReceipt:
+        """Run ``task`` in this process against the job's matrix."""
+        shard = task.shard
+        return run_task(
+            self.pipeline,
+            self.matrix[shard.start : shard.stop],
+            task,
+            outputs,
+            alphabet=self.alphabet,
+            horizon=self.horizon,
         )
 
 
-def _replay_task(
-    matrix,
+def run_sharded(
     pipeline,
-    planes,
-    shard,
-    snapshot,
-    decisions,
-    *,
-    alphabet,
-    horizon,
-    rng,
-) -> ShardReceipt:
-    """Checkpoint-replay + deposit in one frame (views die on return)."""
-    released = _replayed_release(
-        pipeline,
-        matrix,
-        snapshot,
-        decisions,
-        alphabet=alphabet,
-        horizon=horizon,
-        rng=rng,
-    )
-    return _deposit_receipt(pipeline, planes, shard, matrix, released)
-
-
-def run_shard_from_checkpoint_zero_copy(
-    pipeline,
-    planes: ShardPlanes,
-    shard: Shard,
-    snapshot: dict,
-    decisions: Optional[tuple],
-    *,
-    alphabet: EventAlphabet,
-    horizon: int,
-    rng: RngLike,
-) -> ShardReceipt:
-    """Zero-copy twin of :func:`run_shard_from_checkpoint`."""
-    attachment = attach(planes.matrix)
-    with attachment:
-        return _replay_task(
-            attachment.array[shard.start : shard.stop],
-            pipeline,
-            planes,
-            shard,
-            snapshot,
-            decisions,
-            alphabet=alphabet,
-            horizon=horizon,
-            rng=rng,
-        )
-
-
-def merge_receipts(
-    receipts: Sequence[ShardReceipt],
-    plane: SegmentPlane,
-    planes: ShardPlanes,
-    *,
     indicators: IndicatorStream,
-    alpha: float = 0.5,
-    materialize: bool = True,
+    *,
+    rng: RngLike,
+    n_shards: int,
+    min_shard_size: int,
+    materialize: bool,
+    fan_out,
 ):
-    """Merge a zero-copy run: stitch plane views into a result.
+    """Run ``pipeline`` over ``indicators`` shard by shard.
 
-    The per-query vectors and the released matrix already sit
-    contiguously in window order inside the output planes — workers
-    wrote them there by absolute row index — so merging is one bulk
-    copy out of each plane (into arrays that outlive the segments)
-    plus the confusion-count sum.  Must be called *before* the owning
-    plane is closed.
+    The one run loop behind every parallel executor: it applies the rng
+    policy, picks the seek or checkpoint path, runs zero or one shard
+    in-process, and merges once.  ``fan_out(job, tasks)`` is the only
+    part an executor supplies — a context manager that runs every task
+    and yields ``(receipts, outputs)``, keeping ``outputs`` valid until
+    the merge has copied them out.
+
+    Mechanisms that can neither seek nor checkpoint raise
+    ``TypeError``.
     """
-    from repro.runtime.executors import PipelineResult
-
-    query_names = planes.query_names
-    answers: Dict[str, np.ndarray] = {}
-    true_answers: Dict[str, np.ndarray] = {}
-    if planes.answers is not None:
-        answers_plane = plane.view(planes.answers)
-        truth_plane = plane.view(planes.truth)
-        for row, name in enumerate(query_names):
-            answers[name] = answers_plane[row].copy()
-            true_answers[name] = truth_plane[row].copy()
-    sink = MetricsSink(alpha=alpha)
-    total = ConfusionCounts()
-    for receipt in sorted(receipts, key=lambda receipt: receipt.shard.start):
-        total = total + receipt.counts
-    sink.absorb(total)
-    original = released = None
-    if materialize:
-        # The parent already holds the original stream — nothing to
-        # reassemble — and IndicatorStream's constructor copies the
-        # released plane's rows, so the result outlives the segments.
-        original = indicators
-        released = IndicatorStream(
-            indicators.alphabet, plane.view(planes.released)
+    runtime = pipeline.runtime_mechanism
+    checkpointed = not runtime.shardable
+    if checkpointed and not getattr(runtime, "checkpointable", False):
+        raise TypeError(
+            f"mechanism {runtime.name!r} supports only batch "
+            "perturbation and cannot be sharded; use BatchExecutor"
         )
-    return PipelineResult(
-        answers=answers,
-        true_answers=true_answers,
-        original=original,
-        released=released,
-        sink=sink,
+    if isinstance(rng, np.random.Generator):
+        # Shards replay the generator's *current* state (first use is
+        # bit-identical to a batch run from that state); advance the
+        # caller's generator one derivation word — as derive_rng
+        # would — so consecutive runs off one shared generator draw
+        # fresh randomness instead of repeating the previous run's.
+        source = clone_rng(rng)
+        rng.integers(0, 2**63 - 1)
+    else:
+        source = rng
+    matrix = indicators.matrix_view()
+    job = ShardJob(
+        pipeline=pipeline,
+        matrix=matrix,
+        alphabet=indicators.alphabet,
+        horizon=matrix.shape[0],
+        materialize=materialize,
     )
+    shards = plan_shards(job.horizon, n_shards, min_shard_size=min_shard_size)
+
+    def merge(receipts, outputs):
+        return merge_results(
+            receipts, outputs, indicators=indicators, alpha=pipeline.alpha
+        )
+
+    if len(shards) <= 1:
+        # Zero or one shard: run in-process, no pool or fleet overhead.
+        outputs = job.outputs()
+        receipts = []
+        for shard in shards:
+            if checkpointed:
+                # A plain sequential run (the prepass would only
+                # duplicate it); the stepper publishes its own trace.
+                stepper = runtime.stepper(
+                    job.alphabet, rng=clone_rng(source), horizon=job.horizon
+                )
+                released = stepper.step_block(matrix)
+                receipts.append(
+                    _record(pipeline, matrix, shard, released, outputs)
+                )
+            else:
+                receipts.append(
+                    job.run(ShardTask(shard, clone_rng(source)), outputs)
+                )
+        return merge(receipts, outputs)
+    if not checkpointed:
+        tasks = [ShardTask(shard, clone_rng(source)) for shard in shards]
+        with fan_out(job, tasks) as (receipts, outputs):
+            return merge(receipts, outputs)
+    plan = checkpoint_prepass(
+        pipeline,
+        matrix,
+        shards,
+        alphabet=job.alphabet,
+        horizon=job.horizon,
+        rng=clone_rng(source),
+    )
+    tasks = [
+        ShardTask(shard, clone_rng(source), snapshot, decisions)
+        for shard, snapshot, decisions in zip(
+            plan.shards, plan.snapshots, plan.decisions
+        )
+    ]
+    with fan_out(job, tasks) as (receipts, outputs):
+        result = merge(receipts, outputs)
+    # The prepass trace is the authoritative accounting record of the
+    # run — identical to the batch path's — and is published once,
+    # after every shard finished, so partial shard traces never race
+    # it.
+    if plan.trace is not None and hasattr(runtime.mechanism, "last_trace"):
+        runtime.mechanism.last_trace = plan.trace
+    return result
 
 
 def merge_results(
-    parts: Sequence[ShardResult],
+    receipts: Sequence[ShardReceipt],
+    outputs: ShardOutputs,
     *,
-    alphabet: EventAlphabet,
-    query_names: Sequence[str],
+    indicators: IndicatorStream,
     alpha: float = 0.5,
-    materialize: bool = True,
 ):
-    """Merge per-shard results into one ``PipelineResult``.
+    """Merge one run's shard outputs into a ``PipelineResult``.
 
-    ``parts`` must already be in shard (window) order; slice-filling
-    preallocated outputs then reproduces exactly the batch layout.
-    Outputs are allocated once at their final size and filled by shard
-    slice — no per-shard list growth, no ``np.concatenate`` doubling
-    of peak memory.
+    The per-query vectors and the released matrix already sit
+    contiguously in window order inside ``outputs`` — the runners wrote
+    them there by absolute window slice — so merging is one copy out of
+    each array (into arrays that outlive shared-memory segments) plus
+    the confusion-count sum.
     """
     from repro.runtime.executors import PipelineResult
 
-    parts = sorted(parts, key=lambda part: part.shard.start)
-    total = sum(part.shard.n_windows for part in parts)
-    width = len(alphabet)
-
-    def fill_vectors(select):
-        vectors = {name: np.empty(total, dtype=bool) for name in query_names}
-        offset = 0
-        for part in parts:
-            stop = offset + part.shard.n_windows
-            source = select(part)
-            for name in query_names:
-                vectors[name][offset:stop] = source[name]
-            offset = stop
-        return vectors
-
-    answers = fill_vectors(lambda part: part.answers)
-    true_answers = fill_vectors(lambda part: part.true_answers)
-    # One confusion accumulation instead of one sink rebind per shard.
-    merged_counts = ConfusionCounts()
-    for part in parts:
-        merged_counts = merged_counts + part.counts
+    answers = {}
+    true_answers = {}
+    for row, name in enumerate(outputs.query_names):
+        answers[name] = outputs.answers[row].copy()
+        true_answers[name] = outputs.truth[row].copy()
+    total = ConfusionCounts()
+    for receipt in receipts:
+        total = total + receipt.counts
     sink = MetricsSink(alpha=alpha)
-    sink.absorb(merged_counts)
+    sink.absorb(total)
     original = released = None
-    if materialize:
-
-        def fill_matrix(select):
-            matrix = np.empty((total, width), dtype=bool)
-            offset = 0
-            for part in parts:
-                stop = offset + part.shard.n_windows
-                matrix[offset:stop] = select(part)
-                offset = stop
-            return matrix
-
-        original = IndicatorStream(
-            alphabet, fill_matrix(lambda part: part.original)
-        )
-        released = IndicatorStream(
-            alphabet, fill_matrix(lambda part: part.released)
-        )
+    if outputs.released is not None:
+        # The caller already holds the original stream — nothing to
+        # reassemble — and IndicatorStream's constructor copies the
+        # released rows.
+        original = indicators
+        released = IndicatorStream(indicators.alphabet, outputs.released)
     return PipelineResult(
         answers=answers,
         true_answers=true_answers,
+        n_windows=len(indicators),
         original=original,
         released=released,
         sink=sink,
-    )
-
-
-def make_pool(backend: str, n_workers: int, *, initializer=None, initargs=()):
-    """A worker pool for the chosen backend (caller must shut it down)."""
-    validate_backend(backend)
-    pool_type = (
-        ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-    )
-    return pool_type(
-        max_workers=n_workers, initializer=initializer, initargs=initargs
     )

@@ -1,16 +1,15 @@
 """Shared-memory segments for zero-copy shard transport.
 
-Process-backend sharding used to pickle every shard's slice of the
-indicator matrix into the pool and pickle the released rows back out —
-for service-scale streams that transport dominated the parallel wall
-time (``BENCH_sharding.json`` recorded ``sharded/process`` *slower*
-than batch).  This module is the data plane that removes the copies:
+The cluster executor's ``shm`` transport
+(:mod:`repro.runtime.cluster`) must not pickle every shard's slice of
+the indicator matrix into its task frames, nor the released rows back
+out.  This module is the data plane that removes the copies:
 
 - the parent places each large array in one named
   :mod:`multiprocessing.shared_memory` segment
   (:meth:`SegmentPlane.share` / :meth:`SegmentPlane.allocate`) and
   ships only an :class:`ArrayDescriptor` — ``(segment name, dtype,
-  shape)`` — through the pool;
+  shape)`` — to the workers;
 - workers :func:`attach` to the named segment and rebuild the array as
   ``np.ndarray(shape, dtype, buffer=shm.buf)`` — a view of the same
   physical pages, no copy — then slice their contiguous window range
@@ -21,8 +20,8 @@ than batch).  This module is the data plane that removes the copies:
 
 Lifecycle ownership is strictly parent-side: the :class:`SegmentPlane`
 that created the segments closes **and unlinks** every one of them in a
-``try/finally`` around the pool, whether the run succeeds, a worker
-raises mid-shard, or the pool is torn down early.  Workers only attach
+``try/finally`` around the fleet, whether the run succeeds, a worker
+raises mid-shard, or the fleet is torn down early.  Workers only attach
 and detach; they never unlink and never touch the resource-tracker
 bookkeeping (see the note in :class:`attach` for why that division is
 load-bearing under the fork start method).
@@ -72,9 +71,7 @@ class ArrayDescriptor:
     regardless of how many windows the array holds.  Shard workers pair
     it with their :class:`~repro.runtime.sharding.Shard`'s
     ``[start, stop)`` bounds to view exactly their contiguous slice.
-    A distributed backend would ship the same triple plus a transport
-    URL, which is why the cluster executor sketched in ROADMAP.md can
-    reuse this type as its wire format.
+    The cluster executor ships the same triple plus a transport URL.
     """
 
     segment: str
@@ -137,7 +134,7 @@ class SegmentPlane:
 
         The one deliberate copy of the zero-copy design: the indicator
         matrix is written into shared pages once, instead of being
-        pickled once *per shard* into the pool.
+        pickled once *per shard* into the task frames.
         """
         array = np.ascontiguousarray(array)
         descriptor = self.allocate(array.shape, array.dtype)
@@ -202,7 +199,7 @@ class attach:
         self._segment = shared_memory.SharedMemory(name=descriptor.segment)
         # NOTE on the resource_tracker: attaching registers the segment
         # a second time.  With the fork start method (Linux, and what
-        # make_pool's ProcessPoolExecutor uses here) the tracker
+        # the cluster fleet uses here) the tracker
         # process is *shared* with the parent, its cache is a set, and
         # the duplicate registration is a no-op the parent's unlink
         # balances exactly once — so workers must NOT unregister, or

@@ -10,7 +10,7 @@ push-based and async sessions, checkpoint/resume, and evaluation
 sweeps.
 
 Mechanisms and executors are chosen by *registered string specs*
-(``"uniform-ppm"``, ``"sharded:process:8"``, ...); third-party backends
+(``"uniform-ppm"``, ``"cluster:workers=8"``, ...); third-party backends
 hook in through :func:`register_mechanism` / :func:`register_executor`
 without touching core.  Runs are reproducible from a JSON blob plus a
 seed, bit-identical to the imperative ``CEPEngine`` path under the same

@@ -2,13 +2,13 @@
 
 The declarative service API names its components by *spec strings*:
 ``mechanism="uniform-ppm"``,
-``executor="sharded:backend=process,workers=8"``.  A spec string is a
+``executor="cluster:workers=8,transport=shm"``.  A spec string is a
 registered name optionally followed by ``key=value`` arguments (the
 shared grammar in :mod:`repro.service.specgrammar`, also used by the
 source/sink registry); keyword options ride along separately
 (:attr:`~repro.service.spec.ServiceSpec.mechanism_options` /
 ``executor_options``).  The legacy positional grammar
-(``"sharded:process:8"``, colon-separated arguments coerced to
+(``"sharded:thread:8"``, colon-separated arguments coerced to
 ``int``/``float``) still resolves to identical objects behind exactly
 one ``DeprecationWarning`` per callsite.
 
@@ -78,8 +78,8 @@ def parse_spec(spec: str) -> Tuple[str, Tuple[object, ...]]:
     """Split ``"name:arg1:arg2"`` into the name and coerced arguments.
 
     Arguments parse to ``int`` then ``float`` when possible and stay
-    strings otherwise: ``"sharded:process:8"`` →
-    ``("sharded", ("process", 8))``.
+    strings otherwise: ``"sharded:thread:8"`` →
+    ``("sharded", ("thread", 8))``.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError(f"spec must be a non-empty string, got {spec!r}")
@@ -775,62 +775,63 @@ def _build_chunked_executor(
     return ChunkedExecutor(chunk_size, materialize=materialize)
 
 
-#: Transport-mode flags a sharded executor spec may carry: ``copy``
-#: opts the process backend out of shared-memory shard transport (a
-#: debugging escape hatch), ``zerocopy`` spells the default out loud.
-SHARDED_TRANSPORT_FLAGS = {"copy": False, "zerocopy": True}
+#: The pointed error of every sharded spec asking for processes or a
+#: shard transport: multi-process sharding is the cluster executor.
+_USE_CLUSTER = (
+    "sharded executors run on threads; for multi-process sharding use "
+    "'cluster:workers=N,transport=shm'"
+)
+
+#: Positional tokens of the retired process-backend sharded specs.
+_PROCESS_TOKENS = ("process", "copy", "zerocopy")
 
 
-def _sharded_transport(value: str) -> bool:
-    """Map a ``transport=`` flag to ``zero_copy``; pointed on typos."""
-    if value not in SHARDED_TRANSPORT_FLAGS:
-        raise ValueError(
-            f"unknown transport flag {value!r}; valid transport "
-            f"flags: {', '.join(sorted(SHARDED_TRANSPORT_FLAGS))}"
-        )
-    return SHARDED_TRANSPORT_FLAGS[value]
+def _thread_backend(value: str) -> str:
+    """Accept ``backend=thread``; point anything else at the cluster."""
+    if value != "thread":
+        raise ValueError(f"{value!r} is not a sharded backend; {_USE_CLUSTER}")
+    return value
+
+
+def _no_transport(value: str):
+    """Sharded executors have no shard transport; point at the cluster."""
+    raise ValueError(f"{value!r}: {_USE_CLUSTER}")
 
 
 def _suggest_sharded(args: Sequence[object]):
     """Classify legacy positional sharded arguments onto their keys."""
-    pairs = []
-    for argument in args:
-        if isinstance(argument, int):
-            pairs.append(("workers", argument))
-        elif argument in SHARDED_TRANSPORT_FLAGS:
-            pairs.append(("transport", argument))
-        else:
-            pairs.append(("backend", argument))
-    return pairs
+    return [
+        ("workers" if isinstance(argument, int) else "backend", argument)
+        for argument in args
+    ]
 
 
 @register_executor(
     "sharded",
     keys=(
-        SpecKey("backend"),
+        SpecKey("backend", convert=_thread_backend),
         SpecKey("workers", dest="n_workers"),
-        SpecKey("transport", dest="zero_copy", convert=_sharded_transport),
+        SpecKey("transport", convert=_no_transport),
     ),
     suggest=_suggest_sharded,
 )
-def _build_sharded_executor(*args, **options):
-    """Parallel sharded execution:
-    ``"sharded:backend=process,workers=8,transport=zerocopy"``.
+def _build_sharded_executor(
+    *args, backend: str = "thread", n_workers=None, **options
+):
+    """Thread-pool sharded execution: ``"sharded:backend=thread,workers=8"``.
 
-    Keys: ``backend=`` (``thread`` / ``process``), ``workers=``, and
-    ``transport=`` (``copy`` pickles shard slices, for debugging the
-    default zero-copy shared-memory plane).  The legacy positional
-    grammar (``"sharded:process:8:copy"`` — backend, worker count
-    and/or transport flag in any order) still resolves behind one
-    deprecation warning.  Keyword options pass through to
+    Keys: ``backend=`` (``thread``, the only backend) and ``workers=``.
+    Multi-process sharding is the cluster executor: ``backend=process``,
+    a ``transport=`` key and the ``process``/``copy``/``zerocopy``
+    positional tokens raise a ``ValueError`` naming
+    ``cluster:workers=N,transport=shm``.  The legacy positional grammar
+    (``"sharded:thread:8"``) still resolves behind one deprecation
+    warning.  Keyword options pass through to
     :class:`~repro.runtime.executors.ShardedExecutor`.
     """
     from repro.runtime.executors import ShardedExecutor
-    from repro.runtime.sharding import BACKENDS
 
-    backend = options.pop("backend", None)
-    n_workers = options.pop("n_workers", None)
-    zero_copy = options.pop("zero_copy", None)
+    _thread_backend(backend)
     for argument in args:
         if isinstance(argument, int):
             if n_workers is not None:
@@ -839,33 +840,14 @@ def _build_sharded_executor(*args, **options):
                     f"{n_workers} and {argument}"
                 )
             n_workers = argument
-        elif argument in SHARDED_TRANSPORT_FLAGS:
-            if zero_copy is not None:
-                raise ValueError(
-                    f"sharded executor spec gives two transport flags: "
-                    f"zero_copy={zero_copy} and {argument!r}"
-                )
-            zero_copy = SHARDED_TRANSPORT_FLAGS[argument]
-        elif argument in BACKENDS:
-            if backend is not None:
-                raise ValueError(
-                    f"sharded executor spec gives two backends: "
-                    f"{backend!r} and {argument!r}"
-                )
-            backend = argument
-        else:
+        elif argument in _PROCESS_TOKENS:
+            raise ValueError(f"{argument!r}: {_USE_CLUSTER}")
+        elif argument != "thread":
             raise ValueError(
-                f"unknown token {argument!r} in sharded executor "
-                f"spec; expected a backend ({', '.join(BACKENDS)}), "
-                f"a worker count, or a transport flag "
-                f"({', '.join(sorted(SHARDED_TRANSPORT_FLAGS))})"
+                f"unknown token {argument!r} in sharded executor spec; "
+                "expected 'thread' or a worker count"
             )
-    return ShardedExecutor(
-        n_workers,
-        backend=backend or "thread",
-        zero_copy=zero_copy,
-        **options,
-    )
+    return ShardedExecutor(n_workers, **options)
 
 
 @register_executor(

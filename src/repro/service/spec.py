@@ -274,7 +274,7 @@ class ServiceSpec:
         ``{"epsilon": 2.0}``).
     executor:
         Registered executor spec (``"batch"``, ``"chunked:512"``,
-        ``"sharded:process:8"``, ...).
+        ``"sharded:workers=4"``, ``"cluster:workers=8"``, ...).
     executor_options:
         Keyword options for the executor factory.
     source:

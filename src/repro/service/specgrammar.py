@@ -3,12 +3,12 @@
 Every registry that resolves spec strings — executors and mechanisms in
 :mod:`repro.service.registry`, sources and sinks in
 :mod:`repro.io.registry` — historically used a *positional* grammar
-(``"sharded:process:8:zerocopy"``) whose argument meaning depended on
+(``"sharded:thread:8"``) whose argument meaning depended on
 order and type sniffing.  This module implements the replacement
 grammar once, so both registries parse identically:
 
 ``name:key=value[,key=value...]``
-    ``"sharded:backend=process,workers=8,transport=zerocopy"``,
+    ``"sharded:backend=thread,workers=8"``,
     ``"cluster:workers=8,transport=shm"``,
     ``"synthetic:generator=bernoulli,windows=500,seed=3"``.
 
@@ -69,8 +69,8 @@ class SpecKey:
         ``name``.
     convert:
         Optional converter applied to the raw string value (e.g. a
-        transport-flag lookup that raises a pointed error on unknown
-        flags).  Defaults to :func:`coerce_scalar`.
+        backend check that raises a pointed error on values it does
+        not accept).  Defaults to :func:`coerce_scalar`.
     raw:
         ``True`` passes the value through uncoerced (paths).
     """

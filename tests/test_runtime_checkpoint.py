@@ -24,7 +24,12 @@ from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
-from repro.runtime import BatchExecutor, ShardedExecutor, StreamPipeline
+from repro.runtime import (
+    BatchExecutor,
+    ClusterExecutor,
+    ShardedExecutor,
+    StreamPipeline,
+)
 from repro.runtime.rng_pool import IndexedRngPool
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
@@ -196,18 +201,21 @@ class TestPoolCheckpoint:
         assert pool.generator(12).random() == before
 
 
+#: The parallel executors by backend: threads, and the multi-process
+#: cluster fleet.
+PARALLEL = {"thread": ShardedExecutor, "process": ClusterExecutor}
+
+
 class TestCheckpointedSharding:
     @pytest.mark.parametrize("kind", ["bd", "ba", "landmark"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", list(PARALLEL))
     def test_bit_identical_to_batch(self, kind, backend):
         pipeline = StreamPipeline(
             ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
         )
         stream = make_stream()
         batch = BatchExecutor().run(pipeline, stream, rng=42)
-        sharded = ShardedExecutor(4, backend=backend).run(
-            pipeline, stream, rng=42
-        )
+        sharded = PARALLEL[backend](4).run(pipeline, stream, rng=42)
         assert sharded.original == batch.original
         assert sharded.released == batch.released
         for name, detections in batch.answers.items():

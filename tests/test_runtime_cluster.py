@@ -22,6 +22,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
@@ -46,11 +47,16 @@ def make_stream(n_windows, seed=9):
 
 
 def make_pipeline(kind):
-    if kind == "seekable":
+    """``seekable`` (uniform PPM), ``checkpointed`` (BD), ``ba``, or
+    ``no-queries`` (the uniform PPM with no query registered)."""
+    if kind in ("seekable", "no-queries"):
         mechanism = UniformPatternPPM(Pattern.of_types("p", "e1", "e4"), 1.5)
+    elif kind == "ba":
+        mechanism = BudgetAbsorption(1.0, w=4)
     else:
         mechanism = BudgetDistribution(1.0, w=4)
-    return StreamPipeline(ALPHABET, queries=QUERIES, mechanism=mechanism)
+    queries = () if kind == "no-queries" else QUERIES
+    return StreamPipeline(ALPHABET, queries=queries, mechanism=mechanism)
 
 
 def assert_bit_identical(left, right):
@@ -95,16 +101,45 @@ def one_shot(sentinel, fault):
 
 class TestClusterBitIdentity:
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("kind", ["seekable", "checkpointed"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["seekable", "checkpointed", "ba", "no-queries", "unmaterialized"],
+    )
     def test_matches_batch(self, transport, kind):
-        pipeline = make_pipeline(kind)
+        materialize = kind != "unmaterialized"
+        pipeline = make_pipeline("checkpointed" if not materialize else kind)
         stream = make_stream(300)
         batch = BatchExecutor().run(pipeline, stream, rng=17)
         clustered = ClusterExecutor(
-            3, transport=transport, n_shards=5
+            3, transport=transport, n_shards=5, materialize=materialize
         ).run(pipeline, stream, rng=17)
-        assert_bit_identical(clustered, batch)
+        if materialize:
+            assert_bit_identical(clustered, batch)
+        else:
+            assert clustered.original is None and clustered.released is None
+            for name, detections in batch.answers.items():
+                assert np.array_equal(clustered.answers[name], detections)
+                assert np.array_equal(
+                    clustered.true_answers[name], batch.true_answers[name]
+                )
+            assert clustered.quality() == batch.quality()
+        assert clustered.n_windows == batch.n_windows
         assert leaked_segments() == ()
+
+    def test_framed_transport_needs_no_shared_memory(self, monkeypatch):
+        # The framed fallback serves hosts without /dev/shm: it must
+        # never create a segment.
+        def no_shm():
+            raise OSError("no /dev/shm on this host")
+
+        monkeypatch.setattr(cluster, "SegmentPlane", no_shm)
+        pipeline = make_pipeline("checkpointed")
+        stream = make_stream(120)
+        batch = BatchExecutor().run(pipeline, stream, rng=11)
+        clustered = ClusterExecutor(2, transport="framed").run(
+            pipeline, stream, rng=11
+        )
+        assert_bit_identical(clustered, batch)
 
     @pytest.mark.parametrize("kind", ["seekable", "checkpointed"])
     def test_single_shard_runs_in_process(self, kind):

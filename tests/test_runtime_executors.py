@@ -4,6 +4,8 @@ The property suite (``tests/property/test_property_runtime.py``) drives
 random streams and chunk sizes; these tests pin the degenerate corners
 explicitly — empty streams, chunk sizes past the stream end, and
 window-at-a-time stepping — for every streamable mechanism family.
+Every executor also reports the window count it ran, even with no
+queries and no materialized streams.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
-from repro.runtime import BatchExecutor, ChunkedExecutor, StreamPipeline
+from repro.runtime import (
+    BatchExecutor,
+    ChunkedExecutor,
+    ClusterExecutor,
+    ShardedExecutor,
+    StreamPipeline,
+)
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 ALPHABET = EventAlphabet.numbered(5)
@@ -102,3 +110,22 @@ class TestChunkedEdgeCases:
         )
         assert result.original is None and result.released is None
         assert result.n_windows == 0
+
+
+@pytest.mark.parametrize(
+    "make_executor",
+    [
+        BatchExecutor,
+        lambda: ChunkedExecutor(16, materialize=False),
+        lambda: ShardedExecutor(3, materialize=False),
+        lambda: ClusterExecutor(2, materialize=False),
+    ],
+    ids=["batch", "chunked", "sharded", "cluster"],
+)
+def test_window_count_without_queries_or_streams(make_executor):
+    # Regression: the count used to be read off the materialized stream
+    # or the first answer vector, so a query-free run that kept no
+    # streams reported 0 windows.
+    pipeline = StreamPipeline(ALPHABET, mechanism=mechanisms()["uniform"])
+    result = make_executor().run(pipeline, make_stream(101), rng=5)
+    assert result.n_windows == 101

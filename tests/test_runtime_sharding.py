@@ -2,7 +2,8 @@
 
 The sharded executor's contract is that parallelism is *invisible* in
 the output: same seed ⇒ same ``PipelineResult`` as the batch executor,
-whatever the backend (thread/process), worker count or shard layout.
+whatever the backend (threads, or the multi-process cluster fleet),
+worker count or shard layout.
 That rests on the seek invariant — every shard's stepper consumes the
 child-generator words of its absolute window range — which these tests
 pin alongside the shard planner's arithmetic.
@@ -21,6 +22,7 @@ from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
 from repro.runtime import (
     BatchExecutor,
+    ClusterExecutor,
     ShardedExecutor,
     StreamPipeline,
 )
@@ -52,6 +54,11 @@ def seekable_mechanisms():
         "event-level": EventLevelRR(1.0),
         "user-level": UserLevelRR(500.0),
     }
+
+
+#: The parallel executors by backend: threads, and the multi-process
+#: cluster fleet.
+PARALLEL = {"thread": ShardedExecutor, "process": ClusterExecutor}
 
 
 def assert_bit_identical(left, right):
@@ -98,19 +105,17 @@ class TestShardPlanner:
 
 class TestShardedExecutor:
     @pytest.mark.parametrize("kind", list(seekable_mechanisms()))
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", list(PARALLEL))
     def test_bit_identical_to_batch(self, kind, backend):
         pipeline = StreamPipeline(
             ALPHABET, queries=QUERIES, mechanism=seekable_mechanisms()[kind]
         )
         stream = make_stream(257)
         batch = BatchExecutor().run(pipeline, stream, rng=42)
-        sharded = ShardedExecutor(4, backend=backend).run(
-            pipeline, stream, rng=42
-        )
+        sharded = PARALLEL[backend](4).run(pipeline, stream, rng=42)
         assert_bit_identical(sharded, batch)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", list(PARALLEL))
     @pytest.mark.parametrize("n_workers", [1, 2, 8])
     def test_deterministic_across_worker_counts(self, backend, n_workers):
         pipeline = StreamPipeline(
@@ -120,11 +125,34 @@ class TestShardedExecutor:
         )
         stream = make_stream(190)
         reference = BatchExecutor().run(pipeline, stream, rng=7)
-        executor = ShardedExecutor(n_workers, backend=backend)
+        executor = PARALLEL[backend](n_workers)
         first = executor.run(pipeline, stream, rng=7)
         second = executor.run(pipeline, stream, rng=7)
         assert_bit_identical(first, reference)
         assert_bit_identical(second, first)
+
+    def test_many_threads_write_disjoint_output_slices(self):
+        # Every shard writes into one shared set of output arrays; with
+        # far more threads than cores and a tiny switch interval, a
+        # misplaced or lost slice write would break batch identity.
+        import sys
+
+        pipeline = StreamPipeline(
+            ALPHABET,
+            queries=QUERIES,
+            mechanism=seekable_mechanisms()["multi"],
+        )
+        stream = make_stream(640)
+        batch = BatchExecutor().run(pipeline, stream, rng=19)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sharded = ShardedExecutor(16, n_shards=64).run(
+                pipeline, stream, rng=19
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bit_identical(sharded, batch)
 
     def test_generator_rng_matches_batch(self):
         pipeline = StreamPipeline(
@@ -208,7 +236,7 @@ class TestShardedExecutor:
         ],
         ids=["ba", "landmark"],
     )
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", list(PARALLEL))
     def test_sequential_mechanisms_shard_via_checkpoints(
         self, mechanism, backend
     ):
@@ -219,9 +247,7 @@ class TestShardedExecutor:
         )
         stream = make_stream(50)
         batch = BatchExecutor().run(pipeline, stream, rng=1)
-        sharded = ShardedExecutor(2, backend=backend).run(
-            pipeline, stream, rng=1
-        )
+        sharded = PARALLEL[backend](2).run(pipeline, stream, rng=1)
         assert_bit_identical(sharded, batch)
 
     def test_batch_only_mechanism_directed_to_batch_executor(self):
@@ -240,8 +266,8 @@ class TestShardedExecutor:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ShardedExecutor(0)
-        with pytest.raises(ValueError):
-            ShardedExecutor(2, backend="gpu")
+        with pytest.raises(TypeError):
+            ShardedExecutor(2, backend="process")
         with pytest.raises(ValueError):
             ShardedExecutor(2, n_shards=0)
 

@@ -7,10 +7,9 @@ run succeeds, a worker raises mid-shard, or the pool tears down early.
 These tests pin that contract directly against ``/dev/shm``, plus the
 descriptor/plane/attach primitives it is built from.
 
-Worker failures are injected by monkeypatching the worker-side task
-helpers (``_seek_task`` / ``_replay_task``): the process pool forks
-after the patch, so the children inherit the exploding version while
-the submitted entry points still pickle by reference.
+Worker failures are injected through ``cluster._TASK_FAULT_HOOK``, a
+module global the forked cluster workers inherit: the hook runs in the
+worker right before it executes a task.
 """
 
 import pickle
@@ -22,7 +21,8 @@ from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.core.uniform import UniformPatternPPM
-from repro.runtime import BatchExecutor, ShardedExecutor, StreamPipeline
+from repro.runtime import BatchExecutor, ClusterExecutor, StreamPipeline
+from repro.runtime import cluster
 from repro.runtime.shm import (
     SEGMENT_PREFIX,
     ArrayDescriptor,
@@ -52,6 +52,17 @@ def make_stream(n_windows, seed=5):
 
 def _boom(*args, **kwargs):
     raise RuntimeError("worker exploded mid-shard")
+
+
+@pytest.fixture
+def fault_hook():
+    """Install a worker-side fault hook; always restore the global."""
+
+    def install(hook):
+        cluster._TASK_FAULT_HOOK = hook
+
+    yield install
+    cluster._TASK_FAULT_HOOK = None
 
 
 class TestArrayDescriptor:
@@ -141,83 +152,34 @@ class TestAttach:
 
 class TestExecutorLifecycle:
     def test_no_leak_on_success(self):
-        executor = ShardedExecutor(4, backend="process")
+        executor = ClusterExecutor(4, transport="shm")
         result = executor.run(make_pipeline(), make_stream(257), rng=42)
         assert result.n_windows == 257
         assert leaked_segments() == ()
 
-    def test_no_leak_when_worker_raises_mid_shard(self, monkeypatch):
-        import repro.runtime.sharding as sharding
-
-        monkeypatch.setattr(sharding, "_seek_task", _boom)
-        executor = ShardedExecutor(4, backend="process")
+    def test_no_leak_when_worker_raises_mid_shard(self, fault_hook):
+        fault_hook(_boom)
+        executor = ClusterExecutor(4, transport="shm")
         with pytest.raises(RuntimeError, match="worker exploded"):
             executor.run(make_pipeline(), make_stream(200), rng=42)
         assert leaked_segments() == ()
 
-    def test_no_leak_when_replay_worker_raises(self, monkeypatch):
-        import repro.runtime.sharding as sharding
+    def test_no_leak_when_replay_worker_raises(self, fault_hook):
+        def boom_on_replay(message):
+            assert message["work"].snapshot is not None
+            _boom()
 
-        monkeypatch.setattr(sharding, "_replay_task", _boom)
-        executor = ShardedExecutor(2, backend="process")
+        fault_hook(boom_on_replay)
+        executor = ClusterExecutor(2, transport="shm")
         pipeline = make_pipeline(BudgetAbsorption(1.0, w=4))
         with pytest.raises(RuntimeError, match="worker exploded"):
             executor.run(pipeline, make_stream(60), rng=1)
         assert leaked_segments() == ()
 
     def test_no_leak_on_checkpointed_success(self):
-        executor = ShardedExecutor(2, backend="process")
+        executor = ClusterExecutor(2, transport="shm")
         pipeline = make_pipeline(BudgetAbsorption(1.0, w=4))
         batch = BatchExecutor().run(pipeline, make_stream(60), rng=1)
         sharded = executor.run(pipeline, make_stream(60), rng=1)
         assert sharded.released == batch.released
-        assert leaked_segments() == ()
-
-    def test_copy_opt_out_matches_zero_copy(self):
-        pipeline = make_pipeline()
-        stream = make_stream(150)
-        batch = BatchExecutor().run(pipeline, stream, rng=9)
-        for zero_copy in (True, False):
-            executor = ShardedExecutor(
-                3, backend="process", zero_copy=zero_copy
-            )
-            assert executor.uses_zero_copy is zero_copy
-            result = executor.run(pipeline, stream, rng=9)
-            assert result.released == batch.released
-            assert result.quality() == batch.quality()
-        assert leaked_segments() == ()
-
-    def test_thread_backend_bypasses_shared_memory(self):
-        # Threads share the parent's address space already; forcing
-        # zero_copy=True must not create segments for them.
-        executor = ShardedExecutor(
-            2, backend="thread", zero_copy=True, measure_transport=True
-        )
-        assert executor.uses_zero_copy is False
-        result = executor.run(make_pipeline(), make_stream(100), rng=4)
-        assert result.n_windows == 100
-        assert executor.last_transport.zero_copy is False
-        assert executor.last_transport.bytes_pickled == 0
-        assert leaked_segments() == ()
-
-    def test_transport_measurement(self):
-        pipeline = make_pipeline()
-        stream = make_stream(400)
-        stats = {}
-        for name, zero_copy in (("zerocopy", True), ("copy", False)):
-            executor = ShardedExecutor(
-                4,
-                backend="process",
-                zero_copy=zero_copy,
-                measure_transport=True,
-            )
-            executor.run(pipeline, stream, rng=8)
-            stats[name] = executor.last_transport
-        assert stats["zerocopy"].zero_copy
-        assert not stats["copy"].zero_copy
-        # descriptors are constant-size; matrix slices scale with the
-        # stream — at 400 windows the gap is already decisive
-        assert (
-            stats["zerocopy"].bytes_pickled < stats["copy"].bytes_pickled
-        )
         assert leaked_segments() == ()

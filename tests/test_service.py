@@ -81,39 +81,45 @@ class TestConstruction:
         assert service.executor.materialize is False
 
     def test_sharded_executor_spec_forms(self):
+        from repro.runtime import ShardedExecutor
+
         service = spec_for(
-            executor="sharded:process:3",
+            executor="sharded:thread:3",
             executor_options={"n_shards": 6, "min_shard_size": 2},
         ).build()
         executor = service.executor
-        assert executor.backend == "process"
+        assert isinstance(executor, ShardedExecutor)
         assert executor.n_workers == 3
         assert executor.n_shards == 6
         assert executor.min_shard_size == 2
-        # The process backend ships shards zero-copy by default.
-        assert executor.zero_copy is None
-        assert executor.uses_zero_copy is True
+        keyed = spec_for(executor="sharded:backend=thread,workers=2").build()
+        assert vars(keyed.executor) == vars(ShardedExecutor(2))
 
     def test_sharded_transport_flags(self):
-        # ``:copy`` opts a process-backend spec out of shared-memory
-        # transport (the debugging escape hatch); ``:zerocopy`` spells
-        # the default out loud; threads never use the segment plane.
-        copying = build_executor_from_spec("sharded:process:8:copy")
-        assert copying.zero_copy is False
-        assert copying.uses_zero_copy is False
-        explicit = build_executor_from_spec("sharded:zerocopy:process:2")
-        assert explicit.zero_copy is True
-        assert explicit.uses_zero_copy is True
-        threaded = build_executor_from_spec("sharded:thread:2:zerocopy")
-        assert threaded.uses_zero_copy is False
+        # Multi-process sharding is the cluster executor: every
+        # process-backend or transport spelling of a sharded spec fails
+        # pointing at it — at spec construction for key=value specs, at
+        # build time for the legacy positional tokens.
+        for spec in (
+            "sharded:backend=process,workers=2",
+            "sharded:transport=zerocopy",
+            "sharded:workers=2,transport=copy",
+        ):
+            with pytest.raises(ValueError, match="cluster:workers=N"):
+                spec_for(executor=spec)
+        for spec in (
+            "sharded:process:8",
+            "sharded:process:8:copy",
+            "sharded:thread:2:zerocopy",
+        ):
+            with pytest.raises(ValueError, match="cluster:workers=N"):
+                build_executor_from_spec(spec)
 
     def test_conflicting_sharded_spec_rejected(self):
         with pytest.raises(ValueError, match="two worker counts"):
             build_executor_from_spec("sharded:2:4")
-        with pytest.raises(ValueError, match="two backends"):
-            build_executor_from_spec("sharded:thread:process")
-        with pytest.raises(ValueError, match="two transport flags"):
-            build_executor_from_spec("sharded:process:copy:zerocopy")
+        with pytest.raises(ValueError, match="unknown token 'gpu'"):
+            build_executor_from_spec("sharded:thread:gpu")
 
 
 class TestMechanismFactories:

@@ -342,11 +342,8 @@ class TestLegacySpecGrammarWarnsExactlyOnce:
         from repro.service import build_executor_from_spec
 
         self.assert_one_spec_warning(
-            lambda: build_executor_from_spec("sharded:process:8:zerocopy"),
-            mentions=(
-                "use 'sharded:backend=process,workers=8,"
-                "transport=zerocopy' instead"
-            ),
+            lambda: build_executor_from_spec("sharded:thread:8"),
+            mentions="use 'sharded:backend=thread,workers=8' instead",
         )
 
     def test_legacy_chunked_spec_warns_with_rewrite(self):

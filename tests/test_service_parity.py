@@ -115,7 +115,7 @@ MECHANISMS = [
 EXECUTORS = [
     ("batch", BatchExecutor),
     ("chunked:32", lambda: ChunkedExecutor(32)),
-    ("sharded:thread:2", lambda: ShardedExecutor(2, backend="thread")),
+    ("sharded:thread:2", lambda: ShardedExecutor(2)),
 ]
 
 

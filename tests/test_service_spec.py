@@ -168,7 +168,7 @@ class TestJsonRoundTrip:
         spec = small_spec(
             mechanism="bd",
             mechanism_options={"epsilon": 1.0, "w": 10},
-            executor="sharded:process:8",
+            executor="sharded:thread:8",
             executor_options={"min_shard_size": 4},
             accounting=12.5,
             quality={"alpha": 0.25, "max_mre": 0.5},

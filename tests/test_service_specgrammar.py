@@ -169,10 +169,7 @@ EXECUTOR_PAIRS = [
     ("chunked:128", "chunked:size=128"),
     ("sharded:4", "sharded:workers=4"),
     ("sharded:thread", "sharded:backend=thread"),
-    (
-        "sharded:process:8:zerocopy",
-        "sharded:backend=process,workers=8,transport=zerocopy",
-    ),
+    ("sharded:thread:8", "sharded:backend=thread,workers=8"),
     ("cluster:4", "cluster:workers=4"),
 ]
 
@@ -275,27 +272,30 @@ def test_unknown_key_fails_at_parse_time_listing_valid_keys():
 def test_bad_transport_value_names_the_flag():
     with pytest.raises(
         ValueError,
-        match=(
-            r"unknown transport flag 'zerocpy'; valid transport "
-            r"flags: copy, zerocopy"
-        ),
+        match=r"key 'transport': 'zerocopy': sharded executors run on "
+        r"threads; for multi-process sharding use "
+        r"'cluster:workers=N,transport=shm'",
     ):
-        validate_executor_spec("sharded:transport=zerocpy")
+        validate_executor_spec("sharded:transport=zerocopy")
+    with pytest.raises(ValueError, match=r"unknown transport 'zerocpy'"):
+        build_executor_from_spec("cluster:transport=zerocpy")
 
 
 def test_positional_bad_token_names_token_and_flags():
-    """The PR 7 bugfix: a typo'd positional transport flag no longer
-    falls through to the backend validator's misleading error."""
+    """A typo'd positional token names itself and the valid tokens; a
+    retired process-backend token names the cluster instead."""
     with pytest.raises(
         ValueError,
         match=(
             r"unknown token 'zerocpy' in sharded executor spec; "
-            r"expected a backend \(thread, process\), a worker count, "
-            r"or a transport flag \(copy, zerocopy\)"
+            r"expected 'thread' or a worker count"
         ),
     ):
         with suppress_imperative_warnings():
-            build_executor_from_spec("sharded:process:8:zerocpy")
+            build_executor_from_spec("sharded:thread:8:zerocpy")
+    with pytest.raises(ValueError, match=r"'process': .*'cluster:"):
+        with suppress_imperative_warnings():
+            build_executor_from_spec("sharded:process:8")
 
 
 def test_kv_values_may_contain_colons():
