@@ -84,7 +84,8 @@ def _handrolled(path, spec):
             return [await future for future in futures]
 
     per_window = asyncio.run(drive())
-    return {"q": [answers["q"] for answers in per_window]}
+    # Each future answers a one-row block: element [0] is its window.
+    return {"q": [answers["q"][0] for answers in per_window]}
 
 
 def _timed(callable_):

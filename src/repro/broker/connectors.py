@@ -311,6 +311,9 @@ class BrokerSource(StreamSource):
         self._draining = True
         self._finished = False
         self._row_cache = _RowCache()
+        #: The chunked entry being emitted, as ``[entry_id, rows,
+        #: next_index]``: a block may take the rest of it at once.
+        self._chunk: Optional[list] = None
 
     # -- live-feed contract -------------------------------------------
 
@@ -561,12 +564,12 @@ class BrokerSource(StreamSource):
                             # drain re-skips it, like the eos marker.
                             self._last_entry_id = entry_id
                             continue
-                        for index in range(already, total):
-                            self._unacked.append(
-                                (entry_id, index == total - 1)
-                            )
+                        self._chunk = [entry_id, block, already]
+                        while self._chunk[2] < total:
+                            row = self._take_chunk(1)
                             self._offset += 1
-                            yield block[index]
+                            yield row[0]
+                        self._chunk = None
                         # The drain cursor advances only once the whole
                         # chunk is out: a teardown mid-chunk must
                         # re-deliver it (the skip above keeps that
@@ -598,6 +601,8 @@ class BrokerSource(StreamSource):
                 if self._finished:
                     return
         finally:
+            # A chunk left mid-way is re-delivered by the next drain.
+            self._chunk = None
             if prefetched is not None:
                 # Entries the settled read delivered but nobody emitted
                 # are un-acked pending entries — the next generator's
@@ -606,6 +611,24 @@ class BrokerSource(StreamSource):
                     await prefetched
                 except BaseException:
                     pass
+
+    def _take_chunk(self, limit: int) -> np.ndarray:
+        """The next ``limit`` (at most) rows of the current chunk, each
+        entered in the un-acked ledger like a row emitted alone."""
+        entry_id, block, start = self._chunk
+        stop = min(start + limit, len(block))
+        for index in range(start, stop):
+            self._unacked.append((entry_id, index == len(block) - 1))
+        self._chunk[2] = stop
+        return block[start:stop]
+
+    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+        # Only the rest of the chunk being emitted: single-row entries
+        # are awaited one by one, and pushed-back rows carry their own
+        # ledger ids, which the row path restores.
+        if self._chunk is None or self._chunk[2] >= len(self._chunk[1]):
+            return None
+        return self._take_chunk(limit)
 
 
 @register_sink(

@@ -9,12 +9,14 @@ queue:
 
 - producers ``await submit(window_types)`` and receive an
   :class:`asyncio.Future` resolving to that window's private answers;
-- a single drainer task batches whatever is queued (up to
-  ``max_batch`` windows) through the same chunk stepper the
+  the service layer's pump submits whole row blocks instead, one
+  future per block resolving to per-query answer vectors;
+- a single drainer task merges whatever whole blocks are queued (up
+  to ``max_batch`` windows) through the same chunk stepper the
   synchronous session uses, so answers are identical to one-by-one
   pushes under the same seed;
-- the queue is bounded (``max_pending``): when the stepper falls
-  behind, ``submit`` suspends — backpressure propagates to the
+- the queue is bounded in windows (``max_pending``): when the stepper
+  falls behind, ``submit`` suspends — backpressure propagates to the
   producer instead of buffering unboundedly;
 - closing the session (``aclose`` or leaving the ``async with`` block)
   flushes every queued window before the drainer exits, so no accepted
@@ -59,12 +61,14 @@ class AsyncSession:
         Session seed; the same seed over the same windows reproduces
         the batch and online answers exactly (flip mechanisms).
     max_pending:
-        Bound on queued-but-unprocessed windows; ``submit`` suspends
-        when full (backpressure).
+        Bound on queued-but-unprocessed windows (counted in windows,
+        whatever the block sizes); ``submit`` suspends when full
+        (backpressure).
     max_batch:
         Most windows perturbed per stepper step.  Larger batches
         amortize per-step overhead under load; answers do not depend on
-        batch boundaries.
+        batch boundaries.  Submitted blocks hold at most
+        :attr:`block_rows` windows.
     record:
         Keep the original/released rows of every processed window
         (:attr:`original_matrix`/:attr:`released_matrix`) — the engine's
@@ -102,8 +106,11 @@ class AsyncSession:
         self._max_pending = max_pending
         self._max_batch = max_batch
         self._record = record
-        #: Optional per-window egress hook, called in the drainer as
-        #: ``on_release(index, released_row, answers)`` in submission
+        #: Optional block egress hook, called in the drainer once per
+        #: drained batch as ``on_release(start, released, answers)``:
+        #: the batch's first window index, its released ``(k, width)``
+        #: rows and per-query answer vectors (shared with the batch's
+        #: futures, so read-only), in submission
         #: order — the service layer's pump attaches sink connectors
         #: here so sanitized rows stream out without recording the
         #: whole session in memory.  Exceptions fail the drainer like
@@ -111,14 +118,22 @@ class AsyncSession:
         self._on_release = None
         self._original_rows: List[np.ndarray] = []
         self._released_rows: List[np.ndarray] = []
-        self._queue: Optional[asyncio.Queue] = None
+        #: Accepted blocks awaiting the drainer, in submission order:
+        #: ``(rows, future, submitted_at, per_window)`` entries, then
+        #: the close sentinel.  ``_backlog`` counts their windows.
+        self._entries: deque = deque()
+        self._backlog = 0
+        #: Producers suspended until the backlog has room, and the
+        #: drainer suspended until an entry arrives.
+        self._space_waiters: deque = deque()
+        self._entry_waiter: Optional[asyncio.Future] = None
         self._drainer: Optional[asyncio.Task] = None
         self._closed = False
         self._submitted = 0
         self._processed = 0
-        # End-to-end latency instrumentation: submit timestamps queue
-        # up here (submission order == drain order) and the drainer
-        # observes submit→release per window.  Bound to the default
+        # End-to-end latency instrumentation: every entry carries its
+        # submit time and the drainer observes submit→release once per
+        # entry, weighted by its windows.  Bound to the default
         # registry at construction so gateways can scope sessions to
         # their own registry via use_registry().
         registry = default_registry()
@@ -130,8 +145,7 @@ class AsyncSession:
             "repro_session_windows_total",
             "Windows processed by async session drainers.",
         )
-        self._pending_times: deque = deque()
-        #: Producers currently suspended inside ``queue.put`` — aclose
+        #: Producers currently suspended waiting for room — aclose
         #: must let them land before the close sentinel goes in, or
         #: their windows would slip in behind it and never be drained.
         self._inflight = 0
@@ -148,8 +162,7 @@ class AsyncSession:
     def _ensure_started(self) -> None:
         if self._closed:
             raise RuntimeError("session is closed")
-        if self._queue is None:
-            self._queue = asyncio.Queue(maxsize=self._max_pending)
+        if self._drainer is None:
             self._drainer = asyncio.create_task(self._drain())
         elif self._drainer.done():
             # A drainer only exits early on failure (normal exit happens
@@ -168,42 +181,52 @@ class AsyncSession:
         if self._closed:
             return
         self._closed = True
-        if self._queue is None:
+        if self._drainer is None:
             return
-        # Let producers already suspended inside queue.put land first —
-        # the sentinel must be the *last* queue entry, or windows behind
-        # it would never be drained.  The drainer keeps consuming while
-        # we wait; a dead drainer cannot wake putters, so stop waiting.
+        # Let producers already waiting for room land first — the
+        # sentinel must be the *last* entry, or windows behind it would
+        # never be drained.  The drainer keeps consuming while we wait;
+        # a dead drainer frees no room, so stop waiting.
         while self._inflight > 0 and not self._drainer.done():
             await asyncio.sleep(0)
-        # put() would deadlock on a full queue if the drainer already
-        # died; poll non-blockingly while it is alive instead.
-        while not self._drainer.done():
-            try:
-                self._queue.put_nowait(_CLOSE)
-                break
-            except asyncio.QueueFull:
-                await asyncio.sleep(0)
+        if not self._drainer.done():
+            # The sentinel holds no window, so it never waits for room.
+            self._entries.append(_CLOSE)
+            self._wake_drainer()
         try:
             await self._drainer
         except BaseException as error:
             # Fail any submissions that raced past the drainer's own
-            # cleanup before re-raising; draining also frees queue
-            # slots, waking producers still stuck in put.
+            # cleanup before re-raising; failing them also frees room,
+            # waking producers still waiting to land.
             while True:
-                while True:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if extra is not _CLOSE:
-                        _row, future = extra
-                        if not future.done():
-                            future.set_exception(error)
-                if self._inflight == 0 and self._queue.empty():
+                self._fail_entries(error)
+                if self._inflight == 0 and not self._entries:
                     break
                 await asyncio.sleep(0)
             raise
+
+    def _fail_entries(self, error: BaseException) -> None:
+        """Fail every queued entry's future with ``error``."""
+        while self._entries:
+            entry = self._entries.popleft()
+            if entry is not _CLOSE:
+                self._backlog -= len(entry[0])
+                if not entry[1].done():
+                    entry[1].set_exception(error)
+        self._wake_producers()
+
+    def _wake_drainer(self) -> None:
+        waiter = self._entry_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _wake_producers(self) -> None:
+        waiters = self._space_waiters
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
 
     # -- checkpointing -------------------------------------------------
 
@@ -249,7 +272,6 @@ class AsyncSession:
         if self._stepper is not None:
             self._stepper.restore(stepper_state)
         self._submitted = self._processed = int(snapshot["windows"])
-        self._pending_times.clear()
 
     # -- ingestion -----------------------------------------------------
 
@@ -264,7 +286,13 @@ class AsyncSession:
     @property
     def backlog(self) -> int:
         """Queued-but-unprocessed windows (bounded by ``max_pending``)."""
-        return 0 if self._queue is None else self._queue.qsize()
+        return self._backlog
+
+    @property
+    def block_rows(self) -> int:
+        """Most windows one submitted block may hold: ``max_batch``,
+        capped by ``max_pending`` so a block always fits the queue."""
+        return min(self._max_batch, self._max_pending)
 
     async def submit(
         self, window_types: Iterable[str]
@@ -275,23 +303,48 @@ class AsyncSession:
         future so producers may pipeline many windows before awaiting
         any answer.
         """
-        return await self._submit_row(
-            self._pipeline.extractor.extract_matrix([window_types])
+        return await self._enqueue(
+            self._pipeline.extractor.extract_matrix([window_types]), True
         )
 
     async def _submit_row(
-        self, row: np.ndarray
-    ) -> "asyncio.Future[Dict[str, bool]]":
-        """Enqueue one already-extracted indicator row."""
+        self, rows: np.ndarray
+    ) -> "asyncio.Future[Dict[str, np.ndarray]]":
+        """Enqueue a block of already-extracted indicator rows.
+
+        ``rows`` is a ``(k, width)`` matrix with ``1 <= k <=``
+        :attr:`block_rows`.  The returned future resolves to per-query
+        boolean answer vectors of length ``k``, one entry per row in
+        order.  Suspends while the block does not fit the queue.
+        """
+        return await self._enqueue(rows, False)
+
+    async def _enqueue(
+        self, rows: np.ndarray, per_window: bool
+    ) -> asyncio.Future:
         self._ensure_started()
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight += 1
-        try:
-            await self._queue.put((row, future))
-        finally:
-            self._inflight -= 1
-        self._submitted += 1
-        self._pending_times.append(time.monotonic())
+        windows = len(rows)
+        if not 1 <= windows <= self.block_rows:
+            raise ValueError(
+                f"a block holds 1..{self.block_rows} windows "
+                f"(max_batch={self._max_batch}, "
+                f"max_pending={self._max_pending}), got {windows}"
+            )
+        loop = asyncio.get_running_loop()
+        if self._backlog + windows > self._max_pending:
+            self._inflight += 1
+            try:
+                while self._backlog + windows > self._max_pending:
+                    waiter = loop.create_future()
+                    self._space_waiters.append(waiter)
+                    await waiter
+            finally:
+                self._inflight -= 1
+        future = loop.create_future()
+        self._entries.append((rows, future, time.monotonic(), per_window))
+        self._backlog += windows
+        self._submitted += windows
+        self._wake_drainer()
         return future
 
     async def process(
@@ -314,30 +367,35 @@ class AsyncSession:
         )
 
     async def run_rows(self, matrix: np.ndarray) -> Dict[str, List[bool]]:
-        """Feed an already-extracted indicator matrix row by row.
+        """Feed an already-extracted indicator matrix in row blocks.
 
         Skips the per-window extraction of :meth:`run` — the engine's
         async facade uses this after its one vectorized extraction
         pass.
         """
-        return await self._collect(
-            [
-                await self._submit_row(matrix[index : index + 1])
-                for index in range(matrix.shape[0])
-            ]
-        )
+        step = self.block_rows
+        futures = [
+            await self._submit_row(matrix[start : start + step])
+            for start in range(0, matrix.shape[0], step)
+        ]
+        answers = self._empty_answers()
+        for future in futures:
+            for name, vector in (await future).items():
+                answers[name].extend(vector.tolist())
+        return answers
 
     async def _collect(
         self, futures: List["asyncio.Future[Dict[str, bool]]"]
     ) -> Dict[str, List[bool]]:
         per_window = [await future for future in futures]
-        answers: Dict[str, List[bool]] = {
-            name: [] for name in self._pipeline.matcher.query_names
-        }
+        answers = self._empty_answers()
         for window_answers in per_window:
             for name, value in window_answers.items():
                 answers[name].append(value)
         return answers
+
+    def _empty_answers(self) -> Dict[str, List[bool]]:
+        return {name: [] for name in self._pipeline.matcher.query_names}
 
     # -- recorded streams ----------------------------------------------
 
@@ -364,27 +422,33 @@ class AsyncSession:
     # -- the drainer ---------------------------------------------------
 
     async def _drain(self) -> None:
-        queue = self._queue
+        entries = self._entries
         matcher = self._pipeline.matcher
-        batch: List[Tuple[np.ndarray, asyncio.Future]] = []
+        loop = asyncio.get_running_loop()
+        batch: List[Tuple] = []
         try:
             while True:
-                item = await queue.get()
-                if item is _CLOSE:
+                while not entries:
+                    self._entry_waiter = loop.create_future()
+                    await self._entry_waiter
+                    self._entry_waiter = None
+                if entries[0] is _CLOSE:
                     return
-                batch = [item]
-                closing = False
-                while len(batch) < self._max_batch:
-                    try:
-                        extra = queue.get_nowait()
-                    except asyncio.QueueEmpty:
+                # Merge whole queued blocks, up to max_batch windows.
+                batch = [entries.popleft()]
+                windows = len(batch[0][0])
+                while entries and entries[0] is not _CLOSE:
+                    if windows + len(entries[0][0]) > self._max_batch:
                         break
-                    if extra is _CLOSE:
-                        closing = True
-                        break
-                    batch.append(extra)
-                matrix = np.concatenate([row for row, _future in batch])
-                with trace_span("session.drain", windows=len(batch)):
+                    batch.append(entries.popleft())
+                    windows += len(batch[-1][0])
+                self._backlog -= windows
+                self._wake_producers()
+                if len(batch) == 1:
+                    matrix = batch[0][0]
+                else:
+                    matrix = np.concatenate([entry[0] for entry in batch])
+                with trace_span("session.drain", windows=windows):
                     if self._stepper is None:
                         released = matrix
                     else:
@@ -393,52 +457,46 @@ class AsyncSession:
                         self._original_rows.append(matrix)
                         self._released_rows.append(released)
                     answers = matcher.answer(released)
+                for vector in answers.values():
+                    # Futures resolve to slices of these vectors and the
+                    # release hook sees them whole: no consumer may
+                    # change the answers another one reads.
+                    vector.flags.writeable = False
                 released_at = time.monotonic()
-                pending_times = self._pending_times
-                for _ in range(len(batch)):
-                    if not pending_times:
-                        break
+                self._obs_windows.inc(windows)
+                position = 0
+                for rows, future, submitted_at, per_window in batch:
+                    count = len(rows)
                     self._obs_latency.observe(
-                        released_at - pending_times.popleft()
+                        released_at - submitted_at, count
                     )
-                self._obs_windows.inc(len(batch))
-                for position, (_row, future) in enumerate(batch):
-                    window_answers = {
-                        name: bool(vector[position])
-                        for name, vector in answers.items()
-                    }
                     if not future.done():
-                        future.set_result(window_answers)
-                    if self._on_release is not None:
-                        # A copy: the hook runs user callbacks, which
-                        # must not be able to mutate the dict already
-                        # handed to the future's awaiter.
-                        self._on_release(
-                            self._processed + position,
-                            released[position],
-                            dict(window_answers),
-                        )
-                self._processed += len(batch)
+                        if per_window:
+                            result = {
+                                name: bool(vector[position])
+                                for name, vector in answers.items()
+                            }
+                        else:
+                            end = position + count
+                            result = {
+                                name: vector[position:end]
+                                for name, vector in answers.items()
+                            }
+                        future.set_result(result)
+                    position += count
+                if self._on_release is not None:
+                    self._on_release(self._processed, released, answers)
+                self._processed += windows
                 batch = []
-                if closing:
-                    return
                 # Yield to producers between batches so backpressured
-                # submitters get queue slots before the next drain.
+                # submitters get room before the next drain.
                 await asyncio.sleep(0)
         except BaseException as error:
             # Stepping failed: no accepted window may hang forever.
             # Fail the in-flight batch and everything still queued, then
             # surface the error through aclose()/the drainer task.
-            for _row, future in batch:
-                if not future.done():
-                    future.set_exception(error)
-            while True:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is not _CLOSE:
-                    _row, future = extra
-                    if not future.done():
-                        future.set_exception(error)
+            for entry in batch:
+                if not entry[1].done():
+                    entry[1].set_exception(error)
+            self._fail_entries(error)
             raise

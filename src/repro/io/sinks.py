@@ -11,7 +11,9 @@ cannot live in JSON (a Python callback).
 The contract: :meth:`StreamSink.open` fixes the alphabet and query
 names (``append=True`` continues a previous run's output, which is how
 the gateway resumes file sinks); :meth:`StreamSink.write` takes one
-window; :meth:`StreamSink.close` flushes; :meth:`StreamSink.result`
+window and :meth:`StreamSink.write_block` a block of consecutive
+windows (the served path's egress, one call per drained batch);
+:meth:`StreamSink.close` flushes; :meth:`StreamSink.result`
 returns whatever the sink accumulated.  A sink that sets
 :attr:`StreamSink.wants_truth` also receives the engine-internal true
 answers (a trusted-engine diagnostic — the metrics sink aggregates
@@ -60,6 +62,19 @@ def write_indicator_csv(
             sink.write(index, matrix[index], {})
     finally:
         sink.close()
+
+
+def _per_window(
+    vectors: Dict[str, np.ndarray], windows: int
+) -> List[Dict[str, bool]]:
+    """Per-query vectors of a block as one ``{query: bool}`` per window."""
+    columns = {
+        name: np.asarray(vector).tolist() for name, vector in vectors.items()
+    }
+    return [
+        {name: column[position] for name, column in columns.items()}
+        for position in range(windows)
+    ]
 
 
 class StreamSink:
@@ -162,11 +177,45 @@ class StreamSink:
         """Egress one window: its released row and per-query answers."""
         self.alphabet  # open check
         self._write(index, np.asarray(row).reshape(-1), answers, truth)
-        self._written_counter.inc()
+        self._count_written(1)
+
+    def write_block(
+        self,
+        start: int,
+        rows: np.ndarray,
+        answers: Dict[str, np.ndarray],
+        truth: Optional[Dict[str, np.ndarray]] = None,
+    ) -> None:
+        """Egress consecutive windows ``start, start + 1, ...`` at once.
+
+        ``rows`` is the released ``(k, width)`` block and ``answers``
+        (and ``truth``, when the sink wants it) map each query to a
+        length-``k`` boolean vector.  On the served path the answer
+        vectors are the session's own, shared with its futures, and
+        read-only.  The default writes window by window through
+        :meth:`write`, so a sink that only implements ``_write``
+        egresses exactly what per-window writes would; aggregating
+        sinks override it with a vectorized update.
+        """
+        windows = len(rows)
+        verdicts = _per_window(answers, windows)
+        truths = [None] * windows
+        if truth is not None:
+            truths = _per_window(truth, windows)
+        for position in range(windows):
+            self.write(
+                start + position,
+                rows[position],
+                verdicts[position],
+                truths[position],
+            )
+
+    def _count_written(self, windows: int) -> None:
+        self._written_counter.inc(windows)
         default_registry().counter(
             "repro_sink_windows_total",
             "Windows egressed through any sink, process-wide.",
-        ).inc()
+        ).inc(windows)
 
     def _write(self, index, row, answers, truth) -> None:
         raise NotImplementedError
@@ -333,7 +382,17 @@ class MetricsSink(StreamSink):
         for name in self.query_names:
             self._counts.setdefault(name, [0.0, 0.0, 0.0, 0.0])
 
+    def write_block(self, start, rows, answers, truth=None) -> None:
+        """Fold a block's confusion counts in with one reduction per
+        query and cell."""
+        self.alphabet  # open check
+        self._fold(answers, truth)
+        self._count_written(len(rows))
+
     def _write(self, index, row, answers, truth) -> None:
+        self._fold(answers, truth)
+
+    def _fold(self, answers, truth) -> None:
         if truth is None:
             raise ValueError(
                 "the metrics sink aggregates released-vs-truth "
@@ -342,16 +401,15 @@ class MetricsSink(StreamSink):
             )
         for name, value in answers.items():
             counts = self._counts.setdefault(name, [0.0, 0.0, 0.0, 0.0])
-            expected = bool(truth[name])
-            got = bool(value)
-            if expected and got:
-                counts[0] += 1.0
-            elif not expected and got:
-                counts[1] += 1.0
-            elif expected and not got:
-                counts[2] += 1.0
-            else:
-                counts[3] += 1.0
+            got = np.asarray(value, dtype=bool).reshape(-1)
+            expected = np.asarray(truth[name], dtype=bool).reshape(-1)
+            hits = int(np.count_nonzero(got & expected))
+            released = int(np.count_nonzero(got))
+            true = int(np.count_nonzero(expected))
+            counts[0] += hits
+            counts[1] += released - hits
+            counts[2] += true - hits
+            counts[3] += len(got) - released - true + hits
 
     def result(self):
         from repro.metrics.confusion import ConfusionCounts

@@ -15,6 +15,9 @@ The common contract:
 - :meth:`StreamSource.rows` / :meth:`StreamSource.arows` yield one
   boolean indicator row per window, exactly once — a source is a
   single pass over its data, like the stream it models;
+  :meth:`StreamSource.ablocks` yields the same rows as ``(k, width)``
+  blocks, each one awaited row plus what is ready without waiting
+  (the served path's view: one session future per block);
 - :attr:`StreamSource.offset` counts rows emitted so far and
   :meth:`StreamSource.skip` fast-forwards a fresh source to a
   checkpointed offset without emitting, which is how the
@@ -31,6 +34,8 @@ import json
 import os
 import time
 
+from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -87,25 +92,58 @@ def iter_indicator_csv(path: str):
         width = len(header)
         with handle:
             for line_number, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise ValueError(
-                        f"{path}:{line_number}: expected {width} columns, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    values = [int(value) for value in row]
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_number}: non-integer indicator value"
-                    ) from None
-                if any(value not in (0, 1) for value in values):
-                    raise ValueError(
-                        f"{path}:{line_number}: indicator values must be "
-                        "0/1"
-                    )
-                yield np.asarray(values, dtype=bool)
+                yield _checked_row(path, line_number, row, width)
 
     return alphabet, rows()
+
+
+def _checked_row(path: str, line_number: int, row, width: int) -> np.ndarray:
+    """One parsed CSV row validated as a 0/1 indicator row.
+
+    Malformed rows raise ``ValueError`` naming the file and line.
+    """
+    if len(row) != width:
+        raise ValueError(
+            f"{path}:{line_number}: expected {width} columns, got {len(row)}"
+        )
+    try:
+        values = [int(value) for value in row]
+    except ValueError:
+        raise ValueError(
+            f"{path}:{line_number}: non-integer indicator value"
+        ) from None
+    if any(value not in (0, 1) for value in values):
+        raise ValueError(
+            f"{path}:{line_number}: indicator values must be 0/1"
+        )
+    return np.asarray(values, dtype=bool)
+
+
+def _strict_block(lines, width: int) -> Optional[np.ndarray]:
+    """Parse raw CSV lines written exactly as ``0,1,...,0`` plus one
+    line ending (what :class:`~repro.io.sinks.CsvSink` writes) in one
+    vectorized pass; ``None`` when any line deviates, so the caller
+    falls back to the row validator and its exact error messages."""
+    content = 2 * width - 1
+    if lines[0][content:] not in ("\n", "\r\n"):
+        return None
+    try:
+        data = "".join(lines).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    length = len(lines[0])
+    if len(data) != len(lines) * length:
+        return None
+    cells = np.frombuffer(data, dtype=np.uint8).reshape(len(lines), length)
+    values = cells[:, 0:content:2] - ord("0")
+    endings = cells[:, content:]
+    if (
+        (values > 1).any()
+        or (cells[:, 1:content:2] != ord(",")).any()
+        or (endings != endings[0]).any()
+    ):
+        return None
+    return values.astype(bool)
 
 
 def assemble_rows(rows: Iterable[np.ndarray], width: int) -> np.ndarray:
@@ -154,8 +192,10 @@ class StreamSource:
     over the bound alphabet, starting from the first window.  The base
     class provides offset tracking, checkpoint fast-forward
     (:meth:`skip`), paced emission (:attr:`delay` seconds between
-    rows, used by the replay source) and the async view
-    (:meth:`arows`).
+    rows, used by the replay source) and the async views
+    (:meth:`arows`, and :meth:`ablocks` in row blocks).  Sources that
+    cannot hand over rows synchronously — live feeds — override
+    :meth:`_ready_rows` to say what a block may take without waiting.
     """
 
     #: Seconds to wait before each emitted row (0 = emit immediately).
@@ -257,6 +297,12 @@ class StreamSource:
         self._pushback.append(row)
         self._offset -= 1
 
+    def unemit_block(self, block: np.ndarray) -> None:
+        """Return the rows of a drawn block (or its tail) to the front
+        of the stream, in order, through :meth:`unemit`."""
+        for row in block[::-1]:
+            self.unemit(row)
+
     def checkpoint_mark(self) -> None:
         """Hook: a checkpoint is being taken at the current offset.
 
@@ -272,17 +318,32 @@ class StreamSource:
 
     def _emitter(self) -> Iterator[np.ndarray]:
         if self._iterator is None:
-            iterator = self._rows()
-            for _ in range(self._pending_skip):
-                next(iterator, None)
+            self._iterator = self._open(self._pending_skip)
             self._pending_skip = 0
-            self._iterator = iterator
         return self._iterator
+
+    def _open(self, skip: int) -> Iterator[np.ndarray]:
+        """The row iterator, already past the first ``skip`` rows.
+
+        The default draws and drops them; file sources override it to
+        skip without parsing.
+        """
+        iterator = self._rows()
+        for _ in range(skip):
+            next(iterator, None)
+        return iterator
 
     def _next_row(self) -> Optional[np.ndarray]:
         if self._pushback:
             return self._pushback.pop()
         return next(self._emitter(), None)
+
+    def _pushed_block(self, max_rows: int) -> Optional[np.ndarray]:
+        """Up to ``max_rows`` pushed-back rows as one block, in order."""
+        if not self._pushback:
+            return None
+        count = min(max_rows, len(self._pushback))
+        return np.stack([self._pushback.pop() for _ in range(count)])
 
     def _pace_wait(self) -> float:
         """Seconds until the next emission deadline (<= 0: emit now).
@@ -338,6 +399,51 @@ class StreamSource:
                 return
             self._offset += 1
             yield row
+
+    async def ablocks(self, max_rows: int):
+        """Async view in row blocks: ``(k, width)`` boolean matrices
+        with ``1 <= k <= max_rows``, in stream order.
+
+        A block is one :meth:`arows` step — which paces and waits like
+        every row does — plus whatever further rows
+        :meth:`_ready_rows` hands over without waiting, so blocks never
+        hold a row back.  :attr:`offset` counts every row of a block,
+        and :meth:`unemit_block` returns a tail the consumer did not
+        accept, so offsets and checkpoints stay row-exact.
+        """
+        if max_rows < 1:
+            raise ValueError(f"max_rows must be positive, got {max_rows}")
+        rows = self.arows()
+        try:
+            async for row in rows:
+                more = self._ready_rows(max_rows - 1) if max_rows > 1 else None
+                if more is None:
+                    yield row.reshape(1, -1)
+                else:
+                    self._offset += len(more)
+                    yield np.concatenate([row.reshape(1, -1), more])
+        finally:
+            # A live feed may hold a fetch in flight: settle it now.
+            await rows.aclose()
+
+    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+        """Up to ``limit`` next rows available without waiting, as one
+        block, or ``None``; :meth:`ablocks` counts them into
+        :attr:`offset`.
+
+        The default draws them from :meth:`_rows`.  A paced source
+        hands over none, so every row keeps its own deadline; live
+        feeds declare their own (or none) by overriding this.
+        """
+        if self.delay:
+            return None
+        rows = []
+        while len(rows) < limit:
+            row = self._next_row()
+            if row is None:
+                break
+            rows.append(row)
+        return np.stack(rows) if rows else None
 
     def indicator_stream(self) -> IndicatorStream:
         """Materialize the remaining windows as one indicator stream.
@@ -460,6 +566,12 @@ class _ThrottledSource(StreamSource):
             if self._admit(row):
                 yield row
 
+    def _ready_rows(self, limit: int) -> None:
+        # One row per block: the bucket admits or sheds row by row, and
+        # rows drawn ahead from the inner source would advance its
+        # offset past rows this proxy has not forwarded yet.
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Built-in sources
@@ -527,6 +639,8 @@ class CsvSource(StreamSource):
         if not isinstance(path, str) or not path:
             raise ValueError("csv source needs a path: 'csv:<path>'")
         self.path = path
+        #: The open pass behind :meth:`rows`/:meth:`ablocks`.
+        self._cursor: Optional[_CsvCursor] = None
 
     def _bind(self, alphabet: EventAlphabet) -> None:
         with open(self.path, newline="") as handle:
@@ -543,8 +657,66 @@ class CsvSource(StreamSource):
             )
 
     def _rows(self) -> Iterator[np.ndarray]:
-        _header, rows = iter_indicator_csv(self.path)
-        return rows
+        return _CsvCursor(self.path, len(self.alphabet)).rows()
+
+    def _open(self, skip: int) -> Iterator[np.ndarray]:
+        self._cursor = _CsvCursor(self.path, len(self.alphabet), skip)
+        return self._cursor.rows()
+
+    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+        block = self._pushed_block(limit)
+        if block is None:
+            self._emitter()  # the file is open, past any skipped prefix
+            block = self._cursor.block(limit)
+        return block
+
+
+class _CsvCursor:
+    """One open pass over an indicator CSV, past its header: rows are
+    read one at a time (each validated) or in blocks (parsed in one
+    vectorized pass; a block with any malformed line is re-parsed row
+    by row, so the error names that exact line)."""
+
+    def __init__(self, path: str, width: int, skip: int = 0):
+        self.path = path
+        self.width = width
+        self.handle = open(path, newline="")
+        self.reader = csv.reader(self.handle)
+        next(self.reader, None)  # the header, checked by bind()
+        # A checkpointed prefix is only split into rows, never
+        # converted or validated: resuming deep into a file costs
+        # little more than reading it.
+        deque(islice(self.reader, skip), maxlen=0)
+        #: Line number of the last line read (the header is line 1).
+        self.line = 1 + skip
+
+    def rows(self) -> Iterator[np.ndarray]:
+        with self.handle:
+            for row in self.reader:
+                self.line += 1
+                yield _checked_row(self.path, self.line, row, self.width)
+
+    def block(self, limit: int) -> Optional[np.ndarray]:
+        if self.handle.closed:
+            return None
+        lines = list(islice(self.handle, limit))
+        if not lines:
+            return None  # rows() closes the file at its end
+        first = self.line + 1
+        self.line += len(lines)
+        block = _strict_block(lines, self.width)
+        if block is None:
+            try:
+                block = np.stack(
+                    [
+                        _checked_row(self.path, first + index, row, self.width)
+                        for index, row in enumerate(csv.reader(lines))
+                    ]
+                )
+            except ValueError:
+                self.handle.close()  # a malformed line ends the pass
+                raise
+        return block
 
 
 @register_source(
@@ -751,6 +923,10 @@ class QueueSource(StreamSource):
                 f"{type(queue).__name__}"
             )
         self._queue = queue
+        #: An item taken off the queue while filling a block but not
+        #: emitted with it (the end-of-stream ``None``, or an item that
+        #: failed to convert): the next draw takes it first.
+        self._held: list = []
 
     @property
     def live_feed_bound(self) -> bool:
@@ -784,12 +960,41 @@ class QueueSource(StreamSource):
             if self._pushback:
                 row = self._pushback.pop()
             else:
-                item = await queue.get()
+                item = self._held.pop() if self._held else await queue.get()
                 if item is None:
                     return
                 row = self._coerce_row(item)
             self._offset += 1
             yield row
+
+    def _try_coerce(self, item) -> Optional[np.ndarray]:
+        try:
+            return self._coerce_row(item)
+        except Exception:
+            return None
+
+    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+        """Only what ``get_nowait`` returns right now: a block never
+        waits to fill, so a trickling feed is served window by window
+        with no added latency."""
+        block = self._pushed_block(limit)
+        get_nowait = getattr(self._queue, "get_nowait", None)
+        if block is not None or self._held or get_nowait is None:
+            return block
+        rows = []
+        while len(rows) < limit:
+            try:
+                item = get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            row = None if item is None else self._try_coerce(item)
+            if row is None:
+                # Emit the rows before it first; the next draw takes
+                # this item again and ends or raises there.
+                self._held.append(item)
+                break
+            rows.append(row)
+        return np.stack(rows) if rows else None
 
 
 # The broker connectors register themselves on import, exactly like

@@ -176,7 +176,8 @@ class Histogram(_Metric):
 
     ``buckets`` are the finite upper bounds; an implicit ``+Inf``
     overflow bucket always exists.  ``observe`` is a bisect plus two
-    adds — cheap enough for per-window latency on the drain path.
+    adds; its ``count`` lets the drain path record one sample per
+    block of windows that share a latency.
     """
 
     kind = "histogram"
@@ -202,12 +203,14 @@ class Histogram(_Metric):
     def _make_child(self) -> "Histogram":
         return Histogram(self.name, self.help, self.buckets)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one sample standing for a
+        block of windows that share it)."""
         index = bisect_left(self.buckets, value)
         with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+            self._counts[index] += count
+            self._sum += value * count
+            self._count += count
 
     @property
     def count(self) -> int:

@@ -28,7 +28,10 @@ from __future__ import annotations
 import asyncio
 import time
 
+from collections import deque
 from typing import Dict, List, Mapping, Optional, Union
+
+import numpy as np
 
 from repro.cep.engine import CEPEngine, EngineReport
 from repro.obs.metrics import default_registry
@@ -45,6 +48,24 @@ from repro.utils.deprecation import suppress_imperative_warnings
 from repro.utils.rng import RngLike
 
 __all__ = ["StreamService"]
+
+
+def _take_truth(truths: deque, windows: int) -> Dict[str, np.ndarray]:
+    """The true answers of the next ``windows`` egressed windows: whole
+    blocks off the front of ``truths``, joined when a drained batch
+    merged several."""
+    count, truth = truths.popleft()
+    if count == windows:
+        return truth
+    parts = [truth]
+    while count < windows:
+        more, truth = truths.popleft()
+        parts.append(truth)
+        count += more
+    return {
+        name: np.concatenate([part[name] for part in parts])
+        for name in parts[0]
+    }
 
 
 class StreamService:
@@ -418,11 +439,14 @@ class StreamService:
         open/restored one when present, else opening a fresh one with
         ``max_pending``/``max_batch``), and every answered window is
         egressed through ``sink`` (or the spec's ``sink=``) in
-        submission order.  The session's bounded queue is the
-        flow-control boundary: when the mechanism falls behind,
-        ``submit`` suspends the pump, which stops drawing from the
-        source — a ``queue:`` source then stops taking from its live
-        queue and the producer blocks on its own ``put``.
+        submission order.  All of it runs on row blocks of at most
+        ``max_batch`` windows (:meth:`~repro.io.StreamSource.ablocks`,
+        one session future and one sink ``write_block`` per block);
+        offsets and checkpoints stay row-exact.  The session's bounded
+        queue is the flow-control boundary: when the mechanism falls
+        behind, ``submit`` suspends the pump, which stops drawing from
+        the source — a ``queue:`` source then stops taking from its
+        live queue and the producer blocks on its own ``put``.
 
         ``max_windows`` stops after that many windows, leaving the
         source mid-stream (the gateway serves in slices this way);
@@ -448,9 +472,7 @@ class StreamService:
             and not self._session._closed
         ):
             session = self._session
-            if session._queue is not None and (
-                session._drainer is None or session._drainer.done()
-            ):
+            if session._drainer is not None and session._drainer.done():
                 # The session was started under a previous event loop
                 # whose teardown killed its drainer (each asyncio.run
                 # cancels pending tasks).  Between pumps the session is
@@ -483,60 +505,72 @@ class StreamService:
             )
         matcher = self._engine.service_pipeline().matcher
         wants_truth = compiled_sink is not None and compiled_sink.wants_truth
-        truths: Dict[int, Dict[str, bool]] = {}
+        #: ``(windows, truth vectors)`` per accepted block not yet
+        #: egressed; the drainer merges whole blocks in submission
+        #: order, so each drained batch takes whole entries off the
+        #: front.
+        truths: deque = deque()
         if compiled_sink is not None:
-            # Egress happens inside the drainer, window by window in
-            # submission order, on the *released* rows — the sink never
-            # sees original data and nothing is buffered beyond the
-            # bounded queue.
-            def egress(index, released_row, window_answers):
-                compiled_sink.write(
-                    index, released_row, window_answers, truths.pop(index, None)
+            # Egress happens inside the drainer, one block write per
+            # drained batch in submission order, on the *released*
+            # rows — the sink never sees original data and nothing is
+            # buffered beyond the bounded queue.
+            def egress(start, released, batch_answers):
+                truth = None
+                if wants_truth:
+                    truth = _take_truth(truths, len(released))
+                compiled_sink.write_block(
+                    start, released, batch_answers, truth
                 )
 
             session._on_release = egress
-        pending: List = []
+        pending: deque = deque()
         answers: Optional[Dict[str, List[bool]]] = (
             {name: [] for name in matcher.query_names} if collect else None
         )
 
-        async def settle(future) -> None:
-            window_answers = await future
+        async def settle() -> None:
+            block_answers = await pending.popleft()
             if answers is not None:
-                for name, value in window_answers.items():
-                    answers[name].append(value)
+                for name, vector in block_answers.items():
+                    answers[name].extend(vector.tolist())
 
         pumped = 0
         pump_started = time.perf_counter()
-        rows = source.arows()
+        blocks = source.ablocks(session.block_rows)
         try:
-            async for row in rows:
-                block = row.reshape(1, -1)
-                if wants_truth:
-                    truths[session.windows_submitted] = {
-                        name: bool(vector[0])
-                        for name, vector in matcher.answer(block).items()
-                    }
+            async for block in blocks:
+                room = None if max_windows is None else max_windows - pumped
+                if room is not None and len(block) > room:
+                    # The slice ends inside this block: hand its tail
+                    # back, so the source (and a checkpoint's offset)
+                    # stands exactly after the last submitted window.
+                    source.unemit_block(block[max(room, 0) :])
+                    if room <= 0:
+                        break
+                    block = block[:room]
+                truth = matcher.answer(block) if wants_truth else None
                 try:
                     future = await session._submit_row(block)
                 except BaseException:
-                    # Cancelled/failed inside submit: the drawn row was
-                    # never accepted — push it back so neither a later
-                    # pump on this source nor a checkpointed fresh one
-                    # skips a window no run released.
-                    source.unemit(row)
-                    truths.pop(session.windows_submitted, None)
+                    # Cancelled/failed inside submit: the drawn block
+                    # was never accepted — push it back so neither a
+                    # later pump on this source nor a checkpointed
+                    # fresh one skips a window no run released.
+                    source.unemit_block(block)
                     raise
+                if wants_truth:
+                    truths.append((len(block), truth))
                 pending.append(future)
                 while pending and (
                     pending[0].done() or len(pending) > session._max_pending
                 ):
-                    await settle(pending.pop(0))
-                pumped += 1
+                    await settle()
+                pumped += len(block)
                 if max_windows is not None and pumped >= max_windows:
                     break
-            for future in pending:
-                await settle(future)
+            while pending:
+                await settle()
         finally:
             # Close the generator *here*, not at garbage collection: a
             # max_windows break leaves it suspended mid-yield, and a
@@ -544,7 +578,7 @@ class StreamService:
             # settle it before checkpoint_mark() or a fresh generator
             # reuses the connection.
             try:
-                await rows.aclose()
+                await blocks.aclose()
             except Exception:
                 pass
             # Windows the session already accepted will be released by
