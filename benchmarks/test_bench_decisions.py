@@ -15,8 +15,14 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
   sequential phase every sharded run pays before its parallel replay)
   under ``scan=margin`` must beat the scalar loop by at least
   :data:`SPEEDUP_FLOOR`.  The prepass is where the scan matters most:
-  certified-skip runs collapse to constant trace appends with zero
-  generator touches, and landmark regular rows are hopped outright.
+  margin-decided rows install no generator, skip runs collapse to one
+  fill, and landmark regular rows are hopped outright.
+
+BD and BA are measured at every ε in :data:`BD_BA_EPSILONS`, with the
+publication rate of each run.  Their dissimilarity noise scale and
+publish threshold both scale with 1/ε, so they publish on a steady
+share of rows at every ε: there is no budget-depleted regime to
+bulk-skip, and the publish-dense arms are the ones that matter.
 """
 
 import time
@@ -56,6 +62,9 @@ _ROUNDS = 5
 EPSILON = 1.0
 W = 40
 
+#: The ε sweep of the BD/BA arms (landmark runs at :data:`EPSILON`).
+BD_BA_EPSILONS = (0.1, 1.0, 8.0)
+
 
 def _timed(callable_):
     start = time.perf_counter()
@@ -74,14 +83,14 @@ def _landmark_mask(n):
     return np.random.default_rng(7).random(n) < 0.02
 
 
-def _releaser(kind, scan, n):
+def _releaser(kind, scan, n, epsilon=EPSILON):
     if kind == "landmark":
         mechanism = LandmarkPrivacy(
-            EPSILON, landmarks=_landmark_mask(n), rho=0.5, scan=scan
+            epsilon, landmarks=_landmark_mask(n), rho=0.5, scan=scan
         )
     else:
         cls = BudgetDistribution if kind == "bd" else BudgetAbsorption
-        mechanism = cls(EPSILON, w=W, scan=scan)
+        mechanism = cls(epsilon, w=W, scan=scan)
     return mechanism.online_releaser(N_TYPES, rng=1, horizon=n)
 
 
@@ -134,51 +143,52 @@ def test_decision_scan(benchmark, results_dir):
     assert bit_identical
 
     # -- prepass speedup: interleaved rounds, median paired ratio ------
+    arms = [("landmark", EPSILON)] + [
+        (kind, epsilon) for kind in ("bd", "ba") for epsilon in BD_BA_EPSILONS
+    ]
     times = {}
     paired = {}
-    for kind in kinds:
-        arms = {
-            f"{kind}/prepass/off": lambda kind=kind: _releaser(
-                kind, "off", n
-            ).advance_block(matrix),
-            f"{kind}/prepass/margin": lambda kind=kind: _releaser(
-                kind, "margin", n
-            ).advance_block(matrix),
-        }
-        times.update({name: [] for name in arms})
-        for _ in range(_ROUNDS):
-            round_times = {}
-            for name, runner in arms.items():
-                _, seconds = _timed(runner)
-                times[name].append(seconds)
-                round_times[name] = seconds
-            paired.setdefault(kind, []).append(
-                round_times[f"{kind}/prepass/off"]
-                / round_times[f"{kind}/prepass/margin"]
-            )
+    publication_rates = {}
+    for kind, epsilon in arms:
+        arm = kind if kind == "landmark" else f"{kind}/eps={epsilon:g}"
 
-    per_kind = {
-        kind: paired_speedup(ratios) for kind, ratios in paired.items()
-    }
-    # "best" selects the winning *scheduler* (the landmark hop), not a
-    # winning round — each kind's own number is already noise-robust.
-    overall = max(per_kind.values())
+        def prepass(scan, kind=kind, epsilon=epsilon):
+            releaser = _releaser(kind, scan, n, epsilon)
+            releaser.advance_block(matrix)
+            return releaser
+
+        for _ in range(_ROUNDS):
+            seconds = {}
+            for scan in ("off", "margin"):
+                releaser, seconds[scan] = _timed(lambda: prepass(scan))
+                times.setdefault(f"{arm}/prepass/{scan}", []).append(
+                    seconds[scan]
+                )
+            paired.setdefault(arm, []).append(
+                seconds["off"] / seconds["margin"]
+            )
+        if kind != "landmark":
+            publication_rates[arm] = float(np.mean(releaser.trace.published))
+
+    per_arm = {arm: paired_speedup(ratios) for arm, ratios in paired.items()}
+    # "best" selects the winning *arm* (the landmark hop), not a winning
+    # round — each arm's own number is already noise-robust.
+    overall = max(per_arm.values())
 
     table = ResultTable(
-        ["arm", "seconds", "speedup_vs_scalar"],
+        ["arm", "seconds", "speedup_vs_scalar", "publication_rate"],
         title=f"decision-kernel prepass over {n} windows",
     )
-    for kind in kinds:
-        table.add_row(
-            arm=f"{kind}/prepass/off",
-            seconds=round(median(times[f"{kind}/prepass/off"]), 4),
-            speedup_vs_scalar=1.0,
-        )
-        table.add_row(
-            arm=f"{kind}/prepass/margin",
-            seconds=round(median(times[f"{kind}/prepass/margin"]), 4),
-            speedup_vs_scalar=round(per_kind[kind], 2),
-        )
+    for arm in per_arm:
+        for scan in ("off", "margin"):
+            table.add_row(
+                arm=f"{arm}/prepass/{scan}",
+                seconds=round(median(times[f"{arm}/prepass/{scan}"]), 4),
+                speedup_vs_scalar=(
+                    round(per_arm[arm], 2) if scan == "margin" else 1.0
+                ),
+                publication_rate=round(publication_rates.get(arm, 0.0), 4),
+            )
     emit(table, results_dir, "decisions_prepass")
 
     enforceable = effective_cpu_count() >= REQUIRED_CPUS
@@ -202,15 +212,19 @@ def test_decision_scan(benchmark, results_dir):
             "best_scan_vs_scalar": overall,
             "floor_enforced": enforceable,
             **{
-                f"scan_vs_scalar/{kind}": ratio
-                for kind, ratio in per_kind.items()
+                f"scan_vs_scalar/{arm}": ratio
+                for arm, ratio in per_arm.items()
             },
             **{
                 key: value
-                for kind, ratios in paired.items()
+                for arm, ratios in paired.items()
                 for key, value in ratio_spread(
-                    f"scan_vs_scalar/{kind}", ratios
+                    f"scan_vs_scalar/{arm}", ratios
                 ).items()
+            },
+            **{
+                f"publication_rate/{arm}": rate
+                for arm, rate in publication_rates.items()
             },
             **{
                 f"seconds/{name}": median(seconds)

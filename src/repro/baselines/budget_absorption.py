@@ -11,9 +11,7 @@ ever spends more than ``ε_2`` on publications.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 from repro.baselines.w_event import ReleaseTrace, WEventMechanism
 
@@ -49,29 +47,10 @@ class BudgetAbsorption(WEventMechanism):
         state["nullified_until"] = t + absorbed_units - 1
         state["last_publication"] = t
 
-    def _budget_schedule(
-        self, t0: int, count: int, state: Dict
-    ) -> Optional[np.ndarray]:
-        """BA's per-timestamp budgets assuming no publication in the span.
-
-        With the barrier fixed (no new publication moves it), the
-        absorbed units at ``t`` are ``min(t - barrier, w)`` — integers,
-        so the vectorized ``nominal * units`` products are bit-equal to
-        the scalar hook's (int → float conversion is exact and float
-        multiplication is deterministic).  Nullified timestamps are
-        zeroed the same way the scalar hook short-circuits them.
-        """
-        nominal = self.epsilon_publication / self.w
-        barrier = max(state["last_publication"], state["nullified_until"])
-        ts = np.arange(t0, t0 + count, dtype=np.int64)
-        absorbed_units = np.minimum(ts - barrier, self.w)
-        budgets = nominal * absorbed_units
-        return np.where(ts <= state["nullified_until"], 0.0, budgets)
-
     def _zero_budget_until(self, t: int, state: Dict) -> int:
         # Nullified timestamps get budget 0 whatever the data; the
-        # release loop bulk-approximates [t, nullified_until] without
-        # drawing randomness.
+        # decision kernel hops [t, nullified_until] without drawing
+        # randomness.
         return state["nullified_until"] + 1
 
     @property

@@ -10,9 +10,7 @@ approximations until old spends slide out of the window.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 from repro.baselines.w_event import ReleaseTrace, WEventMechanism
 
@@ -49,53 +47,6 @@ class BudgetDistribution(WEventMechanism):
         self, t: int, budget: float, trace: ReleaseTrace, state: Dict
     ) -> None:
         state["recent"].append((t, budget))
-
-    def _budget_schedule(
-        self, t0: int, count: int, state: Dict
-    ) -> Optional[np.ndarray]:
-        """BD's per-timestamp budgets assuming no publication in the span.
-
-        With no new publications, the in-window spend at ``t`` is the
-        left-to-right sum of the ``recent`` entries that have not yet
-        slid out — entry ``(when, b)`` stays in the window while
-        ``t <= when + w - 1``.  The sum for each possible drop count is
-        accumulated in the scalar hook's exact order (summation is not
-        reassociated), so every budget is bit-equal to the per-step
-        call; the ``remaining/2`` halving is one vectorized division.
-        """
-        recent = state["recent"]
-        n_recent = len(recent)
-        ts = np.arange(t0, t0 + count, dtype=np.int64)
-        if n_recent:
-            # suffix[k] = spend with the first k entries expired, summed
-            # left-to-right from 0.0 exactly as _publication_budget does.
-            suffix = np.empty(n_recent + 1)
-            for dropped in range(n_recent + 1):
-                spent = 0.0
-                for _when, budget in recent[dropped:]:
-                    spent += budget
-                suffix[dropped] = spent
-            expiries = np.array(
-                [when + self.w for when, _budget in recent], dtype=np.int64
-            )
-            spent_recently = suffix[
-                np.searchsorted(expiries, ts, side="right")
-            ]
-        else:
-            spent_recently = np.zeros(count)
-        remaining = self.epsilon_publication - spent_recently
-        return np.where(remaining <= 0, 0.0, remaining / 2.0)
-
-    def _after_skip_run(
-        self, t_last: int, trace: ReleaseTrace, state: Dict
-    ) -> None:
-        # The scalar loop prunes expired publications on every budget
-        # call; a bulk-applied skip run must leave the same pruned state
-        # its last call (at t_last) would have.
-        start = t_last - (self.w - 1)
-        recent = state["recent"]
-        while recent and recent[0][0] < start:
-            del recent[0]
 
     @property
     def max_single_publication_budget(self) -> float:

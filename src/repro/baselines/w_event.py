@@ -25,10 +25,11 @@ the same stepper, so the two agree bit for bit under the same seed.
 The per-timestamp decision loop itself lives in
 :mod:`repro.runtime.decisions`: each scheduler declares its decision
 rule as data (:meth:`WEventMechanism.decision_rule`) and the shared
-plan → scan → resolve kernel drives the release — vectorized U-space
-scans certify skip runs, exact scalar arithmetic decides everything
-near a decision boundary.  ``scan=`` on the mechanism constructor (or
-the ``scan=/margin=/prefetch=`` spec keys) tunes or disables the scan.
+plan → scan → resolve kernel drives the release — vectorized distance
+passes decide the rows a margin band certifies, exact scalar
+arithmetic decides everything near a decision boundary.  ``scan=`` on
+the mechanism constructor (or the ``scan=/margin=/prefetch=`` spec
+keys) tunes or disables the scan.
 
 In this library the per-timestamp statistics are the windowed existence
 indicators (one 0/1 entry per event type, L1 sensitivity 1 under a
@@ -62,7 +63,8 @@ class TraceColumn:
     million-timestamp traces stop paying per-element object overhead
     and the accounting accessors read straight numpy arrays.
 
-    Two additions the release kernel relies on:
+    Two additions the release kernel relies on (plus a ``shape`` for
+    columns of vectors, such as the releaser's publication record):
 
     - :meth:`extend_constant` appends ``count`` copies of one value
       without materializing a Python list (the bulk-skip paths);
@@ -71,9 +73,9 @@ class TraceColumn:
       invalidate on any append/extend/restore.
     """
 
-    def __init__(self, values: Iterable = (), *, dtype=float):
+    def __init__(self, values: Iterable = (), *, dtype=float, shape=()):
         self._dtype = np.dtype(dtype)
-        self._data = np.zeros(0, dtype=self._dtype)
+        self._data = np.zeros((0, *shape), dtype=self._dtype)
         self._n = 0
         self.version = 0
         if values is not None:
@@ -84,7 +86,10 @@ class TraceColumn:
         capacity = self._data.shape[0]
         if needed <= capacity:
             return
-        grown = np.zeros(max(16, 2 * capacity, needed), dtype=self._dtype)
+        grown = np.zeros(
+            (max(16, 2 * capacity, needed), *self._data.shape[1:]),
+            dtype=self._dtype,
+        )
         grown[: self._n] = self._data[: self._n]
         self._data = grown
 
@@ -262,6 +267,11 @@ class OnlineReleaser:
     bit-identical to per-step derivation, but the pool prefetches parent
     entropy — exactly ``horizon`` words when the stream length is known
     (the batch path), in blocks otherwise.
+
+    Every publication's timestamp and released vector is recorded as
+    well (since construction or the last :meth:`restore`), which is
+    what lets :meth:`replay_block` reproduce a recorded range without
+    drawing anything.
     """
 
     def __init__(
@@ -283,6 +293,9 @@ class OnlineReleaser:
         self.last_release: Optional[np.ndarray] = None
         self.t = 0
         self.scheduler_state: Dict = mechanism._initial_scheduler_state()
+        self._publication_times = TraceColumn(dtype=np.int64)
+        self._publication_values = TraceColumn(shape=(n_types,))
+        self._record_start = 0
         # Per-step constants, hoisted out of the hot loop (identical
         # floating-point values to recomputing them per timestamp).
         self._dissimilarity_draw_scale = (
@@ -335,9 +348,8 @@ class OnlineReleaser:
         stream through this — state, trace and randomness evolve exactly
         as under :meth:`step_block`, only the released rows are not
         built.  Under the decision kernel this is the fastest path of
-        all: certified-skip runs and zero-budget stretches cost a few
-        array operations regardless of length, so the prepass shrinks
-        toward the publication timestamps alone.
+        all: skip runs and zero-budget stretches write no rows and only
+        publishing timestamps install a child generator.
         """
         self._run_block(np.asarray(matrix, dtype=float), None)
 
@@ -401,7 +413,8 @@ class OnlineReleaser:
         The trace object is mutated in place (not replaced) so callers
         holding a reference — ``mechanism.last_trace``, the runtime
         stepper — keep observing the restored run.  A trace-free
-        checkpoint leaves the current trace untouched.
+        checkpoint leaves the current trace untouched.  The publication
+        record restarts at the restored ``t``.
         """
         if snapshot["n_types"] != self.n_types:
             raise ValueError(
@@ -422,6 +435,9 @@ class OnlineReleaser:
             self.trace.publication_budgets[:] = publication_budgets
             self.trace.dissimilarity_budgets[:] = dissimilarity_budgets
         self._children.restore(snapshot["rng"])
+        self._publication_times[:] = []
+        self._publication_values[:] = []
+        self._record_start = self.t
 
     # -- decision replay -----------------------------------------------
 
@@ -430,18 +446,26 @@ class OnlineReleaser:
 
         Only meaningful after the trace covers ``stop`` (i.e. on a
         releaser that already advanced past it — the checkpoint
-        prepass).  Feed the result to :meth:`replay_block` on a restored
-        releaser to reproduce those timestamps without re-running the
-        scheduler.
+        prepass).  Returns ``(published, budgets, rows, values)`` as
+        arrays: the per-timestamp flags and budgets, the publishing
+        timestamps relative to ``start`` and the vectors they released.
+        Feed it to :meth:`replay_block` on a restored releaser to
+        reproduce those timestamps without re-running the scheduler.
         """
-        if stop > len(self.trace.published):
+        if stop > len(self.trace.published) or start < self._record_start:
             raise ValueError(
-                f"trace covers {len(self.trace.published)} timestamps; "
-                f"cannot slice decisions up to {stop}"
+                f"trace covers {len(self.trace.published)} timestamps "
+                f"and the publication record starts at "
+                f"{self._record_start}; cannot slice decisions "
+                f"[{start}, {stop})"
             )
+        times = np.asarray(self._publication_times)
+        lo, hi = np.searchsorted(times, (start, stop))
         return (
-            list(self.trace.published[start:stop]),
-            list(self.trace.publication_budgets[start:stop]),
+            np.asarray(self.trace.published)[start:stop].copy(),
+            np.asarray(self.trace.publication_budgets)[start:stop].copy(),
+            times[lo:hi] - start,
+            np.asarray(self._publication_values)[lo:hi].copy(),
         )
 
     def replay_block(self, matrix: np.ndarray, decisions: Tuple) -> np.ndarray:
@@ -487,7 +511,13 @@ class WEventMechanism(StreamMechanism):
     def _publication_budget(
         self, t: int, trace: ReleaseTrace, state: Dict
     ) -> float:
-        """Budget available for publishing at timestamp ``t`` (0 = skip)."""
+        """Budget available for publishing at timestamp ``t`` (0 = skip).
+
+        ``trace`` may lag within a block: the decision kernel appends a
+        block's trace columns once, after its last row, so a scheduler
+        must keep whatever it needs from earlier timestamps of the same
+        block in ``state`` (as BD and BA do).
+        """
 
     def _after_publication(
         self, t: int, budget: float, trace: ReleaseTrace, state: Dict
@@ -499,49 +529,20 @@ class WEventMechanism(StreamMechanism):
 
         When every timestamp in ``[t, end)`` is guaranteed publication
         budget 0 regardless of the data (BA's nullified periods), the
-        release loop bulk-approximates them without consuming any
-        randomness — bit-identical to stepping, since zero-budget steps
-        never draw.  The default declares no stretch.
+        decision kernel hops them without calling the budget hook or
+        consuming any randomness — bit-identical to stepping, since
+        zero-budget steps never draw.  The kernel asks at the start of
+        a block and after every publication.  The default declares no
+        stretch.
         """
         return t
-
-    def _budget_schedule(
-        self, t0: int, count: int, state: Dict
-    ) -> Optional[np.ndarray]:
-        """Per-timestamp budgets for ``[t0, t0 + count)``, no-publication
-        hypothesis — the vectorized twin of :meth:`_publication_budget`.
-
-        Every value must be bit-equal to the float the scalar hook would
-        return at that timestamp given no publication occurs in the
-        span; the call must not mutate ``state`` (the kernel applies
-        :meth:`_after_skip_run` when it commits a skip run).  Returning
-        ``None`` — the default, so third-party subclasses keep working
-        unchanged — disables the decision scan and the kernel runs the
-        scalar loop.
-        """
-        return None
-
-    def _after_skip_run(
-        self, t_last: int, trace: ReleaseTrace, state: Dict
-    ) -> None:
-        """Normalize state after a bulk-applied skip run ending at ``t_last``.
-
-        The scalar loop calls :meth:`_publication_budget` at every
-        timestamp; a scheduler whose budget call prunes state as a side
-        effect (BD's sliding publication window) must reproduce here
-        the state its scalar calls would have left after ``t_last``.
-        The default does nothing — correct whenever the budget hook is
-        read-only.
-        """
 
     def decision_rule(self) -> DecisionRule:
         """This scheduler's decision logic as data (the kernel's *plan*)."""
         return DecisionRule(
-            budget_schedule=self._budget_schedule,
             publication_budget=self._publication_budget,
             zero_budget_until=self._zero_budget_until,
             after_publication=self._after_publication,
-            after_skip_run=self._after_skip_run,
         )
 
     # -- release -----------------------------------------------------------

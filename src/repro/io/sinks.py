@@ -192,23 +192,31 @@ class StreamSink:
         (and ``truth``, when the sink wants it) map each query to a
         length-``k`` boolean vector.  On the served path the answer
         vectors are the session's own, shared with its futures, and
-        read-only.  The default writes window by window through
-        :meth:`write`, so a sink that only implements ``_write``
-        egresses exactly what per-window writes would; aggregating
-        sinks override it with a vectorized update.
+        read-only.  The default checks the open state once, hands
+        every window to ``_write`` — so a sink that only implements
+        ``_write`` egresses exactly what per-window writes would — and
+        counts the block once: if a ``_write`` raises, the windows
+        before it are counted and the rest are not.  Aggregating sinks
+        override it with a vectorized update.
         """
+        self.alphabet  # open check
         windows = len(rows)
         verdicts = _per_window(answers, windows)
         truths = [None] * windows
         if truth is not None:
             truths = _per_window(truth, windows)
-        for position in range(windows):
-            self.write(
-                start + position,
-                rows[position],
-                verdicts[position],
-                truths[position],
-            )
+        written = 0
+        try:
+            for position in range(windows):
+                self._write(
+                    start + position,
+                    np.asarray(rows[position]).reshape(-1),
+                    verdicts[position],
+                    truths[position],
+                )
+                written += 1
+        finally:
+            self._count_written(written)
 
     def _count_written(self, windows: int) -> None:
         self._written_counter.inc(windows)

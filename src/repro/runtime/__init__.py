@@ -39,6 +39,7 @@ from repro.runtime.decisions import (
     classify_decisions,
     decision_thresholds,
     laplace_noise_from_uniforms,
+    release_distances,
 )
 from repro.runtime.executors import (
     BatchExecutor,
@@ -84,5 +85,6 @@ __all__ = [
     "laplace_noise_from_uniforms",
     "merge_results",
     "plan_shards",
+    "release_distances",
     "runtime_mechanism",
 ]

@@ -12,47 +12,55 @@ into a shared kernel with three stages:
 
 **plan**
     Each scheduler declares its decision rule *as data* — a
-    :class:`DecisionRule` bundling a vectorized publish-budget schedule,
-    the zero-budget stretch predicate and the post-publication state
+    :class:`DecisionRule` bundling the scalar publish-budget hook, the
+    zero-budget stretch predicate and the post-publication state
     transition — instead of owning a bespoke loop.
 
 **scan**
-    A vectorized U-space pass over a block: the per-timestamp first
-    uniforms (:meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`)
-    are pushed through the Laplace inverse CDF
-    (:func:`laplace_noise_from_uniforms`) and compared against the
-    schedule's publish thresholds with a configurable safety margin
-    (:func:`classify_decisions`), classifying every timestamp as
-    *certainly-skip*, *certainly-publish-candidate* or *boundary*.
+    Vectorized passes over a block.  The w-event kernel is
+    *publication-paced*: after each publication it computes one
+    distance pass (:func:`release_distances`) over the next
+    :data:`_PASS_ROWS` rows against the new last release.  The
+    landmark kernel scans in U space: the per-timestamp first uniforms
+    (:meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`) go
+    through the Laplace inverse CDF (:func:`laplace_noise_from_uniforms`)
+    and are classified against the publish thresholds
+    (:func:`classify_decisions`) as *certainly-skip*,
+    *certainly-publish-candidate* or *boundary*.
 
 **resolve**
-    Contiguous certified-skip runs are bulk-applied — constant trace
-    appends, released rows filled from the last release, **zero
-    generator touches** — while boundary and publication timestamps
-    fall back to the exact scalar arithmetic of the original loop,
-    preserving bit-identity by construction: a certified skip is only a
-    skip the scalar path would also have taken, and every timestamp
-    that might publish is decided by exactly the old code path.
+    The w-event kernel decides every row in one tight loop from the
+    scalar budget hook, the prefetched uniform and the pass distance;
+    skip runs are applied as one ``released[a:b]`` fill and the trace
+    columns are written once per block.  The landmark kernel
+    bulk-applies certified-skip runs.  Both draw from a child generator
+    only where a timestamp publishes (or its uniform is ``u <= 0``), and
+    every row near a decision boundary is decided by the exact scalar
+    arithmetic, preserving bit-identity by construction.
 
-Why the margin is sound: the scan's vectorized ``numpy.log`` may differ
-from the scalar path's ``math.log`` in the last ulp, and the vectorized
-distance/threshold arithmetic may round differently than the scalar
-spelling.  A timestamp is therefore certified only when its decision
-score clears the threshold by more than ``margin * (1 + |noise| + θ)``
-— astronomically wider than any ulp-level disagreement at the default
-``1e-9``, yet vanishingly unlikely to catch a real decision (the score
-is a continuous random variable).  Timestamps inside the band resolve
-through the scalar arithmetic, so a margin that is *too wide* only
-costs speed, never correctness.  ``scan=exact`` (audit mode)
-additionally re-verifies every certified skip against the scalar
-arithmetic and raises :class:`ScanMarginError` on disagreement.
+Why the margin is sound: the w-event noise always comes from the scalar
+``math.log`` spelling of numpy's ``random_laplace``, so the only
+disagreement the margin must cover is the vectorized distance pass
+rounding differently than the scalar per-row reduction; the landmark
+scan's vectorized ``numpy.log`` may additionally differ from
+``math.log`` in the last ulp.  A decision is taken from the vectorized
+values only when its score clears the threshold by more than
+``margin * (1 + |noise| + θ)`` — astronomically wider than any
+ulp-level disagreement at the default ``1e-9``, yet vanishingly
+unlikely to catch a real decision (the score is a continuous random
+variable).  Rows inside the band resolve through the scalar
+arithmetic, so a margin that is *too wide* only costs speed, never
+correctness.  ``scan=exact`` (audit mode) additionally re-verifies
+every margin-decided row against the scalar arithmetic and raises
+:class:`ScanMarginError` on disagreement.
 
 The pure helpers (:func:`laplace_noise_from_uniforms`,
-:func:`decision_thresholds`, :func:`classify_decisions`) are
-arrays-in/arrays-out with no object state — this is the documented seam
-for a future ``numba``/GPU decision executor with a counter-based RNG:
-an accelerator only needs to reproduce these three functions over its
-own uniform plane and hand the boundary indices back to the host.
+:func:`decision_thresholds`, :func:`classify_decisions`,
+:func:`release_distances`) are arrays-in/arrays-out with no object
+state — this is the documented seam for a future ``numba``/GPU decision
+executor with a counter-based RNG: an accelerator only needs to
+reproduce these functions over its own uniform plane and hand the
+boundary indices back to the host.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ __all__ = [
     "classify_decisions",
     "decision_thresholds",
     "laplace_noise_from_uniforms",
+    "release_distances",
 ]
 
 #: Verdict codes of :func:`classify_decisions` (uint8 array values).
@@ -99,14 +108,14 @@ def _kernel_telemetry():
     Resolved lazily (not cached on the kernel) so a kernel pickled
     into a cluster worker reports into that worker's per-task registry
     — the increments then ride the ``_METRICS`` frame back to the
-    parent.  Three dict lookups per block, amortized over the block's
+    parent.  Four dict lookups per block, amortized over the block's
     rows.
     """
     registry = default_registry()
     return (
         registry.counter(
             "repro_decisions_certified_rows_total",
-            "Rows bulk-skipped under a certified scan verdict.",
+            "Rows decided by a margin-certified scan verdict.",
         ),
         registry.counter(
             "repro_decisions_boundary_rows_total",
@@ -114,57 +123,55 @@ def _kernel_telemetry():
         ),
         registry.counter(
             "repro_decisions_zero_budget_rows_total",
-            "Rows bulk-approximated over zero-budget stretches.",
+            "Rows approximated on zero publication budget.",
         ),
         registry.histogram(
             "repro_decisions_scan_segment_rows",
-            "Rows classified per vectorized scan segment.",
+            "Rows classified per vectorized landmark scan segment.",
             buckets=_SEGMENT_BUCKETS,
         ),
     )
 
-#: Upper bound on one scan segment's row count.  Segments double from
-#: the prefetch granularity while the stream stays skip-only and are
-#: invalidated at every publication, so the bound caps the vector work
-#: a publication can throw away without limiting how far bulk skips
-#: reach on stable stretches (consuming a segment just starts the
-#: next one).
+
+#: Upper bound on one landmark scan segment's row count.  Segments
+#: double from the prefetch granularity while the stream stays
+#: skip-only and are invalidated at every publication, so the bound
+#: caps the vector work a publication can throw away without limiting
+#: how far bulk skips reach on stable stretches (consuming a segment
+#: just starts the next one).
 _SCAN_SEGMENT_MAX = 8192
 
-#: Exact scalar steps taken after a publication before the next scan
-#: segment is built.  Publications invalidate the segment cache, so on
-#: publish-dense stretches (short skip runs) eager rescanning pays
-#: per-publication vector work for runs too short to matter — the
-#: warm-up keeps those stretches at scalar-loop speed and only re-arms
-#: the scan once skips persist, which is exactly when certified runs
-#: get long enough to win (measured: 16 holds publish-dense BD/BA at
-#: scalar parity while still catching every budget-depleted stretch).
-_SCAN_WARMUP = 16
+#: Rows of one w-event distance pass.  A pass is computed against the
+#: last release, so every publication invalidates the rest of it: BD/BA
+#: publish on roughly one row in four to seven, and a short constant
+#: pass keeps the vector work a publication throws away small while
+#: still amortizing numpy's per-call overhead over the skip runs.
+_PASS_ROWS = 32
 
 
 class ScanMarginError(RuntimeError):
-    """Audit mode found a certified skip the scalar arithmetic rejects.
+    """Audit mode found a margin-decided row the scalar arithmetic rejects.
 
     Raised only under ``scan=exact``; seeing this means the configured
-    safety margin is too narrow for the platform's ``numpy.log`` /
-    ``math.log`` disagreement and must be widened.
+    safety margin is too narrow for the platform's vectorized-versus-
+    scalar rounding and must be widened.
     """
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Tunables of the U-space decision scan.
+    """Tunables of the decision scan.
 
     Attributes
     ----------
     mode:
-        ``"margin"`` (the default) certifies skip runs through the
-        margin classification; ``"exact"`` additionally re-verifies
-        every certified skip with the exact scalar arithmetic (the
-        audit mode — slow, raises :class:`ScanMarginError` on any
-        disagreement); ``"off"`` disables the scan entirely and runs
-        the per-timestamp scalar loop (the pre-kernel behavior, for
-        debugging).
+        ``"margin"`` (the default) decides rows from the vectorized
+        values wherever the margin band certifies them; ``"exact"``
+        additionally re-verifies every margin-decided row with the
+        exact scalar arithmetic (the audit mode — slow, raises
+        :class:`ScanMarginError` on any disagreement); ``"off"``
+        disables the scan entirely and runs the per-timestamp scalar
+        loop (the pre-kernel behavior and the kernels' oracle).
     margin:
         The safety margin of the certification band (see the module
         docstring for why the default is sound).
@@ -202,7 +209,7 @@ class ScanConfig:
 
     @property
     def audit(self) -> bool:
-        """Whether certified skips are re-verified (``exact`` mode)."""
+        """Whether margin-decided rows are re-verified (``exact``)."""
         return self.mode == "exact"
 
     @classmethod
@@ -246,7 +253,9 @@ class ScanConfig:
             mode=scan if scan is not None else defaults.mode,
             margin=float(margin) if margin is not None else defaults.margin,
             prefetch_min=(
-                int(prefetch) if prefetch is not None else defaults.prefetch_min
+                int(prefetch)
+                if prefetch is not None
+                else defaults.prefetch_min
             ),
         )
 
@@ -258,31 +267,17 @@ class DecisionRule:
     The callables mirror the scheduler hooks on
     :class:`~repro.baselines.w_event.WEventMechanism`:
 
-    - ``budget_schedule(t0, count, state)`` — the *exact* per-timestamp
-      publication budgets for ``[t0, t0 + count)`` under the assumption
-      that no publication occurs in the span (bit-equal floats to
-      calling the scalar ``_publication_budget`` per step).  Returns
-      ``None`` when the scheduler declares no vectorized schedule, in
-      which case the kernel falls back to the scalar loop;
     - ``publication_budget(t, trace, state)`` — the scalar budget (may
       mutate the state exactly as the scheduler's per-step call does);
     - ``zero_budget_until(t, state)`` — exclusive end of a
       data-independent zero-budget stretch (BA's nullified periods);
     - ``after_publication(t, budget, trace, state)`` — post-publication
-      state transition;
-    - ``after_skip_run(t_last, trace, state)`` — state normalization
-      after a bulk-applied skip run: the scalar loop calls
-      ``publication_budget`` at every timestamp, and schedulers whose
-      budget call prunes state (BD's sliding publication window) must
-      reproduce the pruned state the scalar loop would hold after its
-      last call at ``t_last``.
+      state transition.
     """
 
-    budget_schedule: Callable[[int, int, Dict], Optional[np.ndarray]]
     publication_budget: Callable[[int, object, Dict], float]
     zero_budget_until: Callable[[int, Dict], int]
     after_publication: Callable[[int, float, object, Dict], None]
-    after_skip_run: Callable[[int, object, Dict], None]
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +304,7 @@ def laplace_noise_from_uniforms(
     uniforms = np.asarray(uniforms, dtype=float)
     needs_exact = uniforms <= 0.0
     upper = uniforms >= 0.5
-    arguments = np.where(
-        upper, 2.0 - uniforms - uniforms, uniforms + uniforms
-    )
+    arguments = np.where(upper, 2.0 - uniforms - uniforms, uniforms + uniforms)
     # Flagged rows get a harmless argument so no log(0) warning fires;
     # their noise value is never read.
     arguments[needs_exact] = 1.0
@@ -320,9 +313,7 @@ def laplace_noise_from_uniforms(
     return noises, needs_exact
 
 
-def decision_thresholds(
-    budgets: np.ndarray, sensitivity: float
-) -> np.ndarray:
+def decision_thresholds(budgets: np.ndarray, sensitivity: float) -> np.ndarray:
     """Publish thresholds ``sensitivity / budget`` (``inf`` ⇔ never).
 
     A timestamp publishes when its noisy distance exceeds the error a
@@ -375,6 +366,28 @@ def classify_decisions(
     return verdicts
 
 
+def release_distances(rows: np.ndarray, release: np.ndarray) -> np.ndarray:
+    """Mean absolute deviation of every row from ``release``.
+
+    The w-event kernel's distance pass.  Reducing along ``axis=1`` may
+    sum in a different order than the scalar per-row reduction, so the
+    values equal the exact distances only up to ulps — decisions taken
+    from them are protected by the margin band.
+    """
+    return np.add.reduce(np.abs(rows - release), axis=1) / rows.shape[1]
+
+
+def _certified_run(
+    seg_stops: np.ndarray, seg_row: int, row: int, seg_stop: int
+) -> int:
+    """Length of the certified-skip run starting at ``row``."""
+    offset = row - seg_row
+    position = np.searchsorted(seg_stops, offset)
+    if position == seg_stops.shape[0]:
+        return seg_stop - row
+    return int(seg_stops[position]) - offset
+
+
 # ---------------------------------------------------------------------------
 # The w-event resolve stage
 # ---------------------------------------------------------------------------
@@ -385,11 +398,11 @@ class WEventKernel:
 
     The *host* is an :class:`~repro.baselines.w_event.OnlineReleaser`:
     it owns the mutable release state (``t``, ``trace``,
-    ``last_release``, ``scheduler_state``, the rng pool) while the
-    kernel owns the decision pipeline.  ``run_block`` is bit-identical
-    to the pre-kernel scalar loop in every mode — the scan only decides
-    *which* timestamps may be bulk-skipped, never what any timestamp
-    releases.
+    ``last_release``, ``scheduler_state``, the rng pool and the
+    publication record) while the kernel owns the decision pipeline.
+    ``run_block`` is bit-identical to the pre-kernel scalar loop in
+    every mode — the vectorized values only decide rows the margin band
+    certifies, never what any timestamp releases.
     """
 
     def __init__(
@@ -416,11 +429,11 @@ class WEventKernel:
 
         Per-timestamp draws come from the host's index-derived child
         streams, so the kernel is free to consume them smartly without
-        changing a single output bit: certified-skip runs and
-        zero-budget stretches touch no generator at all, and only
-        publishing timestamps install a child and draw from it.
+        changing a single output bit: with prefetched uniforms only
+        publishing timestamps (and ``u <= 0`` rows) install a child
+        generator.  ``scan=off`` and blocks shorter than the prefetch
+        threshold run :meth:`_exact_step` row by row.
         """
-        rule = self.rule
         config = self.config
         n = matrix.shape[0]
         if n == 0:
@@ -430,204 +443,168 @@ class WEventKernel:
             if n >= config.prefetch_min
             else None
         )
-        scanning = config.enabled and uniforms is not None
-        trace = host.trace
-        published = trace.published
-        publication_budgets = trace.publication_budgets
-        dissimilarity_budgets = trace.dissimilarity_budgets
-        charge = self.charge
-        state = host.scheduler_state
-        # Scan segment cache: verdicts for rows [seg_row, seg_stop)
-        # computed against the state and last release at seg_row;
-        # ``stops`` are the segment-relative offsets of non-certified
-        # rows.  Valid until a publication changes the threshold
-        # schedule or the reference release.  Segments are *bounded*
-        # (starting at the prefetch granularity, doubling while runs
-        # stay skip-only) because every publication invalidates the
-        # cache — scanning to the end of the block would redo O(n)
-        # vector work per publication, quadratic on publish-dense
-        # streams, while a bounded segment costs O(chunk) there and
-        # still amortizes to one pass over skip-dominated stretches.
-        chunk = config.prefetch_min
-        seg_row = -1
-        seg_stop = 0
-        seg_stops: Optional[np.ndarray] = None
-        cooldown = 0
-        row = 0
-        (
-            obs_certified,
-            obs_boundary,
-            obs_zero_budget,
-            obs_segments,
-        ) = _kernel_telemetry()
-        while row < n:
-            last_release = host.last_release
-            if last_release is not None:
-                skip = min(
-                    rule.zero_budget_until(host.t, state) - host.t,
-                    n - row,
-                )
-                if skip > 0:
-                    # Zero budget, data-independent: approximate in
-                    # bulk (no randomness is consumed here).
-                    if released is not None:
-                        released[row : row + skip] = last_release
-                    published.extend_constant(False, skip)
-                    publication_budgets.extend_constant(0.0, skip)
-                    dissimilarity_budgets.extend_constant(charge, skip)
-                    obs_zero_budget.inc(skip)
-                    host.t += skip
-                    row += skip
-                    continue
-                if scanning and cooldown == 0:
-                    if seg_stops is None or row < seg_row:
-                        chunk = config.prefetch_min
-                    elif row >= seg_stop:
-                        # The previous segment was consumed without a
-                        # publication: the stream is in a stable
-                        # stretch, so scan farther ahead this time.
-                        chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
-                        seg_stops = None
-                    if seg_stops is None:
-                        seg_row = row
-                        seg_stop = min(n, row + chunk)
-                        seg_stops = self._scan_segment(
-                            host, matrix, uniforms, row, seg_stop
-                        )
-                        if seg_stops is None:
-                            # No vectorized schedule: scalar loop.
-                            scanning = False
-                        else:
-                            obs_segments.observe(seg_stop - row)
-                    if seg_stops is not None:
-                        run = self._certified_run(
-                            seg_stops, seg_row, row, seg_stop
-                        )
-                        if run > 0:
-                            if config.audit:
-                                self._audit_run(
-                                    host, matrix, uniforms, row, run
-                                )
-                            if released is not None:
-                                released[row : row + run] = last_release
-                            published.extend_constant(False, run)
-                            publication_budgets.extend_constant(0.0, run)
-                            dissimilarity_budgets.extend_constant(
-                                charge, run
-                            )
-                            rule.after_skip_run(
-                                host.t + run - 1, trace, state
-                            )
-                            obs_certified.inc(run)
-                            host.t += run
-                            row += run
-                            continue
-            published_now = self._exact_step(
-                host, matrix, released, row, uniforms
-            )
-            obs_boundary.inc()
-            if published_now:
-                # The publication changed the budget schedule and the
-                # reference release; certified verdicts past this row
-                # are stale.
-                seg_stops = None
-                cooldown = _SCAN_WARMUP
-            elif cooldown:
-                cooldown -= 1
-            row += 1
+        certified, boundary, zero_budget, _segments = _kernel_telemetry()
+        if not config.enabled or uniforms is None:
+            for row in range(n):
+                self._exact_step(host, matrix, released, row, uniforms)
+            boundary.inc(n)
+            return
+        counts = self._resolve(host, matrix, released, uniforms)
+        certified.inc(counts[0])
+        boundary.inc(counts[1])
+        zero_budget.inc(counts[2])
 
-    def _scan_segment(
-        self, host, matrix, uniforms, row: int, stop: int
-    ) -> Optional[np.ndarray]:
-        """Scan rows ``[row, stop)`` against the current state.
+    def _resolve(self, host, matrix, released, uniforms) -> Tuple[int, ...]:
+        """The publication-paced resolve over a prefetched block.
 
-        Returns the segment-relative offsets of rows that are *not*
-        certified skips (``None`` when the scheduler declares no
-        vectorized budget schedule).  Only valid while no publication
-        occurs — the resolver drops the cache at each publication.
-        """
-        count = stop - row
-        budgets = self.rule.budget_schedule(
-            host.t, count, host.scheduler_state
-        )
-        if budgets is None:
-            return None
-        thresholds = decision_thresholds(budgets, self.sensitivity)
-        distances = (
-            np.add.reduce(
-                np.abs(matrix[row:stop] - host.last_release), axis=1
-            )
-            / self.n_types
-        )
-        noises, needs_exact = laplace_noise_from_uniforms(
-            uniforms[row:stop], self.scale
-        )
-        verdicts = classify_decisions(
-            distances, noises, needs_exact, thresholds, self.config.margin
-        )
-        return np.nonzero(verdicts != CERTAIN_SKIP)[0]
-
-    @staticmethod
-    def _certified_run(
-        seg_stops: np.ndarray, seg_row: int, row: int, seg_stop: int
-    ) -> int:
-        """Length of the certified-skip run starting at ``row``."""
-        offset = row - seg_row
-        position = np.searchsorted(seg_stops, offset)
-        if position == seg_stops.shape[0]:
-            return seg_stop - row
-        return int(seg_stops[position]) - offset
-
-    def _audit_run(self, host, matrix, uniforms, row: int, run: int) -> None:
-        """Re-verify a certified run with the exact scalar arithmetic.
-
-        Walks every certified row, recomputing the publish decision
-        exactly as :meth:`_exact_step` would (``math.log`` branches,
-        scalar reduction order), and raises :class:`ScanMarginError`
-        when any row the scan certified as a skip would in fact
-        publish.  The budget calls reproduce the state mutations the
-        scalar loop performs, so auditing never perturbs the run.
+        Each row is decided from the scalar budget hook, the noise of
+        its prefetched uniform (spelled exactly as :meth:`_exact_step`
+        spells it) and its distance from the current distance pass;
+        rows inside the margin band and ``u <= 0`` rows recompute the
+        decision exactly.  Zero-budget stretches are hopped after each
+        publication, skipped rows are filled in runs, and the trace
+        columns and publication record are appended once at the end —
+        so the scheduler hooks see a trace that may lag within the
+        block.  Returns the ``(certified, boundary, zero_budget)`` row
+        counts.
         """
         rule = self.rule
-        state = host.scheduler_state
+        budget_of = rule.publication_budget
+        zero_budget_until = rule.zero_budget_until
+        after_publication = rule.after_publication
         trace = host.trace
-        last_release = host.last_release
+        state = host.scheduler_state
+        children = host._children
+        scale = self.scale
+        sensitivity = self.sensitivity
+        n_types = self.n_types
+        margin = self.config.margin
+        audit = self.config.audit
         log = math.log
-        for offset in range(run):
-            t = host.t + offset
-            budget = rule.publication_budget(t, trace, state)
-            if budget <= 0:
+        n = matrix.shape[0]
+        certified = boundary = zero_budget = 0
+        start = 0
+        if host.last_release is None:
+            # The first release ever publishes without a distance.
+            self._exact_step(host, matrix, released, 0, uniforms)
+            boundary = start = 1
+        base = host.t - start  # row r is timestamp base + r
+        last = host.last_release
+        uniforms = uniforms.tolist()
+        published = np.zeros(n, dtype=bool)
+        budgets = np.zeros(n)
+        times = []
+        values = []
+        filled = start  # released rows before this one are written
+        skip_until = start + zero_budget_until(host.t, state) - host.t
+        pass_start = pass_stop = 0  # rows the distance pass covers
+        distances = []
+        row = start
+        while row < n:
+            if row < skip_until:
+                # Zero budget, data-independent: hop the stretch (no
+                # randomness is consumed here).
+                stop = min(skip_until, n)
+                zero_budget += stop - row
+                row = stop
                 continue
-            uniform = uniforms[row + offset]
-            if uniform <= 0.0:
-                raise ScanMarginError(
-                    f"timestamp {t} was certified as a skip but its "
-                    f"uniform ({uniform}) needs the exact generator path"
-                )
-            if uniform >= 0.5:
-                noise = 0.0 - self.scale * log(2.0 - uniform - uniform)
+            t = base + row
+            budget = budget_of(t, trace, state)
+            if budget <= 0:
+                zero_budget += 1
+                row += 1
+                continue
+            threshold = sensitivity / budget
+            uniform = uniforms[row]
+            rng_t = None
+            if uniform > 0.0:
+                # numpy random_laplace, loc=0, as in _exact_step.
+                if uniform >= 0.5:
+                    noise = 0.0 - scale * log(2.0 - uniform - uniform)
+                else:
+                    noise = 0.0 + scale * log(uniform + uniform)
+                if row >= pass_stop:
+                    pass_start = row
+                    pass_stop = min(n, row + _PASS_ROWS)
+                    distances = release_distances(
+                        matrix[row:pass_stop], last
+                    ).tolist()
+                score = distances[row - pass_start] + noise
+                tolerance = margin * (1.0 + abs(noise) + threshold)
+                if threshold - tolerance <= score <= threshold + tolerance:
+                    boundary += 1
+                    distance = self._distance(matrix[row], last)
+                    publish = distance + noise > threshold
+                else:
+                    certified += 1
+                    publish = score > threshold
+                    if audit:
+                        self._audit(
+                            t, publish, matrix[row], last, noise, threshold
+                        )
             else:
-                noise = 0.0 + self.scale * log(uniform + uniform)
-            distance = float(
-                np.add.reduce(np.abs(matrix[row + offset] - last_release))
-                / self.n_types
-            )
-            if distance + noise > self.sensitivity / budget:
-                raise ScanMarginError(
-                    f"timestamp {t} was certified as a skip but the exact "
-                    f"arithmetic publishes (score "
-                    f"{distance + noise!r} > threshold "
-                    f"{self.sensitivity / budget!r}); widen the scan margin"
-                )
+                # U == 0 retries inside numpy; take the real generator.
+                boundary += 1
+                rng_t = children.generator(t)
+                noise = float(rng_t.laplace(0.0, scale))
+                distance = self._distance(matrix[row], last)
+                publish = distance + noise > threshold
+            if not publish:
+                row += 1
+                continue
+            if rng_t is None:
+                rng_t = children.generator(t)
+                # Reposition past the dissimilarity word.
+                rng_t.laplace(0.0, scale)
+            value = matrix[row] + rng_t.laplace(0.0, threshold, size=n_types)
+            if released is not None:
+                released[filled:row] = last
+                released[row] = value
+            last = value
+            filled = row + 1
+            published[row] = True
+            budgets[row] = budget
+            times.append(t)
+            values.append(value)
+            after_publication(t, budget, trace, state)
+            pass_stop = 0
+            row += 1
+            skip_until = row + zero_budget_until(t + 1, state) - (t + 1)
+        if released is not None:
+            released[filled:n] = last
+        trace.published.extend(published[start:])
+        trace.publication_budgets.extend(budgets[start:])
+        trace.dissimilarity_budgets.extend_constant(self.charge, n - start)
+        if times:
+            host._publication_times.extend(times)
+            host._publication_values.extend(values)
+        host.last_release = last
+        host.t = base + n
+        return certified, boundary, zero_budget
 
-    def _exact_step(
-        self, host, matrix, released, row: int, uniforms
-    ) -> bool:
+    def _distance(self, row: np.ndarray, last: np.ndarray) -> float:
+        """The exact scalar distance (Kellaris' ``dis``): mean absolute
+        deviation from the last release.  The reduce spelling is
+        bit-identical to ``.mean()`` and skips its dispatch overhead."""
+        return float(np.add.reduce(np.abs(row - last)) / self.n_types)
+
+    def _audit(self, t, publish, row, last, noise, threshold) -> None:
+        """Re-verify one margin-decided row with the scalar arithmetic."""
+        if (self._distance(row, last) + noise > threshold) != publish:
+            verdict = "a publication" if publish else "a skip"
+            raise ScanMarginError(
+                f"timestamp {t} was certified as {verdict} but the exact "
+                f"arithmetic disagrees (noise {noise!r}, threshold "
+                f"{threshold!r}); widen the scan margin"
+            )
+
+    def _exact_step(self, host, matrix, released, row: int, uniforms) -> None:
         """One timestamp through the exact scalar arithmetic.
 
-        This is the pre-kernel release loop's body, verbatim: the
-        boundary/publication fallback of the scan path and the whole
-        loop under ``scan=off``.  Returns whether the step published.
+        This is the pre-kernel release loop's body, verbatim: the whole
+        loop under ``scan=off`` (the oracle the resolve is pinned
+        against), blocks below the prefetch threshold, and the first
+        release of a run.
         """
         rule = self.rule
         trace = host.trace
@@ -640,10 +617,8 @@ class WEventKernel:
         if last_release is None:
             publish = budget > 0
         elif budget > 0:
-            # Private dissimilarity: mean absolute deviation from the
-            # last release, plus Laplace noise (Kellaris' `dis`).  The
-            # reduce spelling is bit-identical to .mean() and skips its
-            # dispatch overhead.
+            # Private dissimilarity: the distance from the last release
+            # plus Laplace noise (Kellaris' `dis`).
             if uniforms is None:
                 rng_t = host._children.generator(host.t)
                 noise = float(rng_t.laplace(0.0, scale))
@@ -660,10 +635,7 @@ class WEventKernel:
                     # generator for this (astronomically rare) step.
                     rng_t = host._children.generator(host.t)
                     noise = float(rng_t.laplace(0.0, scale))
-            true_distance = float(
-                np.add.reduce(np.abs(matrix[row] - last_release))
-                / self.n_types
-            )
+            true_distance = self._distance(matrix[row], last_release)
             publish = true_distance + noise > self.sensitivity / budget
         trace.dissimilarity_budgets.append(self.charge)
         if publish:
@@ -677,6 +649,8 @@ class WEventKernel:
                 0.0, self.sensitivity / budget, size=self.n_types
             )
             host.last_release = matrix[row] + noise_vector
+            host._publication_times.append(host.t)
+            host._publication_values.append(host.last_release)
             trace.published.append(True)
             trace.publication_budgets.append(budget)
             rule.after_publication(host.t, budget, trace, state)
@@ -690,7 +664,6 @@ class WEventKernel:
         if released is not None:
             released[row] = host.last_release
         host.t += 1
-        return publish
 
     # -- decision replay ----------------------------------------------
 
@@ -699,76 +672,48 @@ class WEventKernel:
     ) -> np.ndarray:
         """Reproduce a stepped block from recorded scheduler decisions.
 
-        ``decisions`` is a ``(published, budgets)`` pair covering
-        exactly the rows of ``matrix``.  Bit-identity with stepping
-        holds because the per-timestamp randomness is index-derived: a
-        publishing timestamp draws its dissimilarity word (when one
-        preceded it) and its Laplace noise from the same child
-        generator the stepped run used, and non-publishing timestamps
-        repeat the previous release.  Only the publishing timestamps
-        cost Python-loop work, which is what makes sharded replay fast
-        on the sparse publication schedules BD/BA produce.
+        ``decisions`` is ``(published, budgets, rows, values)`` covering
+        exactly the rows of ``matrix``: the per-row publication flags
+        and budgets plus the block-relative publishing rows and the
+        vectors they released, as recorded by the run that stepped
+        them.  Every row repeats the publication at-or-before it (or
+        the release before the block), so replay is one vectorized
+        forward fill and touches no generator at all.
         """
         n = matrix.shape[0]
-        published, budgets = decisions
+        published, budgets = decisions[:2]
         if len(published) != n or len(budgets) != n:
             raise ValueError(
                 f"decisions cover {len(published)} timestamps but the "
                 f"block has {n} rows"
             )
-        rule = self.rule
+        rows, values = decisions[2:]
+        published = np.asarray(published, dtype=bool)
+        ordinals = np.cumsum(published) - 1
+        after = ordinals >= 0
         released = np.empty_like(matrix)
-        publish_rows = [row for row in range(n) if published[row]]
-        values = []
-        current = host.last_release
-        for row in publish_rows:
-            rng_t = host._children.generator(host.t + row)
-            if not (row == 0 and current is None):
-                # The stepped run drew the noisy dissimilarity estimate
-                # before publishing whenever a previous release
-                # existed; consume the same word so the noise stream
-                # aligns.
-                rng_t.laplace(0.0, self.scale)
-            noise = rng_t.laplace(
-                0.0,
-                self.sensitivity / budgets[row],
-                size=self.n_types,
-            )
-            value = matrix[row] + noise
-            values.append(value)
-            released[row] = value
-        # Forward-fill approximating timestamps from the publication
-        # at-or-before them, vectorized (no per-row Python work).
-        published_flags = np.asarray(published, dtype=bool)
-        ordinals = np.cumsum(published_flags) - 1
-        approx = ~published_flags
-        before_first = approx & (ordinals < 0)
-        after = approx & (ordinals >= 0)
-        if np.any(after):
-            stacked = np.stack(values)
-            released[after] = stacked[ordinals[after]]
-        if np.any(before_first):
+        released[after] = values[ordinals[after]]
+        if not after.all():
+            current = host.last_release
             if current is None:
                 current = np.full(self.n_types, 0.5)
-            released[before_first] = current
-        # Bring state, trace and accounting to where stepping would be.
-        host.trace.published.extend(bool(flag) for flag in published)
-        host.trace.publication_budgets.extend(
-            float(budget) for budget in budgets
-        )
-        host.trace.dissimilarity_budgets.extend_constant(self.charge, n)
-        for row in publish_rows:
-            rule.after_publication(
+            released[~after] = current
+        # Bring state, trace and record to where stepping would be.
+        trace = host.trace
+        trace.published.extend(published)
+        trace.publication_budgets.extend(budgets)
+        trace.dissimilarity_budgets.extend_constant(self.charge, n)
+        host._publication_times.extend(host.t + rows)
+        host._publication_values.extend(values)
+        for row in rows.tolist():
+            self.rule.after_publication(
                 host.t + row,
                 float(budgets[row]),
-                host.trace,
+                trace,
                 host.scheduler_state,
             )
         if n:
-            if publish_rows and publish_rows[-1] == n - 1:
-                host.last_release = values[-1].copy()
-            else:
-                host.last_release = np.array(released[n - 1], copy=True)
+            host.last_release = released[n - 1].copy()
         host.t += n
         return released
 
@@ -914,12 +859,7 @@ class LandmarkKernel:
                         sensitivity,
                         uniform_scale,
                     )
-                run = WEventKernel._certified_run(
-                    seg_stops,
-                    seg_ordinal,
-                    ordinal,
-                    seg_end,
-                )
+                run = _certified_run(seg_stops, seg_ordinal, ordinal, seg_end)
                 if run > 0:
                     stop_row = (
                         int(landmark_rows[ordinal + run])
@@ -951,9 +891,7 @@ class LandmarkKernel:
                             )
                     # The per-step clamp max(0, left - 1) composes to
                     # one clamped subtraction over the run.
-                    host._landmarks_left = max(
-                        0, host._landmarks_left - run
-                    )
+                    host._landmarks_left = max(0, host._landmarks_left - run)
                     obs_certified.inc(run)
                     host.t = t0 + stop_row
                     row = stop_row

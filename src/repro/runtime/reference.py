@@ -27,9 +27,18 @@ from repro.utils.rng import RngLike, derive_rng
 
 
 def reference_w_event_perturb(
-    mechanism, stream: IndicatorStream, *, rng: RngLike = None
+    mechanism,
+    stream: IndicatorStream,
+    *,
+    rng: RngLike = None,
+    final_state: Optional[dict] = None,
 ) -> IndicatorStream:
-    """The seed per-window w-event release loop (BD/BA schedulers)."""
+    """The seed per-window w-event release loop (BD/BA schedulers).
+
+    ``final_state``, when given, is filled with the loop's raw
+    ``released`` rows, its ``trace``, ``scheduler_state``,
+    ``last_release`` and ``t`` — what the kernel's own run must end in.
+    """
     from repro.baselines.w_event import ReleaseTrace
 
     matrix = stream.matrix_view().astype(float)
@@ -71,6 +80,14 @@ def reference_w_event_perturb(
             trace.published.append(False)
             trace.publication_budgets.append(0.0)
         released[t] = last_release
+    if final_state is not None:
+        final_state.update(
+            released=released,
+            trace=trace,
+            scheduler_state=scheduler_state,
+            last_release=last_release,
+            t=n_windows,
+        )
     return stream.with_matrix(released >= 0.5)
 
 

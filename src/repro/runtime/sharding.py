@@ -276,11 +276,12 @@ def run_shard_from_checkpoint(
     """Replay one shard's windows from its prepass checkpoint.
 
     A fresh stepper is restored to the prepass state at ``shard.start``
-    and either replays the recorded decisions (BD/BA — only publishing
-    timestamps cost loop work) or re-steps the range (landmark).  Both
-    are bit-identical to an uninterrupted sequential run because every
-    timestamp's randomness comes from the same index-derived child
-    stream.
+    and either replays the recorded decisions (BD/BA — a forward fill
+    of the recorded publications that draws nothing) or re-steps the
+    range (landmark).  Both are bit-identical to an uninterrupted
+    sequential run: replayed rows are the very vectors the prepass
+    released, and re-stepped rows draw from the same index-derived
+    child streams.
     """
     stepper = pipeline.runtime_mechanism.stepper(
         alphabet, rng=rng, horizon=horizon, publish_trace=False
@@ -369,13 +370,15 @@ def checkpoint_prepass(
     materializing released rows* (``advance_block``), snapshotting the
     release state at every shard boundary and extracting each shard's
     decision slice afterwards.  ``advance_block`` drives the decision
-    kernel (:mod:`repro.runtime.decisions`), so the prepass shrinks
-    toward the publication steps alone: certified-skip runs collapse
-    to constant trace appends with zero generator touches, landmark
-    regular rows are hopped outright, and only boundary/publishing
-    timestamps pay scalar Python work — on top of no output rows, no
-    query matching and no per-row copies.  The replay phase it enables
-    likewise only pays Python-loop work at publishing timestamps.
+    kernel (:mod:`repro.runtime.decisions`): BD/BA rows are decided
+    from prefetched uniforms and one vectorized distance pass per
+    publication, with a child generator installed only where a row
+    publishes, and landmark regular rows are hopped outright — on top
+    of no output rows, no query matching and no per-row copies.  The
+    releaser also records each publishing row's released vector, which
+    the prepass computes anyway, so a BD/BA decision slice carries
+    ``(published, budgets, publish rows, values)`` and the replay
+    phase it enables draws nothing at all.
     """
     stepper = pipeline.runtime_mechanism.stepper(
         alphabet, rng=rng, horizon=horizon, publish_trace=False

@@ -1,21 +1,36 @@
 """Property-based bit-identity of the decision kernel's scan modes.
 
 The plan → scan → resolve pipeline in :mod:`repro.runtime.decisions`
-promises that the vectorized U-space scan never changes a single output
-bit: whatever the stream contents, scheduler parameters, block
-chunking (including the prefetch-threshold boundary sizes 1/31/32/33)
-or a snapshot/restore mid-run, ``scan=margin`` and ``scan=exact``
-must reproduce the ``scan=off`` scalar loop exactly — releases,
-verdict traces, scheduler state and snapshots alike.
+promises that the vectorized scan never changes a single output bit:
+whatever the stream contents, scheduler parameters, block chunking
+(including the prefetch-threshold boundary sizes 1/31/32/33) or a
+snapshot/restore mid-run, ``scan=margin`` and ``scan=exact`` must
+reproduce the ``scan=off`` scalar loop exactly — releases, verdict
+traces, scheduler state and snapshots alike.  Publish-dense BD/BA runs
+are pinned against the seed loop in :mod:`repro.runtime.reference` as
+well, and sharded BD/BA replay must draw no randomness at all.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
+from repro.cep.patterns import Pattern
+from repro.cep.queries import ContinuousQuery
+from repro.runtime import (
+    BatchExecutor,
+    ClusterExecutor,
+    ShardedExecutor,
+    StreamPipeline,
+    sharding,
+)
+from repro.runtime.reference import reference_w_event_perturb
+from repro.runtime.rng_pool import IndexedRngPool
+from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 N_TYPES = 3
 
@@ -63,8 +78,8 @@ def block_plans(draw):
 
 mechanism_params = st.tuples(
     st.floats(min_value=0.05, max_value=10.0),  # epsilon
-    st.integers(min_value=1, max_value=12),     # w
-    st.integers(min_value=0, max_value=1000),   # rng seed
+    st.integers(min_value=1, max_value=12),  # w
+    st.integers(min_value=0, max_value=1000),  # rng seed
 )
 
 
@@ -163,12 +178,141 @@ class TestWEventScanIdentity:
         assert_snapshots_equal(second.snapshot(), baseline.snapshot())
 
 
+#: Publish-dense BD/BA draws.  The dissimilarity noise scale and the
+#: publish threshold both scale with 1/ε, so BD/BA publish on a steady
+#: share of rows at every ε — there is no depleted regime to skip.
+DENSE_EPSILONS = (0.1, 1.0, 8.0)
+DENSE_W = 40
+
+#: Block splits straddling the prefetch threshold and the 32-row
+#: distance pass, plus ``None`` for the whole run as one block.
+DENSE_SPLITS = (1, 31, 32, 33, 64, None)
+
+
+@st.composite
+def dense_runs(draw):
+    """``(epsilon, matrix, seed)`` with occurrence 0.15–0.5 per type."""
+    epsilon = draw(st.sampled_from(DENSE_EPSILONS))
+    occurrence = draw(st.floats(min_value=0.15, max_value=0.5))
+    n = draw(st.integers(min_value=1, max_value=160))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rows = np.random.default_rng(seed).random((n, N_TYPES))
+    return epsilon, (rows < occurrence).astype(float), seed
+
+
+def assert_runs_equal(left, right):
+    """Releases, trace columns, scheduler state, last release and t."""
+    assert np.array_equal(left["released"], right["released"])
+    assert left["scheduler_state"] == right["scheduler_state"]
+    assert np.array_equal(left["last_release"], right["last_release"])
+    assert left["t"] == right["t"]
+    left_trace, right_trace = left["trace"], right["trace"]
+    assert left_trace.published == right_trace.published
+    assert left_trace.publication_budgets == right_trace.publication_budgets
+    assert (
+        left_trace.dissimilarity_budgets == right_trace.dissimilarity_budgets
+    )
+
+
+def kernel_run(cls, epsilon, seed, matrix, split, scan):
+    plan = [split or max(1, matrix.shape[0])]
+    releaser, released = run_w_event(
+        cls, epsilon, DENSE_W, seed, matrix, plan, scan
+    )
+    return {
+        "released": released,
+        "trace": releaser.trace,
+        "scheduler_state": releaser.scheduler_state,
+        "last_release": releaser.last_release,
+        "t": releaser.t,
+    }
+
+
+class TestPublishDenseWEvent:
+    @given(
+        run=dense_runs(),
+        split=st.sampled_from(DENSE_SPLITS),
+        cls=st.sampled_from([BudgetDistribution, BudgetAbsorption]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_loop_and_seed_loop(self, run, split, cls):
+        epsilon, matrix, seed = run
+        expected = kernel_run(cls, epsilon, seed, matrix, split, "off")
+        for scan in ("margin", "exact"):
+            assert_runs_equal(
+                kernel_run(cls, epsilon, seed, matrix, split, scan), expected
+            )
+        seed_loop = {}
+        reference_w_event_perturb(
+            cls(epsilon, w=DENSE_W),
+            IndicatorStream(
+                EventAlphabet.numbered(N_TYPES), matrix.astype(bool)
+            ),
+            rng=seed,
+            final_state=seed_loop,
+        )
+        assert_runs_equal(expected, seed_loop)
+
+
+#: The parallel executors: threads, and the multi-process cluster.
+PARALLEL = {"thread": ShardedExecutor, "cluster": ClusterExecutor}
+
+
+@pytest.mark.parametrize("backend", list(PARALLEL))
+@pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
+def test_sharded_replay_installs_no_child_generator(monkeypatch, backend, cls):
+    """The prepass records every publication's released vector, so
+    shard replay forward-fills and never installs a child generator —
+    in pool threads or in forked cluster workers alike."""
+    armed = []
+    installs = []
+    generator = IndexedRngPool.generator
+    prepass = sharding.checkpoint_prepass
+
+    def guarded_generator(pool, index):
+        if armed:
+            installs.append(index)
+            raise AssertionError(f"replay installed child generator {index}")
+        return generator(pool, index)
+
+    def prepass_then_arm(*args, **kwargs):
+        plan = prepass(*args, **kwargs)
+        armed.append(True)  # the fleet forks after this point
+        return plan
+
+    monkeypatch.setattr(IndexedRngPool, "generator", guarded_generator)
+    monkeypatch.setattr(sharding, "checkpoint_prepass", prepass_then_arm)
+    epsilon = 1.0
+    mechanism = cls(epsilon, w=DENSE_W)
+    alphabet = EventAlphabet.numbered(5)
+    pipeline = StreamPipeline(
+        alphabet,
+        queries=[ContinuousQuery("q", Pattern.of_types("q", "e1", "e3"))],
+        mechanism=mechanism,
+    )
+    rows = np.random.default_rng(12).random((600, 5)) < 0.3
+    stream = IndicatorStream(alphabet, rows)
+    failure = None
+    try:
+        sharded = PARALLEL[backend](2, n_shards=4).run(pipeline, stream, rng=8)
+    except Exception as error:  # a worker's guard trip, re-raised here
+        failure = f"{type(error).__name__}: {error}"
+    assert failure is None, failure
+    assert armed and not installs
+    sharded_spend = mechanism.last_trace.max_window_spend(DENSE_W)
+    monkeypatch.setattr(IndexedRngPool, "generator", generator)
+    batch = BatchExecutor().run(pipeline, stream, rng=8)
+    assert sharded.released == batch.released
+    assert sharded_spend <= epsilon
+    assert sharded_spend == mechanism.last_trace.max_window_spend(DENSE_W)
+
+
 landmark_params = st.tuples(
     st.floats(min_value=0.05, max_value=10.0),  # epsilon
-    st.floats(min_value=0.1, max_value=0.9),    # rho
-    st.integers(min_value=0, max_value=1000),   # rng seed
+    st.floats(min_value=0.1, max_value=0.9),  # rho
+    st.integers(min_value=0, max_value=1000),  # rng seed
     st.integers(min_value=0, max_value=2**16),  # mask seed
-    st.floats(min_value=0.0, max_value=1.0),    # landmark density
+    st.floats(min_value=0.0, max_value=1.0),  # landmark density
 )
 
 
@@ -200,9 +344,7 @@ class TestLandmarkScanIdentity:
 
     @given(matrix=stress_matrices(), params=landmark_params)
     @settings(max_examples=30, deadline=None)
-    def test_landmark_prepass_elision_matches_stepping(
-        self, matrix, params
-    ):
+    def test_landmark_prepass_elision_matches_stepping(self, matrix, params):
         """advance_block (regular rows hopped) ends in the same state."""
         epsilon, rho, seed, mask_seed, density = params
         n = matrix.shape[0]

@@ -255,3 +255,70 @@ class TestWindowsWrittenResets:
 
         with pytest.raises(ValueError, match="csv:<path>"):
             validate_sink_spec("csv:")
+
+
+class TestBlockEgressCounting:
+    """The default ``write_block`` counts a block once, as per-window
+    ``write`` calls would have counted it window by window."""
+
+    def block_inputs(self, stream):
+        matrix = stream.matrix_view()
+        answers = {"q": matrix[:, 0].copy()}
+        return matrix, answers
+
+    def test_block_and_per_window_egress_count_alike(self, stream):
+        from repro.obs import MetricsRegistry, use_registry
+
+        matrix, answers = self.block_inputs(stream)
+        totals, sinks = [], []
+        for blocked in (True, False):
+            seen = []
+            sink = CallbackSink(lambda *window: seen.append(window))
+            sink.open(alphabet=ALPHABET, query_names=("q",))
+            with use_registry(MetricsRegistry()) as registry:
+                if blocked:
+                    for start, stop in ((0, 12), (12, matrix.shape[0])):
+                        sink.write_block(
+                            start,
+                            matrix[start:stop],
+                            {"q": answers["q"][start:stop]},
+                        )
+                else:
+                    for index in range(matrix.shape[0]):
+                        verdict = {"q": bool(answers["q"][index])}
+                        sink.write(index, matrix[index], verdict)
+                totals.append(registry.get("repro_sink_windows_total").value)
+            sinks.append((sink.windows_written, seen))
+        assert totals == [matrix.shape[0]] * 2
+        (block_written, block_seen), (window_written, window_seen) = sinks
+        assert block_written == window_written == matrix.shape[0]
+        assert [window[0] for window in block_seen] == [
+            window[0] for window in window_seen
+        ]
+        assert [window[2] for window in block_seen] == [
+            window[2] for window in window_seen
+        ]
+
+    def test_failed_write_counts_only_the_windows_written(self, stream):
+        from repro.obs import MetricsRegistry, use_registry
+
+        matrix, answers = self.block_inputs(stream)
+
+        def fail_at_seven(index, row, verdicts):
+            if index == 7:
+                raise OSError("egress down")
+
+        sink = CallbackSink(fail_at_seven)
+        sink.open(alphabet=ALPHABET, query_names=("q",))
+        with use_registry(MetricsRegistry()) as registry:
+            with pytest.raises(OSError, match="egress down"):
+                sink.write_block(0, matrix, answers)
+            total = registry.get("repro_sink_windows_total").value
+        assert sink.windows_written == 7
+        assert total == 7
+
+    def test_unopened_sink_block_fails_pointedly(self, stream):
+        matrix, answers = self.block_inputs(stream)
+        with pytest.raises(RuntimeError, match="not open"):
+            CallbackSink(lambda *window: None).write_block(0, matrix, answers)
+

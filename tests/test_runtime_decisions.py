@@ -184,9 +184,7 @@ class TestGeneratorElision:
         releaser = mechanism.online_releaser(N_TYPES, rng=11, horizon=n)
         requested = install_generator_counter(releaser)
         releaser.step_block(matrix)
-        published_rows = [
-            t for t in range(n) if releaser.trace.published[t]
-        ]
+        published_rows = [t for t in range(n) if releaser.trace.published[t]]
         # Only publishing timestamps install a child generator; every
         # certified-skip timestamp is resolved from the prefetched
         # uniforms alone.
@@ -267,22 +265,18 @@ class TestUniformZeroFallback:
 
 
 class TestAuditMode:
-    def test_bogus_certification_raises_scan_margin_error(
-        self, monkeypatch
-    ):
-        """scan=exact re-verifies every certified skip with the scalar
-        arithmetic; a classifier that certifies publishing rows as
-        skips must be caught, not silently bulk-applied."""
+    def test_bogus_certification_raises_scan_margin_error(self, monkeypatch):
+        """scan=exact re-verifies every margin-decided row with the
+        scalar arithmetic; a distance pass that certifies publishing
+        rows as skips must be caught, not silently applied."""
 
-        def certify_everything(
-            distances, noises, needs_exact, thresholds, margin
-        ):
-            return np.full(
-                np.shape(thresholds), CERTAIN_SKIP, dtype=np.uint8
-            )
+        def certify_everything(rows, release):
+            # Every score falls below every threshold by more than any
+            # band: the margin decides each row as a certain skip.
+            return np.full(rows.shape[0], -np.inf)
 
         monkeypatch.setattr(
-            decisions_module, "classify_decisions", certify_everything
+            decisions_module, "release_distances", certify_everything
         )
         n = 64
         matrix = constant_matrix(n)
@@ -291,6 +285,26 @@ class TestAuditMode:
         releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
         with pytest.raises(ScanMarginError, match="certified as a skip"):
             releaser.step_block(matrix)
+
+    def test_bogus_certification_is_applied_without_audit(self, monkeypatch):
+        """The planted verdict really is the decision point: under
+        scan=margin the same bogus pass silently skips publications."""
+        monkeypatch.setattr(
+            decisions_module,
+            "release_distances",
+            lambda rows, release: np.full(rows.shape[0], -np.inf),
+        )
+        n = 64
+        matrix = constant_matrix(n)
+        matrix[40:] = 1.0
+        mechanism = BudgetDistribution(8.0, w=4, scan="margin")
+        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
+        releaser.step_block(matrix)
+        honest = BudgetDistribution(8.0, w=4, scan="off").online_releaser(
+            N_TYPES, rng=0, horizon=n
+        )
+        honest.step_block(matrix)
+        assert sum(releaser.trace.published) < sum(honest.trace.published)
 
     def test_honest_scan_passes_audit(self):
         n = 96
@@ -407,9 +421,7 @@ class TestTraceColumn:
         assert not column
         column.append(True)
         assert column
-        np.testing.assert_array_equal(
-            np.asarray(column), np.array([True])
-        )
+        np.testing.assert_array_equal(np.asarray(column), np.array([True]))
 
     def test_version_bumps_on_every_mutation(self):
         column = TraceColumn(dtype=np.float64)
