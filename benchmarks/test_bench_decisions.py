@@ -11,11 +11,12 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
   ``numpy.log`` would surface here before it surfaced in any paper
   figure.
 - ``scan_vs_scalar_prepass`` (hosts with ≥ :data:`REQUIRED_CPUS`
-  effective cores): the checkpoint prepass (``advance_block`` — the
-  sequential phase every sharded run pays before its parallel replay)
-  under ``scan=margin`` must beat the scalar loop by at least
-  :data:`SPEEDUP_FLOOR`.  The prepass is where the scan matters most:
-  margin-decided rows install no generator, skip runs collapse to one
+  effective cores): the checkpoint prepass — the sequential phase
+  every sharded run pays in the parent — under ``scan=margin`` must
+  beat the scalar loop by at least :data:`SPEEDUP_FLOOR`.  For BD/BA
+  the prepass is the run's one release (``step_block``); for landmark
+  it is the ``advance_block`` walk that snapshots shard boundaries.
+  Margin-decided rows install no generator, skip runs collapse to one
   fill, and landmark regular rows are hopped outright.
 
 BD and BA are measured at every ε in :data:`BD_BA_EPSILONS`, with the
@@ -154,7 +155,10 @@ def test_decision_scan(benchmark, results_dir):
 
         def prepass(scan, kind=kind, epsilon=epsilon):
             releaser = _releaser(kind, scan, n, epsilon)
-            releaser.advance_block(matrix)
+            if kind == "landmark":
+                releaser.advance_block(matrix)
+            else:
+                releaser.step_block(matrix)
             return releaser
 
         for _ in range(_ROUNDS):

@@ -162,16 +162,14 @@ class LandmarkReleaser:
 
     # -- checkpointing -------------------------------------------------
 
-    def snapshot(self, *, include_trace: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """A picklable checkpoint of the release state at time ``t``.
 
         Captures the adaptive budget threading (remaining publication
         budget, landmarks left), the last release, the step counter and
         the rng-pool derivation source; the landmark mask itself is
         configuration, fixed at construction, and only its length is
-        recorded for validation.  ``include_trace`` exists for protocol
-        uniformity with the w-event releasers — landmark keeps no
-        accounting trace, so it has no effect.
+        recorded for validation.
         """
         return {
             "format": 1,

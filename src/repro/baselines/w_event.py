@@ -63,8 +63,7 @@ class TraceColumn:
     million-timestamp traces stop paying per-element object overhead
     and the accounting accessors read straight numpy arrays.
 
-    Two additions the release kernel relies on (plus a ``shape`` for
-    columns of vectors, such as the releaser's publication record):
+    Two additions the release kernel relies on:
 
     - :meth:`extend_constant` appends ``count`` copies of one value
       without materializing a Python list (the bulk-skip paths);
@@ -73,9 +72,9 @@ class TraceColumn:
       invalidate on any append/extend/restore.
     """
 
-    def __init__(self, values: Iterable = (), *, dtype=float, shape=()):
+    def __init__(self, values: Iterable = (), *, dtype=float):
         self._dtype = np.dtype(dtype)
-        self._data = np.zeros((0, *shape), dtype=self._dtype)
+        self._data = np.zeros(0, dtype=self._dtype)
         self._n = 0
         self.version = 0
         if values is not None:
@@ -86,10 +85,7 @@ class TraceColumn:
         capacity = self._data.shape[0]
         if needed <= capacity:
             return
-        grown = np.zeros(
-            (max(16, 2 * capacity, needed), *self._data.shape[1:]),
-            dtype=self._dtype,
-        )
+        grown = np.zeros(max(16, 2 * capacity, needed), dtype=self._dtype)
         grown[: self._n] = self._data[: self._n]
         self._data = grown
 
@@ -268,10 +264,10 @@ class OnlineReleaser:
     entropy — exactly ``horizon`` words when the stream length is known
     (the batch path), in blocks otherwise.
 
-    Every publication's timestamp and released vector is recorded as
-    well (since construction or the last :meth:`restore`), which is
-    what lets :meth:`replay_block` reproduce a recorded range without
-    drawing anything.
+    Sharded and cluster runs use one releaser as well: the parent
+    releases the whole stream through it, exactly as the batch path
+    does, and the shards only match the released rows
+    (:func:`repro.runtime.sharding.checkpoint_prepass`).
     """
 
     def __init__(
@@ -293,9 +289,6 @@ class OnlineReleaser:
         self.last_release: Optional[np.ndarray] = None
         self.t = 0
         self.scheduler_state: Dict = mechanism._initial_scheduler_state()
-        self._publication_times = TraceColumn(dtype=np.int64)
-        self._publication_values = TraceColumn(shape=(n_types,))
-        self._record_start = 0
         # Per-step constants, hoisted out of the hot loop (identical
         # floating-point values to recomputing them per timestamp).
         self._dissimilarity_draw_scale = (
@@ -330,44 +323,19 @@ class OnlineReleaser:
                 f"expected a vector of {self.n_types} statistics, got "
                 f"shape {true_vector.shape}"
             )
-        self._run_block(true_vector.reshape(1, -1), None)
+        self._kernel.run_block(self, true_vector.reshape(1, -1), None)
         return self.last_release.copy()
 
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
         """Release a block of timestamps; rows are indicator vectors."""
         matrix = np.asarray(matrix, dtype=float)
         released = np.empty_like(matrix)
-        self._run_block(matrix, released)
-        return released
-
-    def advance_block(self, matrix: np.ndarray) -> None:
-        """Step the scheduler through a block without materializing output.
-
-        The checkpoint prepass of
-        :class:`~repro.runtime.executors.ShardedExecutor` walks the whole
-        stream through this — state, trace and randomness evolve exactly
-        as under :meth:`step_block`, only the released rows are not
-        built.  Under the decision kernel this is the fastest path of
-        all: skip runs and zero-budget stretches write no rows and only
-        publishing timestamps install a child generator.
-        """
-        self._run_block(np.asarray(matrix, dtype=float), None)
-
-    def _run_block(
-        self, matrix: np.ndarray, released: Optional[np.ndarray]
-    ) -> None:
-        """The release loop over a block (``released=None`` ⇒ prepass).
-
-        Thin wrapper over
-        :meth:`repro.runtime.decisions.WEventKernel.run_block` — the
-        plan → scan → resolve pipeline documented there.  Bit-identity
-        with the historical scalar loop holds in every scan mode.
-        """
         self._kernel.run_block(self, matrix, released)
+        return released
 
     # -- checkpointing -------------------------------------------------
 
-    def snapshot(self, *, include_trace: bool = True) -> Dict:
+    def snapshot(self) -> Dict:
         """A picklable checkpoint of the full release state at time ``t``.
 
         Captures everything a bit-identical continuation needs: the
@@ -375,15 +343,6 @@ class OnlineReleaser:
         step counter and the rng-pool derivation source.  Restoring it
         on a fresh releaser (same mechanism parameters) and stepping on
         reproduces an uninterrupted run exactly.
-
-        ``include_trace=False`` omits the trace prefix (its length
-        grows with ``t``, and copying/pickling it at every shard
-        boundary would make the checkpoint prepass quadratic).  The
-        built-in schedulers never read the trace — BD budgets come
-        from the in-window publication state, BA from its markers —
-        so shard replicas replay identically without it; only session
-        checkpoints, whose restored trace must equal the uninterrupted
-        run's, need the full form.
         """
         return {
             "format": 1,
@@ -396,13 +355,9 @@ class OnlineReleaser:
                 else np.array(self.last_release, copy=True)
             ),
             "trace": (
-                (
-                    list(self.trace.published),
-                    list(self.trace.publication_budgets),
-                    list(self.trace.dissimilarity_budgets),
-                )
-                if include_trace
-                else None
+                list(self.trace.published),
+                list(self.trace.publication_budgets),
+                list(self.trace.dissimilarity_budgets),
             ),
             "rng": self._children.snapshot(),
         }
@@ -412,9 +367,7 @@ class OnlineReleaser:
 
         The trace object is mutated in place (not replaced) so callers
         holding a reference — ``mechanism.last_trace``, the runtime
-        stepper — keep observing the restored run.  A trace-free
-        checkpoint leaves the current trace untouched.  The publication
-        record restarts at the restored ``t``.
+        stepper — keep observing the restored run.
         """
         if snapshot["n_types"] != self.n_types:
             raise ValueError(
@@ -427,59 +380,11 @@ class OnlineReleaser:
         self.last_release = (
             None if last_release is None else np.array(last_release, copy=True)
         )
-        if snapshot["trace"] is not None:
-            published, publication_budgets, dissimilarity_budgets = snapshot[
-                "trace"
-            ]
-            self.trace.published[:] = published
-            self.trace.publication_budgets[:] = publication_budgets
-            self.trace.dissimilarity_budgets[:] = dissimilarity_budgets
+        published, budgets, dissimilarity = snapshot["trace"]
+        self.trace.published[:] = published
+        self.trace.publication_budgets[:] = budgets
+        self.trace.dissimilarity_budgets[:] = dissimilarity
         self._children.restore(snapshot["rng"])
-        self._publication_times[:] = []
-        self._publication_values[:] = []
-        self._record_start = self.t
-
-    # -- decision replay -----------------------------------------------
-
-    def decision_slice(self, start: int, stop: int) -> Tuple:
-        """The recorded scheduler decisions for timestamps [start, stop).
-
-        Only meaningful after the trace covers ``stop`` (i.e. on a
-        releaser that already advanced past it — the checkpoint
-        prepass).  Returns ``(published, budgets, rows, values)`` as
-        arrays: the per-timestamp flags and budgets, the publishing
-        timestamps relative to ``start`` and the vectors they released.
-        Feed it to :meth:`replay_block` on a restored releaser to
-        reproduce those timestamps without re-running the scheduler.
-        """
-        if stop > len(self.trace.published) or start < self._record_start:
-            raise ValueError(
-                f"trace covers {len(self.trace.published)} timestamps "
-                f"and the publication record starts at "
-                f"{self._record_start}; cannot slice decisions "
-                f"[{start}, {stop})"
-            )
-        times = np.asarray(self._publication_times)
-        lo, hi = np.searchsorted(times, (start, stop))
-        return (
-            np.asarray(self.trace.published)[start:stop].copy(),
-            np.asarray(self.trace.publication_budgets)[start:stop].copy(),
-            times[lo:hi] - start,
-            np.asarray(self._publication_values)[lo:hi].copy(),
-        )
-
-    def replay_block(self, matrix: np.ndarray, decisions: Tuple) -> np.ndarray:
-        """Reproduce :meth:`step_block` from recorded scheduler decisions.
-
-        ``decisions`` is :meth:`decision_slice` of a completed run for
-        exactly the rows of ``matrix`` (absolute timestamps ``t`` to
-        ``t + n``); the heavy lifting is
-        :meth:`repro.runtime.decisions.WEventKernel.replay_block`.
-        State, trace and step counter advance exactly as under
-        :meth:`step_block`, so stepping may resume afterwards.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        return self._kernel.replay_block(self, matrix, decisions)
 
 
 class WEventMechanism(StreamMechanism):

@@ -13,8 +13,9 @@ interchangeable execution strategies:
   bit-identical results for every streamable mechanism;
 - :class:`~repro.runtime.executors.ShardedExecutor` fans contiguous
   window shards out over a thread pool, seeking each shard's stepper
-  to its absolute start window (or replaying it from a checkpoint) —
-  bit-identical to the batch executor;
+  to its absolute start window (sequential schedulers release in the
+  parent, or re-step from a checkpoint) — bit-identical to the batch
+  executor;
 - :class:`~repro.runtime.cluster.ClusterExecutor`, the multi-process
   path, ships the same shards to a spawned worker fleet over a framed
   message protocol (shared-memory descriptors locally, framed bytes

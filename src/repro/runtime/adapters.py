@@ -42,9 +42,8 @@ class RuntimeMechanism:
     #: Whether this mechanism's stepper supports the checkpoint
     #: protocol — ``snapshot()``/``restore()`` of the full release state
     #: (scheduler state, trace, last release, rng-pool position).
-    #: Sequential schedulers (BD/BA, landmark) cannot seek, but the
-    #: sharded executor parallelizes them anyway through a sequential
-    #: scheduler-state prepass that checkpoints at every shard boundary
+    #: Sequential schedulers (BD/BA, landmark) cannot seek; the
+    #: parallel executors run their sequential part once in the parent
     #: (see :mod:`repro.runtime.sharding`).
     checkpointable: bool = False
 
@@ -55,9 +54,7 @@ class RuntimeMechanism:
     def name(self) -> str:
         if self.mechanism is None:
             return "identity"
-        return getattr(
-            self.mechanism, "name", type(self.mechanism).__name__
-        )
+        return getattr(self.mechanism, "name", type(self.mechanism).__name__)
 
     def perturb_batch(
         self, stream: IndicatorStream, *, rng: RngLike = None
@@ -248,9 +245,7 @@ class _MatrixRRRuntime(RuntimeMechanism):
                 probability = epsilon_to_flip_probability(
                     mechanism.epsilon / bits
                 )
-        return _MatrixRRStepper(
-            ensure_rng(rng), probability, len(alphabet)
-        )
+        return _MatrixRRStepper(ensure_rng(rng), probability, len(alphabet))
 
 
 class _MatrixRRStepper:
@@ -289,13 +284,11 @@ class _SequentialRuntime(RuntimeMechanism):
 
     checkpointable = True
 
-    def stepper(self, alphabet, *, rng=None, horizon=None, publish_trace=True):
+    def stepper(self, alphabet, *, rng=None, horizon=None):
         releaser = self.mechanism.online_releaser(
             len(alphabet), rng=rng, horizon=horizon
         )
-        return _SequentialStepper(
-            releaser, self.mechanism if publish_trace else None
-        )
+        return _SequentialStepper(releaser, self.mechanism)
 
 
 class _SequentialStepper:
@@ -307,67 +300,39 @@ class _SequentialStepper:
     speculative one that never runs) cannot discard the trace of a
     completed run.  The trace object is then mutated in place as the
     releaser steps, keeping ``last_trace`` current through a chunked
-    run.  Shard replicas are built with ``publish_trace=False`` so
-    partial traces never race the authoritative prepass trace.
+    run.
     """
 
-    def __init__(self, releaser, mechanism=None):
+    def __init__(self, releaser, mechanism):
         self.releaser = releaser
         self._trace_owner = (
             mechanism if hasattr(mechanism, "last_trace") else None
         )
 
-    def _publish_trace(self) -> None:
-        if self._trace_owner is None:
-            return
-        trace = getattr(self.releaser, "trace", None)
-        if trace is not None:
-            self._trace_owner.last_trace = trace
-        self._trace_owner = None
-
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
-        self._publish_trace()
+        if self._trace_owner is not None:
+            trace = getattr(self.releaser, "trace", None)
+            if trace is not None:
+                self._trace_owner.last_trace = trace
+            self._trace_owner = None
         released = self.releaser.step_block(matrix.astype(float))
         return released >= 0.5
 
     def advance_block(self, matrix: np.ndarray) -> None:
-        """Advance scheduler state without materializing released rows."""
-        self._publish_trace()
+        """Advance release state without materializing released rows.
+
+        Landmark only: its releaser is the one with ``advance_block``.
+        """
         self.releaser.advance_block(matrix.astype(float))
 
     # -- checkpoint protocol -------------------------------------------
 
-    def snapshot(self, *, include_trace: bool = True) -> dict:
-        """Checkpoint of the full release state (see the releasers).
-
-        ``include_trace=False`` yields the compact shard-replica form:
-        the accounting-trace prefix is omitted (replay never reads it;
-        the prepass trace stays authoritative).
-        """
-        return self.releaser.snapshot(include_trace=include_trace)
+    def snapshot(self) -> dict:
+        """Checkpoint of the full release state (see the releasers)."""
+        return self.releaser.snapshot()
 
     def restore(self, snapshot: dict) -> None:
         self.releaser.restore(snapshot)
-
-    def decision_slice(self, start: int, stop: int):
-        """Recorded scheduler decisions for [start, stop), if supported.
-
-        Returns ``None`` for releasers without decision replay (the
-        landmark mechanism draws fresh noise at every regular timestamp,
-        so replaying its decisions would not skip any work).
-        """
-        releaser = self.releaser
-        if hasattr(releaser, "decision_slice"):
-            return releaser.decision_slice(start, stop)
-        return None
-
-    def replay_block(self, matrix: np.ndarray, decisions) -> np.ndarray:
-        """Reproduce a stepped block from recorded decisions."""
-        self._publish_trace()
-        released = self.releaser.replay_block(
-            matrix.astype(float), decisions
-        )
-        return released >= 0.5
 
 
 def runtime_mechanism(mechanism) -> RuntimeMechanism:

@@ -492,7 +492,13 @@ class ClusterExecutor:
             fleet_job["url"] = f"shm://{planes.matrix.segment}"
             fleet_job["planes"] = planes
             outputs = planes.outputs(plane.view)
-            yield self._dispatch(fleet_job, messages, outputs), outputs
+            try:
+                yield self._dispatch(fleet_job, messages, outputs), outputs
+            finally:
+                # The views die with the plane, but a traceback keeps
+                # every frame that bound ``outputs`` alive: drop them
+                # so reading those frames later touches no freed page.
+                outputs.answers = outputs.truth = outputs.released = None
 
     @staticmethod
     def _deposit_part(outputs: ShardOutputs, part):
@@ -612,13 +618,9 @@ class ClusterExecutor:
                 # Liveness sweep: drop dead/stale workers, requeue
                 # their in-flight shard, spawn replacements.
                 for worker in list(workers):
-                    stale = (
-                        now - worker.last_seen > self.worker_timeout
-                    )
+                    stale = now - worker.last_seen > self.worker_timeout
                     if not (
-                        worker.dead
-                        or stale
-                        or not worker.process.is_alive()
+                        worker.dead or stale or not worker.process.is_alive()
                     ):
                         continue
                     workers.remove(worker)
@@ -657,9 +659,7 @@ class ClusterExecutor:
                         except OSError:
                             pending.appendleft(message)
                             worker.dead = True
-            return [
-                completed[index] for index in sorted(completed)
-            ]
+            return [completed[index] for index in sorted(completed)]
         finally:
             self._shutdown(workers)
 

@@ -398,8 +398,8 @@ class WEventKernel:
 
     The *host* is an :class:`~repro.baselines.w_event.OnlineReleaser`:
     it owns the mutable release state (``t``, ``trace``,
-    ``last_release``, ``scheduler_state``, the rng pool and the
-    publication record) while the kernel owns the decision pipeline.
+    ``last_release``, ``scheduler_state`` and the rng pool) while the
+    kernel owns the decision pipeline.
     ``run_block`` is bit-identical to the pre-kernel scalar loop in
     every mode — the vectorized values only decide rows the margin band
     certifies, never what any timestamp releases.
@@ -425,7 +425,7 @@ class WEventKernel:
     # -- resolve -------------------------------------------------------
 
     def run_block(self, host, matrix: np.ndarray, released) -> None:
-        """Release a block (``released=None`` ⇒ prepass, rows skipped).
+        """Release a block (``released=None`` ⇒ rows are not written).
 
         Per-timestamp draws come from the host's index-derived child
         streams, so the kernel is free to consume them smartly without
@@ -463,10 +463,9 @@ class WEventKernel:
         rows inside the margin band and ``u <= 0`` rows recompute the
         decision exactly.  Zero-budget stretches are hopped after each
         publication, skipped rows are filled in runs, and the trace
-        columns and publication record are appended once at the end —
-        so the scheduler hooks see a trace that may lag within the
-        block.  Returns the ``(certified, boundary, zero_budget)`` row
-        counts.
+        columns are appended once at the end — so the scheduler hooks
+        see a trace that may lag within the block.  Returns the
+        ``(certified, boundary, zero_budget)`` row counts.
         """
         rule = self.rule
         budget_of = rule.publication_budget
@@ -493,8 +492,6 @@ class WEventKernel:
         uniforms = uniforms.tolist()
         published = np.zeros(n, dtype=bool)
         budgets = np.zeros(n)
-        times = []
-        values = []
         filled = start  # released rows before this one are written
         skip_until = start + zero_budget_until(host.t, state) - host.t
         pass_start = pass_stop = 0  # rows the distance pass covers
@@ -564,8 +561,6 @@ class WEventKernel:
             filled = row + 1
             published[row] = True
             budgets[row] = budget
-            times.append(t)
-            values.append(value)
             after_publication(t, budget, trace, state)
             pass_stop = 0
             row += 1
@@ -575,9 +570,6 @@ class WEventKernel:
         trace.published.extend(published[start:])
         trace.publication_budgets.extend(budgets[start:])
         trace.dissimilarity_budgets.extend_constant(self.charge, n - start)
-        if times:
-            host._publication_times.extend(times)
-            host._publication_values.extend(values)
         host.last_release = last
         host.t = base + n
         return certified, boundary, zero_budget
@@ -649,8 +641,6 @@ class WEventKernel:
                 0.0, self.sensitivity / budget, size=self.n_types
             )
             host.last_release = matrix[row] + noise_vector
-            host._publication_times.append(host.t)
-            host._publication_values.append(host.last_release)
             trace.published.append(True)
             trace.publication_budgets.append(budget)
             rule.after_publication(host.t, budget, trace, state)
@@ -664,58 +654,6 @@ class WEventKernel:
         if released is not None:
             released[row] = host.last_release
         host.t += 1
-
-    # -- decision replay ----------------------------------------------
-
-    def replay_block(
-        self, host, matrix: np.ndarray, decisions: Tuple
-    ) -> np.ndarray:
-        """Reproduce a stepped block from recorded scheduler decisions.
-
-        ``decisions`` is ``(published, budgets, rows, values)`` covering
-        exactly the rows of ``matrix``: the per-row publication flags
-        and budgets plus the block-relative publishing rows and the
-        vectors they released, as recorded by the run that stepped
-        them.  Every row repeats the publication at-or-before it (or
-        the release before the block), so replay is one vectorized
-        forward fill and touches no generator at all.
-        """
-        n = matrix.shape[0]
-        published, budgets = decisions[:2]
-        if len(published) != n or len(budgets) != n:
-            raise ValueError(
-                f"decisions cover {len(published)} timestamps but the "
-                f"block has {n} rows"
-            )
-        rows, values = decisions[2:]
-        published = np.asarray(published, dtype=bool)
-        ordinals = np.cumsum(published) - 1
-        after = ordinals >= 0
-        released = np.empty_like(matrix)
-        released[after] = values[ordinals[after]]
-        if not after.all():
-            current = host.last_release
-            if current is None:
-                current = np.full(self.n_types, 0.5)
-            released[~after] = current
-        # Bring state, trace and record to where stepping would be.
-        trace = host.trace
-        trace.published.extend(published)
-        trace.publication_budgets.extend(budgets)
-        trace.dissimilarity_budgets.extend_constant(self.charge, n)
-        host._publication_times.extend(host.t + rows)
-        host._publication_values.extend(values)
-        for row in rows.tolist():
-            self.rule.after_publication(
-                host.t + row,
-                float(budgets[row]),
-                trace,
-                host.scheduler_state,
-            )
-        if n:
-            host.last_release = released[n - 1].copy()
-        host.t += n
-        return released
 
 
 # ---------------------------------------------------------------------------

@@ -244,12 +244,11 @@ class ShardedExecutor:
     Mechanisms whose steppers can seek — the pattern-level flip PPMs,
     whole-matrix randomized response and the identity — shard directly.
     Sequential schedulers (BD/BA, landmark) carry data-dependent state
-    across windows and cannot seek, but their releasers *checkpoint*:
-    a sequential scheduler-state prepass walks the stream once without
-    materializing outputs, snapshotting at every shard boundary, and
-    the shards then replay their window ranges in parallel from the
-    nearest checkpoint — still bit-identical to :class:`BatchExecutor`
-    under the same seed (see
+    across windows and cannot seek.  BD/BA release the whole stream
+    once, as the batch path does, and the shards only match their
+    slices; landmark snapshots its release state at every shard
+    boundary and the shards re-step from there — both bit-identical to
+    :class:`BatchExecutor` under the same seed (see
     :func:`repro.runtime.sharding.checkpoint_prepass`).  Mechanisms
     supporting only batch perturbation raise ``TypeError``.
 

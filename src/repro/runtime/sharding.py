@@ -26,15 +26,21 @@ the same seed rests on two invariants:
    writes the same bytes to the same place).
 
 Sequential schedulers (BD/BA, landmark) carry data-dependent state from
-window to window and cannot seek, but they *can* checkpoint: their
-releasers snapshot and restore the full release state (scheduler state,
-accounting trace, last release, rng-pool position).  The run loop
-parallelizes them in two phases — a cheap sequential scheduler-state
-prepass (:func:`checkpoint_prepass`) walks the stream once without
-materializing outputs, snapshotting at every shard boundary; then every
-shard replays its window range in parallel from the checkpoint at its
-start (:func:`run_shard_from_checkpoint`), bit-identical to the batch
-path because the per-timestamp randomness is derived by absolute index.
+window to window and cannot seek.  The run loop runs their sequential
+part once in the parent (:func:`checkpoint_prepass`) and fans out only
+the rest (:func:`run_shard_from_checkpoint`):
+
+- **BD/BA release once, shards match.**  The prepass *is* the release:
+  one stepper steps the whole matrix, exactly as the batch path does,
+  and publishes ``mechanism.last_trace``.  Each shard receives its
+  slice of the released rows and only computes truth and matching,
+  the work that parallelises.  Bit-identity holds by construction.
+- **Landmark snapshots and re-steps.**  Its regular rows draw noise per
+  timestamp, so re-stepping them is real parallel work.  The prepass
+  walks the stream without materializing rows, snapshotting the
+  release state at every shard boundary; each shard restores its
+  snapshot and re-steps its range, bit-identical to the batch path
+  because the per-timestamp randomness is derived by absolute index.
 """
 
 from __future__ import annotations
@@ -201,15 +207,16 @@ class ShardReceipt:
 class ShardTask:
     """One shard's work order.
 
-    ``snapshot`` / ``decisions`` are set on checkpointed runs only: the
-    prepass release state at the shard's start and its recorded
-    scheduler-decision slice (``None`` when the mechanism re-steps).
+    Checkpointed runs set one of the last two fields: ``decisions``,
+    the shard's released bool rows when the prepass was the release
+    (BD/BA), or ``snapshot``, the release state at the shard's start
+    when the shard re-steps (landmark).
     """
 
     shard: Shard
     rng: RngLike
     snapshot: Optional[dict] = None
-    decisions: Optional[tuple] = None
+    decisions: Optional[np.ndarray] = None
 
 
 def _record(
@@ -266,30 +273,27 @@ def run_shard_from_checkpoint(
     rows: np.ndarray,
     shard: Shard,
     outputs: ShardOutputs,
-    snapshot: dict,
-    decisions: Optional[tuple],
+    snapshot: Optional[dict],
+    decisions: Optional[np.ndarray],
     *,
     alphabet: EventAlphabet,
     horizon: int,
     rng: RngLike,
 ) -> ShardReceipt:
-    """Replay one shard's windows from its prepass checkpoint.
+    """Finish one shard of a checkpointed run.
 
-    A fresh stepper is restored to the prepass state at ``shard.start``
-    and either replays the recorded decisions (BD/BA — a forward fill
-    of the recorded publications that draws nothing) or re-steps the
-    range (landmark).  Both are bit-identical to an uninterrupted
-    sequential run: replayed rows are the very vectors the prepass
-    released, and re-stepped rows draw from the same index-derived
-    child streams.
+    BD/BA shards get their released rows (``decisions``) from the
+    prepass, which already released the whole stream, and only match
+    them.  Landmark shards restore a fresh stepper to the prepass
+    state at ``shard.start`` and re-step the range, drawing from the
+    same index-derived child streams an uninterrupted run draws from.
     """
-    stepper = pipeline.runtime_mechanism.stepper(
-        alphabet, rng=rng, horizon=horizon, publish_trace=False
-    )
-    stepper.restore(snapshot)
-    if decisions is not None:
-        released = stepper.replay_block(rows, decisions)
-    else:
+    released = decisions
+    if released is None:
+        stepper = pipeline.runtime_mechanism.stepper(
+            alphabet, rng=rng, horizon=horizon
+        )
+        stepper.restore(snapshot)
         released = stepper.step_block(rows)
     return _record(pipeline, rows, shard, released, outputs)
 
@@ -308,7 +312,7 @@ def run_task(
     The runners are looked up on this module at call time, so a
     wrapper installed on ``sharding.run_shard`` sees every shard.
     """
-    if task.snapshot is None:
+    if task.snapshot is None and task.decisions is None:
         return run_shard(
             pipeline,
             rows,
@@ -338,21 +342,32 @@ def run_task(
 
 @dataclass
 class CheckpointPlan:
-    """Outcome of the sequential scheduler-state prepass.
+    """Outcome of a checkpointed run's sequential phase.
 
-    ``snapshots[i]`` is the full release state *before* shard ``i``'s
-    first window; ``decisions[i]`` is the recorded scheduler-decision
-    slice for shard ``i``'s window range (``None`` when the mechanism
-    has no decision replay and shards re-step instead).  ``trace`` is
-    the authoritative accounting trace of the whole run — the run loop
-    publishes it to ``mechanism.last_trace`` so partial shard traces
-    never race it.
+    ``released`` holds the whole stream's released rows when the phase
+    was the release itself (BD/BA); otherwise ``snapshots[i]`` is the
+    release state before shard ``i``'s first window (landmark).
     """
 
     shards: List[Shard]
     snapshots: List[dict] = field(default_factory=list)
-    decisions: List[Optional[tuple]] = field(default_factory=list)
-    trace: Optional[object] = None
+    released: Optional[np.ndarray] = None
+
+    def tasks(self, rng: RngLike) -> List[ShardTask]:
+        """One work order per shard, each with its own clone of ``rng``."""
+        if self.released is not None:
+            return [
+                ShardTask(
+                    shard,
+                    clone_rng(rng),
+                    decisions=self.released[shard.start : shard.stop],
+                )
+                for shard in self.shards
+            ]
+        return [
+            ShardTask(shard, clone_rng(rng), snapshot=snapshot)
+            for shard, snapshot in zip(self.shards, self.snapshots)
+        ]
 
 
 def checkpoint_prepass(
@@ -364,38 +379,30 @@ def checkpoint_prepass(
     horizon: int,
     rng: RngLike,
 ) -> CheckpointPlan:
-    """Phase one of checkpointed sharding: walk, snapshot, record.
+    """The sequential phase of a checkpointed run, in the parent.
 
-    Runs the sequential scheduler over the whole stream *without
-    materializing released rows* (``advance_block``), snapshotting the
-    release state at every shard boundary and extracting each shard's
-    decision slice afterwards.  ``advance_block`` drives the decision
-    kernel (:mod:`repro.runtime.decisions`): BD/BA rows are decided
-    from prefetched uniforms and one vectorized distance pass per
-    publication, with a child generator installed only where a row
-    publishes, and landmark regular rows are hopped outright — on top
-    of no output rows, no query matching and no per-row copies.  The
-    releaser also records each publishing row's released vector, which
-    the prepass computes anyway, so a BD/BA decision slice carries
-    ``(published, budgets, publish rows, values)`` and the replay
-    phase it enables draws nothing at all.
+    For BD/BA this is the run's one release: the ``step_block`` call
+    the batch path makes, through the decision kernel
+    (:mod:`repro.runtime.decisions`), which also publishes
+    ``mechanism.last_trace``.  The shards then only match their slices
+    of the released rows.
+
+    Landmark is the one releaser with ``advance_block``, a walk cheaper
+    than a release: regular rows are hopped outright and no rows are
+    materialized.  The prepass walks with it, snapshotting the release
+    state at every shard boundary, and the shards re-step from those
+    snapshots.
     """
     stepper = pipeline.runtime_mechanism.stepper(
-        alphabet, rng=rng, horizon=horizon, publish_trace=False
+        alphabet, rng=rng, horizon=horizon
     )
     plan = CheckpointPlan(shards=list(shards))
+    if not hasattr(stepper.releaser, "advance_block"):
+        plan.released = stepper.step_block(matrix)
+        return plan
     for shard in plan.shards:
-        # Trace-free snapshots: replay never reads the trace prefix,
-        # and copying it at every boundary would be quadratic in the
-        # stream length.  The prepass trace on the plan stays the
-        # authoritative accounting record.
-        plan.snapshots.append(stepper.snapshot(include_trace=False))
+        plan.snapshots.append(stepper.snapshot())
         stepper.advance_block(matrix[shard.start : shard.stop])
-    plan.decisions = [
-        stepper.decision_slice(shard.start, shard.stop)
-        for shard in plan.shards
-    ]
-    plan.trace = getattr(stepper.releaser, "trace", None)
     return plan
 
 
@@ -496,8 +503,9 @@ def run_sharded(
         receipts = []
         for shard in shards:
             if checkpointed:
-                # A plain sequential run (the prepass would only
-                # duplicate it); the stepper publishes its own trace.
+                # A plain sequential run: the release a BD/BA prepass
+                # makes, and no landmark snapshot is needed.  The
+                # stepper publishes its own trace.
                 stepper = runtime.stepper(
                     job.alphabet, rng=clone_rng(source), horizon=job.horizon
                 )
@@ -522,21 +530,8 @@ def run_sharded(
         horizon=job.horizon,
         rng=clone_rng(source),
     )
-    tasks = [
-        ShardTask(shard, clone_rng(source), snapshot, decisions)
-        for shard, snapshot, decisions in zip(
-            plan.shards, plan.snapshots, plan.decisions
-        )
-    ]
-    with fan_out(job, tasks) as (receipts, outputs):
-        result = merge(receipts, outputs)
-    # The prepass trace is the authoritative accounting record of the
-    # run — identical to the batch path's — and is published once,
-    # after every shard finished, so partial shard traces never race
-    # it.
-    if plan.trace is not None and hasattr(runtime.mechanism, "last_trace"):
-        runtime.mechanism.last_trace = plan.trace
-    return result
+    with fan_out(job, plan.tasks(source)) as (receipts, outputs):
+        return merge(receipts, outputs)
 
 
 def merge_results(

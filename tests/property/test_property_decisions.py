@@ -261,9 +261,9 @@ PARALLEL = {"thread": ShardedExecutor, "cluster": ClusterExecutor}
 @pytest.mark.parametrize("backend", list(PARALLEL))
 @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
 def test_sharded_replay_installs_no_child_generator(monkeypatch, backend, cls):
-    """The prepass records every publication's released vector, so
-    shard replay forward-fills and never installs a child generator —
-    in pool threads or in forked cluster workers alike."""
+    """The prepass is the run's one release, so BD/BA shards only match
+    its rows and never install a child generator — in pool threads or
+    in forked cluster workers alike."""
     armed = []
     installs = []
     generator = IndexedRngPool.generator

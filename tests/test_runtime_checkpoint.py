@@ -7,11 +7,11 @@ The checkpoint protocol's contract has two halves, both pinned here:
   uninterrupted run bit for bit: released rows, accounting trace,
   scheduler state and every subsequent random draw.  Snapshots are
   plain picklable data, so a crashed service can persist and resume.
-- **sharded replay** — `ShardedExecutor` runs BD/BA/landmark through a
-  sequential scheduler-state prepass plus parallel per-shard replay;
-  the merged result (and `mechanism.last_trace`) must be bit-identical
-  to `BatchExecutor` under the same seed, whatever the backend or
-  worker count.
+- **sharded runs** — the parallel executors release BD/BA once in the
+  parent and let the shards only match, while landmark shards restore
+  a prepass snapshot and re-step; the merged result (and
+  `mechanism.last_trace`) must be bit-identical to `BatchExecutor`
+  under the same seed, whatever the backend or worker count.
 """
 
 import pickle
@@ -19,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.baselines import w_event
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
@@ -47,9 +48,7 @@ def make_matrix(n_windows=N_WINDOWS, seed=3):
 
 
 def make_stream(n_windows=N_WINDOWS, seed=3):
-    return IndicatorStream(
-        ALPHABET, make_matrix(n_windows, seed).astype(bool)
-    )
+    return IndicatorStream(ALPHABET, make_matrix(n_windows, seed).astype(bool))
 
 
 def mechanisms():
@@ -87,9 +86,7 @@ class TestReleaserCheckpoint:
         tail = resumed.step_block(matrix[cut:])
         assert np.array_equal(np.concatenate([head, tail]), expected)
         if hasattr(straight, "trace"):
-            assert trace_tuple(resumed.trace) == trace_tuple(
-                straight.trace
-            )
+            assert trace_tuple(resumed.trace) == trace_tuple(straight.trace)
 
     @pytest.mark.parametrize("kind", ["bd", "ba", "landmark"])
     def test_generator_rng_restore(self, kind):
@@ -126,38 +123,6 @@ class TestReleaserCheckpoint:
         with pytest.raises(ValueError, match="landmark mask"):
             long.online_releaser(2, rng=0).restore(snapshot)
 
-    @pytest.mark.parametrize("kind", ["bd", "ba"])
-    def test_replay_block_matches_stepping(self, kind):
-        mechanism = mechanisms()[kind]
-        matrix = make_matrix()
-        full = mechanism.online_releaser(5, rng=9, horizon=N_WINDOWS)
-        expected = full.step_block(matrix)
-        decisions = full.decision_slice(40, N_WINDOWS)
-
-        prefix = mechanism.online_releaser(5, rng=9, horizon=N_WINDOWS)
-        prefix.step_block(matrix[:40])
-        snapshot = prefix.snapshot()
-        replayer = mechanism.online_releaser(5, rng=9, horizon=N_WINDOWS)
-        replayer.restore(snapshot)
-        replayed = replayer.replay_block(matrix[40:], decisions)
-        assert np.array_equal(replayed, expected[40:])
-        # replay maintains the trace and counters exactly like stepping
-        assert replayer.t == N_WINDOWS
-        assert trace_tuple(replayer.trace) == trace_tuple(full.trace)
-
-    def test_replay_block_validates_decision_length(self):
-        mechanism = BudgetDistribution(1.0, w=4)
-        releaser = mechanism.online_releaser(5, rng=0, horizon=20)
-        with pytest.raises(ValueError, match="decisions cover"):
-            releaser.replay_block(make_matrix(10), ([True] * 3, [0.1] * 3))
-
-    def test_decision_slice_requires_covered_range(self):
-        mechanism = BudgetDistribution(1.0, w=4)
-        releaser = mechanism.online_releaser(5, rng=0, horizon=20)
-        releaser.step_block(make_matrix(10))
-        with pytest.raises(ValueError, match="cannot slice"):
-            releaser.decision_slice(0, 15)
-
 
 class TestPoolCheckpoint:
     def test_seed_mode_snapshot_roundtrip(self):
@@ -166,9 +131,7 @@ class TestPoolCheckpoint:
         snapshot = pickle.loads(pickle.dumps(pool.snapshot()))
         fresh = IndexedRngPool(999, "w-event")
         fresh.restore(snapshot)
-        assert [
-            fresh.generator(i).random() for i in range(40)
-        ] == draws
+        assert [fresh.generator(i).random() for i in range(40)] == draws
 
     def test_generator_mode_snapshot_roundtrip(self):
         pool = IndexedRngPool(np.random.default_rng(8), "w-event", count=50)
@@ -176,9 +139,7 @@ class TestPoolCheckpoint:
         snapshot = pickle.loads(pickle.dumps(pool.snapshot()))
         fresh = IndexedRngPool(123, "w-event")
         fresh.restore(snapshot)
-        assert [
-            fresh.generator(i).random() for i in range(50)
-        ] == draws
+        assert [fresh.generator(i).random() for i in range(50)] == draws
         # Extending past the snapshotted range draws the same parent
         # words an uninterrupted pool would.
         reference = IndexedRngPool(
@@ -279,6 +240,34 @@ class TestCheckpointedSharding:
         empty = ShardedExecutor(4).run(pipeline, make_stream(0), rng=2)
         assert empty.n_windows == 0
 
+    @pytest.mark.parametrize("kind", ["bd", "ba"])
+    @pytest.mark.parametrize("backend", list(PARALLEL))
+    def test_release_runs_once(self, monkeypatch, kind, backend):
+        """BD/BA shards only match: the whole sharded run builds one
+        w-event releaser.  A second one raises, in a pool thread or a
+        forked cluster worker alike."""
+        built = []
+        init = w_event.OnlineReleaser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(True)
+            if len(built) > 1:
+                raise AssertionError("a second w-event releaser was built")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(w_event.OnlineReleaser, "__init__", counted_init)
+        pipeline = StreamPipeline(
+            ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
+        )
+        stream = make_stream()
+        sharded = PARALLEL[backend](2, n_shards=3).run(
+            pipeline, stream, rng=13
+        )
+        assert len(built) == 1
+        monkeypatch.setattr(w_event.OnlineReleaser, "__init__", init)
+        batch = BatchExecutor().run(pipeline, stream, rng=13)
+        assert sharded.released == batch.released
+
     def test_materialize_false(self):
         pipeline = StreamPipeline(
             ALPHABET, queries=QUERIES, mechanism=mechanisms()["ba"]
@@ -311,14 +300,3 @@ class TestStepperTraceBookkeeping:
         # The trace is published on the first step instead.
         stepper.step_block(make_matrix(4).astype(bool))
         assert len(mechanism.last_trace.published) == 4
-
-    def test_shard_steppers_do_not_publish_partial_traces(self):
-        from repro.runtime.adapters import runtime_mechanism
-
-        mechanism = BudgetAbsorption(1.0, w=6)
-        runtime = runtime_mechanism(mechanism)
-        stepper = runtime.stepper(
-            ALPHABET, rng=1, horizon=None, publish_trace=False
-        )
-        stepper.step_block(make_matrix(4).astype(bool))
-        assert mechanism.last_trace is None

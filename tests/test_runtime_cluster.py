@@ -18,9 +18,14 @@ completes normally).
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
@@ -254,4 +259,55 @@ class TestClusterFaults:
         executor = ClusterExecutor(2, n_shards=4)
         with pytest.raises(RuntimeError, match="shard exploded"):
             executor.run(pipeline, make_stream(120), rng=7)
+        assert leaked_segments() == ()
+
+    def test_failed_run_traceback_formats_with_locals(self):
+        """A failed shm run's traceback holds no view onto the closed
+        plane, so formatting it with locals is safe.  Reading such a
+        view would kill the process, hence the subprocess."""
+        script = textwrap.dedent(
+            """
+            import traceback
+
+            import numpy as np
+
+            from repro.cep.patterns import Pattern
+            from repro.cep.queries import ContinuousQuery
+            from repro.runtime import ClusterExecutor, StreamPipeline
+            from repro.runtime import cluster
+            from repro.streams.indicator import EventAlphabet, IndicatorStream
+
+            def boom(message):
+                raise ValueError("worker raised for the traceback test")
+
+            cluster._TASK_FAULT_HOOK = boom
+            alphabet = EventAlphabet.numbered(4)
+            pattern = Pattern.of_types("q", "e1", "e2")
+            pipeline = StreamPipeline(
+                alphabet, queries=[ContinuousQuery("q", pattern)]
+            )
+            rows = np.random.default_rng(1).random((400, 4)) < 0.3
+            stream = IndicatorStream(alphabet, rows)
+            try:
+                ClusterExecutor(2, n_shards=4).run(pipeline, stream, rng=1)
+            except RuntimeError as error:
+                report = traceback.TracebackException.from_exception(
+                    error, capture_locals=True
+                )
+                print("".join(report.format()))
+            """
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "worker raised for the traceback test" in child.stdout
         assert leaked_segments() == ()

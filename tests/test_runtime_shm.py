@@ -166,7 +166,8 @@ class TestExecutorLifecycle:
 
     def test_no_leak_when_replay_worker_raises(self, fault_hook):
         def boom_on_replay(message):
-            assert message["work"].snapshot is not None
+            # A BA shard: it carries the rows the parent released.
+            assert message["work"].decisions is not None
             _boom()
 
         fault_hook(boom_on_replay)
