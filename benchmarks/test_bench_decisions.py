@@ -6,10 +6,11 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
 
 - ``decisions_bit_identity`` (always): ``scan=margin`` and
   ``scan=exact`` must reproduce the ``scan=off`` scalar loop bit for
-  bit — releases, verdict traces and final snapshots alike.  This is
-  the kernel's contract; a margin too tight for the platform's
-  ``numpy.log`` would surface here before it surfaced in any paper
-  figure.
+  bit — releases, verdict traces and final snapshots alike, and for
+  landmark also the end state of the ``advance_block`` prepass at every
+  share in :data:`LANDMARK_SHARES`.  This is the kernel's contract; a
+  margin too tight for the platform's rounding would surface here
+  before it surfaced in any paper figure.
 - ``scan_vs_scalar_prepass`` (hosts with ≥ :data:`REQUIRED_CPUS`
   effective cores): the checkpoint prepass — the sequential phase
   every sharded run pays in the parent — under ``scan=margin`` must
@@ -18,6 +19,11 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
   it is the ``advance_block`` walk that snapshots shard boundaries.
   Margin-decided rows install no generator, skip runs collapse to one
   fill, and landmark regular rows are hopped outright.
+- ``landmark_dense_prepass_vs_scalar`` (always — both arms run on one
+  thread): the landmark prepass at the dense shares (20% and 60% of
+  rows are landmarks) must be no slower than ``scan=off``.  The hop
+  saves only the regular rows, so these arms keep it from costing
+  more than it saves where regular rows are few.
 
 BD and BA are measured at every ε in :data:`BD_BA_EPSILONS`, with the
 publication rate of each run.  Their dissimilarity noise scale and
@@ -66,6 +72,15 @@ W = 40
 #: The ε sweep of the BD/BA arms (landmark runs at :data:`EPSILON`).
 BD_BA_EPSILONS = (0.1, 1.0, 8.0)
 
+#: Landmark shares of the landmark arms: the sparse mask the headline
+#: ``scan_vs_scalar/landmark`` arm has always used, and two dense ones
+#: where the prepass has few regular rows to hop.
+LANDMARK_SHARES = (0.02, 0.2, 0.6)
+
+#: Floor of ``landmark_dense_prepass_vs_scalar``: hopping must never
+#: make the dense prepass slower than the scalar loop.
+DENSE_FLOOR = 1.0
+
 
 def _timed(callable_):
     start = time.perf_counter()
@@ -80,14 +95,21 @@ def _stream_matrix():
     return np.tile(base, (repeats, 1))[:N_WINDOWS]
 
 
-def _landmark_mask(n):
-    return np.random.default_rng(7).random(n) < 0.02
+def _landmark_mask(n, share):
+    return np.random.default_rng(7).random(n) < share
 
 
-def _releaser(kind, scan, n, epsilon=EPSILON):
+def _landmark_arm(share):
+    """Arm name; the sparse arm keeps its historical bare name."""
+    if share == LANDMARK_SHARES[0]:
+        return "landmark"
+    return f"landmark@{share:.0%}"
+
+
+def _releaser(kind, scan, n, epsilon=EPSILON, share=LANDMARK_SHARES[0]):
     if kind == "landmark":
         mechanism = LandmarkPrivacy(
-            epsilon, landmarks=_landmark_mask(n), rho=0.5, scan=scan
+            epsilon, landmarks=_landmark_mask(n, share), rho=0.5, scan=scan
         )
     else:
         cls = BudgetDistribution if kind == "bd" else BudgetAbsorption
@@ -122,39 +144,54 @@ def _snapshot_equal(left, right):
 def test_decision_scan(benchmark, results_dir):
     matrix = _stream_matrix()
     n = matrix.shape[0]
-    kinds = ("bd", "ba", "landmark")
+    cases = [("bd", None), ("ba", None)] + [
+        ("landmark", share) for share in LANDMARK_SHARES
+    ]
 
     # -- bit-identity: margin/exact ≡ off, releases + trace + state ----
     bit_identical = True
-    for kind in kinds:
-        baseline = _releaser(kind, "off", n)
+    for kind, share in cases:
+        baseline = _releaser(kind, "off", n, share=share)
         expected = baseline.step_block(matrix)
         for scan in ("margin", "exact"):
-            releaser = _releaser(kind, scan, n)
+            releaser = _releaser(kind, scan, n, share=share)
             released = releaser.step_block(matrix)
-            if not (
+            identical = (
                 np.array_equal(released, expected)
                 and _trace_tuple(releaser) == _trace_tuple(baseline)
                 and _snapshot_equal(
                     releaser.snapshot(), baseline.snapshot()
                 )
-            ):
+            )
+            if kind == "landmark":
+                prepassed = _releaser(kind, scan, n, share=share)
+                prepassed.advance_block(matrix)
+                identical = identical and _snapshot_equal(
+                    prepassed.snapshot(), baseline.snapshot()
+                )
+            if not identical:
                 bit_identical = False
-                print(f"BIT-IDENTITY BROKEN: {kind}/{scan}")
+                print(f"BIT-IDENTITY BROKEN: {kind}/{share}/{scan}")
     assert bit_identical
 
     # -- prepass speedup: interleaved rounds, median paired ratio ------
-    arms = [("landmark", EPSILON)] + [
-        (kind, epsilon) for kind in ("bd", "ba") for epsilon in BD_BA_EPSILONS
+    arms = [("landmark", EPSILON, share) for share in LANDMARK_SHARES] + [
+        (kind, epsilon, None)
+        for kind in ("bd", "ba")
+        for epsilon in BD_BA_EPSILONS
     ]
     times = {}
     paired = {}
     publication_rates = {}
-    for kind, epsilon in arms:
-        arm = kind if kind == "landmark" else f"{kind}/eps={epsilon:g}"
+    for kind, epsilon, share in arms:
+        arm = (
+            _landmark_arm(share)
+            if kind == "landmark"
+            else f"{kind}/eps={epsilon:g}"
+        )
 
-        def prepass(scan, kind=kind, epsilon=epsilon):
-            releaser = _releaser(kind, scan, n, epsilon)
+        def prepass(scan, kind=kind, epsilon=epsilon, share=share):
+            releaser = _releaser(kind, scan, n, epsilon, share)
             if kind == "landmark":
                 releaser.advance_block(matrix)
             else:
@@ -178,6 +215,9 @@ def test_decision_scan(benchmark, results_dir):
     # "best" selects the winning *arm* (the landmark hop), not a winning
     # round — each arm's own number is already noise-robust.
     overall = max(per_arm.values())
+    dense = min(
+        per_arm[_landmark_arm(share)] for share in LANDMARK_SHARES[1:]
+    )
 
     table = ResultTable(
         ["arm", "seconds", "speedup_vs_scalar", "publication_rate"],
@@ -200,7 +240,11 @@ def test_decision_scan(benchmark, results_dir):
         "decisions_bit_identity": {
             "floor": 1.0,
             "value": 1.0 if bit_identical else 0.0,
-        }
+        },
+        "landmark_dense_prepass_vs_scalar": {
+            "floor": DENSE_FLOOR,
+            "value": dense,
+        },
     }
     if enforceable:
         gates["scan_vs_scalar_prepass"] = {
@@ -244,6 +288,9 @@ def test_decision_scan(benchmark, results_dir):
     benchmark.extra_info["best_scan_vs_scalar"] = overall
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
+    assert dense >= DENSE_FLOOR, (
+        f"dense landmark prepass only {dense:.2f}x the scalar loop"
+    )
     if enforceable:
         assert overall >= SPEEDUP_FLOOR, (
             f"scanned prepass only {overall:.2f}x the scalar loop"

@@ -11,9 +11,27 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive
+
+
+def as_statistics(values, n_types: int, *, block: bool) -> np.ndarray:
+    """``values`` as floats: one vector of ``n_types`` statistics, or a
+    block of such rows when ``block`` is set.
+
+    The sequential releasers' input check — a wrong width would
+    otherwise broadcast against the last release and step silently.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != (2 if block else 1) or values.shape[-1] != n_types:
+        raise ValueError(
+            f"expected a vector of {n_types} statistics, got "
+            f"shape {values.shape}"
+        )
+    return values
 
 
 class StreamMechanism(abc.ABC):

@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.baselines.base import StreamMechanism
-from repro.runtime.decisions import LandmarkKernel, ScanConfig
+from repro.baselines.base import StreamMechanism, as_statistics
+from repro.runtime.decisions import ScanConfig
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_in_range, check_positive
@@ -69,16 +69,10 @@ class LandmarkReleaser:
         self._landmarks_left = self._n_landmarks
         self.last_release: Optional[np.ndarray] = None
         self.t = 0
-        self._kernel = LandmarkKernel(mechanism.scan_config)
 
     def step(self, true_vector: np.ndarray) -> np.ndarray:
         """Release one timestamp's statistics."""
-        true_vector = np.asarray(true_vector, dtype=float)
-        if true_vector.shape != (self.n_types,):
-            raise ValueError(
-                f"expected a vector of {self.n_types} statistics, got "
-                f"shape {true_vector.shape}"
-            )
+        true_vector = as_statistics(true_vector, self.n_types, block=False)
         released = self._advance(true_vector)
         return np.array(released, dtype=float, copy=True)
 
@@ -137,28 +131,42 @@ class LandmarkReleaser:
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
         """Release a block of timestamps; rows are indicator vectors.
 
-        Runs through the
-        :class:`~repro.runtime.decisions.LandmarkKernel` — certified
-        skip decisions for landmark rows are bulk-applied from a
-        vectorized U-space scan, everything near a boundary falls back
-        to the exact :meth:`_advance` arithmetic — so the output is
-        bit-identical to stepping row by row in every scan mode.
+        The scalar :meth:`_advance` loop, row by row, in every scan
+        mode — bit-identical to :meth:`step` by construction.  Landmark
+        has no decision kernel, so its rows feed no
+        ``repro_decisions_*_rows_total`` counter.
         """
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = as_statistics(matrix, self.n_types, block=True)
         released = np.empty_like(matrix)
-        self._kernel.run_block(self, matrix, released)
+        for row in range(matrix.shape[0]):
+            released[row] = self._advance(matrix[row])
         return released
 
     def advance_block(self, matrix: np.ndarray) -> None:
         """Step through a block without materializing the released rows.
 
-        Used by the checkpoint prepass: state and randomness evolve
-        exactly as under :meth:`step_block`.  Regular (non-landmark)
-        rows never touch the release state and their draws are
-        index-derived, so the kernel hops over them entirely here —
-        the prepass cost shrinks toward the landmark decisions alone.
+        Used by the checkpoint prepass: state and randomness end exactly
+        as under :meth:`step_block`.  Regular (non-landmark) rows never
+        touch the release state and their draws are index-derived, so
+        under ``scan=margin`` and ``scan=exact`` alike the walk hops
+        them and runs :meth:`_advance` on the block's landmark rows
+        only; ``scan=off`` keeps the row-by-row loop, the oracle.  A
+        block that runs past the mask raises :meth:`_advance`'s error,
+        leaving the state where stepping row by row leaves it.
         """
-        self._kernel.run_block(self, np.asarray(matrix, dtype=float), None)
+        matrix = as_statistics(matrix, self.n_types, block=True)
+        if not self.mechanism.scan_config.enabled:
+            for row in matrix:
+                self._advance(row)
+            return
+        start = self.t
+        in_mask = self._landmarks[start : start + matrix.shape[0]]
+        for row in np.flatnonzero(in_mask):
+            self.t = start + int(row)
+            self._advance(matrix[row])
+        self.t = start + in_mask.shape[0]
+        if in_mask.shape[0] < matrix.shape[0]:
+            self._advance(matrix[in_mask.shape[0]])  # raises: past the mask
 
     # -- checkpointing -------------------------------------------------
 

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.baselines.base import StreamMechanism
+from repro.baselines.base import StreamMechanism, as_statistics
 from repro.runtime.decisions import DecisionRule, ScanConfig, WEventKernel
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
@@ -309,26 +309,15 @@ class OnlineReleaser:
             dissimilarity_charge=self._dissimilarity_charge,
         )
 
-    #: Default block length above which the kernel precomputes the
-    #: dissimilarity uniforms vectorized; tunable per mechanism through
-    #: :class:`~repro.runtime.decisions.ScanConfig` (``prefetch=`` in
-    #: the spec grammar).  Kept here as the documented default.
-    _UNIFORM_PREFETCH_MIN = ScanConfig.prefetch_min
-
     def step(self, true_vector: np.ndarray) -> np.ndarray:
         """Release one timestamp's statistics."""
-        true_vector = np.asarray(true_vector, dtype=float)
-        if true_vector.shape != (self.n_types,):
-            raise ValueError(
-                f"expected a vector of {self.n_types} statistics, got "
-                f"shape {true_vector.shape}"
-            )
+        true_vector = as_statistics(true_vector, self.n_types, block=False)
         self._kernel.run_block(self, true_vector.reshape(1, -1), None)
         return self.last_release.copy()
 
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
         """Release a block of timestamps; rows are indicator vectors."""
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = as_statistics(matrix, self.n_types, block=True)
         released = np.empty_like(matrix)
         self._kernel.run_block(self, matrix, released)
         return released

@@ -33,13 +33,9 @@ from repro.runtime.adapters import (
 from repro.runtime.cluster import ClusterExecutor
 from repro.runtime.decisions import (
     DecisionRule,
-    LandmarkKernel,
     ScanConfig,
     ScanMarginError,
     WEventKernel,
-    classify_decisions,
-    decision_thresholds,
-    laplace_noise_from_uniforms,
     release_distances,
 )
 from repro.runtime.executors import (
@@ -68,7 +64,6 @@ __all__ = [
     "FlipStepper",
     "IndexedRngPool",
     "IndicatorExtractor",
-    "LandmarkKernel",
     "MetricsSink",
     "PipelineResult",
     "QueryMatcher",
@@ -81,9 +76,6 @@ __all__ = [
     "StreamPipeline",
     "WEventKernel",
     "WindowStage",
-    "classify_decisions",
-    "decision_thresholds",
-    "laplace_noise_from_uniforms",
     "merge_results",
     "plan_shards",
     "release_distances",

@@ -1,14 +1,11 @@
-"""The scheduler decision kernel: one **plan → scan → resolve** pipeline.
+"""The w-event decision kernel: one **plan → scan → resolve** pipeline.
 
-The sequential release mechanisms (BD/BA in
-:mod:`repro.baselines.w_event`, landmark in
-:mod:`repro.baselines.landmark`) share one shape of per-timestamp work:
-estimate how far the data drifted from the last release, add Laplace
-noise, compare against a budget-derived publish threshold, and either
-publish (spending budget, drawing a noise vector) or approximate
-(re-emit the last release, free of charge).  Historically each releaser
-hand-rolled that loop in Python; this module lifts the decision logic
-into a shared kernel with three stages:
+The w-event schedulers BD and BA (:mod:`repro.baselines.w_event`)
+share one shape of per-timestamp work: estimate how far the data
+drifted from the last release, add Laplace noise, compare against a
+budget-derived publish threshold, and either publish (spending budget,
+drawing a noise vector) or approximate (re-emit the last release, free
+of charge).  This module drives that loop in three stages:
 
 **plan**
     Each scheduler declares its decision rule *as data* — a
@@ -17,50 +14,39 @@ into a shared kernel with three stages:
     transition — instead of owning a bespoke loop.
 
 **scan**
-    Vectorized passes over a block.  The w-event kernel is
-    *publication-paced*: after each publication it computes one
-    distance pass (:func:`release_distances`) over the next
-    :data:`_PASS_ROWS` rows against the new last release.  The
-    landmark kernel scans in U space: the per-timestamp first uniforms
-    (:meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`) go
-    through the Laplace inverse CDF (:func:`laplace_noise_from_uniforms`)
-    and are classified against the publish thresholds
-    (:func:`classify_decisions`) as *certainly-skip*,
-    *certainly-publish-candidate* or *boundary*.
+    Vectorized distance passes, paced by publications: after each
+    publication the kernel computes one pass
+    (:func:`release_distances`) over the next :data:`_PASS_ROWS` rows
+    against the new last release.
 
 **resolve**
-    The w-event kernel decides every row in one tight loop from the
-    scalar budget hook, the prefetched uniform and the pass distance;
-    skip runs are applied as one ``released[a:b]`` fill and the trace
-    columns are written once per block.  The landmark kernel
-    bulk-applies certified-skip runs.  Both draw from a child generator
-    only where a timestamp publishes (or its uniform is ``u <= 0``), and
-    every row near a decision boundary is decided by the exact scalar
-    arithmetic, preserving bit-identity by construction.
+    Every row is decided in one tight loop from the scalar budget hook,
+    the noise of its prefetched first uniform
+    (:meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`) and
+    the pass distance; skip runs are applied as one ``released[a:b]``
+    fill and the trace columns are written once per block.  Only
+    publishing rows (and ``u <= 0`` rows) draw from a child generator,
+    and every row near a decision boundary is decided by the exact
+    scalar arithmetic, preserving bit-identity by construction.
 
-Why the margin is sound: the w-event noise always comes from the scalar
+Why the margin is sound: the noise always comes from the scalar
 ``math.log`` spelling of numpy's ``random_laplace``, so the only
 disagreement the margin must cover is the vectorized distance pass
-rounding differently than the scalar per-row reduction; the landmark
-scan's vectorized ``numpy.log`` may additionally differ from
-``math.log`` in the last ulp.  A decision is taken from the vectorized
-values only when its score clears the threshold by more than
-``margin * (1 + |noise| + θ)`` — astronomically wider than any
-ulp-level disagreement at the default ``1e-9``, yet vanishingly
-unlikely to catch a real decision (the score is a continuous random
-variable).  Rows inside the band resolve through the scalar
-arithmetic, so a margin that is *too wide* only costs speed, never
-correctness.  ``scan=exact`` (audit mode) additionally re-verifies
-every margin-decided row against the scalar arithmetic and raises
-:class:`ScanMarginError` on disagreement.
+rounding differently than the scalar per-row reduction.  A decision is
+taken from the vectorized values only when its score clears the
+threshold by more than ``margin * (1 + |noise| + θ)`` — astronomically
+wider than any ulp-level disagreement at the default ``1e-9``, yet
+vanishingly unlikely to catch a real decision (the score is a
+continuous random variable).  Rows inside the band resolve through the
+scalar arithmetic, so a margin that is *too wide* only costs speed,
+never correctness.  ``scan=exact`` (audit mode) additionally
+re-verifies every margin-decided row against the scalar arithmetic and
+raises :class:`ScanMarginError` on disagreement.
 
-The pure helpers (:func:`laplace_noise_from_uniforms`,
-:func:`decision_thresholds`, :func:`classify_decisions`,
-:func:`release_distances`) are arrays-in/arrays-out with no object
-state — this is the documented seam for a future ``numba``/GPU decision
-executor with a counter-based RNG: an accelerator only needs to
-reproduce these functions over its own uniform plane and hand the
-boundary indices back to the host.
+Landmark privacy (:mod:`repro.baselines.landmark`) has no kernel: it
+releases through its scalar per-timestamp loop and reads only
+:attr:`ScanConfig.enabled`, which lets its checkpoint prepass hop the
+regular rows.
 """
 
 from __future__ import annotations
@@ -74,41 +60,25 @@ import numpy as np
 from repro.obs.metrics import default_registry
 
 __all__ = [
-    "BOUNDARY",
-    "CANDIDATE",
-    "CERTAIN_SKIP",
     "DecisionRule",
-    "LandmarkKernel",
     "ScanConfig",
     "ScanMarginError",
     "WEventKernel",
-    "classify_decisions",
-    "decision_thresholds",
-    "laplace_noise_from_uniforms",
     "release_distances",
 ]
-
-#: Verdict codes of :func:`classify_decisions` (uint8 array values).
-CERTAIN_SKIP = 0
-CANDIDATE = 1
-BOUNDARY = 2
 
 #: Valid ``scan=`` modes, in spec-string spelling.
 SCAN_MODES = ("margin", "exact", "off")
 
-#: Power-of-two buckets for the scan-segment-size histogram (rows per
-#: vectorized scan, 1 .. the segment cap).
-_SEGMENT_BUCKETS = tuple(float(2**i) for i in range(14))
-
 
 def _kernel_telemetry():
-    """The decision kernels' counters, fetched from the *current*
+    """The decision kernel's counters, fetched from the *current*
     default registry per block.
 
     Resolved lazily (not cached on the kernel) so a kernel pickled
     into a cluster worker reports into that worker's per-task registry
     — the increments then ride the ``_METRICS`` frame back to the
-    parent.  Four dict lookups per block, amortized over the block's
+    parent.  Three dict lookups per block, amortized over the block's
     rows.
     """
     registry = default_registry()
@@ -125,21 +95,8 @@ def _kernel_telemetry():
             "repro_decisions_zero_budget_rows_total",
             "Rows approximated on zero publication budget.",
         ),
-        registry.histogram(
-            "repro_decisions_scan_segment_rows",
-            "Rows classified per vectorized landmark scan segment.",
-            buckets=_SEGMENT_BUCKETS,
-        ),
     )
 
-
-#: Upper bound on one landmark scan segment's row count.  Segments
-#: double from the prefetch granularity while the stream stays
-#: skip-only and are invalidated at every publication, so the bound
-#: caps the vector work a publication can throw away without limiting
-#: how far bulk skips reach on stable stretches (consuming a segment
-#: just starts the next one).
-_SCAN_SEGMENT_MAX = 8192
 
 #: Rows of one w-event distance pass.  A pass is computed against the
 #: last release, so every publication invalidates the rest of it: BD/BA
@@ -171,16 +128,18 @@ class ScanConfig:
         exact scalar arithmetic (the audit mode — slow, raises
         :class:`ScanMarginError` on any disagreement); ``"off"``
         disables the scan entirely and runs the per-timestamp scalar
-        loop (the pre-kernel behavior and the kernels' oracle).
+        loop (the pre-kernel behavior and the kernel's oracle).
+        Landmark has no scan: ``margin`` and ``exact`` both let its
+        checkpoint prepass hop the regular rows, ``off`` keeps the
+        scalar loop there too.
     margin:
         The safety margin of the certification band (see the module
         docstring for why the default is sound).
     prefetch_min:
         Blocks at least this long precompute their first uniforms
-        vectorized (the former ``_UNIFORM_PREFETCH_MIN``); shorter
-        blocks — single pushes, async micro-batches — draw per-step,
-        which is cheaper below this size.  Both paths produce
-        bit-identical draws.
+        vectorized; shorter blocks — single pushes, async
+        micro-batches — draw per-step, which is cheaper below this
+        size.  Both paths produce bit-identical draws.
     """
 
     mode: str = "margin"
@@ -280,92 +239,6 @@ class DecisionRule:
     after_publication: Callable[[int, float, object, Dict], None]
 
 
-# ---------------------------------------------------------------------------
-# The pure scan stage (accelerator seam: arrays in, arrays out)
-# ---------------------------------------------------------------------------
-
-
-def laplace_noise_from_uniforms(
-    uniforms: np.ndarray, scale: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized replay of ``Generator.laplace(0, scale)`` first draws.
-
-    ``uniforms`` are the per-index first ``next_double`` values (from
-    :meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`);
-    the return is ``(noises, needs_exact)`` where ``noises`` replays
-    numpy's ``random_laplace`` branch arithmetic —
-    ``-scale*log(2 - 2u)`` for ``u >= 1/2``, ``scale*log(2u)`` for
-    ``0 < u < 1/2`` — through ``numpy.log`` (equal to the scalar
-    ``math.log`` spelling up to ulps; consumers must protect decisions
-    with a margin), and ``needs_exact`` flags ``u <= 0`` rows, where
-    numpy retries internally and only the real generator reproduces the
-    draw.
-    """
-    uniforms = np.asarray(uniforms, dtype=float)
-    needs_exact = uniforms <= 0.0
-    upper = uniforms >= 0.5
-    arguments = np.where(upper, 2.0 - uniforms - uniforms, uniforms + uniforms)
-    # Flagged rows get a harmless argument so no log(0) warning fires;
-    # their noise value is never read.
-    arguments[needs_exact] = 1.0
-    noises = np.log(arguments)
-    noises = np.where(upper, -scale * noises, scale * noises)
-    return noises, needs_exact
-
-
-def decision_thresholds(budgets: np.ndarray, sensitivity: float) -> np.ndarray:
-    """Publish thresholds ``sensitivity / budget`` (``inf`` ⇔ never).
-
-    A timestamp publishes when its noisy distance exceeds the error a
-    publication would itself introduce; zero (or negative) budget means
-    the threshold is unreachable and the timestamp certainly skips —
-    encoded as ``+inf`` so one comparison covers both cases.
-    """
-    budgets = np.asarray(budgets, dtype=float)
-    thresholds = np.full(budgets.shape, np.inf)
-    positive = budgets > 0.0
-    np.divide(sensitivity, budgets, out=thresholds, where=positive)
-    return thresholds
-
-
-def classify_decisions(
-    distances: np.ndarray,
-    noises: np.ndarray,
-    needs_exact: np.ndarray,
-    thresholds: np.ndarray,
-    margin: float,
-) -> np.ndarray:
-    """Margin-certified three-way classification of a block (uint8).
-
-    Returns :data:`CERTAIN_SKIP` where the decision score
-    ``distance + noise`` sits below the threshold by more than the
-    tolerance band (or the threshold is ``inf`` — zero budget skips
-    whatever the randomness), :data:`CANDIDATE` where it clears the
-    threshold by more than the band, and :data:`BOUNDARY` for rows
-    inside the band or flagged ``needs_exact`` — rows the resolver must
-    decide with the exact scalar arithmetic.
-
-    The tolerance scales with the magnitudes entering the comparison
-    (``margin * (1 + |noise| + θ)``) so one relative knob covers blocks
-    whose scales differ by orders of magnitude.
-    """
-    thresholds = np.asarray(thresholds, dtype=float)
-    infinite = ~np.isfinite(thresholds)
-    finite_thresholds = np.where(infinite, 0.0, thresholds)
-    tolerance = margin * (1.0 + np.abs(noises) + finite_thresholds)
-    scores = distances + noises
-    verdicts = np.full(thresholds.shape, BOUNDARY, dtype=np.uint8)
-    verdicts[scores > finite_thresholds + tolerance] = CANDIDATE
-    verdicts[scores < finite_thresholds - tolerance] = CERTAIN_SKIP
-    # Rows whose uniform the vectorized transform cannot replay are
-    # never certified either way...
-    verdicts[np.asarray(needs_exact, dtype=bool)] = BOUNDARY
-    # ...but zero budget skips regardless of the randomness: the scalar
-    # loop never even computes the noise there.
-    verdicts[infinite] = CERTAIN_SKIP
-    return verdicts
-
-
 def release_distances(rows: np.ndarray, release: np.ndarray) -> np.ndarray:
     """Mean absolute deviation of every row from ``release``.
 
@@ -375,17 +248,6 @@ def release_distances(rows: np.ndarray, release: np.ndarray) -> np.ndarray:
     from them are protected by the margin band.
     """
     return np.add.reduce(np.abs(rows - release), axis=1) / rows.shape[1]
-
-
-def _certified_run(
-    seg_stops: np.ndarray, seg_row: int, row: int, seg_stop: int
-) -> int:
-    """Length of the certified-skip run starting at ``row``."""
-    offset = row - seg_row
-    position = np.searchsorted(seg_stops, offset)
-    if position == seg_stops.shape[0]:
-        return seg_stop - row
-    return int(seg_stops[position]) - offset
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +305,7 @@ class WEventKernel:
             if n >= config.prefetch_min
             else None
         )
-        certified, boundary, zero_budget, _segments = _kernel_telemetry()
+        certified, boundary, zero_budget = _kernel_telemetry()
         if not config.enabled or uniforms is None:
             for row in range(n):
                 self._exact_step(host, matrix, released, row, uniforms)
@@ -654,280 +516,3 @@ class WEventKernel:
         if released is not None:
             released[row] = host.last_release
         host.t += 1
-
-
-# ---------------------------------------------------------------------------
-# The landmark resolve stage
-# ---------------------------------------------------------------------------
-
-
-class LandmarkKernel:
-    """Plan → scan → resolve driver for one landmark releaser.
-
-    Landmark privacy has two row kinds with very different decision
-    shapes, and the kernel exploits both:
-
-    - **regular rows** never touch the release state (their noise is
-      per-timestamp, parallel-composed); during a prepass
-      (``released=None``) the kernel hops over them entirely — zero
-      draws, zero Python work — which is what shrinks the checkpoint
-      prepass toward the landmark publication steps alone;
-    - **landmark rows** carry the adaptive budget thread
-      (``remaining_publication`` / ``landmarks_left``); their skip
-      decisions scan exactly like the w-event schedulers': nominal
-      budgets for the segment are exact closed-form floats
-      (``remaining / left`` with ``left`` counting down per landmark),
-      so certified-skip landmarks are bulk-applied with no generator
-      touches and only boundary/publishing landmarks fall back to the
-      scalar :meth:`~repro.baselines.landmark.LandmarkReleaser._advance`.
-    """
-
-    def __init__(self, config: ScanConfig):
-        self.config = config
-
-    def run_block(self, host, matrix: np.ndarray, released) -> None:
-        config = self.config
-        n = matrix.shape[0]
-        if n == 0:
-            return
-        if not config.enabled:
-            # scan=off: the pre-kernel per-row loop, verbatim.
-            for row in range(n):
-                value = host._advance(matrix[row])
-                if released is not None:
-                    released[row] = value
-            return
-        mechanism = host.mechanism
-        mask = host._landmarks
-        t0 = host.t
-        sensitivity = mechanism.sensitivity
-        n_types = host.n_types
-        regular_scale = sensitivity / mechanism.regular_epsilon
-        # The dissimilarity draw's scale, spelled exactly as _advance
-        # spells it (total landmark scale, then the per-type division
-        # at the laplace call).
-        dissimilarity_scale = (
-            host._n_landmarks * sensitivity / host._landmark_dissimilarity
-            if host._landmark_dissimilarity > 0
-            else 0.0
-        )
-        uniform_scale = dissimilarity_scale / n_types
-        uniforms = (
-            host._children.first_uniforms(t0, t0 + n)
-            if n >= config.prefetch_min
-            else None
-        )
-        # Landmark rows of this block, as block-relative offsets.  Rows
-        # past the mask's end fall off the slice; the loop raises the
-        # scalar path's own error when it reaches them.
-        block_mask = mask[t0 : t0 + n]
-        limit = block_mask.shape[0]
-        landmark_rows = np.nonzero(block_mask)[0]
-        # Scan segment cache over landmark ordinals: built at a
-        # landmark ordinal against the budget thread at that point,
-        # valid until a publication changes it.  Bounded and doubling
-        # for the same reason as the w-event kernel's segments: every
-        # publication throws the cache away, so unbounded segments go
-        # quadratic on publish-dense landmark stretches.
-        chunk = config.prefetch_min
-        seg_ordinal = -1
-        seg_end = 0
-        seg_stops: Optional[np.ndarray] = None
-        ordinal = 0  # landmark rows consumed so far
-        row = 0
-        (
-            obs_certified,
-            obs_boundary,
-            _obs_zero_budget,
-            obs_segments,
-        ) = _kernel_telemetry()
-        while row < n:
-            if row >= limit:
-                # Replicate _advance's bounds error (state already
-                # advanced through the in-mask prefix, as stepping
-                # would have).
-                raise ValueError(
-                    f"landmark mask covers {mask.shape[0]} windows; "
-                    f"cannot step past it (t={host.t})"
-                )
-            if not block_mask[row]:
-                # Regular rows: individual budget, no state coupling.
-                if released is None:
-                    # Prepass: the draws are discarded and the state
-                    # untouched — hop to the next landmark row.
-                    position = np.searchsorted(landmark_rows, row)
-                    hop = (
-                        int(landmark_rows[position]) - row
-                        if position < landmark_rows.shape[0]
-                        else min(n, limit) - row
-                    )
-                    host.t += hop
-                    row += hop
-                    continue
-                rng_t = host._children.generator(host.t)
-                released[row] = matrix[row] + rng_t.laplace(
-                    0.0, regular_scale, size=n_types
-                )
-                host.t += 1
-                row += 1
-                continue
-            # Landmark row.
-            scannable = (
-                uniforms is not None
-                and host.last_release is not None
-                and host._n_landmarks > 0
-            )
-            if scannable:
-                if seg_stops is None or ordinal < seg_ordinal:
-                    chunk = config.prefetch_min
-                elif ordinal >= seg_end:
-                    # Segment consumed without a publication: scan
-                    # farther ahead this time.
-                    chunk = min(chunk * 2, _SCAN_SEGMENT_MAX)
-                    seg_stops = None
-                if seg_stops is None:
-                    seg_ordinal = ordinal
-                    seg_end = min(landmark_rows.shape[0], ordinal + chunk)
-                    obs_segments.observe(seg_end - ordinal)
-                    seg_stops = self._scan_landmarks(
-                        host,
-                        matrix,
-                        uniforms,
-                        landmark_rows[ordinal:seg_end],
-                        sensitivity,
-                        uniform_scale,
-                    )
-                run = _certified_run(seg_stops, seg_ordinal, ordinal, seg_end)
-                if run > 0:
-                    stop_row = (
-                        int(landmark_rows[ordinal + run])
-                        if ordinal + run < landmark_rows.shape[0]
-                        else min(n, limit)
-                    )
-                    if config.audit:
-                        self._audit_landmarks(
-                            host,
-                            matrix,
-                            uniforms,
-                            landmark_rows[ordinal : ordinal + run],
-                            sensitivity,
-                            uniform_scale,
-                        )
-                    # Bulk-apply the certified-skip landmarks (zero
-                    # draws) and release the interleaved regular rows.
-                    span_rows = landmark_rows[ordinal : ordinal + run]
-                    if released is not None:
-                        released[span_rows] = host.last_release
-                        for regular in range(row, stop_row):
-                            if block_mask[regular]:
-                                continue
-                            rng_t = host._children.generator(t0 + regular)
-                            released[regular] = matrix[regular] + (
-                                rng_t.laplace(
-                                    0.0, regular_scale, size=n_types
-                                )
-                            )
-                    # The per-step clamp max(0, left - 1) composes to
-                    # one clamped subtraction over the run.
-                    host._landmarks_left = max(0, host._landmarks_left - run)
-                    obs_certified.inc(run)
-                    host.t = t0 + stop_row
-                    row = stop_row
-                    ordinal += run
-                    continue
-            remaining_before = host._remaining_publication
-            value = host._advance(matrix[row])
-            obs_boundary.inc()
-            if released is not None:
-                released[row] = value
-            if host._remaining_publication != remaining_before:
-                # A publication moved the budget thread; certified
-                # verdicts past this landmark are stale.
-                seg_stops = None
-            ordinal += 1
-            row += 1
-
-    def _landmark_nominals(self, host, count: int) -> np.ndarray:
-        """Exact nominal budgets for the next ``count`` landmark rows.
-
-        Assumes no publication in the span: ``left`` counts down by one
-        per landmark while ``remaining`` stays fixed, exactly the
-        scalar ``remaining / left if left > 0 else 0.0`` per step.
-        """
-        remaining = host._remaining_publication
-        left = host._landmarks_left - np.arange(count)
-        nominals = np.zeros(count)
-        positive = left > 0
-        np.divide(remaining, left, out=nominals, where=positive)
-        # A fully spent thread yields nominal <= 0 → unreachable
-        # threshold downstream; negative nominals (impossible by
-        # construction, guarded anyway) are zeroed too.
-        nominals[nominals < 0.0] = 0.0
-        return nominals
-
-    def _scan_landmarks(
-        self,
-        host,
-        matrix,
-        uniforms,
-        rows: np.ndarray,
-        sensitivity: float,
-        uniform_scale: float,
-    ) -> np.ndarray:
-        """Classify the remaining landmark rows; offsets of non-skips."""
-        nominals = self._landmark_nominals(host, rows.shape[0])
-        thresholds = decision_thresholds(nominals, sensitivity)
-        distances = (
-            np.add.reduce(
-                np.abs(matrix[rows] - host.last_release), axis=1
-            )
-            / host.n_types
-        )
-        noises, needs_exact = laplace_noise_from_uniforms(
-            uniforms[rows], uniform_scale
-        )
-        verdicts = classify_decisions(
-            distances, noises, needs_exact, thresholds, self.config.margin
-        )
-        return np.nonzero(verdicts != CERTAIN_SKIP)[0]
-
-    def _audit_landmarks(
-        self,
-        host,
-        matrix,
-        uniforms,
-        rows: np.ndarray,
-        sensitivity: float,
-        uniform_scale: float,
-    ) -> None:
-        """Re-verify certified landmark skips with scalar arithmetic."""
-        remaining = host._remaining_publication
-        left = host._landmarks_left
-        log = math.log
-        for offset, row in enumerate(rows):
-            nominal = (
-                remaining / (left - offset) if left - offset > 0 else 0.0
-            )
-            if nominal <= 0:
-                continue
-            uniform = uniforms[row]
-            if uniform <= 0.0:
-                raise ScanMarginError(
-                    f"landmark timestamp {host.t + int(row)} was certified "
-                    f"as a skip but its uniform ({uniform}) needs the "
-                    f"exact generator path"
-                )
-            if uniform >= 0.5:
-                noise = -uniform_scale * log(2.0 - uniform - uniform)
-            else:
-                noise = uniform_scale * log(uniform + uniform)
-            distance = float(
-                np.add.reduce(np.abs(matrix[row] - host.last_release))
-                / host.n_types
-            )
-            if distance + noise > sensitivity / nominal:
-                raise ScanMarginError(
-                    f"landmark timestamp {host.t + int(row)} was certified "
-                    f"as a skip but the exact arithmetic publishes; widen "
-                    f"the scan margin"
-                )

@@ -578,7 +578,7 @@ def _build_bd(
     """The w-event budget-distribution scheduler baseline.
 
     ``scan=`` / ``margin=`` / ``prefetch=`` tune the decision kernel's
-    U-space scan (``"bd:scan=off"``, ``"bd:scan=exact,margin=1e-9"``);
+    scan (``"bd:scan=off"``, ``"bd:scan=exact,margin=1e-9"``);
     see :class:`repro.runtime.decisions.ScanConfig`.
     """
     from repro.baselines.budget_distribution import BudgetDistribution
@@ -620,7 +620,7 @@ def _build_ba(
     """The w-event budget-absorption scheduler baseline.
 
     ``scan=`` / ``margin=`` / ``prefetch=`` tune the decision kernel's
-    U-space scan, exactly as for ``bd``.
+    scan, exactly as for ``bd``.
     """
     from repro.baselines.budget_absorption import BudgetAbsorption
     from repro.runtime.decisions import ScanConfig
@@ -656,16 +656,16 @@ def _build_landmark(
     rho: float = 0.5,
     sensitivity: float = 1.0,
     scan: Optional[str] = None,
-    margin: Optional[float] = None,
-    prefetch: Optional[int] = None,
 ):
     """Landmark privacy over the private patterns' sensitive windows.
 
-    ``scan=`` / ``margin=`` / ``prefetch=`` tune the decision kernel's
-    U-space scan, exactly as for ``bd``/``ba``.
+    Landmark has no decision kernel: it releases through its scalar
+    per-timestamp loop in every mode, and its rows feed no
+    ``repro_decisions_*_rows_total`` counter.  ``scan=margin`` (the
+    default) and ``scan=exact`` both let the checkpoint prepass hop
+    the regular rows; ``scan=off`` keeps the row-by-row prepass.
     """
     from repro.baselines.landmark import LandmarkPrivacy
-    from repro.runtime.decisions import ScanConfig
 
     if landmarks is None:
         landmarks = context.extras.get("landmark_mask")
@@ -693,7 +693,7 @@ def _build_landmark(
         landmarks=mask,
         rho=rho,
         sensitivity=sensitivity,
-        scan=ScanConfig.from_options(scan, margin, prefetch),
+        scan=scan,
     )
 
 

@@ -104,3 +104,47 @@ class TestLandmarkPrivacy:
         mechanism = LandmarkPrivacy(1.0, landmarks=mask)
         released = mechanism.perturb(indicator_stream, rng=4)
         assert released.n_windows == indicator_stream.n_windows
+
+
+class TestMaskOverrun:
+    """A block crossing the mask's end raises ``_advance``'s error and
+    leaves the release state where stepping row by row leaves it."""
+
+    N_MASK = 40
+
+    def releaser(self, scan):
+        rng = np.random.default_rng(9)
+        mask = rng.random(self.N_MASK) < 0.4
+        mechanism = LandmarkPrivacy(4.0, landmarks=mask, rho=0.5, scan=scan)
+        return mechanism.online_releaser(4, rng=12, horizon=self.N_MASK)
+
+    @staticmethod
+    def state(releaser):
+        return (
+            releaser.t,
+            releaser._landmarks_left,
+            releaser._remaining_publication,
+            None
+            if releaser.last_release is None
+            else releaser.last_release.tolist(),
+        )
+
+    @pytest.mark.parametrize("method", ["step_block", "advance_block"])
+    @pytest.mark.parametrize("start", [0, 25])
+    @pytest.mark.parametrize("scan", ["off", "margin"])
+    def test_block_past_mask_end_matches_row_stepping(
+        self, scan, start, method
+    ):
+        matrix = (
+            np.random.default_rng(3).random((self.N_MASK + 10, 4)) < 0.5
+        ).astype(float)
+        stepped = self.releaser(scan)
+        with pytest.raises(ValueError, match="cannot step past it"):
+            for row in matrix:
+                stepped.step(row)
+        blocked = self.releaser(scan)
+        blocked.step_block(matrix[:start])
+        with pytest.raises(ValueError, match="cannot step past it"):
+            getattr(blocked, method)(matrix[start:])
+        assert stepped.t == self.N_MASK
+        assert self.state(blocked) == self.state(stepped)

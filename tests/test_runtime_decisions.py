@@ -1,9 +1,10 @@
 """Unit tests for the decision kernel (repro.runtime.decisions).
 
-Covers the pure scan helpers (the documented accelerator seam), the
-ScanConfig grammar, the generator-word elision guarantee for certified
-skip runs, the U==0 exact-fallback path, audit mode's disagreement
-detection, and the chunked trace storage backing ReleaseTrace.
+Covers the ScanConfig grammar, the generator-word elision guarantee
+for certified skip runs (and landmark's prepass hop), the U==0
+exact-fallback path, audit mode's disagreement detection, the
+releasers' block-shape check, and the chunked trace storage backing
+ReleaseTrace.
 """
 
 import numpy as np
@@ -14,16 +15,7 @@ from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
 from repro.baselines.w_event import ReleaseTrace, TraceColumn
 from repro.runtime import decisions as decisions_module
-from repro.runtime.decisions import (
-    BOUNDARY,
-    CANDIDATE,
-    CERTAIN_SKIP,
-    ScanConfig,
-    ScanMarginError,
-    classify_decisions,
-    decision_thresholds,
-    laplace_noise_from_uniforms,
-)
+from repro.runtime.decisions import ScanConfig, ScanMarginError
 from repro.runtime.rng_pool import IndexedRngPool
 from repro.service import (
     MechanismContext,
@@ -87,73 +79,6 @@ class TestScanConfig:
         )
         partial = ScanConfig.from_options(None, None, 64)
         assert partial.mode == "margin" and partial.prefetch_min == 64
-
-
-# ---------------------------------------------------------------------------
-# Pure scan helpers (the accelerator seam: arrays in, arrays out)
-# ---------------------------------------------------------------------------
-
-
-class TestScanHelpers:
-    def test_laplace_noise_replays_numpy_branches(self):
-        uniforms = np.array([0.9, 0.5, 0.3, 1e-12])
-        noises, needs_exact = laplace_noise_from_uniforms(uniforms, 2.0)
-        assert not needs_exact.any()
-        np.testing.assert_array_equal(
-            noises[:2],
-            [-2.0 * np.log(2.0 - 0.9 - 0.9), -2.0 * np.log(1.0)],
-        )
-        assert noises[2] == 2.0 * np.log(0.3 + 0.3)
-
-    def test_laplace_noise_flags_nonpositive_uniforms(self):
-        with np.errstate(all="raise"):  # no log(0) warning may fire
-            noises, needs_exact = laplace_noise_from_uniforms(
-                np.array([0.0, -1e-9, 0.7]), 1.0
-            )
-        assert needs_exact.tolist() == [True, True, False]
-        assert np.isfinite(noises).all()
-
-    def test_decision_thresholds(self):
-        thresholds = decision_thresholds(np.array([2.0, 0.0, -1.0]), 1.0)
-        assert thresholds[0] == 0.5
-        assert np.isinf(thresholds[1]) and np.isinf(thresholds[2])
-
-    def test_classify_three_ways(self):
-        distances = np.array([0.0, 10.0, 1.0, 0.0, 0.0])
-        noises = np.zeros(5)
-        needs_exact = np.array([False, False, False, True, False])
-        thresholds = np.array([1.0, 1.0, 1.0, 1.0, np.inf])
-        verdicts = classify_decisions(
-            distances, noises, needs_exact, thresholds, 1e-9
-        )
-        assert verdicts.tolist() == [
-            CERTAIN_SKIP,
-            CANDIDATE,
-            BOUNDARY,  # inside the tolerance band
-            BOUNDARY,  # u <= 0: only the real generator reproduces it
-            CERTAIN_SKIP,  # zero budget skips whatever the randomness
-        ]
-
-    def test_zero_budget_overrides_needs_exact(self):
-        verdicts = classify_decisions(
-            np.array([5.0]),
-            np.array([0.0]),
-            np.array([True]),
-            np.array([np.inf]),
-            1e-9,
-        )
-        assert verdicts.tolist() == [CERTAIN_SKIP]
-
-    def test_wider_margin_grows_boundary_band(self):
-        distances = np.array([0.9999, 1.0001])
-        verdicts_tight = classify_decisions(
-            distances, np.zeros(2), np.zeros(2, bool), np.ones(2), 1e-9
-        )
-        verdicts_wide = classify_decisions(
-            distances, np.zeros(2), np.zeros(2, bool), np.ones(2), 1e-2
-        )
-        assert verdicts_tight.tolist() == [CERTAIN_SKIP, CANDIDATE]
-        assert verdicts_wide.tolist() == [BOUNDARY, BOUNDARY]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +245,52 @@ class TestAuditMode:
 
 
 # ---------------------------------------------------------------------------
+# Block shape
+# ---------------------------------------------------------------------------
+
+
+def landmark_releaser(n, scan="margin"):
+    mask = np.zeros(n, dtype=bool)
+    mask[::3] = True
+    mechanism = LandmarkPrivacy(1.0, landmarks=mask, rho=0.5, scan=scan)
+    return mechanism.online_releaser(N_TYPES, rng=4, horizon=n)
+
+
+def w_event_releaser(n, scan="margin"):
+    mechanism = BudgetDistribution(1.0, w=8, scan=scan)
+    return mechanism.online_releaser(N_TYPES, rng=4, horizon=n)
+
+
+class TestBlockShape:
+    """A block that is not ``(n, n_types)`` is rejected before any row
+    steps — a wrong width would otherwise broadcast against the last
+    release and advance ``t`` silently."""
+
+    @pytest.mark.parametrize(
+        "shape", [(64, 1), (64, N_TYPES + 1), (64,), (2, 32, N_TYPES)]
+    )
+    @pytest.mark.parametrize("scan", ["margin", "off"])
+    @pytest.mark.parametrize(
+        "make, method",
+        [
+            (landmark_releaser, "step_block"),
+            (landmark_releaser, "advance_block"),
+            (w_event_releaser, "step_block"),
+        ],
+    )
+    def test_wrong_shape_raises_and_leaves_state(
+        self, make, method, scan, shape
+    ):
+        releaser = make(64, scan)
+        with pytest.raises(
+            ValueError, match=f"expected a vector of {N_TYPES} statistics"
+        ):
+            getattr(releaser, method)(np.ones(shape))
+        assert releaser.t == 0
+        assert releaser.last_release is None
+
+
+# ---------------------------------------------------------------------------
 # Spec grammar integration
 # ---------------------------------------------------------------------------
 
@@ -367,6 +338,18 @@ class TestSpecGrammar:
             build_mechanism_from_spec(
                 "bd:epsilon=1.0,w=10,scam=off", build_context()
             )
+
+    def test_landmark_keeps_only_the_scan_key(self):
+        context = build_context()
+        mechanism = build_mechanism_from_spec(
+            "landmark:epsilon=1.0,scan=off", context
+        )
+        assert mechanism.scan_config.mode == "off"
+        for key in ("margin=1e-9", "prefetch=16"):
+            with pytest.raises(ValueError, match="valid keys.*scan"):
+                build_mechanism_from_spec(
+                    f"landmark:epsilon=1.0,{key}", context
+                )
 
     def test_unknown_scan_mode_lists_valid_modes(self):
         with pytest.raises(ValueError, match="margin, exact, off"):
