@@ -24,13 +24,12 @@ def setup():
     alphabet = EventAlphabet.numbered(8)
     rng = np.random.default_rng(1)
     stream = IndicatorStream(alphabet, rng.random((N_WINDOWS, 8)) < 0.4)
-    engine = CEPEngine(alphabet)
-    engine.register_private_pattern(Pattern.of_types("p", "e1", "e2"))
-    engine.register_query(
-        ContinuousQuery("q", Pattern.of_types("t", "e2", "e3"))
-    )
-    engine.attach_mechanism(
-        UniformPatternPPM(Pattern.of_types("p", "e1", "e2"), 2.0)
+    private = Pattern.of_types("p", "e1", "e2")
+    engine = CEPEngine(
+        alphabet,
+        patterns=[private],
+        queries=[ContinuousQuery("q", Pattern.of_types("t", "e2", "e3"))],
+        mechanism=UniformPatternPPM(private, 2.0),
     )
     return engine, stream
 

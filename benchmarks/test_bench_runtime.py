@@ -34,11 +34,7 @@ from repro.core.adaptive import AdaptivePatternPPM
 from repro.core.ppm import MultiPatternPPM
 from repro.core.quality_model import baseline_quality
 from repro.datasets.synthetic import synthesize_dataset
-from repro.experiments.runner import (
-    WorkloadEvaluation,
-    build_mechanism,
-    sweep,
-)
+from repro.experiments.runner import WorkloadEvaluation, sweep
 from repro.metrics.confusion import ConfusionCounts
 from repro.metrics.mre import mean_relative_error
 from repro.metrics.quality import DataQuality
@@ -76,9 +72,8 @@ def _legacy_sweep(workload, config):
                     ]
                 )
             else:
-                mechanism = build_mechanism(
+                mechanism = WorkloadEvaluation(workload).build_mechanism(
                     kind,
-                    workload,
                     epsilon,
                     alpha=config.alpha,
                     conversion_mode=config.conversion_mode,

@@ -62,19 +62,22 @@ def main() -> None:
     print(f"indicator stream: {stream.n_windows} windows\n")
 
     # --- Setup phase (Fig. 2): subjects and consumers register. -------
-    engine = CEPEngine(TAXI_ALPHABET)
     for pattern in PRIVATE_PATTERNS:
-        engine.register_private_pattern(pattern)
         print(f"subject registered private pattern {pattern.expr.render()}")
+    queries = [ContinuousQuery.for_pattern(p) for p in TARGET_PATTERNS]
     for pattern in TARGET_PATTERNS:
-        engine.register_query(ContinuousQuery.for_pattern(pattern))
         print(f"consumer registered target query   {pattern.expr.render()}")
 
     epsilon = 2.0
     ppm = MultiPatternPPM(
         [UniformPatternPPM(pattern, epsilon) for pattern in PRIVATE_PATTERNS]
     )
-    engine.attach_mechanism(ppm)
+    engine = CEPEngine(
+        TAXI_ALPHABET,
+        patterns=PRIVATE_PATTERNS,
+        queries=queries,
+        mechanism=ppm,
+    )
     print(f"\nattached: {ppm.privacy_statement()}")
 
     # --- Service phase: consumers receive protected answers. ----------
@@ -84,11 +87,17 @@ def main() -> None:
     print(f"pattern-level MRE_Q = {mean_relative_error(1.0, q_pattern_level):.3f}")
 
     # --- Comparison: the w-event baseline noises the whole stream. ----
+    # Same subjects and consumers, a second engine with the baseline.
     converter = BudgetConverter(max(len(p.elements) for p in PRIVATE_PATTERNS))
     native = converter.bd_native(epsilon, w=config.w)
-    engine.attach_mechanism(BudgetDistribution(native, w=config.w))
-    report_bd = engine.process_indicators(stream, rng=3)
-    q_bd = score(engine, report_bd)
+    engine_bd = CEPEngine(
+        TAXI_ALPHABET,
+        patterns=PRIVATE_PATTERNS,
+        queries=queries,
+        mechanism=BudgetDistribution(native, w=config.w),
+    )
+    report_bd = engine_bd.process_indicators(stream, rng=3)
+    q_bd = score(engine_bd, report_bd)
     print(f"\nw-event BD quality Q = {q_bd:.3f} (same pattern-level ε)")
     print(f"w-event BD MRE_Q = {mean_relative_error(1.0, q_bd):.3f}")
 

@@ -20,7 +20,16 @@ queue:
   producer instead of buffering unboundedly;
 - closing the session (``aclose`` or leaving the ``async with`` block)
   flushes every queued window before the drainer exits, so no accepted
-  window is ever dropped.
+  window is ever dropped;
+- a session outlives its event loop: each ``asyncio.run`` cancels the
+  drainer at teardown, and when that happened while the session was
+  quiescent (every submitted window processed) the next submit or
+  ``async with`` on a later loop starts a fresh drainer — the same
+  session, rng position and budget charge carry on, so sliced serving
+  across ``asyncio.run`` calls is one session charged once.  Closing
+  such a session has nothing left to flush.  A drainer that died any
+  other way (a stepping error, a cancellation with windows in flight)
+  is never restarted: the session reports it as failed.
 
 Mechanisms that only support batch perturbation — and the user-level
 baseline, whose budget split needs the stream horizon — are rejected
@@ -41,7 +50,6 @@ from repro.cep.engine import CEPEngine
 from repro.cep.online import session_stepper
 from repro.obs.metrics import default_registry
 from repro.obs.tracing import trace_span
-from repro.utils.deprecation import warn_imperative
 from repro.utils.rng import RngLike
 
 #: Queue sentinel signalling the drainer to flush and exit.
@@ -84,10 +92,6 @@ class AsyncSession:
         max_batch: int = 64,
         record: bool = False,
     ):
-        warn_imperative(
-            "Constructing AsyncSession directly",
-            "open sessions with StreamService.open_async_session()",
-        )
         if not engine.queries:
             raise ValueError("the engine has no registered queries")
         if max_pending <= 0:
@@ -162,26 +166,33 @@ class AsyncSession:
     def _ensure_started(self) -> None:
         if self._closed:
             raise RuntimeError("session is closed")
-        if self._drainer is None:
+        if self._drainer is None or self._drainer_idle_cancelled():
             self._drainer = asyncio.create_task(self._drain())
         elif self._drainer.done():
-            # A drainer only exits early on failure (normal exit happens
-            # through aclose, which flips _closed first).
+            # Otherwise a drainer only exits early on failure (normal
+            # exit happens through aclose, which flips _closed first).
             raise RuntimeError(
                 "session drainer failed; close the session to retrieve "
                 "the error"
             )
 
+    def _drainer_idle_cancelled(self) -> bool:
+        """Whether the drainer was cancelled with nothing in flight —
+        what an earlier event loop's teardown does between slices."""
+        return self._drainer.cancelled() and self._submitted == self._processed
+
     async def aclose(self) -> None:
         """Flush every queued window, then stop the drainer.
 
         Re-raises the drainer's error if stepping failed mid-stream
-        (every pending future is failed with that error first).
+        (every pending future is failed with that error first).  A
+        drainer an earlier event loop cancelled while the session was
+        quiescent has nothing to flush: the session just closes.
         """
         if self._closed:
             return
         self._closed = True
-        if self._drainer is None:
+        if self._drainer is None or self._drainer_idle_cancelled():
             return
         # Let producers already waiting for room land first — the
         # sentinel must be the *last* entry, or windows behind it would

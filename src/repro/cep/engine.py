@@ -10,18 +10,17 @@ perturbed once by the mechanism, and every registered query is answered
 from the *perturbed* indicators — so the mechanism's guarantee covers
 all consumers.
 
-Since PR 4 the engine is the *compiled artifact* of a declarative
-:class:`~repro.service.ServiceSpec`: the imperative setup-phase
-mutators below keep working but emit ``DeprecationWarning``s pointing
-at the spec API (:mod:`repro.service`), which builds engines through
-them internally without warning.
+The setup phase is one-shot: the engine is configured entirely at
+construction (its keywords are :class:`~repro.service.ServiceSpec`'s
+own field names) and is immutable afterwards.  A ``ServiceSpec``
+compiles into exactly one such constructor call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -33,10 +32,6 @@ from repro.runtime.pipeline import StreamPipeline
 from repro.runtime.stages import WindowStage
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.streams.stream import EventStream
-from repro.utils.deprecation import (
-    suppress_imperative_warnings,
-    warn_imperative,
-)
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive
 
@@ -122,101 +117,74 @@ class EngineReport:
 
 
 class CEPEngine:
-    """Trusted middleware between data subjects and data consumers."""
+    """Trusted middleware between data subjects and data consumers.
 
-    def __init__(self, alphabet: EventAlphabet):
+    Parameters
+    ----------
+    alphabet:
+        The event-type universe fixing the indicator columns.
+    patterns:
+        The data subjects' private patterns (what must be protected).
+    queries:
+        The data consumers' continuous target-pattern queries.
+    quality:
+        The consumers' required output quality (default
+        :class:`QualityRequirement`).
+    mechanism:
+        The privacy mechanism used during service: any object exposing
+        ``perturb(stream, rng=...) -> IndicatorStream`` (the
+        pattern-level PPMs and all baselines do); ``None`` runs
+        unprotected.
+    accounting:
+        Cap on the total budget spent across service-phase runs.  Each
+        :meth:`process_indicators` call (and each session) releases a
+        fresh perturbation, and repeated releases compose sequentially;
+        the :attr:`accountant` makes the cumulative spend explicit and
+        refuses runs that would exceed the cap.
+    """
+
+    def __init__(
+        self,
+        alphabet: EventAlphabet,
+        *,
+        patterns: Iterable[Pattern] = (),
+        queries: Iterable[ContinuousQuery] = (),
+        quality: Optional[QualityRequirement] = None,
+        mechanism=None,
+        accounting: Optional[float] = None,
+    ):
         if not isinstance(alphabet, EventAlphabet):
             raise TypeError(
                 f"alphabet must be EventAlphabet, got {type(alphabet).__name__}"
             )
         self.alphabet = alphabet
         self._private_patterns: Dict[str, Pattern] = {}
+        for pattern in patterns:
+            self._check_pattern(pattern)
+            if pattern.name in self._private_patterns:
+                raise ValueError(
+                    f"private pattern {pattern.name!r} already registered"
+                )
+            self._private_patterns[pattern.name] = pattern
         self._queries: Dict[str, ContinuousQuery] = {}
-        self._quality = QualityRequirement()
-        self._mechanism = None
-        self._accountant: Optional[PrivacyAccountant] = None
-        self._pipeline: Optional[StreamPipeline] = None
-
-    # -- setup phase -----------------------------------------------------
-
-    def register_private_pattern(self, pattern: Pattern) -> None:
-        """Data subject declares a pattern whose existence is private.
-
-        .. deprecated:: declare the pattern in ``ServiceSpec(patterns=)``.
-        """
-        warn_imperative(
-            "CEPEngine.register_private_pattern()",
-            "declare the pattern in ServiceSpec(patterns=...)",
+        for query in queries:
+            if query.name in self._queries:
+                raise ValueError(f"query {query.name!r} already registered")
+            self._check_pattern(query.pattern)
+            self._queries[query.name] = query
+        self._quality = (
+            quality if quality is not None else QualityRequirement()
         )
-        self._check_pattern(pattern)
-        if pattern.name in self._private_patterns:
-            raise ValueError(f"private pattern {pattern.name!r} already registered")
-        self._private_patterns[pattern.name] = pattern
-
-    def register_query(self, query: ContinuousQuery) -> None:
-        """Data consumer registers a continuous target-pattern query.
-
-        .. deprecated:: declare the query in ``ServiceSpec(queries=)``.
-        """
-        warn_imperative(
-            "CEPEngine.register_query()",
-            "declare the query in ServiceSpec(queries=...)",
-        )
-        if query.name in self._queries:
-            raise ValueError(f"query {query.name!r} already registered")
-        self._check_pattern(query.pattern)
-        self._queries[query.name] = query
-        self._pipeline = None
-
-    def set_quality_requirement(self, requirement: QualityRequirement) -> None:
-        """Data consumer declares the required output data quality.
-
-        .. deprecated:: declare it in ``ServiceSpec(quality=)``.
-        """
-        warn_imperative(
-            "CEPEngine.set_quality_requirement()",
-            "declare the requirement in ServiceSpec(quality=...)",
-        )
-        self._quality = requirement
-
-    def attach_mechanism(self, mechanism) -> None:
-        """Attach the privacy-preserving mechanism used during service.
-
-        Any object exposing ``perturb(stream, rng=...) -> IndicatorStream``
-        qualifies (the pattern-level PPMs and all baselines do).
-
-        .. deprecated:: choose a registered mechanism spec via
-           ``ServiceSpec(mechanism=..., mechanism_options=...)``.
-        """
-        warn_imperative(
-            "CEPEngine.attach_mechanism()",
-            "choose a registered mechanism spec via "
-            "ServiceSpec(mechanism=..., mechanism_options=...)",
-        )
-        if not hasattr(mechanism, "perturb"):
+        if mechanism is not None and not hasattr(mechanism, "perturb"):
             raise TypeError(
                 "mechanism must expose perturb(IndicatorStream, rng=...)"
             )
         self._mechanism = mechanism
-        self._pipeline = None
-
-    def enable_accounting(self, total_epsilon: float) -> PrivacyAccountant:
-        """Cap the total budget spent across service-phase runs.
-
-        Each call to :meth:`process_indicators` releases a fresh
-        perturbation of the data, and repeated releases compose
-        sequentially; the accountant makes the cumulative spend explicit
-        and refuses runs that would exceed ``total_epsilon``.
-
-        .. deprecated:: declare the cap in ``ServiceSpec(accounting=)``.
-        """
-        warn_imperative(
-            "CEPEngine.enable_accounting()",
-            "declare the budget cap in ServiceSpec(accounting=...)",
-        )
-        check_positive("total_epsilon", total_epsilon, allow_inf=True)
-        self._accountant = PrivacyAccountant(total_epsilon)
-        return self._accountant
+        self._accountant: Optional[PrivacyAccountant] = None
+        if accounting is not None:
+            check_positive("accounting", accounting, allow_inf=True)
+            self._accountant = PrivacyAccountant(accounting)
+        self._pipeline: Optional[StreamPipeline] = None
 
     @property
     def accountant(self) -> Optional[PrivacyAccountant]:
@@ -290,9 +258,9 @@ class CEPEngine:
     def service_pipeline(self) -> StreamPipeline:
         """The runtime pipeline realizing this engine's service phase.
 
-        Built once per (queries, mechanism) configuration and cached;
-        registration invalidates the cache.  Exposed so callers can run
-        the engine's configuration under a custom executor.
+        Built on first use and cached (the engine is immutable).
+        Exposed so callers can run the engine's configuration under a
+        custom executor.
         """
         if not self._queries:
             raise RuntimeError("no queries registered; nothing to answer")
@@ -392,14 +360,13 @@ class CEPEngine:
         type_sets = WindowStage(window_assigner).type_sets(stream)
         pipeline = self.service_pipeline()
         indicators = pipeline.extractor.extract(type_sets)
-        with suppress_imperative_warnings():
-            session = AsyncSession(
-                self,
-                rng=rng,
-                max_pending=max_pending,
-                max_batch=max_batch,
-                record=True,
-            )
+        session = AsyncSession(
+            self,
+            rng=rng,
+            max_pending=max_pending,
+            max_batch=max_batch,
+            record=True,
+        )
         async with session:
             released_answers = await session.run_rows(
                 indicators.matrix_view()

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.cep.engine import CEPEngine
 from repro.streams.indicator import IndicatorStream
-from repro.utils.deprecation import warn_imperative
 from repro.utils.rng import RngLike, derive_rng
 
 #: Windows processed per step when :meth:`OnlineSession.run` replays a
@@ -70,10 +69,6 @@ class OnlineSession:
     """A service-phase session answering queries window by window."""
 
     def __init__(self, engine: CEPEngine, *, rng: RngLike = None):
-        warn_imperative(
-            "Constructing OnlineSession directly",
-            "open sessions with StreamService.open_session()",
-        )
         if not engine.queries:
             raise ValueError("the engine has no registered queries")
         self._engine = engine

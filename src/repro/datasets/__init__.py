@@ -4,16 +4,12 @@
   simulator (see DESIGN.md "Substitutions");
 - :mod:`repro.datasets.synthetic` — Algorithm 2, verbatim;
 - :mod:`repro.datasets.workload` — the workload bundle the experiment
-  harness consumes;
-- :mod:`repro.datasets.io` — CSV/JSON persistence.
+  harness consumes.
+
+Indicator streams persist through the connector layer
+(:func:`repro.io.read_indicator_csv` / :func:`repro.io.write_indicator_csv`).
 """
 
-from repro.datasets.io import (
-    load_indicator_csv,
-    load_workload,
-    save_indicator_csv,
-    save_workload,
-)
 from repro.datasets.synthetic import (
     SyntheticConfig,
     synthesize_dataset,
@@ -44,10 +40,6 @@ __all__ = [
     "Workload",
     "build_taxi_workload",
     "fleet_data_stream",
-    "load_indicator_csv",
-    "load_workload",
-    "save_indicator_csv",
-    "save_workload",
     "simulate_fleet",
     "simulate_trace",
     "synthesize_dataset",

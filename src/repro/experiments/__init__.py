@@ -44,7 +44,6 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import (
     EvaluationResult,
-    build_mechanism,
     evaluate_mechanism,
     measure_quality,
     sweep,
@@ -59,7 +58,6 @@ __all__ = [
     "FIG4_MECHANISMS",
     "Fig4Result",
     "Fig4Series",
-    "build_mechanism",
     "compare_budget_needs",
     "evaluate_mechanism",
     "fig4_ascii_chart",

@@ -2,10 +2,10 @@
 
 This module is the bridge between the library pieces: given a
 :class:`~repro.datasets.workload.Workload`, a mechanism kind and a
-pattern-level budget, :func:`build_mechanism` assembles a calibrated
-mechanism (converting baseline budgets per Section VI-A.2), and
-:func:`evaluate_mechanism` measures the resulting data quality and
-``MRE_Q`` on the evaluation stream.
+pattern-level budget, :meth:`WorkloadEvaluation.build_mechanism`
+assembles a calibrated mechanism (converting baseline budgets per
+Section VI-A.2), and :func:`evaluate_mechanism` measures the resulting
+data quality and ``MRE_Q`` on the evaluation stream.
 
 Evaluation runs on the streaming runtime: a
 :class:`WorkloadEvaluation` builds the workload's pipeline *once* —
@@ -36,7 +36,6 @@ from repro.metrics.mre import mean_relative_error
 from repro.metrics.quality import DataQuality
 from repro.runtime.executors import BatchExecutor
 from repro.runtime.pipeline import StreamPipeline
-from repro.utils.deprecation import warn_imperative
 from repro.utils.rng import RngLike, derive_rng
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -408,42 +407,6 @@ def _sweep_worker(
         conversion_mode=conversion_mode,
         rng=rng,
         executor=executor,
-    )
-
-
-def build_mechanism(
-    kind: str,
-    workload: Workload,
-    pattern_epsilon: float,
-    *,
-    alpha: float = 0.5,
-    conversion_mode: str = "worst_case",
-    adaptive_step_size: Optional[float] = None,
-    adaptive_max_iterations: int = 200,
-):
-    """Build a mechanism calibrated to a target pattern-level ε.
-
-    Single-cell wrapper over :meth:`WorkloadEvaluation.build_mechanism`;
-    when evaluating many cells on one workload, build the context once
-    and reuse it.
-
-    .. deprecated:: build mechanisms through the registry
-       (:func:`repro.service.build_mechanism_from_spec`) or declare
-       them on a :class:`~repro.service.ServiceSpec`.
-    """
-    warn_imperative(
-        "repro.experiments.build_mechanism()",
-        "build mechanisms through the service registry "
-        "(repro.service.build_mechanism_from_spec) or declare them on "
-        "a ServiceSpec",
-    )
-    return WorkloadEvaluation(workload).build_mechanism(
-        kind,
-        pattern_epsilon,
-        alpha=alpha,
-        conversion_mode=conversion_mode,
-        adaptive_step_size=adaptive_step_size,
-        adaptive_max_iterations=adaptive_max_iterations,
     )
 
 

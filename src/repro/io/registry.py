@@ -21,10 +21,10 @@ Built-in sources: ``memory``, ``csv:<path>``, ``jsonl:<path>``,
 ``broker:url=redis://host:port,stream=...,group=...,consumer=...``.
 Built-in sinks: ``memory``, ``csv:<path>``, ``jsonl:<path>``,
 ``metrics``, ``callback``,
-``broker:url=redis://host:port,stream=...``.  Legacy
-positional tails (``synthetic:bernoulli:500:3``) still resolve to
-identical connectors behind one ``DeprecationWarning`` per callsite;
-raw address tails (``csv:<path>``) are first-class and never warn.
+``broker:url=redis://host:port,stream=...``.  Raw address tails
+(``csv:<path>``, ``replay:<path>:<rate>``) are first-class; any other
+positional tail (``synthetic:bernoulli:500:3``) is an error listing
+the name's valid keys.
 
 Connectors whose payload cannot live in a JSON spec (an in-memory
 stream, a live ``asyncio.Queue``, a Python callback) are *bound at run
@@ -67,13 +67,13 @@ def register_source(
 ):
     """Register a source factory under a spec name (plus aliases).
 
-    The factory is called as
-    ``factory(*legacy_args, **spec_kwargs, **options)`` and must
-    return a :class:`~repro.io.sources.StreamSource`.
-    ``raw_tail=True`` hands the factory everything after the first
-    colon as one uncoerced string (for path arguments, which may
-    themselves contain colons).  ``keys`` declares the name's
-    key=value keys (default: the factory's keyword parameters).
+    The factory is called as ``factory(**spec_kwargs, **options)``
+    (``factory(address, **options)`` for a raw tail) and must return a
+    :class:`~repro.io.sources.StreamSource`.  ``raw_tail=True`` hands
+    the factory everything after the first colon as one uncoerced
+    string (for path arguments, which may themselves contain colons).
+    ``keys`` declares the name's key=value keys (default: the
+    factory's keyword parameters).
     """
     return _SOURCES.register(
         name, aliases=aliases, raw_tail=raw_tail, keys=keys
@@ -85,10 +85,9 @@ def register_sink(
 ):
     """Register a sink factory under a spec name (plus aliases).
 
-    The factory is called as
-    ``factory(*legacy_args, **spec_kwargs, **options)`` and must
-    return a :class:`~repro.io.sinks.StreamSink`; ``raw_tail`` /
-    ``keys`` as for :func:`register_source`.
+    The factory is called like a source factory and must return a
+    :class:`~repro.io.sinks.StreamSink`; ``raw_tail`` / ``keys`` as
+    for :func:`register_source`.
     """
     return _SINKS.register(
         name, aliases=aliases, raw_tail=raw_tail, keys=keys

@@ -63,7 +63,7 @@ _CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
-# Streamed CSV plumbing (shared with the datasets.io compatibility shims)
+# Streamed CSV plumbing (shared by the csv: source and read_indicator_csv)
 # ---------------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ Mechanisms and executors are chosen by *registered string specs*
 (``"uniform-ppm"``, ``"cluster:workers=8"``, ...); third-party backends
 hook in through :func:`register_mechanism` / :func:`register_executor`
 without touching core.  Runs are reproducible from a JSON blob plus a
-seed, bit-identical to the imperative ``CEPEngine`` path under the same
+seed, bit-identical to a directly built ``CEPEngine`` under the same
 seed.
 
 Ingestion and egress are declarative too: ``source=``/``sink=`` fields

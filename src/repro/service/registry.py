@@ -7,10 +7,10 @@ registered name optionally followed by ``key=value`` arguments (the
 shared grammar in :mod:`repro.service.specgrammar`, also used by the
 source/sink registry); keyword options ride along separately
 (:attr:`~repro.service.spec.ServiceSpec.mechanism_options` /
-``executor_options``).  The legacy positional grammar
-(``"sharded:thread:8"``, colon-separated arguments coerced to
-``int``/``float``) still resolves to identical objects behind exactly
-one ``DeprecationWarning`` per callsite.
+``executor_options``).  Only mechanism specs also take positional
+arguments (``"bd:0.5"``, colon-separated and coerced to
+``int``/``float``); a positional executor tail such as
+``"sharded:thread:8"`` is an error listing the name's valid keys.
 
 Third-party backends extend the service without touching core:
 
@@ -45,14 +45,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cep.patterns import Pattern
-from repro.service.specgrammar import (
-    SpecKey,
-    format_value,
-    is_kv_tail,
-    kv_kwargs,
-    suggest_kv_spec,
-    warn_legacy_spec,
-)
+from repro.service.specgrammar import SpecKey, is_kv_tail, kv_kwargs
 from repro.streams.indicator import EventAlphabet
 from repro.utils.validation import check_positive
 
@@ -78,8 +71,8 @@ def parse_spec(spec: str) -> Tuple[str, Tuple[object, ...]]:
     """Split ``"name:arg1:arg2"`` into the name and coerced arguments.
 
     Arguments parse to ``int`` then ``float`` when possible and stay
-    strings otherwise: ``"sharded:thread:8"`` →
-    ``("sharded", ("thread", 8))``.
+    strings otherwise: ``"bd:0.5:10"`` → ``("bd", (0.5, 10))``.  Only
+    mechanism specs (and the window grammar) take positional arguments.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ValueError(f"spec must be a non-empty string, got {spec!r}")
@@ -116,11 +109,12 @@ def _derive_keys(factory: Callable) -> Tuple[SpecKey, ...]:
 class _Registry:
     """One name → factory table with alias and key-schema support.
 
-    ``warn_positional=False`` keeps a registry's legacy positional
-    tails first-class (no deprecation warning) while still speaking the
-    key=value grammar — the mechanism registry uses this: ``"bd:0.5"``
-    stays the documented short form, ``"bd:scan=off,margin=1e-9"``
-    parses as key=value with unknown keys failing at parse time.
+    Every registry speaks the key=value grammar, with unknown keys
+    failing at parse time listing the name's valid keys.
+    ``positional=True`` additionally accepts colon-separated positional
+    tails — the mechanism registry uses this: ``"bd:0.5"`` is the
+    documented short form next to ``"bd:scan=off,margin=1e-9"``.  In
+    every other registry a positional tail is an error.
     ``skip_parameters`` drops that many leading factory parameters from
     the derived key schema (mechanism factories take the build context
     first, which is not a spec key).
@@ -130,19 +124,16 @@ class _Registry:
         self,
         kind: str,
         *,
-        keyed: bool = True,
-        warn_positional: bool = True,
+        positional: bool = False,
         skip_parameters: int = 0,
     ):
         self._kind = kind
-        self._keyed = keyed
-        self._warn_positional = warn_positional
+        self._positional = positional
         self._skip_parameters = skip_parameters
         self._factories: Dict[str, Callable] = {}
         self._canonical: Dict[str, str] = {}
         self._raw_tail: Dict[str, bool] = {}
         self._keys: Dict[str, Tuple[SpecKey, ...]] = {}
-        self._suggest: Dict[str, Optional[Callable]] = {}
 
     def register(
         self,
@@ -151,16 +142,13 @@ class _Registry:
         aliases: Sequence[str] = (),
         raw_tail: bool = False,
         keys: Optional[Sequence[SpecKey]] = None,
-        suggest: Optional[Callable] = None,
     ):
         """``raw_tail=True`` hands the factory everything after the
         first colon as one uncoerced string — for connectors whose
         argument is a path (paths may contain colons, and a numeric
         filename must stay a string).  ``keys`` declares the name's
         valid key=value keys (default: the factory's keyword
-        parameters); ``suggest`` optionally maps legacy positional
-        arguments to ``(key, value)`` pairs for the deprecation
-        warning's suggested rewrite."""
+        parameters)."""
 
         def decorator(factory: Callable) -> Callable:
             spec_names = (name, *aliases)
@@ -181,7 +169,6 @@ class _Registry:
                 self._canonical[key] = name
                 self._raw_tail[key] = raw_tail
                 self._keys[key] = spec_keys
-                self._suggest[key] = suggest
             return factory
 
         return decorator
@@ -210,7 +197,7 @@ class _Registry:
         return name, (tail if sep else None)
 
     def _is_kv(self, name: str, tail: Optional[str]) -> bool:
-        if not self._keyed or not tail:
+        if not tail:
             return False
         # Raw-tail connectors stay in address mode unless the first
         # segment names a *declared* key, so "csv:data=1.csv" is a
@@ -218,21 +205,24 @@ class _Registry:
         schema = self._keys[name] if self._raw_tail[name] else ()
         return is_kv_tail(tail, keys=schema)
 
-    def _warn_legacy(self, name: str, spec: str, args: Tuple) -> None:
-        suggest = self._suggest.get(name)
-        try:
-            if suggest is not None:
-                pairs = suggest(args)
-                suggestion = f"{name}:" + ",".join(
-                    f"{key}={format_value(value)}" for key, value in pairs
-                )
-            else:
-                suggestion = suggest_kv_spec(name, args, self._keys[name])
-        except Exception:
-            # A suggestion is best-effort decoration; classification
-            # errors must never mask the factory's own validation.
-            suggestion = None
-        warn_legacy_spec(self._kind, spec, suggestion)
+    def _kwargs(self, name: str, tail: str) -> Dict[str, object]:
+        return kv_kwargs(
+            tail, self._keys[name], where=f"{self._kind} spec {name!r}"
+        )
+
+    def _positional_args(self, spec: str) -> Tuple[object, ...]:
+        """The coerced positional arguments of a non-key=value tail."""
+        name, args = parse_spec(spec)
+        if args and not self._positional:
+            valid = ", ".join(
+                sorted(key.name for key in self._keys[name])
+            )
+            raise ValueError(
+                f"{self._kind} spec {spec!r} has a positional tail; "
+                f"write '{name}:key=value[,key=value...]' "
+                f"(valid keys: {valid or '(none)'})"
+            )
+        return args
 
     def resolve(
         self, spec: str
@@ -240,53 +230,38 @@ class _Registry:
         name, tail = self._lookup(spec)
         factory = self._factories[name]
         if self._is_kv(name, tail):
-            kwargs = kv_kwargs(
-                tail,
-                self._keys[name],
-                where=f"{self._kind} spec {name!r}",
-            )
-            return factory, (), kwargs
+            return factory, (), self._kwargs(name, tail)
         if self._raw_tail[name]:
             # Even an empty tail is passed through, so the connector's
             # own pointed needs-a-path error fires instead of a bare
-            # arity TypeError.  Address tails never deprecate: the
-            # silent "csv:<path>" form is first-class.
+            # arity TypeError.  The "csv:<path>" address form is
+            # first-class.
             return factory, (tail or "",), {}
-        _name, args = parse_spec(spec)
-        if args and self._keyed and self._warn_positional:
-            self._warn_legacy(name, spec, args)
-        return factory, args, {}
+        return factory, self._positional_args(spec), {}
 
     def canonical(self, spec: str) -> str:
         name, tail = self._lookup(spec)
         if self._is_kv(name, tail):
             # Validate the keys at parse time so an unknown key fails
             # inside ServiceSpec construction, not at build time.
-            kv_kwargs(
-                tail,
-                self._keys[name],
-                where=f"{self._kind} spec {name!r}",
-            )
-            return self._canonical[name]
-        if self._raw_tail[name]:
+            self._kwargs(name, tail)
+        elif self._raw_tail[name]:
             if not tail:
                 raise ValueError(
                     f"{self._kind} spec {name!r} needs an argument: "
                     f"'{name}:<path>'"
                 )
-            return self._canonical[name]
-        _name, args = parse_spec(spec)
-        if args and self._keyed and self._warn_positional:
-            self._warn_legacy(name, spec, args)
+        else:
+            self._positional_args(spec)
         return self._canonical[name]
 
 
-# Mechanism specs keep the short positional grammar first-class and
-# warning-free (a mechanism takes at most a budget argument and
-# tests/papers spell them bare: "bd:0.5"), but also speak key=value for
-# named tunables ("bd:scan=off,margin=1e-9") — unknown keys fail at
-# parse time listing the factory's valid keys.
-_MECHANISMS = _Registry("mechanism", warn_positional=False, skip_parameters=1)
+# Mechanism specs keep the short positional grammar first-class (a
+# mechanism takes at most a budget argument and tests/papers spell
+# them bare: "bd:0.5"), but also speak key=value for named tunables
+# ("bd:scan=off,margin=1e-9") — unknown keys fail at parse time listing
+# the factory's valid keys.
+_MECHANISMS = _Registry("mechanism", positional=True, skip_parameters=1)
 _EXECUTORS = _Registry("executor")
 
 
@@ -312,20 +287,16 @@ def register_executor(
     *,
     aliases: Sequence[str] = (),
     keys: Optional[Sequence[SpecKey]] = None,
-    suggest: Optional[Callable] = None,
 ):
     """Register an executor factory under a spec name (plus aliases).
 
-    The factory is called as
-    ``factory(*legacy_args, **spec_kwargs, **options)`` and must
-    return an executor exposing
+    The factory is called as ``factory(**spec_kwargs, **options)`` and
+    must return an executor exposing
     ``run(pipeline, indicators, rng=...) -> PipelineResult``.
     ``keys`` declares the spec's key=value keys (default: the
     factory's keyword parameters).
     """
-    return _EXECUTORS.register(
-        name, aliases=aliases, keys=keys, suggest=suggest
-    )
+    return _EXECUTORS.register(name, aliases=aliases, keys=keys)
 
 
 def registered_mechanisms() -> Tuple[str, ...]:
@@ -782,10 +753,6 @@ _USE_CLUSTER = (
     "'cluster:workers=N,transport=shm'"
 )
 
-#: Positional tokens of the retired process-backend sharded specs.
-_PROCESS_TOKENS = ("process", "copy", "zerocopy")
-
-
 def _thread_backend(value: str) -> str:
     """Accept ``backend=thread``; point anything else at the cluster."""
     if value != "thread":
@@ -798,14 +765,6 @@ def _no_transport(value: str):
     raise ValueError(f"{value!r}: {_USE_CLUSTER}")
 
 
-def _suggest_sharded(args: Sequence[object]):
-    """Classify legacy positional sharded arguments onto their keys."""
-    return [
-        ("workers" if isinstance(argument, int) else "backend", argument)
-        for argument in args
-    ]
-
-
 @register_executor(
     "sharded",
     keys=(
@@ -813,40 +772,21 @@ def _suggest_sharded(args: Sequence[object]):
         SpecKey("workers", dest="n_workers"),
         SpecKey("transport", convert=_no_transport),
     ),
-    suggest=_suggest_sharded,
 )
 def _build_sharded_executor(
-    *args, backend: str = "thread", n_workers=None, **options
+    *, backend: str = "thread", n_workers=None, **options
 ):
     """Thread-pool sharded execution: ``"sharded:backend=thread,workers=8"``.
 
     Keys: ``backend=`` (``thread``, the only backend) and ``workers=``.
-    Multi-process sharding is the cluster executor: ``backend=process``,
-    a ``transport=`` key and the ``process``/``copy``/``zerocopy``
-    positional tokens raise a ``ValueError`` naming
-    ``cluster:workers=N,transport=shm``.  The legacy positional grammar
-    (``"sharded:thread:8"``) still resolves behind one deprecation
-    warning.  Keyword options pass through to
-    :class:`~repro.runtime.executors.ShardedExecutor`.
+    Multi-process sharding is the cluster executor: ``backend=process``
+    and a ``transport=`` key raise a ``ValueError`` naming
+    ``cluster:workers=N,transport=shm``.  Keyword options pass through
+    to :class:`~repro.runtime.executors.ShardedExecutor`.
     """
     from repro.runtime.executors import ShardedExecutor
 
     _thread_backend(backend)
-    for argument in args:
-        if isinstance(argument, int):
-            if n_workers is not None:
-                raise ValueError(
-                    f"sharded executor spec gives two worker counts: "
-                    f"{n_workers} and {argument}"
-                )
-            n_workers = argument
-        elif argument in _PROCESS_TOKENS:
-            raise ValueError(f"{argument!r}: {_USE_CLUSTER}")
-        elif argument != "thread":
-            raise ValueError(
-                f"unknown token {argument!r} in sharded executor spec; "
-                "expected 'thread' or a worker count"
-            )
     return ShardedExecutor(n_workers, **options)
 
 

@@ -44,7 +44,6 @@ from repro.service.registry import (
 from repro.service.spec import ServiceSpec
 from repro.streams.indicator import IndicatorStream
 from repro.streams.stream import EventStream
-from repro.utils.deprecation import suppress_imperative_warnings
 from repro.utils.rng import RngLike
 
 __all__ = ["StreamService"]
@@ -104,31 +103,24 @@ class StreamService:
         #: Set by resume(): the pre-crash run already egressed output,
         #: so the next pump must append to (not truncate) file sinks.
         self._sink_append = False
-        alphabet = spec.event_alphabet()
-        with suppress_imperative_warnings():
-            engine = CEPEngine(alphabet)
-            for pattern in spec.pattern_objects():
-                engine.register_private_pattern(pattern)
-            for query in spec.query_objects():
-                engine.register_query(query)
-            engine.set_quality_requirement(spec.quality.to_requirement())
-            if spec.mechanism is not None:
-                engine.attach_mechanism(
-                    build_mechanism_from_spec(
-                        spec.mechanism,
-                        self._mechanism_context(),
-                        **spec.mechanism_options,
-                    )
-                )
-            if spec.accounting is not None:
-                engine.enable_accounting(spec.accounting)
-            # Inside the suppression block: the spec already warned
-            # about a legacy positional executor spec when it was
-            # validated, so re-resolving it here must stay silent.
-            self._executor = build_executor_from_spec(
-                spec.executor, **spec.executor_options
+        mechanism = None
+        if spec.mechanism is not None:
+            mechanism = build_mechanism_from_spec(
+                spec.mechanism,
+                self._mechanism_context(),
+                **spec.mechanism_options,
             )
-        self._engine = engine
+        self._engine = CEPEngine(
+            spec.event_alphabet(),
+            patterns=spec.pattern_objects(),
+            queries=spec.query_objects(),
+            quality=spec.quality.to_requirement(),
+            mechanism=mechanism,
+            accounting=spec.accounting,
+        )
+        self._executor = build_executor_from_spec(
+            spec.executor, **spec.executor_options
+        )
 
     def _mechanism_context(self) -> MechanismContext:
         spec = self._spec
@@ -232,10 +224,7 @@ class StreamService:
                     "no data to serve: pass a stream/source here or "
                     "declare source= on the spec (e.g. 'csv:<path>')"
                 )
-            # Spec-declared sources were validated (and warned, if
-            # positional) at ServiceSpec construction: stay silent.
-            with suppress_imperative_warnings():
-                source = resolve_source(spec.source, **spec.source_options)
+            source = resolve_source(spec.source, **spec.source_options)
         elif isinstance(source, str):
             source = resolve_source(source)
         elif not isinstance(source, StreamSource):
@@ -254,10 +243,7 @@ class StreamService:
         if sink is None:
             if spec.sink is None:
                 return None
-            # Spec-declared sinks were validated (and warned, if
-            # positional) at ServiceSpec construction: stay silent.
-            with suppress_imperative_warnings():
-                sink = resolve_sink(spec.sink, **spec.sink_options)
+            sink = resolve_sink(spec.sink, **spec.sink_options)
         elif isinstance(sink, str):
             sink = resolve_sink(sink)
         elif not isinstance(sink, StreamSink):
@@ -379,8 +365,7 @@ class StreamService:
         """
         from repro.cep.online import OnlineSession
 
-        with suppress_imperative_warnings():
-            session = OnlineSession(self._engine, rng=self._seeded(rng))
+        session = OnlineSession(self._engine, rng=self._seeded(rng))
         self._session = session
         self._session_kind = "online"
         return session
@@ -396,14 +381,13 @@ class StreamService:
         """Open a backpressured asyncio ingestion session."""
         from repro.cep.async_session import AsyncSession
 
-        with suppress_imperative_warnings():
-            session = AsyncSession(
-                self._engine,
-                rng=self._seeded(rng),
-                max_pending=max_pending,
-                max_batch=max_batch,
-                record=record,
-            )
+        session = AsyncSession(
+            self._engine,
+            rng=self._seeded(rng),
+            max_pending=max_pending,
+            max_batch=max_batch,
+            record=record,
+        )
         self._session = session
         self._session_kind = "async"
         # Remembered so checkpoints can rebuild an equivalent session
@@ -449,7 +433,10 @@ class StreamService:
         live queue and the producer blocks on its own ``put``.
 
         ``max_windows`` stops after that many windows, leaving the
-        source mid-stream (the gateway serves in slices this way);
+        source mid-stream (the gateway serves in slices this way; a
+        slice may run under its own ``asyncio.run``, and the next one
+        continues the same session, whose drainer restarts on the new
+        loop);
         ``append_sink`` continues a previous run's sink output instead
         of starting fresh.  Returns the per-query answer lists in
         submission order, or ``None`` with ``collect=False`` (unbounded
@@ -465,41 +452,12 @@ class StreamService:
             compiled_sink = self._compile_sink(
                 sink, append=append_sink or self._sink_append
             )
-        session = None
+        session = self._session
         if (
-            self._session is not None
-            and self._session_kind == "async"
-            and not self._session._closed
+            session is None
+            or self._session_kind != "async"
+            or session._closed
         ):
-            session = self._session
-            if session._drainer is not None and session._drainer.done():
-                # The session was started under a previous event loop
-                # whose teardown killed its drainer (each asyncio.run
-                # cancels pending tasks).  Between pumps the session is
-                # quiescent, so rebuilding it from its snapshot is
-                # exact — sliced serving can span asyncio.run calls.
-                # The rebuild continues the SAME logical session, so
-                # the construction-time accountant charge must not
-                # land a second time: restore the ledger afterwards.
-                snapshot = session.snapshot()
-                accountant = self._engine.accountant
-                ledger = None
-                if accountant is not None:
-                    # Park the ledger while the replacement session is
-                    # constructed (construction charges — and with the
-                    # session's own spend already recorded, would raise
-                    # or double-count), then put it back verbatim.
-                    ledger = accountant.spends
-                    accountant.reset()
-                try:
-                    session = self.open_async_session(
-                        **self._session_options
-                    )
-                finally:
-                    if accountant is not None:
-                        accountant._spends = ledger
-                session.restore(snapshot)
-        if session is None:
             session = self.open_async_session(
                 rng=rng, max_pending=max_pending, max_batch=max_batch
             )

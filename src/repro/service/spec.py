@@ -7,8 +7,10 @@ matching, metrics.  A :class:`ServiceSpec` describes one such pipeline
 consumers' queries and quality requirement, plus registered string
 specs choosing the mechanism and the executor.  Specs round-trip
 through JSON (``spec.to_json()`` / ``ServiceSpec.from_json()``), so a
-run is reproducible from a JSON blob plus a seed — bit-identical to the
-imperative ``CEPEngine`` path under the same seed.
+run is reproducible from a JSON blob plus a seed — bit-identical to a
+directly built ``CEPEngine`` under the same seed (a spec compiles into
+one ``CEPEngine(alphabet, patterns=, queries=, quality=, mechanism=,
+accounting=)`` call).
 
 >>> spec = ServiceSpec(
 ...     alphabet=("e1", "e2", "e3", "e4"),
@@ -16,7 +18,7 @@ imperative ``CEPEngine`` path under the same seed.
 ...     queries=[("q", ("e2", "e3"))],
 ...     mechanism="uniform-ppm",
 ...     mechanism_options={"epsilon": 2.0},
-...     executor="sharded:thread:4",
+...     executor="sharded:workers=4",
 ...     seed=7,
 ... )
 >>> service = spec.build()          # a StreamService
@@ -245,10 +247,9 @@ class ServiceSpec:
     """A complete, validated description of one private stream service.
 
     The one declarative entry point of the library: everything the
-    imperative setup phase mutates into a
-    :class:`~repro.cep.engine.CEPEngine` — private patterns, queries,
-    mechanism, accounting, quality requirement — plus the executor
-    choice, expressed as data.  Instances are frozen and validated at
+    setup phase configures a :class:`~repro.cep.engine.CEPEngine` with
+    — private patterns, queries, mechanism, accounting, quality
+    requirement — plus the executor choice, expressed as data.  Instances are frozen and validated at
     construction; mechanisms and executors are named by registered
     string specs (see :mod:`repro.service.registry`), so unknown names
     fail fast with the registered alternatives listed.
@@ -273,14 +274,14 @@ class ServiceSpec:
         Keyword options for the mechanism factory (e.g.
         ``{"epsilon": 2.0}``).
     executor:
-        Registered executor spec (``"batch"``, ``"chunked:512"``,
+        Registered executor spec (``"batch"``, ``"chunked:size=512"``,
         ``"sharded:workers=4"``, ``"cluster:workers=8"``, ...).
     executor_options:
         Keyword options for the executor factory.
     source:
         Registered source connector spec naming where windows come
         from (``"csv:<path>"``, ``"jsonl:<path>"``,
-        ``"synthetic:<generator>:<n>:<seed>"``,
+        ``"synthetic:generator=bernoulli,windows=500,seed=3"``,
         ``"replay:<path>:<rate>"``, ``"queue"``, ``"memory"``; see
         :mod:`repro.io`).  ``None`` (the default) keeps today's
         behavior: data is passed to ``run()``/sessions directly.

@@ -2,10 +2,8 @@
 
 Every registry that resolves spec strings — executors and mechanisms in
 :mod:`repro.service.registry`, sources and sinks in
-:mod:`repro.io.registry` — historically used a *positional* grammar
-(``"sharded:thread:8"``) whose argument meaning depended on
-order and type sniffing.  This module implements the replacement
-grammar once, so both registries parse identically:
+:mod:`repro.io.registry` — parses arguments with this one grammar, so
+both registries parse identically:
 
 ``name:key=value[,key=value...]``
     ``"sharded:backend=thread,workers=8"``,
@@ -17,16 +15,16 @@ Each registered name declares its valid keys as a tuple of
 Unknown keys fail **at parse time** listing the valid keys for that
 name — misspellings never fall through to a factory ``TypeError``.
 
-Values coerce like positional arguments always did (``int`` then
-``float``), plus ``true``/``false`` for booleans; ``raw`` keys (paths)
-skip coercion so a numeric filename stays a string.  Values may contain
-``:`` freely (the spec splits on the *first* colon only); a value may
-not contain ``,`` — connectors whose path needs a comma keep the
-silent address form (``"csv:<path>"``), which remains first-class.
+Values coerce to ``int`` then ``float`` when possible, plus
+``true``/``false`` for booleans; ``raw`` keys (paths) skip coercion so
+a numeric filename stays a string.  Values may contain ``:`` freely
+(the spec splits on the *first* colon only); a value may not contain
+``,`` — connectors whose path needs a comma keep the address form
+(``"csv:<path>"``), which remains first-class.
 
-Legacy positional tails keep resolving to identical objects behind
-exactly one :func:`repro.utils.deprecation.warn_superseded` warning per
-callsite; the warning spells out the equivalent key=value spec.
+Positional tails (``"sharded:thread:8"``) are an error everywhere but
+in mechanism specs (``"bd:0.5"``); the error lists the name's valid
+keys.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.utils.deprecation import warn_superseded
-
 __all__ = [
     "SpecKey",
     "coerce_scalar",
@@ -46,8 +42,6 @@ __all__ = [
     "is_kv_tail",
     "kv_kwargs",
     "parse_kv_tail",
-    "suggest_kv_spec",
-    "warn_legacy_spec",
 ]
 
 #: A key=value segment's key: an identifier (letters, digits, ``_``,
@@ -94,8 +88,7 @@ class SpecKey:
 
 def coerce_scalar(text: str) -> object:
     """Coerce one spec value: ``int``, ``float``, ``true``/``false``,
-    else the string itself (the positional grammar's coercion plus
-    spelled-out booleans)."""
+    else the string itself."""
     for kind in (int, float):
         try:
             return kind(text)
@@ -198,52 +191,3 @@ def format_spec(name: str, pairs: Sequence[Tuple[str, object]]) -> str:
         for key, value in sorted(pairs, key=lambda pair: pair[0])
     )
     return f"{name}:{rendered}"
-
-
-def suggest_kv_spec(
-    name: str,
-    args: Sequence[object],
-    keys: Sequence[SpecKey],
-) -> Optional[str]:
-    """The key=value spelling of a legacy positional spec.
-
-    Positional arguments zip onto the declared keys in order; when the
-    shapes do not line up (more arguments than keys), there is no
-    faithful suggestion and the caller warns without one.
-    """
-    if len(args) > len(keys):
-        return None
-    pairs = [
-        (key.name, argument)
-        for key, argument in zip(keys, args)
-    ]
-    return f"{name}:" + ",".join(
-        f"{key}={format_value(value)}" for key, value in pairs
-    )
-
-
-def warn_legacy_spec(
-    kind: str,
-    spec: str,
-    suggestion: Optional[str],
-    *,
-    stacklevel: int = 5,
-) -> None:
-    """One pointed warning for a positional spec tail.
-
-    Emitted at most once per callsite (standard ``warnings`` registry
-    semantics), silent inside the service layer's
-    :func:`~repro.utils.deprecation.suppress_imperative_warnings`
-    block so spec-built services never double-warn.
-    """
-    hint = (
-        f": use {suggestion!r} instead"
-        if suggestion is not None
-        else ""
-    )
-    warn_superseded(
-        f"positional {kind} spec {spec!r} is superseded by the "
-        f"key=value spec grammar{hint} (see repro.service.ServiceSpec "
-        "spec grammar).",
-        stacklevel=stacklevel,
-    )

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cep.engine import CEPEngine
 from repro.cep.patterns import Pattern
+from repro.cep.queries import ContinuousQuery
 from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
 from repro.runtime.shm import leaked_segments
 from repro.streams.events import Event
@@ -55,6 +57,23 @@ def private_pattern():
 def target_pattern():
     """A target pattern overlapping the private one on e2, e3."""
     return Pattern.of_types("target", "e2", "e3", "e4")
+
+
+@pytest.fixture
+def make_engine(alphabet6, private_pattern, target_pattern):
+    """Build an engine protecting ``private_pattern`` and answering one
+    query ``"q"`` on ``target_pattern``; keywords go to the
+    constructor (``mechanism=``, ``accounting=``, ``quality=``)."""
+
+    def make(**setup):
+        return CEPEngine(
+            alphabet6,
+            patterns=[private_pattern],
+            queries=[ContinuousQuery("q", target_pattern)],
+            **setup,
+        )
+
+    return make
 
 
 @pytest.fixture

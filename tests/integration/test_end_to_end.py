@@ -5,6 +5,8 @@ extraction → windows → indicators → engine+PPM → quality, plus the
 round trips between the harness pieces.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cep.engine import CEPEngine
@@ -13,7 +15,6 @@ from repro.core.adaptive import AdaptivePatternPPM
 from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
 from repro.core.verification import verify_instance_dp, verify_single_event_dp
-from repro.datasets.io import load_workload, save_workload
 from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
 from repro.datasets.taxi import (
     PRIVATE_PATTERNS,
@@ -26,7 +27,8 @@ from repro.datasets.taxi import (
     simulate_fleet,
     taxi_event_extractors,
 )
-from repro.experiments.runner import build_mechanism, evaluate_mechanism
+from repro.experiments.runner import WorkloadEvaluation, evaluate_mechanism
+from repro.io import read_indicator_csv, write_indicator_csv
 from repro.metrics.confusion import ConfusionCounts
 from repro.streams.extraction import extract_events
 from repro.streams.indicator import IndicatorStream
@@ -55,15 +57,18 @@ class TestRawTuplesToAnswers:
         assert stream.n_windows == len(windows)
 
         # 3. Engine setup (Fig. 2 setup phase).
-        engine = CEPEngine(TAXI_ALPHABET)
-        for pattern in PRIVATE_PATTERNS:
-            engine.register_private_pattern(pattern)
-        for pattern in TARGET_PATTERNS:
-            engine.register_query(ContinuousQuery.for_pattern(pattern))
         ppm = MultiPatternPPM(
             [UniformPatternPPM(pattern, 2.0) for pattern in PRIVATE_PATTERNS]
         )
-        engine.attach_mechanism(ppm)
+        engine = CEPEngine(
+            TAXI_ALPHABET,
+            patterns=PRIVATE_PATTERNS,
+            queries=[
+                ContinuousQuery.for_pattern(pattern)
+                for pattern in TARGET_PATTERNS
+            ],
+            mechanism=ppm,
+        )
 
         # 4. Service phase: consumers get answers on perturbed data.
         report = engine.process_indicators(stream, rng=3)
@@ -84,7 +89,9 @@ class TestRawTuplesToAnswers:
 
 class TestGuaranteeOnRealWorkloads:
     def test_deployed_mechanisms_verify_exactly(self, tiny_workload):
-        mechanism = build_mechanism("adaptive", tiny_workload, 2.0)
+        mechanism = WorkloadEvaluation(tiny_workload).build_mechanism(
+            "adaptive", 2.0
+        )
         for ppm in mechanism.ppms:
             single = verify_single_event_dp(
                 ppm, tiny_workload.stream, window_index=0
@@ -115,9 +122,12 @@ class TestGuaranteeOnRealWorkloads:
 
 class TestWorkloadRoundTripStability:
     def test_saved_workload_reproduces_results(self, tiny_workload, tmp_path):
-        directory = str(tmp_path / "wl")
-        save_workload(tiny_workload, directory)
-        reloaded = load_workload(directory)
+        saved = {}
+        for field in ("stream", "history"):
+            path = str(tmp_path / f"{field}.csv")
+            write_indicator_csv(getattr(tiny_workload, field), path)
+            saved[field] = read_indicator_csv(path)
+        reloaded = dataclasses.replace(tiny_workload, **saved)
         original = evaluate_mechanism(
             tiny_workload, "uniform", 2.0, n_trials=2, rng=9
         )

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.datasets.io import load_indicator_csv, save_indicator_csv
 from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
 from repro.datasets.taxi import GridCity, TaxiConfig, simulate_trace
+from repro.io import read_indicator_csv, write_indicator_csv
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 
@@ -27,8 +27,8 @@ class TestIoRoundTrip:
         path = str(
             tmp_path_factory.mktemp("io") / "stream.csv"
         )
-        save_indicator_csv(stream, path)
-        assert load_indicator_csv(path) == stream
+        write_indicator_csv(stream, path)
+        assert read_indicator_csv(path) == stream
 
 
 synthetic_configs = st.builds(

@@ -23,19 +23,18 @@ from repro.streams.windows import TumblingWindows
 ALPHABET = EventAlphabet.numbered(5)
 
 
-def make_engine(mechanism="uniform"):
-    engine = CEPEngine(ALPHABET)
-    engine.register_query(
-        ContinuousQuery("q1", Pattern.of_types("q1", "e1", "e2"))
-    )
-    engine.register_query(ContinuousQuery("q2", Pattern.of_types("q2", "e3")))
+def make_engine(mechanism="uniform", accounting=None):
     if mechanism == "uniform":
-        engine.attach_mechanism(
-            UniformPatternPPM(Pattern.of_types("p", "e1"), 1.0)
-        )
-    elif mechanism is not None:
-        engine.attach_mechanism(mechanism)
-    return engine
+        mechanism = UniformPatternPPM(Pattern.of_types("p", "e1"), 1.0)
+    return CEPEngine(
+        ALPHABET,
+        queries=[
+            ContinuousQuery("q1", Pattern.of_types("q1", "e1", "e2")),
+            ContinuousQuery("q2", Pattern.of_types("q2", "e3")),
+        ],
+        mechanism=mechanism,
+        accounting=accounting,
+    )
 
 
 def make_stream(n_windows, seed=3):
@@ -172,8 +171,8 @@ class TestAsyncSession:
             AsyncSession(make_engine(UserLevelRR(100.0)))
 
     def test_rejected_mechanism_charges_no_budget(self):
-        engine = make_engine(UserLevelRR(5.0))
-        accountant = engine.enable_accounting(10.0)
+        engine = make_engine(UserLevelRR(5.0), accounting=10.0)
+        accountant = engine.accountant
         for _ in range(3):
             with pytest.raises(TypeError):
                 AsyncSession(engine)
@@ -329,8 +328,8 @@ class TestProcessEventsAsync:
 
     def test_accounting_charged_once_per_async_run(self):
         events = self.make_events(100)
-        engine = make_engine()
-        accountant = engine.enable_accounting(10.0)
+        engine = make_engine(accounting=10.0)
+        accountant = engine.accountant
         asyncio.run(
             engine.process_events_async(events, TumblingWindows(10.0), rng=1)
         )

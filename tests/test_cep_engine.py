@@ -17,39 +17,59 @@ def engine(alphabet6):
     return CEPEngine(alphabet6)
 
 
+def ready(alphabet, private_pattern, target_pattern, **setup):
+    return CEPEngine(
+        alphabet,
+        patterns=[private_pattern],
+        queries=[ContinuousQuery("q-target", target_pattern)],
+        **setup,
+    )
+
+
 @pytest.fixture
-def ready_engine(engine, private_pattern, target_pattern):
-    engine.register_private_pattern(private_pattern)
-    engine.register_query(ContinuousQuery("q-target", target_pattern))
-    return engine
+def ready_engine(alphabet6, private_pattern, target_pattern):
+    return ready(alphabet6, private_pattern, target_pattern)
 
 
 class TestSetupPhase:
-    def test_register_private_pattern(self, engine, private_pattern):
-        engine.register_private_pattern(private_pattern)
+    def test_private_patterns(self, alphabet6, private_pattern):
+        engine = CEPEngine(alphabet6, patterns=[private_pattern])
         assert engine.private_patterns == [private_pattern]
 
-    def test_duplicate_private_pattern_rejected(self, engine, private_pattern):
-        engine.register_private_pattern(private_pattern)
-        with pytest.raises(ValueError):
-            engine.register_private_pattern(private_pattern)
+    def test_duplicate_private_pattern_rejected(
+        self, alphabet6, private_pattern
+    ):
+        with pytest.raises(ValueError, match="already registered"):
+            CEPEngine(alphabet6, patterns=[private_pattern] * 2)
 
-    def test_pattern_outside_alphabet_rejected(self, engine):
+    def test_pattern_outside_alphabet_rejected(self, alphabet6):
         with pytest.raises(ValueError, match="absent"):
-            engine.register_private_pattern(Pattern.of_types("p", "zz"))
+            CEPEngine(alphabet6, patterns=[Pattern.of_types("p", "zz")])
 
-    def test_register_query(self, engine, target_pattern):
-        engine.register_query(ContinuousQuery("q", target_pattern))
+    def test_query_outside_alphabet_rejected(self, alphabet6):
+        query = ContinuousQuery("q", Pattern.of_types("p", "e1", "zz"))
+        with pytest.raises(ValueError, match="absent"):
+            CEPEngine(alphabet6, queries=[query])
+
+    def test_queries(self, alphabet6, target_pattern):
+        engine = CEPEngine(
+            alphabet6, queries=[ContinuousQuery("q", target_pattern)]
+        )
         assert len(engine.queries) == 1
 
-    def test_duplicate_query_rejected(self, engine, target_pattern):
-        engine.register_query(ContinuousQuery("q", target_pattern))
-        with pytest.raises(ValueError):
-            engine.register_query(ContinuousQuery("q", target_pattern))
+    def test_duplicate_query_rejected(self, alphabet6, target_pattern):
+        query = ContinuousQuery("q", target_pattern)
+        with pytest.raises(ValueError, match="already registered"):
+            CEPEngine(alphabet6, queries=[query, query])
 
-    def test_quality_requirement(self, engine):
-        engine.set_quality_requirement(QualityRequirement(alpha=0.7, max_mre=0.2))
+    def test_quality_requirement(self, alphabet6):
+        engine = CEPEngine(
+            alphabet6, quality=QualityRequirement(alpha=0.7, max_mre=0.2)
+        )
         assert engine.quality_requirement.alpha == 0.7
+
+    def test_default_quality_requirement(self, engine):
+        assert engine.quality_requirement == QualityRequirement()
 
     def test_invalid_quality_requirement(self):
         with pytest.raises(ValueError):
@@ -57,13 +77,18 @@ class TestSetupPhase:
         with pytest.raises(ValueError):
             QualityRequirement(max_mre=-0.1)
 
-    def test_attach_mechanism_requires_perturb(self, engine):
-        with pytest.raises(TypeError):
-            engine.attach_mechanism(object())
+    def test_mechanism_requires_perturb(self, alphabet6):
+        with pytest.raises(TypeError, match="perturb"):
+            CEPEngine(alphabet6, mechanism=object())
 
-    def test_non_pattern_rejected(self, engine):
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_non_positive_budget_rejected(self, alphabet6, budget):
+        with pytest.raises(ValueError, match="accounting"):
+            CEPEngine(alphabet6, accounting=budget)
+
+    def test_non_pattern_rejected(self, alphabet6):
         with pytest.raises(TypeError):
-            engine.register_private_pattern("nope")  # type: ignore[arg-type]
+            CEPEngine(alphabet6, patterns=["nope"])  # type: ignore[list-item]
 
     def test_bad_alphabet_type_rejected(self):
         with pytest.raises(TypeError):
@@ -78,11 +103,13 @@ class TestServicePhase:
         assert np.array_equal(answer.detections, truth.detections)
 
     def test_with_mechanism_perturbs_once(
-        self, ready_engine, stream200, private_pattern
+        self, alphabet6, stream200, private_pattern, target_pattern
     ):
         ppm = UniformPatternPPM(private_pattern, epsilon=1.0)
-        ready_engine.attach_mechanism(ppm)
-        report = ready_engine.process_indicators(stream200, rng=3)
+        engine = ready(
+            alphabet6, private_pattern, target_pattern, mechanism=ppm
+        )
+        report = engine.process_indicators(stream200, rng=3)
         # Non-private columns untouched.
         assert np.array_equal(
             report.perturbed.column("e5"), stream200.column("e5")
@@ -92,10 +119,14 @@ class TestServicePhase:
             report.perturbed.column("e1"), stream200.column("e1")
         )
 
-    def test_answers_computed_on_perturbed(self, ready_engine, stream200, private_pattern):
+    def test_answers_computed_on_perturbed(
+        self, alphabet6, stream200, private_pattern, target_pattern
+    ):
         ppm = UniformPatternPPM(private_pattern, epsilon=1.0)
-        ready_engine.attach_mechanism(ppm)
-        report = ready_engine.process_indicators(stream200, rng=3)
+        engine = ready(
+            alphabet6, private_pattern, target_pattern, mechanism=ppm
+        )
+        report = engine.process_indicators(stream200, rng=3)
         expected = report.perturbed.detect_all(["e2", "e3", "e4"])
         assert np.array_equal(
             report.answer("q-target").detections, expected
@@ -118,10 +149,13 @@ class TestServicePhase:
             report.answer("nope")
 
     def test_non_sequential_query_rejected_in_indicator_mode(
-        self, engine, stream200
+        self, alphabet6, stream200
     ):
-        engine.register_query(
-            ContinuousQuery("q-or", Pattern("p-or", OR("e1", "e2")))
+        engine = CEPEngine(
+            alphabet6,
+            queries=[
+                ContinuousQuery("q-or", Pattern("p-or", OR("e1", "e2")))
+            ],
         )
         with pytest.raises(ValueError, match="non-sequential"):
             engine.process_indicators(stream200)

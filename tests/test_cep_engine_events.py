@@ -18,14 +18,18 @@ def alphabet():
     return EventAlphabet(["a", "b", "c"])
 
 
+def make_engine(alphabet, **setup):
+    return CEPEngine(
+        alphabet,
+        patterns=[Pattern.of_types("priv", "a", "b")],
+        queries=[ContinuousQuery("q", Pattern.of_types("tar", "b", "c"))],
+        **setup,
+    )
+
+
 @pytest.fixture
 def engine(alphabet):
-    engine = CEPEngine(alphabet)
-    engine.register_private_pattern(Pattern.of_types("priv", "a", "b"))
-    engine.register_query(
-        ContinuousQuery("q", Pattern.of_types("tar", "b", "c"))
-    )
-    return engine
+    return make_engine(alphabet)
 
 
 @pytest.fixture
@@ -55,9 +59,12 @@ class TestProcessEvents:
             manual.answers["q"].detections,
         )
 
-    def test_with_mechanism(self, engine, event_stream):
-        engine.attach_mechanism(
-            UniformPatternPPM(Pattern.of_types("priv", "a", "b"), 2.0)
+    def test_with_mechanism(self, alphabet, event_stream):
+        engine = make_engine(
+            alphabet,
+            mechanism=UniformPatternPPM(
+                Pattern.of_types("priv", "a", "b"), 2.0
+            ),
         )
         report = engine.process_events(
             event_stream, TumblingWindows(10.0), rng=3

@@ -2,33 +2,26 @@
 
 import pytest
 
-from repro.cep.engine import CEPEngine, QualityRequirement
-from repro.cep.queries import ContinuousQuery
+from repro.cep.engine import QualityRequirement
 from repro.core.uniform import UniformPatternPPM
 
 
-@pytest.fixture
-def engine(alphabet6, private_pattern, target_pattern):
-    engine = CEPEngine(alphabet6)
-    engine.register_private_pattern(private_pattern)
-    engine.register_query(ContinuousQuery("q", target_pattern))
-    return engine
-
-
 class TestMeasuredQuality:
-    def test_perfect_without_mechanism(self, engine, stream200):
-        report = engine.process_indicators(stream200)
+    def test_perfect_without_mechanism(self, make_engine, stream200):
+        report = make_engine().process_indicators(stream200)
         quality = report.measured_quality()
         assert quality.q == pytest.approx(1.0)
         assert report.measured_mre() == pytest.approx(0.0)
 
-    def test_degrades_with_mechanism(self, engine, stream200, private_pattern):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 0.5))
+    def test_degrades_with_mechanism(
+        self, make_engine, stream200, private_pattern
+    ):
+        engine = make_engine(mechanism=UniformPatternPPM(private_pattern, 0.5))
         report = engine.process_indicators(stream200, rng=1)
         assert report.measured_mre() > 0.05
 
-    def test_alpha_weighting(self, engine, stream200, private_pattern):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 1.0))
+    def test_alpha_weighting(self, make_engine, stream200, private_pattern):
+        engine = make_engine(mechanism=UniformPatternPPM(private_pattern, 1.0))
         report = engine.process_indicators(stream200, rng=1)
         precision_only = report.measured_quality(alpha=1.0)
         recall_only = report.measured_quality(alpha=0.0)
@@ -37,32 +30,36 @@ class TestMeasuredQuality:
 
 
 class TestMeetsRequirement:
-    def test_no_cap_always_met(self, engine, stream200, private_pattern):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 0.2))
+    def test_no_cap_always_met(self, make_engine, stream200, private_pattern):
+        engine = make_engine(mechanism=UniformPatternPPM(private_pattern, 0.2))
         report = engine.process_indicators(stream200, rng=1)
         assert report.meets_requirement(QualityRequirement())
 
     def test_strict_cap_fails_at_tight_budget(
-        self, engine, stream200, private_pattern
+        self, make_engine, stream200, private_pattern
     ):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 0.2))
+        engine = make_engine(mechanism=UniformPatternPPM(private_pattern, 0.2))
         report = engine.process_indicators(stream200, rng=1)
         assert not report.meets_requirement(
             QualityRequirement(max_mre=0.01)
         )
 
     def test_loose_cap_met_at_large_budget(
-        self, engine, stream200, private_pattern
+        self, make_engine, stream200, private_pattern
     ):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 50.0))
+        engine = make_engine(
+            mechanism=UniformPatternPPM(private_pattern, 50.0)
+        )
         report = engine.process_indicators(stream200, rng=1)
         assert report.meets_requirement(QualityRequirement(max_mre=0.05))
 
     def test_engine_requirement_round_trip(
-        self, engine, stream200, private_pattern
+        self, make_engine, stream200, private_pattern
     ):
         requirement = QualityRequirement(alpha=0.5, max_mre=0.9)
-        engine.set_quality_requirement(requirement)
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 2.0))
+        engine = make_engine(
+            quality=requirement,
+            mechanism=UniformPatternPPM(private_pattern, 2.0),
+        )
         report = engine.process_indicators(stream200, rng=1)
         assert report.meets_requirement(engine.quality_requirement)

@@ -14,11 +14,8 @@ from repro.core.uniform import UniformPatternPPM
 
 
 @pytest.fixture
-def engine(alphabet6, private_pattern, target_pattern):
-    engine = CEPEngine(alphabet6)
-    engine.register_private_pattern(private_pattern)
-    engine.register_query(ContinuousQuery("q", target_pattern))
-    return engine
+def engine(make_engine):
+    return make_engine()
 
 
 class TestSessionBasics:
@@ -42,22 +39,22 @@ class TestSessionBasics:
         answers = session.push({"e2", "e3", "e4", "not-in-alphabet"})
         assert answers["q"] is True
 
-    def test_unsupported_mechanism_rejected(self, engine):
+    def test_unsupported_mechanism_rejected(self, make_engine):
         class Opaque:
             def perturb(self, stream, rng=None):
                 return stream
 
-        engine.attach_mechanism(Opaque())
+        engine = make_engine(mechanism=Opaque())
         with pytest.raises(TypeError):
             OnlineSession(engine)
 
 
 class TestBatchEquivalence:
     def test_single_ppm_matches_batch_bitwise(
-        self, engine, stream200, private_pattern
+        self, make_engine, stream200, private_pattern
     ):
         ppm = UniformPatternPPM(private_pattern, 2.0)
-        engine.attach_mechanism(ppm)
+        engine = make_engine(mechanism=ppm)
         batch = engine.process_indicators(stream200, rng=42)
         online = OnlineSession(engine, rng=42).run(stream200)
         assert online["q"] == list(batch.answers["q"].detections)
@@ -66,10 +63,10 @@ class TestBatchEquivalence:
         "mechanism_cls", [BudgetDistribution, BudgetAbsorption]
     )
     def test_w_event_matches_batch_bitwise(
-        self, engine, stream200, mechanism_cls
+        self, make_engine, stream200, mechanism_cls
     ):
         mechanism = mechanism_cls(1.0, w=10)
-        engine.attach_mechanism(mechanism)
+        engine = make_engine(mechanism=mechanism)
         session = OnlineSession(engine, rng=7)
         online = session.run(stream200)
         # Re-run batch with the session's derivation so seeds align.
@@ -81,10 +78,12 @@ class TestBatchEquivalence:
         expected = list(batch_released.detect_all(["e2", "e3", "e4"]))
         assert online["q"] == expected
 
-    def test_multi_ppm_session_runs(self, engine, stream200, private_pattern):
+    def test_multi_ppm_session_runs(
+        self, make_engine, stream200, private_pattern
+    ):
         other = Pattern.of_types("other", "e5", "e6")
-        engine.attach_mechanism(
-            MultiPatternPPM(
+        engine = make_engine(
+            mechanism=MultiPatternPPM(
                 [
                     UniformPatternPPM(private_pattern, 2.0),
                     UniformPatternPPM(other, 2.0),
@@ -94,8 +93,8 @@ class TestBatchEquivalence:
         answers = OnlineSession(engine, rng=3).run(stream200)
         assert len(answers["q"]) == stream200.n_windows
 
-    def test_event_level_session_runs(self, engine, stream200):
-        engine.attach_mechanism(EventLevelRR(1.0))
+    def test_event_level_session_runs(self, make_engine, stream200):
+        engine = make_engine(mechanism=EventLevelRR(1.0))
         answers = OnlineSession(engine, rng=3).run(stream200)
         assert len(answers["q"]) == stream200.n_windows
 
@@ -112,11 +111,11 @@ class TestSessionCheckpointResume:
         ids=["uniform", "bd", "ba", "event-level"],
     )
     def test_restored_session_matches_uninterrupted(
-        self, engine, stream200, private_pattern, make_mechanism
+        self, make_engine, stream200, private_pattern, make_mechanism
     ):
         import pickle
 
-        engine.attach_mechanism(make_mechanism(private_pattern))
+        engine = make_engine(mechanism=make_mechanism(private_pattern))
         straight = OnlineSession(engine, rng=5).run(stream200)
 
         crashed = OnlineSession(engine, rng=5)
@@ -138,9 +137,9 @@ class TestSessionCheckpointResume:
         combined = [answers["q"] for answers in head + tail]
         assert combined == straight["q"]
 
-    def test_w_event_resume_preserves_trace(self, engine, stream200):
+    def test_w_event_resume_preserves_trace(self, make_engine, stream200):
         mechanism = BudgetDistribution(1.0, w=10)
-        engine.attach_mechanism(mechanism)
+        engine = make_engine(mechanism=mechanism)
         OnlineSession(engine, rng=3).run(stream200)
         straight_trace = (
             list(mechanism.last_trace.published),
@@ -159,31 +158,38 @@ class TestSessionCheckpointResume:
             list(mechanism.last_trace.publication_budgets),
         ) == straight_trace
 
-    def test_restore_rejects_mechanism_mismatch(self, engine, stream200):
+    def test_restore_rejects_mechanism_mismatch(
+        self, engine, make_engine, stream200
+    ):
         unprotected = OnlineSession(engine)
         snapshot = unprotected.snapshot()
-        engine.attach_mechanism(BudgetDistribution(1.0, w=5))
-        protected = OnlineSession(engine, rng=1)
+        protected = OnlineSession(
+            make_engine(mechanism=BudgetDistribution(1.0, w=5)), rng=1
+        )
         with pytest.raises(ValueError, match="mechanism"):
             protected.restore(snapshot)
 
 
 class TestOnlineAccounting:
-    def test_session_charges_once(self, engine, stream200, private_pattern):
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 1.0))
-        engine.enable_accounting(2.5)
+    def test_session_charges_once(
+        self, make_engine, stream200, private_pattern
+    ):
+        engine = make_engine(
+            mechanism=UniformPatternPPM(private_pattern, 1.0), accounting=2.5
+        )
         session = OnlineSession(engine, rng=0)
         session.run(stream200)
         # One spend for the whole session, not one per window.
         assert engine.accountant.spent() == pytest.approx(1.0)
 
     def test_session_refused_when_over_budget(
-        self, engine, stream200, private_pattern
+        self, make_engine, stream200, private_pattern
     ):
         from repro.mechanisms.accountant import BudgetExceededError
 
-        engine.attach_mechanism(UniformPatternPPM(private_pattern, 1.0))
-        engine.enable_accounting(1.5)
+        engine = make_engine(
+            mechanism=UniformPatternPPM(private_pattern, 1.0), accounting=1.5
+        )
         OnlineSession(engine, rng=0)
         with pytest.raises(BudgetExceededError):
             OnlineSession(engine, rng=1)
@@ -193,12 +199,12 @@ class TestOnlineStatistics:
     def test_flip_rate_matches_mechanism(self, engine, stream200, private_pattern):
         # Protected single-column query: the per-window answer differs
         # from truth at roughly the configured flip rate.
-        engine_q = CEPEngine(stream200.alphabet)
-        engine_q.register_query(
-            ContinuousQuery("q1", Pattern.of_types("t1", "e1"))
-        )
         ppm = UniformPatternPPM(Pattern.of_types("p", "e1"), 2.0)
-        engine_q.attach_mechanism(ppm)
+        engine_q = CEPEngine(
+            stream200.alphabet,
+            queries=[ContinuousQuery("q1", Pattern.of_types("t1", "e1"))],
+            mechanism=ppm,
+        )
         expected_p = ppm.flip_probability_by_type()["e1"]
         disagreements = 0
         trials = 25

@@ -10,30 +10,34 @@ from repro.baselines.landmark import LandmarkPrivacy
 from repro.baselines.user_level import UserLevelRR
 from repro.core.ppm import MultiPatternPPM
 from repro.experiments.runner import (
-    build_mechanism,
+    WorkloadEvaluation,
     evaluate_mechanism,
     measure_quality,
     sweep,
 )
 
 
+def build(workload, kind, pattern_epsilon):
+    return WorkloadEvaluation(workload).build_mechanism(kind, pattern_epsilon)
+
+
 class TestBuildMechanism:
     def test_uniform_builds_one_ppm_per_private_pattern(self, tiny_workload):
-        mechanism = build_mechanism("uniform", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "uniform", 2.0)
         assert isinstance(mechanism, MultiPatternPPM)
         assert len(mechanism.ppms) == len(tiny_workload.private_patterns)
         for ppm in mechanism.ppms:
             assert ppm.epsilon == pytest.approx(2.0)
 
     def test_adaptive_fits_on_history(self, tiny_workload):
-        mechanism = build_mechanism("adaptive", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "adaptive", 2.0)
         assert isinstance(mechanism, MultiPatternPPM)
         for ppm in mechanism.ppms:
             assert ppm.fit_result is not None
             assert ppm.epsilon == pytest.approx(2.0)
 
     def test_bd_budget_converted(self, tiny_workload):
-        mechanism = build_mechanism("bd", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "bd", 2.0)
         assert isinstance(mechanism, BudgetDistribution)
         converter = BudgetConverter(tiny_workload.max_private_length)
         assert mechanism.epsilon == pytest.approx(
@@ -41,46 +45,46 @@ class TestBuildMechanism:
         )
 
     def test_ba_budget_converted(self, tiny_workload):
-        mechanism = build_mechanism("ba", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "ba", 2.0)
         assert isinstance(mechanism, BudgetAbsorption)
 
     def test_landmark_gets_workload_mask(self, tiny_workload):
-        mechanism = build_mechanism("landmark", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "landmark", 2.0)
         assert isinstance(mechanism, LandmarkPrivacy)
 
     def test_event_and_user_level(self, tiny_workload):
         assert isinstance(
-            build_mechanism("event-level", tiny_workload, 2.0), EventLevelRR
+            build(tiny_workload, "event-level", 2.0), EventLevelRR
         )
         assert isinstance(
-            build_mechanism("user-level", tiny_workload, 2.0), UserLevelRR
+            build(tiny_workload, "user-level", 2.0), UserLevelRR
         )
 
     def test_unknown_kind_rejected(self, tiny_workload):
         with pytest.raises(ValueError, match="unknown mechanism"):
-            build_mechanism("magic", tiny_workload, 2.0)
+            build(tiny_workload, "magic", 2.0)
 
     def test_invalid_epsilon_rejected(self, tiny_workload):
         with pytest.raises(Exception):
-            build_mechanism("uniform", tiny_workload, 0.0)
+            build(tiny_workload, "uniform", 0.0)
 
 
 class TestMeasureQuality:
     def test_trial_count(self, tiny_workload):
-        mechanism = build_mechanism("uniform", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "uniform", 2.0)
         qualities = measure_quality(
             tiny_workload, mechanism, n_trials=4, rng=0
         )
         assert len(qualities) == 4
 
     def test_deterministic_under_seed(self, tiny_workload):
-        mechanism = build_mechanism("uniform", tiny_workload, 2.0)
+        mechanism = build(tiny_workload, "uniform", 2.0)
         a = measure_quality(tiny_workload, mechanism, n_trials=2, rng=5)
         b = measure_quality(tiny_workload, mechanism, n_trials=2, rng=5)
         assert [q.q for q in a] == [q.q for q in b]
 
     def test_huge_budget_perfect_quality(self, tiny_workload):
-        mechanism = build_mechanism("uniform", tiny_workload, 1000.0)
+        mechanism = build(tiny_workload, "uniform", 1000.0)
         qualities = measure_quality(
             tiny_workload, mechanism, n_trials=2, rng=0
         )

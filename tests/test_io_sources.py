@@ -76,7 +76,7 @@ class TestRegistry:
                 super().__init__(np.ones((n, len(ALPHABET)), dtype=bool))
 
         try:
-            out = materialized(resolve_source("test-constant:2"))
+            out = materialized(resolve_source("test-constant:n=2"))
             assert out.n_windows == 2
             assert out.matrix_view().all()
         finally:
@@ -93,6 +93,10 @@ class TestCsvSource:
 
     def test_read_indicator_csv_round_trip(self, stream, csv_path):
         assert read_indicator_csv(csv_path) == stream
+        with open(csv_path) as handle:
+            assert handle.readline().rstrip("\r\n") == ",".join(
+                ALPHABET.types
+            )
 
     def test_rows_are_streamed_not_materialized(self, stream, csv_path):
         source = CsvSource(csv_path).bind(ALPHABET)
@@ -186,24 +190,27 @@ class TestJsonlSource:
             JsonlSource(str(tmp_path / "nope.jsonl")).bind(ALPHABET)
 
 
+def synthetic(generator="bernoulli", windows=40, seed=9, **options):
+    return resolve_source(
+        f"synthetic:generator={generator},windows={windows},seed={seed}",
+        **options,
+    )
+
+
 class TestSyntheticSource:
     def test_same_spec_same_windows(self):
-        one = materialized(resolve_source("synthetic:bernoulli:40:9"))
-        two = materialized(resolve_source("synthetic:bernoulli:40:9"))
+        one = materialized(synthetic())
+        two = materialized(synthetic())
         assert one == two
         assert one.n_windows == 40
 
     def test_skip_regenerates_deterministically(self):
-        full = materialized(resolve_source("synthetic:bernoulli:40:9"))
-        tail = materialized(
-            resolve_source("synthetic:bernoulli:40:9").skip(15)
-        )
+        full = materialized(synthetic())
+        tail = materialized(synthetic().skip(15))
         assert tail == full.slice_windows(15, 40)
 
     def test_uniform_generator_rate(self):
-        dense = materialized(
-            resolve_source("synthetic:uniform:200:1", p=0.95)
-        )
+        dense = materialized(synthetic("uniform", 200, 1, p=0.95))
         assert dense.matrix_view().mean() > 0.8
 
     def test_unknown_generator_rejected(self):
@@ -211,9 +218,9 @@ class TestSyntheticSource:
             SyntheticSource("gauss", 10, 0)
 
     def test_seeds_differ(self):
-        assert materialized(
-            resolve_source("synthetic:bernoulli:40:1")
-        ) != materialized(resolve_source("synthetic:bernoulli:40:2"))
+        assert materialized(synthetic(seed=1)) != materialized(
+            synthetic(seed=2)
+        )
 
 
 class TestReplaySource:

@@ -274,10 +274,10 @@ class TestSequentialTraceBookkeeping:
     ):
         from repro.cep.engine import CEPEngine
 
-        engine = CEPEngine(alphabet6)
-        engine.register_query(queries[0])
         mechanism = BudgetDistribution(1.0, w=5)
-        engine.attach_mechanism(mechanism)
+        engine = CEPEngine(
+            alphabet6, queries=[queries[0]], mechanism=mechanism
+        )
         engine.process_indicators(
             stream200, rng=3, executor=ChunkedExecutor(17)
         )
@@ -291,11 +291,11 @@ class TestEngineExecutorPlumbing:
     ):
         from repro.cep.engine import CEPEngine
 
-        engine = CEPEngine(alphabet6)
-        engine.register_private_pattern(private_pattern)
-        engine.register_query(ContinuousQuery("q", target_pattern))
-        engine.attach_mechanism(
-            UniformPatternPPM(private_pattern, 2.0)
+        engine = CEPEngine(
+            alphabet6,
+            patterns=[private_pattern],
+            queries=[ContinuousQuery("q", target_pattern)],
+            mechanism=UniformPatternPPM(private_pattern, 2.0),
         )
         batch = engine.process_indicators(stream200, rng=5)
         chunked = engine.process_indicators(

@@ -84,7 +84,7 @@ class TestConstruction:
         from repro.runtime import ShardedExecutor
 
         service = spec_for(
-            executor="sharded:thread:3",
+            executor="sharded:backend=thread,workers=3",
             executor_options={"n_shards": 6, "min_shard_size": 2},
         ).build()
         executor = service.executor
@@ -92,14 +92,13 @@ class TestConstruction:
         assert executor.n_workers == 3
         assert executor.n_shards == 6
         assert executor.min_shard_size == 2
-        keyed = spec_for(executor="sharded:backend=thread,workers=2").build()
+        keyed = spec_for(executor="sharded:workers=2").build()
         assert vars(keyed.executor) == vars(ShardedExecutor(2))
 
     def test_sharded_transport_flags(self):
         # Multi-process sharding is the cluster executor: every
         # process-backend or transport spelling of a sharded spec fails
-        # pointing at it — at spec construction for key=value specs, at
-        # build time for the legacy positional tokens.
+        # at spec construction pointing at it.
         for spec in (
             "sharded:backend=process,workers=2",
             "sharded:transport=zerocopy",
@@ -107,19 +106,26 @@ class TestConstruction:
         ):
             with pytest.raises(ValueError, match="cluster:workers=N"):
                 spec_for(executor=spec)
-        for spec in (
-            "sharded:process:8",
-            "sharded:process:8:copy",
-            "sharded:thread:2:zerocopy",
-        ):
-            with pytest.raises(ValueError, match="cluster:workers=N"):
-                build_executor_from_spec(spec)
 
     def test_conflicting_sharded_spec_rejected(self):
-        with pytest.raises(ValueError, match="two worker counts"):
-            build_executor_from_spec("sharded:2:4")
-        with pytest.raises(ValueError, match="unknown token 'gpu'"):
-            build_executor_from_spec("sharded:thread:gpu")
+        with pytest.raises(ValueError, match="duplicate key 'workers'"):
+            spec_for(executor="sharded:workers=2,workers=4")
+        # Positional tails are no executor grammar at all: the error
+        # lists the keys instead of guessing what the tokens meant.
+        for spec in (
+            "sharded:2:4",
+            "sharded:thread:gpu",
+            "sharded:process:8",
+            "sharded:thread:2:zerocopy",
+        ):
+            with pytest.raises(
+                ValueError,
+                match="positional tail.*valid keys: backend, transport, "
+                "workers",
+            ):
+                spec_for(executor=spec)
+            with pytest.raises(ValueError, match="positional tail"):
+                build_executor_from_spec(spec)
 
 
 class TestMechanismFactories:
@@ -462,7 +468,7 @@ class TestSweep:
             stream=stream,
             mechanisms=("uniform-ppm",),
             n_trials=1,
-            executor="sharded:thread:2",
+            executor="sharded:workers=2",
         )
         batch = service.sweep(
             [2.0],

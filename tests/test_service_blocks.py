@@ -483,3 +483,107 @@ class TestCsvBlocks:
         rows = CsvSource(str(path)).bind(ALPHABET).indicator_stream()
         assert np.array_equal(asyncio.run(drain()), rows.matrix_view())
         assert rows.n_windows == 10
+
+
+class TestSessionAcrossEventLoops:
+    """A served session outlives the event loop it started on.
+
+    Every ``asyncio.run`` cancels the session's drainer at teardown.
+    The next slice on a later loop continues the *same* session: a
+    fresh drainer starts, the rng position carries on and the budget
+    stays charged once.
+    """
+
+    def test_sliced_pump_is_one_session_charged_once(self):
+        spec = make_spec("bd", accounting=5.0)
+        matrix = make_matrix()
+        straight = spec.build()
+        expected = asyncio.run(straight.pump(MemorySource(matrix)))
+
+        service = spec.build()
+        answers = {"q1": [], "q2": []}
+        source = MemorySource(matrix)
+        sessions = []
+        for _ in range(3):
+            got = asyncio.run(service.pump(source, max_windows=40))
+            source = None
+            sessions.append(service.session)
+            for name, values in got.items():
+                answers[name].extend(values)
+
+        assert answers == expected
+        assert all(session is sessions[0] for session in sessions)
+        assert sessions[0].windows_processed == N_WINDOWS
+        spends = service.accountant.spends
+        assert len(spends) == 1
+        assert spends == straight.accountant.spends
+
+    def test_failed_drainer_is_not_restarted(self, monkeypatch):
+        service = make_spec("bd").build()
+        source = MemorySource(make_matrix())
+        asyncio.run(service.pump(source, max_windows=40))
+        session = service.session
+
+        def boom(rows):
+            raise RuntimeError("stepping failed")
+
+        monkeypatch.setattr(session._stepper, "step_block", boom)
+        with pytest.raises(RuntimeError, match="stepping failed"):
+            asyncio.run(service.pump(max_windows=40))
+        drainer = session._drainer
+        with pytest.raises(RuntimeError, match="session drainer failed"):
+            asyncio.run(service.pump(max_windows=40))
+        assert session._drainer is drainer
+        assert service.session is session
+        with pytest.raises(RuntimeError, match="stepping failed"):
+            asyncio.run(session.aclose())
+
+    def test_drainer_cancelled_mid_flight_is_not_restarted(self):
+        service = make_spec("bd").build()
+        session = service.open_async_session()
+
+        async def stalled_drain():
+            await asyncio.Event().wait()
+
+        async def submit_and_leave():
+            await session._submit_row(make_matrix(8))
+
+        # The loop's teardown cancels the drainer with 8 windows queued.
+        session._drain = stalled_drain
+        asyncio.run(submit_and_leave())
+        del session._drain
+        assert session.windows_submitted == 8
+        assert session.windows_processed == 0
+        with pytest.raises(RuntimeError, match="session drainer failed"):
+            asyncio.run(service.pump(make_matrix(), max_windows=8))
+        assert service.session is session
+
+    def test_async_with_on_a_later_loop(self):
+        spec = make_spec("bd")
+        matrix = make_matrix()
+        expected = asyncio.run(spec.build().pump(MemorySource(matrix)))
+        service = spec.build()
+        head = asyncio.run(service.pump(MemorySource(matrix), max_windows=40))
+
+        async def rest():
+            async with service.session as session:
+                return await session.run_rows(matrix[40:])
+
+        tail = asyncio.run(rest())
+        stitched = {name: head[name] + tail[name] for name in expected}
+        assert stitched == expected
+        assert service.session.windows_processed == N_WINDOWS
+        with pytest.raises(RuntimeError, match="session is closed"):
+            asyncio.run(service.session.process(["e1"]))
+
+    def test_aclose_on_a_later_loop_closes_quietly(self):
+        service = make_spec().build()
+        asyncio.run(service.pump(make_matrix(), max_windows=50))
+        session = service.session
+        asyncio.run(session.aclose())
+        asyncio.run(session.aclose())
+        with pytest.raises(RuntimeError, match="session is closed"):
+            asyncio.run(session.process(["e1"]))
+        # A closed session is never reused: the next pump opens one.
+        asyncio.run(service.pump(make_matrix(), max_windows=10))
+        assert service.session is not session

@@ -123,7 +123,7 @@ class TestIsolation:
             "noisy",
             make_spec(
                 6,
-                source="synthetic:bernoulli:200:3",
+                source="synthetic:generator=bernoulli,windows=200,seed=3",
                 mechanism="event-rr",
                 mechanism_options={"epsilon": 0.5},
             ),

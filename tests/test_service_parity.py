@@ -1,10 +1,10 @@
-"""Parity: the declarative service reproduces the imperative path.
+"""Parity: the declarative service reproduces a directly built engine.
 
 The acceptance bar of the service API: for every registered mechanism
 spec × executor spec, ``ServiceSpec.from_json(...).build().run(...)``
-is bit-identical to assembling the same configuration imperatively on a
-``CEPEngine`` — same seed, same answers, same perturbed stream, same
-``last_trace`` for the sequential schedulers.
+is bit-identical to constructing a ``CEPEngine`` with the same
+configuration by hand — same seed, same answers, same perturbed
+stream, same ``last_trace`` for the sequential schedulers.
 """
 
 import numpy as np
@@ -114,16 +114,18 @@ MECHANISMS = [
 #: execution strategies.
 EXECUTORS = [
     ("batch", BatchExecutor),
-    ("chunked:32", lambda: ChunkedExecutor(32)),
-    ("sharded:thread:2", lambda: ShardedExecutor(2)),
+    ("chunked:size=32", lambda: ChunkedExecutor(32)),
+    ("sharded:workers=2", lambda: ShardedExecutor(2)),
 ]
 
 
 def imperative_report(stream, mechanism, executor):
-    engine = CEPEngine(EventAlphabet(ALPHABET))
-    engine.register_private_pattern(PRIVATE)
-    engine.register_query(ContinuousQuery("q", TARGET))
-    engine.attach_mechanism(mechanism)
+    engine = CEPEngine(
+        EventAlphabet(ALPHABET),
+        patterns=[PRIVATE],
+        queries=[ContinuousQuery("q", TARGET)],
+        mechanism=mechanism,
+    )
     return engine, engine.process_indicators(
         stream, rng=SEED, executor=executor
     )
@@ -232,10 +234,12 @@ class TestEventStreamParity:
             seed=SEED,
         )
         report = ServiceSpec.from_json(spec.to_json()).build().run(events)
-        engine = CEPEngine(EventAlphabet(ALPHABET))
-        engine.register_private_pattern(PRIVATE)
-        engine.register_query(ContinuousQuery("q", TARGET))
-        engine.attach_mechanism(MultiPatternPPM([UniformPatternPPM(PRIVATE, 2.0)]))
+        engine = CEPEngine(
+            EventAlphabet(ALPHABET),
+            patterns=[PRIVATE],
+            queries=[ContinuousQuery("q", TARGET)],
+            mechanism=MultiPatternPPM([UniformPatternPPM(PRIVATE, 2.0)]),
+        )
         expected = engine.process_events(
             events, TumblingWindows(10.0, emit_empty=True), rng=SEED
         )

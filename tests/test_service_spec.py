@@ -107,9 +107,9 @@ class TestConstructionNormalization:
 
     def test_with_replaces_fields(self):
         spec = small_spec()
-        other = spec.with_(seed=9, executor="chunked:64")
+        other = spec.with_(seed=9, executor="chunked:size=64")
         assert other.seed == 9
-        assert other.executor == "chunked:64"
+        assert other.executor == "chunked:size=64"
         assert other.alphabet == spec.alphabet
         assert spec.seed == 7
 
@@ -168,7 +168,7 @@ class TestJsonRoundTrip:
         spec = small_spec(
             mechanism="bd",
             mechanism_options={"epsilon": 1.0, "w": 10},
-            executor="sharded:thread:8",
+            executor="sharded:backend=thread,workers=8",
             executor_options={"min_shard_size": 4},
             accounting=12.5,
             quality={"alpha": 0.25, "max_mre": 0.5},
@@ -233,7 +233,7 @@ def service_specs(draw):
             st.floats(min_value=0.1, max_value=8.0, allow_nan=False)
         )
     executor = draw(
-        st.sampled_from(["batch", "chunked:64", "sharded:thread:2"])
+        st.sampled_from(["batch", "chunked:size=64", "sharded:workers=2"])
     )
     return ServiceSpec(
         alphabet=alphabet,
@@ -316,14 +316,14 @@ class TestSourceSinkFields:
 
     def test_round_trip_with_connectors(self):
         spec = small_spec(
-            source="synthetic:bernoulli:500:3",
+            source="synthetic:generator=bernoulli,windows=500,seed=3",
             sink="jsonl:/tmp/out.jsonl",
             sink_options={},
             source_options={"p": 0.4},
         )
         assert ServiceSpec.from_json(spec.to_json()) == spec
         assert json.loads(spec.to_json())["source"] == (
-            "synthetic:bernoulli:500:3"
+            "synthetic:generator=bernoulli,windows=500,seed=3"
         )
 
     def test_old_json_without_connector_fields_still_loads(self):

@@ -3,10 +3,9 @@
 Covers the grammar primitives (:mod:`repro.service.specgrammar`)
 property-style — parse → format → parse is a fixed point — plus the
 registry integration both spec registries share: every registered
-executor/source/sink accepts the key=value form, legacy positional
-specs resolve to identical objects (behind the deprecation warning
-pinned in tests/test_service_deprecation.py), and unknown keys or bad
-values fail at parse time listing the valid alternatives.
+executor/source/sink accepts the key=value form, positional tails
+outside mechanism specs are errors listing the valid keys, and unknown
+keys or bad values fail at parse time listing the valid alternatives.
 """
 
 import warnings
@@ -36,9 +35,7 @@ from repro.service.specgrammar import (
     is_kv_tail,
     kv_kwargs,
     parse_kv_tail,
-    suggest_kv_spec,
 )
-from repro.utils.deprecation import suppress_imperative_warnings
 
 
 def equivalent(left, right) -> bool:
@@ -148,89 +145,107 @@ def test_kv_kwargs_maps_dest_and_rejects_unknown_keys():
         kv_kwargs("werkers=8", keys, where="w")
 
 
-def test_suggest_kv_spec_shapes():
-    keys = (SpecKey("size"), SpecKey("materialize"))
-    assert suggest_kv_spec("chunked", (128, False), keys) == (
-        "chunked:size=128,materialize=false"
-    )
-    # More arguments than keys: no faithful suggestion.
-    assert suggest_kv_spec("chunked", (1, 2, 3), keys) is None
-
-
 # ---------------------------------------------------------------------------
 # Registry integration: both registries speak the same grammar
 # ---------------------------------------------------------------------------
 
-#: Legacy positional spelling -> equivalent key=value spelling, for
-#: every registered name with a parameterized tail.  Bare names
-#: (batch, memory, queue, callback) take no tail and are covered by
-#: the no-argument loop below.
-EXECUTOR_PAIRS = [
-    ("chunked:128", "chunked:size=128"),
-    ("sharded:4", "sharded:workers=4"),
-    ("sharded:thread", "sharded:backend=thread"),
-    ("sharded:thread:8", "sharded:backend=thread,workers=8"),
-    ("cluster:4", "cluster:workers=4"),
+#: A key=value spelling for every registered name with a parameterized
+#: tail.  Bare names (batch, memory, queue, callback) take no tail and
+#: are covered by the no-argument loop below.
+EXECUTOR_SPECS = [
+    "chunked:size=128",
+    "sharded:backend=thread,workers=8",
+    "cluster:workers=4",
 ]
 
-SOURCE_PAIRS = [
-    (
-        "synthetic:bernoulli:400:21",
-        "synthetic:generator=bernoulli,windows=400,seed=21",
-    ),
-    ("csv:/tmp/in.csv", "csv:path=/tmp/in.csv"),
-    ("jsonl:/tmp/in.jsonl", "jsonl:path=/tmp/in.jsonl"),
-    ("replay:/tmp/in.csv", "replay:path=/tmp/in.csv"),
-    # broker was born with the key=value grammar (no positional
-    # legacy); the pair pins key-order insensitivity instead.
-    (
-        "broker:url=redis://h:7777,stream=s,group=g,consumer=c0",
-        "broker:consumer=c0,group=g,stream=s,url=redis://h:7777",
-    ),
+SOURCE_SPECS = [
+    "synthetic:generator=bernoulli,windows=400,seed=21",
+    "csv:path=/tmp/in.csv",
+    "jsonl:path=/tmp/in.jsonl",
+    "replay:path=/tmp/in.csv",
+    "broker:url=redis://h:7777,stream=s,group=g,consumer=c0",
 ]
 
-SINK_PAIRS = [
-    ("metrics:0.7", "metrics:alpha=0.7"),
-    ("csv:/tmp/out.csv", "csv:path=/tmp/out.csv"),
-    ("jsonl:/tmp/out.jsonl", "jsonl:path=/tmp/out.jsonl"),
-    (
-        "broker:url=redis://h:7777,stream=out,eos=1",
-        "broker:eos=1,stream=out,url=redis://h:7777",
-    ),
+SINK_SPECS = [
+    "metrics:alpha=0.7",
+    "csv:path=/tmp/out.csv",
+    "jsonl:path=/tmp/out.jsonl",
+    "broker:url=redis://h:7777,stream=out,eos=1",
 ]
 
 
-@pytest.mark.parametrize("legacy,keyed", EXECUTOR_PAIRS)
-def test_executor_legacy_equals_kv(legacy, keyed):
-    with suppress_imperative_warnings():
-        assert equivalent(
-            build_executor_from_spec(legacy),
-            build_executor_from_spec(keyed),
-        )
+def test_kv_specs_are_key_order_insensitive():
+    assert equivalent(
+        build_executor_from_spec("sharded:backend=thread,workers=8"),
+        build_executor_from_spec("sharded:workers=8,backend=thread"),
+    )
+    assert equivalent(
+        resolve_source(SOURCE_SPECS[-1]),
+        resolve_source(
+            "broker:consumer=c0,group=g,stream=s,url=redis://h:7777"
+        ),
+    )
+    assert equivalent(
+        resolve_sink(SINK_SPECS[-1]),
+        resolve_sink("broker:eos=1,stream=out,url=redis://h:7777"),
+    )
 
 
-@pytest.mark.parametrize("legacy,keyed", SOURCE_PAIRS)
-def test_source_legacy_equals_kv(legacy, keyed):
-    with suppress_imperative_warnings():
-        assert equivalent(resolve_source(legacy), resolve_source(keyed))
+@pytest.mark.parametrize(
+    "resolve,address,keyed",
+    [
+        (resolve_source, "csv:/tmp/in.csv", "csv:path=/tmp/in.csv"),
+        (resolve_source, "jsonl:/tmp/in.jsonl", "jsonl:path=/tmp/in.jsonl"),
+        (resolve_source, "replay:/tmp/in.csv", "replay:path=/tmp/in.csv"),
+        (resolve_sink, "csv:/tmp/out.csv", "csv:path=/tmp/out.csv"),
+        (resolve_sink, "jsonl:/tmp/out.jsonl", "jsonl:path=/tmp/out.jsonl"),
+    ],
+)
+def test_address_tail_equals_kv(resolve, address, keyed):
+    """Raw address tails stay first-class: they build the same
+    connector as the key=value spelling."""
+    assert equivalent(resolve(address), resolve(keyed))
 
 
-@pytest.mark.parametrize("legacy,keyed", SINK_PAIRS)
-def test_sink_legacy_equals_kv(legacy, keyed):
-    with suppress_imperative_warnings():
-        assert equivalent(resolve_sink(legacy), resolve_sink(keyed))
+@pytest.mark.parametrize(
+    "resolve,spec,keys",
+    [
+        (build_executor_from_spec, "chunked:128", "materialize, size"),
+        (
+            build_executor_from_spec,
+            "sharded:thread:8",
+            "backend, transport, workers",
+        ),
+        (build_executor_from_spec, "cluster:4", "transport, workers"),
+        (
+            resolve_source,
+            "synthetic:bernoulli:400:21",
+            "generator, p, seed, windows",
+        ),
+        (resolve_sink, "metrics:0.7", "alpha"),
+    ],
+    ids=["chunked", "sharded", "cluster", "synthetic", "metrics"],
+)
+def test_positional_tail_is_an_error_listing_valid_keys(resolve, spec, keys):
+    """Outside mechanism specs a positional tail is no grammar: the
+    error names the key=value form and every valid key."""
+    with pytest.raises(ValueError) as raised:
+        resolve(spec)
+    message = str(raised.value)
+    assert f"{spec!r} has a positional tail" in message
+    assert message.endswith(f"(valid keys: {keys})")
 
 
 def test_every_registered_name_has_a_key_schema():
     """Every registered executor/source/sink accepts key=value form.
 
-    Names with declared keys parse a key=value tail; the pairs above
+    Names with declared keys parse a key=value tail; the specs above
     must cover every name that takes arguments, so a new registration
-    with keys needs an equivalence pair here.
+    with keys needs a spec here.
     """
     covered = {
         spec.split(":")[0]
-        for _legacy, spec in EXECUTOR_PAIRS + SOURCE_PAIRS + SINK_PAIRS
+        for spec in EXECUTOR_SPECS + SOURCE_SPECS + SINK_SPECS
     }
     for registry, names in (
         (_EXECUTORS, registered_executors()),
@@ -242,13 +257,17 @@ def test_every_registered_name_has_a_key_schema():
             if keys:
                 assert name in covered, (
                     f"{name!r} declares keys {sorted(k.name for k in keys)}"
-                    " but has no legacy/kv equivalence pair in this test"
+                    " but has no key=value spec in this test"
                 )
             else:
-                # Bare names resolve with no tail and never warn.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    registry.resolve(name)
+                # Bare names resolve with no tail.
+                registry.resolve(name)
+    for spec in EXECUTOR_SPECS:
+        build_executor_from_spec(spec)
+    for spec in SOURCE_SPECS:
+        resolve_source(spec)
+    for spec in SINK_SPECS:
+        resolve_sink(spec)
 
 
 # -- parse-time failure modes ----------------------------------------------
@@ -281,26 +300,8 @@ def test_bad_transport_value_names_the_flag():
         build_executor_from_spec("cluster:transport=zerocpy")
 
 
-def test_positional_bad_token_names_token_and_flags():
-    """A typo'd positional token names itself and the valid tokens; a
-    retired process-backend token names the cluster instead."""
-    with pytest.raises(
-        ValueError,
-        match=(
-            r"unknown token 'zerocpy' in sharded executor spec; "
-            r"expected 'thread' or a worker count"
-        ),
-    ):
-        with suppress_imperative_warnings():
-            build_executor_from_spec("sharded:thread:8:zerocpy")
-    with pytest.raises(ValueError, match=r"'process': .*'cluster:"):
-        with suppress_imperative_warnings():
-            build_executor_from_spec("sharded:process:8")
-
-
 def test_kv_values_may_contain_colons():
-    with suppress_imperative_warnings():
-        source = resolve_source("csv:path=/tmp/odd:name.csv")
+    source = resolve_source("csv:path=/tmp/odd:name.csv")
     assert source.path == "/tmp/odd:name.csv"
 
 
