@@ -86,6 +86,43 @@ class TestSetupPhase:
         with pytest.raises(ValueError, match="accounting"):
             CEPEngine(alphabet6, accounting=budget)
 
+    def test_infinite_budget_accepted(self, alphabet6):
+        engine = CEPEngine(alphabet6, accounting=float("inf"))
+        assert engine.accountant.total_epsilon == float("inf")
+
+    def test_no_accounting_means_no_accountant(self, engine):
+        assert engine.accountant is None
+
+    def test_constructor_snapshots_its_arguments(
+        self, alphabet6, private_pattern, target_pattern
+    ):
+        patterns = [private_pattern]
+        queries = [ContinuousQuery("q", target_pattern)]
+        engine = CEPEngine(alphabet6, patterns=patterns, queries=queries)
+        patterns.append(Pattern.of_types("late", "e5"))
+        queries.clear()
+        assert engine.private_patterns == [private_pattern]
+        assert [query.name for query in engine.queries] == ["q"]
+
+    def test_accessors_return_copies(self, ready_engine, private_pattern):
+        ready_engine.private_patterns.clear()
+        ready_engine.queries.clear()
+        assert ready_engine.private_patterns == [private_pattern]
+        assert len(ready_engine.queries) == 1
+
+    def test_generator_arguments_accepted(
+        self, alphabet6, private_pattern, target_pattern
+    ):
+        engine = CEPEngine(
+            alphabet6,
+            patterns=(p for p in [private_pattern]),
+            queries=(
+                ContinuousQuery(name, target_pattern) for name in "ab"
+            ),
+        )
+        assert engine.private_patterns == [private_pattern]
+        assert [query.name for query in engine.queries] == ["a", "b"]
+
     def test_non_pattern_rejected(self, alphabet6):
         with pytest.raises(TypeError):
             CEPEngine(alphabet6, patterns=["nope"])  # type: ignore[list-item]

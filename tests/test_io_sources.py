@@ -150,6 +150,43 @@ class TestCsvSource:
             source.skip(1)
 
 
+class TestReadIndicatorCsv:
+    """The whole-file reader shares the source's row validation."""
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("", "empty"),
+            ("a,b\n1\n", "columns"),
+            ("a,b\n1,x\n", "non-integer"),
+            ("a,b\n1,2\n", "0/1"),
+        ],
+        ids=["empty", "ragged", "non-integer", "non-binary"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "broken.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_indicator_csv(str(path))
+
+    def test_empty_stream_round_trip(self, tmp_path):
+        empty = IndicatorStream(
+            EventAlphabet(["a", "b"]), np.zeros((0, 2), dtype=bool)
+        )
+        path = str(tmp_path / "empty.csv")
+        write_indicator_csv(empty, path)
+        assert read_indicator_csv(path) == empty
+
+    def test_append_continues_the_stream(self, stream, tmp_path):
+        path = str(tmp_path / "appended.csv")
+        matrix = stream.matrix_view()
+        write_indicator_csv(IndicatorStream(ALPHABET, matrix[:30]), path)
+        write_indicator_csv(
+            IndicatorStream(ALPHABET, matrix[30:]), path, append=True
+        )
+        assert read_indicator_csv(path) == stream
+
+
 class TestJsonlSource:
     def test_reads_arrays_and_objects(self, tmp_path):
         path = tmp_path / "w.jsonl"

@@ -10,10 +10,12 @@ keys or bad values fail at parse time listing the valid alternatives.
 
 import warnings
 
+import numpy as np
 import pytest
 
 from hypothesis import given, strategies as st
 
+from repro.cep.patterns import Pattern
 from repro.io.registry import (
     registered_sinks,
     registered_sources,
@@ -21,12 +23,17 @@ from repro.io.registry import (
     resolve_source,
 )
 from repro.io.registry import _SINKS, _SOURCES
+from repro.io.sinks import MetricsSink
+from repro.io.sources import SyntheticSource
+from repro.runtime.cluster import ClusterExecutor
+from repro.runtime.executors import ChunkedExecutor, ShardedExecutor
 from repro.service.registry import (
     _EXECUTORS,
     build_executor_from_spec,
     registered_executors,
     validate_executor_spec,
 )
+from repro.service.spec import ServiceSpec
 from repro.service.specgrammar import (
     SpecKey,
     coerce_scalar,
@@ -36,6 +43,7 @@ from repro.service.specgrammar import (
     kv_kwargs,
     parse_kv_tail,
 )
+from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 
 def equivalent(left, right) -> bool:
@@ -234,6 +242,87 @@ def test_positional_tail_is_an_error_listing_valid_keys(resolve, spec, keys):
     message = str(raised.value)
     assert f"{spec!r} has a positional tail" in message
     assert message.endswith(f"(valid keys: {keys})")
+
+
+@pytest.mark.parametrize(
+    "resolve,spec,direct",
+    [
+        (
+            build_executor_from_spec,
+            "chunked:size=128",
+            lambda: ChunkedExecutor(128),
+        ),
+        (
+            build_executor_from_spec,
+            "sharded:workers=4",
+            lambda: ShardedExecutor(4),
+        ),
+        (build_executor_from_spec, "sharded:backend=thread", ShardedExecutor),
+        (
+            build_executor_from_spec,
+            "sharded:backend=thread,workers=8",
+            lambda: ShardedExecutor(8),
+        ),
+        (
+            build_executor_from_spec,
+            "cluster:workers=4",
+            lambda: ClusterExecutor(4),
+        ),
+        (
+            resolve_source,
+            "synthetic:generator=bernoulli,windows=400,seed=21",
+            lambda: SyntheticSource("bernoulli", 400, 21),
+        ),
+        (resolve_sink, "metrics:alpha=0.7", lambda: MetricsSink(alpha=0.7)),
+    ],
+    ids=[
+        "chunked-size",
+        "sharded-workers",
+        "sharded-backend",
+        "sharded-backend-workers",
+        "cluster-workers",
+        "synthetic",
+        "metrics",
+    ],
+)
+def test_kv_spec_builds_what_its_keys_say(resolve, spec, direct):
+    """Each key lands on the constructor argument it names (the
+    positional spellings these replaced are errors now)."""
+    assert equivalent(resolve(spec), direct())
+
+
+@pytest.mark.parametrize(
+    "positional,keyed",
+    [
+        ("uniform-ppm:2.0", "uniform-ppm:epsilon=2.0"),
+        ("bd:0.5:10", "bd:epsilon=0.5,w=10"),
+        ("ba:0.5:10", "ba:epsilon=0.5,w=10"),
+        ("event-rr:1.0", "event-rr:epsilon=1.0"),
+    ],
+    ids=["uniform-ppm", "bd", "ba", "event-rr"],
+)
+def test_mechanism_positional_tail_equals_kv(positional, keyed):
+    """Mechanism specs keep their short positional tail: it releases
+    exactly what the key=value spelling releases."""
+    alphabet = EventAlphabet.numbered(4)
+    rng = np.random.default_rng(11)
+    stream = IndicatorStream(alphabet, rng.random((60, 4)) < 0.4)
+
+    def released(mechanism):
+        return (
+            ServiceSpec(
+                alphabet=alphabet,
+                patterns=[Pattern.of_types("p", "e1", "e2")],
+                queries=[("q", Pattern.of_types("t", "e2", "e3"))],
+                mechanism=mechanism,
+                seed=5,
+            )
+            .build()
+            .run(stream)
+            .perturbed.matrix_view()
+        )
+
+    assert np.array_equal(released(positional), released(keyed))
 
 
 def test_every_registered_name_has_a_key_schema():
