@@ -63,7 +63,7 @@ N_TYPES = 8
 #: Windows per timed arm of the overhead measurement.
 ARM_WINDOWS = 4_000
 
-_ROUNDS = 100
+_ROUNDS = 150
 
 ALPHABET = EventAlphabet.numbered(N_TYPES)
 QUERIES = [
