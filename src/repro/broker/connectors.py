@@ -42,6 +42,10 @@ The ack ledger tracks per-row progress — a chunk is acked only once
 its *last* row is covered by a checkpoint, and a redelivered chunk
 skips the rows a committed checkpoint already captured (``base`` vs
 the resumed offset), so kill/resume stays row-exact even mid-chunk.
+A served row block runs on across every chunked entry already
+fetched, and the drain cursor passes an entry only once all its rows
+are out, so a block that ends (or is cut) mid-chunk re-delivers that
+chunk from the cursor.
 
 Entries that cannot be decoded into a window are *poison*: they are
 copied to ``<stream>:dead`` with a reason and acked immediately
@@ -63,6 +67,7 @@ import asyncio
 import json
 import time
 
+from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -312,8 +317,11 @@ class BrokerSource(StreamSource):
         self._finished = False
         self._row_cache = _RowCache()
         #: The chunked entry being emitted, as ``[entry_id, rows,
-        #: next_index]``: a block may take the rest of it at once.
+        #: next_index]``, and the fetched entries after it not yet
+        #: taken: a block may take the rest of the chunk and every
+        #: chunked entry queued behind it at once.
         self._chunk: Optional[list] = None
+        self._fetched: deque = deque()
 
     # -- live-feed contract -------------------------------------------
 
@@ -509,6 +517,19 @@ class BrokerSource(StreamSource):
                     self._offset += 1
                     yield row
                     continue
+                if self._chunk is not None:
+                    row = self._take_chunk(1)
+                    self._offset += 1
+                    yield row[0]
+                    continue
+                if self._fetched:
+                    entry_id, fields = self._fetched.popleft()
+                    row = self._entry_row(entry_id, fields)
+                    if row is not None:
+                        self._offset += 1
+                        yield row
+                    continue
+                self._gauge_unacked()
                 if self._finished:
                     return
                 if prefetched is not None:
@@ -524,85 +545,13 @@ class BrokerSource(StreamSource):
                     prefetched = asyncio.ensure_future(
                         asyncio.to_thread(self._fetch)
                     )
-                if not batch:
-                    continue
-                client = self._client
-                for entry_id, fields in batch:
-                    if EOS_FIELD in fields:
-                        # Deliberately left un-acked (and out of the
-                        # un-acked ledger — it has no window, so it must
-                        # not pair with an unemit): the pending eos is
-                        # how a resumed consumer learns the stream
-                        # already ended (see EOS_FIELD).
-                        self._last_entry_id = entry_id
-                        self._finished = True
-                        break
-                    if "rows" in fields:
-                        # Chunked entry: several windows, one decode.
-                        try:
-                            base, block = _decode_chunk(
-                                fields, self.alphabet
-                            )
-                        except (ValueError, TypeError) as error:
-                            raise BrokerError(
-                                f"undecodable chunked entry {entry_id} "
-                                f"on stream {self.stream!r}: {error}; "
-                                "dropping a chunk would shift every "
-                                "later window against its base index, "
-                                "so it cannot be dead-lettered"
-                            ) from error
-                        total = block.shape[0]
-                        # Rows a committed checkpoint already captured
-                        # (this is a redelivery) are skipped, not
-                        # re-emitted — the resumed offset is the
-                        # authority on what was released.
-                        already = min(max(self._offset - base, 0), total)
-                        if already >= total:
-                            # Ack was lost after a full emit; nothing
-                            # left to extract.  It stays pending (only
-                            # a checkpoint may ack) and every future
-                            # drain re-skips it, like the eos marker.
-                            self._last_entry_id = entry_id
-                            continue
-                        self._chunk = [entry_id, block, already]
-                        while self._chunk[2] < total:
-                            row = self._take_chunk(1)
-                            self._offset += 1
-                            yield row[0]
-                        self._chunk = None
-                        # The drain cursor advances only once the whole
-                        # chunk is out: a teardown mid-chunk must
-                        # re-deliver it (the skip above keeps that
-                        # row-exact).
-                        self._last_entry_id = entry_id
-                        continue
-                    try:
-                        row = self._row_cache.decode(fields, self.alphabet)
-                    except (ValueError, TypeError) as error:
-                        client.dead_letter(
-                            self.stream,
-                            self.group,
-                            entry_id,
-                            fields,
-                            reason=str(error),
-                        )
-                        default_registry().counter(
-                            "repro_broker_dead_letter_total",
-                            "Poison broker entries moved to the dead "
-                            "stream.",
-                        ).inc()
-                        self._last_entry_id = entry_id
-                        continue
-                    self._unacked.append((entry_id, True))
-                    self._last_entry_id = entry_id
-                    self._offset += 1
-                    yield row
-                self._gauge_unacked()
-                if self._finished:
-                    return
+                if batch:
+                    self._fetched.extend(batch)
         finally:
-            # A chunk left mid-way is re-delivered by the next drain.
+            # Entries fetched but not fully emitted — a chunk left
+            # mid-way included — are re-delivered by the next drain.
             self._chunk = None
+            self._fetched.clear()
             if prefetched is not None:
                 # Entries the settled read delivered but nobody emitted
                 # are un-acked pending entries — the next generator's
@@ -612,23 +561,119 @@ class BrokerSource(StreamSource):
                 except BaseException:
                     pass
 
+    def _entry_row(
+        self, entry_id: str, fields: Dict[str, str]
+    ) -> Optional[np.ndarray]:
+        """Take one fetched entry: its window row, or ``None`` when it
+        emits no row by itself (end of stream, poison, a chunk — whose
+        rows :meth:`_take_chunk` emits)."""
+        if EOS_FIELD in fields:
+            # Deliberately left un-acked (and out of the un-acked
+            # ledger — it has no window, so it must not pair with an
+            # unemit): the pending eos is how a resumed consumer
+            # learns the stream already ended (see EOS_FIELD).
+            self._last_entry_id = entry_id
+            self._finished = True
+            self._fetched.clear()
+            return None
+        if "rows" in fields:
+            self._open_chunk(entry_id, fields, self._offset)
+            return None
+        try:
+            row = self._row_cache.decode(fields, self.alphabet)
+        except (ValueError, TypeError) as error:
+            self._client.dead_letter(
+                self.stream,
+                self.group,
+                entry_id,
+                fields,
+                reason=str(error),
+            )
+            default_registry().counter(
+                "repro_broker_dead_letter_total",
+                "Poison broker entries moved to the dead stream.",
+            ).inc()
+            self._last_entry_id = entry_id
+            return None
+        self._unacked.append((entry_id, True))
+        self._last_entry_id = entry_id
+        return row
+
+    def _open_chunk(
+        self, entry_id: str, fields: Dict[str, str], offset: int
+    ) -> None:
+        """Make a chunked entry the current chunk; ``offset`` is the
+        stream position its next emitted row would take."""
+        try:
+            base, block = _decode_chunk(fields, self.alphabet)
+        except (ValueError, TypeError) as error:
+            raise BrokerError(
+                f"undecodable chunked entry {entry_id} on stream "
+                f"{self.stream!r}: {error}; dropping a chunk would "
+                "shift every later window against its base index, so "
+                "it cannot be dead-lettered"
+            ) from error
+        # Rows a committed checkpoint already captured (this is a
+        # redelivery) are skipped, not re-emitted — the resumed offset
+        # is the authority on what was released.
+        already = min(max(offset - base, 0), len(block))
+        if already == len(block):
+            # Ack was lost after a full emit; nothing left to extract.
+            # It stays pending (only a checkpoint may ack) and every
+            # future drain re-skips it, like the eos marker.
+            self._last_entry_id = entry_id
+        else:
+            self._chunk = [entry_id, block, already]
+
     def _take_chunk(self, limit: int) -> np.ndarray:
         """The next ``limit`` (at most) rows of the current chunk, each
         entered in the un-acked ledger like a row emitted alone."""
         entry_id, block, start = self._chunk
         stop = min(start + limit, len(block))
-        for index in range(start, stop):
-            self._unacked.append((entry_id, index == len(block) - 1))
-        self._chunk[2] = stop
+        last = len(block) - 1
+        self._unacked.extend(
+            (entry_id, index == last) for index in range(start, stop)
+        )
+        if stop == len(block):
+            # The drain cursor advances only once the whole chunk is
+            # out: a teardown mid-chunk must re-deliver it (the base
+            # skip keeps that row-exact).
+            self._chunk = None
+            self._last_entry_id = entry_id
+        else:
+            self._chunk[2] = stop
         return block[start:stop]
 
     def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
-        # Only the rest of the chunk being emitted: single-row entries
-        # are awaited one by one, and pushed-back rows carry their own
-        # ledger ids, which the row path restores.
-        if self._chunk is None or self._chunk[2] >= len(self._chunk[1]):
+        """Pushed-back rows (with their ledger ids), else the rest of
+        the current chunk and of every already-fetched chunked entry
+        after it; a single-row entry, the end of stream or a fetch
+        ends the block."""
+        if self._pushback:
+            count = min(limit, len(self._pushback))
+            for _ in range(min(count, len(self._pushback_ids))):
+                self._unacked.append(self._pushback_ids.pop())
+            return self._pushed_block(count)
+        parts = []
+        taken = 0
+        while taken < limit:
+            if self._chunk is None:
+                if not self._fetched:
+                    break
+                entry_id, fields = self._fetched[0]
+                if "rows" not in fields or EOS_FIELD in fields:
+                    break
+                try:
+                    self._open_chunk(entry_id, fields, self._offset + taken)
+                except BrokerError:
+                    break  # the row path raises it in stream order
+                self._fetched.popleft()
+                continue
+            parts.append(self._take_chunk(limit - taken))
+            taken += len(parts[-1])
+        if not parts:
             return None
-        return self._take_chunk(limit)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @register_sink(

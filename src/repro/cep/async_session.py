@@ -11,10 +11,10 @@ queue:
   :class:`asyncio.Future` resolving to that window's private answers;
   the service layer's pump submits whole row blocks instead, one
   future per block resolving to per-query answer vectors;
-- a single drainer task merges whatever whole blocks are queued (up
-  to ``max_batch`` windows) through the same chunk stepper the
-  synchronous session uses, so answers are identical to one-by-one
-  pushes under the same seed;
+- a single drainer task steps each queued block whole through the
+  same chunk stepper the synchronous session uses, merging small
+  queued blocks behind it up to ``max_batch`` windows, so answers are
+  identical to one-by-one pushes under the same seed;
 - the queue is bounded in windows (``max_pending``): when the stepper
   falls behind, ``submit`` suspends — backpressure propagates to the
   producer instead of buffering unboundedly;
@@ -71,12 +71,13 @@ class AsyncSession:
     max_pending:
         Bound on queued-but-unprocessed windows (counted in windows,
         whatever the block sizes); ``submit`` suspends when full
-        (backpressure).
+        (backpressure).  It is also the largest block one submit may
+        hold (:attr:`block_rows`).
     max_batch:
-        Most windows perturbed per stepper step.  Larger batches
-        amortize per-step overhead under load; answers do not depend on
-        batch boundaries.  Submitted blocks hold at most
-        :attr:`block_rows` windows.
+        Most windows one stepper step merges from several queued
+        blocks.  A block is always stepped whole, however large; this
+        only bounds how many small blocks (a trickling live feed's)
+        join it.  Answers do not depend on block or batch boundaries.
     record:
         Keep the original/released rows of every processed window
         (:attr:`original_matrix`/:attr:`released_matrix`) — the engine's
@@ -88,7 +89,7 @@ class AsyncSession:
         engine: CEPEngine,
         *,
         rng: RngLike = None,
-        max_pending: int = 256,
+        max_pending: int = 1024,
         max_batch: int = 64,
         record: bool = False,
     ):
@@ -117,8 +118,9 @@ class AsyncSession:
         #: futures, so read-only), in submission
         #: order — the service layer's pump attaches sink connectors
         #: here so sanitized rows stream out without recording the
-        #: whole session in memory.  Exceptions fail the drainer like
-        #: any stepping error (no accepted window hangs).
+        #: whole session in memory.  It runs before the batch's
+        #: futures resolve; an exception fails those futures and the
+        #: drainer like any stepping error (no accepted window hangs).
         self._on_release = None
         self._original_rows: List[np.ndarray] = []
         self._released_rows: List[np.ndarray] = []
@@ -301,9 +303,10 @@ class AsyncSession:
 
     @property
     def block_rows(self) -> int:
-        """Most windows one submitted block may hold: ``max_batch``,
-        capped by ``max_pending`` so a block always fits the queue."""
-        return min(self._max_batch, self._max_pending)
+        """Most windows one submitted block may hold: ``max_pending``,
+        so a block always fits the queue (``max_batch`` does not cap
+        it: the drainer steps every block whole)."""
+        return self._max_pending
 
     async def submit(
         self, window_types: Iterable[str]
@@ -338,8 +341,7 @@ class AsyncSession:
         if not 1 <= windows <= self.block_rows:
             raise ValueError(
                 f"a block holds 1..{self.block_rows} windows "
-                f"(max_batch={self._max_batch}, "
-                f"max_pending={self._max_pending}), got {windows}"
+                f"(max_pending={self._max_pending}), got {windows}"
             )
         loop = asyncio.get_running_loop()
         if self._backlog + windows > self._max_pending:
@@ -445,7 +447,9 @@ class AsyncSession:
                     self._entry_waiter = None
                 if entries[0] is _CLOSE:
                     return
-                # Merge whole queued blocks, up to max_batch windows.
+                # Step the first queued block whole; merge the small
+                # blocks behind it while the batch stays within
+                # max_batch windows.
                 batch = [entries.popleft()]
                 windows = len(batch[0][0])
                 while entries and entries[0] is not _CLOSE:
@@ -473,6 +477,11 @@ class AsyncSession:
                     # release hook sees them whole: no consumer may
                     # change the answers another one reads.
                     vector.flags.writeable = False
+                # Egress before any future resolves: a failing egress
+                # fails this batch's futures too, so no producer holds
+                # answers for windows its sink never received.
+                if self._on_release is not None:
+                    self._on_release(self._processed, released, answers)
                 released_at = time.monotonic()
                 self._obs_windows.inc(windows)
                 position = 0
@@ -495,8 +504,6 @@ class AsyncSession:
                             }
                         future.set_result(result)
                     position += count
-                if self._on_release is not None:
-                    self._on_release(self._processed, released, answers)
                 self._processed += windows
                 batch = []
                 # Yield to producers between batches so backpressured

@@ -340,7 +340,7 @@ class CEPEngine:
         window_assigner,
         *,
         rng: RngLike = None,
-        max_pending: int = 256,
+        max_pending: int = 1024,
         max_batch: int = 64,
     ) -> EngineReport:
         """Full service phase from raw events, via async ingestion.

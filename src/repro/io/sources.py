@@ -591,6 +591,11 @@ class MemorySource(StreamSource):
     def __init__(self, data=None):
         super().__init__()
         self._data = data
+        #: The backing matrix (``None`` for type-collection data) and
+        #: the index of the next row it emits, shared by the row
+        #: iterator and :meth:`_ready_rows`.
+        self._matrix: Optional[np.ndarray] = None
+        self._position = 0
 
     def _bind(self, alphabet: EventAlphabet) -> None:
         if isinstance(self._data, IndicatorStream):
@@ -600,6 +605,29 @@ class MemorySource(StreamSource):
                     "service alphabet"
                 )
 
+    def _open(self, skip: int) -> Iterator[np.ndarray]:
+        data = self._data
+        if isinstance(data, IndicatorStream):
+            self._matrix = data.matrix_view()
+        elif isinstance(data, np.ndarray):
+            matrix = np.asarray(data)
+            if matrix.ndim != 2 or matrix.shape[1] != len(self.alphabet):
+                raise ValueError(
+                    f"matrix shape {matrix.shape} does not match the "
+                    f"{len(self.alphabet)}-type alphabet"
+                )
+            self._matrix = matrix
+        else:
+            return super()._open(skip)
+        self._position = skip
+        return self._matrix_rows()
+
+    def _matrix_rows(self) -> Iterator[np.ndarray]:
+        matrix = self._matrix
+        while self._position < matrix.shape[0]:
+            self._position += 1
+            yield matrix[self._position - 1].astype(bool)
+
     def _rows(self) -> Iterator[np.ndarray]:
         data = self._data
         if data is None:
@@ -608,21 +636,24 @@ class MemorySource(StreamSource):
                 "stream to run()/pump() or construct "
                 "MemorySource(data)"
             )
-        if isinstance(data, IndicatorStream):
-            matrix = data.matrix_view()
-        elif isinstance(data, np.ndarray):
-            matrix = np.asarray(data)
-            if matrix.ndim != 2 or matrix.shape[1] != len(self.alphabet):
-                raise ValueError(
-                    f"matrix shape {matrix.shape} does not match the "
-                    f"{len(self.alphabet)}-type alphabet"
-                )
-        else:
-            for window in data:
-                yield self._row_from_types(window)
-            return
-        for index in range(matrix.shape[0]):
-            yield matrix[index].astype(bool)
+        for window in data:
+            yield self._row_from_types(window)
+
+    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+        """A matrix hands over its next rows as one sliced copy, so a
+        block never aliases (or is changed through) the caller's
+        data."""
+        block = self._pushed_block(limit)
+        if block is not None:
+            return block
+        self._emitter()  # the data is open, past any skipped prefix
+        if self._matrix is None:
+            return super()._ready_rows(limit)
+        start = self._position
+        self._position = min(start + limit, self._matrix.shape[0])
+        if self._position == start:
+            return None
+        return self._matrix[start : self._position].astype(bool)
 
 
 @register_source("csv", raw_tail=True, keys=(SpecKey("path", raw=True),))

@@ -328,7 +328,7 @@ class StreamGateway:
         source=None,
         sink=None,
         history=None,
-        max_pending: int = 256,
+        max_pending: int = 1024,
         max_batch: int = 64,
         rate_limit: Optional[float] = None,
         burst: Optional[float] = None,
@@ -343,6 +343,14 @@ class StreamGateway:
         ``add_tenant(tenant_spec)`` works too.  ``source``/``sink``
         override the spec's own connector fields (that is how live
         queues and callbacks — payloads JSON cannot carry — ride in).
+        ``max_pending``/``max_batch`` bound the tenant's session as in
+        :meth:`StreamService.pump`: ``max_pending`` windows may queue,
+        and a block holds what the source has ready up to that many —
+        a file tenant serves whole ``max_pending`` blocks, a live feed
+        what has arrived — while ``max_batch`` only caps how many small
+        queued blocks one step merges.  Tenants interleave block by
+        block, so a bulk tenant delays a live one by a block or two,
+        never by its whole stream.
         ``rate_limit`` (windows/second) arms a :class:`TokenBucket`
         with ``burst`` capacity at this tenant's ingress; excess
         windows are shed, counted, and surfaced — see
@@ -729,7 +737,7 @@ class StreamGateway:
                 sink=sinks.get(name),
                 max_pending=tenant_checkpoint.get(
                     "session_options", {}
-                ).get("max_pending", 256),
+                ).get("max_pending", 1024),
                 max_batch=tenant_checkpoint.get(
                     "session_options", {}
                 ).get("max_batch", 64),

@@ -374,7 +374,7 @@ class StreamService:
         self,
         *,
         rng: RngLike = None,
-        max_pending: int = 256,
+        max_pending: int = 1024,
         max_batch: int = 64,
         record: bool = False,
     ):
@@ -407,7 +407,7 @@ class StreamService:
         *,
         sink=None,
         rng: RngLike = None,
-        max_pending: int = 256,
+        max_pending: int = 1024,
         max_batch: int = 64,
         max_windows: Optional[int] = None,
         append_sink: bool = False,
@@ -423,14 +423,21 @@ class StreamService:
         open/restored one when present, else opening a fresh one with
         ``max_pending``/``max_batch``), and every answered window is
         egressed through ``sink`` (or the spec's ``sink=``) in
-        submission order.  All of it runs on row blocks of at most
-        ``max_batch`` windows (:meth:`~repro.io.StreamSource.ablocks`,
-        one session future and one sink ``write_block`` per block);
-        offsets and checkpoints stay row-exact.  The session's bounded
+        submission order.  All of it runs on row blocks
+        (:meth:`~repro.io.StreamSource.ablocks`, one session future
+        per block and one sink ``write_block`` per drained batch): a
+        block holds whatever the source has ready without waiting, up
+        to ``max_pending`` windows — a file or in-memory source fills
+        whole ``max_pending`` blocks, a paced, throttled or trickling
+        live feed hands over only what has arrived — and ``max_batch``
+        only bounds how many small queued blocks one step merges.
+        Offsets and checkpoints stay row-exact.  The session's bounded
         queue is the flow-control boundary: when the mechanism falls
         behind, ``submit`` suspends the pump, which stops drawing from
         the source — a ``queue:`` source then stops taking from its
-        live queue and the producer blocks on its own ``put``.
+        live queue and the producer blocks on its own ``put``.  A sink
+        that fails fails the pump with its error, and no window of the
+        failed batch is returned as answered.
 
         ``max_windows`` stops after that many windows, leaving the
         source mid-stream (the gateway serves in slices this way; a
@@ -529,6 +536,17 @@ class StreamService:
                     break
             while pending:
                 await settle()
+        except BaseException:
+            # Retrieve (or cancel) what the pump will never settle, so
+            # the error surfaces once — here — and not again as
+            # futures or a drainer whose exceptions nobody retrieved.
+            for future in pending:
+                if not future.cancel() and not future.cancelled():
+                    future.exception()
+            drainer = session._drainer
+            if drainer and drainer.done() and not drainer.cancelled():
+                drainer.exception()
+            raise
         finally:
             # Close the generator *here*, not at garbage collection: a
             # max_windows break leaves it suspended mid-yield, and a

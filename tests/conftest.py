@@ -1,5 +1,9 @@
 """Shared fixtures for the test suite."""
 
+import asyncio
+import gc
+import logging
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,65 @@ def _no_shared_memory_leaks():
     assert not stray, (
         f"test run leaked shared-memory segments: {stray} — some "
         "SegmentPlane was never closed"
+    )
+
+
+class _LostExceptions(logging.Handler):
+    """Collects the asyncio logger's reports of futures and tasks
+    whose exception nobody retrieved."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.messages = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if "exception was never retrieved" in message:
+            self.messages.append(message)
+
+
+class _CountingLoopPolicy(asyncio.DefaultEventLoopPolicy):
+    """The default policy, counting the event loops it creates."""
+
+    loops = 0
+
+    def new_event_loop(self):
+        _CountingLoopPolicy.loops += 1
+        return super().new_event_loop()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _count_event_loops():
+    previous = asyncio.get_event_loop_policy()
+    asyncio.set_event_loop_policy(_CountingLoopPolicy())
+    yield
+    asyncio.set_event_loop_policy(previous)
+
+
+@pytest.fixture(autouse=True)
+def _no_lost_task_exceptions():
+    """Fail a test during which asyncio reports an exception that was
+    never retrieved.
+
+    asyncio reports those when the future or task is garbage
+    collected, so a test that ran an event loop collects garbage
+    before the check: an error a served path raised inside the
+    drainer but never surfaced to its caller is then blamed on the
+    test that lost it.
+    """
+    handler = _LostExceptions()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    loops = _CountingLoopPolicy.loops
+    try:
+        yield
+        if _CountingLoopPolicy.loops != loops:
+            gc.collect()
+    finally:
+        logger.removeHandler(handler)
+    assert not handler.messages, (
+        "asyncio lost exceptions nobody retrieved: "
+        + "; ".join(handler.messages)
     )
 
 

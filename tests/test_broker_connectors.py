@@ -20,7 +20,12 @@ from repro.broker import BrokerSink, BrokerSource, FakeRedisServer
 from repro.broker.client import BrokerClient, RetryPolicy
 from repro.broker.connectors import publish_indicator_stream
 from repro.broker.resp import BrokerError
-from repro.io import resolve_sink, resolve_source, write_indicator_csv
+from repro.io import (
+    MemorySink,
+    resolve_sink,
+    resolve_source,
+    write_indicator_csv,
+)
 from repro.io.sources import QueueSource
 from repro.obs.soak import run_soak
 from repro.service import ServiceSpec, StreamGateway, StreamService
@@ -60,6 +65,18 @@ def broker_spec(url, stream="w", seed=7, *, batch=16, **overrides):
 def memory_fed(stream, seed=7):
     """The reference answers: the same spec fed from memory."""
     return asyncio.run(StreamService(make_spec(None, seed)).pump(stream))
+
+
+class BlockLengths(MemorySink):
+    """A memory sink that also records each written block's length."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write_block(self, start, rows, answers, truth=None):
+        self.lengths.append(len(rows))
+        super().write_block(start, rows, answers, truth)
 
 
 @pytest.fixture
@@ -345,6 +362,74 @@ class TestChunkedTransport:
         # complete; chunk 1's unfinished tail keeps its whole entry
         # pending so a later drain can replay rows 7-9 row-exactly.
         assert server.pending_count("w", "g") == 15
+
+    @pytest.mark.parametrize("max_pending", [10, 1024])
+    def test_block_spanning_chunks_matches_memory_fed(
+        self, server, max_pending
+    ):
+        # 100 rows, 7 per entry, all fetched at once: every block runs
+        # across several chunked entries (a 10-row block cuts two of
+        # them mid-way).
+        stream = make_stream()
+        publish_indicator_stream(
+            server.url, "w", stream, rows_per_entry=7
+        )
+        sink = BlockLengths()
+        answers = asyncio.run(
+            StreamService(broker_spec(server.url)).pump(
+                sink=sink, max_pending=max_pending
+            )
+        )
+        assert answers == memory_fed(stream)
+        block = min(max_pending, 100)
+        assert sink.lengths == [block] * (100 // block)
+
+    @pytest.mark.parametrize("max_pending", [10, 1024])
+    def test_kill_resume_inside_a_spanning_block_is_exact(
+        self, server, max_pending
+    ):
+        stream = make_stream(seed=13)
+        baseline = memory_fed(stream)
+        publish_indicator_stream(
+            server.url, "w", stream, rows_per_entry=7
+        )
+        gateway = StreamGateway()
+        gateway.add_tenant(
+            "t", broker_spec(server.url), max_pending=max_pending
+        )
+        # Window 23 lies inside a block and inside chunk 3 (rows
+        # 21-27): the block's tail goes back, and the checkpoint acks
+        # chunks 0-2 only.
+        asyncio.run(gateway.serve(max_windows=23))
+        checkpoint = gateway.checkpoint()
+        assert server.pending_count("w", "g") == 16 - 3
+        resumed = StreamGateway.resume(checkpoint)
+        asyncio.run(resumed.serve())
+        combined = {
+            name: gateway.results()["t"][name]
+            + resumed.results()["t"][name]
+            for name in baseline
+        }
+        assert combined == baseline
+
+    def test_spanning_block_acks_and_drains_only_completed_entries(
+        self, server
+    ):
+        stream = make_stream()
+        publish_indicator_stream(
+            server.url, "w", stream, rows_per_entry=7
+        )
+        client = BrokerClient(server.url)
+        ids = [entry_id for entry_id, _ in client.xrange("w")]
+        client.close()
+        service = StreamService(broker_spec(server.url))
+        # One 17-row block: chunks 0 and 1 whole, chunk 2 rows 14-16.
+        asyncio.run(service.pump(max_pending=17, max_windows=17))
+        assert service.last_source._last_entry_id == ids[1]
+        service.checkpoint()
+        assert server.pending_count("w", "g") == 16 - 2
+        rest = asyncio.run(service.pump())
+        assert len(rest["q"]) == 100 - 17
 
     def test_undecodable_chunk_raises_instead_of_dead_letter(
         self, server

@@ -1,7 +1,8 @@
 """Row blocks on the served path match the per-row reference exactly.
 
-``StreamService.pump`` draws row blocks from its source, submits one
-block per session future and egresses one sink write per drained
+``StreamService.pump`` draws row blocks from its source — whatever
+the source has ready, up to the session's ``max_pending`` — submits
+one block per session future and egresses one sink write per drained
 batch.  Block sizes must never show in the output: every test here
 compares a block-served run against a per-row reference (an online
 session stepped one window at a time, egressed through per-window
@@ -174,7 +175,7 @@ def reference(spec, matrix, sink):
     return answers
 
 
-def pump_in_slices(service, source, sink, max_batch, max_windows):
+def pump_in_slices(service, source, sink, max_pending, max_windows):
     """Serve everything, ``max_windows`` per pump (each on a new event
     loop); return the stitched answers and, after every slice, the
     windows served with the source's and the checkpoint's offsets."""
@@ -186,7 +187,7 @@ def pump_in_slices(service, source, sink, max_batch, max_windows):
             service.pump(
                 source if first else None,
                 sink=sink if first else None,
-                max_batch=max_batch,
+                max_pending=max_pending,
                 max_windows=max_windows,
             )
         )
@@ -205,18 +206,23 @@ def pump_in_slices(service, source, sink, max_batch, max_windows):
             return answers, positions
 
 
+#: Block bounds: single rows, small and mid blocks, the default, and
+#: one block larger than the whole stream.
+MAX_PENDING = [1, 7, 64, 1024, 4 * N_WINDOWS]
+
+
 @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
 @pytest.mark.parametrize("max_windows", [None, 1, 13, 100])
-@pytest.mark.parametrize("max_batch", [1, 7, 64])
+@pytest.mark.parametrize("max_pending", MAX_PENDING)
 @pytest.mark.parametrize("kind", ["csv", "memory", "synthetic", "queue"])
 def test_blocks_match_the_per_row_reference(
-    kind, max_batch, max_windows, mechanism, tmp_path
+    kind, max_pending, max_windows, mechanism, tmp_path
 ):
     spec = make_spec(mechanism)
     source, matrix = make_source(kind, tmp_path)
     sink, outputs = every_sink(tmp_path / "served")
     answers, positions = pump_in_slices(
-        spec.build(), source, sink, max_batch, max_windows
+        spec.build(), source, sink, max_pending, max_windows
     )
 
     reference_sink, reference_outputs = every_sink(tmp_path / "reference")
@@ -245,9 +251,103 @@ def test_sink_cannot_change_the_pumped_answers():
     with pytest.raises(ValueError, match="read-only"):
         asyncio.run(
             service.pump(
-                MemorySource(make_matrix()), sink=Flipper(), max_batch=7
+                MemorySource(make_matrix()), sink=Flipper(), max_pending=7
             )
         )
+
+
+class FailsAtWindow(MemorySink):
+    """Raises on the first write that reaches window ``end``."""
+
+    def __init__(self, end):
+        super().__init__()
+        self.end = end
+
+    def write_block(self, start, rows, answers, truth=None):
+        if start + len(rows) >= self.end:
+            raise OSError("sink is full")
+        super().write_block(start, rows, answers, truth)
+
+
+@pytest.mark.parametrize("max_pending", [7, N_WINDOWS, 1024])
+def test_sink_error_on_the_final_block_fails_the_pump(max_pending):
+    # Egress runs before the batch's futures resolve, so the pump
+    # cannot return answers for windows its sink never received.
+    service = make_spec().build()
+    sink = FailsAtWindow(N_WINDOWS)
+    with pytest.raises(OSError, match="sink is full"):
+        asyncio.run(
+            service.pump(
+                MemorySource(make_matrix()),
+                sink=sink,
+                max_pending=max_pending,
+            )
+        )
+    written = len(sink.result()["answers"]["q1"])
+    assert written < N_WINDOWS
+    assert written % max_pending == 0
+    with pytest.raises(OSError, match="sink is full"):
+        asyncio.run(service.session.aclose())
+
+
+def test_failed_pump_retrieves_the_futures_it_abandons():
+    # Ten one-row blocks are queued when the sink fails on the first:
+    # the pump raises that error and retrieves the nine futures it
+    # will never settle (the suite fails a test that leaves a failed
+    # future to the garbage collector).
+    matrix = make_matrix(10)
+
+    async def go():
+        service = make_spec().build()
+        session = service.open_async_session(max_batch=1)
+        gate = asyncio.Event()
+        drain = session._drain
+
+        async def gated_drain():
+            await gate.wait()
+            await drain()
+
+        session._drain = gated_drain
+        queue = asyncio.Queue()
+
+        async def produce():
+            for row in matrix:
+                queue.put_nowait(row)
+                await asyncio.sleep(0)
+            gate.set()
+            queue.put_nowait(None)
+
+        producer = asyncio.ensure_future(produce())
+        try:
+            await service.pump(QueueSource(queue), sink=FailsAtWindow(1))
+        finally:
+            await producer
+            assert session.windows_submitted == len(matrix)
+
+    with pytest.raises(OSError, match="sink is full"):
+        asyncio.run(go())
+
+
+@pytest.mark.parametrize("max_pending", [1, 7, 1024])
+def test_memory_blocks_are_copies_of_the_callers_matrix(max_pending):
+    # Unprotected, the released rows are the very blocks the source
+    # handed over: changing the caller's matrix after the pump must
+    # change none of them.
+    spec = ServiceSpec(
+        alphabet=ALPHABET.types,
+        queries=[("q1", ("e2", "e3"))],
+        seed=7,
+    )
+    matrix = make_matrix()
+    expected = matrix.copy()
+    service = spec.build()
+    session = service.open_async_session(
+        max_pending=max_pending, record=True
+    )
+    asyncio.run(service.pump(MemorySource(matrix)))
+    matrix[:] = ~matrix
+    assert np.array_equal(session.released_matrix, expected)
+    assert np.array_equal(session.original_matrix, expected)
 
 
 @pytest.mark.parametrize("kind", ["csv", "memory", "synthetic", "queue"])
@@ -268,7 +368,9 @@ def test_kill_and_resume_stitch_bit_identically(kind, tmp_path):
     service = spec.build()
     served = 0
     while served < len(matrix):
-        got = asyncio.run(service.pump(source, max_batch=7, max_windows=29))
+        got = asyncio.run(
+            service.pump(source, max_pending=7, max_windows=29)
+        )
         for name, values in got.items():
             stitched.setdefault(name, []).extend(values)
         served += len(got["q1"])
@@ -382,7 +484,7 @@ def test_oversized_block_is_rejected():
 def test_latency_histogram_counts_every_window():
     registry = MetricsRegistry()
     with use_registry(registry):
-        asyncio.run(make_spec().build().pump(make_matrix(), max_batch=7))
+        asyncio.run(make_spec().build().pump(make_matrix(), max_pending=7))
     latency = registry.histogram("repro_window_latency_seconds")
     windows = registry.counter("repro_session_windows_total")
     assert latency.count == windows.value == N_WINDOWS

@@ -5,7 +5,12 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.io import CallbackSink, QueueSource, write_indicator_csv
+from repro.io import (
+    CallbackSink,
+    QueueSource,
+    StreamSink,
+    write_indicator_csv,
+)
 from repro.mechanisms.accountant import BudgetExceededError
 from repro.service import ServiceSpec, StreamGateway, StreamService
 from repro.streams.indicator import EventAlphabet, IndicatorStream
@@ -164,6 +169,72 @@ class TestQueueAndCallbackTenants:
         # Identical to feeding the same windows in memory.
         alone = asyncio.run(make_spec(3).build().pump(stream))
         assert results["live"] == alone
+
+
+class BlockLog(StreamSink):
+    """Records each written block in a shared log; ``on_block`` (if
+    set) runs after every write."""
+
+    def __init__(self, name, log, on_block=None):
+        super().__init__()
+        self.name = name
+        self.log = log
+        self.on_block = on_block
+
+    def write_block(self, start, rows, answers, truth=None):
+        self.log.append((self.name, start, len(rows)))
+        if self.on_block is not None:
+            self.on_block()
+
+
+class TestFairness:
+    def test_bulk_blocks_do_not_starve_a_live_tenant(self, tmp_path):
+        # A bulk csv tenant fills whole max_pending blocks; a window
+        # offered to a queue tenant meanwhile is egressed within two
+        # further bulk blocks, however long the bulk stream is.
+        blocks = 16
+        path = str(tmp_path / "bulk.csv")
+        write_indicator_csv(make_stream(5, blocks * 1024), path)
+        bulk_spec = make_spec(
+            8,
+            mechanism="bd",
+            mechanism_options={"epsilon": 1.0, "w": 10},
+            source=f"csv:{path}",
+        )
+        log = []
+
+        async def drive():
+            queue = asyncio.Queue()
+
+            def offer():
+                if len(log) == 3:
+                    log.append(("offer", None, 1))
+                    queue.put_nowait(make_stream(6, 1).window_types(0))
+
+            def end_live():
+                queue.put_nowait(None)
+
+            gateway = StreamGateway()
+            gateway.add_tenant(
+                "bulk", bulk_spec, sink=BlockLog("bulk", log, offer)
+            )
+            gateway.add_tenant(
+                "live",
+                make_spec(3, source="queue"),
+                source=QueueSource(queue),
+                sink=BlockLog("live", log, end_live),
+            )
+            await gateway.serve()
+            return gateway.results()
+
+        results = asyncio.run(drive())
+        assert len(results["live"]["q"]) == 1
+        assert len(results["bulk"]["q"]) == blocks * 1024
+        names = [name for name, _start, _rows in log]
+        assert names.count("bulk") == blocks
+        offered = names.index("offer")
+        egressed = names.index("live")
+        assert names[offered + 1 : egressed].count("bulk") <= 2
 
 
 class TestCheckpointResume:
