@@ -26,6 +26,7 @@ import csv
 import json
 import os
 
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,13 +69,11 @@ def _per_window(
     vectors: Dict[str, np.ndarray], windows: int
 ) -> List[Dict[str, bool]]:
     """Per-query vectors of a block as one ``{query: bool}`` per window."""
-    columns = {
-        name: np.asarray(vector).tolist() for name, vector in vectors.items()
-    }
-    return [
-        {name: column[position] for name, column in columns.items()}
-        for position in range(windows)
-    ]
+    if not vectors:
+        return [{} for _ in range(windows)]
+    names = tuple(vectors)
+    columns = [np.asarray(vector).tolist() for vector in vectors.values()]
+    return [dict(zip(names, values)) for values in zip(*columns)]
 
 
 class StreamSink:
@@ -200,20 +199,15 @@ class StreamSink:
         override it with a vectorized update.
         """
         self.alphabet  # open check
-        windows = len(rows)
-        verdicts = _per_window(answers, windows)
-        truths = [None] * windows
+        block = np.asarray(rows)
+        verdicts = _per_window(answers, len(block))
+        truths = repeat(None)
         if truth is not None:
-            truths = _per_window(truth, windows)
+            truths = _per_window(truth, len(block))
         written = 0
         try:
-            for position in range(windows):
-                self._write(
-                    start + position,
-                    np.asarray(rows[position]).reshape(-1),
-                    verdicts[position],
-                    truths[position],
-                )
+            for row, verdict, window_truth in zip(block, verdicts, truths):
+                self._write(start + written, row, verdict, window_truth)
                 written += 1
         finally:
             self._count_written(written)

@@ -714,10 +714,11 @@ class _CsvCursor:
         self.handle = open(path, newline="")
         self.reader = csv.reader(self.handle)
         next(self.reader, None)  # the header, checked by bind()
-        # A checkpointed prefix is only split into rows, never
-        # converted or validated: resuming deep into a file costs
-        # little more than reading it.
-        deque(islice(self.reader, skip), maxlen=0)
+        # A checkpointed prefix is skipped by raw lines (one row per
+        # line, as block() counts them), never split, converted or
+        # validated: resuming deep into a file costs no more than
+        # reading it.
+        deque(islice(self.handle, skip), maxlen=0)
         #: Line number of the last line read (the header is line 1).
         self.line = 1 + skip
 

@@ -253,9 +253,7 @@ class StreamService:
             )
         sink.open(
             alphabet=self._engine.alphabet,
-            query_names=tuple(
-                query.name for query in self._spec.query_objects()
-            ),
+            query_names=tuple(query.name for query in self._spec.queries),
             append=append,
         )
         self._sink = sink
@@ -443,7 +441,9 @@ class StreamService:
         source mid-stream (the gateway serves in slices this way; a
         slice may run under its own ``asyncio.run``, and the next one
         continues the same session, whose drainer restarts on the new
-        loop);
+        loop).  A slice draws no block larger than itself, so a ready
+        source reads only the slice's rows; ``max_windows=0`` draws
+        none;
         ``append_sink`` continues a previous run's sink output instead
         of starting fresh.  Returns the per-query answer lists in
         submission order, or ``None`` with ``collect=False`` (unbounded
@@ -502,17 +502,24 @@ class StreamService:
 
         pumped = 0
         pump_started = time.perf_counter()
-        blocks = source.ablocks(session.block_rows)
+        block_rows = session.block_rows
+        if max_windows is not None:
+            # A slice draws no block larger than itself, so a ready
+            # source never hands over a row past the slice's end.
+            block_rows = max(1, min(block_rows, max_windows))
+        blocks = source.ablocks(block_rows)
         try:
-            async for block in blocks:
+            while max_windows is None or pumped < max_windows:
+                block = await anext(blocks, None)
+                if block is None:
+                    break
                 room = None if max_windows is None else max_windows - pumped
                 if room is not None and len(block) > room:
-                    # The slice ends inside this block: hand its tail
-                    # back, so the source (and a checkpoint's offset)
-                    # stands exactly after the last submitted window.
-                    source.unemit_block(block[max(room, 0) :])
-                    if room <= 0:
-                        break
+                    # A later block of a trickling feed overshot the
+                    # slice: hand its tail back, so the source (and a
+                    # checkpoint's offset) stands exactly after the
+                    # last submitted window.
+                    source.unemit_block(block[room:])
                     block = block[:room]
                 truth = matcher.answer(block) if wants_truth else None
                 try:
@@ -532,8 +539,6 @@ class StreamService:
                 ):
                     await settle()
                 pumped += len(block)
-                if max_windows is not None and pumped >= max_windows:
-                    break
             while pending:
                 await settle()
         except BaseException:
@@ -659,7 +664,14 @@ class StreamService:
         elif isinstance(spec, Mapping):
             spec = ServiceSpec.from_dict(spec)
         recorded = checkpoint.get("spec")
-        if recorded is not None and ServiceSpec.from_dict(recorded) != spec:
+        if (
+            recorded is not None
+            and recorded != spec.to_dict()
+            # Only a dict that differs from this spec's own is parsed
+            # (and validated anew): one that differs only in form, such
+            # as tuples for lists, still describes the same spec.
+            and ServiceSpec.from_dict(recorded) != spec
+        ):
             raise ValueError(
                 "checkpoint was taken under a different spec; resume "
                 "with the spec recorded in the checkpoint"

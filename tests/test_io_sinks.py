@@ -11,6 +11,7 @@ from repro.io import (
     JsonlSink,
     MemorySink,
     MetricsSink,
+    StreamSink,
     read_indicator_csv,
     register_sink,
     registered_sinks,
@@ -322,3 +323,122 @@ class TestBlockEgressCounting:
         with pytest.raises(RuntimeError, match="not open"):
             CallbackSink(lambda *window: None).write_block(0, matrix, answers)
 
+
+
+class Recorder(StreamSink):
+    """Records every ``_write`` call; optionally fails at one index."""
+
+    def __init__(self, fail_at=None):
+        super().__init__()
+        self.fail_at = fail_at
+        self.calls = []
+
+    def _write(self, index, row, answers, truth) -> None:
+        if index == self.fail_at:
+            raise OSError("egress down")
+        self.calls.append(
+            (
+                index,
+                row.tolist(),
+                list(answers.items()),
+                None if truth is None else list(truth.items()),
+            )
+        )
+
+
+class TestDefaultWriteBlock:
+    """The default ``write_block`` egresses exactly what per-window
+    ``write`` calls would."""
+
+    QUERIES = {
+        "none": (),
+        "one": ("q",),
+        "three": ("q1", "q2", "q3"),
+    }
+
+    def vectors(self, stream, names, salt):
+        rng = np.random.default_rng(salt)
+        return {name: rng.random(stream.n_windows) < 0.5 for name in names}
+
+    def per_window(self, sink, stream, answers, truth):
+        def at(vectors, index):
+            return {name: bool(vector[index]) for name, vector in vectors}
+
+        matrix = stream.matrix_view()
+        for index in range(stream.n_windows):
+            sink.write(
+                index,
+                matrix[index],
+                at(answers.items(), index),
+                None if truth is None else at(truth.items(), index),
+            )
+
+    def blocked(self, sink, stream, answers, truth):
+        def cut(vectors, start, stop):
+            return {name: vector[start:stop] for name, vector in vectors}
+
+        matrix = stream.matrix_view()
+        for start, stop in ((0, 1), (1, 12), (12, stream.n_windows)):
+            sink.write_block(
+                start,
+                matrix[start:stop],
+                cut(answers.items(), start, stop),
+                None if truth is None else cut(truth.items(), start, stop),
+            )
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("queries", sorted(QUERIES))
+    def test_block_equals_per_window_writes(self, stream, queries, with_truth):
+        names = self.QUERIES[queries]
+        answers = self.vectors(stream, names, 1)
+        truth = self.vectors(stream, names, 2) if with_truth else None
+        calls = []
+        for egress in (self.per_window, self.blocked):
+            sink = Recorder()
+            sink.open(alphabet=ALPHABET, query_names=names)
+            egress(sink, stream, answers, truth)
+            assert sink.windows_written == stream.n_windows
+            calls.append(sink.calls)
+        assert calls[0] == calls[1]
+        assert [call[0] for call in calls[1]] == list(range(stream.n_windows))
+        for _index, _row, verdicts, truths in calls[1]:
+            assert all(type(value) is bool for _name, value in verdicts)
+            assert [name for name, _value in verdicts] == list(names)
+            if with_truth:
+                assert [name for name, _value in truths] == list(names)
+
+    def test_failing_write_counts_the_windows_before_it(self, stream):
+        names = self.QUERIES["three"]
+        answers = self.vectors(stream, names, 1)
+        truth = self.vectors(stream, names, 2)
+        matrix = stream.matrix_view()
+        sink = Recorder(fail_at=9)
+        sink.open(alphabet=ALPHABET, query_names=names)
+        head = {name: vector[:5] for name, vector in answers.items()}
+        sink.write_block(0, matrix[:5], head)
+        with pytest.raises(OSError, match="egress down"):
+            sink.write_block(
+                5,
+                matrix[5:20],
+                {name: vector[5:20] for name, vector in answers.items()},
+                {name: vector[5:20] for name, vector in truth.items()},
+            )
+        assert sink.windows_written == 9
+        assert [call[0] for call in sink.calls] == list(range(9))
+
+    def test_callback_sees_the_same_windows_either_way(self, stream):
+        names = self.QUERIES["three"]
+        answers = self.vectors(stream, names, 3)
+        seen = []
+        for egress in (self.per_window, self.blocked):
+            calls = []
+            sink = CallbackSink(
+                lambda index, row, verdicts: calls.append(
+                    (index, row.tolist(), dict(verdicts))
+                )
+            )
+            sink.open(alphabet=ALPHABET, query_names=names)
+            egress(sink, stream, answers, None)
+            seen.append(calls)
+        assert seen[0] == seen[1]
+        assert len(seen[1]) == stream.n_windows

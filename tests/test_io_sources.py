@@ -143,6 +143,47 @@ class TestCsvSource:
         assert source.indicator_stream() == stream.slice_windows(30, 80)
         assert source.offset == stream.n_windows
 
+    @pytest.mark.parametrize("layout", ["crlf", "lf", "quoted"])
+    def test_resume_at_every_offset_matches_one_pass(
+        self, stream, tmp_path, layout
+    ):
+        ending = "\n" if layout == "lf" else "\r\n"
+        cell = '"{}"' if layout == "quoted" else "{}"
+        lines = [",".join(cell.format(name) for name in ALPHABET.types)]
+        for row in stream.matrix_view():
+            lines.append(",".join(cell.format(int(value)) for value in row))
+        path = tmp_path / f"{layout}.csv"
+        path.write_bytes((ending.join(lines) + ending).encode())
+
+        def blocked(source, max_rows):
+            async def drain():
+                return [block async for block in source.ablocks(max_rows)]
+
+            return np.concatenate(asyncio.run(drain()))
+
+        matrix = stream.matrix_view()
+        assert np.array_equal(
+            materialized(CsvSource(str(path))).matrix_view(), matrix
+        )
+        for offset in range(stream.n_windows):
+            rows = materialized(CsvSource(str(path)).skip(offset))
+            assert np.array_equal(rows.matrix_view(), matrix[offset:])
+            source = CsvSource(str(path)).bind(ALPHABET).skip(offset)
+            assert np.array_equal(blocked(source, 16), matrix[offset:])
+            assert source.offset == stream.n_windows
+
+    def test_skip_past_the_end_yields_nothing(self, stream, csv_path):
+        source = CsvSource(csv_path).bind(ALPHABET)
+        source.skip(stream.n_windows + 5)
+        assert list(source.rows()) == []
+
+        async def drain():
+            source = CsvSource(csv_path).bind(ALPHABET)
+            source.skip(stream.n_windows + 5)
+            return [block async for block in source.ablocks(16)]
+
+        assert asyncio.run(drain()) == []
+
     def test_skip_after_iteration_rejected(self, csv_path):
         source = CsvSource(csv_path).bind(ALPHABET)
         next(source.rows())

@@ -27,6 +27,7 @@ from repro.io import (
     MetricsSink,
     QueueSource,
     StreamSink,
+    StreamSource,
     SyntheticSource,
     write_indicator_csv,
 )
@@ -530,6 +531,100 @@ def test_queue_end_of_stream_survives_a_sliced_block():
     second = asyncio.run(service.pump())
     expected = reference(spec, matrix, MemorySink())
     assert {name: first[name] + second[name] for name in first} == expected
+
+
+@pytest.fixture
+def handed_back(monkeypatch):
+    """Every block (or block tail) a source is handed back, copied."""
+    blocks = []
+    unemit_block = StreamSource.unemit_block
+
+    def spy(source, block):
+        blocks.append(np.array(block))
+        unemit_block(source, block)
+
+    monkeypatch.setattr(StreamSource, "unemit_block", spy)
+    return blocks
+
+
+class TestSliceBoundedBlocks:
+    """A slice draws no block larger than itself: a ready source never
+    hands over a row past the slice, so nothing is handed back."""
+
+    @pytest.mark.parametrize("max_windows", [1, 7, 234, 1000])
+    def test_csv_slices_read_only_their_rows(
+        self, max_windows, tmp_path, handed_back
+    ):
+        spec = make_spec("bd")
+        matrix = make_matrix(600)
+        path = str(tmp_path / "sliced.csv")
+        write_indicator_csv(IndicatorStream(ALPHABET, matrix), path)
+        service = spec.build()
+        source = CsvSource(path)
+        answers = {}
+        while True:
+            got = asyncio.run(service.pump(source, max_windows=max_windows))
+            for name, values in got.items():
+                answers.setdefault(name, []).extend(values)
+            # The cursor has read the header and exactly the windows
+            # served so far, never a line beyond them.
+            assert source._cursor.line == source.offset + 1
+            if len(got["q1"]) < max_windows:
+                break
+
+        assert handed_back == []
+        assert source.offset == len(matrix)
+        assert answers == reference(spec, matrix, MemorySink())
+
+    def test_trickling_feed_hands_back_the_overshoot(self, handed_back):
+        spec = make_spec()
+        matrix = make_matrix(10)
+
+        async def go():
+            queue = asyncio.Queue()
+            service = spec.build()
+            for row in matrix[:3]:
+                queue.put_nowait(row)
+            pump = asyncio.ensure_future(
+                service.pump(QueueSource(queue), max_windows=5)
+            )
+            for _ in range(20):
+                await asyncio.sleep(0)
+            # Only three rows have arrived: the pump waits for more.
+            assert not pump.done()
+            assert service.last_source.offset == 3
+            # The next block takes five ready rows; the slice has room
+            # for two, so three go back.
+            for row in matrix[3:]:
+                queue.put_nowait(row)
+            queue.put_nowait(None)
+            first = await pump
+            offset = service.last_source.offset
+            rest = await service.pump()
+            return first, offset, rest
+
+        first, offset, rest = asyncio.run(go())
+        assert offset == 5
+        assert len(handed_back) == 1
+        assert np.array_equal(handed_back[0], matrix[5:8])
+        expected = reference(spec, matrix, MemorySink())
+        assert {name: first[name] + rest[name] for name in first} == expected
+
+    @pytest.mark.parametrize("kind", ["csv", "queue"])
+    def test_empty_slice_serves_nothing(self, kind, tmp_path):
+        service = make_spec().build()
+        if kind == "csv":
+            source, _matrix = make_source("csv", tmp_path)
+        else:
+            # Nothing is queued: an empty slice must not wait for a row.
+            source = QueueSource(asyncio.Queue())
+        answers = asyncio.run(
+            asyncio.wait_for(service.pump(source, max_windows=0), 10)
+        )
+        assert answers == {"q1": [], "q2": []}
+        assert service.last_source.offset == 0
+        assert service.session.windows_processed == 0
+        assert service.checkpoint()["source_offset"] == 0
 
 
 class TestCsvBlocks:

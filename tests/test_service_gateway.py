@@ -1,6 +1,7 @@
 """Tests for StreamGateway: tenancy, isolation, checkpoint/resume."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -261,6 +262,45 @@ class TestCheckpointResume:
                 for query in expected[name]
             }
             assert combined == expected[name], name
+
+    def test_resume_parses_the_recorded_spec_only_when_it_differs(
+        self, csv_specs, monkeypatch
+    ):
+        spec = csv_specs["b"]
+        expected = asyncio.run(spec.build().pump())
+        service = spec.build()
+        head = asyncio.run(service.pump(max_windows=30))
+        checkpoint = service.checkpoint()
+
+        parsed = []
+        from_dict = ServiceSpec.from_dict.__func__
+
+        def spy(cls, data):
+            parsed.append(data)
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(ServiceSpec, "from_dict", classmethod(spy))
+        # A JSON round trip leaves the recorded dict equal to the
+        # spec's own: nothing is parsed.
+        travelled = json.loads(json.dumps(checkpoint["spec"]))
+        travelled = dict(checkpoint, spec=travelled)
+        resumed = StreamService.resume(spec, travelled)
+        assert parsed == []
+        tail = asyncio.run(resumed.pump())
+        assert {name: head[name] + tail[name] for name in head} == expected
+
+        # A recorded dict that differs only in form (tuples for lists)
+        # is parsed, and the spec it describes is accepted.
+        recorded = dict(
+            checkpoint["spec"], alphabet=tuple(checkpoint["spec"]["alphabet"])
+        )
+        resumed = StreamService.resume(spec, dict(checkpoint, spec=recorded))
+        assert parsed == [recorded]
+        assert asyncio.run(resumed.pump()) == tail
+
+        reseeded = dict(checkpoint, spec=spec.with_(seed=99).to_dict())
+        with pytest.raises(ValueError, match="different spec"):
+            StreamService.resume(spec, reseeded)
 
     def test_checkpoint_records_source_offsets(self, csv_specs):
         gateway = StreamGateway()
