@@ -307,9 +307,8 @@ class BrokerSource(StreamSource):
         #: entry's last row — only completed entries are acked at a
         #: checkpoint (a chunk is all-or-nothing on the broker side).
         self._unacked: List[Tuple[str, bool]] = []
-        #: Ledger rows of pushed-back windows (parallel to
-        #: ``_pushback``, which the base class pops from the end).
-        self._pushback_ids: List[Tuple[str, bool]] = []
+        #: Ledger rows of the handed-back tail, one per tail row.
+        self._tail_ids: List[Tuple[str, bool]] = []
         #: Last entry id actually emitted — the drain cursor after a
         #: reconnect.
         self._last_entry_id = "0-0"
@@ -339,14 +338,22 @@ class BrokerSource(StreamSource):
             )
         return self
 
-    def unemit(self, row: np.ndarray) -> None:
+    def unemit_block(self, block: np.ndarray) -> None:
         # Keep the un-acked ledger aligned with the emitted offset: a
-        # pushed-back row's entry must not be acked at the next
-        # checkpoint (its window is not captured), so its id moves
-        # back out of the ledger alongside the row.
-        if self._unacked:
-            self._pushback_ids.append(self._unacked.pop())
-        super().unemit(row)
+        # handed-back row's entry must not be acked at the next
+        # checkpoint (its window is not captured), so its ledger row
+        # moves out alongside it (and back in when it is taken again).
+        cut = max(len(self._unacked) - len(block), 0)
+        self._tail_ids[:0] = self._unacked[cut:]
+        del self._unacked[cut:]
+        super().unemit_block(block)
+
+    def _take(self, limit: int) -> Optional[np.ndarray]:
+        if self._tail_ids:
+            count = min(limit, len(self._tail_ids))
+            self._unacked.extend(self._tail_ids[:count])
+            del self._tail_ids[:count]
+        return super()._take(limit)
 
     def checkpoint_mark(self) -> None:
         """Ack every emitted entry — the at-least-once commit point.
@@ -484,7 +491,7 @@ class BrokerSource(StreamSource):
 
     # -- source contract ----------------------------------------------
 
-    def _rows(self) -> Iterator[np.ndarray]:
+    def _blocks(self, limit: int) -> Iterator[np.ndarray]:
         raise TypeError(
             "the 'broker' source is asynchronous; drive it with "
             "StreamService.pump() / StreamGateway.serve() instead of a "
@@ -510,17 +517,9 @@ class BrokerSource(StreamSource):
         prefetched = None
         try:
             while True:
-                if self._pushback:
-                    row = self._pushback.pop()
-                    if self._pushback_ids:
-                        self._unacked.append(self._pushback_ids.pop())
-                    self._offset += 1
-                    yield row
-                    continue
-                if self._chunk is not None:
-                    row = self._take_chunk(1)
-                    self._offset += 1
-                    yield row[0]
+                block = self._take(1)
+                if block is not None:
+                    yield block[0]
                     continue
                 if self._fetched:
                     entry_id, fields = self._fetched.popleft()
@@ -569,8 +568,8 @@ class BrokerSource(StreamSource):
         rows :meth:`_take_chunk` emits)."""
         if EOS_FIELD in fields:
             # Deliberately left un-acked (and out of the un-acked
-            # ledger — it has no window, so it must not pair with an
-            # unemit): the pending eos is how a resumed consumer
+            # ledger — it has no window, so it must not pair with a
+            # handed-back row): the pending eos is how a resumed consumer
             # learns the stream already ended (see EOS_FIELD).
             self._last_entry_id = entry_id
             self._finished = True
@@ -644,16 +643,11 @@ class BrokerSource(StreamSource):
             self._chunk[2] = stop
         return block[start:stop]
 
-    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
-        """Pushed-back rows (with their ledger ids), else the rest of
-        the current chunk and of every already-fetched chunked entry
-        after it; a single-row entry, the end of stream or a fetch
-        ends the block."""
-        if self._pushback:
-            count = min(limit, len(self._pushback))
-            for _ in range(min(count, len(self._pushback_ids))):
-                self._unacked.append(self._pushback_ids.pop())
-            return self._pushed_block(count)
+    def _block(self, limit: int) -> Optional[np.ndarray]:
+        """The rest of the current chunk and of every already-fetched
+        chunked entry after it; a single-row entry (which
+        :meth:`arows` takes), the end of stream or a fetch ends the
+        block."""
         parts = []
         taken = 0
         while taken < limit:

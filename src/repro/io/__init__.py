@@ -45,7 +45,6 @@ from repro.io.sources import (
     ReplaySource,
     StreamSource,
     SyntheticSource,
-    iter_indicator_csv,
     read_indicator_csv,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "StreamSink",
     "StreamSource",
     "SyntheticSource",
-    "iter_indicator_csv",
     "read_indicator_csv",
     "register_sink",
     "register_source",

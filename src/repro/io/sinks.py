@@ -10,9 +10,12 @@ cannot live in JSON (a Python callback).
 
 The contract: :meth:`StreamSink.open` fixes the alphabet and query
 names (``append=True`` continues a previous run's output, which is how
-the gateway resumes file sinks); :meth:`StreamSink.write` takes one
-window and :meth:`StreamSink.write_block` a block of consecutive
-windows (the served path's egress, one call per drained batch);
+the gateway resumes file sinks); :meth:`StreamSink.write_block` is the
+one egress entry, taking a block of consecutive windows (the served
+path makes one call per drained batch, a batch run one call for its
+whole report) and :meth:`StreamSink.write` is its one-window form;
+subclasses implement the per-window hook ``_write`` or override
+``write_block`` with a vectorized update;
 :meth:`StreamSink.close` flushes; :meth:`StreamSink.result`
 returns whatever the sink accumulated.  A sink that sets
 :attr:`StreamSink.wants_truth` also receives the engine-internal true
@@ -58,9 +61,7 @@ def write_indicator_csv(
     sink = CsvSink(path)
     sink.open(alphabet=stream.alphabet, query_names=(), append=append)
     try:
-        matrix = stream.matrix_view()
-        for index in range(matrix.shape[0]):
-            sink.write(index, matrix[index], {})
+        sink.write_block(0, stream.matrix_view(), {})
     finally:
         sink.close()
 
@@ -79,7 +80,7 @@ def _per_window(
 class StreamSink:
     """Base class of all stream sinks (windows in, egress out)."""
 
-    #: When True, :meth:`write` receives the per-window true answers
+    #: When True, :meth:`write_block` receives the true answers
     #: (engine-internal ground truth) alongside the released ones.
     wants_truth: bool = False
 
@@ -173,10 +174,16 @@ class StreamSink:
         answers: Dict[str, bool],
         truth: Optional[Dict[str, bool]] = None,
     ) -> None:
-        """Egress one window: its released row and per-query answers."""
-        self.alphabet  # open check
-        self._write(index, np.asarray(row).reshape(-1), answers, truth)
-        self._count_written(1)
+        """Egress one window: its released row and per-query answers
+        (a one-window :meth:`write_block`)."""
+        self.write_block(
+            index,
+            np.asarray(row).reshape(1, -1),
+            {name: [value] for name, value in answers.items()},
+            None
+            if truth is None
+            else {name: [value] for name, value in truth.items()},
+        )
 
     def write_block(
         self,
@@ -388,13 +395,6 @@ class MetricsSink(StreamSink):
         """Fold a block's confusion counts in with one reduction per
         query and cell."""
         self.alphabet  # open check
-        self._fold(answers, truth)
-        self._count_written(len(rows))
-
-    def _write(self, index, row, answers, truth) -> None:
-        self._fold(answers, truth)
-
-    def _fold(self, answers, truth) -> None:
         if truth is None:
             raise ValueError(
                 "the metrics sink aggregates released-vs-truth "
@@ -412,6 +412,7 @@ class MetricsSink(StreamSink):
             counts[1] += released - hits
             counts[2] += true - hits
             counts[3] += len(got) - released - true + hits
+        self._count_written(len(rows))
 
     def result(self):
         from repro.metrics.confusion import ConfusionCounts

@@ -12,18 +12,23 @@ The common contract:
 
 - :meth:`StreamSource.bind` fixes the service alphabet (column
   layout) and validates the source against it;
-- :meth:`StreamSource.rows` / :meth:`StreamSource.arows` yield one
-  boolean indicator row per window, exactly once — a source is a
-  single pass over its data, like the stream it models;
-  :meth:`StreamSource.ablocks` yields the same rows as ``(k, width)``
-  blocks, each one awaited row plus what is ready without waiting
-  (the served path's view: one session future per block);
-- :attr:`StreamSource.offset` counts rows emitted so far and
-  :meth:`StreamSource.skip` fast-forwards a fresh source to a
-  checkpointed offset without emitting, which is how the
+- one primitive, ``_block(limit)``, hands over up to ``limit`` rows
+  that are ready without waiting, as one ``(k, width)`` block; every
+  view derives from it, so a source is a single pass over its data,
+  like the stream it models.  :meth:`StreamSource.rows` /
+  :meth:`StreamSource.arows` yield one boolean row per window,
+  :meth:`StreamSource.indicator_stream` materializes the rest, and
+  :meth:`StreamSource.ablocks` yields row blocks, each one awaited
+  row plus what is ready without waiting (the served path's view:
+  one session future per block);
+- :attr:`StreamSource.offset` counts rows emitted so far,
+  :meth:`StreamSource.unemit_block` hands back a block's unconsumed
+  tail, and :meth:`StreamSource.skip` fast-forwards a fresh source to
+  a checkpointed offset without emitting, which is how the
   :class:`~repro.service.gateway.StreamGateway` resumes in-flight
   sources (file sources discard rows; synthetic sources regenerate
-  deterministically; live queues cannot seek and refuse).
+  deterministically; live queues cannot seek and refuse);
+- :meth:`StreamSource.close` releases a held connection.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ import csv
 import json
 import os
 import time
+import weakref
 
 from collections import deque
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -52,14 +59,15 @@ __all__ = [
     "ReplaySource",
     "StreamSource",
     "SyntheticSource",
-    "iter_indicator_csv",
     "read_indicator_csv",
 ]
 
-#: Rows per preallocated buffer block when assembling streamed rows
-#: into one matrix (bounds the assembly overhead without doubling peak
-#: memory the way a Python list-of-lists did).
+#: Rows per block when a source materializes into one indicator
+#: stream.
 _CHUNK_ROWS = 4096
+
+#: The values an indicator cell may hold.
+_BITS = frozenset((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -67,38 +75,17 @@ _CHUNK_ROWS = 4096
 # ---------------------------------------------------------------------------
 
 
-def iter_indicator_csv(path: str):
-    """Open an indicator CSV; return ``(alphabet, row_iterator)``.
-
-    The header row becomes the :class:`EventAlphabet`; the iterator
-    yields one validated boolean row per line *as it reads*, so a large
-    replay file never exists as Python lists.  Malformed lines raise
-    ``ValueError`` naming the file and line.
-    """
-    handle = open(path, newline="")
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
+def _csv_header(path: str) -> EventAlphabet:
+    """The alphabet an indicator CSV declares in its header row."""
+    with open(path, newline="") as handle:
+        header = next(csv.reader(handle), None)
+    if header is None:
         raise ValueError(f"{path} is empty; expected an alphabet header")
-    try:
-        alphabet = EventAlphabet(header)
-    except ValueError:
-        handle.close()
-        raise
-
-    def rows() -> Iterator[np.ndarray]:
-        width = len(header)
-        with handle:
-            for line_number, row in enumerate(reader, start=2):
-                yield _checked_row(path, line_number, row, width)
-
-    return alphabet, rows()
+    return EventAlphabet(header)
 
 
 def _checked_row(path: str, line_number: int, row, width: int) -> np.ndarray:
-    """One parsed CSV row validated as a 0/1 indicator row.
+    """One parsed CSV row validated as a ``(1, width)`` 0/1 block.
 
     Malformed rows raise ``ValueError`` naming the file and line.
     """
@@ -107,16 +94,16 @@ def _checked_row(path: str, line_number: int, row, width: int) -> np.ndarray:
             f"{path}:{line_number}: expected {width} columns, got {len(row)}"
         )
     try:
-        values = [int(value) for value in row]
+        values = list(map(int, row))
     except ValueError:
         raise ValueError(
             f"{path}:{line_number}: non-integer indicator value"
         ) from None
-    if any(value not in (0, 1) for value in values):
+    if not _BITS.issuperset(values):
         raise ValueError(
             f"{path}:{line_number}: indicator values must be 0/1"
         )
-    return np.asarray(values, dtype=bool)
+    return np.array(values, dtype=bool, ndmin=2)
 
 
 def _strict_block(lines, width: int) -> Optional[np.ndarray]:
@@ -146,38 +133,10 @@ def _strict_block(lines, width: int) -> Optional[np.ndarray]:
     return values.astype(bool)
 
 
-def assemble_rows(rows: Iterable[np.ndarray], width: int) -> np.ndarray:
-    """Collect streamed indicator rows into one boolean matrix.
-
-    Fills fixed-size preallocated blocks and concatenates them once at
-    the end — peak memory is the final matrix plus one block, not a
-    Python list of the whole file.
-    """
-    blocks = []
-    buffer: Optional[np.ndarray] = None
-    fill = 0
-    for row in rows:
-        if buffer is None:
-            buffer = np.empty((_CHUNK_ROWS, width), dtype=bool)
-            fill = 0
-        buffer[fill] = row
-        fill += 1
-        if fill == _CHUNK_ROWS:
-            blocks.append(buffer)
-            buffer = None
-    if buffer is not None:
-        blocks.append(buffer[:fill])
-    if not blocks:
-        return np.zeros((0, width), dtype=bool)
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate(blocks)
-
-
 def read_indicator_csv(path: str) -> IndicatorStream:
-    """Read an indicator CSV into a stream, row-streamed (not list-built)."""
-    alphabet, rows = iter_indicator_csv(path)
-    return IndicatorStream(alphabet, assemble_rows(rows, len(alphabet)))
+    """Read an indicator CSV into a stream (header = alphabet), parsed
+    in row blocks rather than built from Python lists."""
+    return CsvSource(path).bind(_csv_header(path)).indicator_stream()
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +147,17 @@ def read_indicator_csv(path: str) -> IndicatorStream:
 class StreamSource:
     """Base class of all stream sources (one pass of indicator rows).
 
-    Subclasses implement :meth:`_rows` — a generator of boolean rows
-    over the bound alphabet, starting from the first window.  The base
-    class provides offset tracking, checkpoint fast-forward
-    (:meth:`skip`), paced emission (:attr:`delay` seconds between
-    rows, used by the replay source) and the async views
-    (:meth:`arows`, and :meth:`ablocks` in row blocks).  Sources that
-    cannot hand over rows synchronously — live feeds — override
-    :meth:`_ready_rows` to say what a block may take without waiting.
+    Every view derives from one primitive, :meth:`_block`: up to
+    ``limit`` next rows that are ready without waiting.  Its default
+    gathers them from :meth:`_rows`, a generator of boolean rows over
+    the bound alphabet starting from the first window, which simple
+    sources implement instead.  The base class provides offset
+    tracking, checkpoint fast-forward (:meth:`skip`), hand-back
+    (:meth:`unemit_block`), paced emission (:attr:`delay` seconds
+    between rows, used by the replay source) and the views:
+    :meth:`rows` and :meth:`indicator_stream` (synchronous),
+    :meth:`arows` and :meth:`ablocks` (asynchronous).  Live feeds
+    override :meth:`arows`, the one step that may wait.
     """
 
     #: Seconds to wait before each emitted row (0 = emit immediately).
@@ -219,10 +181,12 @@ class StreamSource:
         self._alphabet: Optional[EventAlphabet] = None
         self._offset = 0
         self._pending_skip = 0
+        self._started = False
+        #: The default :meth:`_block`'s row generator, once opened.
         self._iterator: Optional[Iterator[np.ndarray]] = None
-        #: Rows drawn but returned unconsumed (see :meth:`unemit`);
-        #: re-emitted before the underlying iterator continues.
-        self._pushback: list = []
+        #: Rows drawn but handed back unconsumed (see
+        #: :meth:`unemit_block`), served again before :meth:`_block`.
+        self._tail: Optional[np.ndarray] = None
         #: Absolute monotonic deadline of the next paced emission
         #: (``None`` until pacing starts).  Deadlines advance by
         #: ``delay`` per row independent of how long the sleep or the
@@ -259,6 +223,14 @@ class StreamSource:
             )
         return self._alphabet
 
+    def close(self) -> None:
+        """Release any connection the source holds (idempotent).
+
+        The default is a no-op: file sources close their file at the
+        end of the pass (or when collected); live feeds that hold a
+        connection (``broker:``) close it here.
+        """
+
     # -- offsets and checkpointing -------------------------------------
 
     @property
@@ -276,7 +248,7 @@ class StreamSource:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        if self._iterator is not None:
+        if self._started:
             raise RuntimeError(
                 "cannot skip after iteration has started; skip a fresh "
                 "source"
@@ -285,23 +257,23 @@ class StreamSource:
         self._offset += count
         return self
 
-    def unemit(self, row: np.ndarray) -> None:
-        """Return a drawn-but-unconsumed row to the front of the stream.
-
-        Used by the pump's cancellation path: a row already drawn from
-        the iterator but never accepted by the session is pushed back,
-        so both continuation styles see it again — a later pump on the
-        *same* source re-emits it, and a checkpoint's offset (rolled
-        back with it) makes a *fresh* source re-read it.
-        """
-        self._pushback.append(row)
-        self._offset -= 1
-
     def unemit_block(self, block: np.ndarray) -> None:
         """Return the rows of a drawn block (or its tail) to the front
-        of the stream, in order, through :meth:`unemit`."""
-        for row in block[::-1]:
-            self.unemit(row)
+        of the stream, in order.
+
+        Used by the pump: a slice hands back the part of a block past
+        its end, and a cancelled submit the block it never had
+        accepted.  Both continuation styles see the rows again — a
+        later pump on the *same* source re-emits them, and a
+        checkpoint's offset (rolled back with them) makes a *fresh*
+        source re-read them.
+        """
+        if not len(block):
+            return
+        self._offset -= len(block)
+        if self._tail is not None:
+            block = np.concatenate([block, self._tail])
+        self._tail = block
 
     def checkpoint_mark(self) -> None:
         """Hook: a checkpoint is being taken at the current offset.
@@ -314,36 +286,39 @@ class StreamSource:
         The default is a no-op (replayable sources need no commit).
         """
 
-    # -- iteration -----------------------------------------------------
+    # -- the primitive -------------------------------------------------
 
-    def _emitter(self) -> Iterator[np.ndarray]:
-        if self._iterator is None:
-            self._iterator = self._open(self._pending_skip)
-            self._pending_skip = 0
-        return self._iterator
+    def _block(self, limit: int) -> Optional[np.ndarray]:
+        """Up to ``limit`` next rows that are ready without waiting, as
+        one ``(k, width)`` boolean block, or ``None`` (for replayable
+        data: the end of the stream).
 
-    def _open(self, skip: int) -> Iterator[np.ndarray]:
-        """The row iterator, already past the first ``skip`` rows.
-
-        The default draws and drops them; file sources override it to
-        skip without parsing.
+        The default gathers them from :meth:`_rows`, past the skipped
+        prefix; sources with faster access (files, matrices, live
+        feeds) override it.
         """
-        iterator = self._rows()
-        for _ in range(skip):
-            next(iterator, None)
-        return iterator
+        if self._iterator is None:
+            self._iterator = self._rows()
+            deque(islice(self._iterator, self._pending_skip), maxlen=0)
+        rows = list(islice(self._iterator, limit))
+        return np.stack(rows) if rows else None
 
-    def _next_row(self) -> Optional[np.ndarray]:
-        if self._pushback:
-            return self._pushback.pop()
-        return next(self._emitter(), None)
+    def _take(self, limit: int) -> Optional[np.ndarray]:
+        """:meth:`_block`, after any handed-back tail; counts the rows
+        into :attr:`offset`."""
+        tail = self._tail
+        if tail is None:
+            block = self._block(limit)
+            if block is None:
+                return None
+        else:
+            block = tail[:limit]
+            self._tail = tail[limit:] if limit < len(tail) else None
+        self._offset += len(block)
+        return block
 
-    def _pushed_block(self, max_rows: int) -> Optional[np.ndarray]:
-        """Up to ``max_rows`` pushed-back rows as one block, in order."""
-        if not self._pushback:
-            return None
-        count = min(max_rows, len(self._pushback))
-        return np.stack([self._pushback.pop() for _ in range(count)])
+    def _rows(self) -> Iterator[np.ndarray]:
+        raise NotImplementedError
 
     def _pace_wait(self) -> float:
         """Seconds until the next emission deadline (<= 0: emit now).
@@ -369,96 +344,80 @@ class StreamSource:
         self._next_emit = deadline + delay
         return deadline - now
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """Yield one boolean indicator row per window (single pass)."""
+    # -- views ---------------------------------------------------------
+
+    def _blocks(self, limit: int) -> Iterator[np.ndarray]:
+        """The synchronous view: blocks of up to ``limit`` rows, one
+        row per block when paced."""
         self.alphabet  # bound check
+        self._started = True
         while True:
-            # Pace *before* drawing: an interruption while waiting then
-            # loses nothing (a row drawn but never delivered would be
-            # silently dropped from the single-pass iterator).
             if self.delay:
+                # Pace *before* drawing: an interruption while waiting
+                # then loses nothing (a row drawn but never delivered
+                # would be silently dropped from the single pass).
                 wait = self._pace_wait()
                 if wait > 0:
                     time.sleep(wait)
-            row = self._next_row()
-            if row is None:
+                block = self._take(1)
+            else:
+                block = self._take(limit)
+            if block is None:
                 return
-            self._offset += 1
-            yield row
+            yield block
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """One boolean indicator row per window (single pass)."""
+        return map(itemgetter(0), self._blocks(1))
+
+    def indicator_stream(self) -> IndicatorStream:
+        """Materialize the remaining windows as one indicator stream
+        (the batch service phase needs the whole matrix at once),
+        gathered in row blocks, never in Python lists."""
+        width = len(self.alphabet)
+        blocks = [np.zeros((0, width), dtype=bool)]
+        blocks.extend(self._blocks(_CHUNK_ROWS))
+        return IndicatorStream(self.alphabet, np.concatenate(blocks))
 
     async def arows(self):
         """Async view of :meth:`rows` (``delay`` awaits the loop)."""
         self.alphabet  # bound check
+        self._started = True
         while True:
             if self.delay:
                 wait = self._pace_wait()
                 if wait > 0:
                     await asyncio.sleep(wait)
-            row = self._next_row()
-            if row is None:
+            block = self._take(1)
+            if block is None:
                 return
-            self._offset += 1
-            yield row
+            yield block[0]
 
     async def ablocks(self, max_rows: int):
         """Async view in row blocks: ``(k, width)`` boolean matrices
         with ``1 <= k <= max_rows``, in stream order.
 
         A block is one :meth:`arows` step — which paces and waits like
-        every row does — plus whatever further rows
-        :meth:`_ready_rows` hands over without waiting, so blocks never
-        hold a row back.  :attr:`offset` counts every row of a block,
-        and :meth:`unemit_block` returns a tail the consumer did not
+        every row does — plus whatever further rows are ready without
+        waiting (none when paced), so blocks never hold a row back.
+        :attr:`offset` counts every row of a block, and
+        :meth:`unemit_block` returns a tail the consumer did not
         accept, so offsets and checkpoints stay row-exact.
         """
         if max_rows < 1:
             raise ValueError(f"max_rows must be positive, got {max_rows}")
+        extra = 0 if self.delay else max_rows - 1
         rows = self.arows()
         try:
             async for row in rows:
-                more = self._ready_rows(max_rows - 1) if max_rows > 1 else None
+                more = self._take(extra) if extra else None
                 if more is None:
-                    yield row.reshape(1, -1)
+                    yield row[None]
                 else:
-                    self._offset += len(more)
-                    yield np.concatenate([row.reshape(1, -1), more])
+                    yield np.concatenate([row[None], more])
         finally:
             # A live feed may hold a fetch in flight: settle it now.
             await rows.aclose()
-
-    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
-        """Up to ``limit`` next rows available without waiting, as one
-        block, or ``None``; :meth:`ablocks` counts them into
-        :attr:`offset`.
-
-        The default draws them from :meth:`_rows`.  A paced source
-        hands over none, so every row keeps its own deadline; live
-        feeds declare their own (or none) by overriding this.
-        """
-        if self.delay:
-            return None
-        rows = []
-        while len(rows) < limit:
-            row = self._next_row()
-            if row is None:
-                break
-            rows.append(row)
-        return np.stack(rows) if rows else None
-
-    def indicator_stream(self) -> IndicatorStream:
-        """Materialize the remaining windows as one indicator stream.
-
-        The batch service phase needs the whole matrix at once; rows
-        are streamed into preallocated blocks (:func:`assemble_rows`),
-        never into Python lists.
-        """
-        return IndicatorStream(
-            self.alphabet,
-            assemble_rows(self.rows(), len(self.alphabet)),
-        )
-
-    def _rows(self) -> Iterator[np.ndarray]:
-        raise NotImplementedError
 
     # -- helpers -------------------------------------------------------
 
@@ -537,6 +496,9 @@ class _ThrottledSource(StreamSource):
     def checkpoint_mark(self) -> None:
         self._inner.checkpoint_mark()
 
+    def close(self) -> None:
+        self._inner.close()
+
     def bind(self, alphabet: EventAlphabet) -> "StreamSource":
         self._inner.bind(alphabet)
         self._alphabet = self._inner._alphabet
@@ -546,8 +508,8 @@ class _ThrottledSource(StreamSource):
         self._inner.skip(count)
         return self
 
-    def unemit(self, row: np.ndarray) -> None:
-        self._inner.unemit(row)
+    def unemit_block(self, block: np.ndarray) -> None:
+        self._inner.unemit_block(block)
 
     def _admit(self, row: np.ndarray) -> bool:
         if self._bucket.try_acquire():
@@ -556,21 +518,21 @@ class _ThrottledSource(StreamSource):
             self._on_shed(self._inner.offset - 1, row)
         return False
 
-    def rows(self) -> Iterator[np.ndarray]:
-        for row in self._inner.rows():
-            if self._admit(row):
-                yield row
+    def _take(self, limit: int) -> None:
+        # One row per block: the bucket admits or sheds row by row, and
+        # rows drawn ahead from the inner source would advance its
+        # offset past rows this proxy has not forwarded yet.
+        return None
+
+    def _blocks(self, limit: int) -> Iterator[np.ndarray]:
+        for block in self._inner._blocks(1):
+            if self._admit(block[0]):
+                yield block
 
     async def arows(self):
         async for row in self._inner.arows():
             if self._admit(row):
                 yield row
-
-    def _ready_rows(self, limit: int) -> None:
-        # One row per block: the bucket admits or sheds row by row, and
-        # rows drawn ahead from the inner source would advance its
-        # offset past rows this proxy has not forwarded yet.
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +553,8 @@ class MemorySource(StreamSource):
     def __init__(self, data=None):
         super().__init__()
         self._data = data
-        #: The backing matrix (``None`` for type-collection data) and
-        #: the index of the next row it emits, shared by the row
-        #: iterator and :meth:`_ready_rows`.
+        #: The backing matrix (``None`` for type-collection data, or
+        #: until the first block) and the index of its next row.
         self._matrix: Optional[np.ndarray] = None
         self._position = 0
 
@@ -605,28 +566,29 @@ class MemorySource(StreamSource):
                     "service alphabet"
                 )
 
-    def _open(self, skip: int) -> Iterator[np.ndarray]:
-        data = self._data
-        if isinstance(data, IndicatorStream):
-            self._matrix = data.matrix_view()
-        elif isinstance(data, np.ndarray):
-            matrix = np.asarray(data)
-            if matrix.ndim != 2 or matrix.shape[1] != len(self.alphabet):
-                raise ValueError(
-                    f"matrix shape {matrix.shape} does not match the "
-                    f"{len(self.alphabet)}-type alphabet"
-                )
-            self._matrix = matrix
-        else:
-            return super()._open(skip)
-        self._position = skip
-        return self._matrix_rows()
-
-    def _matrix_rows(self) -> Iterator[np.ndarray]:
-        matrix = self._matrix
-        while self._position < matrix.shape[0]:
-            self._position += 1
-            yield matrix[self._position - 1].astype(bool)
+    def _block(self, limit: int) -> Optional[np.ndarray]:
+        """A matrix hands over its next rows as one sliced copy, so a
+        block never aliases (or is changed through) the caller's
+        data; type collections go through :meth:`_rows`."""
+        if self._matrix is None:
+            data = self._data
+            if isinstance(data, IndicatorStream):
+                self._matrix = data.matrix_view()
+            elif isinstance(data, np.ndarray):
+                if data.ndim != 2 or data.shape[1] != len(self.alphabet):
+                    raise ValueError(
+                        f"matrix shape {data.shape} does not match the "
+                        f"{len(self.alphabet)}-type alphabet"
+                    )
+                self._matrix = data
+            else:
+                return super()._block(limit)
+            self._position = self._pending_skip
+        start = self._position
+        self._position = min(start + limit, self._matrix.shape[0])
+        if self._position <= start:
+            return None
+        return self._matrix[start : self._position].astype(bool)
 
     def _rows(self) -> Iterator[np.ndarray]:
         data = self._data
@@ -638,22 +600,6 @@ class MemorySource(StreamSource):
             )
         for window in data:
             yield self._row_from_types(window)
-
-    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
-        """A matrix hands over its next rows as one sliced copy, so a
-        block never aliases (or is changed through) the caller's
-        data."""
-        block = self._pushed_block(limit)
-        if block is not None:
-            return block
-        self._emitter()  # the data is open, past any skipped prefix
-        if self._matrix is None:
-            return super()._ready_rows(limit)
-        start = self._position
-        self._position = min(start + limit, self._matrix.shape[0])
-        if self._position == start:
-            return None
-        return self._matrix[start : self._position].astype(bool)
 
 
 @register_source("csv", raw_tail=True, keys=(SpecKey("path", raw=True),))
@@ -670,49 +616,45 @@ class CsvSource(StreamSource):
         if not isinstance(path, str) or not path:
             raise ValueError("csv source needs a path: 'csv:<path>'")
         self.path = path
-        #: The open pass behind :meth:`rows`/:meth:`ablocks`.
+        #: The open pass behind every view.
         self._cursor: Optional[_CsvCursor] = None
 
     def _bind(self, alphabet: EventAlphabet) -> None:
-        with open(self.path, newline="") as handle:
-            try:
-                header = EventAlphabet(next(csv.reader(handle)))
-            except StopIteration:
-                raise ValueError(
-                    f"{self.path} is empty; expected an alphabet header"
-                ) from None
+        header = _csv_header(self.path)
         if header != alphabet:
             raise ValueError(
                 f"{self.path} has alphabet {list(header.types)} but the "
                 f"service alphabet is {list(alphabet.types)}"
             )
 
-    def _rows(self) -> Iterator[np.ndarray]:
-        return _CsvCursor(self.path, len(self.alphabet)).rows()
-
-    def _open(self, skip: int) -> Iterator[np.ndarray]:
-        self._cursor = _CsvCursor(self.path, len(self.alphabet), skip)
-        return self._cursor.rows()
-
-    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
-        block = self._pushed_block(limit)
-        if block is None:
-            self._emitter()  # the file is open, past any skipped prefix
-            block = self._cursor.block(limit)
-        return block
+    def _block(self, limit: int) -> Optional[np.ndarray]:
+        if self._cursor is None:
+            self._cursor = _CsvCursor(
+                self.path, len(self.alphabet), self._pending_skip
+            )
+        return self._cursor.block(limit)
 
 
 class _CsvCursor:
-    """One open pass over an indicator CSV, past its header: rows are
-    read one at a time (each validated) or in blocks (parsed in one
-    vectorized pass; a block with any malformed line is re-parsed row
-    by row, so the error names that exact line)."""
+    """One open pass over an indicator CSV, past its header.
+
+    A one-row block goes through the csv reader and the row validator
+    (cheaper than a vectorized pass for a single line); larger blocks
+    are parsed in one vectorized pass, and a block with any malformed
+    line is re-parsed row by row, so the error names that exact line.
+    The file closes at the end of the pass, on a malformed line, or
+    when the cursor is collected mid-file.
+    """
 
     def __init__(self, path: str, width: int, skip: int = 0):
         self.path = path
         self.width = width
         self.handle = open(path, newline="")
+        weakref.finalize(self, self.handle.close)
+        #: Where rows and raw lines are read; both run dry once the
+        #: file closes.
         self.reader = csv.reader(self.handle)
+        self.lines = self.handle
         next(self.reader, None)  # the header, checked by bind()
         # A checkpointed prefix is skipped by raw lines (one row per
         # line, as block() counts them), never split, converted or
@@ -722,32 +664,38 @@ class _CsvCursor:
         #: Line number of the last line read (the header is line 1).
         self.line = 1 + skip
 
-    def rows(self) -> Iterator[np.ndarray]:
-        with self.handle:
-            for row in self.reader:
-                self.line += 1
-                yield _checked_row(self.path, self.line, row, self.width)
-
     def block(self, limit: int) -> Optional[np.ndarray]:
-        if self.handle.closed:
-            return None
-        lines = list(islice(self.handle, limit))
-        if not lines:
-            return None  # rows() closes the file at its end
+        try:
+            if limit == 1:
+                row = next(self.reader, None)
+                if row is not None:
+                    self.line += 1
+                    return _checked_row(self.path, self.line, row, self.width)
+            else:
+                lines = list(islice(self.lines, limit))
+                if lines:
+                    return self._parse(lines)
+        except ValueError:
+            self.close()  # a malformed line ends the pass
+            raise
+        self.close()  # the end of the file
+        return None
+
+    def close(self) -> None:
+        self.handle.close()
+        self.reader = self.lines = iter(())
+
+    def _parse(self, lines) -> np.ndarray:
         first = self.line + 1
         self.line += len(lines)
         block = _strict_block(lines, self.width)
         if block is None:
-            try:
-                block = np.stack(
-                    [
-                        _checked_row(self.path, first + index, row, self.width)
-                        for index, row in enumerate(csv.reader(lines))
-                    ]
-                )
-            except ValueError:
-                self.handle.close()  # a malformed line ends the pass
-                raise
+            block = np.concatenate(
+                [
+                    _checked_row(self.path, first + index, row, self.width)
+                    for index, row in enumerate(csv.reader(lines))
+                ]
+            )
         return block
 
 
@@ -901,8 +849,13 @@ class ReplaySource(StreamSource):
     def _bind(self, alphabet: EventAlphabet) -> None:
         self._inner.bind(alphabet)
 
-    def _rows(self) -> Iterator[np.ndarray]:
-        return self._inner._rows()
+    def skip(self, count: int) -> "StreamSource":
+        super().skip(count)
+        self._inner.skip(count)
+        return self
+
+    def _block(self, limit: int) -> Optional[np.ndarray]:
+        return self._inner._block(limit)
 
 
 @register_source(
@@ -973,7 +926,7 @@ class QueueSource(StreamSource):
             )
         return self
 
-    def _rows(self) -> Iterator[np.ndarray]:
+    def _blocks(self, limit: int) -> Iterator[np.ndarray]:
         raise TypeError(
             "the 'queue' source is asynchronous; drive it with "
             "StreamService.pump() / StreamGateway.serve() instead of a "
@@ -989,13 +942,14 @@ class QueueSource(StreamSource):
                 "QueueSource(queue) and pass it at run time"
             )
         while True:
-            if self._pushback:
-                row = self._pushback.pop()
-            else:
-                item = self._held.pop() if self._held else await queue.get()
-                if item is None:
-                    return
-                row = self._coerce_row(item)
+            block = self._take(1)
+            if block is not None:
+                yield block[0]
+                continue
+            item = self._held.pop() if self._held else await queue.get()
+            if item is None:
+                return
+            row = self._coerce_row(item)
             self._offset += 1
             yield row
 
@@ -1005,14 +959,13 @@ class QueueSource(StreamSource):
         except Exception:
             return None
 
-    def _ready_rows(self, limit: int) -> Optional[np.ndarray]:
+    def _block(self, limit: int) -> Optional[np.ndarray]:
         """Only what ``get_nowait`` returns right now: a block never
         waits to fill, so a trickling feed is served window by window
         with no added latency."""
-        block = self._pushed_block(limit)
         get_nowait = getattr(self._queue, "get_nowait", None)
-        if block is not None or self._held or get_nowait is None:
-            return block
+        if self._held or get_nowait is None:
+            return None
         rows = []
         while len(rows) < limit:
             try:

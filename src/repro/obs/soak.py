@@ -101,6 +101,14 @@ def _replay_alphabet(path: str) -> tuple:
     return tuple(header)
 
 
+def _close_sources(gateway: StreamGateway) -> None:
+    """Release every tenant source's connection (broker sockets)."""
+    for name in gateway.tenant_names:
+        source = gateway.service(name).last_source
+        if source is not None:
+            source.close()
+
+
 def run_soak(
     path: str,
     *,
@@ -244,13 +252,16 @@ def run_soak(
                 break  # every replay is exhausted
             if kill_every and slices % kill_every == 0:
                 checkpoint = gateway.checkpoint()
-                # The "kill": drop the live fleet, resume a fresh one
-                # from the checkpoint (a fresh registry per generation
-                # proves the merge keeps the series monotone).
+                # The "kill": drop the live fleet (closing its broker
+                # connections), resume a fresh one from the checkpoint
+                # (a fresh registry per generation proves the merge
+                # keeps the series monotone).
+                _close_sources(gateway)
                 gateway = StreamGateway.resume(
                     checkpoint, registry=MetricsRegistry()
                 )
     finally:
+        _close_sources(gateway)
         if recorder_scope is not None:
             recorder_scope.__exit__(None, None, None)
     elapsed = time.monotonic() - started

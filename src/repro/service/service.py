@@ -260,22 +260,16 @@ class StreamService:
         return sink
 
     def _egress_report(self, report: EngineReport, sink) -> None:
-        """Write a batch report through a sink, window by window."""
-        matrix = report.perturbed.matrix_view()
+        """Write a batch report through a sink as one block."""
         names = list(report.answers)
+        answers = {name: report.answers[name].detections for name in names}
+        truth = None
+        if sink.wants_truth:
+            truth = {
+                name: report.true_answers[name].detections for name in names
+            }
         try:
-            for index in range(matrix.shape[0]):
-                answers = {
-                    name: bool(report.answers[name].detections[index])
-                    for name in names
-                }
-                truth = None
-                if sink.wants_truth:
-                    truth = {
-                        name: bool(report.true_answers[name].detections[index])
-                        for name in names
-                    }
-                sink.write(index, matrix[index], answers, truth)
+            sink.write_block(0, report.perturbed.matrix_view(), answers, truth)
         finally:
             sink.close()
 

@@ -11,7 +11,9 @@ soak harness's broker mode.
 """
 
 import asyncio
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +580,33 @@ class TestSoakBrokerMode:
         assert report.delivered_entries > 0
         assert faults == [1]
         assert len(server.faults_fired) == 2
+
+    def test_soak_closes_every_fleets_broker_sockets(self, server, tmp_path):
+        # Each kill discards a fleet, and the last fleet outlives the
+        # soak: none of them may leave a broker connection open.
+        path = str(tmp_path / "replay.csv")
+        write_indicator_csv(make_stream(seed=2, n=120), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_soak(
+                path,
+                tenants=2,
+                duration=30.0,
+                slice_windows=32,
+                kill_every=2,
+                seed=5,
+                broker_url=server.url,
+            )
+            gc.collect()
+        assert report.windows_total == 2 * 120
+        assert report.resumes > 0
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+            and "socket" in str(warning.message)
+        ]
+        assert unclosed == []
 
     def test_file_soak_reports_no_broker_section(self, tmp_path):
         path = str(tmp_path / "replay.csv")

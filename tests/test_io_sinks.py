@@ -442,3 +442,108 @@ class TestDefaultWriteBlock:
             seen.append(calls)
         assert seen[0] == seen[1]
         assert len(seen[1]) == stream.n_windows
+
+
+def per_window_egress(report, sink):
+    """The reference batch egress: one ``write`` per report window."""
+    matrix = report.perturbed.matrix_view()
+    names = list(report.answers)
+    try:
+        for index in range(matrix.shape[0]):
+            answers = {
+                name: bool(report.answers[name].detections[index])
+                for name in names
+            }
+            truth = None
+            if sink.wants_truth:
+                truth = {
+                    name: bool(report.true_answers[name].detections[index])
+                    for name in names
+                }
+            sink.write(index, matrix[index], answers, truth)
+    finally:
+        sink.close()
+
+
+class TestBatchEgress:
+    """A batch ``run(sink=...)`` egresses its report in one block, with
+    exactly the output of a per-window loop over the same report."""
+
+    SINKS = ("csv", "jsonl", "memory", "callback", "metrics")
+
+    def service(self):
+        from repro.service import ServiceSpec
+
+        return ServiceSpec(
+            alphabet=ALPHABET.types,
+            patterns=[("p", ("e1", "e2"))],
+            queries=[("q1", ("e2", "e3")), ("q2", ("e4",))],
+            mechanism="bd",
+            mechanism_options={"epsilon": 1.0, "w": 5},
+            seed=3,
+        ).build()
+
+    def sink(self, kind, directory):
+        """A fresh sink of ``kind`` and a reader of its output."""
+        if kind in ("csv", "jsonl"):
+            path = directory / f"out.{kind}"
+            sink_class = CsvSink if kind == "csv" else JsonlSink
+            return sink_class(str(path)), path.read_bytes
+        if kind == "callback":
+            calls = []
+            sink = CallbackSink(
+                lambda index, row, answers: calls.append(
+                    (index, row.tolist(), sorted(answers.items()))
+                )
+            )
+            return sink, lambda: calls
+        sink = MemorySink() if kind == "memory" else MetricsSink()
+        return sink, sink.result
+
+    @pytest.mark.parametrize("windows", [30, 0])
+    @pytest.mark.parametrize("kind", SINKS)
+    def test_run_matches_a_per_window_loop(
+        self, kind, windows, stream, tmp_path
+    ):
+        data = stream.slice_windows(0, windows)
+        (tmp_path / "block").mkdir()
+        (tmp_path / "loop").mkdir()
+        sink, output = self.sink(kind, tmp_path / "block")
+        report = self.service().run(data, sink=sink)
+        reference, expected = self.sink(kind, tmp_path / "loop")
+        reference.open(alphabet=ALPHABET, query_names=("q1", "q2"))
+        per_window_egress(report, reference)
+        assert output() == expected()
+        assert sink.windows_written == reference.windows_written == windows
+
+    def test_failing_callback_counts_the_windows_before_it(self, stream):
+        def callback(index, row, answers):
+            if index == 7:
+                raise OSError("egress down")
+
+        sink = CallbackSink(callback)
+        with pytest.raises(OSError, match="egress down"):
+            self.service().run(stream, sink=sink)
+        assert sink.windows_written == 7
+
+    def test_write_indicator_csv_matches_per_window_writes(
+        self, stream, tmp_path
+    ):
+        from repro.io import write_indicator_csv
+
+        written = tmp_path / "written.csv"
+        write_indicator_csv(stream, str(written))
+        looped = tmp_path / "looped.csv"
+        sink = CsvSink(str(looped))
+        sink.open(alphabet=ALPHABET, query_names=())
+        matrix = stream.matrix_view()
+        for index in range(stream.n_windows):
+            sink.write(index, matrix[index], {})
+        sink.close()
+        assert written.read_bytes() == looped.read_bytes()
+
+    def test_metrics_write_without_truth_still_raises(self, stream):
+        sink = MetricsSink()
+        sink.open(alphabet=ALPHABET, query_names=("q",))
+        with pytest.raises(ValueError, match="true answers"):
+            sink.write(0, stream.matrix_view()[0], {"q": True})

@@ -1,10 +1,13 @@
 """Tests for repro.io sources: registry, streaming, offsets, skip."""
 
 import asyncio
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.io import (
     CsvSource,
@@ -20,7 +23,6 @@ from repro.io import (
     write_indicator_csv,
 )
 from repro.io.registry import resolve_sink
-from repro.io.sources import assemble_rows
 from repro.service.registry import UnknownSpecError
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
@@ -42,6 +44,11 @@ def csv_path(stream, tmp_path):
 
 def materialized(source):
     return source.bind(ALPHABET).indicator_stream()
+
+
+def type_sets(matrix):
+    """Each row of ``matrix`` as the list of its event types."""
+    return [[ALPHABET.types[j] for j in np.flatnonzero(row)] for row in matrix]
 
 
 class TestRegistry:
@@ -189,6 +196,66 @@ class TestCsvSource:
         next(source.rows())
         with pytest.raises(RuntimeError, match="skip"):
             source.skip(1)
+
+
+class TestCsvFileLifetime:
+    """The csv source's file closes at the end of the pass, on a
+    malformed line, and when a source dropped mid-file is collected."""
+
+    #: A pass one row at a time, and one in row blocks.
+    PASSES = {
+        "rows": lambda source: list(source.rows()),
+        "stream": lambda source: source.indicator_stream(),
+    }
+
+    @pytest.mark.parametrize("view", sorted(PASSES))
+    def test_closed_at_the_end_of_the_pass(self, stream, csv_path, view):
+        source = CsvSource(csv_path).bind(ALPHABET)
+        self.PASSES[view](source)
+        assert source.offset == stream.n_windows
+        assert source._cursor.handle.closed
+
+    @pytest.mark.parametrize("view", sorted(PASSES))
+    def test_closed_on_a_malformed_line(self, tmp_path, view):
+        path = tmp_path / "bad.csv"
+        path.write_text("e1,e2,e3,e4,e5\n1,0,1,0,1\n1,0,x,0,1\n")
+        source = CsvSource(str(path)).bind(ALPHABET)
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-integer"):
+            self.PASSES[view](source)
+        assert source._cursor.handle.closed
+        assert list(source.rows()) == []
+
+    @pytest.mark.parametrize("view", ["rows", "ablocks"])
+    def test_dropped_source_closes_when_collected(self, csv_path, view):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            source = CsvSource(csv_path).bind(ALPHABET)
+            if view == "rows":
+                rows = source.rows()
+                next(rows)
+                handle = source._cursor.handle
+                del rows
+            else:
+
+                async def one_block():
+                    blocks = source.ablocks(4)
+                    await anext(blocks)
+                    await blocks.aclose()
+
+                asyncio.run(one_block())
+                handle = source._cursor.handle
+            assert not handle.closed
+            del source
+            gc.collect()
+            assert handle.closed
+        assert not [
+            warning
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
 
 
 class TestReadIndicatorCsv:
@@ -390,15 +457,17 @@ class TestQueueSource:
         )
 
 
-class TestAssembleRows:
-    def test_empty_iterator(self):
-        assert assemble_rows(iter([]), 4).shape == (0, 4)
+class TestIndicatorStream:
+    def test_empty_source(self):
+        out = materialized(MemorySource(np.zeros((0, 5), dtype=bool)))
+        assert out.matrix_view().shape == (0, 5)
 
     def test_spans_multiple_blocks(self):
         rng = np.random.default_rng(0)
-        matrix = rng.random((10000, 3)) < 0.5
-        out = assemble_rows((row for row in matrix), 3)
-        assert np.array_equal(out, matrix)
+        matrix = rng.random((10000, 5)) < 0.5
+        for data in (matrix, type_sets(matrix)):
+            out = materialized(MemorySource(data))
+            assert np.array_equal(out.matrix_view(), matrix)
 
     def test_csv_sink_output_feeds_csv_source(self, stream, tmp_path):
         # The sanitized-egress format is itself a valid source.
@@ -560,3 +629,205 @@ class TestAbsoluteDeadlinePacing:
         monkeypatch.setattr(sources_module, "time", ExplodingClock())
         source = ReplaySource(csv_path, rate=0.0).bind(ALPHABET)
         assert len(self.drain(source, 10)) == 10
+
+
+# ---------------------------------------------------------------------------
+# Hand-back and resume across every built-in source
+# ---------------------------------------------------------------------------
+
+HANDBACK_WINDOWS = 40
+HANDBACK_MATRIX = np.random.default_rng(21).random((HANDBACK_WINDOWS, 5)) < 0.5
+#: Rows per chunked broker entry.
+CHUNK = 3
+
+_stream_names = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def handback_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("handback")
+    csv_file = str(directory / "stream.csv")
+    write_indicator_csv(IndicatorStream(ALPHABET, HANDBACK_MATRIX), csv_file)
+    jsonl_file = str(directory / "stream.jsonl")
+    with open(jsonl_file, "w") as handle:
+        for types in type_sets(HANDBACK_MATRIX):
+            handle.write(json.dumps(types) + "\n")
+    return {"csv": csv_file, "jsonl": jsonl_file}
+
+
+@pytest.fixture(scope="module")
+def broker_server():
+    from repro.broker import FakeRedisServer
+
+    with FakeRedisServer() as server:
+        yield server
+
+
+class HandBackFeed:
+    """Fresh sources of one kind over one stream, plus what a resumed
+    service would bind in place of a discarded one."""
+
+    def __init__(self, kind, files, server):
+        self.kind = kind
+        self.files = files
+        self.server = server
+        self.matrix = HANDBACK_MATRIX
+        #: Rows per broker entry.
+        self.width = CHUNK if kind == "broker-chunks" else 1
+        if kind == "synthetic":
+            self.matrix = (
+                SyntheticSource("bernoulli", HANDBACK_WINDOWS, 4)
+                .bind(ALPHABET)
+                .indicator_stream()
+                .matrix_view()
+            )
+        if kind.startswith("broker"):
+            from repro.broker.connectors import publish_indicator_stream
+
+            self.stream = f"handback-{next(_stream_names)}"
+            publish_indicator_stream(
+                server.url,
+                self.stream,
+                IndicatorStream(ALPHABET, self.matrix),
+                rows_per_entry=self.width,
+            )
+
+    def fresh(self, offset=0):
+        kind = self.kind
+        if kind == "matrix":
+            source = MemorySource(self.matrix)
+        elif kind == "types":
+            source = MemorySource(type_sets(self.matrix))
+        elif kind == "csv":
+            source = CsvSource(self.files["csv"])
+        elif kind == "jsonl":
+            source = JsonlSource(self.files["jsonl"])
+        elif kind == "synthetic":
+            source = SyntheticSource("bernoulli", HANDBACK_WINDOWS, 4)
+        elif kind == "replay":
+            source = ReplaySource(self.files["csv"], rate=0.0)
+        elif kind == "queue":
+            queue = asyncio.Queue()
+            for row in self.matrix[offset:]:
+                queue.put_nowait(row)
+            queue.put_nowait(None)
+            source = QueueSource(queue)
+        else:
+            from repro.broker import BrokerSource
+
+            source = BrokerSource(
+                self.server.url,
+                stream=self.stream,
+                group="g",
+                consumer="c0",
+                batch=4,
+            )
+        source.bind(ALPHABET)
+        if source.seekable:
+            return source.skip(offset)
+        source._offset = offset  # what StreamService.resume does
+        return source
+
+    def assert_pending(self, kept):
+        """After a checkpoint at ``kept`` rows, the pending list holds
+        every delivered entry not kept whole, and a delivered eos (the
+        stream's last entry, never acked)."""
+        record = self.server._streams[self.stream]
+        group = record.groups["g"]
+        eos = len(record.entries) - 1
+        expected = set()
+        for index, (entry_id, _fields) in enumerate(record.entries):
+            if entry_id > group.last_delivered:
+                break
+            end = min((index + 1) * self.width, len(self.matrix))
+            if index == eos or end > kept:
+                expected.add(entry_id)
+        assert set(group.pending) == expected
+
+
+HANDBACK_KINDS = [
+    "matrix",
+    "types",
+    "csv",
+    "jsonl",
+    "synthetic",
+    "replay",
+    "queue",
+    "broker-rows",
+    "broker-chunks",
+]
+
+
+class TestHandBackAndResume:
+    """Random block sizes, handed-back tails and resumed fresh sources
+    stitch to one uninterrupted pass, with row-exact offsets."""
+
+    @pytest.mark.parametrize("kind", HANDBACK_KINDS)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(1, 12), st.integers(0, 12), st.booleans()
+            ),
+            max_size=25,
+        )
+    )
+    @example(steps=[(12, 0, False)] * 5)  # draws past the end
+    @settings(max_examples=25, deadline=None)
+    def test_stitched_rows_equal_one_pass(
+        self, kind, steps, handback_files, broker_server
+    ):
+        feed = HandBackFeed(kind, handback_files, broker_server)
+        kept = asyncio.run(self.drive(feed, steps))
+        assert np.array_equal(np.concatenate(kept), feed.matrix)
+
+    async def drive(self, feed, steps):
+        kept = [np.zeros((0, 5), dtype=bool)]
+        count = 0
+        #: Handed-back rows the source has not served again yet.
+        outstanding = 0
+        source = feed.fresh()
+        ended = False
+        for max_rows, hand_back, resume in steps:
+            blocks = source.ablocks(max_rows)
+            block = await anext(blocks, None)
+            await blocks.aclose()
+            if block is None:
+                # A live queue's end marker is taken once: drawing
+                # past it would wait for rows that never come.
+                ended = True
+                break
+            outstanding -= min(outstanding, len(block))
+            hand_back = min(hand_back, len(block))
+            if hand_back:
+                source.unemit_block(block[len(block) - hand_back :])
+                outstanding += hand_back
+            kept.append(block[: len(block) - hand_back])
+            count += len(block) - hand_back
+            self.check(feed, source, count, outstanding)
+            if resume:
+                source = self.resume(feed, source, count)
+                outstanding = 0
+        if not ended:
+            async for block in source.ablocks(7):
+                outstanding -= min(outstanding, len(block))
+                kept.append(block)
+                count += len(block)
+                self.check(feed, source, count, outstanding)
+        if feed.kind.startswith("broker"):
+            source.checkpoint_mark()
+            feed.assert_pending(count)
+            source.close()
+        return kept
+
+    def check(self, feed, source, count, outstanding):
+        assert source.offset == count
+        cursor = getattr(source, "_cursor", None)
+        if feed.kind == "csv" and cursor is not None and not outstanding:
+            assert cursor.line == count + 1
+
+    def resume(self, feed, source, count):
+        if feed.kind.startswith("broker"):
+            source.checkpoint_mark()
+            feed.assert_pending(count)
+            source.close()
+        return feed.fresh(count)
