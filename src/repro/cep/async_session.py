@@ -11,10 +11,10 @@ queue:
   :class:`asyncio.Future` resolving to that window's private answers;
   the service layer's pump submits whole row blocks instead, one
   future per block resolving to per-query answer vectors;
-- a single drainer task steps each queued block whole through the
-  same chunk stepper the synchronous session uses, merging small
-  queued blocks behind it up to ``max_batch`` windows, so answers are
-  identical to one-by-one pushes under the same seed;
+- a single drainer task steps everything queued (at most
+  ``max_pending`` windows) as one batch through the same chunk stepper
+  the synchronous session uses, so answers are identical to
+  one-by-one pushes under the same seed;
 - the queue is bounded in windows (``max_pending``): when the stepper
   falls behind, ``submit`` suspends — backpressure propagates to the
   producer instead of buffering unboundedly;
@@ -72,16 +72,8 @@ class AsyncSession:
         Bound on queued-but-unprocessed windows (counted in windows,
         whatever the block sizes); ``submit`` suspends when full
         (backpressure).  It is also the largest block one submit may
-        hold (:attr:`block_rows`).
-    max_batch:
-        Most windows one stepper step merges from several queued
-        blocks.  A block is always stepped whole, however large; this
-        only bounds how many small blocks (a trickling live feed's)
-        join it.  Answers do not depend on block or batch boundaries.
-    record:
-        Keep the original/released rows of every processed window
-        (:attr:`original_matrix`/:attr:`released_matrix`) — the engine's
-        async batch facade uses this to build its report.
+        hold (:attr:`block_rows`) and so the largest batch the drainer
+        steps.  Answers do not depend on block or batch boundaries.
     """
 
     def __init__(
@@ -90,8 +82,6 @@ class AsyncSession:
         *,
         rng: RngLike = None,
         max_pending: int = 1024,
-        max_batch: int = 64,
-        record: bool = False,
     ):
         if not engine.queries:
             raise ValueError("the engine has no registered queries")
@@ -99,8 +89,6 @@ class AsyncSession:
             raise ValueError(
                 f"max_pending must be positive, got {max_pending}"
             )
-        if max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
         self._engine = engine
         self._pipeline = engine.service_pipeline()
         # Build the stepper before charging: a rejected mechanism (e.g.
@@ -109,21 +97,16 @@ class AsyncSession:
         self._stepper = session_stepper(engine, self._pipeline, rng)
         engine._charge_accountant()
         self._max_pending = max_pending
-        self._max_batch = max_batch
-        self._record = record
         #: Optional block egress hook, called in the drainer once per
         #: drained batch as ``on_release(start, released, answers)``:
         #: the batch's first window index, its released ``(k, width)``
         #: rows and per-query answer vectors (shared with the batch's
-        #: futures, so read-only), in submission
-        #: order — the service layer's pump attaches sink connectors
-        #: here so sanitized rows stream out without recording the
-        #: whole session in memory.  It runs before the batch's
+        #: futures, so read-only), in submission order — the service
+        #: layer's pump attaches sink connectors here so sanitized rows
+        #: stream out as they are released.  It runs before the batch's
         #: futures resolve; an exception fails those futures and the
         #: drainer like any stepping error (no accepted window hangs).
         self._on_release = None
-        self._original_rows: List[np.ndarray] = []
-        self._released_rows: List[np.ndarray] = []
         #: Accepted blocks awaiting the drainer, in submission order:
         #: ``(rows, future, submitted_at, per_window)`` entries, then
         #: the close sentinel.  ``_backlog`` counts their windows.
@@ -304,8 +287,7 @@ class AsyncSession:
     @property
     def block_rows(self) -> int:
         """Most windows one submitted block may hold: ``max_pending``,
-        so a block always fits the queue (``max_batch`` does not cap
-        it: the drainer steps every block whole)."""
+        so a block always fits the queue."""
         return self._max_pending
 
     async def submit(
@@ -410,28 +392,6 @@ class AsyncSession:
     def _empty_answers(self) -> Dict[str, List[bool]]:
         return {name: [] for name in self._pipeline.matcher.query_names}
 
-    # -- recorded streams ----------------------------------------------
-
-    @property
-    def original_matrix(self) -> np.ndarray:
-        """Rows ingested so far (requires ``record=True``)."""
-        return self._joined(self._original_rows)
-
-    @property
-    def released_matrix(self) -> np.ndarray:
-        """Perturbed rows released so far (requires ``record=True``)."""
-        return self._joined(self._released_rows)
-
-    def _joined(self, rows: List[np.ndarray]) -> np.ndarray:
-        if not self._record:
-            raise RuntimeError(
-                "stream recording is off; construct with record=True"
-            )
-        width = len(self._engine.alphabet)
-        if not rows:
-            return np.zeros((0, width), dtype=bool)
-        return np.concatenate(rows)
-
     # -- the drainer ---------------------------------------------------
 
     async def _drain(self) -> None:
@@ -447,14 +407,11 @@ class AsyncSession:
                     self._entry_waiter = None
                 if entries[0] is _CLOSE:
                     return
-                # Step the first queued block whole; merge the small
-                # blocks behind it while the batch stays within
-                # max_batch windows.
-                batch = [entries.popleft()]
-                windows = len(batch[0][0])
+                # Step everything queued before the close sentinel as
+                # one batch: the backlog bound keeps it within
+                # max_pending windows.
+                windows = 0
                 while entries and entries[0] is not _CLOSE:
-                    if windows + len(entries[0][0]) > self._max_batch:
-                        break
                     batch.append(entries.popleft())
                     windows += len(batch[-1][0])
                 self._backlog -= windows
@@ -468,9 +425,6 @@ class AsyncSession:
                         released = matrix
                     else:
                         released = self._stepper.step_block(matrix)
-                    if self._record:
-                        self._original_rows.append(matrix)
-                        self._released_rows.append(released)
                     answers = matcher.answer(released)
                 for vector in answers.values():
                     # Futures resolve to slices of these vectors and the

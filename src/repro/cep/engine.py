@@ -341,7 +341,6 @@ class CEPEngine:
         *,
         rng: RngLike = None,
         max_pending: int = 1024,
-        max_batch: int = 64,
     ) -> EngineReport:
         """Full service phase from raw events, via async ingestion.
 
@@ -360,12 +359,12 @@ class CEPEngine:
         type_sets = WindowStage(window_assigner).type_sets(stream)
         pipeline = self.service_pipeline()
         indicators = pipeline.extractor.extract(type_sets)
-        session = AsyncSession(
-            self,
-            rng=rng,
-            max_pending=max_pending,
-            max_batch=max_batch,
-            record=True,
+        session = AsyncSession(self, rng=rng, max_pending=max_pending)
+        # The release hook sees every drained batch's released rows in
+        # order; the empty head keeps a windowless stream's shape.
+        released = [np.zeros((0, len(self.alphabet)), dtype=bool)]
+        session._on_release = lambda _start, rows, _answers: (
+            released.append(rows)
         )
         async with session:
             released_answers = await session.run_rows(
@@ -382,7 +381,7 @@ class CEPEngine:
                     indicators.matrix_view()
                 ),
                 released=IndicatorStream(
-                    self.alphabet, session.released_matrix
+                    self.alphabet, np.concatenate(released)
                 ),
             ),
         )

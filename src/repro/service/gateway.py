@@ -11,8 +11,9 @@ single asyncio event loop.  Tenants are fully isolated:
 - **budgets** — every tenant's accountant is its own ledger; one
   tenant exhausting its ε cannot spend another's;
 - **flow control** — each tenant pumps through its own bounded
-  :class:`~repro.cep.async_session.AsyncSession` queue, so one slow
-  mechanism backpressures only its own source;
+  :class:`~repro.cep.async_session.AsyncSession` queue
+  (``max_pending``), so one slow mechanism backpressures only its own
+  source;
 - **ingress rate** — a tenant registered with a ``rate_limit``
   (windows per second, :class:`TokenBucket`) has excess windows
   *shed* at ingress: dropped before perturbation, counted on the
@@ -34,6 +35,8 @@ source offset* and rate-limit configuration, and
 :meth:`StreamGateway.resume` rebuilds the fleet — sources skipped to
 their offsets, sessions restored, rate limiters re-armed — so a
 crashed gateway continues exactly where an uninterrupted one would be.
+Each tenant's service decides whether its sink continues, so later
+slices and resumed tenants append to what was already egressed.
 
 >>> gateway = StreamGateway()
 >>> gateway.add_tenant("fleet", taxi_spec)
@@ -144,7 +147,6 @@ class _Tenant:
         source=None,
         sink=None,
         max_pending: int,
-        max_batch: int,
         rate_limit: Optional[float] = None,
         burst: Optional[float] = None,
         clock=None,
@@ -154,7 +156,6 @@ class _Tenant:
         self.source = source
         self.sink = sink
         self.max_pending = max_pending
-        self.max_batch = max_batch
         self.rate_limit = rate_limit
         self.burst = burst
         self.clock = clock
@@ -174,7 +175,6 @@ class _Tenant:
             "repro_tenant_budget_spent_epsilon",
             "Privacy budget (epsilon) a tenant's accountant has spent.",
         ).labels(tenant=name)
-        self._sink_opened = False
         self._bucket: Optional[TokenBucket] = None
         self._scattered_sink_result = None
         #: Whether this tenant can cross a process boundary: all its
@@ -208,14 +208,9 @@ class _Tenant:
                 source,
                 sink=self.sink,
                 max_pending=self.max_pending,
-                max_batch=self.max_batch,
                 max_windows=max_windows,
-                append_sink=self._sink_opened,
             )
-        # Later slices keep appending to the same sink file/aggregate.
-        self._sink_opened = self._sink_opened or (
-            self.service.last_sink is not None
-        )
+        # Later slices pass the service's active sink, which appends.
         self.sink = self.service.last_sink or self.sink
         self.source = self.service.last_source
         for name, values in answers.items():
@@ -280,14 +275,11 @@ def _serve_slot(
             payload["name"],
             service,
             max_pending=payload["max_pending"],
-            max_batch=payload["max_batch"],
             rate_limit=payload["rate_limit"],
             burst=payload["burst"],
         )
         if payload["checkpoint"] is not None:
-            tenant = gateway._tenants[payload["name"]]
-            tenant.source = service.last_source
-            tenant._sink_opened = True
+            gateway._tenants[payload["name"]].source = service.last_source
     asyncio.run(gateway.serve(max_windows=max_windows))
     state = {}
     for name in gateway.tenant_names:
@@ -329,7 +321,6 @@ class StreamGateway:
         sink=None,
         history=None,
         max_pending: int = 1024,
-        max_batch: int = 64,
         rate_limit: Optional[float] = None,
         burst: Optional[float] = None,
         clock=None,
@@ -343,14 +334,13 @@ class StreamGateway:
         ``add_tenant(tenant_spec)`` works too.  ``source``/``sink``
         override the spec's own connector fields (that is how live
         queues and callbacks — payloads JSON cannot carry — ride in).
-        ``max_pending``/``max_batch`` bound the tenant's session as in
-        :meth:`StreamService.pump`: ``max_pending`` windows may queue,
-        and a block holds what the source has ready up to that many —
-        a file tenant serves whole ``max_pending`` blocks, a live feed
-        what has arrived — while ``max_batch`` only caps how many small
-        queued blocks one step merges.  Tenants interleave block by
-        block, so a bulk tenant delays a live one by a block or two,
-        never by its whole stream.
+        ``max_pending`` bounds the tenant's session as in
+        :meth:`StreamService.pump`: that many windows may queue, and a
+        block holds what the source has ready up to that many — a file
+        tenant serves whole ``max_pending`` blocks, a live feed what
+        has arrived.  Tenants interleave block by block, so a bulk
+        tenant delays a live one by a block or two, never by its whole
+        stream.
         ``rate_limit`` (windows/second) arms a :class:`TokenBucket`
         with ``burst`` capacity at this tenant's ingress; excess
         windows are shed, counted, and surfaced — see
@@ -407,7 +397,6 @@ class StreamGateway:
             source=source,
             sink=sink,
             max_pending=max_pending,
-            max_batch=max_batch,
             rate_limit=rate_limit,
             burst=burst,
             clock=clock,
@@ -568,7 +557,6 @@ class StreamGateway:
                 "rate_limit": tenant.rate_limit,
                 "burst": tenant.burst,
                 "max_pending": tenant.max_pending,
-                "max_batch": tenant.max_batch,
             }
         groups = TenantScheduler(slots).assign(list(self._tenants))
         # Fork keeps worker startup cheap and inherits the registries;
@@ -600,7 +588,6 @@ class StreamGateway:
                         spec, state["checkpoint"]
                     )
                 tenant.source = tenant.service.last_source
-                tenant._sink_opened = True
                 tenant._shed_counter.inc(state["shed"])
                 tenant._scattered_sink_result = state["sink_result"]
                 for query, values in state["answers"].items():
@@ -729,24 +716,18 @@ class StreamGateway:
                     source=sources.get(name),
                 )
             limits = rate_limits.get(name) or {}
+            # A sync-session tenant's checkpoint carries no options.
+            options = tenant_checkpoint.get("session_options") or {}
             tenant = _Tenant(
                 name,
                 service,
                 registry=gateway._registry,
                 source=service.last_source,
                 sink=sinks.get(name),
-                max_pending=tenant_checkpoint.get(
-                    "session_options", {}
-                ).get("max_pending", 1024),
-                max_batch=tenant_checkpoint.get(
-                    "session_options", {}
-                ).get("max_batch", 64),
+                max_pending=options.get("max_pending", 1024),
                 rate_limit=limits.get("rate_limit"),
                 burst=limits.get("burst"),
             )
-            # A resumed file sink must append, not truncate, what the
-            # pre-crash run already egressed.
-            tenant._sink_opened = True
             # Connector objects passed here are runtime payloads: the
             # tenant can no longer cross a process boundary.
             tenant.declarative = (

@@ -13,14 +13,17 @@ surface:
   protocol);
 - :meth:`pump` — continuous ingestion from a declarative *source
   connector* into a declarative *sink connector* (:mod:`repro.io`),
-  with the async session's bounded queue as the backpressure
-  boundary; checkpoints additionally capture the in-flight source
-  offset;
+  with the async session's bounded queue (``max_pending``, the one
+  serving setting) as the backpressure boundary; checkpoints
+  additionally capture the in-flight source offset;
 - :meth:`sweep` — the (mechanism × ε) evaluation grid, bridging into
   :class:`~repro.experiments.runner.WorkloadEvaluation`.
 
 Everything is driven by the spec's seed, so a service rebuilt from the
-same JSON blob reproduces its runs bit for bit.
+same JSON blob reproduces its runs bit for bit.  The service alone
+decides whether a sink continues: its active sink, passed again or
+omitted, appends, as does a resumed service's first sink; any other
+sink starts fresh.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class StreamService:
         self._source = None
         self._sink = None
         #: Set by resume(): the pre-crash run already egressed output,
-        #: so the next pump must append to (not truncate) file sinks.
+        #: so the first sink this service opens appends to it.
         self._sink_append = False
         mechanism = None
         if spec.mechanism is not None:
@@ -234,11 +237,22 @@ class StreamService:
             self._source = source
         return source
 
-    def _compile_sink(self, sink, *, append: bool = False):
-        """Resolve a sink argument/spec and open it (``None`` passes)."""
+    def _continue_sink(self, sink):
+        """Resolve a sink argument/spec and open it (``None`` passes).
+
+        The one continuation rule: the active sink — passed again or
+        omitted — appends, as does a resumed service's first sink (the
+        pre-crash run already egressed into it); any other sink starts
+        fresh.
+        """
         from repro.io.registry import resolve_sink
         from repro.io.sinks import StreamSink
 
+        if self._sink is None:
+            append = self._sink_append
+        else:
+            sink = self._sink if sink is None else sink
+            append = sink is self._sink
         spec = self._spec
         if sink is None:
             if spec.sink is None:
@@ -296,7 +310,8 @@ class StreamService:
         run) and answers every declared query; accounting is charged
         when enabled.  The released stream and answers are additionally
         egressed through ``sink`` (or the spec's ``sink=``) when one is
-        declared; the opened connector stays on :attr:`last_sink`.
+        declared; the opened connector stays on :attr:`last_sink`, and
+        passing it again (or omitting ``sink``) appends to it.
         """
         from repro.io.sources import StreamSource
 
@@ -329,12 +344,7 @@ class StreamService:
         return self._after_run(self.run_indicators(source, rng=rng), sink)
 
     def _after_run(self, report: EngineReport, sink) -> EngineReport:
-        if sink is None and self._sink is not None:
-            # Continue the service's active egress (a resumed or
-            # already-pumping service must append, not truncate).
-            compiled = self._compile_sink(self._sink, append=True)
-        else:
-            compiled = self._compile_sink(sink, append=self._sink_append)
+        compiled = self._continue_sink(sink)
         if compiled is not None:
             self._egress_report(report, compiled)
         return report
@@ -367,28 +377,18 @@ class StreamService:
         *,
         rng: RngLike = None,
         max_pending: int = 1024,
-        max_batch: int = 64,
-        record: bool = False,
     ):
         """Open a backpressured asyncio ingestion session."""
         from repro.cep.async_session import AsyncSession
 
         session = AsyncSession(
-            self._engine,
-            rng=self._seeded(rng),
-            max_pending=max_pending,
-            max_batch=max_batch,
-            record=record,
+            self._engine, rng=self._seeded(rng), max_pending=max_pending
         )
         self._session = session
         self._session_kind = "async"
         # Remembered so checkpoints can rebuild an equivalent session
-        # (a resumed async session must keep recording, queue bounds...).
-        self._session_options = {
-            "max_pending": max_pending,
-            "max_batch": max_batch,
-            "record": record,
-        }
+        # (a resumed async session keeps its queue bound).
+        self._session_options = {"max_pending": max_pending}
         return session
 
     # -- continuous ingestion (source → session → sink) ----------------
@@ -398,13 +398,9 @@ class StreamService:
         source=None,
         *,
         sink=None,
-        rng: RngLike = None,
         max_pending: int = 1024,
-        max_batch: int = 64,
         max_windows: Optional[int] = None,
-        append_sink: bool = False,
-        collect: bool = True,
-    ) -> Optional[Dict[str, List[bool]]]:
+    ) -> Dict[str, List[bool]]:
         """Drive a source connector through an async session into a sink.
 
         The end-to-end streaming pipeline: windows are drawn from
@@ -413,23 +409,23 @@ class StreamService:
         ``source=``), submitted to a backpressured
         :class:`~repro.cep.async_session.AsyncSession` (reusing the
         open/restored one when present, else opening a fresh one with
-        ``max_pending``/``max_batch``), and every answered window is
-        egressed through ``sink`` (or the spec's ``sink=``) in
+        ``max_pending`` under the spec seed), and every answered window
+        is egressed through ``sink`` (or the spec's ``sink=``) in
         submission order.  All of it runs on row blocks
         (:meth:`~repro.io.StreamSource.ablocks`, one session future
         per block and one sink ``write_block`` per drained batch): a
         block holds whatever the source has ready without waiting, up
         to ``max_pending`` windows — a file or in-memory source fills
         whole ``max_pending`` blocks, a paced, throttled or trickling
-        live feed hands over only what has arrived — and ``max_batch``
-        only bounds how many small queued blocks one step merges.
-        Offsets and checkpoints stay row-exact.  The session's bounded
-        queue is the flow-control boundary: when the mechanism falls
-        behind, ``submit`` suspends the pump, which stops drawing from
-        the source — a ``queue:`` source then stops taking from its
-        live queue and the producer blocks on its own ``put``.  A sink
-        that fails fails the pump with its error, and no window of the
-        failed batch is returned as answered.
+        live feed hands over only what has arrived — and the drainer
+        steps everything queued (at most ``max_pending`` windows) as
+        one batch.  Offsets and checkpoints stay row-exact.  The
+        session's bounded queue is the flow-control boundary: when the
+        mechanism falls behind, ``submit`` suspends the pump, which
+        stops drawing from the source — a ``queue:`` source then stops
+        taking from its live queue and the producer blocks on its own
+        ``put``.  A sink that fails fails the pump with its error, and
+        no window of the failed batch is returned as answered.
 
         ``max_windows`` stops after that many windows, leaving the
         source mid-stream (the gateway serves in slices this way; a
@@ -437,31 +433,19 @@ class StreamService:
         continues the same session, whose drainer restarts on the new
         loop).  A slice draws no block larger than itself, so a ready
         source reads only the slice's rows; ``max_windows=0`` draws
-        none;
-        ``append_sink`` continues a previous run's sink output instead
-        of starting fresh.  Returns the per-query answer lists in
-        submission order, or ``None`` with ``collect=False`` (unbounded
-        feeds should not accumulate answers in memory).
+        none.  The sink continues as in :meth:`run`: the active sink,
+        passed again or omitted, appends the slice's output.  Returns
+        the per-query answer lists in submission order.
         """
         source = self._compile_source(source, reuse=True)
-        if sink is None and self._sink is not None:
-            # Continue the service's active sink (a sliced/cancelled
-            # pump keeps appending to the same egress, like the source
-            # keeps emitting the same stream).
-            compiled_sink = self._compile_sink(self._sink, append=True)
-        else:
-            compiled_sink = self._compile_sink(
-                sink, append=append_sink or self._sink_append
-            )
+        compiled_sink = self._continue_sink(sink)
         session = self._session
         if (
             session is None
             or self._session_kind != "async"
             or session._closed
         ):
-            session = self.open_async_session(
-                rng=rng, max_pending=max_pending, max_batch=max_batch
-            )
+            session = self.open_async_session(max_pending=max_pending)
         matcher = self._engine.service_pipeline().matcher
         wants_truth = compiled_sink is not None and compiled_sink.wants_truth
         #: ``(windows, truth vectors)`` per accepted block not yet
@@ -484,15 +468,12 @@ class StreamService:
 
             session._on_release = egress
         pending: deque = deque()
-        answers: Optional[Dict[str, List[bool]]] = (
-            {name: [] for name in matcher.query_names} if collect else None
-        )
+        answers = {name: [] for name in matcher.query_names}
 
         async def settle() -> None:
             block_answers = await pending.popleft()
-            if answers is not None:
-                for name, vector in block_answers.items():
-                    answers[name].extend(vector.tolist())
+            for name, vector in block_answers.items():
+                answers[name].extend(vector.tolist())
 
         pumped = 0
         pump_started = time.perf_counter()
@@ -625,9 +606,12 @@ class StreamService:
             # a fresh source here and continues with exactly the
             # windows an uninterrupted run would have seen next.
             checkpoint["source_offset"] = self._source.offset
-        # Whether output was already egressed (a resumed pump must then
-        # append to file sinks instead of truncating them).
-        checkpoint["sink_opened"] = self._sink is not None
+        # Whether output was already egressed, here or before a resume
+        # (a resumed service's first sink then appends instead of
+        # truncating it).
+        checkpoint["sink_opened"] = (
+            self._sink is not None or self._sink_append
+        )
         return checkpoint
 
     @classmethod
@@ -673,8 +657,11 @@ class StreamService:
         service = cls(spec, history=history)
         kind = checkpoint.get("kind", "online")
         if kind == "async":
+            # Only the queue bound is a session option; older
+            # checkpoints may carry retired ones, which are ignored.
+            options = checkpoint.get("session_options") or {}
             session = service.open_async_session(
-                **checkpoint.get("session_options", {})
+                max_pending=options.get("max_pending", 1024)
             )
         else:
             session = service.open_session()

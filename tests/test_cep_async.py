@@ -53,7 +53,7 @@ class TestAsyncSession:
 
         async def go():
             async with AsyncSession(
-                make_engine(), rng=11, max_pending=8, max_batch=16
+                make_engine(), rng=11, max_pending=8
             ) as session:
                 return await session.run(type_sets_of(stream))
 
@@ -62,24 +62,19 @@ class TestAsyncSession:
     def test_batch_boundaries_do_not_change_answers(self):
         stream = make_stream(97)
 
-        async def go(max_pending, max_batch):
+        async def go(max_pending):
             async with AsyncSession(
-                make_engine(),
-                rng=5,
-                max_pending=max_pending,
-                max_batch=max_batch,
+                make_engine(), rng=5, max_pending=max_pending
             ) as session:
                 return await session.run(type_sets_of(stream))
 
-        one_by_one = asyncio.run(go(1, 1))
-        large_batches = asyncio.run(go(64, 64))
+        one_by_one = asyncio.run(go(1))
+        large_batches = asyncio.run(go(64))
         assert one_by_one == large_batches
 
     def test_backpressure_bounds_backlog(self):
         async def go():
-            session = AsyncSession(
-                make_engine(), rng=2, max_pending=4, max_batch=2
-            )
+            session = AsyncSession(make_engine(), rng=2, max_pending=4)
             async with session:
                 for window in type_sets_of(make_stream(50)):
                     await session.submit(window)
@@ -90,9 +85,7 @@ class TestAsyncSession:
 
     def test_flush_on_close_resolves_every_future(self):
         async def go():
-            session = AsyncSession(
-                make_engine(), rng=4, max_pending=8, max_batch=4
-            )
+            session = AsyncSession(make_engine(), rng=4, max_pending=8)
             session._ensure_started()
             futures = [
                 await session.submit(window)
@@ -130,22 +123,11 @@ class TestAsyncSession:
         for name, vector in matcher_truth.items():
             assert answers[name] == [bool(v) for v in vector]
 
-    def test_recorded_streams_require_flag(self):
-        async def go():
-            async with AsyncSession(make_engine(), rng=1) as session:
-                await session.process(["e1", "e3"])
-                with pytest.raises(RuntimeError, match="record"):
-                    session.released_matrix
-
-        asyncio.run(go())
-
     def test_close_races_with_blocked_producers(self):
         # Producers suspended inside submit() when aclose() starts must
         # land and be flushed — not stranded behind the close sentinel.
         async def go():
-            session = AsyncSession(
-                make_engine(), rng=6, max_pending=1, max_batch=1
-            )
+            session = AsyncSession(make_engine(), rng=6, max_pending=1)
             windows = type_sets_of(make_stream(6))
 
             async def producer(window):
@@ -188,8 +170,6 @@ class TestAsyncSession:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             AsyncSession(make_engine(), max_pending=0)
-        with pytest.raises(ValueError):
-            AsyncSession(make_engine(), max_batch=0)
 
     def test_drainer_failure_fails_futures_and_close(self):
         class ExplodingStepper:
@@ -348,9 +328,7 @@ class TestQueueSourceBackpressure:
 
     def test_submit_suspends_at_the_bound_while_drainer_stalls(self):
         async def go():
-            session = AsyncSession(
-                make_engine(), rng=2, max_pending=4, max_batch=2
-            )
+            session = AsyncSession(make_engine(), rng=2, max_pending=4)
             # Gate the drainer so the producer is strictly faster.
             gate = asyncio.Event()
             original_drain = session._drain
@@ -411,7 +389,7 @@ class TestQueueSourceBackpressure:
                     observed.append(service.session.backlog)
                 await queue.put(None)
 
-            session = service.open_async_session(max_pending=4, max_batch=2)
+            session = service.open_async_session(max_pending=4)
             producer = asyncio.ensure_future(produce())
             answers = await service.pump(QueueSource(queue))
             await producer

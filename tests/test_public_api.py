@@ -7,6 +7,7 @@ imports without side effects on global RNG state.
 """
 
 import importlib
+import inspect
 
 from pathlib import Path
 
@@ -91,6 +92,37 @@ class TestSurfaceManifest:
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)
+
+
+#: Keyword parameters of the serving entry points.  A serving knob
+#: that comes back (or goes) is a deliberate diff to this table.
+SERVING_SIGNATURES = {
+    ("AsyncSession", "__init__"): ["rng", "max_pending"],
+    ("StreamService", "open_async_session"): ["rng", "max_pending"],
+    ("StreamService", "pump"): ["sink", "max_pending", "max_windows"],
+    ("StreamGateway", "add_tenant"): [
+        "source",
+        "sink",
+        "history",
+        "max_pending",
+        "rate_limit",
+        "burst",
+        "clock",
+    ],
+    ("CEPEngine", "process_events_async"): ["rng", "max_pending"],
+}
+
+
+class TestServingSignatures:
+    @pytest.mark.parametrize("owner, method", sorted(SERVING_SIGNATURES))
+    def test_keyword_parameters_are_pinned(self, owner, method):
+        function = getattr(getattr(repro, owner), method)
+        keywords = [
+            parameter.name
+            for parameter in inspect.signature(function).parameters.values()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert keywords == SERVING_SIGNATURES[owner, method]
 
 
 class TestDocstrings:

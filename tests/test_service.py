@@ -341,31 +341,39 @@ class TestCheckpointResume:
 
         async def first_half():
             service = spec.build()
-            async with service.open_async_session(
-                record=True, max_pending=32, max_batch=8
-            ) as session:
+            async with service.open_async_session(max_pending=32) as session:
                 await session.run(
                     [stream.window_types(index) for index in range(10)]
                 )
                 return service.checkpoint()
 
         checkpoint = asyncio.run(first_half())
-        assert checkpoint["session_options"] == {
+        assert checkpoint["session_options"] == {"max_pending": 32}
+        resumed = StreamService.resume(spec, checkpoint)
+        assert resumed.session.block_rows == 32
+
+    def test_resume_ignores_retired_session_options(self, stream):
+        # Checkpoints written before the queue bound became the only
+        # session option also carry max_batch/record; they still resume.
+        spec = spec_for()
+        service = spec.build()
+
+        async def first_half():
+            async with service.open_async_session(max_pending=32) as session:
+                await session.run(
+                    [stream.window_types(index) for index in range(10)]
+                )
+
+        asyncio.run(first_half())
+        checkpoint = service.checkpoint()
+        checkpoint["session_options"] = {
             "max_pending": 32,
             "max_batch": 8,
             "record": True,
         }
-
-        async def second_half():
-            service = StreamService.resume(spec, checkpoint)
-            async with service.session as session:
-                await session.run(
-                    [stream.window_types(index) for index in range(10, 15)]
-                )
-                return session.released_matrix  # requires record=True
-
-        released = asyncio.run(second_half())
-        assert released.shape == (5, len(ALPHABET))
+        resumed = StreamService.resume(spec, checkpoint)
+        assert resumed.session.block_rows == 32
+        assert resumed.session.windows_processed == 10
 
     def test_checkpoint_without_session_rejected(self):
         with pytest.raises(RuntimeError, match="no open session"):

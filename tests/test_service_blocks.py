@@ -32,6 +32,7 @@ from repro.io import (
     write_indicator_csv,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.tracing import SpanRecorder, use_recorder
 from repro.service import ServiceSpec, StreamService
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
@@ -300,7 +301,7 @@ def test_failed_pump_retrieves_the_futures_it_abandons():
 
     async def go():
         service = make_spec().build()
-        session = service.open_async_session(max_batch=1)
+        session = service.open_async_session()
         gate = asyncio.Event()
         drain = session._drain
 
@@ -342,13 +343,12 @@ def test_memory_blocks_are_copies_of_the_callers_matrix(max_pending):
     matrix = make_matrix()
     expected = matrix.copy()
     service = spec.build()
-    session = service.open_async_session(
-        max_pending=max_pending, record=True
-    )
+    session = service.open_async_session(max_pending=max_pending)
+    released = []
+    session._on_release = lambda _start, rows, _answers: released.append(rows)
     asyncio.run(service.pump(MemorySource(matrix)))
     matrix[:] = ~matrix
-    assert np.array_equal(session.released_matrix, expected)
-    assert np.array_equal(session.original_matrix, expected)
+    assert np.array_equal(np.concatenate(released), expected)
 
 
 @pytest.mark.parametrize("kind", ["csv", "memory", "synthetic", "queue"])
@@ -398,7 +398,7 @@ def test_cancel_mid_submit_pushes_the_whole_block_back(tmp_path):
 
     async def go():
         service = spec.build()
-        session = service.open_async_session(max_pending=8, max_batch=8)
+        session = service.open_async_session(max_pending=8)
         gate = asyncio.Event()
         drain = session._drain
 
@@ -441,17 +441,14 @@ def test_cancel_mid_submit_pushes_the_whole_block_back(tmp_path):
     assert tail == rest
 
 
-@pytest.mark.parametrize("max_batch", [1, 3, 64])
-def test_queued_windows_never_exceed_max_pending(max_batch):
+def test_queued_windows_never_exceed_max_pending():
     spec = make_spec()
     matrix = make_matrix()
 
     async def go():
         queue = asyncio.Queue(maxsize=3)
         service = spec.build()
-        session = service.open_async_session(
-            max_pending=5, max_batch=max_batch
-        )
+        session = service.open_async_session(max_pending=5)
         observed = []
 
         async def produce():
@@ -470,10 +467,82 @@ def test_queued_windows_never_exceed_max_pending(max_batch):
     assert answers == reference(spec, matrix, MemorySink())
 
 
+def test_drainer_steps_everything_queued_as_one_batch():
+    # A hundred one-row blocks queue behind a gated drainer; released,
+    # it steps them as one batch (the backlog bound is the only cap).
+    spec = make_spec("bd")
+    matrix = make_matrix(100)
+
+    async def go():
+        service = spec.build()
+        session = service.open_async_session(max_pending=128)
+        gate = asyncio.Event()
+        drain = session._drain
+
+        async def gated_drain():
+            await gate.wait()
+            await drain()
+
+        session._drain = gated_drain
+        futures = [
+            await session._submit_row(matrix[index : index + 1])
+            for index in range(len(matrix))
+        ]
+        assert session.backlog == 100
+        gate.set()
+        answers = {"q1": [], "q2": []}
+        for future in futures:
+            for name, vector in (await future).items():
+                answers[name].extend(vector.tolist())
+        await session.aclose()
+        return answers
+
+    with use_recorder(SpanRecorder()) as recorder:
+        answers = asyncio.run(go())
+    batches = [
+        span.attrs["windows"] for span in recorder.spans("session.drain")
+    ]
+    assert batches == [100]
+    assert answers == reference(spec, matrix, MemorySink())
+
+
+SINK_KINDS = {
+    "csv": lambda path: CsvSink(f"{path}.csv"),
+    "jsonl": lambda path: JsonlSink(f"{path}.jsonl"),
+    "memory": lambda path: MemorySink(),
+}
+
+
+def sink_output(sink):
+    if isinstance(sink, MemorySink):
+        return sink.result()
+    return Path(sink.path).read_text()
+
+
+@pytest.mark.parametrize("kind", sorted(SINK_KINDS))
+def test_second_slice_into_the_same_sink_appends(kind, tmp_path):
+    # Passing the active sink again continues it: two slices write
+    # what one uninterrupted pump writes.
+    spec = make_spec("bd")
+    matrix = make_matrix(40)
+    sink = SINK_KINDS[kind](tmp_path / "sliced")
+    service = spec.build()
+    source = MemorySource(matrix)
+    first = asyncio.run(service.pump(source, sink=sink, max_windows=25))
+    second = asyncio.run(service.pump(source, sink=sink, max_windows=25))
+    whole_sink = SINK_KINDS[kind](tmp_path / "whole")
+    whole = asyncio.run(
+        spec.build().pump(MemorySource(matrix), sink=whole_sink)
+    )
+    assert {name: first[name] + second[name] for name in whole} == whole
+    assert sink.windows_written == len(matrix)
+    assert sink_output(sink) == sink_output(whole_sink)
+
+
 def test_oversized_block_is_rejected():
     async def go():
         service = make_spec().build()
-        session = service.open_async_session(max_pending=4, max_batch=64)
+        session = service.open_async_session(max_pending=4)
         assert session.block_rows == 4
         async with session:
             with pytest.raises(ValueError, match="1..4 windows"):

@@ -339,6 +339,38 @@ class TestCheckpointResume:
         alone.run()
         assert released == read_indicator_csv(alone_out)
 
+    def test_resume_ignores_retired_session_options(self, csv_specs):
+        # Checkpoints written before the queue bound became the only
+        # session option also carry max_batch/record; they still resume.
+        gateway = StreamGateway()
+        gateway.add_tenant("a", csv_specs["a"], max_pending=32)
+        asyncio.run(gateway.serve(max_windows=40))
+        checkpoint = gateway.checkpoint()
+        checkpoint["tenants"]["a"]["session_options"] = {
+            "max_pending": 32,
+            "max_batch": 8,
+            "record": True,
+        }
+        resumed = StreamGateway.resume(checkpoint)
+        assert resumed.service("a").session.block_rows == 32
+        asyncio.run(resumed.serve())
+        assert resumed.windows_served() == {"a": 100}
+
+    def test_sync_session_tenant_resumes_and_serves(self, csv_specs):
+        # A tenant whose service holds a sync session checkpoints with
+        # no session options; the resumed gateway serves it to the end.
+        service = csv_specs["a"].build()
+        service.open_session()
+        gateway = StreamGateway()
+        gateway.add_tenant("a", service)
+        checkpoint = gateway.checkpoint()
+        assert checkpoint["tenants"]["a"]["kind"] == "online"
+        assert "session_options" not in checkpoint["tenants"]["a"]
+        resumed = StreamGateway.resume(checkpoint)
+        results = resumed.run()
+        assert resumed.windows_served() == {"a": 100}
+        assert len(results["a"]["q"]) == 100
+
     def test_windows_served_counts(self, csv_specs):
         gateway = StreamGateway()
         for name, spec in csv_specs.items():
@@ -395,9 +427,7 @@ class TestCancelledPumpConsistency:
 
         async def drive():
             service = spec.build()
-            task = asyncio.ensure_future(
-                service.pump(max_pending=8, max_batch=4)
-            )
+            task = asyncio.ensure_future(service.pump(max_pending=8))
             await asyncio.sleep(0.08)
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -417,7 +447,7 @@ class TestCancelledPumpConsistency:
         # Resume completes the stream; the appended sink equals an
         # uninterrupted run's released output.
         resumed = StreamService.resume(spec, checkpoint)
-        asyncio.run(resumed.pump(append_sink=True))
+        asyncio.run(resumed.pump())
         alone_out = str(tmp_path / "alone.csv")
         alone = spec.with_(sink=f"csv:{alone_out}").build()
         asyncio.run(alone.pump())
@@ -441,7 +471,7 @@ class TestResumeEgressConsistency:
         checkpoint = service.checkpoint()
         assert checkpoint["sink_opened"] is True
         resumed = StreamService.resume(spec, checkpoint)
-        asyncio.run(resumed.pump())  # no explicit append_sink=
+        asyncio.run(resumed.pump())  # the first sink appends
 
         released = read_indicator_csv(out)
         assert released.n_windows == 100
@@ -480,9 +510,7 @@ class TestResumeEgressConsistency:
 
         async def go():
             service = spec.build()
-            session = service.open_async_session(
-                max_pending=2, max_batch=1
-            )
+            session = service.open_async_session(max_pending=2)
             # Stall the drainer so the third submit suspends, then
             # cancel the pump mid-submit.
             gate = asyncio.Event()
@@ -524,9 +552,7 @@ class TestResumeEgressConsistency:
 
         async def drive():
             service = spec.build()
-            task = asyncio.ensure_future(
-                service.pump(max_pending=8, max_batch=4)
-            )
+            task = asyncio.ensure_future(service.pump(max_pending=8))
             await asyncio.sleep(0.08)
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -780,6 +806,27 @@ class TestElasticity:
         gateway.serve_scattered(slots=1, max_windows=25)
         gateway.run()
         assert gateway.results() == expected
+
+    def test_scattered_slices_append_to_a_file_sink(self, tmp_path):
+        # Each scattered slice resumes the tenant in a worker from the
+        # parent's checkpoint; its file sink must keep appending.
+        from repro.io import read_indicator_csv
+
+        def spec(out):
+            return self._declarative_spec(9).with_(sink=f"csv:{out}")
+
+        alone = StreamGateway()
+        alone.add_tenant("a", spec(tmp_path / "alone.csv"))
+        alone.run()
+
+        gateway = StreamGateway()
+        gateway.add_tenant("a", spec(tmp_path / "sliced.csv"))
+        gateway.serve_scattered(slots=1, max_windows=25)
+        gateway.serve_scattered(slots=1, max_windows=25)
+        gateway.run()
+        released = read_indicator_csv(str(tmp_path / "sliced.csv"))
+        assert released.n_windows == 60
+        assert released == read_indicator_csv(str(tmp_path / "alone.csv"))
 
     def test_scattered_rejects_runtime_connectors(self):
         gateway = StreamGateway()
