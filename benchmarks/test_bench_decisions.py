@@ -17,8 +17,10 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
   beat the scalar loop by at least :data:`SPEEDUP_FLOOR`.  For BD/BA
   the prepass is the run's one release (``step_block``); for landmark
   it is the ``advance_block`` walk that snapshots shard boundaries.
-  Margin-decided rows install no generator, skip runs collapse to one
-  fill, and landmark regular rows are hopped outright.
+  BD/BA rows certified by the triangle-inequality distance bounds need
+  no distance at all, only publishing rows install a generator, the
+  budget hook runs once per constant-budget stretch, and landmark
+  regular rows are hopped outright.
 - ``landmark_dense_prepass_vs_scalar`` (always — both arms run on one
   thread): the landmark prepass at the dense shares (20% and 60% of
   rows are landmarks) must be no slower than ``scan=off``.  The hop
@@ -26,10 +28,13 @@ into ``BENCH_decisions.json`` for ``benchmarks/check_gates.py``:
   more than it saves where regular rows are few.
 
 BD and BA are measured at every ε in :data:`BD_BA_EPSILONS`, with the
-publication rate of each run.  Their dissimilarity noise scale and
-publish threshold both scale with 1/ε, so they publish on a steady
-share of rows at every ε: there is no budget-depleted regime to
-bulk-skip, and the publish-dense arms are the ones that matter.
+publication rate of each run and its distance passes per publication
+(``passes_per_publication/...``: the ``release_distances`` calls the
+bound certificate leaves undecided; there was one per publication
+before it).  Their dissimilarity noise scale and publish threshold
+both scale with 1/ε, so they publish on a steady share of rows at
+every ε: there is no budget-depleted regime to bulk-skip, and the
+publish-dense arms are the ones that matter.
 """
 
 import time
@@ -48,6 +53,7 @@ from benchmarks.conftest import (
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
+from repro.runtime import decisions
 from repro.utils.tables import ResultTable
 
 #: Minimum effective cores for the prepass speedup floor (matches the
@@ -141,7 +147,23 @@ def _snapshot_equal(left, right):
     return True
 
 
-def test_decision_scan(benchmark, results_dir):
+def _passes_per_publication(monkeypatch, kind, epsilon, matrix):
+    """Distance passes per publication of one ``scan=margin`` release."""
+    passes = []
+    release_distances = decisions.release_distances
+
+    def counting(rows, release):
+        passes.append(rows.shape[0])
+        return release_distances(rows, release)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decisions, "release_distances", counting)
+        releaser = _releaser(kind, "margin", matrix.shape[0], epsilon)
+        releaser.step_block(matrix)
+    return len(passes) / max(1, int(np.sum(releaser.trace.published)))
+
+
+def test_decision_scan(benchmark, results_dir, monkeypatch):
     matrix = _stream_matrix()
     n = matrix.shape[0]
     cases = [("bd", None), ("ba", None)] + [
@@ -183,6 +205,7 @@ def test_decision_scan(benchmark, results_dir):
     times = {}
     paired = {}
     publication_rates = {}
+    passes_per_publication = {}
     for kind, epsilon, share in arms:
         arm = (
             _landmark_arm(share)
@@ -210,6 +233,9 @@ def test_decision_scan(benchmark, results_dir):
             )
         if kind != "landmark":
             publication_rates[arm] = float(np.mean(releaser.trace.published))
+            passes_per_publication[arm] = _passes_per_publication(
+                monkeypatch, kind, epsilon, matrix
+            )
 
     per_arm = {arm: paired_speedup(ratios) for arm, ratios in paired.items()}
     # "best" selects the winning *arm* (the landmark hop), not a winning
@@ -273,6 +299,10 @@ def test_decision_scan(benchmark, results_dir):
             **{
                 f"publication_rate/{arm}": rate
                 for arm, rate in publication_rates.items()
+            },
+            **{
+                f"passes_per_publication/{arm}": passes
+                for arm, passes in passes_per_publication.items()
             },
             **{
                 f"seconds/{name}": median(seconds)

@@ -11,6 +11,7 @@ ever spends more than ``ε_2`` on publications.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.baselines.w_event import ReleaseTrace, WEventMechanism
@@ -47,11 +48,17 @@ class BudgetAbsorption(WEventMechanism):
         state["nullified_until"] = t + absorbed_units - 1
         state["last_publication"] = t
 
-    def _zero_budget_until(self, t: int, state: Dict) -> int:
+    def _budget_until(self, t: int, state: Dict) -> float:
         # Nullified timestamps get budget 0 whatever the data; the
         # decision kernel hops [t, nullified_until] without drawing
-        # randomness.
-        return state["nullified_until"] + 1
+        # randomness.  Past them every skipped timestamp absorbs one
+        # more nominal budget, until absorption is capped at w units.
+        if t <= state["nullified_until"]:
+            return state["nullified_until"] + 1
+        barrier = max(state["last_publication"], state["nullified_until"])
+        if t - barrier >= self.w:
+            return math.inf
+        return t + 1
 
     @property
     def max_single_publication_budget(self) -> float:

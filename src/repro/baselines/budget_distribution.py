@@ -10,6 +10,7 @@ approximations until old spends slide out of the window.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.baselines.w_event import ReleaseTrace, WEventMechanism
@@ -47,6 +48,14 @@ class BudgetDistribution(WEventMechanism):
         self, t: int, budget: float, trace: ReleaseTrace, state: Dict
     ) -> None:
         state["recent"].append((t, budget))
+
+    def _budget_until(self, t: int, state: Dict) -> float:
+        # The budget changes only when a spend enters the window (a
+        # publication) or leaves it: the oldest in-window spend (the
+        # budget hook just pruned the older ones) leaves at its
+        # timestamp + w.
+        recent = state["recent"]
+        return recent[0][0] + self.w if recent else math.inf
 
     @property
     def max_single_publication_budget(self) -> float:

@@ -25,11 +25,12 @@ the same stepper, so the two agree bit for bit under the same seed.
 The per-timestamp decision loop itself lives in
 :mod:`repro.runtime.decisions`: each scheduler declares its decision
 rule as data (:meth:`WEventMechanism.decision_rule`) and the shared
-plan → scan → resolve kernel drives the release — vectorized distance
-passes decide the rows a margin band certifies, exact scalar
-arithmetic decides everything near a decision boundary.  ``scan=`` on
-the mechanism constructor (or the ``scan=/margin=/prefetch=`` spec
-keys) tunes or disables the scan.
+plan → bound → scan → resolve kernel drives the release — triangle-
+inequality distance bounds decide most rows without any distance,
+vectorized distance passes decide the rows a margin band certifies,
+exact scalar arithmetic decides everything near a decision boundary.
+``scan=`` on the mechanism constructor (or the ``scan=/margin=/prefetch=``
+spec keys) tunes or disables the scan.
 
 In this library the per-timestamp statistics are the windowed existence
 indicators (one 0/1 entry per event type, L1 sensitivity 1 under a
@@ -410,7 +411,9 @@ class WEventMechanism(StreamMechanism):
         ``trace`` may lag within a block: the decision kernel appends a
         block's trace columns once, after its last row, so a scheduler
         must keep whatever it needs from earlier timestamps of the same
-        block in ``state`` (as BD and BA do).
+        block in ``state`` (as BD and BA do).  The kernel calls it once
+        per constant-budget stretch (:meth:`_budget_until`); the
+        ``scan=off`` loop and the seed loop call it on every timestamp.
         """
 
     def _after_publication(
@@ -418,24 +421,26 @@ class WEventMechanism(StreamMechanism):
     ) -> None:
         """Hook invoked after a publication is committed."""
 
-    def _zero_budget_until(self, t: int, state: Dict) -> int:
-        """Exclusive end of a data-independent zero-budget stretch at ``t``.
+    def _budget_until(self, t: int, state: Dict) -> float:
+        """Exclusive end of the constant-budget stretch starting at ``t``.
 
-        When every timestamp in ``[t, end)`` is guaranteed publication
-        budget 0 regardless of the data (BA's nullified periods), the
-        decision kernel hops them without calling the budget hook or
+        Asked right after :meth:`_publication_budget` ran at ``t``: if
+        no publication happens, every ``t'`` in ``[t, end)`` gets the
+        budget ``t`` got, and calling the budget hook at ``t'`` leaves
+        ``state`` unchanged.  ``end`` may be ``math.inf``.  The decision
+        kernel therefore calls the budget hook once per stretch, and
+        hops a zero-budget stretch (BA's nullified periods) without
         consuming any randomness — bit-identical to stepping, since
-        zero-budget steps never draw.  The kernel asks at the start of
-        a block and after every publication.  The default declares no
-        stretch.
+        zero-budget steps never draw.  The default, ``t + 1``, declares
+        a one-timestamp stretch.
         """
-        return t
+        return t + 1
 
     def decision_rule(self) -> DecisionRule:
         """This scheduler's decision logic as data (the kernel's *plan*)."""
         return DecisionRule(
             publication_budget=self._publication_budget,
-            zero_budget_until=self._zero_budget_until,
+            budget_until=self._budget_until,
             after_publication=self._after_publication,
         )
 

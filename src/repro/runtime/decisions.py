@@ -1,47 +1,62 @@
-"""The w-event decision kernel: one **plan → scan → resolve** pipeline.
+"""The w-event decision kernel: a plan → bound → scan → resolve pipeline.
 
 The w-event schedulers BD and BA (:mod:`repro.baselines.w_event`)
 share one shape of per-timestamp work: estimate how far the data
 drifted from the last release, add Laplace noise, compare against a
 budget-derived publish threshold, and either publish (spending budget,
 drawing a noise vector) or approximate (re-emit the last release, free
-of charge).  This module drives that loop in three stages:
+of charge).  This module drives that loop in four stages:
 
 **plan**
     Each scheduler declares its decision rule *as data* — a
     :class:`DecisionRule` bundling the scalar publish-budget hook, the
-    zero-budget stretch predicate and the post-publication state
+    constant-budget stretch predicate and the post-publication state
     transition — instead of owning a bespoke loop.
 
+**bound**
+    Per chunk of :data:`_CHUNK_ROWS` rows, one vectorized pass computes
+    every row's norm ``a_r = mean|x_r|`` (:func:`row_norms`) and an
+    approximate dissimilarity noise (``np.log`` on the prefetched first
+    uniforms, branch as in the scalar step).  With ``b = mean|last|``,
+    one reduce per publication, the triangle inequality bounds the
+    distance of any real row: ``|b − a_r| ≤ d_r ≤ b + a_r``.  A row
+    whose upper-bound score stays below the threshold is a certified
+    skip; one whose lower-bound score clears it is a certified
+    publication.  Neither needs a distance.
+
 **scan**
-    Vectorized distance passes, paced by publications: after each
-    publication the kernel computes one pass
+    Only rows between the two bounds reach a vectorized distance pass
     (:func:`release_distances`) over the next :data:`_PASS_ROWS` rows
-    against the new last release.
+    against the last release; a publication invalidates it.
 
 **resolve**
-    Every row is decided in one tight loop from the scalar budget hook,
-    the noise of its prefetched first uniform
-    (:meth:`~repro.runtime.rng_pool.IndexedRngPool.first_uniforms`) and
-    the pass distance; skip runs are applied as one ``released[a:b]``
-    fill and the trace columns are written once per block.  Only
-    publishing rows (and ``u <= 0`` rows) draw from a child generator,
-    and every row near a decision boundary is decided by the exact
-    scalar arithmetic, preserving bit-identity by construction.
+    Every row is decided in one tight loop.  The budget hook runs once
+    per constant-budget stretch (:attr:`DecisionRule.budget_until`),
+    zero-budget stretches are hopped, skip runs are applied as one
+    ``released[a:b]`` fill and the trace columns are written once per
+    block.  Only publishing rows (and ``u <= 0`` rows) draw from a child
+    generator, and every row near a decision boundary is decided by the
+    exact scalar arithmetic, preserving bit-identity by construction.
 
-Why the margin is sound: the noise always comes from the scalar
-``math.log`` spelling of numpy's ``random_laplace``, so the only
-disagreement the margin must cover is the vectorized distance pass
-rounding differently than the scalar per-row reduction.  A decision is
-taken from the vectorized values only when its score clears the
-threshold by more than ``margin * (1 + |noise| + θ)`` — astronomically
-wider than any ulp-level disagreement at the default ``1e-9``, yet
-vanishingly unlikely to catch a real decision (the score is a
-continuous random variable).  Rows inside the band resolve through the
-scalar arithmetic, so a margin that is *too wide* only costs speed,
-never correctness.  ``scan=exact`` (audit mode) additionally
-re-verifies every margin-decided row against the scalar arithmetic and
-raises :class:`ScanMarginError` on disagreement.
+Why the margins are sound: the exact decision compares the scalar
+distance plus the scalar ``math.log`` noise against the threshold.
+A pass-decided row takes the exact noise, so the only disagreement its
+margin must cover is the vectorized distance pass rounding differently
+than the scalar per-row reduction; it is decided from the pass only
+when its score clears the threshold by more than
+``margin * (1 + |noise| + θ)``.  A bound-decided row additionally takes
+the vectorized noise and norms, whose errors are ulp-level relative to
+``|noise|``, ``a_r`` and ``b``; its slack is
+``margin * (1 + |noise| + θ + a_r + b)``, so it scales with every
+magnitude involved.  The triangle inequality holds for any real
+vectors, and every rounding error in play is ulps relative to those
+magnitudes — astronomically narrower than the slack at the default
+``1e-9``, yet the slack is vanishingly unlikely to catch a real
+decision (the score is a continuous random variable).  Rows inside a
+band fall through to the next stage, so a margin that is *too wide*
+only costs speed, never correctness.  ``scan=exact`` (audit mode)
+additionally re-verifies every bound- and pass-decided row against the
+scalar arithmetic and raises :class:`ScanMarginError` on disagreement.
 
 Landmark privacy (:mod:`repro.baselines.landmark`) has no kernel: it
 releases through its scalar per-timestamp loop and reads only
@@ -65,6 +80,7 @@ __all__ = [
     "ScanMarginError",
     "WEventKernel",
     "release_distances",
+    "row_norms",
 ]
 
 #: Valid ``scan=`` modes, in spec-string spelling.
@@ -85,7 +101,7 @@ def _kernel_telemetry():
     return (
         registry.counter(
             "repro_decisions_certified_rows_total",
-            "Rows decided by a margin-certified scan verdict.",
+            "Rows decided by a certified bound or scan verdict.",
         ),
         registry.counter(
             "repro_decisions_boundary_rows_total",
@@ -102,8 +118,14 @@ def _kernel_telemetry():
 #: last release, so every publication invalidates the rest of it: BD/BA
 #: publish on roughly one row in four to seven, and a short constant
 #: pass keeps the vector work a publication throws away small while
-#: still amortizing numpy's per-call overhead over the skip runs.
+#: still amortizing numpy's per-call overhead over the rows the bounds
+#: leave undecided.
 _PASS_ROWS = 32
+
+#: Rows of one bound chunk: the row norms and approximate noises are
+#: computed this many rows at a time, so a long block never holds a
+#: block-sized ``abs`` temporary.
+_CHUNK_ROWS = 2048
 
 
 class ScanMarginError(RuntimeError):
@@ -228,14 +250,17 @@ class DecisionRule:
 
     - ``publication_budget(t, trace, state)`` — the scalar budget (may
       mutate the state exactly as the scheduler's per-step call does);
-    - ``zero_budget_until(t, state)`` — exclusive end of a
-      data-independent zero-budget stretch (BA's nullified periods);
+    - ``budget_until(t, state)`` — asked right after
+      ``publication_budget(t, ...)``: the exclusive end (an int, or
+      ``math.inf``) of the stretch over which, barring a publication,
+      the budget stays the one at ``t`` and the budget hook leaves the
+      state unchanged;
     - ``after_publication(t, budget, trace, state)`` — post-publication
       state transition.
     """
 
     publication_budget: Callable[[int, object, Dict], float]
-    zero_budget_until: Callable[[int, Dict], int]
+    budget_until: Callable[[int, Dict], float]
     after_publication: Callable[[int, float, object, Dict], None]
 
 
@@ -248,6 +273,45 @@ def release_distances(rows: np.ndarray, release: np.ndarray) -> np.ndarray:
     from them are protected by the margin band.
     """
     return np.add.reduce(np.abs(rows - release), axis=1) / rows.shape[1]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Mean absolute value ``a_r`` of every row.
+
+    The w-event kernel's bound precompute: with ``b`` the mean absolute
+    value of the last release, every row's distance lies in
+    ``[|b − a_r|, b + a_r]``.  The reduction is ulp-accurate, which the
+    bound slack covers.
+    """
+    return np.add.reduce(np.abs(rows), axis=1) / rows.shape[1]
+
+
+def _approximate_noises(uniforms: np.ndarray, scale: float) -> np.ndarray:
+    """Vectorized Laplace noise of each first uniform, NaN for ``u <= 0``.
+
+    The branch of numpy's ``random_laplace`` (``loc=0``) over an array:
+    ``np.log`` may round differently than the scalar ``math.log``, so
+    these values serve only the bound certificates, whose slack covers
+    the difference.  ``u <= 0`` rows retry inside numpy; they are NaN
+    here, which no certificate accepts.
+    """
+    upper = uniforms >= 0.5
+    arguments = np.where(
+        upper,
+        2.0 - uniforms - uniforms,
+        np.where(uniforms > 0.0, uniforms + uniforms, np.nan),
+    )
+    noises = scale * np.log(arguments)
+    np.negative(noises, out=noises, where=upper)
+    return noises
+
+
+def _laplace_noise(uniform: float, scale: float) -> float:
+    """numpy ``random_laplace`` (``loc=0``) of a first uniform ``u > 0``:
+    branch and arithmetic order replayed exactly."""
+    if uniform >= 0.5:
+        return 0.0 - scale * math.log(2.0 - uniform - uniform)
+    return 0.0 + scale * math.log(uniform + uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +383,21 @@ class WEventKernel:
     def _resolve(self, host, matrix, released, uniforms) -> Tuple[int, ...]:
         """The publication-paced resolve over a prefetched block.
 
-        Each row is decided from the scalar budget hook, the noise of
-        its prefetched uniform (spelled exactly as :meth:`_exact_step`
-        spells it) and its distance from the current distance pass;
-        rows inside the margin band and ``u <= 0`` rows recompute the
-        decision exactly.  Zero-budget stretches are hopped after each
-        publication, skipped rows are filled in runs, and the trace
-        columns are appended once at the end — so the scheduler hooks
-        see a trace that may lag within the block.  Returns the
-        ``(certified, boundary, zero_budget)`` row counts.
+        Each constant-budget stretch asks the budget hook once.  A row
+        is decided, cheapest first, by its bound certificate (no
+        distance at all), by the current distance pass outside the
+        margin band, or by the exact scalar arithmetic (in-band and
+        ``u <= 0`` rows); the noise of a row that reaches the pass is
+        its prefetched uniform spelled exactly as :meth:`_exact_step`
+        spells it.  Zero-budget stretches are hopped, skipped rows are
+        filled in runs, and the trace columns are appended once at the
+        end — so the scheduler hooks see a trace that may lag within the
+        block.  Returns the ``(certified, boundary, zero_budget)`` row
+        counts.
         """
         rule = self.rule
         budget_of = rule.publication_budget
-        zero_budget_until = rule.zero_budget_until
+        budget_until = rule.budget_until
         after_publication = rule.after_publication
         trace = host.trace
         state = host.scheduler_state
@@ -341,9 +407,8 @@ class WEventKernel:
         n_types = self.n_types
         margin = self.config.margin
         audit = self.config.audit
-        log = math.log
         n = matrix.shape[0]
-        certified = boundary = zero_budget = 0
+        boundary = zero_budget = 0
         start = 0
         if host.last_release is None:
             # The first release ever publishes without a distance.
@@ -351,82 +416,122 @@ class WEventKernel:
             boundary = start = 1
         base = host.t - start  # row r is timestamp base + r
         last = host.last_release
-        uniforms = uniforms.tolist()
+        spread = float(np.add.reduce(np.abs(last))) / n_types  # b
         published = np.zeros(n, dtype=bool)
         budgets = np.zeros(n)
         filled = start  # released rows before this one are written
-        skip_until = start + zero_budget_until(host.t, state) - host.t
+        stretch_end = start  # the budget below holds for earlier rows
+        chunk_start = chunk_stop = start  # rows the bound lists cover
         pass_start = pass_stop = 0  # rows the distance pass covers
         distances = []
         row = start
         while row < n:
-            if row < skip_until:
-                # Zero budget, data-independent: hop the stretch (no
-                # randomness is consumed here).
-                stop = min(skip_until, n)
-                zero_budget += stop - row
-                row = stop
+            if row >= stretch_end:
+                # A new constant-budget stretch: one budget-hook call.
+                t = base + row
+                budget = budget_of(t, trace, state)
+                stretch_end = budget_until(t, state) - base
+                if budget <= 0:
+                    # Zero budget, data-independent: hop the stretch
+                    # (no randomness is consumed here).
+                    stop = min(max(stretch_end, row + 1), n)
+                    zero_budget += stop - row
+                    row = stop
+                    continue
+                threshold = sensitivity / budget
+                widening = margin * (threshold + spread)
+                skip_below = threshold - widening - spread
+                publish_above = threshold + widening
+            if row >= chunk_stop:
+                chunk_start = row
+                chunk_stop = min(n, row + _CHUNK_ROWS)
+                chunk = slice(row, chunk_stop)
+                norms, lows, keys = self._bounds(
+                    matrix[chunk], uniforms[chunk]
+                )
+                chunk_uniforms = uniforms[chunk].tolist()
+            i = row - chunk_start
+            if keys[i] < skip_below:
+                # Certified skip: even the upper bound b + a_r on the
+                # distance leaves the score below the threshold.
+                if audit:
+                    self._audit(
+                        base + row,
+                        False,
+                        matrix[row],
+                        last,
+                        _laplace_noise(chunk_uniforms[i], scale),
+                        threshold,
+                    )
+                row += 1
                 continue
             t = base + row
-            budget = budget_of(t, trace, state)
-            if budget <= 0:
-                zero_budget += 1
-                row += 1
-                continue
-            threshold = sensitivity / budget
-            uniform = uniforms[row]
             rng_t = None
-            if uniform > 0.0:
-                # numpy random_laplace, loc=0, as in _exact_step.
-                if uniform >= 0.5:
-                    noise = 0.0 - scale * log(2.0 - uniform - uniform)
+            if abs(spread - norms[i]) + lows[i] > publish_above:
+                # Certified publication: even the lower bound |b - a_r|
+                # on the distance lifts the score above the threshold.
+                if audit:
+                    self._audit(
+                        t,
+                        True,
+                        matrix[row],
+                        last,
+                        _laplace_noise(chunk_uniforms[i], scale),
+                        threshold,
+                    )
+            else:
+                uniform = chunk_uniforms[i]
+                if uniform > 0.0:
+                    noise = _laplace_noise(uniform, scale)
+                    if row >= pass_stop:
+                        pass_start = row
+                        pass_stop = min(n, row + _PASS_ROWS)
+                        distances = release_distances(
+                            matrix[row:pass_stop], last
+                        ).tolist()
+                    score = distances[row - pass_start] + noise
+                    tolerance = margin * (1.0 + abs(noise) + threshold)
+                    if threshold - tolerance <= score <= threshold + tolerance:
+                        boundary += 1
+                        distance = self._distance(matrix[row], last)
+                        publish = distance + noise > threshold
+                    else:
+                        publish = score > threshold
+                        if audit:
+                            self._audit(
+                                t, publish, matrix[row], last, noise, threshold
+                            )
                 else:
-                    noise = 0.0 + scale * log(uniform + uniform)
-                if row >= pass_stop:
-                    pass_start = row
-                    pass_stop = min(n, row + _PASS_ROWS)
-                    distances = release_distances(
-                        matrix[row:pass_stop], last
-                    ).tolist()
-                score = distances[row - pass_start] + noise
-                tolerance = margin * (1.0 + abs(noise) + threshold)
-                if threshold - tolerance <= score <= threshold + tolerance:
+                    # U == 0 retries inside numpy; take the real generator.
                     boundary += 1
+                    rng_t = children.generator(t)
+                    noise = float(rng_t.laplace(0.0, scale))
                     distance = self._distance(matrix[row], last)
                     publish = distance + noise > threshold
-                else:
-                    certified += 1
-                    publish = score > threshold
-                    if audit:
-                        self._audit(
-                            t, publish, matrix[row], last, noise, threshold
-                        )
-            else:
-                # U == 0 retries inside numpy; take the real generator.
-                boundary += 1
-                rng_t = children.generator(t)
-                noise = float(rng_t.laplace(0.0, scale))
-                distance = self._distance(matrix[row], last)
-                publish = distance + noise > threshold
-            if not publish:
-                row += 1
-                continue
+                if not publish:
+                    row += 1
+                    continue
             if rng_t is None:
-                rng_t = children.generator(t)
-                # Reposition past the dissimilarity word.
-                rng_t.laplace(0.0, scale)
-            value = matrix[row] + rng_t.laplace(0.0, threshold, size=n_types)
+                # One draw: the dissimilarity word (u > 0, so exactly
+                # one uniform), then the release noise.
+                draws = children.generator(t).laplace(
+                    0.0, threshold, size=n_types + 1
+                )[1:]
+            else:
+                draws = rng_t.laplace(0.0, threshold, size=n_types)
+            value = matrix[row] + draws
             if released is not None:
                 released[filled:row] = last
                 released[row] = value
             last = value
+            spread = float(np.add.reduce(np.abs(last))) / n_types
             filled = row + 1
             published[row] = True
             budgets[row] = budget
             after_publication(t, budget, trace, state)
             pass_stop = 0
             row += 1
-            skip_until = row + zero_budget_until(t + 1, state) - (t + 1)
+            stretch_end = row
         if released is not None:
             released[filled:n] = last
         trace.published.extend(published[start:])
@@ -434,7 +539,28 @@ class WEventKernel:
         trace.dissimilarity_budgets.extend_constant(self.charge, n - start)
         host.last_release = last
         host.t = base + n
-        return certified, boundary, zero_budget
+        return n - boundary - zero_budget, boundary, zero_budget
+
+    def _bounds(self, rows: np.ndarray, uniforms: np.ndarray):
+        """The bound certificate's per-row lists for one chunk.
+
+        Returns ``(norms, lows, keys)``: the row norms ``a_r``, the
+        approximate noise minus the row's share of the slack, and the
+        noise plus ``a_r`` plus that share.  A row is a certified skip
+        when ``key < θ − margin·(θ + b) − b`` and a certified
+        publication when ``|b − a_r| + low > θ + margin·(θ + b)`` — the
+        two triangle-inequality bounds widened by
+        ``margin·(1 + |noise| + θ + a_r + b)``.  NaN noises (``u <= 0``)
+        satisfy neither.
+        """
+        norms = row_norms(rows)
+        noises = _approximate_noises(uniforms, self.scale)
+        reach = self.config.margin * (1.0 + np.abs(noises) + norms)
+        return (
+            norms.tolist(),
+            (noises - reach).tolist(),
+            (norms + noises + reach).tolist(),
+        )
 
     def _distance(self, row: np.ndarray, last: np.ndarray) -> float:
         """The exact scalar distance (Kellaris' ``dis``): mean absolute
@@ -455,7 +581,7 @@ class WEventKernel:
     def _exact_step(self, host, matrix, released, row: int, uniforms) -> None:
         """One timestamp through the exact scalar arithmetic.
 
-        This is the pre-kernel release loop's body, verbatim: the whole
+        This is the pre-kernel release loop's body: the whole
         loop under ``scan=off`` (the oracle the resolve is pinned
         against), blocks below the prefetch threshold, and the first
         release of a run.
@@ -478,12 +604,8 @@ class WEventKernel:
                 noise = float(rng_t.laplace(0.0, scale))
             else:
                 uniform = uniforms[row]
-                if uniform >= 0.5:
-                    # numpy random_laplace, loc=0: branch and
-                    # arithmetic order replayed exactly.
-                    noise = 0.0 - scale * math.log(2.0 - uniform - uniform)
-                elif uniform > 0.0:
-                    noise = 0.0 + scale * math.log(uniform + uniform)
+                if uniform > 0.0:
+                    noise = _laplace_noise(uniform, scale)
                 else:
                     # U == 0 retries inside numpy; take the real
                     # generator for this (astronomically rare) step.

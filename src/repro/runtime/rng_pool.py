@@ -335,12 +335,14 @@ class IndexedRngPool:
         while index >= self._n:
             self._extend(self._block)
         state_hi, state_lo, inc_hi, inc_lo = self._limbs
+        # ``item`` reads a limb straight into a Python int, skipping the
+        # numpy scalar that ``int(limbs[index])`` builds first.
         self._bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {
-                "state": (int(state_hi[index]) << 64)
-                | int(state_lo[index]),
-                "inc": (int(inc_hi[index]) << 64) | int(inc_lo[index]),
+                "state": (state_hi.item(index) << 64)
+                | state_lo.item(index),
+                "inc": (inc_hi.item(index) << 64) | inc_lo.item(index),
             },
             "has_uint32": 0,
             "uinteger": 0,

@@ -6,10 +6,16 @@ whatever the stream contents, scheduler parameters, block chunking
 (including the prefetch-threshold boundary sizes 1/31/32/33) or a
 snapshot/restore mid-run, ``scan=margin`` and ``scan=exact`` must
 reproduce the ``scan=off`` scalar loop exactly — releases, verdict
-traces, scheduler state and snapshots alike.  Publish-dense BD/BA runs
-are pinned against the seed loop in :mod:`repro.runtime.reference` as
-well, and sharded BD/BA replay must draw no randomness at all.
+traces, scheduler state and snapshots alike.  The streams mix 0/1 rows
+with real values spanning ±1e-6…±1e6, at two widths, so the bound
+certificate's slack is exercised across magnitudes.  Publish-dense
+BD/BA runs are pinned against the seed loop in
+:mod:`repro.runtime.reference` as well, BD/BA's constant-budget
+stretches are checked against their budget hooks, and sharded BD/BA
+replay must draw no randomness at all.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
+from repro.baselines.w_event import ReleaseTrace
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.runtime import (
@@ -26,6 +33,7 @@ from repro.runtime import (
     ClusterExecutor,
     ShardedExecutor,
     StreamPipeline,
+    decisions,
     sharding,
 )
 from repro.runtime.reference import reference_w_event_perturb
@@ -33,6 +41,9 @@ from repro.runtime.rng_pool import IndexedRngPool
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 N_TYPES = 3
+
+#: The stress streams' widths: the historical 3 types and a wide one.
+WIDTHS = (N_TYPES, 17)
 
 #: The kernel's default prefetch threshold is 32; these block sizes
 #: straddle it, exercising both the vectorized-uniform and the
@@ -42,11 +53,13 @@ BLOCK_SIZES = (1, 31, 32, 33)
 
 @st.composite
 def stress_matrices(draw):
-    """Float indicator matrices from constant runs and random segments."""
+    """Float statistics matrices from constant runs, random 0/1 segments
+    and real-valued segments spanning ±1e-6…±1e6."""
+    width = draw(st.sampled_from(WIDTHS))
     segments = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["zeros", "ones", "noise"]),
+                st.sampled_from(["zeros", "ones", "noise", "real"]),
                 st.integers(min_value=1, max_value=40),
             ),
             min_size=1,
@@ -57,12 +70,16 @@ def stress_matrices(draw):
     rng = np.random.default_rng(seed)
     rows = []
     for kind, length in segments:
+        shape = (length, width)
         if kind == "zeros":
-            rows.append(np.zeros((length, N_TYPES)))
+            rows.append(np.zeros(shape))
         elif kind == "ones":
-            rows.append(np.ones((length, N_TYPES)))
+            rows.append(np.ones(shape))
+        elif kind == "noise":
+            rows.append((rng.random(shape) < 0.5).astype(float))
         else:
-            rows.append((rng.random((length, N_TYPES)) < 0.5).astype(float))
+            magnitudes = 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+            rows.append(rng.choice([-1.0, 1.0], size=shape) * magnitudes)
     return np.vstack(rows)
 
 
@@ -108,7 +125,7 @@ def assert_snapshots_equal(left, right):
 def run_w_event(cls, epsilon, w, seed, matrix, plan, scan):
     mechanism = cls(epsilon, w=w, scan=scan)
     releaser = mechanism.online_releaser(
-        N_TYPES, rng=seed, horizon=matrix.shape[0]
+        matrix.shape[1], rng=seed, horizon=matrix.shape[0]
     )
     released = [releaser.step_block(block) for block in chunks(matrix, plan)]
     return releaser, np.vstack(released)
@@ -166,11 +183,12 @@ class TestWEventScanIdentity:
         baseline, expected = run_w_event(
             BudgetDistribution, epsilon, w, seed, matrix, [33], "off"
         )
+        width = matrix.shape[1]
         mechanism = BudgetDistribution(epsilon, w=w, scan="margin")
-        first = mechanism.online_releaser(N_TYPES, rng=seed, horizon=n)
+        first = mechanism.online_releaser(width, rng=seed, horizon=n)
         head = first.step_block(matrix[:cut])
         checkpoint = first.snapshot()
-        second = mechanism.online_releaser(N_TYPES, rng=seed, horizon=n)
+        second = mechanism.online_releaser(width, rng=seed, horizon=n)
         second.restore(checkpoint)
         tail = second.step_block(matrix[cut:])
         assert np.array_equal(np.vstack([head, tail]), expected)
@@ -254,6 +272,74 @@ class TestPublishDenseWEvent:
         assert_runs_equal(expected, seed_loop)
 
 
+@pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
+def test_block_longer_than_a_chunk_matches_small_blocks(cls):
+    """A block spanning several bound chunks (row norms and noises are
+    computed per chunk) equals the same rows stepped in 32-row blocks,
+    the scalar loop and the seed loop."""
+    n = 2 * decisions._CHUNK_ROWS + 77
+    rng = np.random.default_rng(23)
+    matrix = (rng.random((n, 5)) < 0.3).astype(float)
+    whole, released = run_w_event(cls, 1.0, DENSE_W, 4, matrix, [n], "margin")
+    small, small_released = run_w_event(
+        cls, 1.0, DENSE_W, 4, matrix, [32], "margin"
+    )
+    scalar, scalar_released = run_w_event(
+        cls, 1.0, DENSE_W, 4, matrix, [n], "off"
+    )
+    assert np.array_equal(released, small_released)
+    assert np.array_equal(released, scalar_released)
+    assert_snapshots_equal(whole.snapshot(), small.snapshot())
+    assert_snapshots_equal(whole.snapshot(), scalar.snapshot())
+    seed_loop = {}
+    reference_w_event_perturb(
+        cls(1.0, w=DENSE_W),
+        IndicatorStream(EventAlphabet.numbered(5), matrix.astype(bool)),
+        rng=4,
+        final_state=seed_loop,
+    )
+    assert np.array_equal(released, seed_loop["released"])
+
+
+@st.composite
+def scheduler_states(draw):
+    """A BD/BA mechanism and the scheduler state it reaches at ``t``
+    after publishing on a random share of its positive-budget steps."""
+    cls = draw(st.sampled_from([BudgetDistribution, BudgetAbsorption]))
+    epsilon = draw(st.floats(min_value=0.05, max_value=10.0))
+    w = draw(st.integers(min_value=1, max_value=12))
+    t = draw(st.integers(min_value=0, max_value=80))
+    share = draw(st.floats(min_value=0.0, max_value=1.0))
+    coins = np.random.default_rng(draw(st.integers(0, 2**16))).random(t)
+    mechanism = cls(epsilon, w=w)
+    trace = ReleaseTrace()
+    state = mechanism._initial_scheduler_state()
+    for step in range(t):
+        budget = mechanism._publication_budget(step, trace, state)
+        if budget > 0 and coins[step] < share:
+            mechanism._after_publication(step, budget, trace, state)
+    return mechanism, state, t
+
+
+class TestBudgetUntil:
+    @given(drawn=scheduler_states())
+    @settings(max_examples=200, deadline=None)
+    def test_budget_and_state_hold_over_the_stretch(self, drawn):
+        """Every timestamp the kernel hops without calling the budget
+        hook gets the budget of the stretch's first timestamp and would
+        leave the state as it is, so hopping can never change a
+        release or a snapshot."""
+        mechanism, state, t = drawn
+        trace = ReleaseTrace()
+        budget = mechanism._publication_budget(t, trace, state)
+        end = mechanism._budget_until(t, state)
+        assert end > t
+        for later in range(t, int(min(end, t + 3 * mechanism.w + 2))):
+            probe = copy.deepcopy(state)
+            assert mechanism._publication_budget(later, trace, probe) == budget
+            assert probe == state
+
+
 #: The parallel executors: threads, and the multi-process cluster.
 PARALLEL = {"thread": ShardedExecutor, "cluster": ClusterExecutor}
 
@@ -332,7 +418,7 @@ class TestLandmarkScanIdentity:
                 epsilon, landmarks=mask, rho=rho, scan=scan
             )
             releaser = mechanism.online_releaser(
-                N_TYPES, rng=seed, horizon=n
+                matrix.shape[1], rng=seed, horizon=n
             )
             outputs[scan] = np.vstack(
                 [releaser.step_block(block) for block in chunks(matrix, plan)]
@@ -352,8 +438,9 @@ class TestLandmarkScanIdentity:
         mechanism = LandmarkPrivacy(
             epsilon, landmarks=mask, rho=rho, scan="margin"
         )
-        stepped = mechanism.online_releaser(N_TYPES, rng=seed, horizon=n)
+        width = matrix.shape[1]
+        stepped = mechanism.online_releaser(width, rng=seed, horizon=n)
         stepped.step_block(matrix)
-        prepassed = mechanism.online_releaser(N_TYPES, rng=seed, horizon=n)
+        prepassed = mechanism.online_releaser(width, rng=seed, horizon=n)
         prepassed.advance_block(matrix)
         assert_snapshots_equal(prepassed.snapshot(), stepped.snapshot())

@@ -231,6 +231,42 @@ class TestAuditMode:
         honest.step_block(matrix)
         assert sum(releaser.trace.published) < sum(honest.trace.published)
 
+    def test_bogus_bound_raises_scan_margin_error(self, monkeypatch):
+        """scan=exact re-verifies every bound-certified row as well:
+        row norms that certify publishing rows as skips must be caught."""
+        monkeypatch.setattr(
+            decisions_module,
+            "row_norms",
+            lambda rows: np.full(rows.shape[0], -np.inf),
+        )
+        n = 64
+        matrix = constant_matrix(n)
+        matrix[40:] = 1.0
+        mechanism = BudgetDistribution(8.0, w=4, scan="exact")
+        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
+        with pytest.raises(ScanMarginError, match="certified as a skip"):
+            releaser.step_block(matrix)
+
+    def test_bogus_bound_is_applied_without_audit(self, monkeypatch):
+        """The bound is the decision point: under scan=margin the same
+        planted norms silently skip publications."""
+        monkeypatch.setattr(
+            decisions_module,
+            "row_norms",
+            lambda rows: np.full(rows.shape[0], -np.inf),
+        )
+        n = 64
+        matrix = constant_matrix(n)
+        matrix[40:] = 1.0
+        mechanism = BudgetDistribution(8.0, w=4, scan="margin")
+        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
+        releaser.step_block(matrix)
+        honest = BudgetDistribution(8.0, w=4, scan="off").online_releaser(
+            N_TYPES, rng=0, horizon=n
+        )
+        honest.step_block(matrix)
+        assert sum(releaser.trace.published) < sum(honest.trace.published)
+
     def test_honest_scan_passes_audit(self):
         n = 96
         rng = np.random.default_rng(8)
@@ -242,6 +278,65 @@ class TestAuditMode:
             N_TYPES, rng=2, horizon=n
         ).step_block(matrix)
         np.testing.assert_array_equal(releaser.step_block(matrix), expected)
+
+
+# ---------------------------------------------------------------------------
+# The bound certificate and constant-budget stretches
+# ---------------------------------------------------------------------------
+
+
+def dense_matrix(n, n_types=8, seed=11):
+    """A publish-dense 0/1 stream (BD/BA publish on ~15-25% of rows)."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((n, n_types)) < 0.3).astype(float)
+
+
+class TestBoundCertificate:
+    @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
+    def test_bounds_leave_few_rows_to_the_distance_pass(
+        self, cls, monkeypatch
+    ):
+        """Most rows are decided from the triangle-inequality bounds:
+        far fewer distance passes run than there are publications."""
+        passes = []
+        release_distances = decisions_module.release_distances
+
+        def counting(rows, release):
+            passes.append(rows.shape[0])
+            return release_distances(rows, release)
+
+        monkeypatch.setattr(decisions_module, "release_distances", counting)
+        n = 4000
+        matrix = dense_matrix(n)
+        releaser = cls(1.0, w=40).online_releaser(8, rng=1, horizon=n)
+        released = releaser.step_block(matrix)
+        publications = sum(releaser.trace.published)
+        assert publications > n // 10
+        assert len(passes) * 4 < publications
+        expected = cls(1.0, w=40, scan="off").online_releaser(
+            8, rng=1, horizon=n
+        )
+        np.testing.assert_array_equal(released, expected.step_block(matrix))
+
+    def test_budget_hook_runs_once_per_stretch(self, monkeypatch):
+        """BD's budget only changes when a spend enters or leaves the
+        window, so the kernel asks for it on far fewer rows than the
+        scalar loop, which asks on every row."""
+        calls = {"margin": 0, "off": 0}
+        n = 4000
+        matrix = dense_matrix(n)
+        for scan in calls:
+            mechanism = BudgetDistribution(1.0, w=40, scan=scan)
+            budget = mechanism._publication_budget
+
+            def counting(t, trace, state, scan=scan, budget=budget):
+                calls[scan] += 1
+                return budget(t, trace, state)
+
+            monkeypatch.setattr(mechanism, "_publication_budget", counting)
+            mechanism.online_releaser(8, rng=1, horizon=n).step_block(matrix)
+        assert calls["off"] == n
+        assert calls["margin"] < 0.6 * n
 
 
 # ---------------------------------------------------------------------------
