@@ -18,15 +18,15 @@ from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive
 
 
-def as_statistics(values, n_types: int, *, block: bool) -> np.ndarray:
-    """``values`` as floats: one vector of ``n_types`` statistics, or a
-    block of such rows when ``block`` is set.
+def as_statistics(values, n_types: int) -> np.ndarray:
+    """``values`` as a float block whose rows are vectors of
+    ``n_types`` statistics.
 
     The sequential releasers' input check — a wrong width would
     otherwise broadcast against the last release and step silently.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != (2 if block else 1) or values.shape[-1] != n_types:
+    if values.ndim != 2 or values.shape[-1] != n_types:
         raise ValueError(
             f"expected a vector of {n_types} statistics, got "
             f"shape {values.shape}"

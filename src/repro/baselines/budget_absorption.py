@@ -50,7 +50,7 @@ class BudgetAbsorption(WEventMechanism):
 
     def _budget_until(self, t: int, state: Dict) -> float:
         # Nullified timestamps get budget 0 whatever the data; the
-        # decision kernel hops [t, nullified_until] without drawing
+        # release loop hops [t, nullified_until] without drawing
         # randomness.  Past them every skipped timestamp absorbs one
         # more nominal budget, until absorption is capped at w units.
         if t <= state["nullified_until"]:

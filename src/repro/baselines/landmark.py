@@ -24,26 +24,27 @@ indicator vectors):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.base import StreamMechanism, as_statistics
-from repro.runtime.decisions import ScanConfig
+from repro.runtime.decisions import check_scan
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_in_range, check_positive
 
 
 class LandmarkReleaser:
-    """Incremental landmark release: one indicator vector per step.
+    """Incremental landmark release, one block of timestamps at a time.
 
     The landmark mask must be fixed up front (the data subject declares
     the sensitive timestamps); the releaser walks it while threading the
     adaptive publication budget.  Per-timestamp randomness is
     ``derive_rng(rng, "landmark", t)`` drawn through an
-    :class:`~repro.runtime.rng_pool.IndexedRngPool`, so stepping and the
-    batch :meth:`LandmarkPrivacy.perturb` agree bit for bit.
+    :class:`~repro.runtime.rng_pool.IndexedRngPool`, so block-by-block
+    release and the batch :meth:`LandmarkPrivacy.perturb` agree bit for
+    bit.
     """
 
     def __init__(
@@ -69,12 +70,6 @@ class LandmarkReleaser:
         self._landmarks_left = self._n_landmarks
         self.last_release: Optional[np.ndarray] = None
         self.t = 0
-
-    def step(self, true_vector: np.ndarray) -> np.ndarray:
-        """Release one timestamp's statistics."""
-        true_vector = as_statistics(true_vector, self.n_types, block=False)
-        released = self._advance(true_vector)
-        return np.array(released, dtype=float, copy=True)
 
     def _advance(self, true_vector: np.ndarray) -> np.ndarray:
         """One release step; returns the released row without copying."""
@@ -132,11 +127,11 @@ class LandmarkReleaser:
         """Release a block of timestamps; rows are indicator vectors.
 
         The scalar :meth:`_advance` loop, row by row, in every scan
-        mode — bit-identical to :meth:`step` by construction.  Landmark
-        has no decision kernel, so its rows feed no
+        mode, so any split of a stream into blocks releases the same
+        rows.  Landmark has no decision loop, so its rows feed no
         ``repro_decisions_*_rows_total`` counter.
         """
-        matrix = as_statistics(matrix, self.n_types, block=True)
+        matrix = as_statistics(matrix, self.n_types)
         released = np.empty_like(matrix)
         for row in range(matrix.shape[0]):
             released[row] = self._advance(matrix[row])
@@ -154,8 +149,8 @@ class LandmarkReleaser:
         block that runs past the mask raises :meth:`_advance`'s error,
         leaving the state where stepping row by row leaves it.
         """
-        matrix = as_statistics(matrix, self.n_types, block=True)
-        if not self.mechanism.scan_config.enabled:
+        matrix = as_statistics(matrix, self.n_types)
+        if self.mechanism.scan == "off":
             for row in matrix:
                 self._advance(row)
             return
@@ -244,12 +239,12 @@ class LandmarkPrivacy(StreamMechanism):
         landmarks: Optional[Sequence[bool]] = None,
         rho: float = 0.5,
         sensitivity: float = 1.0,
-        scan: Union[None, str, ScanConfig] = None,
+        scan: str = "margin",
     ):
         super().__init__(epsilon)
         self.rho = check_in_range("rho", rho, 0.0, 1.0, inclusive=False)
         self.sensitivity = check_positive("sensitivity", sensitivity)
-        self.scan_config = ScanConfig.coerce(scan)
+        self.scan = check_scan(scan)
         self._landmarks = (
             None if landmarks is None else np.asarray(landmarks, dtype=bool)
         )

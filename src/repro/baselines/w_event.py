@@ -20,17 +20,17 @@ skeleton, implemented here:
 The release loop is exposed both batched (:meth:`WEventMechanism.perturb`)
 and incrementally (:meth:`WEventMechanism.online_releaser`, used by
 :class:`repro.cep.online.OnlineSession`); the batch path runs on top of
-the same stepper, so the two agree bit for bit under the same seed.
+the same releaser, so the two agree bit for bit under the same seed.
 
-The per-timestamp decision loop itself lives in
-:mod:`repro.runtime.decisions`: each scheduler declares its decision
-rule as data (:meth:`WEventMechanism.decision_rule`) and the shared
-plan → bound → scan → resolve kernel drives the release — triangle-
-inequality distance bounds decide most rows without any distance,
-vectorized distance passes decide the rows a margin band certifies,
-exact scalar arithmetic decides everything near a decision boundary.
-``scan=`` on the mechanism constructor (or the ``scan=/margin=/prefetch=``
-spec keys) tunes or disables the scan.
+:class:`OnlineReleaser` decides the timestamps of a block with the
+bound → scan → resolve pipeline of :mod:`repro.runtime.decisions`,
+calling the scheduler's budget hooks directly — triangle-inequality
+distance bounds decide most rows without any distance, vectorized
+distance passes decide the rows a margin band certifies, exact scalar
+arithmetic decides everything near a decision boundary.  ``scan=`` on
+the mechanism constructor (or the ``scan=`` spec key) picks the mode:
+``margin`` (the default), ``exact`` (audit) or ``off`` (the scalar
+loop on every row).
 
 In this library the per-timestamp statistics are the windowed existence
 indicators (one 0/1 entry per event type, L1 sensitivity 1 under a
@@ -43,12 +43,12 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StreamMechanism, as_statistics
-from repro.runtime.decisions import DecisionRule, ScanConfig, WEventKernel
+from repro.runtime import decisions
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive, check_positive_int
@@ -64,7 +64,7 @@ class TraceColumn:
     million-timestamp traces stop paying per-element object overhead
     and the accounting accessors read straight numpy arrays.
 
-    Two additions the release kernel relies on:
+    Two additions the release loop relies on:
 
     - :meth:`extend_constant` appends ``count`` copies of one value
       without materializing a Python list (the bulk-skip paths);
@@ -250,14 +250,16 @@ class ReleaseTrace:
 
 
 class OnlineReleaser:
-    """Incremental w-event release: one indicator vector per step.
+    """Incremental w-event release, one block of timestamps at a time.
 
     Owns the scheduler state, the dissimilarity/publication accounting
-    trace and the last release; created by
-    :meth:`WEventMechanism.online_releaser`.  The decision loop itself
-    is the shared :class:`~repro.runtime.decisions.WEventKernel`,
-    driven by the mechanism's declared
-    :class:`~repro.runtime.decisions.DecisionRule`.
+    trace, the last release and the decision loop itself (the bound →
+    scan → resolve pipeline of :mod:`repro.runtime.decisions`), which
+    calls the mechanism's budget hooks directly; created by
+    :meth:`WEventMechanism.online_releaser`.  :meth:`step_block` is
+    bit-identical to the seed per-timestamp loop in every ``scan`` mode
+    — the vectorized values only decide rows the margin band certifies,
+    never what any timestamp releases.
 
     The per-timestamp randomness is ``derive_rng(rng, "w-event", t)``,
     drawn through an :class:`~repro.runtime.rng_pool.IndexedRngPool`:
@@ -301,27 +303,301 @@ class OnlineReleaser:
         self._dissimilarity_charge = (
             mechanism.epsilon_dissimilarity / mechanism.w
         )
-        self._kernel = WEventKernel(
-            mechanism.decision_rule(),
-            mechanism.scan_config,
-            n_types=n_types,
-            sensitivity=mechanism.sensitivity,
-            dissimilarity_scale=self._dissimilarity_draw_scale,
-            dissimilarity_charge=self._dissimilarity_charge,
-        )
-
-    def step(self, true_vector: np.ndarray) -> np.ndarray:
-        """Release one timestamp's statistics."""
-        true_vector = as_statistics(true_vector, self.n_types, block=False)
-        self._kernel.run_block(self, true_vector.reshape(1, -1), None)
-        return self.last_release.copy()
 
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
-        """Release a block of timestamps; rows are indicator vectors."""
-        matrix = as_statistics(matrix, self.n_types, block=True)
+        """Release a block of timestamps; rows are indicator vectors.
+
+        Per-timestamp draws come from the index-derived child streams,
+        so the loop is free to consume them smartly without changing a
+        single output bit: with prefetched uniforms only publishing
+        timestamps (and ``u <= 0`` rows) install a child generator.
+        ``scan=off`` and blocks shorter than the prefetch threshold run
+        :meth:`_exact_step` row by row.
+        """
+        matrix = as_statistics(matrix, self.n_types)
         released = np.empty_like(matrix)
-        self._kernel.run_block(self, matrix, released)
+        n = matrix.shape[0]
+        if n == 0:
+            return released
+        uniforms = (
+            self._children.first_uniforms(self.t, self.t + n)
+            if n >= decisions._PREFETCH_MIN
+            else None
+        )
+        certified, boundary, zero_budget = decisions._kernel_telemetry()
+        if self.mechanism.scan == "off" or uniforms is None:
+            for row in range(n):
+                self._exact_step(matrix, released, row, uniforms)
+            boundary.inc(n)
+            return released
+        counts = self._resolve(matrix, released, uniforms)
+        certified.inc(counts[0])
+        boundary.inc(counts[1])
+        zero_budget.inc(counts[2])
         return released
+
+    # -- the decision loop ---------------------------------------------
+
+    def _resolve(self, matrix, released, uniforms) -> Tuple[int, ...]:
+        """The publication-paced resolve over a prefetched block.
+
+        Each constant-budget stretch asks the budget hook once.  A row
+        is decided, cheapest first, by its bound certificate (no
+        distance at all), by the current distance pass outside the
+        margin band, or by the exact scalar arithmetic (in-band and
+        ``u <= 0`` rows); the noise of a row that reaches the pass is
+        its prefetched uniform spelled exactly as :meth:`_exact_step`
+        spells it.  Zero-budget stretches are hopped, skipped rows are
+        filled in runs, and the trace columns are appended once at the
+        end — so the scheduler hooks see a trace that may lag within the
+        block.  Returns the ``(certified, boundary, zero_budget)`` row
+        counts.
+        """
+        mechanism = self.mechanism
+        budget_of = mechanism._publication_budget
+        budget_until = mechanism._budget_until
+        after_publication = mechanism._after_publication
+        trace = self.trace
+        state = self.scheduler_state
+        children = self._children
+        scale = self._dissimilarity_draw_scale
+        sensitivity = mechanism.sensitivity
+        n_types = self.n_types
+        margin = decisions._MARGIN
+        audit = mechanism.scan == "exact"
+        laplace_noise = decisions._laplace_noise
+        n = matrix.shape[0]
+        boundary = zero_budget = 0
+        start = 0
+        if self.last_release is None:
+            # The first release ever publishes without a distance.
+            self._exact_step(matrix, released, 0, uniforms)
+            boundary = start = 1
+        base = self.t - start  # row r is timestamp base + r
+        last = self.last_release
+        spread = float(np.add.reduce(np.abs(last))) / n_types  # b
+        published = np.zeros(n, dtype=bool)
+        budgets = np.zeros(n)
+        filled = start  # released rows before this one are written
+        stretch_end = start  # the budget below holds for earlier rows
+        chunk_start = chunk_stop = start  # rows the bound lists cover
+        pass_start = pass_stop = 0  # rows the distance pass covers
+        distances = []
+        row = start
+        while row < n:
+            if row >= stretch_end:
+                # A new constant-budget stretch: one budget-hook call.
+                t = base + row
+                budget = budget_of(t, trace, state)
+                stretch_end = budget_until(t, state) - base
+                if budget <= 0:
+                    # Zero budget, data-independent: hop the stretch
+                    # (no randomness is consumed here).
+                    stop = min(max(stretch_end, row + 1), n)
+                    zero_budget += stop - row
+                    row = stop
+                    continue
+                threshold = sensitivity / budget
+                widening = margin * (threshold + spread)
+                skip_below = threshold - widening - spread
+                publish_above = threshold + widening
+            if row >= chunk_stop:
+                chunk_start = row
+                chunk_stop = min(n, row + decisions._CHUNK_ROWS)
+                chunk = slice(row, chunk_stop)
+                norms, lows, keys = self._bounds(
+                    matrix[chunk], uniforms[chunk]
+                )
+                chunk_uniforms = uniforms[chunk].tolist()
+            i = row - chunk_start
+            if keys[i] < skip_below:
+                # Certified skip: even the upper bound b + a_r on the
+                # distance leaves the score below the threshold.
+                if audit:
+                    self._audit(
+                        base + row,
+                        False,
+                        matrix[row],
+                        last,
+                        laplace_noise(chunk_uniforms[i], scale),
+                        threshold,
+                    )
+                row += 1
+                continue
+            t = base + row
+            rng_t = None
+            if abs(spread - norms[i]) + lows[i] > publish_above:
+                # Certified publication: even the lower bound |b - a_r|
+                # on the distance lifts the score above the threshold.
+                if audit:
+                    self._audit(
+                        t,
+                        True,
+                        matrix[row],
+                        last,
+                        laplace_noise(chunk_uniforms[i], scale),
+                        threshold,
+                    )
+            else:
+                uniform = chunk_uniforms[i]
+                if uniform > 0.0:
+                    noise = laplace_noise(uniform, scale)
+                    if row >= pass_stop:
+                        pass_start = row
+                        pass_stop = min(n, row + decisions._PASS_ROWS)
+                        distances = decisions.release_distances(
+                            matrix[row:pass_stop], last
+                        ).tolist()
+                    score = distances[row - pass_start] + noise
+                    tolerance = margin * (1.0 + abs(noise) + threshold)
+                    if threshold - tolerance <= score <= threshold + tolerance:
+                        boundary += 1
+                        distance = self._distance(matrix[row], last)
+                        publish = distance + noise > threshold
+                    else:
+                        publish = score > threshold
+                        if audit:
+                            self._audit(
+                                t, publish, matrix[row], last, noise, threshold
+                            )
+                else:
+                    # U == 0 retries inside numpy; take the real generator.
+                    boundary += 1
+                    rng_t = children.generator(t)
+                    noise = float(rng_t.laplace(0.0, scale))
+                    distance = self._distance(matrix[row], last)
+                    publish = distance + noise > threshold
+                if not publish:
+                    row += 1
+                    continue
+            if rng_t is None:
+                # One draw: the dissimilarity word (u > 0, so exactly
+                # one uniform), then the release noise.
+                draws = children.generator(t).laplace(
+                    0.0, threshold, size=n_types + 1
+                )[1:]
+            else:
+                draws = rng_t.laplace(0.0, threshold, size=n_types)
+            value = matrix[row] + draws
+            released[filled:row] = last
+            released[row] = value
+            last = value
+            spread = float(np.add.reduce(np.abs(last))) / n_types
+            filled = row + 1
+            published[row] = True
+            budgets[row] = budget
+            after_publication(t, budget, trace, state)
+            pass_stop = 0
+            row += 1
+            stretch_end = row
+        released[filled:n] = last
+        trace.published.extend(published[start:])
+        trace.publication_budgets.extend(budgets[start:])
+        trace.dissimilarity_budgets.extend_constant(
+            self._dissimilarity_charge, n - start
+        )
+        self.last_release = last
+        self.t = base + n
+        return n - boundary - zero_budget, boundary, zero_budget
+
+    def _bounds(self, rows: np.ndarray, uniforms: np.ndarray):
+        """The bound certificate's per-row lists for one chunk.
+
+        Returns ``(norms, lows, keys)``: the row norms ``a_r``, the
+        approximate noise minus the row's share of the slack, and the
+        noise plus ``a_r`` plus that share.  A row is a certified skip
+        when ``key < θ − margin·(θ + b) − b`` and a certified
+        publication when ``|b − a_r| + low > θ + margin·(θ + b)`` — the
+        two triangle-inequality bounds widened by
+        ``margin·(1 + |noise| + θ + a_r + b)``.  NaN noises (``u <= 0``)
+        satisfy neither.
+        """
+        norms = decisions.row_norms(rows)
+        noises = decisions._approximate_noises(
+            uniforms, self._dissimilarity_draw_scale
+        )
+        reach = decisions._MARGIN * (1.0 + np.abs(noises) + norms)
+        return (
+            norms.tolist(),
+            (noises - reach).tolist(),
+            (norms + noises + reach).tolist(),
+        )
+
+    def _distance(self, row: np.ndarray, last: np.ndarray) -> float:
+        """The exact scalar distance (Kellaris' ``dis``): mean absolute
+        deviation from the last release.  The reduce spelling is
+        bit-identical to ``.mean()`` and skips its dispatch overhead."""
+        return float(np.add.reduce(np.abs(row - last)) / self.n_types)
+
+    def _audit(self, t, publish, row, last, noise, threshold) -> None:
+        """Re-verify one margin-decided row with the scalar arithmetic."""
+        if (self._distance(row, last) + noise > threshold) != publish:
+            verdict = "a publication" if publish else "a skip"
+            raise decisions.ScanMarginError(
+                f"timestamp {t} was certified as {verdict} but the exact "
+                f"arithmetic disagrees (noise {noise!r}, threshold "
+                f"{threshold!r}); the platform's rounding exceeds the "
+                f"built-in scan margin {decisions._MARGIN!r}"
+            )
+
+    def _exact_step(self, matrix, released, row: int, uniforms) -> None:
+        """One timestamp through the exact scalar arithmetic.
+
+        This is the seed release loop's body: the whole loop under
+        ``scan=off`` (the oracle the resolve is pinned against), blocks
+        below the prefetch threshold, and the first release of a run.
+        """
+        mechanism = self.mechanism
+        trace = self.trace
+        state = self.scheduler_state
+        last_release = self.last_release
+        scale = self._dissimilarity_draw_scale
+        budget = mechanism._publication_budget(self.t, trace, state)
+        publish = False
+        rng_t = None
+        if last_release is None:
+            publish = budget > 0
+        elif budget > 0:
+            # Private dissimilarity: the distance from the last release
+            # plus Laplace noise (Kellaris' `dis`).
+            if uniforms is None:
+                rng_t = self._children.generator(self.t)
+                noise = float(rng_t.laplace(0.0, scale))
+            else:
+                uniform = uniforms[row]
+                if uniform > 0.0:
+                    noise = decisions._laplace_noise(uniform, scale)
+                else:
+                    # U == 0 retries inside numpy; take the real
+                    # generator for this (astronomically rare) step.
+                    rng_t = self._children.generator(self.t)
+                    noise = float(rng_t.laplace(0.0, scale))
+            true_distance = self._distance(matrix[row], last_release)
+            publish = true_distance + noise > mechanism.sensitivity / budget
+        trace.dissimilarity_budgets.append(self._dissimilarity_charge)
+        if publish:
+            if rng_t is None:
+                rng_t = self._children.generator(self.t)
+                if last_release is not None:
+                    # The stepped stream spent one word on the
+                    # dissimilarity draw; reposition past it.
+                    rng_t.laplace(0.0, scale)
+            noise_vector = rng_t.laplace(
+                0.0, mechanism.sensitivity / budget, size=self.n_types
+            )
+            self.last_release = matrix[row] + noise_vector
+            trace.published.append(True)
+            trace.publication_budgets.append(budget)
+            mechanism._after_publication(self.t, budget, trace, state)
+        else:
+            if last_release is None:
+                # Nothing released yet and no budget: emit pure noise
+                # around 1/2 so the output is data-independent.
+                self.last_release = np.full(self.n_types, 0.5)
+            trace.published.append(False)
+            trace.publication_budgets.append(0.0)
+        released[row] = self.last_release
+        self.t += 1
 
     # -- checkpointing -------------------------------------------------
 
@@ -386,14 +662,14 @@ class WEventMechanism(StreamMechanism):
         w: int,
         *,
         sensitivity: float = 1.0,
-        scan: Union[None, str, ScanConfig] = None,
+        scan: str = "margin",
     ):
         super().__init__(epsilon)
         self.w = check_positive_int("w", w)
         self.sensitivity = check_positive("sensitivity", sensitivity)
         self.epsilon_dissimilarity = epsilon / 2.0
         self.epsilon_publication = epsilon / 2.0
-        self.scan_config = ScanConfig.coerce(scan)
+        self.scan = decisions.check_scan(scan)
         self.last_trace: Optional[ReleaseTrace] = None
 
     # -- subclass hooks -----------------------------------------------------
@@ -408,12 +684,13 @@ class WEventMechanism(StreamMechanism):
     ) -> float:
         """Budget available for publishing at timestamp ``t`` (0 = skip).
 
-        ``trace`` may lag within a block: the decision kernel appends a
+        ``trace`` may lag within a block: the release loop appends a
         block's trace columns once, after its last row, so a scheduler
         must keep whatever it needs from earlier timestamps of the same
-        block in ``state`` (as BD and BA do).  The kernel calls it once
-        per constant-budget stretch (:meth:`_budget_until`); the
-        ``scan=off`` loop and the seed loop call it on every timestamp.
+        block in ``state`` (as BD and BA do).  ``scan=margin|exact``
+        call it once per constant-budget stretch (:meth:`_budget_until`);
+        the ``scan=off`` loop and the seed loop call it on every
+        timestamp.
         """
 
     def _after_publication(
@@ -428,21 +705,13 @@ class WEventMechanism(StreamMechanism):
         no publication happens, every ``t'`` in ``[t, end)`` gets the
         budget ``t`` got, and calling the budget hook at ``t'`` leaves
         ``state`` unchanged.  ``end`` may be ``math.inf``.  The decision
-        kernel therefore calls the budget hook once per stretch, and
+        loop therefore calls the budget hook once per stretch, and
         hops a zero-budget stretch (BA's nullified periods) without
         consuming any randomness — bit-identical to stepping, since
         zero-budget steps never draw.  The default, ``t + 1``, declares
         a one-timestamp stretch.
         """
         return t + 1
-
-    def decision_rule(self) -> DecisionRule:
-        """This scheduler's decision logic as data (the kernel's *plan*)."""
-        return DecisionRule(
-            publication_budget=self._publication_budget,
-            budget_until=self._budget_until,
-            after_publication=self._after_publication,
-        )
 
     # -- release -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ The observability subsystem's ground layer: three metric primitives
 :class:`MetricsRegistry`.  The design goals, in order:
 
 - **hot-path cheap** — ``Counter.inc`` is one lock acquire and one
-  float add, no allocations, so decision kernels and drain loops can
+  float add, no allocations, so decision loops and drain loops can
   count per row without perturbing the benches;
 - **hermetic tests** — every registry is an ordinary object; the
   module-level default registry exists for convenience and can be

@@ -31,13 +31,7 @@ from repro.runtime.adapters import (
     runtime_mechanism,
 )
 from repro.runtime.cluster import ClusterExecutor
-from repro.runtime.decisions import (
-    DecisionRule,
-    ScanConfig,
-    ScanMarginError,
-    WEventKernel,
-    release_distances,
-)
+from repro.runtime.decisions import ScanMarginError, release_distances
 from repro.runtime.executors import (
     BatchExecutor,
     ChunkedExecutor,
@@ -60,7 +54,6 @@ __all__ = [
     "BatchExecutor",
     "ChunkedExecutor",
     "ClusterExecutor",
-    "DecisionRule",
     "FlipStepper",
     "IndexedRngPool",
     "IndicatorExtractor",
@@ -68,13 +61,11 @@ __all__ = [
     "PipelineResult",
     "QueryMatcher",
     "RuntimeMechanism",
-    "ScanConfig",
     "ScanMarginError",
     "SegmentPlane",
     "Shard",
     "ShardedExecutor",
     "StreamPipeline",
-    "WEventKernel",
     "WindowStage",
     "merge_results",
     "plan_shards",

@@ -382,7 +382,7 @@ def checkpoint_prepass(
     """The sequential phase of a checkpointed run, in the parent.
 
     For BD/BA this is the run's one release: the ``step_block`` call
-    the batch path makes, through the decision kernel
+    the batch path makes, through the w-event decision loop
     (:mod:`repro.runtime.decisions`), which also publishes
     ``mechanism.last_trace``.  The shards then only match their slices
     of the released rows.

@@ -113,7 +113,7 @@ class _Registry:
     failing at parse time listing the name's valid keys.
     ``positional=True`` additionally accepts colon-separated positional
     tails — the mechanism registry uses this: ``"bd:0.5"`` is the
-    documented short form next to ``"bd:scan=off,margin=1e-9"``.  In
+    documented short form next to ``"bd:epsilon=0.5,scan=off"``.  In
     every other registry a positional tail is an error.
     ``skip_parameters`` drops that many leading factory parameters from
     the derived key schema (mechanism factories take the build context
@@ -259,7 +259,7 @@ class _Registry:
 # Mechanism specs keep the short positional grammar first-class (a
 # mechanism takes at most a budget argument and tests/papers spell
 # them bare: "bd:0.5"), but also speak key=value for named tunables
-# ("bd:scan=off,margin=1e-9") — unknown keys fail at parse time listing
+# ("bd:epsilon=0.5,scan=off") — unknown keys fail at parse time listing
 # the factory's valid keys.
 _MECHANISMS = _Registry("mechanism", positional=True, skip_parameters=1)
 _EXECUTORS = _Registry("executor")
@@ -542,18 +542,15 @@ def _build_bd(
     pattern_epsilon: Optional[float] = None,
     conversion_mode: str = "worst_case",
     sensitivity: float = 1.0,
-    scan: Optional[str] = None,
-    margin: Optional[float] = None,
-    prefetch: Optional[int] = None,
+    scan: str = "margin",
 ):
     """The w-event budget-distribution scheduler baseline.
 
-    ``scan=`` / ``margin=`` / ``prefetch=`` tune the decision kernel's
-    scan (``"bd:scan=off"``, ``"bd:scan=exact,margin=1e-9"``);
-    see :class:`repro.runtime.decisions.ScanConfig`.
+    ``scan=`` picks the release loop's mode: ``margin`` (the default),
+    ``exact`` (audit) or ``off`` (the scalar loop on every row), as in
+    ``"bd:scan=off"``; see :mod:`repro.runtime.decisions`.
     """
     from repro.baselines.budget_distribution import BudgetDistribution
-    from repro.runtime.decisions import ScanConfig
 
     w = w if w is not None else context.extra("w")
     if w is None:
@@ -567,12 +564,7 @@ def _build_bd(
         pattern_epsilon,
         lambda value: context.converter(conversion_mode).bd_native(value, w),
     )
-    return BudgetDistribution(
-        native,
-        w,
-        sensitivity=sensitivity,
-        scan=ScanConfig.from_options(scan, margin, prefetch),
-    )
+    return BudgetDistribution(native, w, sensitivity=sensitivity, scan=scan)
 
 
 @register_mechanism("ba", aliases=("budget-absorption",))
@@ -584,17 +576,13 @@ def _build_ba(
     pattern_epsilon: Optional[float] = None,
     conversion_mode: str = "worst_case",
     sensitivity: float = 1.0,
-    scan: Optional[str] = None,
-    margin: Optional[float] = None,
-    prefetch: Optional[int] = None,
+    scan: str = "margin",
 ):
     """The w-event budget-absorption scheduler baseline.
 
-    ``scan=`` / ``margin=`` / ``prefetch=`` tune the decision kernel's
-    scan, exactly as for ``bd``.
+    ``scan=`` picks the release loop's mode, exactly as for ``bd``.
     """
     from repro.baselines.budget_absorption import BudgetAbsorption
-    from repro.runtime.decisions import ScanConfig
 
     w = w if w is not None else context.extra("w")
     if w is None:
@@ -608,12 +596,7 @@ def _build_ba(
         pattern_epsilon,
         lambda value: context.converter(conversion_mode).ba_native(value, w),
     )
-    return BudgetAbsorption(
-        native,
-        w,
-        sensitivity=sensitivity,
-        scan=ScanConfig.from_options(scan, margin, prefetch),
-    )
+    return BudgetAbsorption(native, w, sensitivity=sensitivity, scan=scan)
 
 
 @register_mechanism("landmark")
@@ -626,11 +609,11 @@ def _build_landmark(
     conversion_mode: str = "worst_case",
     rho: float = 0.5,
     sensitivity: float = 1.0,
-    scan: Optional[str] = None,
+    scan: str = "margin",
 ):
     """Landmark privacy over the private patterns' sensitive windows.
 
-    Landmark has no decision kernel: it releases through its scalar
+    Landmark has no decision loop: it releases through its scalar
     per-timestamp loop in every mode, and its rows feed no
     ``repro_decisions_*_rows_total`` counter.  ``scan=margin`` (the
     default) and ``scan=exact`` both let the checkpoint prepass hop

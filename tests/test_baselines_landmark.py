@@ -141,7 +141,7 @@ class TestMaskOverrun:
         stepped = self.releaser(scan)
         with pytest.raises(ValueError, match="cannot step past it"):
             for row in matrix:
-                stepped.step(row)
+                stepped.step_block(row[None])
         blocked = self.releaser(scan)
         blocked.step_block(matrix[:start])
         with pytest.raises(ValueError, match="cannot step past it"):

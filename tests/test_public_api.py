@@ -125,6 +125,47 @@ class TestServingSignatures:
         assert keywords == SERVING_SIGNATURES[owner, method]
 
 
+#: Key=value spec keys of the sequential baselines, read through the
+#: mechanism registry.  A tunable that comes back (or goes) is a
+#: deliberate diff to this table.
+MECHANISM_KEYS = {
+    "bd": [
+        "epsilon",
+        "w",
+        "pattern_epsilon",
+        "conversion_mode",
+        "sensitivity",
+        "scan",
+    ],
+    "ba": [
+        "epsilon",
+        "w",
+        "pattern_epsilon",
+        "conversion_mode",
+        "sensitivity",
+        "scan",
+    ],
+    "landmark": [
+        "epsilon",
+        "pattern_epsilon",
+        "landmarks",
+        "conversion_mode",
+        "rho",
+        "sensitivity",
+        "scan",
+    ],
+}
+
+
+class TestMechanismKeys:
+    @pytest.mark.parametrize("name", sorted(MECHANISM_KEYS))
+    def test_spec_keys_are_pinned(self, name):
+        from repro.service.registry import _MECHANISMS
+
+        keys = [key.name for key in _MECHANISMS.keys_for(name)]
+        assert keys == MECHANISM_KEYS[name]
+
+
 class TestDocstrings:
     @pytest.mark.parametrize("module_name", SUBPACKAGES)
     def test_subpackages_documented(self, module_name):

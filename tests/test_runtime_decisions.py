@@ -1,6 +1,6 @@
 """Unit tests for the decision kernel (repro.runtime.decisions).
 
-Covers the ScanConfig grammar, the generator-word elision guarantee
+Covers the scan-mode check, the generator-word elision guarantee
 for certified skip runs (and landmark's prepass hop), the U==0
 exact-fallback path, audit mode's disagreement detection, the
 releasers' block-shape check, and the chunked trace storage backing
@@ -15,7 +15,7 @@ from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
 from repro.baselines.w_event import ReleaseTrace, TraceColumn
 from repro.runtime import decisions as decisions_module
-from repro.runtime.decisions import ScanConfig, ScanMarginError
+from repro.runtime.decisions import ScanMarginError, check_scan
 from repro.runtime.rng_pool import IndexedRngPool
 from repro.service import (
     MechanismContext,
@@ -32,53 +32,37 @@ def constant_matrix(n, value=0.0):
 
 
 # ---------------------------------------------------------------------------
-# ScanConfig
+# Scan mode
 # ---------------------------------------------------------------------------
 
 
 class TestScanConfig:
-    def test_defaults(self):
-        config = ScanConfig()
-        assert config.mode == "margin"
-        assert config.margin == 1e-9
-        assert config.prefetch_min == 32
-        assert config.enabled and not config.audit
+    """The scan mode is a plain string, checked by ``check_scan``."""
 
-    def test_modes(self):
-        assert not ScanConfig(mode="off").enabled
-        assert ScanConfig(mode="exact").audit
-        assert ScanConfig(mode="margin").enabled
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: BudgetDistribution(1.0, w=4, **kw),
+            lambda **kw: BudgetAbsorption(1.0, w=4, **kw),
+            lambda **kw: LandmarkPrivacy(1.0, **kw),
+        ],
+    )
+    def test_default_is_margin(self, make):
+        assert make().scan == "margin"
+        assert make(scan="exact").scan == "exact"
 
     def test_unknown_mode_lists_valid_modes(self):
         with pytest.raises(ValueError, match="margin, exact, off"):
-            ScanConfig(mode="speedy")
+            check_scan("speedy")
+        with pytest.raises(ValueError, match="margin, exact, off"):
+            BudgetDistribution(1.0, w=4, scan="speedy")
 
-    def test_invalid_margin_and_prefetch(self):
-        with pytest.raises(ValueError, match="margin"):
-            ScanConfig(margin=0.0)
-        with pytest.raises(ValueError, match="margin"):
-            ScanConfig(margin=-1e-9)
-        with pytest.raises(ValueError, match="prefetch"):
-            ScanConfig(prefetch_min=0)
-
-    def test_coerce(self):
-        assert ScanConfig.coerce(None) == ScanConfig()
-        assert ScanConfig.coerce("off").mode == "off"
-        config = ScanConfig(mode="exact", margin=1e-8)
-        assert ScanConfig.coerce(config) is config
-        with pytest.raises(TypeError, match="ScanConfig"):
-            ScanConfig.coerce(1.5)
-
-    def test_from_options(self):
-        assert ScanConfig.from_options(None, None, None) is None
-        config = ScanConfig.from_options("exact", 1e-8, 16)
-        assert (config.mode, config.margin, config.prefetch_min) == (
-            "exact",
-            1e-8,
-            16,
-        )
-        partial = ScanConfig.from_options(None, None, 64)
-        assert partial.mode == "margin" and partial.prefetch_min == 64
+    @pytest.mark.parametrize("scan", [None, 1.5, ("off",)])
+    def test_non_string_scan_is_rejected(self, scan):
+        with pytest.raises(TypeError, match="mode string"):
+            check_scan(scan)
+        with pytest.raises(TypeError, match="mode string"):
+            LandmarkPrivacy(1.0, scan=scan)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +302,20 @@ class TestBoundCertificate:
         )
         np.testing.assert_array_equal(released, expected.step_block(matrix))
 
-    def test_budget_hook_runs_once_per_stretch(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cls, share",
+        [(BudgetDistribution, 0.6), (BudgetAbsorption, 0.8)],
+    )
+    def test_budget_hook_runs_once_per_stretch(self, cls, share, monkeypatch):
         """BD's budget only changes when a spend enters or leaves the
-        window, so the kernel asks for it on far fewer rows than the
-        scalar loop, which asks on every row."""
+        window, BA's within a nullified stretch or once absorption is
+        capped, so the release loop asks for it on far fewer rows than
+        the scalar loop, which asks on every row."""
         calls = {"margin": 0, "off": 0}
         n = 4000
         matrix = dense_matrix(n)
         for scan in calls:
-            mechanism = BudgetDistribution(1.0, w=40, scan=scan)
+            mechanism = cls(1.0, w=40, scan=scan)
             budget = mechanism._publication_budget
 
             def counting(t, trace, state, scan=scan, budget=budget):
@@ -336,7 +325,7 @@ class TestBoundCertificate:
             monkeypatch.setattr(mechanism, "_publication_budget", counting)
             mechanism.online_releaser(8, rng=1, horizon=n).step_block(matrix)
         assert calls["off"] == n
-        assert calls["margin"] < 0.6 * n
+        assert calls["margin"] < share * n
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +402,17 @@ class TestSpecGrammar:
         mechanism = build_mechanism_from_spec(
             "bd:epsilon=1.0,w=10,scan=off", context
         )
-        assert mechanism.scan_config.mode == "off"
+        assert mechanism.scan == "off"
         mechanism = build_mechanism_from_spec(
-            "ba:epsilon=0.5,w=8,scan=exact,margin=1e-8,prefetch=16",
-            context,
+            "ba:epsilon=0.5,w=8,scan=exact", context
         )
-        assert mechanism.scan_config == ScanConfig(
-            mode="exact", margin=1e-8, prefetch_min=16
-        )
+        assert mechanism.scan == "exact"
 
     def test_default_scan_config(self):
         mechanism = build_mechanism_from_spec(
             "bd:epsilon=1.0,w=10", build_context()
         )
-        assert mechanism.scan_config == ScanConfig()
+        assert mechanism.scan == "margin"
 
     def test_unknown_key_fails_at_parse_time_listing_keys(self):
         with pytest.raises(ValueError, match="valid keys.*scan"):
@@ -434,16 +420,23 @@ class TestSpecGrammar:
                 "bd:epsilon=1.0,w=10,scam=off", build_context()
             )
 
-    def test_landmark_keeps_only_the_scan_key(self):
+    @pytest.mark.parametrize(
+        "head",
+        ["bd:epsilon=1.0,w=10", "ba:epsilon=1.0,w=10", "landmark:epsilon=1.0"],
+    )
+    def test_landmark_keeps_only_the_scan_key(self, head):
         context = build_context()
-        mechanism = build_mechanism_from_spec(
-            "landmark:epsilon=1.0,scan=off", context
-        )
-        assert mechanism.scan_config.mode == "off"
+        mechanism = build_mechanism_from_spec(f"{head},scan=off", context)
+        assert mechanism.scan == "off"
         for key in ("margin=1e-9", "prefetch=16"):
             with pytest.raises(ValueError, match="valid keys.*scan"):
-                build_mechanism_from_spec(
-                    f"landmark:epsilon=1.0,{key}", context
+                build_mechanism_from_spec(f"{head},{key}", context)
+            with pytest.raises(ValueError, match="valid keys.*scan"):
+                ServiceSpec(
+                    alphabet=ALPHABET,
+                    patterns=[("private", ("e1", "e2"))],
+                    queries=[("q", ("e2", "e3"))],
+                    mechanism=f"{head},{key}",
                 )
 
     def test_unknown_scan_mode_lists_valid_modes(self):
