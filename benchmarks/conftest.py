@@ -2,14 +2,21 @@
 
 Every benchmark regenerates one table/figure of the paper's evaluation
 (or one ablation from DESIGN.md), prints the rows, saves them as CSV
-under ``benchmarks/results/`` and asserts the expected qualitative
-shape.  Benchmarks run their workload exactly once
+under the results directory and asserts the expected qualitative
+shape.  The results directory is a session temp directory unless the
+run names one; the committed artifacts under ``benchmarks/results/``
+are refreshed with one command::
+
+    PYTHONPATH=src python -m pytest benchmarks \\
+        --bench-results=benchmarks/results
+
+Benchmarks run their workload exactly once
 (``benchmark.pedantic(rounds=1)``) — the interesting output is the
 table, the timing is a bonus.
 
 Performance benchmarks additionally persist a machine-readable summary
-— ``benchmarks/results/BENCH_<name>.json`` via :func:`emit_json` — so
-local runs and the CI bench job produce the same artifact and the CI
+— ``BENCH_<name>.json`` in the results directory via :func:`emit_json`
+— so local runs and the CI bench job produce the same artifact and the CI
 regression gate can enforce speedup floors without parsing test
 output.
 """
@@ -24,8 +31,6 @@ from repro.datasets.synthetic import SyntheticConfig
 from repro.datasets.taxi import TaxiConfig
 from repro.experiments.config import ExperimentConfig
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
 #: Benchmark-scale experiment configuration: the full ε grid of Fig. 4
 #: with laptop-friendly repetition counts (crank these up to the paper's
 #: scale with the reproduce_fig4.py example).
@@ -38,10 +43,27 @@ BENCH_SYNTHETIC = SyntheticConfig(n_windows=500, n_history_windows=300)
 BENCH_TAXI = TaxiConfig(n_taxis=60, n_steps=180)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-results",
+        metavar="DIR",
+        default=None,
+        help=(
+            "write the benchmark tables and BENCH_*.json summaries to "
+            "DIR (default: a session temp directory, so a plain run "
+            "leaves the tree clean); pass benchmarks/results to "
+            "refresh the committed artifacts"
+        ),
+    )
+
+
 @pytest.fixture(scope="session")
-def results_dir():
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request, tmp_path_factory):
+    path = request.config.getoption("--bench-results")
+    if path is None:
+        return str(tmp_path_factory.mktemp("bench-results"))
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def emit(table, results_dir, name):

@@ -7,6 +7,9 @@ accumulate up to ``ε_2``.  After a publication that absorbed ``k``
 nominal budgets, the following ``k - 1`` timestamps are *nullified*
 (forced to approximate) so that no sliding window of ``w`` timestamps
 ever spends more than ``ε_2`` on publications.
+
+The scheduler reads only its own state — the last publication and the
+end of the nullified stretch — never the run's accounting trace.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-from repro.baselines.w_event import ReleaseTrace, WEventMechanism
+from repro.baselines.w_event import WEventMechanism
 
 
 class BudgetAbsorption(WEventMechanism):
@@ -25,9 +28,7 @@ class BudgetAbsorption(WEventMechanism):
     def _initial_scheduler_state(self) -> Dict:
         return {"last_publication": -1, "nullified_until": -1}
 
-    def _publication_budget(
-        self, t: int, trace: ReleaseTrace, state: Dict
-    ) -> float:
+    def _publication_budget(self, t: int, state: Dict) -> float:
         if t <= state["nullified_until"]:
             return 0.0
         nominal = self.epsilon_publication / self.w
@@ -39,9 +40,7 @@ class BudgetAbsorption(WEventMechanism):
         absorbed_units = min(t - barrier, self.w)
         return nominal * absorbed_units
 
-    def _after_publication(
-        self, t: int, budget: float, trace: ReleaseTrace, state: Dict
-    ) -> None:
+    def _after_publication(self, t: int, budget: float, state: Dict) -> None:
         nominal = self.epsilon_publication / self.w
         absorbed_units = int(round(budget / nominal))
         # Nullify the next (absorbed_units - 1) timestamps.

@@ -6,6 +6,9 @@ budget available at timestamp ``t`` is ``ε_rm/2`` where ``ε_rm`` is
 timestamps.  Early publications in a calm stream are accurate; a burst
 of changes quickly exhausts the window budget and forces
 approximations until old spends slide out of the window.
+
+The scheduler reads only its own state — the publications still inside
+the window — never the run's accounting trace.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-from repro.baselines.w_event import ReleaseTrace, WEventMechanism
+from repro.baselines.w_event import WEventMechanism
 
 
 class BudgetDistribution(WEventMechanism):
@@ -23,15 +26,14 @@ class BudgetDistribution(WEventMechanism):
 
     def _initial_scheduler_state(self) -> Dict:
         # Publications still inside the sliding window, as (t, budget)
-        # pairs.  Summing these is bit-identical to summing the trace's
-        # publication-budget slice — skipped timestamps contribute
-        # exactly 0.0 there, and adding 0.0 never changes a float — but
-        # costs O(publications in window), not O(w), per step.
+        # pairs.  Summing these is bit-identical to summing the window's
+        # slice of the trace's publication budgets — skipped timestamps
+        # contribute exactly 0.0 there, and adding 0.0 never changes a
+        # float — but costs O(publications in window), not O(w), per
+        # step.
         return {"recent": []}
 
-    def _publication_budget(
-        self, t: int, trace: ReleaseTrace, state: Dict
-    ) -> float:
+    def _publication_budget(self, t: int, state: Dict) -> float:
         start = t - (self.w - 1)
         recent = state["recent"]
         while recent and recent[0][0] < start:
@@ -44,9 +46,7 @@ class BudgetDistribution(WEventMechanism):
             return 0.0
         return remaining / 2.0
 
-    def _after_publication(
-        self, t: int, budget: float, trace: ReleaseTrace, state: Dict
-    ) -> None:
+    def _after_publication(self, t: int, budget: float, state: Dict) -> None:
         state["recent"].append((t, budget))
 
     def _budget_until(self, t: int, state: Dict) -> float:

@@ -32,6 +32,11 @@ the mechanism constructor (or the ``scan=`` spec key) picks the mode:
 ``margin`` (the default), ``exact`` (audit) or ``off`` (the scalar
 loop on every row).
 
+The scheduler hooks see only the timestamp and the scheduler's own
+``state``; the accounting record of a run is a :class:`ReleaseTrace`,
+one log of the publications from which the per-timestamp columns the
+w-event checks read are derived.
+
 In this library the per-timestamp statistics are the windowed existence
 indicators (one 0/1 entry per event type, L1 sensitivity 1 under a
 single-event change); released vectors are thresholded at 1/2 to answer
@@ -42,8 +47,8 @@ from __future__ import annotations
 
 import abc
 import copy
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,147 +59,46 @@ from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive, check_positive_int
 
 
-class TraceColumn:
-    """One trace column on chunk-doubling numpy storage.
+class ReleaseTrace:
+    """Accounting record of a w-event run, kept as a publication log.
 
-    Behaves like the plain Python list it replaces — ``append``,
-    ``extend``, ``len``, indexing/slicing (slices return lists),
-    iteration, equality against lists — but stores the values in a
-    contiguous typed buffer that grows geometrically, so
-    million-timestamp traces stop paying per-element object overhead
-    and the accounting accessors read straight numpy arrays.
-
-    Two additions the release loop relies on:
-
-    - :meth:`extend_constant` appends ``count`` copies of one value
-      without materializing a Python list (the bulk-skip paths);
-    - :attr:`version` counts mutations, letting
-      :meth:`ReleaseTrace._spend_prefix` cache derived arrays and
-      invalidate on any append/extend/restore.
+    Every timestamp spends the same dissimilarity charge ``ε_1/w`` and
+    only a publication spends publication budget, so the log holds just
+    each publication's timestamp and budget (``times``, ``budgets``)
+    and the number of timestamps stepped (``steps``).  The
+    per-timestamp columns — :attr:`published`,
+    :attr:`publication_budgets`, :attr:`dissimilarity_budgets` — are
+    read-only arrays derived from it on each access.
     """
 
-    def __init__(self, values: Iterable = (), *, dtype=float):
-        self._dtype = np.dtype(dtype)
-        self._data = np.zeros(0, dtype=self._dtype)
-        self._n = 0
-        self.version = 0
-        if values is not None:
-            self.extend(values)
+    def __init__(self, dissimilarity_charge: float):
+        self.dissimilarity_charge = dissimilarity_charge
+        self.steps = 0
+        self.times = array("q")
+        self.budgets = array("d")
 
-    def _reserve(self, extra: int) -> None:
-        needed = self._n + extra
-        capacity = self._data.shape[0]
-        if needed <= capacity:
-            return
-        grown = np.zeros(max(16, 2 * capacity, needed), dtype=self._dtype)
-        grown[: self._n] = self._data[: self._n]
-        self._data = grown
+    def _column(self, values, dtype) -> np.ndarray:
+        column = np.zeros(self.steps, dtype=dtype)
+        column[np.array(self.times, dtype=np.intp)] = values
+        column.flags.writeable = False
+        return column
 
-    def _view(self) -> np.ndarray:
-        return self._data[: self._n]
+    @property
+    def published(self) -> np.ndarray:
+        """Whether each timestamp published a fresh release."""
+        return self._column(True, bool)
 
-    def append(self, value) -> None:
-        self._reserve(1)
-        self._data[self._n] = value
-        self._n += 1
-        self.version += 1
+    @property
+    def publication_budgets(self) -> np.ndarray:
+        """Each timestamp's publication budget (0 where it skipped)."""
+        return self._column(np.array(self.budgets), float)
 
-    def extend(self, values: Iterable) -> None:
-        if isinstance(values, TraceColumn):
-            values = values._view()
-        elif not isinstance(values, (np.ndarray, list, tuple)):
-            values = list(values)
-        count = len(values)
-        if count:
-            self._reserve(count)
-            self._data[self._n : self._n + count] = values
-            self._n += count
-        self.version += 1
-
-    def extend_constant(self, value, count: int) -> None:
-        """Append ``count`` copies of ``value`` (one buffer fill)."""
-        if count:
-            self._reserve(count)
-            self._data[self._n : self._n + count] = value
-            self._n += count
-        self.version += 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self._view()[key].tolist()
-        return self._view()[key].item()
-
-    def __setitem__(self, key, value) -> None:
-        if isinstance(key, slice) and key == slice(None, None, None):
-            # Full-slice replacement (the restore path) may change the
-            # length, exactly as ``list[:] = values`` does.
-            self._n = 0
-            self.extend(value)
-            return
-        self._view()[key] = value
-        self.version += 1
-
-    def __iter__(self):
-        return iter(self._view().tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TraceColumn):
-            return (
-                self._n == other._n
-                and bool(np.array_equal(self._view(), other._view()))
-            )
-        if isinstance(other, (list, tuple)):
-            return self._view().tolist() == list(other)
-        if isinstance(other, np.ndarray):
-            return bool(np.array_equal(self._view(), other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __array__(self, dtype=None, copy=None):
-        view = self._view()
-        if dtype is not None and np.dtype(dtype) != self._dtype:
-            return view.astype(dtype)
-        if copy:
-            return view.copy()
-        return view
-
-    def tolist(self) -> List:
-        return self._view().tolist()
-
-    def __repr__(self) -> str:
-        return f"TraceColumn({self._view().tolist()!r})"
-
-
-def _bool_column() -> TraceColumn:
-    return TraceColumn(dtype=bool)
-
-
-@dataclass
-class ReleaseTrace:
-    """Per-timestamp record of a w-event run (for tests and ablations)."""
-
-    published: TraceColumn = field(default_factory=_bool_column)
-    publication_budgets: TraceColumn = field(default_factory=TraceColumn)
-    dissimilarity_budgets: TraceColumn = field(default_factory=TraceColumn)
-
-    def __post_init__(self):
-        if not isinstance(self.published, TraceColumn):
-            self.published = TraceColumn(self.published, dtype=bool)
-        if not isinstance(self.publication_budgets, TraceColumn):
-            self.publication_budgets = TraceColumn(self.publication_budgets)
-        if not isinstance(self.dissimilarity_budgets, TraceColumn):
-            self.dissimilarity_budgets = TraceColumn(
-                self.dissimilarity_budgets
-            )
-        self._prefix_cache: Optional[Tuple[Tuple[int, int, int], np.ndarray]]
-        self._prefix_cache = None
+    @property
+    def dissimilarity_budgets(self) -> np.ndarray:
+        """Each timestamp's dissimilarity charge, ``ε_1/w`` on every row."""
+        column = np.full(self.steps, self.dissimilarity_charge)
+        column.flags.writeable = False
+        return column
 
     def _spend_prefix(self) -> np.ndarray:
         """Prefix sums of the per-timestamp total spend.
@@ -202,34 +106,17 @@ class ReleaseTrace:
         ``prefix[t]`` is the budget spent strictly before timestamp
         ``t``, so any window's spend is one subtraction.  Both window
         accessors read through this, keeping them mutually consistent.
-
-        The array is cached against the columns' length and mutation
-        counters — any append, bulk extend or restore invalidates it —
-        so repeated guarantee checks on a long trace cost O(1) after
-        the first instead of recomputing the full cumsum every call.
         """
-        key = (
-            len(self.publication_budgets),
-            self.publication_budgets.version,
-            self.dissimilarity_budgets.version,
-        )
-        cached = self._prefix_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        totals = np.asarray(self.publication_budgets, dtype=float) + (
-            np.asarray(self.dissimilarity_budgets, dtype=float)
-        )
+        totals = self.publication_budgets + self.dissimilarity_budgets
         prefix = np.empty(totals.shape[0] + 1)
         prefix[0] = 0.0
         np.cumsum(totals, out=prefix[1:])
-        self._prefix_cache = (key, prefix)
         return prefix
 
     def spent_in_window(self, start: int, w: int) -> float:
         """Total budget spent in the ``w`` timestamps from ``start``."""
-        n = len(self.published)
-        start = min(max(start, 0), n)
-        stop = min(start + w, n)
+        start = min(max(start, 0), self.steps)
+        stop = min(start + w, self.steps)
         prefix = self._spend_prefix()
         return float(prefix[stop] - prefix[start])
 
@@ -237,23 +124,21 @@ class ReleaseTrace:
         """The largest spend over any sliding window of ``w`` timestamps.
 
         The w-event guarantee requires this never to exceed ε.  Computed
-        from the spend prefix sums in O(n) — not O(n·w) slicing — so the
-        guarantee checks stay cheap on long traces.
+        from the spend prefix sums in O(n) — not O(n·w) slicing.
         """
-        if not self.published:
+        if not self.steps:
             return 0.0
         prefix = self._spend_prefix()
-        n = len(self.published)
-        starts = np.arange(n)
-        stops = np.minimum(starts + w, n)
+        starts = np.arange(self.steps)
+        stops = np.minimum(starts + w, self.steps)
         return float(np.max(prefix[stops] - prefix[starts]))
 
 
 class OnlineReleaser:
     """Incremental w-event release, one block of timestamps at a time.
 
-    Owns the scheduler state, the dissimilarity/publication accounting
-    trace, the last release and the decision loop itself (the bound →
+    Owns the scheduler state, the accounting trace (a publication log,
+    appended to only when a timestamp publishes), the last release and the decision loop itself (the bound →
     scan → resolve pipeline of :mod:`repro.runtime.decisions`), which
     calls the mechanism's budget hooks directly; created by
     :meth:`WEventMechanism.online_releaser`.  :meth:`step_block` is
@@ -288,7 +173,9 @@ class OnlineReleaser:
         from repro.runtime.rng_pool import IndexedRngPool
 
         self._children = IndexedRngPool(rng, "w-event", count=horizon)
-        self.trace = ReleaseTrace()
+        self.trace = ReleaseTrace(
+            mechanism.epsilon_dissimilarity / mechanism.w
+        )
         self.last_release: Optional[np.ndarray] = None
         self.t = 0
         self.scheduler_state: Dict = mechanism._initial_scheduler_state()
@@ -299,9 +186,6 @@ class OnlineReleaser:
             * mechanism.sensitivity
             / mechanism.epsilon_dissimilarity
             / n_types
-        )
-        self._dissimilarity_charge = (
-            mechanism.epsilon_dissimilarity / mechanism.w
         )
 
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
@@ -348,16 +232,16 @@ class OnlineReleaser:
         ``u <= 0`` rows); the noise of a row that reaches the pass is
         its prefetched uniform spelled exactly as :meth:`_exact_step`
         spells it.  Zero-budget stretches are hopped, skipped rows are
-        filled in runs, and the trace columns are appended once at the
-        end — so the scheduler hooks see a trace that may lag within the
-        block.  Returns the ``(certified, boundary, zero_budget)`` row
-        counts.
+        filled in runs, and only publications are logged to the trace.
+        Returns the ``(certified, boundary, zero_budget)`` row counts.
         """
         mechanism = self.mechanism
         budget_of = mechanism._publication_budget
         budget_until = mechanism._budget_until
         after_publication = mechanism._after_publication
         trace = self.trace
+        log_time = trace.times.append
+        log_budget = trace.budgets.append
         state = self.scheduler_state
         children = self._children
         scale = self._dissimilarity_draw_scale
@@ -376,8 +260,6 @@ class OnlineReleaser:
         base = self.t - start  # row r is timestamp base + r
         last = self.last_release
         spread = float(np.add.reduce(np.abs(last))) / n_types  # b
-        published = np.zeros(n, dtype=bool)
-        budgets = np.zeros(n)
         filled = start  # released rows before this one are written
         stretch_end = start  # the budget below holds for earlier rows
         chunk_start = chunk_stop = start  # rows the bound lists cover
@@ -388,7 +270,7 @@ class OnlineReleaser:
             if row >= stretch_end:
                 # A new constant-budget stretch: one budget-hook call.
                 t = base + row
-                budget = budget_of(t, trace, state)
+                budget = budget_of(t, state)
                 stretch_end = budget_until(t, state) - base
                 if budget <= 0:
                     # Zero budget, data-independent: hop the stretch
@@ -484,20 +366,15 @@ class OnlineReleaser:
             last = value
             spread = float(np.add.reduce(np.abs(last))) / n_types
             filled = row + 1
-            published[row] = True
-            budgets[row] = budget
-            after_publication(t, budget, trace, state)
+            log_time(t)
+            log_budget(budget)
+            after_publication(t, budget, state)
             pass_stop = 0
             row += 1
             stretch_end = row
         released[filled:n] = last
-        trace.published.extend(published[start:])
-        trace.publication_budgets.extend(budgets[start:])
-        trace.dissimilarity_budgets.extend_constant(
-            self._dissimilarity_charge, n - start
-        )
         self.last_release = last
-        self.t = base + n
+        self.t = trace.steps = base + n
         return n - boundary - zero_budget, boundary, zero_budget
 
     def _bounds(self, rows: np.ndarray, uniforms: np.ndarray):
@@ -552,7 +429,7 @@ class OnlineReleaser:
         state = self.scheduler_state
         last_release = self.last_release
         scale = self._dissimilarity_draw_scale
-        budget = mechanism._publication_budget(self.t, trace, state)
+        budget = mechanism._publication_budget(self.t, state)
         publish = False
         rng_t = None
         if last_release is None:
@@ -574,7 +451,6 @@ class OnlineReleaser:
                     noise = float(rng_t.laplace(0.0, scale))
             true_distance = self._distance(matrix[row], last_release)
             publish = true_distance + noise > mechanism.sensitivity / budget
-        trace.dissimilarity_budgets.append(self._dissimilarity_charge)
         if publish:
             if rng_t is None:
                 rng_t = self._children.generator(self.t)
@@ -586,18 +462,15 @@ class OnlineReleaser:
                 0.0, mechanism.sensitivity / budget, size=self.n_types
             )
             self.last_release = matrix[row] + noise_vector
-            trace.published.append(True)
-            trace.publication_budgets.append(budget)
-            mechanism._after_publication(self.t, budget, trace, state)
-        else:
-            if last_release is None:
-                # Nothing released yet and no budget: emit pure noise
-                # around 1/2 so the output is data-independent.
-                self.last_release = np.full(self.n_types, 0.5)
-            trace.published.append(False)
-            trace.publication_budgets.append(0.0)
+            trace.times.append(self.t)
+            trace.budgets.append(budget)
+            mechanism._after_publication(self.t, budget, state)
+        elif last_release is None:
+            # Nothing released yet and no budget: emit pure noise
+            # around 1/2 so the output is data-independent.
+            self.last_release = np.full(self.n_types, 0.5)
         released[row] = self.last_release
-        self.t += 1
+        self.t = trace.steps = self.t + 1
 
     # -- checkpointing -------------------------------------------------
 
@@ -605,13 +478,14 @@ class OnlineReleaser:
         """A picklable checkpoint of the full release state at time ``t``.
 
         Captures everything a bit-identical continuation needs: the
-        scheduler state, the accounting trace, the last release, the
+        scheduler state, the trace's publication log (its timestamps
+        and budgets; ``t`` is its step count), the last release, the
         step counter and the rng-pool derivation source.  Restoring it
         on a fresh releaser (same mechanism parameters) and stepping on
         reproduces an uninterrupted run exactly.
         """
         return {
-            "format": 1,
+            "format": 2,
             "t": self.t,
             "n_types": self.n_types,
             "scheduler_state": copy.deepcopy(self.scheduler_state),
@@ -620,10 +494,9 @@ class OnlineReleaser:
                 if self.last_release is None
                 else np.array(self.last_release, copy=True)
             ),
-            "trace": (
-                list(self.trace.published),
-                list(self.trace.publication_budgets),
-                list(self.trace.dissimilarity_budgets),
+            "publications": (
+                self.trace.times.tolist(),
+                self.trace.budgets.tolist(),
             ),
             "rng": self._children.snapshot(),
         }
@@ -633,7 +506,9 @@ class OnlineReleaser:
 
         The trace object is mutated in place (not replaced) so callers
         holding a reference — ``mechanism.last_trace``, the runtime
-        stepper — keep observing the restored run.
+        stepper — keep observing the restored run.  Format-1 snapshots,
+        whose ``"trace"`` holds the three per-timestamp columns, restore
+        too: their publication log is read off the columns.
         """
         if snapshot["n_types"] != self.n_types:
             raise ValueError(
@@ -646,10 +521,15 @@ class OnlineReleaser:
         self.last_release = (
             None if last_release is None else np.array(last_release, copy=True)
         )
-        published, budgets, dissimilarity = snapshot["trace"]
-        self.trace.published[:] = published
-        self.trace.publication_budgets[:] = budgets
-        self.trace.dissimilarity_budgets[:] = dissimilarity
+        if "trace" in snapshot:
+            published, budgets, _dissimilarity = snapshot["trace"]
+            times = np.flatnonzero(published)
+            budgets = np.asarray(budgets, dtype=float)[times]
+        else:
+            times, budgets = snapshot["publications"]
+        self.trace.steps = self.t
+        self.trace.times = array("q", times)
+        self.trace.budgets = array("d", budgets)
         self._children.restore(snapshot["rng"])
 
 
@@ -679,23 +559,16 @@ class WEventMechanism(StreamMechanism):
         return {}
 
     @abc.abstractmethod
-    def _publication_budget(
-        self, t: int, trace: ReleaseTrace, state: Dict
-    ) -> float:
+    def _publication_budget(self, t: int, state: Dict) -> float:
         """Budget available for publishing at timestamp ``t`` (0 = skip).
 
-        ``trace`` may lag within a block: the release loop appends a
-        block's trace columns once, after its last row, so a scheduler
-        must keep whatever it needs from earlier timestamps of the same
-        block in ``state`` (as BD and BA do).  ``scan=margin|exact``
-        call it once per constant-budget stretch (:meth:`_budget_until`);
-        the ``scan=off`` loop and the seed loop call it on every
-        timestamp.
+        A scheduler keeps whatever it needs from earlier timestamps in
+        ``state``.  ``scan=margin|exact`` call it once per
+        constant-budget stretch (:meth:`_budget_until`); the
+        ``scan=off`` loop and the seed loop call it on every timestamp.
         """
 
-    def _after_publication(
-        self, t: int, budget: float, trace: ReleaseTrace, state: Dict
-    ) -> None:
+    def _after_publication(self, t: int, budget: float, state: Dict) -> None:
         """Hook invoked after a publication is committed."""
 
     def _budget_until(self, t: int, state: Dict) -> float:

@@ -36,14 +36,15 @@ def reference_w_event_perturb(
     """The seed per-window w-event release loop (BD/BA schedulers).
 
     ``final_state``, when given, is filled with the loop's raw
-    ``released`` rows, its ``trace``, ``scheduler_state``,
-    ``last_release`` and ``t`` — what the kernel's own run must end in.
+    ``released`` rows, its trace columns (``published``,
+    ``publication_budgets``, ``dissimilarity_budgets``: plain lists
+    appended per window, not derived from a publication log),
+    ``scheduler_state``, ``last_release`` and ``t`` — what the
+    releaser's own run must end in.
     """
-    from repro.baselines.w_event import ReleaseTrace
-
     matrix = stream.matrix_view().astype(float)
     n_windows, n_types = matrix.shape
-    trace = ReleaseTrace()
+    published, publication_budgets, dissimilarity_budgets = [], [], []
     scheduler_state = mechanism._initial_scheduler_state()
     last_release: Optional[np.ndarray] = None
     released = np.zeros_like(matrix)
@@ -53,7 +54,7 @@ def reference_w_event_perturb(
     for t in range(n_windows):
         true_vector = matrix[t]
         rng_t = derive_rng(rng, "w-event", t)
-        budget = mechanism._publication_budget(t, trace, scheduler_state)
+        budget = mechanism._publication_budget(t, scheduler_state)
         publish = False
         if last_release is None:
             publish = budget > 0
@@ -63,7 +64,7 @@ def reference_w_event_perturb(
                 laplace_noise(rng_t, dissimilarity_scale / n_types)
             )
             publish = noisy_distance > mechanism.sensitivity / budget
-        trace.dissimilarity_budgets.append(
+        dissimilarity_budgets.append(
             mechanism.epsilon_dissimilarity / mechanism.w
         )
         if publish:
@@ -71,19 +72,21 @@ def reference_w_event_perturb(
                 rng_t, mechanism.sensitivity / budget, size=n_types
             )
             last_release = true_vector + noise
-            trace.published.append(True)
-            trace.publication_budgets.append(budget)
-            mechanism._after_publication(t, budget, trace, scheduler_state)
+            published.append(True)
+            publication_budgets.append(budget)
+            mechanism._after_publication(t, budget, scheduler_state)
         else:
             if last_release is None:
                 last_release = np.full(n_types, 0.5)
-            trace.published.append(False)
-            trace.publication_budgets.append(0.0)
+            published.append(False)
+            publication_budgets.append(0.0)
         released[t] = last_release
     if final_state is not None:
         final_state.update(
             released=released,
-            trace=trace,
+            published=published,
+            publication_budgets=publication_budgets,
+            dissimilarity_budgets=dissimilarity_budgets,
             scheduler_state=scheduler_state,
             last_release=last_release,
             t=n_windows,

@@ -45,6 +45,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cep.patterns import Pattern
+from repro.runtime.decisions import check_scan
 from repro.service.specgrammar import SpecKey, is_kv_tail, kv_kwargs
 from repro.streams.indicator import EventAlphabet
 from repro.utils.validation import check_positive
@@ -90,13 +91,20 @@ def _coerce(argument: str) -> object:
 
 
 def _derive_keys(factory: Callable) -> Tuple[SpecKey, ...]:
-    """Default key schema: the factory's named keyword parameters."""
+    """Default key schema: the factory's named keyword parameters.
+
+    A ``scan`` parameter's value is checked as a scan mode at parse
+    time, so a bad ``scan=`` fails at ``ServiceSpec`` construction.
+    """
     try:
         signature = inspect.signature(factory)
     except (TypeError, ValueError):  # pragma: no cover - C callables
         return ()
     return tuple(
-        SpecKey(parameter.name)
+        SpecKey(
+            parameter.name,
+            convert=check_scan if parameter.name == "scan" else None,
+        )
         for parameter in signature.parameters.values()
         if parameter.kind
         in (

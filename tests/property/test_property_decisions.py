@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
-from repro.baselines.w_event import ReleaseTrace
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.runtime import (
@@ -156,14 +155,16 @@ class TestWEventScanIdentity:
                 cls, epsilon, w, seed, matrix, plan, scan
             )
             assert np.array_equal(released, expected), scan
-            assert releaser.trace.published == baseline.trace.published
-            assert (
-                releaser.trace.publication_budgets
-                == baseline.trace.publication_budgets
+            assert np.array_equal(
+                releaser.trace.published, baseline.trace.published
             )
-            assert (
-                releaser.trace.dissimilarity_budgets
-                == baseline.trace.dissimilarity_budgets
+            assert np.array_equal(
+                releaser.trace.publication_budgets,
+                baseline.trace.publication_budgets,
+            )
+            assert np.array_equal(
+                releaser.trace.dissimilarity_budgets,
+                baseline.trace.dissimilarity_budgets,
             )
             assert releaser.scheduler_state == baseline.scheduler_state
             assert_snapshots_equal(releaser.snapshot(), baseline.snapshot())
@@ -192,7 +193,7 @@ class TestWEventScanIdentity:
         second.restore(checkpoint)
         tail = second.step_block(matrix[cut:])
         assert np.array_equal(np.vstack([head, tail]), expected)
-        assert second.trace.published == baseline.trace.published
+        assert np.array_equal(second.trace.published, baseline.trace.published)
         assert_snapshots_equal(second.snapshot(), baseline.snapshot())
 
 
@@ -218,18 +219,19 @@ def dense_runs(draw):
     return epsilon, (rows < occurrence).astype(float), seed
 
 
+#: The per-timestamp trace columns, named as the seed loop's
+#: ``final_state`` keys.
+TRACE_COLUMNS = ("published", "publication_budgets", "dissimilarity_budgets")
+
+
 def assert_runs_equal(left, right):
     """Releases, trace columns, scheduler state, last release and t."""
     assert np.array_equal(left["released"], right["released"])
     assert left["scheduler_state"] == right["scheduler_state"]
     assert np.array_equal(left["last_release"], right["last_release"])
     assert left["t"] == right["t"]
-    left_trace, right_trace = left["trace"], right["trace"]
-    assert left_trace.published == right_trace.published
-    assert left_trace.publication_budgets == right_trace.publication_budgets
-    assert (
-        left_trace.dissimilarity_budgets == right_trace.dissimilarity_budgets
-    )
+    for column in TRACE_COLUMNS:
+        assert np.array_equal(left[column], right[column]), column
 
 
 def kernel_run(cls, epsilon, seed, matrix, split, scan):
@@ -239,7 +241,10 @@ def kernel_run(cls, epsilon, seed, matrix, split, scan):
     )
     return {
         "released": released,
-        "trace": releaser.trace,
+        **{
+            column: getattr(releaser.trace, column)
+            for column in TRACE_COLUMNS
+        },
         "scheduler_state": releaser.scheduler_state,
         "last_release": releaser.last_release,
         "t": releaser.t,
@@ -312,12 +317,11 @@ def scheduler_states(draw):
     share = draw(st.floats(min_value=0.0, max_value=1.0))
     coins = np.random.default_rng(draw(st.integers(0, 2**16))).random(t)
     mechanism = cls(epsilon, w=w)
-    trace = ReleaseTrace()
     state = mechanism._initial_scheduler_state()
     for step in range(t):
-        budget = mechanism._publication_budget(step, trace, state)
+        budget = mechanism._publication_budget(step, state)
         if budget > 0 and coins[step] < share:
-            mechanism._after_publication(step, budget, trace, state)
+            mechanism._after_publication(step, budget, state)
     return mechanism, state, t
 
 
@@ -330,13 +334,12 @@ class TestBudgetUntil:
         leave the state as it is, so hopping can never change a
         release or a snapshot."""
         mechanism, state, t = drawn
-        trace = ReleaseTrace()
-        budget = mechanism._publication_budget(t, trace, state)
+        budget = mechanism._publication_budget(t, state)
         end = mechanism._budget_until(t, state)
         assert end > t
         for later in range(t, int(min(end, t + 3 * mechanism.w + 2))):
             probe = copy.deepcopy(state)
-            assert mechanism._publication_budget(later, trace, probe) == budget
+            assert mechanism._publication_budget(later, probe) == budget
             assert probe == state
 
 

@@ -180,10 +180,10 @@ class TestCheckpointResume:
         tail = resumed.step_block(matrix[cut:])
         assert np.array_equal(np.concatenate([head, tail]), expected)
         if hasattr(straight, "trace"):
-            assert (
-                resumed.trace.published == straight.trace.published
+            assert np.array_equal(
+                resumed.trace.published, straight.trace.published
             )
-            assert (
-                resumed.trace.publication_budgets
-                == straight.trace.publication_budgets
+            assert np.array_equal(
+                resumed.trace.publication_budgets,
+                straight.trace.publication_budgets,
             )

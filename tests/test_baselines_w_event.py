@@ -14,7 +14,7 @@ class _ZeroBudget(WEventMechanism):
 
     mechanism_name = "zero"
 
-    def _publication_budget(self, t, trace, state):
+    def _publication_budget(self, t, state):
         return 0.0
 
 
@@ -106,9 +106,9 @@ class TestAccountingEdgeCases:
         mechanism = _ZeroBudget(epsilon, w=w)
         releaser = mechanism.online_releaser(3, rng=0, horizon=n)
         releaser.step_block(np.ones((n, 3)))
-        assert releaser.trace.published == [False] * n
-        assert releaser.trace.publication_budgets == [0.0] * n
-        assert releaser.trace.dissimilarity_budgets == [
+        assert releaser.trace.published.tolist() == [False] * n
+        assert releaser.trace.publication_budgets.tolist() == [0.0] * n
+        assert releaser.trace.dissimilarity_budgets.tolist() == [
             epsilon / 2.0 / w
         ] * n
         assert releaser.trace.max_window_spend(w) == pytest.approx(
@@ -155,7 +155,7 @@ class TestAccountingEdgeCases:
     def test_empty_trace_spends_nothing(self):
         from repro.baselines.w_event import ReleaseTrace
 
-        trace = ReleaseTrace()
+        trace = ReleaseTrace(0.1)
         assert trace.max_window_spend(5) == 0.0
         assert trace.spent_in_window(0, 5) == 0.0
 

@@ -104,9 +104,13 @@ def assert_traces_identical(service, expected_service):
     assert (trace is None) == (expected is None)
     if trace is None:
         return
-    assert trace.published == expected.published
-    assert trace.publication_budgets == expected.publication_budgets
-    assert trace.dissimilarity_budgets == expected.dissimilarity_budgets
+    assert np.array_equal(trace.published, expected.published)
+    assert np.array_equal(
+        trace.publication_budgets, expected.publication_budgets
+    )
+    assert np.array_equal(
+        trace.dissimilarity_budgets, expected.dissimilarity_budgets
+    )
 
 
 @pytest.mark.parametrize("mechanism_spec", MECHANISMS)

@@ -3,8 +3,8 @@
 Covers the scan-mode check, the generator-word elision guarantee
 for certified skip runs (and landmark's prepass hop), the U==0
 exact-fallback path, audit mode's disagreement detection, the
-releasers' block-shape check, and the chunked trace storage backing
-ReleaseTrace.
+releasers' block-shape check, the scan-mode check at spec construction,
+and the columns ReleaseTrace derives from its publication log.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
-from repro.baselines.w_event import ReleaseTrace, TraceColumn
+from repro.baselines.w_event import ReleaseTrace
 from repro.runtime import decisions as decisions_module
 from repro.runtime.decisions import ScanMarginError, check_scan
 from repro.runtime.rng_pool import IndexedRngPool
@@ -318,9 +318,9 @@ class TestBoundCertificate:
             mechanism = cls(1.0, w=40, scan=scan)
             budget = mechanism._publication_budget
 
-            def counting(t, trace, state, scan=scan, budget=budget):
+            def counting(t, state, scan=scan, budget=budget):
                 calls[scan] += 1
-                return budget(t, trace, state)
+                return budget(t, state)
 
             monkeypatch.setattr(mechanism, "_publication_budget", counting)
             mechanism.online_releaser(8, rng=1, horizon=n).step_block(matrix)
@@ -445,97 +445,83 @@ class TestSpecGrammar:
                 "bd:epsilon=1.0,w=10,scan=speedy", build_context()
             )
 
+    @pytest.mark.parametrize(
+        "head",
+        ["bd:epsilon=1.0,w=10", "ba:epsilon=1.0,w=10", "landmark:epsilon=1.0"],
+    )
+    def test_unknown_scan_mode_fails_at_spec_construction(self, head):
+        with pytest.raises(ValueError, match="margin, exact, off"):
+            ServiceSpec(
+                alphabet=ALPHABET,
+                patterns=[("private", ("e1", "e2"))],
+                queries=[("q", ("e2", "e3"))],
+                mechanism=f"{head},scan=speedy",
+            )
+
 
 # ---------------------------------------------------------------------------
-# Chunked trace storage
+# The trace's publication log and its derived columns
 # ---------------------------------------------------------------------------
 
 
-class TestTraceColumn:
-    def test_append_extend_and_accessors(self):
-        column = TraceColumn(dtype=np.float64)
-        column.append(1.5)
-        column.extend([2.5, 3.5])
-        column.extend_constant(0.0, 3)
-        assert len(column) == 6
-        assert column[0] == 1.5 and isinstance(column[0], float)
-        assert column[-1] == 0.0
-        assert column[1:3] == [2.5, 3.5]
-        assert list(column) == [1.5, 2.5, 3.5, 0.0, 0.0, 0.0]
-
-    def test_growth_beyond_initial_chunk(self):
-        column = TraceColumn(dtype=bool)
-        for i in range(5000):
-            column.append(i % 3 == 0)
-        assert len(column) == 5000
-        assert column[4999] == (4999 % 3 == 0)
-
-    def test_equality(self):
-        column = TraceColumn(dtype=np.float64)
-        column.extend([1.0, 2.0])
-        other = TraceColumn(dtype=np.float64)
-        other.extend([1.0, 2.0])
-        assert column == [1.0, 2.0]
-        assert column == other
-        assert column == np.array([1.0, 2.0])
-        assert column != [1.0, 2.0, 3.0]
-
-    def test_full_slice_assignment_replaces_content(self):
-        # The snapshot-restore path: the restored trace may be shorter.
-        column = TraceColumn(dtype=np.float64)
-        column.extend([1.0, 2.0, 3.0, 4.0])
-        column[:] = [9.0, 8.0]
-        assert list(column) == [9.0, 8.0]
-
-    def test_bool_and_asarray(self):
-        column = TraceColumn(dtype=bool)
-        assert not column
-        column.append(True)
-        assert column
-        np.testing.assert_array_equal(np.asarray(column), np.array([True]))
-
-    def test_version_bumps_on_every_mutation(self):
-        column = TraceColumn(dtype=np.float64)
-        seen = {column.version}
-        column.append(1.0)
-        seen.add(column.version)
-        column.extend([2.0])
-        seen.add(column.version)
-        column.extend_constant(0.0, 2)
-        seen.add(column.version)
-        column[:] = [5.0]
-        seen.add(column.version)
-        assert len(seen) == 5
+def logged_trace(budgets, charge=0.1):
+    """A trace stepped over ``budgets`` (0 = the timestamp skipped)."""
+    trace = ReleaseTrace(charge)
+    for t, budget in enumerate(budgets):
+        if budget > 0:
+            trace.times.append(t)
+            trace.budgets.append(budget)
+    trace.steps = len(budgets)
+    return trace
 
 
-class TestSpendPrefixCache:
-    def make_trace(self):
-        trace = ReleaseTrace()
-        for budget in (0.5, 0.0, 0.25):
-            trace.published.append(budget > 0)
-            trace.publication_budgets.append(budget)
-            trace.dissimilarity_budgets.append(0.1)
-        return trace
+class TestDerivedColumns:
+    def test_columns_derive_from_the_log(self):
+        trace = logged_trace([0.5, 0.0, 0.25, 0.0])
+        assert trace.published.tolist() == [True, False, True, False]
+        assert trace.publication_budgets.tolist() == [0.5, 0.0, 0.25, 0.0]
+        assert trace.dissimilarity_budgets.tolist() == [0.1] * 4
 
-    def test_prefix_is_cached_until_mutation(self):
-        trace = self.make_trace()
-        first = trace._spend_prefix()
-        assert trace._spend_prefix() is first  # cache hit
-        trace.publication_budgets.append(0.75)
-        trace.dissimilarity_budgets.append(0.1)
-        trace.published.append(True)
-        second = trace._spend_prefix()
-        assert second is not first
-        assert len(second) == len(first) + 1
+    def test_columns_are_read_only(self):
+        trace = logged_trace([0.5, 0.0])
+        for column in (
+            trace.published,
+            trace.publication_budgets,
+            trace.dissimilarity_budgets,
+        ):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
-    def test_spent_in_window_reflects_mutations(self):
-        trace = self.make_trace()
+    def test_empty_trace_has_empty_columns(self):
+        trace = ReleaseTrace(0.1)
+        assert trace.published.shape == (0,)
+        assert trace.publication_budgets.shape == (0,)
+        assert trace.dissimilarity_budgets.shape == (0,)
+
+    def test_spend_follows_the_log(self):
+        trace = logged_trace([0.5, 0.0, 0.25])
         assert trace.spent_in_window(0, 3) == pytest.approx(
             0.5 + 0.25 + 3 * 0.1
         )
-        trace.published.append(True)
-        trace.publication_budgets.append(1.0)
-        trace.dissimilarity_budgets.append(0.1)
+        trace.times.append(3)
+        trace.budgets.append(1.0)
+        trace.steps = 4
         assert trace.spent_in_window(2, 2) == pytest.approx(
             0.25 + 1.0 + 2 * 0.1
         )
+        assert trace.max_window_spend(2) == pytest.approx(1.25 + 2 * 0.1)
+
+    @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
+    @pytest.mark.parametrize("scan", ["margin", "off"])
+    def test_released_runs_log_only_publications(self, cls, scan):
+        rng = np.random.default_rng(2)
+        matrix = (rng.random((300, N_TYPES)) < 0.3).astype(float)
+        mechanism = cls(1.0, w=8, scan=scan)
+        releaser = mechanism.online_releaser(N_TYPES, rng=5, horizon=300)
+        for start in range(0, 300, 70):
+            releaser.step_block(matrix[start : start + 70])
+        trace = releaser.trace
+        assert trace.steps == releaser.t == 300
+        assert list(trace.times) == np.flatnonzero(trace.published).tolist()
+        assert np.array_equal(trace.published, trace.publication_budgets > 0)
+        assert np.all(trace.dissimilarity_budgets == 1.0 / 2.0 / 8)

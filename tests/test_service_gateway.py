@@ -729,6 +729,32 @@ class TestElasticity:
         with pytest.raises(ValueError, match="unknown fields"):
             StreamGateway.from_json('{"format": 1, "tenants": [], "x": 1}')
 
+    def test_fleet_with_a_bad_scan_mode_fails_at_tenant_parsing(
+        self, monkeypatch
+    ):
+        from repro.service import TenantSpec
+
+        tenant = TenantSpec(
+            name="a",
+            service=self._declarative_spec(1).with_(
+                mechanism="bd:epsilon=1.0,w=10,scan=off",
+                mechanism_options={},
+            ),
+        ).to_dict()
+        tenant["service"]["mechanism"] = "bd:epsilon=1.0,w=10,scan=speedy"
+        with pytest.raises(ValueError, match="margin, exact, off"):
+            TenantSpec.from_dict(tenant)
+        added = []
+        monkeypatch.setattr(
+            StreamGateway,
+            "add_tenant",
+            lambda gateway, *args, **kwargs: added.append(args),
+        )
+        document = json.dumps({"format": 1, "tenants": [tenant]})
+        with pytest.raises(ValueError, match="margin, exact, off"):
+            StreamGateway.from_json(document)
+        assert added == []
+
     def test_rate_limited_tenant_sheds_and_surfaces(self):
         # A frozen clock admits exactly the burst, sheds the rest.
         clock = lambda: 0.0  # noqa: E731

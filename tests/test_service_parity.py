@@ -169,9 +169,13 @@ def assert_traces_identical(mechanism, expected_mechanism):
     assert (trace is None) == (expected is None)
     if trace is None:
         return
-    assert trace.published == expected.published
-    assert trace.publication_budgets == expected.publication_budgets
-    assert trace.dissimilarity_budgets == expected.dissimilarity_budgets
+    assert np.array_equal(trace.published, expected.published)
+    assert np.array_equal(
+        trace.publication_budgets, expected.publication_budgets
+    )
+    assert np.array_equal(
+        trace.dissimilarity_budgets, expected.dissimilarity_budgets
+    )
 
 
 @pytest.mark.parametrize(
