@@ -282,11 +282,6 @@ class FakeRedisServer:
 
     # -- introspection (tests) ----------------------------------------
 
-    def stream_length(self, stream: str) -> int:
-        with self._lock:
-            record = self._streams.get(stream)
-            return len(record.entries) if record else 0
-
     def pending_count(self, stream: str, group: str) -> int:
         with self._lock:
             record = self._streams.get(stream)

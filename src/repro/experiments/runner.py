@@ -13,18 +13,15 @@ query matcher, ground-truth detections, ordinary quality, landmark
 masks, budget converters and Algorithm 1 quality estimators — and every
 (mechanism, ε) cell reuses it.  :meth:`WorkloadEvaluation.sweep` shares
 one such context across its whole grid, which is what makes the Fig. 4
-regeneration cheap, and can fan the grid out over a thread or process
-pool (``workers=``): every cell's child generator is derived *before*
-dispatch, in grid order, so the parallel results are bit-identical to
-the serial sweep whatever the completion order.  The module-level
-helpers remain as thin wrappers.
+regeneration cheap.  The grid runs serially; its one parallel layer is
+the per-trial ``executor=`` (sharded or cluster execution, bit-identical
+to batch).  The module-level helpers remain as thin wrappers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -282,132 +279,35 @@ class WorkloadEvaluation:
         n_trials: int = 5,
         conversion_mode: str = "worst_case",
         rng: RngLike = None,
-        workers: Optional[int] = None,
-        backend: str = "thread",
         executor=None,
     ) -> List[EvaluationResult]:
-        """Evaluate every (mechanism, ε) cell, optionally in parallel.
+        """Evaluate every (mechanism, ε) cell in grid order.
 
-        ``workers=None`` (or ``1``) keeps the historical serial loop.
-        With ``workers > 1`` the grid fans out over a ``"thread"`` or
-        ``"process"`` pool.  Each cell's child generator is derived up
-        front, in grid order — the same draws the serial loop makes —
-        and results are collected back in grid order, so the parallel
-        sweep is bit-identical to the serial one.  The thread backend
-        shares this context's caches; the process backend rebuilds the
-        context once per worker from the pickled workload.
+        Each cell derives its child generator from ``rng`` in grid
+        order, keyed by (mechanism, ε).
 
         ``executor`` selects the runtime strategy each cell's trials
         run under (vectorized batch by default).  Passing a
-        :class:`~repro.runtime.executors.ShardedExecutor` parallelizes
-        *within* each trial as well — including the w-event schedulers
-        (BD/BA) and the landmark mechanism, which shard through the
-        checkpoint prepass — without changing a single released bit
-        (sharded execution is bit-identical to batch under the same
-        seed).
+        :class:`~repro.runtime.executors.ShardedExecutor` or
+        :class:`~repro.runtime.cluster.ClusterExecutor` parallelizes
+        *within* each trial — including the w-event schedulers (BD/BA)
+        and the landmark mechanism, which shard through the checkpoint
+        prepass — without changing a single released bit (sharded
+        execution is bit-identical to batch under the same seed).
         """
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {backend!r}; available: "
-                "['thread', 'process']"
+        return [
+            self.evaluate(
+                kind,
+                float(epsilon),
+                alpha=alpha,
+                n_trials=n_trials,
+                conversion_mode=conversion_mode,
+                rng=derive_rng(rng, "sweep", kind, int(epsilon * 1000)),
+                executor=executor,
             )
-        cells: List[Tuple[str, float]] = [
-            (kind, float(epsilon))
             for kind in mechanisms
             for epsilon in epsilon_grid
         ]
-        cell_rngs = [
-            derive_rng(rng, "sweep", kind, int(epsilon * 1000))
-            for kind, epsilon in cells
-        ]
-        if workers is None or workers <= 1 or len(cells) <= 1:
-            return [
-                self.evaluate(
-                    kind,
-                    epsilon,
-                    alpha=alpha,
-                    n_trials=n_trials,
-                    conversion_mode=conversion_mode,
-                    rng=cell_rng,
-                    executor=executor,
-                )
-                for (kind, epsilon), cell_rng in zip(cells, cell_rngs)
-            ]
-        if backend == "thread":
-            # Threads share this context (and its caches) directly.
-            pool = ThreadPoolExecutor(max_workers=workers)
-
-            def submit(kind, epsilon, cell_rng):
-                return pool.submit(
-                    self.evaluate,
-                    kind,
-                    epsilon,
-                    alpha=alpha,
-                    n_trials=n_trials,
-                    conversion_mode=conversion_mode,
-                    rng=cell_rng,
-                    executor=executor,
-                )
-
-        else:
-            # Workers rebuild the context once each from the workload.
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_sweep_worker_init,
-                initargs=(self.workload,),
-            )
-
-            def submit(kind, epsilon, cell_rng):
-                return pool.submit(
-                    _sweep_worker,
-                    kind,
-                    epsilon,
-                    alpha,
-                    n_trials,
-                    conversion_mode,
-                    cell_rng,
-                    executor,
-                )
-
-        try:
-            futures = [
-                submit(kind, epsilon, cell_rng)
-                for (kind, epsilon), cell_rng in zip(cells, cell_rngs)
-            ]
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=True)
-
-
-#: Per-process evaluation context of the process-backend sweep.  Built
-#: once per worker by the pool initializer — rebuilding the caches per
-#: worker beats pickling the whole context per cell.
-_WORKER_CONTEXT: Optional[WorkloadEvaluation] = None
-
-
-def _sweep_worker_init(workload: Workload) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = WorkloadEvaluation(workload)
-
-
-def _sweep_worker(
-    kind: str,
-    epsilon: float,
-    alpha: float,
-    n_trials: int,
-    conversion_mode: str,
-    rng: RngLike,
-    executor=None,
-) -> EvaluationResult:
-    return _WORKER_CONTEXT.evaluate(
-        kind,
-        epsilon,
-        alpha=alpha,
-        n_trials=n_trials,
-        conversion_mode=conversion_mode,
-        rng=rng,
-        executor=executor,
-    )
 
 
 def measure_quality(
@@ -461,18 +361,14 @@ def sweep(
     n_trials: int = 5,
     conversion_mode: str = "worst_case",
     rng: RngLike = None,
-    workers: Optional[int] = None,
-    backend: str = "thread",
     executor=None,
 ) -> List[EvaluationResult]:
     """Evaluate every (mechanism, ε) cell on one workload.
 
     One :class:`WorkloadEvaluation` is shared by the whole grid, so
     windowing, extraction, ground truth and estimator state are
-    computed once rather than per cell.  ``workers``/``backend`` fan
-    the grid out over a pool and ``executor`` selects the per-trial
-    runtime strategy (see :meth:`WorkloadEvaluation.sweep`); parallel
-    results are bit-identical to the serial sweep.
+    computed once rather than per cell.  ``executor`` selects the
+    per-trial runtime strategy (see :meth:`WorkloadEvaluation.sweep`).
     """
     return WorkloadEvaluation(workload).sweep(
         epsilon_grid=epsilon_grid,
@@ -481,7 +377,5 @@ def sweep(
         n_trials=n_trials,
         conversion_mode=conversion_mode,
         rng=rng,
-        workers=workers,
-        backend=backend,
         executor=executor,
     )

@@ -374,8 +374,6 @@ class ClusterExecutor:
         run creates no shared-memory segment).
     n_shards:
         Shard count; defaults to ``n_workers``.
-    min_shard_size:
-        Lower bound on windows per shard (as in ShardedExecutor).
     materialize:
         Keep the original/released streams on the result.
     heartbeat_interval:
@@ -395,7 +393,6 @@ class ClusterExecutor:
         *,
         transport: str = "shm",
         n_shards: Optional[int] = None,
-        min_shard_size: int = 1,
         materialize: bool = True,
         heartbeat_interval: float = 0.25,
         worker_timeout: float = 10.0,
@@ -416,7 +413,6 @@ class ClusterExecutor:
         self.n_workers = n_workers
         self.transport = transport
         self.n_shards = n_shards
-        self.min_shard_size = min_shard_size
         self.materialize = materialize
         self.heartbeat_interval = heartbeat_interval
         self.worker_timeout = worker_timeout
@@ -457,7 +453,6 @@ class ClusterExecutor:
                 indicators,
                 rng=rng,
                 n_shards=self.n_shards,
-                min_shard_size=self.min_shard_size,
                 materialize=self.materialize,
                 fan_out=self._fan_out,
             )

@@ -119,56 +119,9 @@ class ChunkedExecutor:
         rng: RngLike = None,
     ) -> PipelineResult:
         matrix = indicators.matrix_view()
-        return self._run_chunks(
-            pipeline,
-            (
-                matrix[start : start + self.chunk_size]
-                for start in range(0, matrix.shape[0], self.chunk_size)
-            ),
-            horizon=matrix.shape[0],
-            alphabet=indicators.alphabet,
-            rng=rng,
-        )
-
-    def run_type_sets(
-        self,
-        pipeline,
-        type_sets,
-        *,
-        rng: RngLike = None,
-        horizon: Optional[int] = None,
-    ) -> PipelineResult:
-        """Execute over an iterable of per-window event-type sets.
-
-        The extraction stage runs per chunk, so an unbounded source
-        never materializes beyond ``chunk_size`` windows (with
-        ``materialize=False``).
-        """
-        extractor = pipeline.extractor
-
-        def chunks():
-            buffer = []
-            for window in type_sets:
-                buffer.append(window)
-                if len(buffer) == self.chunk_size:
-                    yield extractor.extract_matrix(buffer)
-                    buffer.clear()
-            if buffer:
-                yield extractor.extract_matrix(buffer)
-
-        return self._run_chunks(
-            pipeline,
-            chunks(),
-            horizon=horizon,
-            alphabet=pipeline.alphabet,
-            rng=rng,
-        )
-
-    def _run_chunks(
-        self, pipeline, chunks, *, horizon, alphabet, rng
-    ) -> PipelineResult:
+        alphabet = indicators.alphabet
         stepper = pipeline.runtime_mechanism.stepper(
-            alphabet, rng=rng, horizon=horizon
+            alphabet, rng=rng, horizon=matrix.shape[0]
         )
         matcher = pipeline.matcher
         sink = MetricsSink(alpha=pipeline.alpha)
@@ -181,7 +134,8 @@ class ChunkedExecutor:
         original_parts = []
         released_parts = []
         n_windows = 0
-        for chunk in chunks:
+        for start in range(0, matrix.shape[0], self.chunk_size):
+            chunk = matrix[start : start + self.chunk_size]
             n_windows += chunk.shape[0]
             released = stepper.step_block(chunk)
             chunk_answers = matcher.answer(released)
@@ -262,9 +216,6 @@ class ShardedExecutor:
         Thread-pool size; defaults to ``os.cpu_count()``.
     n_shards:
         Shard count; defaults to ``n_workers``.
-    min_shard_size:
-        Lower bound on windows per shard — tiny streams collapse to
-        fewer shards rather than paying pool overhead per window.
     materialize:
         Keep the original/released indicator streams on the result
         (matching :class:`BatchExecutor`); ``False`` returns only the
@@ -276,13 +227,11 @@ class ShardedExecutor:
         n_workers: Optional[int] = None,
         *,
         n_shards: Optional[int] = None,
-        min_shard_size: int = 1,
         materialize: bool = True,
     ):
         self.n_workers, self.n_shards = sharding.resolve_pool(
             n_workers, n_shards
         )
-        self.min_shard_size = min_shard_size
         self.materialize = materialize
 
     def run(
@@ -298,7 +247,6 @@ class ShardedExecutor:
                 indicators,
                 rng=rng,
                 n_shards=self.n_shards,
-                min_shard_size=self.min_shard_size,
                 materialize=self.materialize,
                 fan_out=self._fan_out,
             )

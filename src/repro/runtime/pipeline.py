@@ -9,7 +9,7 @@ extraction and matching logic exists exactly once.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from repro.obs.tracing import trace_span
 from repro.runtime.adapters import runtime_mechanism
@@ -123,34 +123,5 @@ class StreamPipeline:
         batch strategy.
         """
         executor = executor or BatchExecutor()
-        if isinstance(source, IndicatorStream) or not hasattr(
-            executor, "run_type_sets"
-        ):
-            with trace_span(
-                "pipeline.run", executor=type(executor).__name__
-            ):
-                return executor.run(
-                    self, self.indicators_from(source), rng=rng
-                )
-        # Chunked executor over a non-materialized source: feed the
-        # type-sets through chunked extraction.
-        type_sets: Iterable
-        horizon: Optional[int]
-        if isinstance(source, EventStream):
-            if self.window_stage is None:
-                raise ValueError(
-                    "this pipeline has no windower; pass windowed input or "
-                    "construct with windower="
-                )
-            type_sets = self.window_stage.type_sets(source)
-            horizon = len(type_sets)
-        else:
-            source = list(source)
-            if source and hasattr(source[0], "event_types"):
-                source = [window.event_types() for window in source]
-            type_sets = source
-            horizon = len(source)
         with trace_span("pipeline.run", executor=type(executor).__name__):
-            return executor.run_type_sets(
-                self, type_sets, rng=rng, horizon=horizon
-            )
+            return executor.run(self, self.indicators_from(source), rng=rng)

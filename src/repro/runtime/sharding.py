@@ -78,27 +78,20 @@ class Shard:
         return self.stop - self.start
 
 
-def plan_shards(
-    n_windows: int, n_shards: int, *, min_shard_size: int = 1
-) -> List[Shard]:
+def plan_shards(n_windows: int, n_shards: int) -> List[Shard]:
     """Split ``[0, n_windows)`` into at most ``n_shards`` balanced shards.
 
     Shards are contiguous, cover every window exactly once, and differ
     in size by at most one window.  The plan never produces empty
-    shards: the shard count is capped so that each shard holds at least
-    ``min_shard_size`` windows (and never exceeds ``n_windows``).
+    shards: the shard count is capped at ``n_windows``.
     """
     if n_windows < 0:
         raise ValueError(f"n_windows must be >= 0, got {n_windows}")
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
-    if min_shard_size <= 0:
-        raise ValueError(
-            f"min_shard_size must be positive, got {min_shard_size}"
-        )
     if n_windows == 0:
         return []
-    count = min(n_shards, max(1, n_windows // min_shard_size), n_windows)
+    count = min(n_shards, n_windows)
     base, extra = divmod(n_windows, count)
     shards: List[Shard] = []
     start = 0
@@ -449,7 +442,6 @@ def run_sharded(
     *,
     rng: RngLike,
     n_shards: int,
-    min_shard_size: int,
     materialize: bool,
     fan_out,
 ):
@@ -490,7 +482,7 @@ def run_sharded(
         horizon=matrix.shape[0],
         materialize=materialize,
     )
-    shards = plan_shards(job.horizon, n_shards, min_shard_size=min_shard_size)
+    shards = plan_shards(job.horizon, n_shards)
 
     def merge(receipts, outputs):
         return merge_results(

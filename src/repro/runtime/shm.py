@@ -107,11 +107,6 @@ class SegmentPlane:
     def __len__(self) -> int:
         return len(self._segments)
 
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of the segments currently owned (open) by this plane."""
-        return tuple(self._segments)
-
     def allocate(self, shape, dtype) -> ArrayDescriptor:
         """Create an uninitialized shared array; return its descriptor."""
         descriptor = ArrayDescriptor(

@@ -46,7 +46,12 @@ import numpy as np
 
 from repro.cep.patterns import Pattern
 from repro.runtime.decisions import check_scan
-from repro.service.specgrammar import SpecKey, is_kv_tail, kv_kwargs
+from repro.service.specgrammar import (
+    SpecKey,
+    check_options,
+    is_kv_tail,
+    kv_kwargs,
+)
 from repro.streams.indicator import EventAlphabet
 from repro.utils.validation import check_positive
 
@@ -190,6 +195,13 @@ class _Registry:
         name, _tail = self._lookup(spec)
         return self._keys[name]
 
+    def check_options(self, spec: str, options: Mapping) -> None:
+        """Check factory keyword ``options`` against the spec's keys."""
+        name, _tail = self._lookup(spec)
+        check_options(
+            options, self._keys[name], where=f"{self._kind} spec {name!r}"
+        )
+
     def _lookup(self, spec: str) -> Tuple[str, Optional[str]]:
         """Split off the registered name; ``None`` tail means no colon."""
         if not isinstance(spec, str) or not spec.strip():
@@ -320,6 +332,13 @@ def registered_executors() -> Tuple[str, ...]:
 def validate_mechanism_spec(spec: str) -> str:
     """Check the spec's head names a registered mechanism; return it."""
     return _MECHANISMS.canonical(spec)
+
+
+def validate_mechanism_options(spec: str, options: Mapping) -> None:
+    """Check keyword options name the spec's keys (and pass their
+    converters, e.g. ``scan``), so a bad option fails at
+    ``ServiceSpec`` construction rather than at build time."""
+    _MECHANISMS.check_options(spec, options)
 
 
 def validate_executor_spec(spec: str) -> str:

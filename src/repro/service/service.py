@@ -696,8 +696,6 @@ class StreamService:
         n_trials: int = 5,
         conversion_mode: str = "worst_case",
         rng: RngLike = None,
-        workers: Optional[int] = None,
-        backend: str = "thread",
         executor=None,
     ) -> List:
         """Evaluate mechanism specs over an ε grid on this service's
@@ -708,12 +706,13 @@ class StreamService:
         :class:`~repro.datasets.workload.Workload`, and every
         (mechanism, ε) cell is built through the mechanism registry and
         measured by
-        :meth:`~repro.experiments.runner.WorkloadEvaluation.sweep`
-        (``workers=`` fans the grid out; parallel results are
-        bit-identical to serial).  ``history`` (or the service's build
-        history) enables ``"adaptive-ppm"`` cells; ``executor`` may be
-        an executor object or a registered executor spec string and
-        defaults to this service's executor.
+        :meth:`~repro.experiments.runner.WorkloadEvaluation.sweep`.
+        ``history`` (or the service's build history) enables
+        ``"adaptive-ppm"`` cells.  ``executor`` runs each cell's
+        trials and is the sweep's one parallel layer: an executor
+        object or a registered executor spec string (``"sharded:..."``
+        or ``"cluster:..."`` run bit-identically to batch), defaulting
+        to this service's executor.
         """
         from repro.datasets.workload import Workload
         from repro.experiments.runner import WorkloadEvaluation
@@ -756,7 +755,5 @@ class StreamService:
             n_trials=n_trials,
             conversion_mode=conversion_mode,
             rng=self._seeded(rng),
-            workers=workers,
-            backend=backend,
             executor=executor,
         )

@@ -272,7 +272,8 @@ class ServiceSpec:
         ``"user-rr"``, or a plugin's name); ``None`` runs unprotected.
     mechanism_options:
         Keyword options for the mechanism factory (e.g.
-        ``{"epsilon": 2.0}``).
+        ``{"epsilon": 2.0}``), checked at construction against the
+        keys the mechanism's spec string accepts.
     executor:
         Registered executor spec (``"batch"``, ``"chunked:size=512"``,
         ``"sharded:workers=4"``, ``"cluster:workers=8"``, ...).
@@ -327,6 +328,7 @@ class ServiceSpec:
     def __post_init__(self):
         from repro.service.registry import (
             validate_executor_spec,
+            validate_mechanism_options,
             validate_mechanism_spec,
         )
 
@@ -376,6 +378,8 @@ class ServiceSpec:
             "mechanism_options",
             _jsonish(dict(self.mechanism_options), where="mechanism_options"),
         )
+        if self.mechanism is not None:
+            validate_mechanism_options(self.mechanism, self.mechanism_options)
         validate_executor_spec(self.executor)
         object.__setattr__(
             self,

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SpecKey",
+    "check_options",
     "coerce_scalar",
     "format_spec",
     "format_value",
@@ -166,17 +167,41 @@ def kv_kwargs(
     by_name = {key.name: key for key in keys}
     kwargs = {}
     for name, value in parse_kv_tail(tail, where=where):
-        spec_key = by_name.get(name)
-        if spec_key is None:
-            valid = ", ".join(sorted(by_name)) or "(none)"
-            raise ValueError(
-                f"unknown key {name!r} for {where}; valid keys: {valid}"
-            )
-        try:
-            kwargs[spec_key.destination] = spec_key.value(value)
-        except ValueError as error:
-            raise ValueError(f"{where}: key {name!r}: {error}") from None
+        spec_key = _known(by_name, name, where)
+        kwargs[spec_key.destination] = _converted(
+            spec_key.value, name, value, where
+        )
     return kwargs
+
+
+def check_options(options, keys: Sequence[SpecKey], *, where: str) -> None:
+    """Check factory keyword options against a spec name's declared keys.
+
+    The dict-form twin of :func:`kv_kwargs`: every option must name a
+    key's factory keyword, and a value whose key has a converter must
+    pass it, with the same errors a spec string's keys raise.
+    """
+    by_dest = {key.destination: key for key in keys}
+    for name, value in options.items():
+        convert = _known(by_dest, name, where).convert
+        if convert is not None:
+            _converted(convert, name, value, where)
+
+
+def _known(keys: dict, name: str, where: str) -> SpecKey:
+    if name not in keys:
+        valid = ", ".join(sorted(keys)) or "(none)"
+        raise ValueError(
+            f"unknown key {name!r} for {where}; valid keys: {valid}"
+        )
+    return keys[name]
+
+
+def _converted(convert: Callable, name: str, value, where: str) -> object:
+    try:
+        return convert(value)
+    except ValueError as error:
+        raise ValueError(f"{where}: key {name!r}: {error}") from None
 
 
 def format_spec(name: str, pairs: Sequence[Tuple[str, object]]) -> str:

@@ -12,14 +12,20 @@ import json
 import os
 import sys
 
-_SPEC = importlib.util.spec_from_file_location(
-    "check_gates",
-    os.path.join(
-        os.path.dirname(__file__), "..", "benchmarks", "check_gates.py"
-    ),
-)
-check_gates = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(check_gates)
+BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(BENCHMARKS, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_gates = load_script("check_gates")
+compare = load_script("compare")
 
 
 def write_summary(directory, name, payload):
@@ -97,9 +103,7 @@ class TestCheckGates:
         write_summary(
             tmp_path, "ok", {"gates": {"g": {"floor": 1.0, "value": 2.0}}}
         )
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "check_gates.py"
-        )
+        script = os.path.join(BENCHMARKS, "check_gates.py")
         import subprocess
 
         result = subprocess.run(
@@ -109,3 +113,64 @@ class TestCheckGates:
         )
         assert result.returncode == 0
         assert "all benchmark gates passed" in result.stdout
+
+
+class TestCompare:
+    """benchmarks/compare.py flags only moves outside the base spread."""
+
+    BASE = {
+        "metrics": {
+            "ratio": 1.0,
+            "ratio_min": 0.8,
+            "ratio_max": 1.2,
+            "ratio_rounds": 5,
+            "speedup": 3.0,
+            "speedup_min": 2.5,
+            "speedup_max": 3.5,
+            "n_windows": 100,
+        }
+    }
+
+    def dirs(self, tmp_path, fresh_metrics):
+        base, fresh = tmp_path / "base", tmp_path / "fresh"
+        base.mkdir()
+        fresh.mkdir()
+        write_summary(base, "x", self.BASE)
+        write_summary(fresh, "x", {"metrics": fresh_metrics})
+        return str(fresh), str(base)
+
+    def test_moves_only_outside_the_recorded_spread(self, tmp_path, capsys):
+        fresh = {
+            **self.BASE["metrics"],
+            "ratio": 1.15,
+            "speedup": 4.0,
+            "n_windows": 200,
+        }
+        assert compare.compare(*self.dirs(tmp_path, fresh)) == 1
+        out = capsys.readouterr().out
+        assert "BENCH_x.json: ratio = 1.15 within [0.8, 1.2]" in out
+        assert "BENCH_x.json: speedup = 4 MOVED outside [2.5, 3.5]" in out
+        assert "unflagged (no recorded spread): n_windows" in out
+        # The spread bounds themselves are not metrics to compare.
+        assert "ratio_min =" not in out
+        assert "1 of 2 compared metrics moved" in out
+
+    def test_summary_without_base_is_not_compared(self, tmp_path, capsys):
+        fresh, base = self.dirs(tmp_path, {"ratio": 9.0})
+        write_summary(fresh, "new", {"metrics": {"ratio": 9.0}})
+        assert compare.compare(fresh, base) == 1
+        out = capsys.readouterr().out
+        assert "BENCH_new.json: no readable base summary" in out
+
+    def test_cli_always_exits_zero(self, tmp_path):
+        import subprocess
+
+        fresh, base = self.dirs(tmp_path, {"ratio": 9.0})
+        script = os.path.join(BENCHMARKS, "compare.py")
+        result = subprocess.run(
+            [sys.executable, script, fresh, base],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert "MOVED" in result.stdout

@@ -84,11 +84,6 @@ class TestShardPlanner:
         assert len(shards) == 3
         assert all(shard.n_windows == 1 for shard in shards)
 
-    def test_min_shard_size_caps_shard_count(self):
-        shards = plan_shards(100, 16, min_shard_size=25)
-        assert len(shards) == 4
-        assert all(shard.n_windows == 25 for shard in shards)
-
     def test_empty_stream_plans_no_shards(self):
         assert plan_shards(0, 4) == []
 
@@ -97,8 +92,6 @@ class TestShardPlanner:
             plan_shards(-1, 2)
         with pytest.raises(ValueError):
             plan_shards(10, 0)
-        with pytest.raises(ValueError):
-            plan_shards(10, 2, min_shard_size=0)
         with pytest.raises(ValueError):
             Shard(3, 1)
 
@@ -283,33 +276,12 @@ class TestShardedExecutor:
 
 
 class TestParallelSweep:
-    def test_thread_and_process_sweeps_match_serial(self):
-        from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
-        from repro.experiments.runner import sweep
-        from repro.utils.rng import derive_rng
-
-        workload = synthesize_dataset(
-            SyntheticConfig(n_windows=90, n_history_windows=60),
-            rng=derive_rng(3, "sweep-parity"),
-            name="sweep-parity",
-        )
-        kwargs = dict(
-            epsilon_grid=(0.5, 2.0),
-            mechanisms=("uniform", "bd"),
-            n_trials=2,
-            rng=77,
-        )
-        serial = sweep(workload, **kwargs)
-        threaded = sweep(workload, workers=4, backend="thread", **kwargs)
-        forked = sweep(workload, workers=2, backend="process", **kwargs)
-        assert threaded == serial
-        assert forked == serial
-
-    def test_sharded_executor_sweep_matches_serial(self):
-        # The sharded executor now covers every sweep mechanism —
-        # including the w-event schedulers via the checkpoint prepass —
-        # so a sweep can parallelize within each trial without changing
-        # a single released bit.
+    @pytest.mark.parametrize("kind", sorted(PARALLEL))
+    def test_sharded_executor_sweep_matches_serial(self, kind):
+        # The per-trial executor is the sweep's one parallel layer.  It
+        # covers every sweep mechanism — including the w-event
+        # schedulers via the checkpoint prepass — in threads and in
+        # worker processes, without changing a single released bit.
         from repro.datasets.synthetic import (
             SyntheticConfig,
             synthesize_dataset,
@@ -329,34 +301,5 @@ class TestParallelSweep:
             rng=55,
         )
         serial = sweep(workload, **kwargs)
-        sharded = sweep(workload, executor=ShardedExecutor(2), **kwargs)
+        sharded = sweep(workload, executor=PARALLEL[kind](2), **kwargs)
         assert sharded == serial
-
-    def test_unknown_backend_rejected(self):
-        from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
-        from repro.experiments.runner import sweep
-        from repro.utils.rng import derive_rng
-
-        workload = synthesize_dataset(
-            SyntheticConfig(n_windows=40, n_history_windows=30),
-            rng=derive_rng(3, "sweep-backend"),
-            name="sweep-backend",
-        )
-        with pytest.raises(ValueError, match="backend"):
-            sweep(
-                workload,
-                epsilon_grid=(1.0, 2.0),
-                mechanisms=("uniform",),
-                workers=2,
-                backend="gpu",
-            )
-        # Misconfiguration surfaces even when the sweep would run
-        # serially (one worker), not only once the grid fans out.
-        with pytest.raises(ValueError, match="backend"):
-            sweep(
-                workload,
-                epsilon_grid=(1.0,),
-                mechanisms=("uniform",),
-                workers=1,
-                backend="gpu",
-            )

@@ -85,13 +85,12 @@ class TestConstruction:
 
         service = spec_for(
             executor="sharded:backend=thread,workers=3",
-            executor_options={"n_shards": 6, "min_shard_size": 2},
+            executor_options={"n_shards": 6},
         ).build()
         executor = service.executor
         assert isinstance(executor, ShardedExecutor)
         assert executor.n_workers == 3
         assert executor.n_shards == 6
-        assert executor.min_shard_size == 2
         keyed = spec_for(executor="sharded:workers=2").build()
         assert vars(keyed.executor) == vars(ShardedExecutor(2))
 
@@ -226,11 +225,9 @@ class TestMechanismFactories:
         )
 
     def test_unknown_mechanism_option_rejected(self):
-        spec = spec_for(
-            mechanism_options={"epsilon": 2.0, "epsilonn": 1.0}
-        )
-        with pytest.raises(TypeError):
-            spec.build()
+        # The option keys are checked at spec construction, not build.
+        with pytest.raises(ValueError, match="unknown key 'epsilonn'"):
+            spec_for(mechanism_options={"epsilon": 2.0, "epsilonn": 1.0})
 
 
 class TestAccounting:

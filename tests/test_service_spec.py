@@ -20,6 +20,7 @@ from repro.service import (
     registered_executors,
     registered_mechanisms,
 )
+from repro.service.registry import mechanism_factory_accepts
 from repro.streams.indicator import EventAlphabet
 
 
@@ -145,6 +146,55 @@ class TestUnknownSpecs:
             small_spec(window="sliding:10")
 
 
+class TestMechanismOptions:
+    """Option dicts are checked against the spec string's key schema."""
+
+    BD = {"epsilon": 1.0, "w": 10}
+
+    def test_unknown_option_fails_at_construction(self):
+        with pytest.raises(ValueError) as excinfo:
+            small_spec(
+                mechanism="bd", mechanism_options={**self.BD, "bogus": 3}
+            )
+        message = str(excinfo.value)
+        assert "unknown key 'bogus' for mechanism spec 'bd'" in message
+        assert "valid keys: conversion_mode, epsilon" in message
+
+    @pytest.mark.parametrize("mechanism", ["bd", "ba", "landmark"])
+    def test_unknown_scan_mode_fails_at_construction(self, mechanism):
+        with pytest.raises(ValueError, match="valid scan modes: margin"):
+            small_spec(
+                mechanism=mechanism,
+                mechanism_options={"epsilon": 1.0, "scan": "speedy"},
+            )
+
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            ("uniform-ppm", {"epsilon": 2.0}),
+            ("bd", {"epsilon": 1.0, "w": 40}),
+            ("bd", {"epsilon": 1.0, "w": 10, "scan": "off"}),
+            ("user-rr", {"pattern_epsilon": 2.0, "n_windows": 50}),
+        ],
+    )
+    def test_valid_options_construct(self, mechanism, options):
+        spec = small_spec(mechanism=mechanism, mechanism_options=options)
+        assert spec.mechanism_options == options
+
+    def test_fleet_tenant_with_a_bad_option_fails_at_parsing(self):
+        from repro.service import TenantSpec
+
+        tenant = TenantSpec(
+            name="a",
+            service=small_spec(mechanism="bd", mechanism_options=self.BD),
+        ).to_dict()
+        for bad in ({"scan": "speedy"}, {"bogus": 3}):
+            tenant["service"]["mechanism_options"] = {**self.BD, **bad}
+            document = json.dumps(tenant)
+            with pytest.raises(ValueError, match="mechanism spec 'bd'"):
+                TenantSpec.from_json(document)
+
+
 class TestWindowGrammar:
     @pytest.mark.parametrize(
         "spec_string, expected_type",
@@ -169,7 +219,7 @@ class TestJsonRoundTrip:
             mechanism="bd",
             mechanism_options={"epsilon": 1.0, "w": 10},
             executor="sharded:backend=thread,workers=8",
-            executor_options={"min_shard_size": 4},
+            executor_options={"n_shards": 4},
             accounting=12.5,
             quality={"alpha": 0.25, "max_mre": 0.5},
             window="tumbling:10",
@@ -228,7 +278,10 @@ def service_specs(draw):
         st.one_of(st.none(), st.sampled_from(sorted(registered_mechanisms())))
     )
     options = {}
-    if mechanism is not None:
+    # Plugins registered by other test modules may take no epsilon.
+    if mechanism is not None and mechanism_factory_accepts(
+        mechanism, "epsilon"
+    ):
         options["epsilon"] = draw(
             st.floats(min_value=0.1, max_value=8.0, allow_nan=False)
         )
