@@ -11,7 +11,11 @@ The broker subsystem's two pinned promises, written into
   broker-fed over ``queue:``-fed wall time across interleaved rounds;
   the floor of :data:`THROUGHPUT_FLOOR` bounds the cost of real
   sockets, RESP2 framing and ack bookkeeping at ~20% versus the
-  in-process live-feed baseline.
+  in-process live-feed baseline.  One pump takes ~16 ms, so a round
+  times :data:`PUMPS_PER_ROUND` back-to-back pumps per arm and the
+  arms alternate order (ABBA) between rounds: single-pump rounds
+  spanned 0.42–1.39 and put the median under the floor on unchanged
+  code.
 
 The feed is published with chunked entries
 (``rows_per_entry=ROWS_PER_ENTRY``) — the record batching a
@@ -48,7 +52,10 @@ N_WINDOWS = 2_000
 #: Windows per chunked broker entry (Kafka-style record batching).
 ROWS_PER_ENTRY = 16
 
-_ROUNDS = 7
+_ROUNDS = 15
+
+#: Pumps each arm runs back to back inside one timed round.
+PUMPS_PER_ROUND = 4
 
 N_TYPES = 8
 
@@ -116,10 +123,11 @@ def _pump_queue(stream, seed=17):
     return asyncio.run(drive())
 
 
-def _timed(callable_):
+def _seconds_per_pump(pump):
     start = time.perf_counter()
-    result = callable_()
-    return result, time.perf_counter() - start
+    for repeat in range(PUMPS_PER_ROUND):
+        pump(repeat)
+    return (time.perf_counter() - start) / PUMPS_PER_ROUND
 
 
 class TestBrokerBench:
@@ -180,12 +188,19 @@ class TestBrokerBench:
             _pump_broker(server.url, group="warm")
             ratios, pairs = [], []
             for index in range(_ROUNDS):
-                _, queue_s = _timed(lambda: _pump_queue(stream))
-                _, broker_s = _timed(
-                    lambda: _pump_broker(
-                        server.url, group=f"round{index}"
-                    )
-                )
+                arms = {
+                    "queue": lambda repeat: _pump_queue(stream),
+                    "broker": lambda repeat: _pump_broker(
+                        server.url, group=f"round{index}-{repeat}"
+                    ),
+                }
+                order = ["queue", "broker"]
+                if index % 2:
+                    order.reverse()
+                seconds = {
+                    arm: _seconds_per_pump(arms[arm]) for arm in order
+                }
+                queue_s, broker_s = seconds["queue"], seconds["broker"]
                 ratios.append(queue_s / broker_s)
                 pairs.append((queue_s, broker_s))
         throughput_ratio = paired_speedup(ratios)
@@ -206,6 +221,7 @@ class TestBrokerBench:
         metrics = {
             "n_windows": N_WINDOWS,
             "rows_per_entry": ROWS_PER_ENTRY,
+            "pumps_per_round": PUMPS_PER_ROUND,
             "bit_identity": 1.0 if bit_identical else 0.0,
             "connection_faults_fired": faults_fired,
             "throughput_ratio": throughput_ratio,

@@ -1,20 +1,19 @@
-"""Runtime benchmark: legacy engine path vs batch and chunked executors.
+"""Runtime benchmark: legacy engine path vs the batch executor.
 
-Runs the fig4 synthetic workload's full (mechanism × ε) sweep three
+Runs the fig4 synthetic workload's full (mechanism × ε) sweep two
 ways on the same dataset and seeds:
 
 - **legacy** — the seed implementation: ground truth recomputed per
   cell, per-window ``derive_rng`` release loops for BD/BA/landmark,
   no shared estimator state (via ``repro.runtime.reference``);
 - **batch** — the runtime's vectorized pipeline with one shared
-  :class:`~repro.experiments.runner.WorkloadEvaluation`;
-- **chunked** — the same pipeline under the bounded-memory
-  :class:`~repro.runtime.executors.ChunkedExecutor`.
+  :class:`~repro.experiments.runner.WorkloadEvaluation`.
 
-All three must produce *identical* MRE numbers (same seeds → same
+Both must produce *identical* MRE numbers (same seeds → same
 outputs); the batch executor must be at least 2× faster than the
-legacy path, and the measured speedups land in the benchmark record so
-the perf trajectory tracks them.
+legacy path, and the measured speedups (with each arm's per-round
+``_min``/``_max`` seconds) land in the benchmark record so the perf
+trajectory tracks them.
 """
 
 import time
@@ -38,7 +37,6 @@ from repro.experiments.runner import WorkloadEvaluation, sweep
 from repro.metrics.confusion import ConfusionCounts
 from repro.metrics.mre import mean_relative_error
 from repro.metrics.quality import DataQuality
-from repro.runtime import ChunkedExecutor
 from repro.runtime.reference import (
     ReferenceAnalyticEstimator,
     reference_perturb,
@@ -113,36 +111,20 @@ def _legacy_sweep(workload, config):
     return cells
 
 
-def _runtime_sweep(workload, config, executor=None):
-    if executor is None:
-        results = sweep(
-            workload,
-            epsilon_grid=config.epsilon_grid,
-            mechanisms=config.mechanisms,
-            alpha=config.alpha,
-            n_trials=config.n_trials,
-            conversion_mode=config.conversion_mode,
-            rng=config.seed,
-        )
-        return [
-            (result.mechanism, result.pattern_epsilon, result.mre)
-            for result in results
-        ]
-    context = WorkloadEvaluation(workload)
-    cells = []
-    for kind in config.mechanisms:
-        for epsilon in config.epsilon_grid:
-            result = context.evaluate(
-                kind,
-                epsilon,
-                alpha=config.alpha,
-                n_trials=config.n_trials,
-                conversion_mode=config.conversion_mode,
-                rng=derive_rng(config.seed, "sweep", kind, int(epsilon * 1000)),
-                executor=executor,
-            )
-            cells.append((result.mechanism, result.pattern_epsilon, result.mre))
-    return cells
+def _runtime_sweep(workload, config):
+    results = sweep(
+        workload,
+        epsilon_grid=config.epsilon_grid,
+        mechanisms=config.mechanisms,
+        alpha=config.alpha,
+        n_trials=config.n_trials,
+        conversion_mode=config.conversion_mode,
+        rng=config.seed,
+    )
+    return [
+        (result.mechanism, result.pattern_epsilon, result.mre)
+        for result in results
+    ]
 
 
 _ROUNDS = 5
@@ -168,38 +150,29 @@ def test_runtime_speedup(benchmark, results_dir):
     # then report per-arm medians and the median *paired* speedup —
     # pairing keeps shared-host noise from faking a trend, and the
     # median keeps one noisy round from setting the gate value.
-    legacy_times, batch_times, chunked_times, paired = [], [], [], []
+    legacy_times, batch_times, paired = [], [], []
     for _ in range(_ROUNDS):
         legacy, legacy_round = timed(
             lambda: _legacy_sweep(workload, BENCH_CONFIG)
         )
         _, batch_round = timed(lambda: _runtime_sweep(workload, BENCH_CONFIG))
-        chunked, chunked_round = timed(
-            lambda: _runtime_sweep(
-                workload, BENCH_CONFIG, executor=ChunkedExecutor(128)
-            )
-        )
         legacy_times.append(legacy_round)
         batch_times.append(batch_round)
-        chunked_times.append(chunked_round)
         paired.append(legacy_round / batch_round)
     legacy_seconds = median(legacy_times)
     batch_seconds = median(batch_times)
-    chunked_seconds = median(chunked_times)
     speedup = paired_speedup(paired)
 
-    # Same seeds → same numbers, down to the last bit, on every arm.
+    # Same seeds → same numbers, down to the last bit, on both arms.
     assert batch == legacy
-    assert chunked == legacy
 
     table = ResultTable(
         ["path", "seconds", "speedup_vs_legacy"],
-        title="runtime sweep: legacy vs batch vs chunked",
+        title="runtime sweep: legacy vs batch",
     )
     for path, seconds in (
         ("legacy", legacy_seconds),
         ("batch", batch_seconds),
-        ("chunked", chunked_seconds),
     ):
         table.add_row(
             path=path,
@@ -212,8 +185,11 @@ def test_runtime_speedup(benchmark, results_dir):
         "runtime",
         {
             "legacy_seconds": legacy_seconds,
+            "legacy_seconds_min": min(legacy_times),
+            "legacy_seconds_max": max(legacy_times),
             "batch_seconds": batch_seconds,
-            "chunked_seconds": chunked_seconds,
+            "batch_seconds_min": min(batch_times),
+            "batch_seconds_max": max(batch_times),
             "speedup_vs_legacy": legacy_seconds / batch_seconds,
             "paired_speedup": speedup,
             **ratio_spread("paired_speedup", paired),
@@ -228,7 +204,6 @@ def test_runtime_speedup(benchmark, results_dir):
     )
 
     benchmark.extra_info["legacy_seconds"] = legacy_seconds
-    benchmark.extra_info["chunked_seconds"] = chunked_seconds
     benchmark.extra_info["speedup"] = legacy_seconds / batch_seconds
     benchmark.extra_info["paired_speedup"] = speedup
 

@@ -88,7 +88,6 @@ from repro.obs import (
 )
 from repro.runtime import (
     BatchExecutor,
-    ChunkedExecutor,
     ClusterExecutor,
     ShardedExecutor,
     StreamPipeline,
@@ -177,7 +176,6 @@ __all__ = [
     "BudgetDistribution",
     "CEPEngine",
     "CallbackSink",
-    "ChunkedExecutor",
     "ClusterExecutor",
     "ConfusionCounts",
     "ContinuousQuery",

@@ -12,9 +12,10 @@ queue:
   the service layer's pump submits whole row blocks instead, one
   future per block resolving to per-query answer vectors;
 - a single drainer task steps everything queued (at most
-  ``max_pending`` windows) as one batch through the same chunk stepper
-  the synchronous session uses, so answers are identical to
-  one-by-one pushes under the same seed;
+  ``max_pending`` windows) as one batch through the release core the
+  synchronous session uses (:class:`~repro.cep.online._ReleaseCore`),
+  so answers and checkpoints are identical to one-by-one pushes under
+  the same seed;
 - the queue is bounded in windows (``max_pending``): when the stepper
   falls behind, ``submit`` suspends — backpressure propagates to the
   producer instead of buffering unboundedly;
@@ -47,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.cep.engine import CEPEngine
-from repro.cep.online import session_stepper
+from repro.cep.online import _ReleaseCore
 from repro.obs.metrics import default_registry
 from repro.obs.tracing import trace_span
 from repro.utils.rng import RngLike
@@ -57,7 +58,7 @@ _CLOSE = object()
 
 
 class AsyncSession:
-    """An asyncio ingestion loop over the service-phase chunk stepper.
+    """An asyncio ingestion loop over the sessions' shared release core.
 
     Parameters
     ----------
@@ -83,19 +84,11 @@ class AsyncSession:
         rng: RngLike = None,
         max_pending: int = 1024,
     ):
-        if not engine.queries:
-            raise ValueError("the engine has no registered queries")
         if max_pending <= 0:
             raise ValueError(
                 f"max_pending must be positive, got {max_pending}"
             )
-        self._engine = engine
-        self._pipeline = engine.service_pipeline()
-        # Build the stepper before charging: a rejected mechanism (e.g.
-        # user-level without a horizon) must not consume budget for a
-        # session that never existed.
-        self._stepper = session_stepper(engine, self._pipeline, rng)
-        engine._charge_accountant()
+        self._core = _ReleaseCore(engine, rng)
         self._max_pending = max_pending
         #: Optional block egress hook, called in the drainer once per
         #: drained batch as ``on_release(start, released, answers)``:
@@ -119,7 +112,6 @@ class AsyncSession:
         self._drainer: Optional[asyncio.Task] = None
         self._closed = False
         self._submitted = 0
-        self._processed = 0
         # End-to-end latency instrumentation: every entry carries its
         # submit time and the drainer observes submit→release once per
         # entry, weighted by its windows.  Bound to the default
@@ -164,7 +156,10 @@ class AsyncSession:
     def _drainer_idle_cancelled(self) -> bool:
         """Whether the drainer was cancelled with nothing in flight —
         what an earlier event loop's teardown does between slices."""
-        return self._drainer.cancelled() and self._submitted == self._processed
+        return (
+            self._drainer.cancelled()
+            and self._submitted == self._core.windows
+        )
 
     async def aclose(self) -> None:
         """Flush every queued window, then stop the drainer.
@@ -235,18 +230,13 @@ class AsyncSession:
         taken mid-drain would silently drop them on restore.  Raises
         ``RuntimeError`` when windows are still in flight.
         """
-        if self._submitted != self._processed:
+        queued = self._submitted - self._core.windows
+        if queued:
             raise RuntimeError(
-                f"cannot snapshot with {self._submitted - self._processed} "
-                "windows still queued; await their answers first"
+                f"cannot snapshot with {queued} windows still queued; "
+                "await their answers first"
             )
-        return {
-            "format": 1,
-            "windows": self._processed,
-            "stepper": (
-                None if self._stepper is None else self._stepper.snapshot()
-            ),
-        }
+        return self._core.snapshot()
 
     def restore(self, snapshot: Dict) -> None:
         """Resume from a checkpoint produced by :meth:`snapshot`.
@@ -255,19 +245,12 @@ class AsyncSession:
         (same engine configuration and seed) and must not have
         processed any windows yet.
         """
-        if self._submitted != self._processed:
+        if self._submitted != self._core.windows:
             raise RuntimeError(
                 "cannot restore while windows are still queued"
             )
-        stepper_state = snapshot["stepper"]
-        if (self._stepper is None) != (stepper_state is None):
-            raise ValueError(
-                "checkpoint does not match this session's mechanism "
-                "(protected vs unprotected)"
-            )
-        if self._stepper is not None:
-            self._stepper.restore(stepper_state)
-        self._submitted = self._processed = int(snapshot["windows"])
+        self._core.restore(snapshot)
+        self._submitted = self._core.windows
 
     # -- ingestion -----------------------------------------------------
 
@@ -277,7 +260,7 @@ class AsyncSession:
 
     @property
     def windows_processed(self) -> int:
-        return self._processed
+        return self._core.windows
 
     @property
     def backlog(self) -> int:
@@ -300,7 +283,8 @@ class AsyncSession:
         any answer.
         """
         return await self._enqueue(
-            self._pipeline.extractor.extract_matrix([window_types]), True
+            self._core.pipeline.extractor.extract_matrix([window_types]),
+            True,
         )
 
     async def _submit_row(
@@ -357,46 +341,20 @@ class AsyncSession:
         Ingestion and stepping overlap (bounded by ``max_pending``);
         the per-query answer lists are in submission order.
         """
-        return await self._collect(
-            [await self.submit(window) for window in type_sets]
-        )
-
-    async def run_rows(self, matrix: np.ndarray) -> Dict[str, List[bool]]:
-        """Feed an already-extracted indicator matrix in row blocks.
-
-        Skips the per-window extraction of :meth:`run` — the engine's
-        async facade uses this after its one vectorized extraction
-        pass.
-        """
-        step = self.block_rows
-        futures = [
-            await self._submit_row(matrix[start : start + step])
-            for start in range(0, matrix.shape[0], step)
-        ]
-        answers = self._empty_answers()
+        futures = [await self.submit(window) for window in type_sets]
+        answers = {
+            name: [] for name in self._core.pipeline.matcher.query_names
+        }
         for future in futures:
-            for name, vector in (await future).items():
-                answers[name].extend(vector.tolist())
-        return answers
-
-    async def _collect(
-        self, futures: List["asyncio.Future[Dict[str, bool]]"]
-    ) -> Dict[str, List[bool]]:
-        per_window = [await future for future in futures]
-        answers = self._empty_answers()
-        for window_answers in per_window:
-            for name, value in window_answers.items():
+            for name, value in (await future).items():
                 answers[name].append(value)
         return answers
-
-    def _empty_answers(self) -> Dict[str, List[bool]]:
-        return {name: [] for name in self._pipeline.matcher.query_names}
 
     # -- the drainer ---------------------------------------------------
 
     async def _drain(self) -> None:
         entries = self._entries
-        matcher = self._pipeline.matcher
+        core = self._core
         loop = asyncio.get_running_loop()
         batch: List[Tuple] = []
         try:
@@ -421,11 +379,7 @@ class AsyncSession:
                 else:
                     matrix = np.concatenate([entry[0] for entry in batch])
                 with trace_span("session.drain", windows=windows):
-                    if self._stepper is None:
-                        released = matrix
-                    else:
-                        released = self._stepper.step_block(matrix)
-                    answers = matcher.answer(released)
+                    released, answers = core.release(matrix)
                 for vector in answers.values():
                     # Futures resolve to slices of these vectors and the
                     # release hook sees them whole: no consumer may
@@ -435,7 +389,7 @@ class AsyncSession:
                 # fails this batch's futures too, so no producer holds
                 # answers for windows its sink never received.
                 if self._on_release is not None:
-                    self._on_release(self._processed, released, answers)
+                    self._on_release(core.windows, released, answers)
                 released_at = time.monotonic()
                 self._obs_windows.inc(windows)
                 position = 0
@@ -458,7 +412,7 @@ class AsyncSession:
                             }
                         future.set_result(result)
                     position += count
-                self._processed += windows
+                core.windows += windows
                 batch = []
                 # Yield to producers between batches so backpressured
                 # submitters get room before the next drain.

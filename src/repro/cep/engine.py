@@ -19,10 +19,7 @@ compiles into exactly one such constructor call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional
-
-import numpy as np
 
 from repro.cep.matcher import PatternMatcher, PatternStream
 from repro.cep.patterns import Pattern
@@ -284,9 +281,13 @@ class CEPEngine:
         The attached mechanism perturbs the stream once; all queries are
         answered from the perturbed stream.  Without a mechanism the
         answers equal the ground truth (no protection).  ``executor``
-        selects the runtime strategy (vectorized batch by default; pass
-        a :class:`~repro.runtime.executors.ChunkedExecutor` for
-        bounded-memory execution).
+        selects the runtime strategy (vectorized batch by default; a
+        :class:`~repro.runtime.executors.ShardedExecutor` or
+        :class:`~repro.runtime.cluster.ClusterExecutor` shards the
+        stream, and with ``materialize=False`` returns only the
+        answers).  Unbounded streams are served incrementally by the
+        sessions (:class:`~repro.cep.online.OnlineSession`,
+        :meth:`~repro.service.StreamService.pump`).
         """
         pipeline = self.service_pipeline()
         if stream.alphabet != self.alphabet:
@@ -294,9 +295,6 @@ class CEPEngine:
         if self._mechanism is not None:
             self._charge_accountant()
         result = pipeline.run(stream, rng=rng, executor=executor)
-        return self._report(stream, result)
-
-    def _report(self, stream: IndicatorStream, result) -> EngineReport:
         answers: Dict[str, QueryAnswer] = {
             name: QueryAnswer(name, detections)
             for name, detections in result.answers.items()
@@ -333,58 +331,6 @@ class CEPEngine:
         pipeline = self.service_pipeline()
         indicators = pipeline.extractor.extract(type_sets)
         return self.process_indicators(indicators, rng=rng, executor=executor)
-
-    async def process_events_async(
-        self,
-        stream: EventStream,
-        window_assigner,
-        *,
-        rng: RngLike = None,
-        max_pending: int = 1024,
-    ) -> EngineReport:
-        """Full service phase from raw events, via async ingestion.
-
-        Windows the event stream, then feeds every window through an
-        :class:`~repro.cep.async_session.AsyncSession` — a bounded
-        queue with backpressure draining into the mechanism's chunk
-        stepper — instead of one vectorized batch.  For every flip
-        mechanism the report is identical to :meth:`process_events`
-        under the same seed; sequential mechanisms follow the online
-        session's dedicated randomness stream, and the user-level
-        baseline (whose budget split needs the horizon) is rejected
-        with ``TypeError``.
-        """
-        from repro.cep.async_session import AsyncSession
-
-        type_sets = WindowStage(window_assigner).type_sets(stream)
-        pipeline = self.service_pipeline()
-        indicators = pipeline.extractor.extract(type_sets)
-        session = AsyncSession(self, rng=rng, max_pending=max_pending)
-        # The release hook sees every drained batch's released rows in
-        # order; the empty head keeps a windowless stream's shape.
-        released = [np.zeros((0, len(self.alphabet)), dtype=bool)]
-        session._on_release = lambda _start, rows, _answers: (
-            released.append(rows)
-        )
-        async with session:
-            released_answers = await session.run_rows(
-                indicators.matrix_view()
-            )
-        return self._report(
-            indicators,
-            SimpleNamespace(
-                answers={
-                    name: np.asarray(values, dtype=bool)
-                    for name, values in released_answers.items()
-                },
-                true_answers=pipeline.matcher.answer(
-                    indicators.matrix_view()
-                ),
-                released=IndicatorStream(
-                    self.alphabet, np.concatenate(released)
-                ),
-            ),
-        )
 
     def match(
         self,

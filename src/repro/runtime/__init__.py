@@ -2,15 +2,12 @@
 
 One vectorized pipeline — ``Source → Windower → IndicatorExtractor →
 Mechanism → Matcher → MetricsSink`` — shared by the CEP engine facade,
-the baseline mechanisms and the experiment harness, with two
+the baseline mechanisms and the experiment harness, with three
 interchangeable execution strategies:
 
 - :class:`~repro.runtime.executors.BatchExecutor` materializes the
   whole indicator matrix and runs every stage vectorized (no per-event
   Python loops in windowing, extraction or perturbation);
-- :class:`~repro.runtime.executors.ChunkedExecutor` processes windows
-  in bounded chunks for the infinite-stream scenario, producing
-  bit-identical results for every streamable mechanism;
 - :class:`~repro.runtime.executors.ShardedExecutor` fans contiguous
   window shards out over a thread pool, seeking each shard's stepper
   to its absolute start window (sequential schedulers release in the
@@ -21,6 +18,10 @@ interchangeable execution strategies:
   message protocol (shared-memory descriptors locally, framed bytes
   otherwise) with heartbeats, timeouts and requeue-on-worker-death —
   still bit-identical to the batch executor.
+
+An unbounded stream is served one block of windows at a time through a
+mechanism's chunk stepper by the service sessions
+(:mod:`repro.cep.online`), not by an executor.
 
 See ARCHITECTURE.md for how the layers map onto the runtime.
 """
@@ -34,7 +35,6 @@ from repro.runtime.cluster import ClusterExecutor
 from repro.runtime.decisions import ScanMarginError, release_distances
 from repro.runtime.executors import (
     BatchExecutor,
-    ChunkedExecutor,
     PipelineResult,
     ShardedExecutor,
 )
@@ -52,7 +52,6 @@ from repro.runtime.stages import (
 __all__ = [
     "ArrayDescriptor",
     "BatchExecutor",
-    "ChunkedExecutor",
     "ClusterExecutor",
     "FlipStepper",
     "IndexedRngPool",

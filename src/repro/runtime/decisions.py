@@ -29,8 +29,8 @@ directly; this module holds the numeric helpers it decides with:
     Every row is decided in one tight loop.  The budget hook runs once
     per constant-budget stretch (the scheduler's ``_budget_until``),
     zero-budget stretches are hopped, skip runs are applied as one
-    ``released[a:b]`` fill and the trace columns are written once per
-    block.  Only publishing rows (and ``u <= 0`` rows) draw from a child
+    ``released[a:b]`` fill and only publications are logged to the
+    trace.  Only publishing rows (and ``u <= 0`` rows) draw from a child
     generator, and every row near a decision boundary is decided by the
     exact scalar arithmetic, preserving bit-identity by construction.
 

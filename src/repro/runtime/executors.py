@@ -1,22 +1,20 @@
 """Execution strategies for the streaming pipeline.
 
-Both executors take the same prepared pipeline and produce the same
+Every executor takes the same prepared pipeline and produces the same
 :class:`PipelineResult` — the difference is purely operational:
 
 - :class:`BatchExecutor` materializes the indicator matrix end-to-end
-  and perturbs it in one vectorized pass (fastest; needs the whole
-  stream);
-- :class:`ChunkedExecutor` walks the stream in bounded chunks through a
-  mechanism stepper, for the infinite-stream deployment shape.  Under
-  the same seed its outputs are bit-identical to the batch executor for
-  every streamable mechanism (pinned by
-  ``tests/property/test_property_runtime.py``);
+  and perturbs it in one vectorized pass;
 - :class:`ShardedExecutor` partitions the windows into contiguous
   shards and runs each through a seeked chunk stepper on a thread
   pool.  Its outputs are bit-identical to the batch executor under the
   same seed, because every shard draws its randomness by absolute
   window index (see :mod:`repro.runtime.sharding`).  The multi-process
   counterpart is :class:`~repro.runtime.cluster.ClusterExecutor`.
+
+An unbounded stream is not an executor's job: the service sessions
+(:mod:`repro.cep.online`, :mod:`repro.cep.async_session`) step it
+one block of windows at a time.
 """
 
 from __future__ import annotations
@@ -87,97 +85,6 @@ class BatchExecutor:
             n_windows=len(indicators),
             original=indicators,
             released=released,
-            sink=sink,
-        )
-
-
-class ChunkedExecutor:
-    """Bounded-memory execution in window chunks.
-
-    Parameters
-    ----------
-    chunk_size:
-        Windows processed per step.
-    materialize:
-        Keep the original/released indicator streams on the result.
-        ``False`` keeps memory proportional to ``chunk_size`` (the
-        per-query answer vectors still accumulate — they are one bool
-        per window per query).
-    """
-
-    def __init__(self, chunk_size: int = 256, *, materialize: bool = True):
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
-        self.materialize = materialize
-
-    def run(
-        self,
-        pipeline,
-        indicators: IndicatorStream,
-        *,
-        rng: RngLike = None,
-    ) -> PipelineResult:
-        matrix = indicators.matrix_view()
-        alphabet = indicators.alphabet
-        stepper = pipeline.runtime_mechanism.stepper(
-            alphabet, rng=rng, horizon=matrix.shape[0]
-        )
-        matcher = pipeline.matcher
-        sink = MetricsSink(alpha=pipeline.alpha)
-        answer_parts: Dict[str, list] = {
-            name: [] for name in matcher.query_names
-        }
-        truth_parts: Dict[str, list] = {
-            name: [] for name in matcher.query_names
-        }
-        original_parts = []
-        released_parts = []
-        n_windows = 0
-        for start in range(0, matrix.shape[0], self.chunk_size):
-            chunk = matrix[start : start + self.chunk_size]
-            n_windows += chunk.shape[0]
-            released = stepper.step_block(chunk)
-            chunk_answers = matcher.answer(released)
-            chunk_truth = matcher.answer(chunk)
-            sink.update(chunk_truth, chunk_answers)
-            for name in matcher.query_names:
-                answer_parts[name].append(chunk_answers[name])
-                truth_parts[name].append(chunk_truth[name])
-            if self.materialize:
-                original_parts.append(chunk)
-                released_parts.append(released)
-
-        def join(parts):
-            if not parts:
-                return np.zeros(0, dtype=bool)
-            return np.concatenate(parts)
-
-        answers = {name: join(parts) for name, parts in answer_parts.items()}
-        true_answers = {
-            name: join(parts) for name, parts in truth_parts.items()
-        }
-        original = released_stream = None
-        if self.materialize:
-            width = len(alphabet)
-            original = IndicatorStream(
-                alphabet,
-                np.concatenate(original_parts)
-                if original_parts
-                else np.zeros((0, width), dtype=bool),
-            )
-            released_stream = IndicatorStream(
-                alphabet,
-                np.concatenate(released_parts)
-                if released_parts
-                else np.zeros((0, width), dtype=bool),
-            )
-        return PipelineResult(
-            answers=answers,
-            true_answers=true_answers,
-            n_windows=n_windows,
-            original=original,
-            released=released_stream,
             sink=sink,
         )
 

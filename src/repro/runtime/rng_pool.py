@@ -1,7 +1,7 @@
 """Vectorized derivation of per-index child generators.
 
-The sequential mechanisms (BD/BA, landmark) and the chunked executor
-derive one child generator per window:
+The sequential mechanisms (BD/BA, landmark) derive one child generator
+per window:
 ``derive_rng(rng, *tokens, index)`` for ``index = 0, 1, 2, ...``.  Done
 naively that derivation dominates their runtime — every call pays for a
 ``numpy.random.SeedSequence`` construction and a fresh ``Generator``

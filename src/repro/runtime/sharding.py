@@ -230,7 +230,7 @@ def _record(
         outputs.answers[row, window] = answers[name]
         outputs.truth[row, window] = truth[name]
     # Accumulate through the sink so sharded counting can never diverge
-    # from the batch/chunked micro-averaging rule.
+    # from the batch micro-averaging rule.
     sink = MetricsSink()
     sink.update(truth, answers)
     return ShardReceipt(shard=shard, counts=sink.confusion)
@@ -375,8 +375,9 @@ def checkpoint_prepass(
     """The sequential phase of a checkpointed run, in the parent.
 
     For BD/BA this is the run's one release: the ``step_block`` call
-    the batch path makes, through the w-event decision loop
-    (:mod:`repro.runtime.decisions`), which also publishes
+    the batch path makes, through
+    :class:`~repro.baselines.w_event.OnlineReleaser` (its decision
+    helpers live in :mod:`repro.runtime.decisions`), which also publishes
     ``mechanism.last_trace``.  The shards then only match their slices
     of the released rows.
 

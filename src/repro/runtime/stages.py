@@ -177,9 +177,9 @@ class QueryMatcher:
 class MetricsSink:
     """Accumulates released-versus-truth confusion across queries.
 
-    Micro-averaged over all queries (Section III-B); chunked execution
-    updates the sink incrementally, so metrics never require the full
-    stream in memory.
+    Micro-averaged over all queries (Section III-B); the sink updates
+    block by block (sharded runs count per shard and merge), so
+    metrics never require the full stream in memory.
     """
 
     def __init__(self, *, alpha: float = 0.5):

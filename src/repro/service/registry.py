@@ -743,19 +743,6 @@ def _build_batch_executor():
     return BatchExecutor()
 
 
-@register_executor(
-    "chunked",
-    keys=(SpecKey("size", dest="chunk_size"), SpecKey("materialize")),
-)
-def _build_chunked_executor(
-    chunk_size: int = 256, *, materialize: bool = True
-):
-    """Bounded-memory chunked execution: ``"chunked:size=512"``."""
-    from repro.runtime.executors import ChunkedExecutor
-
-    return ChunkedExecutor(chunk_size, materialize=materialize)
-
-
 #: The pointed error of every sharded spec asking for processes or a
 #: shard transport: multi-process sharding is the cluster executor.
 _USE_CLUSTER = (

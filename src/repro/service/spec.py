@@ -275,8 +275,8 @@ class ServiceSpec:
         ``{"epsilon": 2.0}``), checked at construction against the
         keys the mechanism's spec string accepts.
     executor:
-        Registered executor spec (``"batch"``, ``"chunked:size=512"``,
-        ``"sharded:workers=4"``, ``"cluster:workers=8"``, ...).
+        Registered executor spec (``"batch"``, ``"sharded:workers=4"``,
+        ``"cluster:workers=8"``, or a plugin's name).
     executor_options:
         Keyword options for the executor factory.
     source:

@@ -11,7 +11,9 @@ from repro.cep.engine import CEPEngine
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.datasets.synthetic import SyntheticConfig, synthesize_dataset
+from repro.io import registry as io_registry
 from repro.runtime.shm import leaked_segments
+from repro.service import registry as service_registry
 from repro.streams.events import Event
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.streams.stream import EventStream
@@ -35,6 +37,77 @@ def _no_shared_memory_leaks():
         f"test run leaked shared-memory segments: {stray} — some "
         "SegmentPlane was never closed"
     )
+
+
+#: Every plugin registry a test may register into.
+_REGISTRIES = (
+    service_registry._MECHANISMS,
+    service_registry._EXECUTORS,
+    io_registry._SOURCES,
+    io_registry._SINKS,
+)
+
+
+@pytest.fixture(autouse=True)
+def _scoped_plugin_registrations():
+    """Undo every plugin a test registers once the test ends.
+
+    The registries are module-global tables; without this a plugin one
+    test module registers shows up in ``registered_*()`` and in the
+    spec strategies of every module that runs after it.
+    """
+    saved = [
+        {
+            name: dict(table)
+            for name, table in vars(registry).items()
+            if isinstance(table, dict)
+        }
+        for registry in _REGISTRIES
+    ]
+    yield
+    for registry, tables in zip(_REGISTRIES, saved):
+        for name, contents in tables.items():
+            table = getattr(registry, name)
+            table.clear()
+            table.update(contents)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_leaked_test_plugins():
+    """Fail the run if a ``test-`` plugin is still registered at its
+    end — a registration that escaped the per-test scoping above."""
+    yield
+    stray = sorted(
+        name
+        for registry in _REGISTRIES
+        for name in registry.names()
+        if name.startswith("test-")
+    )
+    assert not stray, f"test run leaked plugin registrations: {stray}"
+
+
+@pytest.fixture(scope="session")
+def step_in_chunks():
+    """Step a pipeline's mechanism over a stream in ``size``-window
+    chunks through one chunk stepper; return the released matrix.
+
+    Any split of a stream must release exactly what
+    :class:`~repro.runtime.BatchExecutor` releases under the same
+    seed — the chunk invariance the service sessions rely on.
+    """
+
+    def step(pipeline, stream, size, rng):
+        matrix = stream.matrix_view()
+        stepper = pipeline.runtime_mechanism.stepper(
+            stream.alphabet, rng=rng, horizon=len(matrix)
+        )
+        blocks = [
+            stepper.step_block(matrix[start : start + size])
+            for start in range(0, len(matrix), size)
+        ]
+        return np.concatenate(blocks) if blocks else matrix.copy()
+
+    return step
 
 
 class _LostExceptions(logging.Handler):

@@ -1,6 +1,7 @@
 """Async ingestion sessions: parity, backpressure and flush-on-close."""
 
 import asyncio
+import pickle
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from repro.cep import (
     OnlineSession,
     Pattern,
 )
+from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
-from repro.streams.events import Event
 from repro.streams.indicator import EventAlphabet, IndicatorStream
-from repro.streams.stream import EventStream
-from repro.streams.windows import TumblingWindows
 
 ALPHABET = EventAlphabet.numbered(5)
 
@@ -178,7 +177,7 @@ class TestAsyncSession:
 
         async def failing():
             session = AsyncSession(make_engine(), rng=1, max_pending=4)
-            session._stepper = ExplodingStepper()
+            session._core.stepper = ExplodingStepper()
             future = await session.submit(["e1"])
             with pytest.raises(RuntimeError, match="stepper blew up"):
                 await session.aclose()
@@ -196,7 +195,7 @@ class TestAsyncSession:
 
         async def go():
             session = AsyncSession(make_engine(), rng=1, max_pending=4)
-            session._stepper = ExplodingStepper()
+            session._core.stepper = ExplodingStepper()
             future = await session.submit(["e1"])
             with pytest.raises(RuntimeError):
                 await future
@@ -221,6 +220,53 @@ class TestAsyncSession:
         ).run(stream)
         assert asyncio.run(go()) == sync_answers
 
+    @pytest.mark.parametrize(
+        "mechanism_factory",
+        [
+            lambda: "uniform",
+            lambda: MultiPatternPPM(
+                [
+                    UniformPatternPPM(Pattern.of_types("p1", "e1"), 1.0),
+                    UniformPatternPPM(Pattern.of_types("p2", "e3"), 0.5),
+                ]
+            ),
+        ],
+        ids=["uniform-ppm", "multi-ppm"],
+    )
+    def test_answers_match_batch_for_flip_mechanisms(
+        self, mechanism_factory
+    ):
+        stream = make_stream(150)
+        batch = make_engine(mechanism_factory()).process_indicators(
+            stream, rng=7
+        )
+
+        async def go():
+            async with AsyncSession(
+                make_engine(mechanism_factory()), rng=7, max_pending=16
+            ) as session:
+                return await session.run(type_sets_of(stream))
+
+        answers = asyncio.run(go())
+        assert set(answers) == set(batch.answers)
+        for name, answer in batch.answers.items():
+            assert answers[name] == [bool(v) for v in answer.detections]
+
+    def test_accounting_charged_once_per_session(self):
+        engine = make_engine(accounting=10.0)
+        accountant = engine.accountant
+        windows = type_sets_of(make_stream(100))
+
+        async def go(seed):
+            async with AsyncSession(engine, rng=seed) as session:
+                await session.run(windows)
+
+        asyncio.run(go(1))
+        # One spend for the whole session, not one per window or batch.
+        assert accountant.spent() == pytest.approx(1.0)
+        asyncio.run(go(2))
+        assert accountant.spent() == pytest.approx(2.0)
+
 
 class TestAsyncCheckpointResume:
     @pytest.mark.parametrize(
@@ -234,8 +280,6 @@ class TestAsyncCheckpointResume:
     def test_restored_session_matches_uninterrupted(
         self, mechanism_factory
     ):
-        import pickle
-
         stream = make_stream(60)
         windows = type_sets_of(stream)
 
@@ -276,49 +320,117 @@ class TestAsyncCheckpointResume:
         asyncio.run(go())
 
 
-class TestProcessEventsAsync:
-    def make_events(self, n=300, seed=8):
-        rng = np.random.default_rng(seed)
-        return EventStream(
+def recorded(session):
+    """Record every block the session's release core releases."""
+    rows = []
+    release = session._core.release
+
+    def record(block):
+        released, answers = release(block)
+        rows.append(released)
+        return released, answers
+
+    session._core.release = record
+    return rows
+
+
+def run_online(session, stream, start, stop):
+    window = IndicatorStream(ALPHABET, stream.matrix_view()[start:stop])
+    return session.run(window)
+
+
+def run_async(session, stream, start, stop):
+    async def go():
+        async with session:
+            return await session.run(type_sets_of(stream)[start:stop])
+
+    return asyncio.run(go())
+
+
+#: Session kind → (constructor, runner over windows ``[start, stop)``).
+SESSION_KINDS = {
+    "online": (OnlineSession, run_online),
+    "async": (AsyncSession, run_async),
+}
+
+#: An online-session snapshot of ``make_engine()`` at seed 11 after the
+#: first 40 windows of ``make_stream(120)``, as written before both
+#: session kinds shared one release core: checkpoints in this format
+#: must keep resuming.
+PARENT_FORMAT_SNAPSHOT = {
+    "format": 1,
+    "windows": 40,
+    "stepper": {
+        "children": [
             [
-                Event(f"e{rng.integers(1, 6)}", float(t))
-                for t in range(n)
+                {
+                    "bit_generator": "PCG64",
+                    "state": {
+                        "state": 304796664864065657233814821946281501637,
+                        "inc": 256661977964380715300135134823031587865,
+                    },
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
             ]
-        )
+        ]
+    },
+}
 
-    def test_report_matches_batch_for_flip_mechanisms(self):
-        events = self.make_events()
-        engine = make_engine()
-        batch = engine.process_events(events, TumblingWindows(10.0), rng=7)
-        report = asyncio.run(
-            engine.process_events_async(events, TumblingWindows(10.0), rng=7)
-        )
-        assert report.perturbed == batch.perturbed
-        assert report.original == batch.original
-        for name in batch.answers:
-            assert np.array_equal(
-                report.answers[name].detections,
-                batch.answers[name].detections,
-            )
-            assert np.array_equal(
-                report.true_answers[name].detections,
-                batch.true_answers[name].detections,
-            )
-        assert report.measured_quality() == batch.measured_quality()
 
-    def test_accounting_charged_once_per_async_run(self):
-        events = self.make_events(100)
-        engine = make_engine(accounting=10.0)
-        accountant = engine.accountant
-        asyncio.run(
-            engine.process_events_async(events, TumblingWindows(10.0), rng=1)
+class TestOneSnapshotFormat:
+    """Both session kinds write and restore the same checkpoint."""
+
+    @pytest.mark.parametrize(
+        "first, second", [("online", "async"), ("async", "online")]
+    )
+    @pytest.mark.parametrize(
+        "mechanism_factory",
+        [
+            lambda: "uniform",
+            lambda: BudgetDistribution(1.0, w=5),
+        ],
+        ids=["uniform-ppm", "bd"],
+    )
+    def test_snapshot_resumes_on_the_other_kind(
+        self, first, second, mechanism_factory
+    ):
+        stream = make_stream(90)
+        cut = 37
+        straight = OnlineSession(make_engine(mechanism_factory()), rng=6)
+        straight_rows = recorded(straight)
+        expected = run_online(straight, stream, 0, stream.n_windows)
+
+        make_head, run_head = SESSION_KINDS[first]
+        head_session = make_head(make_engine(mechanism_factory()), rng=6)
+        head_rows = recorded(head_session)
+        head = run_head(head_session, stream, 0, cut)
+        snapshot = pickle.loads(pickle.dumps(head_session.snapshot()))
+        assert set(snapshot) == {"format", "windows", "stepper"}
+
+        make_tail, run_tail = SESSION_KINDS[second]
+        resumed = make_tail(make_engine(mechanism_factory()), rng=6)
+        resumed.restore(snapshot)
+        tail_rows = recorded(resumed)
+        tail = run_tail(resumed, stream, cut, stream.n_windows)
+
+        assert {name: head[name] + tail[name] for name in head} == expected
+        assert np.array_equal(
+            np.concatenate(head_rows + tail_rows),
+            np.concatenate(straight_rows),
         )
-        spent_once = accountant.spent()
-        assert spent_once > 0
-        asyncio.run(
-            engine.process_events_async(events, TumblingWindows(10.0), rng=2)
-        )
-        assert accountant.spent() == pytest.approx(2 * spent_once)
+        assert resumed.windows_processed == stream.n_windows
+
+    @pytest.mark.parametrize("kind", sorted(SESSION_KINDS))
+    def test_parent_format_snapshot_resumes(self, kind):
+        stream = make_stream(120)
+        expected = OnlineSession(make_engine(), rng=11).run(stream)
+        make, run = SESSION_KINDS[kind]
+        resumed = make(make_engine(), rng=11)
+        resumed.restore(PARENT_FORMAT_SNAPSHOT)
+        tail = run(resumed, stream, 40, stream.n_windows)
+        assert tail == {name: values[40:] for name, values in expected.items()}
+        assert resumed.windows_processed == stream.n_windows
 
 
 class TestQueueSourceBackpressure:

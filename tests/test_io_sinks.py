@@ -70,14 +70,8 @@ class TestRegistry:
             def __init__(self):
                 super().__init__(lambda i, row, answers: writes.append(i))
 
-        try:
-            drain(resolve_sink("test-collect"), stream)
-            assert writes == list(range(stream.n_windows))
-        finally:
-            from repro.io.registry import _SINKS
-
-            del _SINKS._factories["test-collect"]
-            del _SINKS._canonical["test-collect"]
+        drain(resolve_sink("test-collect"), stream)
+        assert writes == list(range(stream.n_windows))
 
     def test_unopened_sink_fails_pointedly(self):
         with pytest.raises(RuntimeError, match="not open"):

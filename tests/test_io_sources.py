@@ -82,15 +82,9 @@ class TestRegistry:
             def __init__(self, n=3):
                 super().__init__(np.ones((n, len(ALPHABET)), dtype=bool))
 
-        try:
-            out = materialized(resolve_source("test-constant:n=2"))
-            assert out.n_windows == 2
-            assert out.matrix_view().all()
-        finally:
-            from repro.io.registry import _SOURCES
-
-            del _SOURCES._factories["test-constant"]
-            del _SOURCES._canonical["test-constant"]
+        out = materialized(resolve_source("test-constant:n=2"))
+        assert out.n_windows == 2
+        assert out.matrix_view().all()
 
 
 class TestCsvSource:

@@ -109,7 +109,6 @@ SERVING_SIGNATURES = {
         "burst",
         "clock",
     ],
-    ("CEPEngine", "process_events_async"): ["rng", "max_pending"],
 }
 
 
@@ -164,6 +163,30 @@ class TestMechanismKeys:
 
         keys = [key.name for key in _MECHANISMS.keys_for(name)]
         assert keys == MECHANISM_KEYS[name]
+
+
+#: Key=value spec keys of every built-in executor, read through the
+#: executor registry.  An executor that comes back (or goes) is a
+#: deliberate diff to this table.
+EXECUTOR_KEYS = {
+    "batch": [],
+    "cluster": ["workers", "transport"],
+    "sharded": ["backend", "workers", "transport"],
+}
+
+
+class TestExecutorKeys:
+    def test_registered_executors_are_pinned(self):
+        from repro.service import registered_executors
+
+        assert registered_executors() == ("batch", "cluster", "sharded")
+
+    @pytest.mark.parametrize("name", sorted(EXECUTOR_KEYS))
+    def test_spec_keys_are_pinned(self, name):
+        from repro.service.registry import _EXECUTORS
+
+        keys = [key.name for key in _EXECUTORS.keys_for(name)]
+        assert keys == EXECUTOR_KEYS[name]
 
 
 class TestDocstrings:

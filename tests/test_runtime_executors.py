@@ -1,9 +1,10 @@
-"""Edge-case parity of the chunked executor against the batch executor.
+"""Edge-case parity of chunk stepping against the batch executor.
 
 The property suite (``tests/property/test_property_runtime.py``) drives
 random streams and chunk sizes; these tests pin the degenerate corners
 explicitly — empty streams, chunk sizes past the stream end, and
-window-at-a-time stepping — for every streamable mechanism family.
+window-at-a-time stepping — for every streamable mechanism family,
+stepping the mechanism's chunk stepper as the service sessions do.
 Every executor also reports the window count it ran, even with no
 queries and no materialized streams.
 """
@@ -19,7 +20,6 @@ from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
 from repro.runtime import (
     BatchExecutor,
-    ChunkedExecutor,
     ClusterExecutor,
     ShardedExecutor,
     StreamPipeline,
@@ -53,51 +53,30 @@ def mechanisms():
     }
 
 
-def assert_bit_identical(left, right):
-    assert left.original == right.original
-    assert left.released == right.released
-    assert set(left.answers) == set(right.answers)
-    for name, detections in right.answers.items():
-        assert np.array_equal(left.answers[name], detections)
-        assert np.array_equal(
-            left.true_answers[name], right.true_answers[name]
-        )
-    assert left.quality() == right.quality()
+def assert_released_like_batch(step_in_chunks, kind, n_windows, size, seed):
+    pipeline = StreamPipeline(
+        ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
+    )
+    stream = make_stream(n_windows)
+    batch = BatchExecutor().run(pipeline, stream, rng=seed)
+    released = step_in_chunks(pipeline, stream, size, seed)
+    assert IndicatorStream(ALPHABET, released) == batch.released
 
 
-class TestChunkedEdgeCases:
+class TestChunkSteppingEdgeCases:
     @pytest.mark.parametrize("kind", list(mechanisms()))
-    def test_empty_stream_matches_batch(self, kind):
-        pipeline = StreamPipeline(
-            ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
-        )
-        stream = make_stream(0)
-        batch = BatchExecutor().run(pipeline, stream, rng=17)
-        chunked = ChunkedExecutor(8).run(pipeline, stream, rng=17)
-        assert chunked.n_windows == 0
-        assert_bit_identical(chunked, batch)
-        for vector in chunked.answers.values():
-            assert vector.shape == (0,)
+    def test_empty_stream_matches_batch(self, kind, step_in_chunks):
+        assert_released_like_batch(step_in_chunks, kind, 0, 8, 17)
 
     @pytest.mark.parametrize("kind", list(mechanisms()))
-    def test_chunk_size_past_stream_end_matches_batch(self, kind):
-        pipeline = StreamPipeline(
-            ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
-        )
-        stream = make_stream(23)
-        batch = BatchExecutor().run(pipeline, stream, rng=23)
-        chunked = ChunkedExecutor(1000).run(pipeline, stream, rng=23)
-        assert_bit_identical(chunked, batch)
+    def test_chunk_size_past_stream_end_matches_batch(
+        self, kind, step_in_chunks
+    ):
+        assert_released_like_batch(step_in_chunks, kind, 23, 1000, 23)
 
     @pytest.mark.parametrize("kind", list(mechanisms()))
-    def test_chunk_size_one_matches_batch(self, kind):
-        pipeline = StreamPipeline(
-            ALPHABET, queries=QUERIES, mechanism=mechanisms()[kind]
-        )
-        stream = make_stream(31)
-        batch = BatchExecutor().run(pipeline, stream, rng=31)
-        chunked = ChunkedExecutor(1).run(pipeline, stream, rng=31)
-        assert_bit_identical(chunked, batch)
+    def test_chunk_size_one_matches_batch(self, kind, step_in_chunks):
+        assert_released_like_batch(step_in_chunks, kind, 31, 1, 31)
 
     def test_empty_stream_without_materialize(self):
         pipeline = StreamPipeline(
@@ -105,22 +84,23 @@ class TestChunkedEdgeCases:
             queries=QUERIES,
             mechanism=mechanisms()["uniform"],
         )
-        result = ChunkedExecutor(4, materialize=False).run(
+        result = ShardedExecutor(2, materialize=False).run(
             pipeline, make_stream(0), rng=3
         )
         assert result.original is None and result.released is None
         assert result.n_windows == 0
+        for vector in result.answers.values():
+            assert vector.shape == (0,)
 
 
 @pytest.mark.parametrize(
     "make_executor",
     [
         BatchExecutor,
-        lambda: ChunkedExecutor(16, materialize=False),
         lambda: ShardedExecutor(3, materialize=False),
         lambda: ClusterExecutor(2, materialize=False),
     ],
-    ids=["batch", "chunked", "sharded", "cluster"],
+    ids=["batch", "sharded", "cluster"],
 )
 def test_window_count_without_queries_or_streams(make_executor):
     # Regression: the count used to be read off the materialized stream

@@ -13,10 +13,10 @@ from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
 from repro.runtime import (
     BatchExecutor,
-    ChunkedExecutor,
     IndicatorExtractor,
     MetricsSink,
     QueryMatcher,
+    ShardedExecutor,
     StreamPipeline,
     WindowStage,
     runtime_mechanism,
@@ -175,27 +175,22 @@ MECHANISMS = {
 }
 
 
-class TestChunkedMatchesBatch:
+class TestChunkSteppingMatchesBatch:
     @pytest.mark.parametrize("kind", sorted(MECHANISMS))
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1000])
     def test_bit_identity(
-        self, kind, chunk_size, alphabet6, stream200, queries
+        self, kind, chunk_size, alphabet6, stream200, queries, step_in_chunks
     ):
         pipeline = StreamPipeline(
             alphabet6, queries=queries, mechanism=MECHANISMS[kind]()
         )
         batch = BatchExecutor().run(pipeline, stream200, rng=42)
-        chunked = ChunkedExecutor(chunk_size).run(pipeline, stream200, rng=42)
-        assert chunked.released == batch.released
-        assert chunked.original == batch.original
-        for name in batch.answers:
-            assert np.array_equal(chunked.answers[name], batch.answers[name])
-            assert np.array_equal(
-                chunked.true_answers[name], batch.true_answers[name]
-            )
-        assert chunked.quality() == batch.quality()
+        released = step_in_chunks(pipeline, stream200, chunk_size, 42)
+        assert IndicatorStream(alphabet6, released) == batch.released
 
-    def test_landmark_bit_identity(self, alphabet6, stream200, queries):
+    def test_landmark_bit_identity(
+        self, alphabet6, stream200, queries, step_in_chunks
+    ):
         mask = stream200.column("e1")
         pipeline = StreamPipeline(
             alphabet6,
@@ -203,20 +198,20 @@ class TestChunkedMatchesBatch:
             mechanism=LandmarkPrivacy(1.0, landmarks=mask),
         )
         batch = BatchExecutor().run(pipeline, stream200, rng=9)
-        chunked = ChunkedExecutor(13).run(pipeline, stream200, rng=9)
-        assert chunked.released == batch.released
+        released = step_in_chunks(pipeline, stream200, 13, 9)
+        assert IndicatorStream(alphabet6, released) == batch.released
 
     def test_unmaterialized_keeps_metrics(self, alphabet6, stream200, queries):
         pipeline = StreamPipeline(
             alphabet6, queries=queries, mechanism=MECHANISMS["uniform"]()
         )
         batch = BatchExecutor().run(pipeline, stream200, rng=1)
-        chunked = ChunkedExecutor(32, materialize=False).run(
+        sharded = ShardedExecutor(2, materialize=False).run(
             pipeline, stream200, rng=1
         )
-        assert chunked.released is None and chunked.original is None
-        assert chunked.quality() == batch.quality()
-        assert chunked.n_windows == stream200.n_windows
+        assert sharded.released is None and sharded.original is None
+        assert sharded.quality() == batch.quality()
+        assert sharded.n_windows == stream200.n_windows
 
 
 class TestPipelineSources:
@@ -249,10 +244,10 @@ class TestPipelineSources:
         result = pipeline.run(windows)
         assert result.original.window_types(0) == {"e2", "e3"}
 
-    def test_run_from_type_sets_chunked(self, alphabet6, queries):
+    def test_run_from_type_sets_sharded(self, alphabet6, queries):
         type_sets = [{"e2", "e3", "e4"}, {"e1"}, {"e2", "e3", "e4"}]
         pipeline = StreamPipeline(alphabet6, queries=queries)
-        result = pipeline.run(type_sets, executor=ChunkedExecutor(2))
+        result = pipeline.run(type_sets, executor=ShardedExecutor(2))
         assert list(result.answers["q"]) == [True, False, True]
 
     def test_events_without_windower_rejected(self, alphabet6, queries):
@@ -269,7 +264,7 @@ class TestPipelineSources:
 
 
 class TestSequentialTraceBookkeeping:
-    def test_chunked_run_populates_last_trace(
+    def test_sharded_run_populates_last_trace(
         self, alphabet6, stream200, queries
     ):
         from repro.cep.engine import CEPEngine
@@ -279,14 +274,14 @@ class TestSequentialTraceBookkeeping:
             alphabet6, queries=[queries[0]], mechanism=mechanism
         )
         engine.process_indicators(
-            stream200, rng=3, executor=ChunkedExecutor(17)
+            stream200, rng=3, executor=ShardedExecutor(2, n_shards=3)
         )
         assert mechanism.last_trace is not None
         assert len(mechanism.last_trace.published) == stream200.n_windows
 
 
 class TestEngineExecutorPlumbing:
-    def test_engine_accepts_chunked_executor(
+    def test_engine_accepts_sharded_executor(
         self, alphabet6, stream200, private_pattern, target_pattern
     ):
         from repro.cep.engine import CEPEngine
@@ -298,10 +293,10 @@ class TestEngineExecutorPlumbing:
             mechanism=UniformPatternPPM(private_pattern, 2.0),
         )
         batch = engine.process_indicators(stream200, rng=5)
-        chunked = engine.process_indicators(
-            stream200, rng=5, executor=ChunkedExecutor(17)
+        sharded = engine.process_indicators(
+            stream200, rng=5, executor=ShardedExecutor(2, n_shards=3)
         )
         assert list(batch.answers["q"].detections) == list(
-            chunked.answers["q"].detections
+            sharded.answers["q"].detections
         )
-        assert batch.perturbed == chunked.perturbed
+        assert batch.perturbed == sharded.perturbed

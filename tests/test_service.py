@@ -74,10 +74,10 @@ class TestConstruction:
 
     def test_executor_options_forwarded(self):
         service = spec_for(
-            executor="chunked",
-            executor_options={"chunk_size": 16, "materialize": False},
+            executor="sharded",
+            executor_options={"n_shards": 5, "materialize": False},
         ).build()
-        assert service.executor.chunk_size == 16
+        assert service.executor.n_shards == 5
         assert service.executor.materialize is False
 
     def test_sharded_executor_spec_forms(self):

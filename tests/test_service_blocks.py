@@ -161,10 +161,9 @@ def reference(spec, matrix, sink):
     answers = {name: [] for name in matcher.query_names}
     for index, row in enumerate(matrix):
         window = row.reshape(1, -1)
-        released = session._release(window)
+        released, window_answers = session._core.release(window)
         verdicts = {
-            name: bool(vector[0])
-            for name, vector in matcher.answer(released).items()
+            name: bool(vector[0]) for name, vector in window_answers.items()
         }
         truth = {
             name: bool(vector[0])
@@ -793,7 +792,7 @@ class TestSessionAcrossEventLoops:
         def boom(rows):
             raise RuntimeError("stepping failed")
 
-        monkeypatch.setattr(session._stepper, "step_block", boom)
+        monkeypatch.setattr(session._core.stepper, "step_block", boom)
         with pytest.raises(RuntimeError, match="stepping failed"):
             asyncio.run(service.pump(max_windows=40))
         drainer = session._drainer
@@ -831,9 +830,16 @@ class TestSessionAcrossEventLoops:
         service = spec.build()
         head = asyncio.run(service.pump(MemorySource(matrix), max_windows=40))
 
+        rest_stream = IndicatorStream(ALPHABET, matrix[40:])
+
         async def rest():
             async with service.session as session:
-                return await session.run_rows(matrix[40:])
+                return await session.run(
+                    [
+                        rest_stream.window_types(index)
+                        for index in range(rest_stream.n_windows)
+                    ]
+                )
 
         tail = asyncio.run(rest())
         stitched = {name: head[name] + tail[name] for name in expected}

@@ -23,7 +23,6 @@ from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
 from repro.runtime.executors import (
     BatchExecutor,
-    ChunkedExecutor,
     ShardedExecutor,
 )
 from repro.service import ServiceSpec, StreamService
@@ -110,12 +109,14 @@ MECHANISMS = [
     ),
 ]
 
-#: (executor spec, imperative equivalent factory) — all three runtime
+#: (executor spec, imperative equivalent factory) — the in-process
 #: execution strategies.
 EXECUTORS = [
     ("batch", BatchExecutor),
-    ("chunked:size=32", lambda: ChunkedExecutor(32)),
     ("sharded:workers=2", lambda: ShardedExecutor(2)),
+    # Seven uneven shards (17/18 windows) put boundaries at offsets no
+    # mechanism period lines up with.
+    ("sharded:workers=7", lambda: ShardedExecutor(7)),
 ]
 
 

@@ -20,7 +20,6 @@ from repro.service import (
     registered_executors,
     registered_mechanisms,
 )
-from repro.service.registry import mechanism_factory_accepts
 from repro.streams.indicator import EventAlphabet
 
 
@@ -108,9 +107,9 @@ class TestConstructionNormalization:
 
     def test_with_replaces_fields(self):
         spec = small_spec()
-        other = spec.with_(seed=9, executor="chunked:size=64")
+        other = spec.with_(seed=9, executor="sharded:workers=2")
         assert other.seed == 9
-        assert other.executor == "chunked:size=64"
+        assert other.executor == "sharded:workers=2"
         assert other.alphabet == spec.alphabet
         assert spec.seed == 7
 
@@ -278,15 +277,12 @@ def service_specs(draw):
         st.one_of(st.none(), st.sampled_from(sorted(registered_mechanisms())))
     )
     options = {}
-    # Plugins registered by other test modules may take no epsilon.
-    if mechanism is not None and mechanism_factory_accepts(
-        mechanism, "epsilon"
-    ):
+    if mechanism is not None:
         options["epsilon"] = draw(
             st.floats(min_value=0.1, max_value=8.0, allow_nan=False)
         )
     executor = draw(
-        st.sampled_from(["batch", "chunked:size=64", "sharded:workers=2"])
+        st.sampled_from(["batch", "sharded:workers=2", "cluster:workers=2"])
     )
     return ServiceSpec(
         alphabet=alphabet,

@@ -26,7 +26,7 @@ from repro.io.registry import _SINKS, _SOURCES
 from repro.io.sinks import MetricsSink
 from repro.io.sources import SyntheticSource
 from repro.runtime.cluster import ClusterExecutor
-from repro.runtime.executors import ChunkedExecutor, ShardedExecutor
+from repro.runtime.executors import ShardedExecutor
 from repro.service.registry import (
     _EXECUTORS,
     build_executor_from_spec,
@@ -161,7 +161,6 @@ def test_kv_kwargs_maps_dest_and_rejects_unknown_keys():
 #: tail.  Bare names (batch, memory, queue, callback) take no tail and
 #: are covered by the no-argument loop below.
 EXECUTOR_SPECS = [
-    "chunked:size=128",
     "sharded:backend=thread,workers=8",
     "cluster:workers=4",
 ]
@@ -218,7 +217,6 @@ def test_address_tail_equals_kv(resolve, address, keyed):
 @pytest.mark.parametrize(
     "resolve,spec,keys",
     [
-        (build_executor_from_spec, "chunked:128", "materialize, size"),
         (
             build_executor_from_spec,
             "sharded:thread:8",
@@ -232,7 +230,7 @@ def test_address_tail_equals_kv(resolve, address, keyed):
         ),
         (resolve_sink, "metrics:0.7", "alpha"),
     ],
-    ids=["chunked", "sharded", "cluster", "synthetic", "metrics"],
+    ids=["sharded", "cluster", "synthetic", "metrics"],
 )
 def test_positional_tail_is_an_error_listing_valid_keys(resolve, spec, keys):
     """Outside mechanism specs a positional tail is no grammar: the
@@ -247,11 +245,6 @@ def test_positional_tail_is_an_error_listing_valid_keys(resolve, spec, keys):
 @pytest.mark.parametrize(
     "resolve,spec,direct",
     [
-        (
-            build_executor_from_spec,
-            "chunked:size=128",
-            lambda: ChunkedExecutor(128),
-        ),
         (
             build_executor_from_spec,
             "sharded:workers=4",
@@ -276,7 +269,6 @@ def test_positional_tail_is_an_error_listing_valid_keys(resolve, spec, keys):
         (resolve_sink, "metrics:alpha=0.7", lambda: MetricsSink(alpha=0.7)),
     ],
     ids=[
-        "chunked-size",
         "sharded-workers",
         "sharded-backend",
         "sharded-backend-workers",

@@ -140,18 +140,6 @@ class TestServicePathNeverWarns:
 
         asyncio.run(drive())
 
-    def test_engine_async_facade(self, no_deprecations):
-        from repro.streams.events import Event
-        from repro.streams.stream import EventStream
-        from repro.streams.windows import TumblingWindows
-
-        events = EventStream(
-            [Event("e1", 0.0), Event("e2", 11.0), Event("e3", 22.0)]
-        )
-        asyncio.run(
-            engine().process_events_async(events, TumblingWindows(10.0))
-        )
-
     def test_workload_evaluation(self, tiny_workload, no_deprecations):
         from repro.experiments.runner import WorkloadEvaluation
 
