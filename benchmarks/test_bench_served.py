@@ -9,14 +9,18 @@ the matrix itself: neither parses a file.  Written into
 ``BENCH_served.json``:
 
 - ``served_bit_identity`` (gated, floor 1.0): in every round the
-  served answers equal the batch answers bit for bit.  Sessions step
-  sequential releasers (BD) from the seed's ``"online"`` child, so the
-  batch arm of a sequential mechanism runs under that child.
-- ``served_vs_batch/<mechanism>`` (recorded, no floor): median over
+  served answers equal the batch answers bit for bit, and a served
+  ``metrics`` sink's confusion equals the batch report's
+  ``measured_quality`` counts.  Sessions step sequential releasers
+  (BD) from the seed's ``"online"`` child, so the batch arm of a
+  sequential mechanism runs under that child.
+- ``served_vs_batch/<arm>`` (recorded, no floor): median over
   interleaved paired rounds of batch time ÷ served time, i.e. served
   throughput as a share of batch throughput, with its min/max spread.
-  One mechanism per family: ``uniform-ppm`` (a flip mechanism) and
-  ``bd`` (a w-event releaser).
+  One mechanism per family — ``uniform-ppm`` (a flip mechanism) and
+  ``bd`` (a w-event releaser) — pumped with no sink, plus
+  ``uniform-ppm+metrics``, pumped into the ``metrics`` sink, which
+  answers truth beside the release.
 """
 
 import asyncio
@@ -49,6 +53,13 @@ MECHANISMS = {
     "bd": {"epsilon": 1.0, "w": 40},
 }
 
+#: Served arms: ``(mechanism, sink)``.
+ARMS = {
+    "uniform-ppm": ("uniform-ppm", None),
+    "bd": ("bd", None),
+    "uniform-ppm+metrics": ("uniform-ppm", "metrics"),
+}
+
 
 def _matrix(seed=20230811):
     rng = np.random.default_rng(seed)
@@ -71,19 +82,23 @@ def _spec(mechanism, seed=17):
     )
 
 
-def _served(spec, matrix):
-    """One pump over a ``memory:`` source; returns (answers, seconds)."""
+def _served(spec, matrix, sink=None):
+    """One pump over a ``memory:`` source into ``sink``; returns
+    (answers, seconds, the sink's confusion or ``None``)."""
     service = StreamService(spec)
     source = MemorySource(matrix)
     start = time.perf_counter()
-    answers = asyncio.run(service.pump(source))
+    answers = asyncio.run(service.pump(source, sink=sink))
     seconds = time.perf_counter() - start
     served = {name: np.asarray(values) for name, values in answers.items()}
-    return served, seconds
+    if sink is None:
+        return served, seconds, None
+    return served, seconds, service.last_sink.result()["confusion"]
 
 
 def _batch(spec, matrix):
-    """One ``run_indicators`` pass; returns (answers, seconds)."""
+    """One ``run_indicators`` pass; returns (answers, seconds, the
+    report's ``measured_quality`` confusion)."""
     service = StreamService(spec)
     rng = spec.seed
     if hasattr(service.mechanism, "online_releaser"):
@@ -92,9 +107,10 @@ def _batch(spec, matrix):
     start = time.perf_counter()
     report = service.run_indicators(stream, rng=rng)
     seconds = time.perf_counter() - start
-    return {
+    answers = {
         name: answer.detections for name, answer in report.answers.items()
-    }, seconds
+    }
+    return answers, seconds, report.confusion
 
 
 def _same(served, batch):
@@ -107,24 +123,29 @@ class TestServedBench:
     def test_served_vs_batch_per_mechanism(self, results_dir):
         matrix = _matrix()
         specs = {name: _spec(name) for name in MECHANISMS}
-        for spec in specs.values():  # warm both arms' code paths
-            _served(spec, matrix)
-            _batch(spec, matrix)
+        for mechanism, sink in ARMS.values():  # warm every code path
+            _served(specs[mechanism], matrix, sink)
+            _batch(specs[mechanism], matrix)
 
         rows = []
         identical = True
         for index in range(_ROUNDS):
-            for mechanism, spec in specs.items():
+            for arm, (mechanism, sink) in ARMS.items():
+                spec = specs[mechanism]
                 # Alternate which arm runs first, so a host-speed drift
                 # within a round favours neither.
                 if index % 2:
-                    batch, batch_s = _batch(spec, matrix)
-                    served, served_s = _served(spec, matrix)
+                    batch, batch_s, counts = _batch(spec, matrix)
+                    served, served_s, confusion = _served(spec, matrix, sink)
                 else:
-                    served, served_s = _served(spec, matrix)
-                    batch, batch_s = _batch(spec, matrix)
-                identical = identical and _same(served, batch)
-                rows.append((index, mechanism, batch_s, served_s))
+                    served, served_s, confusion = _served(spec, matrix, sink)
+                    batch, batch_s, counts = _batch(spec, matrix)
+                identical = (
+                    identical
+                    and _same(served, batch)
+                    and (sink is None or confusion == counts)
+                )
+                rows.append((index, arm, batch_s, served_s))
 
         table = ResultTable(
             ["round", "mechanism", "batch_s", "served_s", "ratio"],
@@ -144,13 +165,13 @@ class TestServedBench:
             "n_windows": N_WINDOWS,
             "bit_identity": 1.0 if identical else 0.0,
         }
-        for mechanism in MECHANISMS:
+        for arm in ARMS:
             ratios = [
                 batch_s / served_s
                 for _, name, batch_s, served_s in rows
-                if name == mechanism
+                if name == arm
             ]
-            key = f"served_vs_batch/{mechanism}"
+            key = f"served_vs_batch/{arm}"
             metrics[key] = paired_speedup(ratios)
             metrics.update(ratio_spread(key, ratios))
         emit_json(

@@ -79,7 +79,11 @@ from repro.io.sinks import StreamSink
 from repro.io.sources import StreamSource
 from repro.obs.metrics import default_registry
 from repro.service.specgrammar import SpecKey
-from repro.streams.indicator import EventAlphabet, IndicatorStream
+from repro.streams.indicator import (
+    EventAlphabet,
+    IndicatorStream,
+    indicator_matrix,
+)
 
 __all__ = [
     "BrokerSink",
@@ -117,11 +121,7 @@ def _decode_fields(
         types = json.loads(fields["types"])
         if not isinstance(types, list):
             raise ValueError("'types' must be a JSON array")
-        row = np.zeros(len(alphabet), dtype=bool)
-        for name in types:
-            if name in alphabet:
-                row[alphabet.index(name)] = True
-        return row
+        return indicator_matrix(alphabet, (types,))[0]
     raise ValueError("entry has neither 'row' nor 'types'")
 
 

@@ -88,17 +88,32 @@ class AsyncSession:
             raise ValueError(
                 f"max_pending must be positive, got {max_pending}"
             )
-        self._core = _ReleaseCore(engine, rng)
+        self._init(_ReleaseCore(engine, rng), max_pending)
+
+    @classmethod
+    def _continuing(
+        cls, core: _ReleaseCore, max_pending: int
+    ) -> "AsyncSession":
+        """A session carrying on ``core``'s release (no second
+        charge): how ``StreamService.pump`` serves a sync session."""
+        session = cls.__new__(cls)
+        session._init(core, max_pending)
+        return session
+
+    def _init(self, core: _ReleaseCore, max_pending: int) -> None:
+        self._core = core
         self._max_pending = max_pending
         #: Optional block egress hook, called in the drainer once per
-        #: drained batch as ``on_release(start, released, answers)``:
-        #: the batch's first window index, its released ``(k, width)``
-        #: rows and per-query answer vectors (shared with the batch's
-        #: futures, so read-only), in submission order — the service
-        #: layer's pump attaches sink connectors here so sanitized rows
-        #: stream out as they are released.  It runs before the batch's
-        #: futures resolve; an exception fails those futures and the
-        #: drainer like any stepping error (no accepted window hangs).
+        #: drained batch as ``on_release(start, rows, released,
+        #: answers)``: the batch's first window index, its original and
+        #: released ``(k, width)`` rows and per-query answer vectors
+        #: (shared with the batch's futures, so read-only), in
+        #: submission order — the service layer's pump attaches sink
+        #: connectors here so sanitized rows stream out as they are
+        #: released, and answers truth from the original rows only when
+        #: its sink wants it.  It runs before the batch's futures
+        #: resolve; an exception fails those futures and the drainer
+        #: like any stepping error (no accepted window hangs).
         self._on_release = None
         #: Accepted blocks awaiting the drainer, in submission order:
         #: ``(rows, future, submitted_at, per_window)`` entries, then
@@ -111,7 +126,10 @@ class AsyncSession:
         self._entry_waiter: Optional[asyncio.Future] = None
         self._drainer: Optional[asyncio.Task] = None
         self._closed = False
-        self._submitted = 0
+        #: Windows accepted but not yet released.  Counted on its own,
+        #: not against the core's window count, so a core carried on
+        #: from a synchronous session may be stepped through both.
+        self._queued = 0
         # End-to-end latency instrumentation: every entry carries its
         # submit time and the drainer observes submit→release once per
         # entry, weighted by its windows.  Bound to the default
@@ -156,10 +174,7 @@ class AsyncSession:
     def _drainer_idle_cancelled(self) -> bool:
         """Whether the drainer was cancelled with nothing in flight —
         what an earlier event loop's teardown does between slices."""
-        return (
-            self._drainer.cancelled()
-            and self._submitted == self._core.windows
-        )
+        return self._drainer.cancelled() and self._queued == 0
 
     async def aclose(self) -> None:
         """Flush every queued window, then stop the drainer.
@@ -230,10 +245,9 @@ class AsyncSession:
         taken mid-drain would silently drop them on restore.  Raises
         ``RuntimeError`` when windows are still in flight.
         """
-        queued = self._submitted - self._core.windows
-        if queued:
+        if self._queued:
             raise RuntimeError(
-                f"cannot snapshot with {queued} windows still queued; "
+                f"cannot snapshot with {self._queued} windows still queued; "
                 "await their answers first"
             )
         return self._core.snapshot()
@@ -245,18 +259,17 @@ class AsyncSession:
         (same engine configuration and seed) and must not have
         processed any windows yet.
         """
-        if self._submitted != self._core.windows:
+        if self._queued:
             raise RuntimeError(
                 "cannot restore while windows are still queued"
             )
         self._core.restore(snapshot)
-        self._submitted = self._core.windows
 
     # -- ingestion -----------------------------------------------------
 
     @property
     def windows_submitted(self) -> int:
-        return self._submitted
+        return self._core.windows + self._queued
 
     @property
     def windows_processed(self) -> int:
@@ -322,7 +335,7 @@ class AsyncSession:
         future = loop.create_future()
         self._entries.append((rows, future, time.monotonic(), per_window))
         self._backlog += windows
-        self._submitted += windows
+        self._queued += windows
         self._wake_drainer()
         return future
 
@@ -389,7 +402,7 @@ class AsyncSession:
                 # fails this batch's futures too, so no producer holds
                 # answers for windows its sink never received.
                 if self._on_release is not None:
-                    self._on_release(core.windows, released, answers)
+                    self._on_release(core.windows, matrix, released, answers)
                 released_at = time.monotonic()
                 self._obs_windows.inc(windows)
                 position = 0
@@ -413,6 +426,7 @@ class AsyncSession:
                         future.set_result(result)
                     position += count
                 core.windows += windows
+                self._queued -= windows
                 batch = []
                 # Yield to producers between batches so backpressured
                 # submitters get room before the next drain.

@@ -79,6 +79,18 @@ class EngineReport:
             )
         return self.answers[query_name]
 
+    @property
+    def confusion(self):
+        """Released-versus-truth confusion counts, micro-averaged over
+        all queries (Section III-B)."""
+        from repro.metrics.confusion import ConfusionCounts
+
+        answers = self.answers
+        return ConfusionCounts.micro(
+            {name: self.true_answers[name].detections for name in answers},
+            {name: answers[name].detections for name in answers},
+        )
+
     def measured_quality(self, alpha: float = 0.5):
         """``Q`` of the released answers against the engine-internal truth.
 
@@ -86,15 +98,9 @@ class EngineReport:
         unreleased ground truth, so it is a trusted-engine diagnostic,
         not something a consumer could compute.
         """
-        from repro.metrics.confusion import ConfusionCounts
         from repro.metrics.quality import DataQuality
 
-        counts = ConfusionCounts()
-        for name, released in self.answers.items():
-            counts = counts + ConfusionCounts.from_vectors(
-                self.true_answers[name].detections, released.detections
-            )
-        return DataQuality.from_confusion(counts, alpha=alpha)
+        return DataQuality.from_confusion(self.confusion, alpha=alpha)
 
     def measured_mre(self, alpha: float = 0.5) -> float:
         """``MRE_Q`` of this run (Eq. (4); ``Q_ord = 1`` in-engine)."""

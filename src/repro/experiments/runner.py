@@ -9,9 +9,9 @@ data quality and ``MRE_Q`` on the evaluation stream.
 
 Evaluation runs on the streaming runtime: a
 :class:`WorkloadEvaluation` builds the workload's pipeline *once* —
-query matcher, ground-truth detections, ordinary quality, landmark
-masks, budget converters and Algorithm 1 quality estimators — and every
-(mechanism, ε) cell reuses it.  :meth:`WorkloadEvaluation.sweep` shares
+query matcher, ordinary quality, landmark masks, budget converters and
+Algorithm 1 quality estimators — and every (mechanism, ε) cell reuses
+it.  :meth:`WorkloadEvaluation.sweep` shares
 one such context across its whole grid, which is what makes the Fig. 4
 regeneration cheap.  The grid runs serially; its one parallel layer is
 the per-trial ``executor=`` (sharded or cluster execution, bit-identical
@@ -54,8 +54,8 @@ class WorkloadEvaluation:
     """Shared evaluation state for one workload.
 
     Builds the runtime pipeline for the workload's target queries once
-    and caches everything mechanism-independent: ground-truth
-    detections, the ordinary quality ``Q_ord`` per α, the landmark
+    and caches everything mechanism-independent: the ordinary
+    quality ``Q_ord`` per α, the landmark
     mask, budget converters, and the analytic quality estimators
     Algorithm 1 fits against.  Cells differing only in mechanism kind
     or ε then share all of it.
@@ -71,22 +71,12 @@ class WorkloadEvaluation:
             ],
         )
         self._executor = BatchExecutor()
-        self._truths: Optional[Dict[str, np.ndarray]] = None
         self._q_ordinary: Dict[float, float] = {}
         self._landmark_mask: Optional[np.ndarray] = None
         self._converters: Dict[str, BudgetConverter] = {}
         self._estimators: Dict[tuple, AnalyticQualityEstimator] = {}
 
     # -- cached, mechanism-independent state ---------------------------
-
-    @property
-    def truths(self) -> Dict[str, np.ndarray]:
-        """Ground-truth per-target detections on the evaluation stream."""
-        if self._truths is None:
-            self._truths = self.pipeline.matcher.answer(
-                self.workload.stream.matrix_view()
-            )
-        return self._truths
 
     def q_ordinary(self, alpha: float) -> float:
         """The ordinary quality ``Q_ord`` (Eq. (4) numerator) under α."""
@@ -366,7 +356,7 @@ def sweep(
     """Evaluate every (mechanism, ε) cell on one workload.
 
     One :class:`WorkloadEvaluation` is shared by the whole grid, so
-    windowing, extraction, ground truth and estimator state are
+    the pipeline, ordinary quality and estimator state are
     computed once rather than per cell.  ``executor`` selects the
     per-trial runtime strategy (see :meth:`WorkloadEvaluation.sweep`).
     """

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.io.registry import register_sink
+from repro.metrics.confusion import ConfusionCounts, confusion_counts
 from repro.obs.metrics import Counter, default_registry
 from repro.service.specgrammar import SpecKey
 from repro.streams.indicator import EventAlphabet, IndicatorStream
@@ -392,8 +393,8 @@ class MetricsSink(StreamSink):
             self._counts.setdefault(name, [0.0, 0.0, 0.0, 0.0])
 
     def write_block(self, start, rows, answers, truth=None) -> None:
-        """Fold a block's confusion counts in with one reduction per
-        query and cell."""
+        """Fold a block's confusion counts into running sums, one
+        :func:`~repro.metrics.confusion.confusion_counts` per query."""
         self.alphabet  # open check
         if truth is None:
             raise ValueError(
@@ -401,21 +402,16 @@ class MetricsSink(StreamSink):
                 "confusion and needs per-window true answers; drive it "
                 "through StreamService.run()/pump()"
             )
-        for name, value in answers.items():
+        for name, released in answers.items():
             counts = self._counts.setdefault(name, [0.0, 0.0, 0.0, 0.0])
-            got = np.asarray(value, dtype=bool).reshape(-1)
-            expected = np.asarray(truth[name], dtype=bool).reshape(-1)
-            hits = int(np.count_nonzero(got & expected))
-            released = int(np.count_nonzero(got))
-            true = int(np.count_nonzero(expected))
-            counts[0] += hits
-            counts[1] += released - hits
-            counts[2] += true - hits
-            counts[3] += len(got) - released - true + hits
+            tp, fp, fn, tn = confusion_counts(truth[name], released)
+            counts[0] += tp
+            counts[1] += fp
+            counts[2] += fn
+            counts[3] += tn
         self._count_written(len(rows))
 
     def result(self):
-        from repro.metrics.confusion import ConfusionCounts
         from repro.metrics.mre import mean_relative_error
         from repro.metrics.quality import DataQuality
 
@@ -423,9 +419,7 @@ class MetricsSink(StreamSink):
             name: ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
             for name, (tp, fp, fn, tn) in sorted(self._counts.items())
         }
-        total = ConfusionCounts()
-        for counts in per_query.values():
-            total = total + counts
+        total = sum(per_query.values(), ConfusionCounts())
         quality = DataQuality.from_confusion(total, alpha=self.alpha)
         return {
             "confusion": total,

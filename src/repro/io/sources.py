@@ -49,7 +49,11 @@ import numpy as np
 
 from repro.io.registry import register_source
 from repro.service.specgrammar import SpecKey
-from repro.streams.indicator import EventAlphabet, IndicatorStream
+from repro.streams.indicator import (
+    EventAlphabet,
+    IndicatorStream,
+    indicator_matrix,
+)
 
 __all__ = [
     "CsvSource",
@@ -427,12 +431,7 @@ class StreamSource:
         Types outside the alphabet are ignored, matching the engine's
         service-phase extraction.
         """
-        alphabet = self.alphabet
-        row = np.zeros(len(alphabet), dtype=bool)
-        for name in types:
-            if name in alphabet:
-                row[alphabet.index(name)] = True
-        return row
+        return indicator_matrix(self.alphabet, (types,))[0]
 
     def _coerce_row(self, item) -> np.ndarray:
         """One submitted item (type collection or 0/1 vector) as a row."""

@@ -3,9 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
+
+
+def confusion_counts(
+    truth: Sequence[bool], predicted: Sequence[bool]
+) -> Tuple[int, int, int, int]:
+    """``(tp, fp, fn, tn)`` of a truth/answer vector pair.
+
+    Three ``count_nonzero`` reductions: ``tp = |t ∧ p|``,
+    ``fp = |p| − tp``, ``fn = |t| − tp`` and
+    ``tn = n − tp − fp − fn``.
+    """
+    truth = np.asarray(truth, dtype=bool)
+    predicted = np.asarray(predicted, dtype=bool)
+    if truth.shape != predicted.shape:
+        raise ValueError(
+            f"shape mismatch: truth {truth.shape} vs predicted "
+            f"{predicted.shape}"
+        )
+    tp = int(np.count_nonzero(truth & predicted))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    return tp, fp, fn, truth.size - tp - fp - fn
 
 
 @dataclass(frozen=True)
@@ -32,17 +54,19 @@ class ConfusionCounts:
         cls, truth: Sequence[bool], predicted: Sequence[bool]
     ) -> "ConfusionCounts":
         """Count agreement between ground truth and detector output."""
-        truth = np.asarray(truth, dtype=bool)
-        predicted = np.asarray(predicted, dtype=bool)
-        if truth.shape != predicted.shape:
-            raise ValueError(
-                f"shape mismatch: truth {truth.shape} vs predicted {predicted.shape}"
-            )
-        return cls(
-            tp=float(np.sum(truth & predicted)),
-            fp=float(np.sum(~truth & predicted)),
-            fn=float(np.sum(truth & ~predicted)),
-            tn=float(np.sum(~truth & ~predicted)),
+        return cls(*map(float, confusion_counts(truth, predicted)))
+
+    @classmethod
+    def micro(
+        cls,
+        truth: Mapping[str, Sequence[bool]],
+        answers: Mapping[str, Sequence[bool]],
+    ) -> "ConfusionCounts":
+        """Counts summed over every query of ``answers`` (the
+        micro-average of Section III-B); ``truth`` is keyed alike."""
+        return sum(
+            (cls.from_vectors(truth[name], answers[name]) for name in answers),
+            cls(),
         )
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":

@@ -1,9 +1,10 @@
 """The unified streaming runtime.
 
-One vectorized pipeline — ``Source → Windower → IndicatorExtractor →
-Mechanism → Matcher → MetricsSink`` — shared by the CEP engine facade,
-the baseline mechanisms and the experiment harness, with three
-interchangeable execution strategies:
+One vectorized pipeline — ``IndicatorExtractor → Mechanism → Matcher``,
+with released-versus-truth confusion counted onto each
+:class:`~repro.runtime.executors.PipelineResult` — shared by the CEP
+engine facade, the baseline mechanisms and the experiment harness, with
+three interchangeable execution strategies:
 
 - :class:`~repro.runtime.executors.BatchExecutor` materializes the
   whole indicator matrix and runs every stage vectorized (no per-event
@@ -44,7 +45,6 @@ from repro.runtime.sharding import Shard, merge_results, plan_shards
 from repro.runtime.shm import ArrayDescriptor, SegmentPlane
 from repro.runtime.stages import (
     IndicatorExtractor,
-    MetricsSink,
     QueryMatcher,
     WindowStage,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "FlipStepper",
     "IndexedRngPool",
     "IndicatorExtractor",
-    "MetricsSink",
     "PipelineResult",
     "QueryMatcher",
     "RuntimeMechanism",

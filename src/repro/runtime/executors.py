@@ -26,11 +26,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.metrics.confusion import ConfusionCounts
+from repro.metrics.mre import mean_relative_error
+from repro.metrics.quality import DataQuality
 from repro.obs.tracing import trace_span
 from repro.runtime import sharding
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
-from repro.runtime.stages import MetricsSink
 
 
 @dataclass
@@ -39,7 +41,8 @@ class PipelineResult:
 
     ``original``/``released`` are ``None`` when a run is asked not to
     materialize the streams (bounded-memory mode); the per-query
-    answers, the window count and the metrics sink are always
+    answers, the window count and ``confusion`` — released-versus-truth
+    counts micro-averaged over all queries (Section III-B) — are always
     populated.
     """
 
@@ -48,15 +51,15 @@ class PipelineResult:
     n_windows: int
     original: Optional[IndicatorStream] = None
     released: Optional[IndicatorStream] = None
-    sink: MetricsSink = field(default_factory=MetricsSink)
+    confusion: ConfusionCounts = field(default_factory=ConfusionCounts)
 
-    def quality(self, alpha: Optional[float] = None):
+    def quality(self, alpha: float = 0.5) -> DataQuality:
         """Micro-averaged released-versus-truth quality ``Q``."""
-        return self.sink.quality(alpha)
+        return DataQuality.from_confusion(self.confusion, alpha=alpha)
 
-    def mre(self, q_ordinary: float = 1.0, alpha: Optional[float] = None):
+    def mre(self, q_ordinary: float = 1.0, alpha: float = 0.5) -> float:
         """``MRE_Q`` of this run against the ordinary quality."""
-        return self.sink.mre(q_ordinary, alpha)
+        return mean_relative_error(q_ordinary, self.quality(alpha).q)
 
 
 class BatchExecutor:
@@ -77,15 +80,13 @@ class BatchExecutor:
             true_answers = pipeline.matcher.answer(
                 indicators.matrix_view()
             )
-            sink = MetricsSink(alpha=pipeline.alpha)
-            sink.update(true_answers, answers)
         return PipelineResult(
             answers=answers,
             true_answers=true_answers,
             n_windows=len(indicators),
             original=indicators,
             released=released,
-            sink=sink,
+            confusion=ConfusionCounts.micro(true_answers, answers),
         )
 
 

@@ -1,10 +1,15 @@
-"""Pipeline composition: build once, run over any source.
+"""Pipeline composition: build once, run over any windowed source.
 
 :class:`StreamPipeline` wires the stages together for one service
-configuration (alphabet, windowing, mechanism, queries) and runs them
-under either executor.  The CEP engine, the online session and the
-experiment harness all build their pipelines here, so windowing,
-extraction and matching logic exists exactly once.
+configuration (alphabet, mechanism, queries) and runs them under any
+executor: indicators → mechanism → matcher, with the executor counting
+released-versus-truth confusion onto the
+:class:`~repro.runtime.executors.PipelineResult`.  The CEP engine, the
+sessions and the experiment harness all build their pipelines here, so
+extraction and matching logic exists exactly once.  Raw events are
+windowed before they reach a pipeline
+(:meth:`~repro.cep.engine.CEPEngine.process_events`,
+:meth:`~repro.service.StreamService.run`).
 """
 
 from __future__ import annotations
@@ -14,11 +19,7 @@ from typing import Sequence
 from repro.obs.tracing import trace_span
 from repro.runtime.adapters import runtime_mechanism
 from repro.runtime.executors import BatchExecutor, PipelineResult
-from repro.runtime.stages import (
-    IndicatorExtractor,
-    QueryMatcher,
-    WindowStage,
-)
+from repro.runtime.stages import IndicatorExtractor, QueryMatcher
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.streams.stream import EventStream
 from repro.utils.rng import RngLike
@@ -37,12 +38,6 @@ class StreamPipeline:
     mechanism:
         Anything with ``perturb(IndicatorStream, rng=...)``, or ``None``
         for no protection.
-    windower:
-        Optional window assigner; required to run from raw events.
-    strict:
-        Whether extraction rejects event types outside the alphabet.
-    alpha:
-        Precision weight of the quality metric the sink reports.
     """
 
     def __init__(
@@ -51,17 +46,10 @@ class StreamPipeline:
         *,
         queries: Sequence = (),
         mechanism=None,
-        windower=None,
-        strict: bool = False,
-        alpha: float = 0.5,
     ):
         self.alphabet = alphabet
-        self.alpha = alpha
-        self.extractor = IndicatorExtractor(alphabet, strict=strict)
+        self.extractor = IndicatorExtractor(alphabet)
         self.matcher = QueryMatcher(alphabet, queries)
-        self.window_stage = (
-            WindowStage(windower) if windower is not None else None
-        )
         self.runtime_mechanism = runtime_mechanism(mechanism)
 
     @property
@@ -71,16 +59,14 @@ class StreamPipeline:
     def with_mechanism(self, mechanism) -> "StreamPipeline":
         """A pipeline sharing every stage but the mechanism.
 
-        Windowing, extraction and matcher state are reused — this is how
+        Extraction and matcher state are reused — this is how
         the experiment harness evaluates many mechanism configurations
         without recomputing shared work.
         """
         clone = object.__new__(StreamPipeline)
         clone.alphabet = self.alphabet
-        clone.alpha = self.alpha
         clone.extractor = self.extractor
         clone.matcher = self.matcher
-        clone.window_stage = self.window_stage
         clone.runtime_mechanism = runtime_mechanism(mechanism)
         return clone
 
@@ -91,13 +77,10 @@ class StreamPipeline:
         if isinstance(source, IndicatorStream):
             return source
         if isinstance(source, EventStream):
-            if self.window_stage is None:
-                raise ValueError(
-                    "this pipeline has no windower; pass windowed input or "
-                    "construct with windower="
-                )
-            return self.extractor.extract(
-                self.window_stage.type_sets(source)
+            raise TypeError(
+                "a pipeline runs windowed input; window raw events "
+                "through CEPEngine.process_events(stream, assigner) or "
+                "StreamService.run(stream, window=...)"
             )
         # A sequence of windows or per-window type collections.
         source = list(source)
@@ -116,8 +99,7 @@ class StreamPipeline:
     ) -> PipelineResult:
         """Execute the pipeline over ``source``.
 
-        ``source`` may be an :class:`IndicatorStream`, an
-        :class:`EventStream` (with a windower configured), a sequence of
+        ``source`` may be an :class:`IndicatorStream`, a sequence of
         :class:`~repro.streams.windows.Window` objects, or per-window
         type collections.  ``executor`` defaults to the vectorized
         batch strategy.

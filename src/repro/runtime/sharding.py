@@ -53,7 +53,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.metrics.confusion import ConfusionCounts
-from repro.runtime.stages import MetricsSink
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.utils.rng import RngLike
 
@@ -229,11 +228,9 @@ def _record(
     for row, name in enumerate(outputs.query_names):
         outputs.answers[row, window] = answers[name]
         outputs.truth[row, window] = truth[name]
-    # Accumulate through the sink so sharded counting can never diverge
-    # from the batch micro-averaging rule.
-    sink = MetricsSink()
-    sink.update(truth, answers)
-    return ShardReceipt(shard=shard, counts=sink.confusion)
+    return ShardReceipt(
+        shard=shard, counts=ConfusionCounts.micro(truth, answers)
+    )
 
 
 def run_shard(
@@ -485,11 +482,6 @@ def run_sharded(
     )
     shards = plan_shards(job.horizon, n_shards)
 
-    def merge(receipts, outputs):
-        return merge_results(
-            receipts, outputs, indicators=indicators, alpha=pipeline.alpha
-        )
-
     if len(shards) <= 1:
         # Zero or one shard: run in-process, no pool or fleet overhead.
         outputs = job.outputs()
@@ -510,11 +502,11 @@ def run_sharded(
                 receipts.append(
                     job.run(ShardTask(shard, clone_rng(source)), outputs)
                 )
-        return merge(receipts, outputs)
+        return merge_results(receipts, outputs, indicators=indicators)
     if not checkpointed:
         tasks = [ShardTask(shard, clone_rng(source)) for shard in shards]
         with fan_out(job, tasks) as (receipts, outputs):
-            return merge(receipts, outputs)
+            return merge_results(receipts, outputs, indicators=indicators)
     plan = checkpoint_prepass(
         pipeline,
         matrix,
@@ -524,7 +516,7 @@ def run_sharded(
         rng=clone_rng(source),
     )
     with fan_out(job, plan.tasks(source)) as (receipts, outputs):
-        return merge(receipts, outputs)
+        return merge_results(receipts, outputs, indicators=indicators)
 
 
 def merge_results(
@@ -532,7 +524,6 @@ def merge_results(
     outputs: ShardOutputs,
     *,
     indicators: IndicatorStream,
-    alpha: float = 0.5,
 ):
     """Merge one run's shard outputs into a ``PipelineResult``.
 
@@ -549,11 +540,9 @@ def merge_results(
     for row, name in enumerate(outputs.query_names):
         answers[name] = outputs.answers[row].copy()
         true_answers[name] = outputs.truth[row].copy()
-    total = ConfusionCounts()
-    for receipt in receipts:
-        total = total + receipt.counts
-    sink = MetricsSink(alpha=alpha)
-    sink.absorb(total)
+    confusion = sum(
+        (receipt.counts for receipt in receipts), ConfusionCounts()
+    )
     original = released = None
     if outputs.released is not None:
         # The caller already holds the original stream — nothing to
@@ -567,5 +556,5 @@ def merge_results(
         n_windows=len(indicators),
         original=original,
         released=released,
-        sink=sink,
+        confusion=confusion,
     )

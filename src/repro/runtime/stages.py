@@ -8,11 +8,13 @@ matching → quality metrics.  Each stage is a small reusable object:
   :mod:`repro.streams.windows` and exposes the per-window event-type
   sets (with a vectorized fast path for tumbling windows);
 - :class:`IndicatorExtractor` reduces window type-sets to the boolean
-  indicator matrix in one scatter instead of per-window row loops;
+  indicator matrix over the pipeline's alphabet
+  (:func:`repro.streams.indicator.indicator_matrix`, one scatter);
 - :class:`QueryMatcher` answers all registered containment queries with
-  precomputed column indices;
-- :class:`MetricsSink` accumulates confusion counts and derives the
-  quality metric ``Q`` and ``MRE_Q`` (Eqs. (3)/(4)).
+  precomputed column indices.
+
+Quality is counted from the executors' answers by
+:meth:`repro.metrics.ConfusionCounts.micro`.
 
 The stages are deliberately free of privacy logic — the mechanism stage
 lives in :mod:`repro.runtime.adapters` because it has to bridge several
@@ -21,14 +23,15 @@ historical ``perturb`` protocols.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.metrics.confusion import ConfusionCounts
-from repro.metrics.mre import mean_relative_error
-from repro.metrics.quality import DataQuality
-from repro.streams.indicator import EventAlphabet, IndicatorStream
+from repro.streams.indicator import (
+    EventAlphabet,
+    IndicatorStream,
+    indicator_matrix,
+)
 from repro.streams.stream import EventStream
 from repro.streams.windows import TumblingWindows, Window
 
@@ -96,46 +99,23 @@ class WindowStage:
 class IndicatorExtractor:
     """Existence-indicator reduction over a fixed alphabet.
 
-    Builds the ``(n_windows, len(alphabet))`` boolean matrix with a
-    single coordinate scatter.  ``strict=True`` raises on event types
-    outside the alphabet (matching
-    :meth:`IndicatorStream.from_window_sets`); the default silently
-    ignores them, as the engine's service phase does.
+    Builds the ``(n_windows, len(alphabet))`` boolean matrix with
+    :func:`~repro.streams.indicator.indicator_matrix`, ignoring event
+    types outside the alphabet as the engine's service phase does.
     """
 
-    def __init__(self, alphabet: EventAlphabet, *, strict: bool = False):
+    def __init__(self, alphabet: EventAlphabet):
         if not isinstance(alphabet, EventAlphabet):
             raise TypeError(
                 f"alphabet must be EventAlphabet, got {type(alphabet).__name__}"
             )
         self.alphabet = alphabet
-        self.strict = strict
-        self._index = {name: i for i, name in enumerate(alphabet.types)}
 
     def extract_matrix(
         self, type_sets: Sequence[Iterable[str]]
     ) -> np.ndarray:
         """The boolean indicator matrix of the given window type-sets."""
-        rows: List[int] = []
-        cols: List[int] = []
-        index = self._index
-        count = 0
-        for row, window in enumerate(type_sets):
-            count = row + 1
-            for name in window:
-                col = index.get(name)
-                if col is None:
-                    if self.strict:
-                        raise KeyError(
-                            f"event type {name!r} is not in the alphabet"
-                        )
-                    continue
-                rows.append(row)
-                cols.append(col)
-        matrix = np.zeros((count, len(self.alphabet)), dtype=bool)
-        if rows:
-            matrix[rows, cols] = True
-        return matrix
+        return indicator_matrix(self.alphabet, type_sets)
 
     def extract(self, type_sets: Sequence[Iterable[str]]) -> IndicatorStream:
         """The indicator stream of the given window type-sets."""
@@ -172,51 +152,3 @@ class QueryMatcher:
             name: matrix[:, columns].all(axis=1)
             for name, columns in self._columns.items()
         }
-
-
-class MetricsSink:
-    """Accumulates released-versus-truth confusion across queries.
-
-    Micro-averaged over all queries (Section III-B); the sink updates
-    block by block (sharded runs count per shard and merge), so
-    metrics never require the full stream in memory.
-    """
-
-    def __init__(self, *, alpha: float = 0.5):
-        self.alpha = alpha
-        self._counts = ConfusionCounts()
-
-    def update(
-        self,
-        true_answers: Dict[str, np.ndarray],
-        released_answers: Dict[str, np.ndarray],
-    ) -> None:
-        for name, truth in true_answers.items():
-            self._counts = self._counts + ConfusionCounts.from_vectors(
-                truth, released_answers[name]
-            )
-
-    def absorb(self, counts: ConfusionCounts) -> None:
-        """Fold pre-accumulated confusion counts into the sink.
-
-        Sharded execution accumulates counts per shard and merges them
-        here; addition of counts is associative, so the merged quality
-        equals the sequentially-accumulated one.
-        """
-        self._counts = self._counts + counts
-
-    @property
-    def confusion(self) -> ConfusionCounts:
-        return self._counts
-
-    def quality(self, alpha: Optional[float] = None) -> DataQuality:
-        """The combined quality ``Q`` of everything accumulated so far."""
-        return DataQuality.from_confusion(
-            self._counts, alpha=self.alpha if alpha is None else alpha
-        )
-
-    def mre(
-        self, q_ordinary: float = 1.0, alpha: Optional[float] = None
-    ) -> float:
-        """``MRE_Q`` against the ordinary (unperturbed) quality."""
-        return mean_relative_error(q_ordinary, self.quality(alpha).q)

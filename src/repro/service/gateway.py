@@ -255,22 +255,26 @@ class _Tenant:
 
 def _serve_slot(
     payloads: List[Dict], max_windows: Optional[int]
-) -> Dict[str, Dict]:
+) -> Dict:
     """Worker-side scattered serving: one sub-gateway per slot.
 
     Runs in a forked worker process.  Builds (or checkpoint-resumes)
     each assigned tenant from its shipped payload, serves one slice on
     a private event loop, and returns per-tenant state — checkpoint,
-    accumulated answers, shed count, sink result — for the parent
-    gateway to absorb.
+    accumulated answers, sink result — plus the slot registry's
+    snapshot (every tenant's counters, shed windows included) for the
+    parent gateway to absorb.
     """
     gateway = StreamGateway()
     for payload in payloads:
         spec = ServiceSpec.from_dict(payload["spec"])
-        if payload["checkpoint"] is not None:
-            service = StreamService.resume(spec, payload["checkpoint"])
-        else:
-            service = StreamService(spec)
+        # Sessions bind their metrics at construction: build them in
+        # the slot's registry, as StreamGateway.resume does.
+        with use_registry(gateway.registry):
+            if payload["checkpoint"] is not None:
+                service = StreamService.resume(spec, payload["checkpoint"])
+            else:
+                service = StreamService(spec)
         gateway.add_tenant(
             payload["name"],
             service,
@@ -281,16 +285,15 @@ def _serve_slot(
         if payload["checkpoint"] is not None:
             gateway._tenants[payload["name"]].source = service.last_source
     asyncio.run(gateway.serve(max_windows=max_windows))
-    state = {}
+    tenants = {}
     for name in gateway.tenant_names:
         tenant = gateway._tenants[name]
-        state[name] = {
+        tenants[name] = {
             "checkpoint": tenant.service.checkpoint(),
             "answers": tenant.answers,
-            "shed": tenant.shed,
             "sink_result": gateway.sink_result(name),
         }
-    return state
+    return {"tenants": tenants, "metrics": gateway.registry.snapshot()}
 
 
 class StreamGateway:
@@ -521,9 +524,11 @@ class StreamGateway:
         A :class:`TenantScheduler` round-robins the tenants over at
         most ``slots`` worker processes; each worker rebuilds its
         group from shipped specs/checkpoints, serves one slice on its
-        own event loop, and returns per-tenant checkpoints, answers
-        and shed counts.  The parent absorbs them — resuming each
-        tenant's service from the returned checkpoint — so after this
+        own event loop, and returns per-tenant checkpoints and answers
+        plus its metrics registry's snapshot.  The parent absorbs them
+        — resuming each tenant's service from the returned checkpoint
+        and merging the slot's counters (session, pump and shed
+        windows) into the fleet registry — so after this
         call the gateway is in exactly the state a local
         :meth:`serve` slice would have left it in, and may continue
         serving locally or scattered.  Per-tenant randomness makes
@@ -579,8 +584,11 @@ class StreamGateway:
                 for group in groups
             ]
             slot_states = [future.result() for future in futures]
-        for states in slot_states:
-            for name, state in states.items():
+        for slot in slot_states:
+            # The slot's counters are this slice's deltas: they add to
+            # the fleet's, exactly as a local slice would have.
+            self._registry.merge_snapshot(slot["metrics"])
+            for name, state in slot["tenants"].items():
                 tenant = self._tenants[name]
                 spec = ServiceSpec.from_dict(state["checkpoint"]["spec"])
                 with use_registry(self._registry):
@@ -588,7 +596,6 @@ class StreamGateway:
                         spec, state["checkpoint"]
                     )
                 tenant.source = tenant.service.last_source
-                tenant._shed_counter.inc(state["shed"])
                 tenant._scattered_sink_result = state["sink_result"]
                 for query, values in state["answers"].items():
                     tenant.answers.setdefault(query, []).extend(values)

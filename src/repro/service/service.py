@@ -34,8 +34,6 @@ import time
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Union
 
-import numpy as np
-
 from repro.cep.engine import CEPEngine, EngineReport
 from repro.obs.metrics import default_registry
 from repro.obs.tracing import current_recorder
@@ -50,24 +48,6 @@ from repro.streams.stream import EventStream
 from repro.utils.rng import RngLike
 
 __all__ = ["StreamService"]
-
-
-def _take_truth(truths: deque, windows: int) -> Dict[str, np.ndarray]:
-    """The true answers of the next ``windows`` egressed windows: whole
-    blocks off the front of ``truths``, joined when a drained batch
-    merged several."""
-    count, truth = truths.popleft()
-    if count == windows:
-        return truth
-    parts = [truth]
-    while count < windows:
-        more, truth = truths.popleft()
-        parts.append(truth)
-        count += more
-    return {
-        name: np.concatenate([part[name] for part in parts])
-        for name in parts[0]
-    }
 
 
 class StreamService:
@@ -381,14 +361,19 @@ class StreamService:
         """Open a backpressured asyncio ingestion session."""
         from repro.cep.async_session import AsyncSession
 
-        session = AsyncSession(
-            self._engine, rng=self._seeded(rng), max_pending=max_pending
+        return self._hold_async(
+            AsyncSession(
+                self._engine, rng=self._seeded(rng), max_pending=max_pending
+            )
         )
+
+    def _hold_async(self, session):
+        """Retain ``session`` as the open async session."""
         self._session = session
         self._session_kind = "async"
         # Remembered so checkpoints can rebuild an equivalent session
         # (a resumed async session keeps its queue bound).
-        self._session_options = {"max_pending": max_pending}
+        self._session_options = {"max_pending": session.block_rows}
         return session
 
     # -- continuous ingestion (source → session → sink) ----------------
@@ -408,8 +393,10 @@ class StreamService:
         spec string, in-memory data, or — omitted — the spec's own
         ``source=``), submitted to a backpressured
         :class:`~repro.cep.async_session.AsyncSession` (reusing the
-        open/restored one when present, else opening a fresh one with
-        ``max_pending`` under the spec seed), and every answered window
+        open/restored one when present, continuing an open synchronous
+        session's release — no second budget charge, no restart at
+        window 0 — else opening a fresh one with ``max_pending`` under
+        the spec seed), and every answered window
         is egressed through ``sink`` (or the spec's ``sink=``) in
         submission order.  All of it runs on row blocks
         (:meth:`~repro.io.StreamSource.ablocks`, one session future
@@ -440,28 +427,27 @@ class StreamService:
         source = self._compile_source(source, reuse=True)
         compiled_sink = self._continue_sink(sink)
         session = self._session
-        if (
-            session is None
-            or self._session_kind != "async"
-            or session._closed
-        ):
+        if self._session_kind == "online":
+            from repro.cep.async_session import AsyncSession
+
+            # Serve on through the open synchronous session's release:
+            # its stepper position, window count and one budget charge.
+            session = self._hold_async(
+                AsyncSession._continuing(session._core, max_pending)
+            )
+        elif session is None or session._closed:
             session = self.open_async_session(max_pending=max_pending)
         matcher = self._engine.service_pipeline().matcher
-        wants_truth = compiled_sink is not None and compiled_sink.wants_truth
-        #: ``(windows, truth vectors)`` per accepted block not yet
-        #: egressed; the drainer merges whole blocks in submission
-        #: order, so each drained batch takes whole entries off the
-        #: front.
-        truths: deque = deque()
         if compiled_sink is not None:
+            wants_truth = compiled_sink.wants_truth
+
             # Egress happens inside the drainer, one block write per
             # drained batch in submission order, on the *released*
-            # rows — the sink never sees original data and nothing is
-            # buffered beyond the bounded queue.
-            def egress(start, released, batch_answers):
-                truth = None
-                if wants_truth:
-                    truth = _take_truth(truths, len(released))
+            # rows — the sink never sees original data, only the truth
+            # answered from it when it asks, and nothing is buffered
+            # beyond the bounded queue.
+            def egress(start, rows, released, batch_answers):
+                truth = matcher.answer(rows) if wants_truth else None
                 compiled_sink.write_block(
                     start, released, batch_answers, truth
                 )
@@ -496,7 +482,6 @@ class StreamService:
                     # last submitted window.
                     source.unemit_block(block[room:])
                     block = block[:room]
-                truth = matcher.answer(block) if wants_truth else None
                 try:
                     future = await session._submit_row(block)
                 except BaseException:
@@ -506,8 +491,6 @@ class StreamService:
                     # fresh one skips a window no run released.
                     source.unemit_block(block)
                     raise
-                if wants_truth:
-                    truths.append((len(block), truth))
                 pending.append(future)
                 while pending and (
                     pending[0].done() or len(pending) > session._max_pending

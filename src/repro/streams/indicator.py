@@ -83,6 +83,42 @@ class EventAlphabet:
         return cls(f"{prefix}{i}" for i in range(1, count + 1))
 
 
+def indicator_matrix(
+    alphabet: EventAlphabet,
+    type_sets: Iterable[Iterable[str]],
+    *,
+    strict: bool = False,
+) -> np.ndarray:
+    """The boolean indicator matrix of per-window type collections.
+
+    One row per window, one column per alphabet type, built with a
+    single coordinate scatter; repeated types set their bit once.
+    Types outside the alphabet are ignored, or raise ``KeyError`` with
+    ``strict=True``.  Every row builder of the package goes through
+    here.
+    """
+    index = alphabet._index
+    rows: List[int] = []
+    cols: List[int] = []
+    count = 0
+    for row, window in enumerate(type_sets):
+        count = row + 1
+        for name in window:
+            col = index.get(name)
+            if col is None:
+                if strict:
+                    raise KeyError(
+                        f"event type {name!r} is not in the alphabet"
+                    )
+                continue
+            rows.append(row)
+            cols.append(col)
+    matrix = np.zeros((count, len(alphabet)), dtype=bool)
+    if rows:
+        matrix[rows, cols] = True
+    return matrix
+
+
 class IndicatorStream:
     """A finite stream of windows as binary existence-indicator vectors.
 
@@ -131,21 +167,7 @@ class IndicatorStream:
         (useful when a recorded stream carries event types the analysis
         does not model).
         """
-        rows: List[np.ndarray] = []
-        for window in windows:
-            row = np.zeros(len(alphabet), dtype=bool)
-            for name in window:
-                if name in alphabet:
-                    row[alphabet.index(name)] = True
-                elif strict:
-                    raise KeyError(
-                        f"event type {name!r} is not in the alphabet"
-                    )
-            rows.append(row)
-        if rows:
-            matrix = np.stack(rows)
-        else:
-            matrix = np.zeros((0, len(alphabet)), dtype=bool)
+        matrix = indicator_matrix(alphabet, windows, strict=strict)
         return cls(alphabet, matrix)
 
     @classmethod

@@ -50,6 +50,23 @@ class TestAllResolvable:
                 f"{module_name}.__all__ lists missing {name}"
             )
 
+    def test_each_exported_name_is_one_object(self):
+        # Two subpackages may re-export one object, never two objects
+        # under one name.
+        owners = {}
+        for module_name in SUBPACKAGES:
+            module = importlib.import_module(module_name)
+            for name in module.__all__:
+                owners.setdefault(name, {})[id(getattr(module, name))] = (
+                    module_name
+                )
+        clashes = {
+            name: sorted(objects.values())
+            for name, objects in owners.items()
+            if len(objects) > 1
+        }
+        assert clashes == {}
+
     @pytest.mark.parametrize("module_name", SUBPACKAGES)
     def test_all_is_sorted(self, module_name):
         module = importlib.import_module(module_name)
@@ -112,16 +129,29 @@ SERVING_SIGNATURES = {
 }
 
 
+#: Keyword parameters of the pipeline constructor: windowing happens
+#: before a pipeline, and quality is weighed on its result.
+PIPELINE_SIGNATURE = ["queries", "mechanism"]
+
+
+def _keywords(function):
+    return [
+        parameter.name
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+
+
 class TestServingSignatures:
     @pytest.mark.parametrize("owner, method", sorted(SERVING_SIGNATURES))
     def test_keyword_parameters_are_pinned(self, owner, method):
         function = getattr(getattr(repro, owner), method)
-        keywords = [
-            parameter.name
-            for parameter in inspect.signature(function).parameters.values()
-            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
-        ]
-        assert keywords == SERVING_SIGNATURES[owner, method]
+        assert _keywords(function) == SERVING_SIGNATURES[owner, method]
+
+    def test_pipeline_keyword_parameters_are_pinned(self):
+        from repro.runtime import StreamPipeline
+
+        assert _keywords(StreamPipeline.__init__) == PIPELINE_SIGNATURE
 
 
 #: Key=value spec keys of the sequential baselines, read through the

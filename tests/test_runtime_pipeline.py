@@ -11,18 +11,30 @@ from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.core.ppm import MultiPatternPPM
 from repro.core.uniform import UniformPatternPPM
+from repro.metrics.confusion import ConfusionCounts
 from repro.runtime import (
     BatchExecutor,
     IndicatorExtractor,
-    MetricsSink,
+    PipelineResult,
     QueryMatcher,
     ShardedExecutor,
     StreamPipeline,
     WindowStage,
+    merge_results,
     runtime_mechanism,
 )
+from repro.runtime.sharding import (
+    Shard,
+    ShardOutputs,
+    ShardReceipt,
+    plan_shards,
+)
 from repro.streams.events import Event
-from repro.streams.indicator import EventAlphabet, IndicatorStream
+from repro.streams.indicator import (
+    EventAlphabet,
+    IndicatorStream,
+    indicator_matrix,
+)
 from repro.streams.stream import EventStream
 from repro.streams.windows import SessionWindows, TumblingWindows
 
@@ -46,10 +58,9 @@ class TestIndicatorExtractor:
         )
         assert extractor.extract(windows) == reference
 
-    def test_strict_rejects_unknown_types(self, alphabet6):
-        extractor = IndicatorExtractor(alphabet6, strict=True)
-        with pytest.raises(KeyError):
-            extractor.extract([{"e1"}, {"nope"}])
+    def test_strict_builder_rejects_unknown_types(self, alphabet6):
+        with pytest.raises(KeyError, match="'nope' is not in the alphabet"):
+            indicator_matrix(alphabet6, [{"e1"}, {"nope"}], strict=True)
 
     def test_lenient_ignores_unknown_types(self, alphabet6):
         extractor = IndicatorExtractor(alphabet6)
@@ -111,16 +122,57 @@ class TestQueryMatcher:
             QueryMatcher(alphabet6, [ContinuousQuery("q", pattern)])
 
 
-class TestMetricsSink:
-    def test_micro_average_and_mre(self):
-        sink = MetricsSink(alpha=0.5)
+class TestPipelineConfusion:
+    def test_micro_average_over_queries_and_mre(self, alphabet6):
+        # Two queries' counts sum before precision/recall are taken.
+        queries = [
+            ContinuousQuery("a", Pattern.of_types("a", "e1", "e2")),
+            ContinuousQuery("b", Pattern.of_types("b", "e3")),
+        ]
+        original = IndicatorStream.from_window_sets(
+            alphabet6, [{"e1", "e2"}, {"e3"}, {"e1", "e2", "e3"}, set()]
+        )
+        pipeline = StreamPipeline(alphabet6, queries=queries)
+        result = BatchExecutor().run(pipeline, original)
+        # Unprotected: every answer is a true positive or negative.
+        assert result.confusion == ConfusionCounts(tp=4, fp=0, fn=0, tn=4)
+
         truth = {"a": np.array([1, 0, 1, 1], bool)}
         released = {"a": np.array([1, 1, 0, 1], bool)}
-        sink.update(truth, released)
-        quality = sink.quality()
+        counts = ConfusionCounts.micro(truth, released)
+        assert counts == ConfusionCounts(tp=2, fp=1, fn=1, tn=0)
+        result = PipelineResult(released, truth, 4, confusion=counts)
+        quality = result.quality()
         assert quality.precision == pytest.approx(2 / 3)
         assert quality.recall == pytest.approx(2 / 3)
-        assert sink.mre(1.0) == pytest.approx(1 - quality.q)
+        assert result.mre(1.0) == pytest.approx(1 - quality.q)
+
+    def test_summed_shard_counts_equal_batch(
+        self, alphabet6, stream200, queries
+    ):
+        pipeline = StreamPipeline(
+            alphabet6, queries=queries, mechanism=MECHANISMS["uniform"]()
+        )
+        batch = BatchExecutor().run(pipeline, stream200, rng=4)
+        sharded = ShardedExecutor(2, n_shards=3).run(
+            pipeline, stream200, rng=4
+        )
+        assert sharded.confusion == batch.confusion
+
+    def test_merge_results_sums_receipts(self, alphabet6, stream200):
+        shards = plan_shards(stream200.n_windows, 2)
+        outputs = ShardOutputs.allocate(
+            ("q",),
+            Shard(0, stream200.n_windows),
+            len(alphabet6),
+            materialize=False,
+        )
+        receipts = [
+            ShardReceipt(shards[0], ConfusionCounts(1, 2, 3, 4)),
+            ShardReceipt(shards[1], ConfusionCounts(10, 20, 30, 40)),
+        ]
+        merged = merge_results(receipts, outputs, indicators=stream200)
+        assert merged.confusion == ConfusionCounts(11, 22, 33, 44)
 
 
 class TestAdapters:
@@ -215,28 +267,6 @@ class TestChunkSteppingMatchesBatch:
 
 
 class TestPipelineSources:
-    def test_run_from_events_matches_engine(
-        self, alphabet6, queries, target_pattern
-    ):
-        events = EventStream(
-            [
-                Event("e2", 0.1),
-                Event("e3", 0.2),
-                Event("e4", 0.3),
-                Event("e2", 1.5),
-                Event("e9", 1.6),
-            ]
-        )
-        pipeline = StreamPipeline(
-            alphabet6, queries=queries, windower=TumblingWindows(1.0)
-        )
-        result = pipeline.run(events)
-        reference = IndicatorStream.from_event_windows(
-            alphabet6, TumblingWindows(1.0).assign(events), strict=False
-        )
-        assert result.original == reference
-        assert list(result.answers["q"]) == [True, False]
-
     def test_run_from_window_objects(self, alphabet6, queries):
         events = EventStream([Event("e2", 0.0), Event("e3", 0.1)])
         windows = TumblingWindows(1.0).assign(events)
@@ -250,9 +280,9 @@ class TestPipelineSources:
         result = pipeline.run(type_sets, executor=ShardedExecutor(2))
         assert list(result.answers["q"]) == [True, False, True]
 
-    def test_events_without_windower_rejected(self, alphabet6, queries):
+    def test_raw_events_rejected_pointedly(self, alphabet6, queries):
         pipeline = StreamPipeline(alphabet6, queries=queries)
-        with pytest.raises(ValueError, match="windower"):
+        with pytest.raises(TypeError, match="CEPEngine.process_events"):
             pipeline.run(EventStream([Event("e1", 0.0)]))
 
     def test_with_mechanism_shares_stages(self, alphabet6, queries):

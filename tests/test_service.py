@@ -304,6 +304,50 @@ class TestCheckpointResume:
         for name, values in tail.items():
             assert values == uninterrupted[name][30:]
 
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            ("uniform-ppm", {"epsilon": 1.0}),
+            ("bd", {"epsilon": 1.0, "w": 10}),
+        ],
+    )
+    def test_pump_continues_a_resumed_sync_session(self, mechanism, options):
+        # pump over a resumed online-kind session carries on its
+        # release: one budget charge, the window count and the
+        # randomness of an uninterrupted pump.
+        rng = np.random.default_rng(11)
+        matrix = rng.random((300, len(ALPHABET))) < 0.45
+        spec = spec_for(
+            mechanism=mechanism,
+            mechanism_options=options,
+            seed=11,
+            accounting=10.0,
+        )
+        uninterrupted = asyncio.run(spec.build().pump(matrix))
+
+        service = spec.build()
+        head = service.open_session().run(
+            IndicatorStream(EventAlphabet(ALPHABET), matrix[:100])
+        )
+        resumed = StreamService.resume(spec, service.checkpoint())
+        tail = asyncio.run(resumed.pump(matrix[100:]))
+        ledger = resumed.accountant.spends
+        assert [spend.epsilon for spend in ledger] == [1.0]
+        assert resumed.session.windows_processed == 300
+        for name, values in uninterrupted.items():
+            assert head[name] + tail[name] == values
+
+    def test_pump_and_the_sync_session_share_one_release(self, stream):
+        # Windows pushed through the sync session after pump carried it
+        # on are counted, checkpointed and continued by the next pump.
+        service = spec_for().build()
+        online = service.open_session()
+        asyncio.run(service.pump(stream.matrix_view()[:20]))
+        online.push(stream.window_types(20))
+        assert service.checkpoint()["session"]["windows"] == 21
+        asyncio.run(service.pump(stream.matrix_view()[21:]))
+        assert service.session.windows_processed == stream.n_windows
+
     def test_resume_async_checkpoint(self, stream):
         spec = spec_for()
 

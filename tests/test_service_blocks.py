@@ -344,7 +344,9 @@ def test_memory_blocks_are_copies_of_the_callers_matrix(max_pending):
     service = spec.build()
     session = service.open_async_session(max_pending=max_pending)
     released = []
-    session._on_release = lambda _start, rows, _answers: released.append(rows)
+    session._on_release = lambda _start, _rows, rows, _answers: (
+        released.append(rows)
+    )
     asyncio.run(service.pump(MemorySource(matrix)))
     matrix[:] = ~matrix
     assert np.array_equal(np.concatenate(released), expected)

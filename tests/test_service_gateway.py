@@ -1,6 +1,7 @@
 """Tests for StreamGateway: tenancy, isolation, checkpoint/resume."""
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
@@ -358,8 +359,10 @@ class TestCheckpointResume:
 
     def test_sync_session_tenant_resumes_and_serves(self, csv_specs):
         # A tenant whose service holds a sync session checkpoints with
-        # no session options; the resumed gateway serves it to the end.
-        service = csv_specs["a"].build()
+        # no session options; the resumed gateway serves it to the end
+        # on that session's one charge.
+        spec = dataclasses.replace(csv_specs["a"], accounting=10.0)
+        service = spec.build()
         service.open_session()
         gateway = StreamGateway()
         gateway.add_tenant("a", service)
@@ -370,6 +373,20 @@ class TestCheckpointResume:
         results = resumed.run()
         assert resumed.windows_served() == {"a": 100}
         assert len(results["a"]["q"]) == 100
+        ledger = resumed.service("a").accountant.spends
+        assert [spend.epsilon for spend in ledger] == [2.0]
+
+    def test_sync_session_tenant_with_exact_budget_serves(self, csv_specs):
+        # accounting == ε leaves room for exactly one release.
+        spec = dataclasses.replace(csv_specs["a"], accounting=2.0)
+        service = spec.build()
+        service.open_session()
+        gateway = StreamGateway()
+        gateway.add_tenant("a", service)
+        resumed = StreamGateway.resume(gateway.checkpoint())
+        resumed.run()
+        assert resumed.windows_served() == {"a": 100}
+        assert resumed.service("a").accountant.spent() == 2.0
 
     def test_windows_served_counts(self, csv_specs):
         gateway = StreamGateway()
@@ -853,6 +870,50 @@ class TestElasticity:
         released = read_indicator_csv(str(tmp_path / "sliced.csv"))
         assert released.n_windows == 60
         assert released == read_indicator_csv(str(tmp_path / "alone.csv"))
+
+    def test_scattered_telemetry_matches_local(self):
+        # The workers' session and pump counters reach the parent
+        # registry: two scattered slices leave what two local ones do.
+        def fleet():
+            gateway = StreamGateway()
+            for index, name in enumerate(["a", "b"]):
+                gateway.add_tenant(
+                    name, self._declarative_spec(index, n=300)
+                )
+            return gateway
+
+        local = fleet()
+        for _ in range(2):
+            asyncio.run(local.serve(max_windows=150))
+        scattered = fleet()
+        for _ in range(2):
+            scattered.serve_scattered(slots=2, max_windows=150)
+        assert scattered.results() == local.results()
+        for name in (
+            "repro_session_windows_total",
+            "repro_pump_windows_total",
+        ):
+            assert local.registry.counter(name).value == 600
+            assert scattered.registry.counter(name).value == 600
+
+    def test_scattered_shed_is_counted_once(self):
+        gateway = StreamGateway()
+        gateway.add_tenant(
+            "a",
+            self._declarative_spec(4, n=300),
+            rate_limit=2000.0,
+            burst=5.0,
+        )
+        sink_shed = 0
+        for _ in range(2):
+            gateway.serve_scattered(slots=2, max_windows=150)
+            sink_shed += gateway.sink_result("a")["shed"]
+        counter = gateway.registry.counter(
+            "repro_tenant_shed_windows_total"
+        ).labels(tenant="a")
+        assert sink_shed > 0
+        assert gateway.shed_windows() == {"a": sink_shed}
+        assert counter.value == sink_shed
 
     def test_scattered_rejects_runtime_connectors(self):
         gateway = StreamGateway()
