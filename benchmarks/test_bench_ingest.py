@@ -14,6 +14,11 @@ Both arms must be *bit-identical* (the async chunk stepper reproduces
 the batch draws for flip mechanisms), and the connector path must not
 regress below :data:`SPEEDUP_FLOOR` × the hand-rolled loop — the gate
 CI enforces through ``BENCH_ingest.json``.
+
+It also records, with no floor, ``csv_block_rows_per_s``: the same
+file drained through ``CsvSource.ablocks(SERVED_BLOCK_ROWS)``, the
+blocks ``StreamService.pump`` reads, so the ``csv:`` reader's own cost
+has a number apart from the release it feeds.
 """
 
 import asyncio
@@ -31,6 +36,7 @@ from benchmarks.conftest import (
     paired_speedup,
     ratio_spread,
 )
+from repro.io import CsvSource
 from repro.service import ServiceSpec
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.utils.tables import ResultTable
@@ -46,6 +52,9 @@ N_TYPES = 8
 SPEEDUP_FLOOR = 1.2
 
 _ROUNDS = 5
+
+#: Rows per served block (the serving queue bound's default).
+SERVED_BLOCK_ROWS = 1024
 
 SEED = 11
 
@@ -88,6 +97,18 @@ def _handrolled(path, spec):
     return {"q": [answers["q"][0] for answers in per_window]}
 
 
+def _drain_blocks(path, alphabet):
+    """Rows of ``path`` read as the served path reads them."""
+
+    async def drain():
+        source = CsvSource(path).bind(alphabet)
+        return sum(
+            [len(block) async for block in source.ablocks(SERVED_BLOCK_ROWS)]
+        )
+
+    return asyncio.run(drain())
+
+
 def _timed(callable_):
     start = time.perf_counter()
     result = callable_()
@@ -125,16 +146,22 @@ def test_ingest_throughput(benchmark, results_dir):
 
         # -- throughput: interleaved rounds, median paired ratio -------
         paired = []
-        connector_times, handrolled_times = [], []
+        connector_times, handrolled_times, block_times = [], [], []
         for _ in range(_ROUNDS):
             _, connector_seconds = _timed(lambda: spec.build().run())
             _, handrolled_seconds = _timed(
                 lambda: _handrolled(path, spec)
             )
+            drained, block_seconds = _timed(
+                lambda: _drain_blocks(path, alphabet)
+            )
+            assert drained == N_WINDOWS
             connector_times.append(connector_seconds)
             handrolled_times.append(handrolled_seconds)
+            block_times.append(block_seconds)
             paired.append(handrolled_seconds / connector_seconds)
         speedup = paired_speedup(paired)
+        block_rates = [N_WINDOWS / seconds for seconds in block_times]
 
         table = ResultTable(
             ["path", "seconds", "windows_per_second"],
@@ -143,6 +170,7 @@ def test_ingest_throughput(benchmark, results_dir):
         for name, seconds in [
             ("connector run()", median(connector_times)),
             ("hand-rolled submit loop", median(handrolled_times)),
+            (f"csv: ablocks({SERVED_BLOCK_ROWS}) drain", median(block_times)),
         ]:
             table.add_row(
                 path=name,
@@ -160,6 +188,8 @@ def test_ingest_throughput(benchmark, results_dir):
                 "handrolled_seconds": median(handrolled_times),
                 "speedup": speedup,
                 **ratio_spread("speedup", paired),
+                "csv_block_rows_per_s": median(block_rates),
+                **ratio_spread("csv_block_rows_per_s", block_rates),
             },
             rows=table.rows,
             gates={

@@ -304,7 +304,9 @@ class CsvSink(StreamSink):
 
     def _open(self, *, append: bool) -> None:
         fresh = not (append and os.path.exists(self.path))
-        self._handle = open(self.path, "w" if fresh else "a", newline="")
+        self._handle = open(
+            self.path, "w" if fresh else "a", newline="", encoding="utf-8"
+        )
         self._writer = csv.writer(self._handle)
         if fresh:
             self._writer.writerow(self.alphabet.types)
@@ -341,7 +343,9 @@ class JsonlSink(StreamSink):
 
     def _open(self, *, append: bool) -> None:
         fresh = not (append and os.path.exists(self.path))
-        self._handle = open(self.path, "w" if fresh else "a")
+        self._handle = open(
+            self.path, "w" if fresh else "a", encoding="utf-8"
+        )
 
     def _write(self, index, row, answers, truth) -> None:
         if self._handle is None:

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 #: Rows per block when a source materializes into one indicator
-#: stream.
+#: stream, and per read when a ``csv:`` source skips.
 _CHUNK_ROWS = 4096
 
 #: The values an indicator cell may hold.
@@ -81,7 +81,7 @@ _BITS = frozenset((0, 1))
 
 def _csv_header(path: str) -> EventAlphabet:
     """The alphabet an indicator CSV declares in its header row."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         header = next(csv.reader(handle), None)
     if header is None:
         raise ValueError(f"{path} is empty; expected an alphabet header")
@@ -108,33 +108,6 @@ def _checked_row(path: str, line_number: int, row, width: int) -> np.ndarray:
             f"{path}:{line_number}: indicator values must be 0/1"
         )
     return np.array(values, dtype=bool, ndmin=2)
-
-
-def _strict_block(lines, width: int) -> Optional[np.ndarray]:
-    """Parse raw CSV lines written exactly as ``0,1,...,0`` plus one
-    line ending (what :class:`~repro.io.sinks.CsvSink` writes) in one
-    vectorized pass; ``None`` when any line deviates, so the caller
-    falls back to the row validator and its exact error messages."""
-    content = 2 * width - 1
-    if lines[0][content:] not in ("\n", "\r\n"):
-        return None
-    try:
-        data = "".join(lines).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    length = len(lines[0])
-    if len(data) != len(lines) * length:
-        return None
-    cells = np.frombuffer(data, dtype=np.uint8).reshape(len(lines), length)
-    values = cells[:, 0:content:2] - ord("0")
-    endings = cells[:, content:]
-    if (
-        (values > 1).any()
-        or (cells[:, 1:content:2] != ord(",")).any()
-        or (endings != endings[0]).any()
-    ):
-        return None
-    return values.astype(bool)
 
 
 def read_indicator_csv(path: str) -> IndicatorStream:
@@ -635,65 +608,169 @@ class CsvSource(StreamSource):
 
 
 class _CsvCursor:
-    """One open pass over an indicator CSV, past its header.
+    """One open pass over an indicator CSV, past its header, read as
+    bytes.
 
-    A one-row block goes through the csv reader and the row validator
-    (cheaper than a vectorized pass for a single line); larger blocks
-    are parsed in one vectorized pass, and a block with any malformed
-    line is re-parsed row by row, so the error names that exact line.
-    The file closes at the end of the pass, on a malformed line, or
-    when the cursor is collected mid-file.
+    A file of strict records (``0,1,...,0`` plus one ``\\n`` or
+    ``\\r\\n`` ending, all of one length: what
+    :class:`~repro.io.sinks.CsvSink` writes) is read ``k`` rows at a
+    time as one ``k``-record slab, checked and decoded in one
+    vectorized pass (a single record in plain Python).  The record
+    length is learned from the first data line.  Bytes that fail the
+    check are split into the lines text-mode iteration with
+    ``newline=""`` yields (``\\r\\n``, ``\\r``, ``\\n``) and parsed one
+    by one, so a malformed line raises naming its exact line.  The
+    file closes at the end of the pass, on a malformed line, or when
+    the cursor is collected mid-file.
     """
 
     def __init__(self, path: str, width: int, skip: int = 0):
         self.path = path
         self.width = width
-        self.handle = open(path, newline="")
+        self.handle = open(path, "rb")
         weakref.finalize(self, self.handle.close)
-        #: Where rows and raw lines are read; both run dry once the
-        #: file closes.
-        self.reader = csv.reader(self.handle)
-        self.lines = self.handle
-        next(self.reader, None)  # the header, checked by bind()
+        #: Bytes read from the file but not yet consumed.
+        self.pending = b""
+        self._lines(1)  # the header, checked by bind()
+        self.content = content = 2 * width - 1
+        self.pending += self.handle.read(content + 2)
+        ending = self.pending[content : content + 2]
+        if ending[:1] == b"\n":
+            ending = b"\n"
+        elif ending != b"\r\n":
+            ending = b""
+        #: Length of a strict record (0: the first data line is not
+        #: one, so every read takes the line path).
+        self.record = content + len(ending) if ending else 0
+        #: A record of zeros, and how far each byte may exceed it (1
+        #: at a digit); as arrays, repeated to the longest slab read.
+        self.zero_record = b"0," * (width - 1) + b"0" + ending
+        self.slack_record = b"\1\0" * (width - 1) + b"\1" + bytes(len(ending))
+        self.zeros = self.slack = np.zeros(0, dtype=np.uint8)
         # A checkpointed prefix is skipped by raw lines (one row per
-        # line, as block() counts them), never split, converted or
-        # validated: resuming deep into a file costs no more than
-        # reading it.
-        deque(islice(self.handle, skip), maxlen=0)
+        # line, as block() counts them), counted a slab of strict
+        # records at a time where the check passes and never parsed:
+        # resuming deep into a file costs no more than reading it.
+        left = skip
+        while left:
+            skipped = self._skip(min(left, _CHUNK_ROWS))
+            if not skipped:
+                break
+            left -= skipped
         #: Line number of the last line read (the header is line 1).
         self.line = 1 + skip
 
     def block(self, limit: int) -> Optional[np.ndarray]:
+        if self.handle.closed:
+            return None
         try:
-            if limit == 1:
-                row = next(self.reader, None)
-                if row is not None:
-                    self.line += 1
-                    return _checked_row(self.path, self.line, row, self.width)
-            else:
-                lines = list(islice(self.lines, limit))
-                if lines:
-                    return self._parse(lines)
+            block = self._read(limit)
         except ValueError:
             self.close()  # a malformed line ends the pass
             raise
-        self.close()  # the end of the file
-        return None
+        if block is None:
+            self.close()  # the end of the file
+        return block
 
     def close(self) -> None:
         self.handle.close()
-        self.reader = self.lines = iter(())
+        self.pending = b""
 
-    def _parse(self, lines) -> np.ndarray:
+    def _read(self, limit: int) -> Optional[np.ndarray]:
+        if self.record:
+            data = self._bytes(limit * self.record)
+            block = self._records(data)
+            if block is not None:
+                self.line += len(block)
+                return block
+            self.pending = data + self.pending
+        lines = self._lines(limit)
+        if not lines:
+            return None
         first = self.line + 1
         self.line += len(lines)
-        block = _strict_block(lines, self.width)
-        if block is None:
-            block = np.concatenate(
-                [
-                    _checked_row(self.path, first + index, row, self.width)
-                    for index, row in enumerate(csv.reader(lines))
-                ]
+        return np.concatenate(
+            [self._parse(first + k, line) for k, line in enumerate(lines)]
+        )
+
+    def _skip(self, count: int) -> int:
+        """Discard up to ``count`` raw lines unparsed; how many there
+        were."""
+        if self.record:
+            data = self._bytes(count * self.record)
+            if self._records(data) is not None:
+                return len(data) // self.record
+            self.pending = data + self.pending
+        return len(self._lines(count))
+
+    def _bytes(self, size: int) -> bytes:
+        """The next ``size`` bytes (fewer at the end of the file)."""
+        pending = self.pending
+        if len(pending) >= size:
+            self.pending = pending[size:]
+            return pending[:size]
+        self.pending = b""
+        return pending + self.handle.read(size - len(pending))
+
+    def _records(self, data: bytes) -> Optional[np.ndarray]:
+        """``data`` decoded as whole strict records into a ``(k, width)``
+        block; ``None`` when it is empty or any record deviates."""
+        length, content = self.record, self.content
+        if not data or len(data) % length:
+            return None
+        if len(data) == length:
+            # Strict iff every byte but a digit's 1 is the zero record's.
+            if data.replace(b"1", b"0") != self.zero_record:
+                return None
+            digits = np.frombuffer(data[:content:2], dtype=np.uint8)
+            return (digits == ord("1"))[None]
+        size = len(data)
+        if size > len(self.zeros):
+            count = size // length
+            self.zeros = np.frombuffer(self.zero_record * count, np.uint8)
+            self.slack = np.frombuffer(self.slack_record * count, np.uint8)
+        excess = np.frombuffer(data, dtype=np.uint8) - self.zeros[:size]
+        if (excess > self.slack[:size]).any():
+            return None
+        digits = excess.reshape(-1, length)[:, :content:2]
+        return digits.copy().view(bool)
+
+    def _lines(self, limit: int) -> list:
+        """Up to ``limit`` next raw lines, endings kept, split where
+        text-mode iteration with ``newline=""`` splits them; the bytes
+        after them stay pending.  A ``\\r`` at the end of a read is not
+        a line end until the next byte shows it is no ``\\r\\n``."""
+        data = self.pending
+        size = limit * (2 * self.width + 1)
+        while True:
+            lines = data.splitlines(keepends=True)
+            if len(lines) > limit or (
+                len(lines) == limit and lines[-1].endswith(b"\n")
+            ):
+                break
+            more = self.handle.read(max(size, len(data)))
+            if not more:
+                break
+            data += more
+        lines = lines[:limit]
+        self.pending = data[sum(map(len, lines)) :]
+        return lines
+
+    def _parse(self, number: int, line: bytes) -> np.ndarray:
+        """One raw line validated as a ``(1, width)`` block."""
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(
+                f"{self.path}:{number}: not UTF-8 text"
+            ) from None
+        row = next(csv.reader((text,)))
+        block = _checked_row(self.path, number, row, self.width)
+        if row[-1].endswith(("\r", "\n")):
+            # A quote left open runs past the line end: a row is one
+            # line, and a value holding a line end is no integer.
+            raise ValueError(
+                f"{self.path}:{number}: non-integer indicator value"
             )
         return block
 
@@ -722,7 +799,7 @@ class JsonlSource(StreamSource):
             raise FileNotFoundError(f"no such jsonl source: {self.path}")
 
     def _rows(self) -> Iterator[np.ndarray]:
-        with open(self.path) as handle:
+        with open(self.path, encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:

@@ -60,7 +60,7 @@ class JsonlSnapshotWriter:
             {"at": self._clock(), "snapshot": self.registry.snapshot()},
             sort_keys=True,
         )
-        with open(self.path, "a") as handle:
+        with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
 
     def start(self, interval: float) -> None:

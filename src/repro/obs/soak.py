@@ -89,7 +89,7 @@ class SoakReport:
 
 def _replay_alphabet(path: str) -> tuple:
     """The alphabet header of a recorded indicator CSV."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         try:
             header = next(csv.reader(handle))
         except StopIteration:

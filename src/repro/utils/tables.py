@@ -127,5 +127,5 @@ class ResultTable:
 
     def write_csv(self, path: str) -> None:
         """Write the table to ``path`` as CSV."""
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(self.to_csv())
