@@ -29,10 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import StreamMechanism, as_statistics
-from repro.runtime.decisions import check_scan
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range
 
 
 class LandmarkReleaser:
@@ -126,9 +125,9 @@ class LandmarkReleaser:
     def step_block(self, matrix: np.ndarray) -> np.ndarray:
         """Release a block of timestamps; rows are indicator vectors.
 
-        The scalar :meth:`_advance` loop, row by row, in every scan
-        mode, so any split of a stream into blocks releases the same
-        rows.  Landmark has no decision loop, so its rows feed no
+        The scalar :meth:`_advance` loop, row by row, so any split of a
+        stream into blocks releases the same rows.  Landmark has no
+        decision loop, so its rows feed no
         ``repro_decisions_*_rows_total`` counter.
         """
         matrix = as_statistics(matrix, self.n_types)
@@ -143,17 +142,12 @@ class LandmarkReleaser:
         Used by the checkpoint prepass: state and randomness end exactly
         as under :meth:`step_block`.  Regular (non-landmark) rows never
         touch the release state and their draws are index-derived, so
-        under ``scan=margin`` and ``scan=exact`` alike the walk hops
-        them and runs :meth:`_advance` on the block's landmark rows
-        only; ``scan=off`` keeps the row-by-row loop, the oracle.  A
-        block that runs past the mask raises :meth:`_advance`'s error,
-        leaving the state where stepping row by row leaves it.
+        the walk hops them and runs :meth:`_advance` on the block's
+        landmark rows only.  A block that runs past the mask raises
+        :meth:`_advance`'s error, leaving the state where stepping row
+        by row leaves it.
         """
         matrix = as_statistics(matrix, self.n_types)
-        if self.mechanism.scan == "off":
-            for row in matrix:
-                self._advance(row)
-            return
         start = self.t
         in_mask = self._landmarks[start : start + matrix.shape[0]]
         for row in np.flatnonzero(in_mask):
@@ -232,19 +226,19 @@ class LandmarkPrivacy(StreamMechanism):
 
     mechanism_name = "landmark"
 
+    #: L1 sensitivity of the per-timestamp statistics: an indicator
+    #: vector changes in one entry under a single-event change.
+    sensitivity = 1.0
+
     def __init__(
         self,
         epsilon: float,
         *,
         landmarks: Optional[Sequence[bool]] = None,
         rho: float = 0.5,
-        sensitivity: float = 1.0,
-        scan: str = "margin",
     ):
         super().__init__(epsilon)
         self.rho = check_in_range("rho", rho, 0.0, 1.0, inclusive=False)
-        self.sensitivity = check_positive("sensitivity", sensitivity)
-        self.scan = check_scan(scan)
         self._landmarks = (
             None if landmarks is None else np.asarray(landmarks, dtype=bool)
         )

@@ -22,15 +22,58 @@ and incrementally (:meth:`WEventMechanism.online_releaser`, used by
 :class:`repro.cep.online.OnlineSession`); the batch path runs on top of
 the same releaser, so the two agree bit for bit under the same seed.
 
-:class:`OnlineReleaser` decides the timestamps of a block with the
-bound → scan → resolve pipeline of :mod:`repro.runtime.decisions`,
-calling the scheduler's budget hooks directly — triangle-inequality
-distance bounds decide most rows without any distance, vectorized
-distance passes decide the rows a margin band certifies, exact scalar
-arithmetic decides everything near a decision boundary.  ``scan=`` on
-the mechanism constructor (or the ``scan=`` spec key) picks the mode:
-``margin`` (the default), ``exact`` (audit) or ``off`` (the scalar
-loop on every row).
+The release is decided in one tight loop (:meth:`OnlineReleaser._resolve`)
+that calls the scheduler's budget hooks directly and decides every row
+by the cheapest sound test it passes, in three stages:
+
+**bound**
+    Per chunk of :data:`_CHUNK_ROWS` rows, one vectorized pass computes
+    every row's norm ``a_r = mean|x_r|`` (:func:`_row_norms`) and an
+    approximate dissimilarity noise (:func:`_approximate_noises`, ``np.log``
+    on the prefetched first uniforms).  With ``b = mean|last|``, one
+    reduce per publication, the triangle inequality bounds the distance
+    of any real row: ``|b − a_r| ≤ d_r ≤ b + a_r``.  A row whose
+    upper-bound score stays below the threshold is a certified skip; one
+    whose lower-bound score clears it is a certified publication.
+    Neither needs a distance.
+
+**pass**
+    Only rows between the two bounds reach a vectorized distance pass
+    (:func:`_release_distances`) over the next :data:`_PASS_ROWS` rows
+    against the last release; a publication invalidates it.
+
+**resolve**
+    The budget hook runs once per constant-budget stretch (the
+    scheduler's ``_budget_until``), zero-budget stretches are hopped,
+    skip runs are applied as one ``released[a:b]`` fill and only
+    publications are logged to the trace.  Only publishing rows (and
+    ``u <= 0`` rows) draw from a child generator, and every row near a
+    decision boundary is decided by the exact scalar arithmetic.
+
+Blocks shorter than :data:`_PREFETCH_MIN` rows (single pushes, async
+micro-batches) and the first release of a run go through the exact
+scalar step (:meth:`OnlineReleaser._exact_step`) instead.  Both paths
+are pinned bit for bit against the independent seed loop,
+:func:`repro.runtime.reference.reference_w_event_perturb`, which
+derives one generator per window and reduces with ``.mean()``.
+
+Why the margins are sound: the exact decision compares the scalar
+distance plus the scalar ``math.log`` noise against the threshold.
+A pass-decided row takes the exact noise (:func:`_laplace_noise`), so
+the only disagreement its margin must cover is the vectorized distance
+pass rounding differently than the scalar per-row reduction; it is
+decided from the pass only when its score clears the threshold by more
+than ``margin * (1 + |noise| + θ)``.  A bound-decided row additionally
+takes the vectorized noise and norms, whose errors are ulp-level
+relative to ``|noise|``, ``a_r`` and ``b``; its slack is
+``margin * (1 + |noise| + θ + a_r + b)``, so it scales with every
+magnitude involved.  The triangle inequality holds for any real
+vectors, and every rounding error in play is ulps relative to those
+magnitudes — astronomically narrower than the slack at :data:`_MARGIN`
+``= 1e-9``, yet the slack is vanishingly unlikely to catch a real
+decision (the score is a continuous random variable).  Rows inside a
+band fall through to the next stage, so a margin that is *too wide*
+only costs speed, never correctness.
 
 The scheduler hooks see only the timestamp and the scheduler's own
 ``state``; the accounting record of a run is a :class:`ReleaseTrace`,
@@ -47,16 +90,116 @@ from __future__ import annotations
 
 import abc
 import copy
+import math
 from array import array
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.base import StreamMechanism, as_statistics
-from repro.runtime import decisions
+from repro.obs.metrics import default_registry
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
+
+#: Safety margin of the certification bands (see the module docstring
+#: for why it is sound).
+_MARGIN = 1e-9
+
+#: Blocks at least this long precompute their first uniforms
+#: vectorized; shorter blocks — single pushes, async micro-batches —
+#: draw per step, which is cheaper below this size.  Both paths produce
+#: bit-identical draws.
+_PREFETCH_MIN = 32
+
+#: Rows of one w-event distance pass.  A pass is computed against the
+#: last release, so every publication invalidates the rest of it: BD/BA
+#: publish on roughly one row in four to seven, and a short constant
+#: pass keeps the vector work a publication throws away small while
+#: still amortizing numpy's per-call overhead over the rows the bounds
+#: leave undecided.
+_PASS_ROWS = 32
+
+#: Rows of one bound chunk: the row norms and approximate noises are
+#: computed this many rows at a time, so a long block never holds a
+#: block-sized ``abs`` temporary.
+_CHUNK_ROWS = 2048
+
+
+def _kernel_telemetry():
+    """The decision loop's counters, fetched from the *current* default
+    registry per block.
+
+    Resolved lazily (not cached on the releaser) so a releaser pickled
+    into a cluster worker reports into that worker's per-task registry
+    — the increments then ride the ``_METRICS`` frame back to the
+    parent.  Three dict lookups per block, amortized over the block's
+    rows.
+    """
+    registry = default_registry()
+    return (
+        registry.counter(
+            "repro_decisions_certified_rows_total",
+            "Rows decided by a certified bound or distance-pass verdict.",
+        ),
+        registry.counter(
+            "repro_decisions_boundary_rows_total",
+            "Rows resolved by the exact scalar step.",
+        ),
+        registry.counter(
+            "repro_decisions_zero_budget_rows_total",
+            "Rows approximated on zero publication budget.",
+        ),
+    )
+
+
+def _release_distances(rows: np.ndarray, release: np.ndarray) -> np.ndarray:
+    """Mean absolute deviation of every row from ``release``.
+
+    The distance pass.  Reducing along ``axis=1`` may sum in a
+    different order than the scalar per-row reduction, so the values
+    equal the exact distances only up to ulps — decisions taken from
+    them are protected by the margin band.
+    """
+    return np.add.reduce(np.abs(rows - release), axis=1) / rows.shape[1]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Mean absolute value ``a_r`` of every row.
+
+    The bound precompute: with ``b`` the mean absolute value of the
+    last release, every row's distance lies in ``[|b − a_r|, b + a_r]``.
+    The reduction is ulp-accurate, which the bound slack covers.
+    """
+    return np.add.reduce(np.abs(rows), axis=1) / rows.shape[1]
+
+
+def _approximate_noises(uniforms: np.ndarray, scale: float) -> np.ndarray:
+    """Vectorized Laplace noise of each first uniform, NaN for ``u <= 0``.
+
+    The branch of numpy's ``random_laplace`` (``loc=0``) over an array:
+    ``np.log`` may round differently than the scalar ``math.log``, so
+    these values serve only the bound certificates, whose slack covers
+    the difference.  ``u <= 0`` rows retry inside numpy; they are NaN
+    here, which no certificate accepts.
+    """
+    upper = uniforms >= 0.5
+    arguments = np.where(
+        upper,
+        2.0 - uniforms - uniforms,
+        np.where(uniforms > 0.0, uniforms + uniforms, np.nan),
+    )
+    noises = scale * np.log(arguments)
+    np.negative(noises, out=noises, where=upper)
+    return noises
+
+
+def _laplace_noise(uniform: float, scale: float) -> float:
+    """numpy ``random_laplace`` (``loc=0``) of a first uniform ``u > 0``:
+    branch and arithmetic order replayed exactly."""
+    if uniform >= 0.5:
+        return 0.0 - scale * math.log(2.0 - uniform - uniform)
+    return 0.0 + scale * math.log(uniform + uniform)
 
 
 class ReleaseTrace:
@@ -138,13 +281,14 @@ class OnlineReleaser:
     """Incremental w-event release, one block of timestamps at a time.
 
     Owns the scheduler state, the accounting trace (a publication log,
-    appended to only when a timestamp publishes), the last release and the decision loop itself (the bound →
-    scan → resolve pipeline of :mod:`repro.runtime.decisions`), which
-    calls the mechanism's budget hooks directly; created by
-    :meth:`WEventMechanism.online_releaser`.  :meth:`step_block` is
-    bit-identical to the seed per-timestamp loop in every ``scan`` mode
-    — the vectorized values only decide rows the margin band certifies,
-    never what any timestamp releases.
+    appended to only when a timestamp publishes), the last release and
+    the decision loop itself (the bound → pass → resolve pipeline of
+    the module docstring), which calls the mechanism's budget hooks
+    directly; created by :meth:`WEventMechanism.online_releaser`.
+    :meth:`step_block` is bit-identical to the seed per-timestamp loop
+    (:func:`repro.runtime.reference.reference_w_event_perturb`) — the
+    vectorized values only decide rows the margin band certifies, never
+    what any timestamp releases.
 
     The per-timestamp randomness is ``derive_rng(rng, "w-event", t)``,
     drawn through an :class:`~repro.runtime.rng_pool.IndexedRngPool`:
@@ -195,25 +339,21 @@ class OnlineReleaser:
         so the loop is free to consume them smartly without changing a
         single output bit: with prefetched uniforms only publishing
         timestamps (and ``u <= 0`` rows) install a child generator.
-        ``scan=off`` and blocks shorter than the prefetch threshold run
-        :meth:`_exact_step` row by row.
+        Blocks shorter than :data:`_PREFETCH_MIN` run :meth:`_exact_step`
+        row by row.
         """
         matrix = as_statistics(matrix, self.n_types)
         released = np.empty_like(matrix)
         n = matrix.shape[0]
         if n == 0:
             return released
-        uniforms = (
-            self._children.first_uniforms(self.t, self.t + n)
-            if n >= decisions._PREFETCH_MIN
-            else None
-        )
-        certified, boundary, zero_budget = decisions._kernel_telemetry()
-        if self.mechanism.scan == "off" or uniforms is None:
+        certified, boundary, zero_budget = _kernel_telemetry()
+        if n < _PREFETCH_MIN:
             for row in range(n):
-                self._exact_step(matrix, released, row, uniforms)
+                self._exact_step(matrix, released, row)
             boundary.inc(n)
             return released
+        uniforms = self._children.first_uniforms(self.t, self.t + n)
         counts = self._resolve(matrix, released, uniforms)
         certified.inc(counts[0])
         boundary.inc(counts[1])
@@ -247,15 +387,14 @@ class OnlineReleaser:
         scale = self._dissimilarity_draw_scale
         sensitivity = mechanism.sensitivity
         n_types = self.n_types
-        margin = decisions._MARGIN
-        audit = mechanism.scan == "exact"
-        laplace_noise = decisions._laplace_noise
+        margin = _MARGIN
+        laplace_noise = _laplace_noise
         n = matrix.shape[0]
         boundary = zero_budget = 0
         start = 0
         if self.last_release is None:
             # The first release ever publishes without a distance.
-            self._exact_step(matrix, released, 0, uniforms)
+            self._exact_step(matrix, released, 0)
             boundary = start = 1
         base = self.t - start  # row r is timestamp base + r
         last = self.last_release
@@ -285,7 +424,7 @@ class OnlineReleaser:
                 publish_above = threshold + widening
             if row >= chunk_stop:
                 chunk_start = row
-                chunk_stop = min(n, row + decisions._CHUNK_ROWS)
+                chunk_stop = min(n, row + _CHUNK_ROWS)
                 chunk = slice(row, chunk_stop)
                 norms, lows, keys = self._bounds(
                     matrix[chunk], uniforms[chunk]
@@ -295,39 +434,21 @@ class OnlineReleaser:
             if keys[i] < skip_below:
                 # Certified skip: even the upper bound b + a_r on the
                 # distance leaves the score below the threshold.
-                if audit:
-                    self._audit(
-                        base + row,
-                        False,
-                        matrix[row],
-                        last,
-                        laplace_noise(chunk_uniforms[i], scale),
-                        threshold,
-                    )
                 row += 1
                 continue
             t = base + row
             rng_t = None
-            if abs(spread - norms[i]) + lows[i] > publish_above:
-                # Certified publication: even the lower bound |b - a_r|
-                # on the distance lifts the score above the threshold.
-                if audit:
-                    self._audit(
-                        t,
-                        True,
-                        matrix[row],
-                        last,
-                        laplace_noise(chunk_uniforms[i], scale),
-                        threshold,
-                    )
-            else:
+            # A certified publication (even the lower bound |b - a_r| on
+            # the distance lifts the score above the threshold) needs no
+            # distance.  ``not >`` keeps NaN bounds (u <= 0) out of it.
+            if not abs(spread - norms[i]) + lows[i] > publish_above:
                 uniform = chunk_uniforms[i]
                 if uniform > 0.0:
                     noise = laplace_noise(uniform, scale)
                     if row >= pass_stop:
                         pass_start = row
-                        pass_stop = min(n, row + decisions._PASS_ROWS)
-                        distances = decisions.release_distances(
+                        pass_stop = min(n, row + _PASS_ROWS)
+                        distances = _release_distances(
                             matrix[row:pass_stop], last
                         ).tolist()
                     score = distances[row - pass_start] + noise
@@ -338,10 +459,6 @@ class OnlineReleaser:
                         publish = distance + noise > threshold
                     else:
                         publish = score > threshold
-                        if audit:
-                            self._audit(
-                                t, publish, matrix[row], last, noise, threshold
-                            )
                 else:
                     # U == 0 retries inside numpy; take the real generator.
                     boundary += 1
@@ -389,11 +506,9 @@ class OnlineReleaser:
         ``margin·(1 + |noise| + θ + a_r + b)``.  NaN noises (``u <= 0``)
         satisfy neither.
         """
-        norms = decisions.row_norms(rows)
-        noises = decisions._approximate_noises(
-            uniforms, self._dissimilarity_draw_scale
-        )
-        reach = decisions._MARGIN * (1.0 + np.abs(noises) + norms)
+        norms = _row_norms(rows)
+        noises = _approximate_noises(uniforms, self._dissimilarity_draw_scale)
+        reach = _MARGIN * (1.0 + np.abs(noises) + norms)
         return (
             norms.tolist(),
             (noises - reach).tolist(),
@@ -406,23 +521,11 @@ class OnlineReleaser:
         bit-identical to ``.mean()`` and skips its dispatch overhead."""
         return float(np.add.reduce(np.abs(row - last)) / self.n_types)
 
-    def _audit(self, t, publish, row, last, noise, threshold) -> None:
-        """Re-verify one margin-decided row with the scalar arithmetic."""
-        if (self._distance(row, last) + noise > threshold) != publish:
-            verdict = "a publication" if publish else "a skip"
-            raise decisions.ScanMarginError(
-                f"timestamp {t} was certified as {verdict} but the exact "
-                f"arithmetic disagrees (noise {noise!r}, threshold "
-                f"{threshold!r}); the platform's rounding exceeds the "
-                f"built-in scan margin {decisions._MARGIN!r}"
-            )
-
-    def _exact_step(self, matrix, released, row: int, uniforms) -> None:
+    def _exact_step(self, matrix, released, row: int) -> None:
         """One timestamp through the exact scalar arithmetic.
 
-        This is the seed release loop's body: the whole loop under
-        ``scan=off`` (the oracle the resolve is pinned against), blocks
-        below the prefetch threshold, and the first release of a run.
+        This is the seed release loop's body, run on blocks below the
+        prefetch threshold and on the first release of a run.
         """
         mechanism = self.mechanism
         trace = self.trace
@@ -437,27 +540,13 @@ class OnlineReleaser:
         elif budget > 0:
             # Private dissimilarity: the distance from the last release
             # plus Laplace noise (Kellaris' `dis`).
-            if uniforms is None:
-                rng_t = self._children.generator(self.t)
-                noise = float(rng_t.laplace(0.0, scale))
-            else:
-                uniform = uniforms[row]
-                if uniform > 0.0:
-                    noise = decisions._laplace_noise(uniform, scale)
-                else:
-                    # U == 0 retries inside numpy; take the real
-                    # generator for this (astronomically rare) step.
-                    rng_t = self._children.generator(self.t)
-                    noise = float(rng_t.laplace(0.0, scale))
+            rng_t = self._children.generator(self.t)
+            noise = float(rng_t.laplace(0.0, scale))
             true_distance = self._distance(matrix[row], last_release)
             publish = true_distance + noise > mechanism.sensitivity / budget
         if publish:
-            if rng_t is None:
+            if rng_t is None:  # the first release draws no dissimilarity
                 rng_t = self._children.generator(self.t)
-                if last_release is not None:
-                    # The stepped stream spent one word on the
-                    # dissimilarity draw; reposition past it.
-                    rng_t.laplace(0.0, scale)
             noise_vector = rng_t.laplace(
                 0.0, mechanism.sensitivity / budget, size=self.n_types
             )
@@ -536,20 +625,15 @@ class OnlineReleaser:
 class WEventMechanism(StreamMechanism):
     """Shared skeleton of the BD and BA schedulers."""
 
-    def __init__(
-        self,
-        epsilon: float,
-        w: int,
-        *,
-        sensitivity: float = 1.0,
-        scan: str = "margin",
-    ):
+    #: L1 sensitivity of the per-timestamp statistics: an indicator
+    #: vector changes in one entry under a single-event change.
+    sensitivity = 1.0
+
+    def __init__(self, epsilon: float, w: int):
         super().__init__(epsilon)
         self.w = check_positive_int("w", w)
-        self.sensitivity = check_positive("sensitivity", sensitivity)
         self.epsilon_dissimilarity = epsilon / 2.0
         self.epsilon_publication = epsilon / 2.0
-        self.scan = decisions.check_scan(scan)
         self.last_trace: Optional[ReleaseTrace] = None
 
     # -- subclass hooks -----------------------------------------------------
@@ -563,9 +647,9 @@ class WEventMechanism(StreamMechanism):
         """Budget available for publishing at timestamp ``t`` (0 = skip).
 
         A scheduler keeps whatever it needs from earlier timestamps in
-        ``state``.  ``scan=margin|exact`` call it once per
-        constant-budget stretch (:meth:`_budget_until`); the
-        ``scan=off`` loop and the seed loop call it on every timestamp.
+        ``state``.  The decision loop calls it once per constant-budget
+        stretch (:meth:`_budget_until`); the exact step and the seed
+        loop call it on every timestamp.
         """
 
     def _after_publication(self, t: int, budget: float, state: Dict) -> None:

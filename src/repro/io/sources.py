@@ -79,13 +79,46 @@ _BITS = frozenset((0, 1))
 # ---------------------------------------------------------------------------
 
 
+def _read_lines(handle, data: bytes, limit: int, size: int):
+    """Up to ``limit`` next raw lines of a binary file, endings kept.
+
+    ``data`` holds bytes already read and not yet consumed; more are
+    read ``size`` (or as many as are held) at a time.  Lines split
+    where text-mode iteration with ``newline=""`` splits them
+    (``\r\n``, ``\r``, ``\n``); a ``\r`` at the end of a read is not
+    a line end until the next byte shows it is no ``\r\n``.  Returns
+    the lines and the bytes after them.
+    """
+    while True:
+        lines = data.splitlines(keepends=True)
+        if len(lines) > limit or (
+            len(lines) == limit and lines[-1].endswith(b"\n")
+        ):
+            break
+        more = handle.read(max(size, len(data)))
+        if not more:
+            break
+        data += more
+    lines = lines[:limit]
+    return lines, data[sum(map(len, lines)) :]
+
+
 def _csv_header(path: str) -> EventAlphabet:
-    """The alphabet an indicator CSV declares in its header row."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), None)
-    if header is None:
+    """The alphabet an indicator CSV declares in its header row.
+
+    The header is the file's first line, split as the row cursor splits
+    lines; only that line is decoded, so a bad byte in a data line
+    fails when its row is read, naming its line.
+    """
+    with open(path, "rb") as handle:
+        lines, _rest = _read_lines(handle, b"", 1, 256)
+    if not lines:
         raise ValueError(f"{path} is empty; expected an alphabet header")
-    return EventAlphabet(header)
+    try:
+        text = lines[0].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:1: not UTF-8 text") from None
+    return EventAlphabet(next(csv.reader((text,))))
 
 
 def _checked_row(path: str, line_number: int, row, width: int) -> np.ndarray:
@@ -736,24 +769,11 @@ class _CsvCursor:
         return digits.copy().view(bool)
 
     def _lines(self, limit: int) -> list:
-        """Up to ``limit`` next raw lines, endings kept, split where
-        text-mode iteration with ``newline=""`` splits them; the bytes
-        after them stay pending.  A ``\\r`` at the end of a read is not
-        a line end until the next byte shows it is no ``\\r\\n``."""
-        data = self.pending
-        size = limit * (2 * self.width + 1)
-        while True:
-            lines = data.splitlines(keepends=True)
-            if len(lines) > limit or (
-                len(lines) == limit and lines[-1].endswith(b"\n")
-            ):
-                break
-            more = self.handle.read(max(size, len(data)))
-            if not more:
-                break
-            data += more
-        lines = lines[:limit]
-        self.pending = data[sum(map(len, lines)) :]
+        """Up to ``limit`` next raw lines (:func:`_read_lines`); the
+        bytes after them stay pending."""
+        lines, self.pending = _read_lines(
+            self.handle, self.pending, limit, limit * (2 * self.width + 1)
+        )
         return lines
 
     def _parse(self, number: int, line: bytes) -> np.ndarray:

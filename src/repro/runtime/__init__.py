@@ -33,7 +33,6 @@ from repro.runtime.adapters import (
     runtime_mechanism,
 )
 from repro.runtime.cluster import ClusterExecutor
-from repro.runtime.decisions import ScanMarginError, release_distances
 from repro.runtime.executors import (
     BatchExecutor,
     PipelineResult,
@@ -59,7 +58,6 @@ __all__ = [
     "PipelineResult",
     "QueryMatcher",
     "RuntimeMechanism",
-    "ScanMarginError",
     "SegmentPlane",
     "Shard",
     "ShardedExecutor",
@@ -67,6 +65,5 @@ __all__ = [
     "WindowStage",
     "merge_results",
     "plan_shards",
-    "release_distances",
     "runtime_mechanism",
 ]

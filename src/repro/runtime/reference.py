@@ -4,10 +4,12 @@ These are the seed implementations of the BD/BA and landmark release
 loops: one ``derive_rng`` call per window, straight-line Python.  They
 are kept for two jobs:
 
-- **bit-identity guardrail** — ``tests/test_runtime_reference.py``
-  asserts the pooled fast paths reproduce these loops exactly, for
-  every parent-rng kind; any drift in the vectorized derivation would
-  fail there first;
+- **bit-identity guardrail** — they are the oracle of the releasers'
+  one release path: ``tests/test_runtime_reference.py`` and the
+  decision property tests assert the pooled fast paths reproduce these
+  loops exactly (their ``final_state`` included), for every parent-rng
+  kind and any split into blocks; any drift in the vectorized
+  derivation or the decision loop would fail there first;
 - **speedup measurement** — ``benchmarks/test_bench_runtime.py`` runs
   the fig4 workload through these loops as the "legacy engine path"
   arm the runtime is compared against.
@@ -100,8 +102,15 @@ def reference_landmark_perturb(
     landmarks: Sequence[bool],
     *,
     rng: RngLike = None,
+    final_state: Optional[dict] = None,
 ) -> IndicatorStream:
-    """The seed per-window landmark-privacy release loop."""
+    """The seed per-window landmark-privacy release loop.
+
+    ``final_state``, when given, is filled with the loop's raw
+    ``released`` rows, ``remaining_publication`` (the landmark
+    publication budget left), ``landmarks_left``, ``last_release`` and
+    ``t`` — what the releaser's own run must end in.
+    """
     landmarks = np.asarray(landmarks, dtype=bool)
     matrix = stream.matrix_view().astype(float)
     n_windows, n_types = matrix.shape
@@ -151,6 +160,14 @@ def reference_landmark_perturb(
                 size=n_types,
             )
             released[t] = true_vector + noise
+    if final_state is not None:
+        final_state.update(
+            released=released,
+            remaining_publication=remaining_publication,
+            landmarks_left=landmarks_left,
+            last_release=last_release,
+            t=n_windows,
+        )
     return stream.with_matrix(released >= 0.5)
 
 

@@ -373,9 +373,8 @@ def checkpoint_prepass(
 
     For BD/BA this is the run's one release: the ``step_block`` call
     the batch path makes, through
-    :class:`~repro.baselines.w_event.OnlineReleaser` (its decision
-    helpers live in :mod:`repro.runtime.decisions`), which also publishes
-    ``mechanism.last_trace``.  The shards then only match their slices
+    :class:`~repro.baselines.w_event.OnlineReleaser`, which also
+    publishes ``mechanism.last_trace``.  The shards then only match their slices
     of the released rows.
 
     Landmark is the one releaser with ``advance_block``, a walk cheaper

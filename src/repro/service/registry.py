@@ -45,7 +45,6 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cep.patterns import Pattern
-from repro.runtime.decisions import check_scan
 from repro.service.specgrammar import (
     SpecKey,
     check_options,
@@ -96,20 +95,13 @@ def _coerce(argument: str) -> object:
 
 
 def _derive_keys(factory: Callable) -> Tuple[SpecKey, ...]:
-    """Default key schema: the factory's named keyword parameters.
-
-    A ``scan`` parameter's value is checked as a scan mode at parse
-    time, so a bad ``scan=`` fails at ``ServiceSpec`` construction.
-    """
+    """Default key schema: the factory's named keyword parameters."""
     try:
         signature = inspect.signature(factory)
     except (TypeError, ValueError):  # pragma: no cover - C callables
         return ()
     return tuple(
-        SpecKey(
-            parameter.name,
-            convert=check_scan if parameter.name == "scan" else None,
-        )
+        SpecKey(parameter.name)
         for parameter in signature.parameters.values()
         if parameter.kind
         in (
@@ -126,7 +118,7 @@ class _Registry:
     failing at parse time listing the name's valid keys.
     ``positional=True`` additionally accepts colon-separated positional
     tails — the mechanism registry uses this: ``"bd:0.5"`` is the
-    documented short form next to ``"bd:epsilon=0.5,scan=off"``.  In
+    documented short form next to ``"bd:epsilon=0.5,w=40"``.  In
     every other registry a positional tail is an error.
     ``skip_parameters`` drops that many leading factory parameters from
     the derived key schema (mechanism factories take the build context
@@ -279,7 +271,7 @@ class _Registry:
 # Mechanism specs keep the short positional grammar first-class (a
 # mechanism takes at most a budget argument and tests/papers spell
 # them bare: "bd:0.5"), but also speak key=value for named tunables
-# ("bd:epsilon=0.5,scan=off") — unknown keys fail at parse time listing
+# ("bd:epsilon=0.5,w=40") — unknown keys fail at parse time listing
 # the factory's valid keys.
 _MECHANISMS = _Registry("mechanism", positional=True, skip_parameters=1)
 _EXECUTORS = _Registry("executor")
@@ -336,8 +328,8 @@ def validate_mechanism_spec(spec: str) -> str:
 
 def validate_mechanism_options(spec: str, options: Mapping) -> None:
     """Check keyword options name the spec's keys (and pass their
-    converters, e.g. ``scan``), so a bad option fails at
-    ``ServiceSpec`` construction rather than at build time."""
+    converters), so a bad option fails at ``ServiceSpec`` construction
+    rather than at build time."""
     _MECHANISMS.check_options(spec, options)
 
 
@@ -568,15 +560,8 @@ def _build_bd(
     *,
     pattern_epsilon: Optional[float] = None,
     conversion_mode: str = "worst_case",
-    sensitivity: float = 1.0,
-    scan: str = "margin",
 ):
-    """The w-event budget-distribution scheduler baseline.
-
-    ``scan=`` picks the release loop's mode: ``margin`` (the default),
-    ``exact`` (audit) or ``off`` (the scalar loop on every row), as in
-    ``"bd:scan=off"``; see :mod:`repro.runtime.decisions`.
-    """
+    """The w-event budget-distribution scheduler baseline."""
     from repro.baselines.budget_distribution import BudgetDistribution
 
     w = w if w is not None else context.extra("w")
@@ -591,7 +576,7 @@ def _build_bd(
         pattern_epsilon,
         lambda value: context.converter(conversion_mode).bd_native(value, w),
     )
-    return BudgetDistribution(native, w, sensitivity=sensitivity, scan=scan)
+    return BudgetDistribution(native, w)
 
 
 @register_mechanism("ba", aliases=("budget-absorption",))
@@ -602,13 +587,8 @@ def _build_ba(
     *,
     pattern_epsilon: Optional[float] = None,
     conversion_mode: str = "worst_case",
-    sensitivity: float = 1.0,
-    scan: str = "margin",
 ):
-    """The w-event budget-absorption scheduler baseline.
-
-    ``scan=`` picks the release loop's mode, exactly as for ``bd``.
-    """
+    """The w-event budget-absorption scheduler baseline."""
     from repro.baselines.budget_absorption import BudgetAbsorption
 
     w = w if w is not None else context.extra("w")
@@ -623,7 +603,7 @@ def _build_ba(
         pattern_epsilon,
         lambda value: context.converter(conversion_mode).ba_native(value, w),
     )
-    return BudgetAbsorption(native, w, sensitivity=sensitivity, scan=scan)
+    return BudgetAbsorption(native, w)
 
 
 @register_mechanism("landmark")
@@ -635,16 +615,12 @@ def _build_landmark(
     landmarks: Optional[Sequence[bool]] = None,
     conversion_mode: str = "worst_case",
     rho: float = 0.5,
-    sensitivity: float = 1.0,
-    scan: str = "margin",
 ):
     """Landmark privacy over the private patterns' sensitive windows.
 
     Landmark has no decision loop: it releases through its scalar
-    per-timestamp loop in every mode, and its rows feed no
-    ``repro_decisions_*_rows_total`` counter.  ``scan=margin`` (the
-    default) and ``scan=exact`` both let the checkpoint prepass hop
-    the regular rows; ``scan=off`` keeps the row-by-row prepass.
+    per-timestamp loop, and its rows feed no
+    ``repro_decisions_*_rows_total`` counter.
     """
     from repro.baselines.landmark import LandmarkPrivacy
 
@@ -669,13 +645,7 @@ def _build_landmark(
         )
 
     native = _native_budget("landmark", epsilon, pattern_epsilon, convert)
-    return LandmarkPrivacy(
-        native,
-        landmarks=mask,
-        rho=rho,
-        sensitivity=sensitivity,
-        scan=scan,
-    )
+    return LandmarkPrivacy(native, landmarks=mask, rho=rho)
 
 
 @register_mechanism("event-rr", aliases=("event-level",))

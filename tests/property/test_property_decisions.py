@@ -1,18 +1,19 @@
-"""Property-based bit-identity of the decision kernel's scan modes.
+"""Property-based bit-identity of the BD/BA and landmark release paths.
 
-The plan → scan → resolve pipeline in :mod:`repro.runtime.decisions`
-promises that the vectorized scan never changes a single output bit:
-whatever the stream contents, scheduler parameters, block chunking
-(including the prefetch-threshold boundary sizes 1/31/32/33) or a
-snapshot/restore mid-run, ``scan=margin`` and ``scan=exact`` must
-reproduce the ``scan=off`` scalar loop exactly — releases, verdict
-traces, scheduler state and snapshots alike.  The streams mix 0/1 rows
-with real values spanning ±1e-6…±1e6, at two widths, so the bound
-certificate's slack is exercised across magnitudes.  Publish-dense
-BD/BA runs are pinned against the seed loop in
-:mod:`repro.runtime.reference` as well, BD/BA's constant-budget
-stretches are checked against their budget hooks, and sharded BD/BA
-replay must draw no randomness at all.
+:class:`~repro.baselines.w_event.OnlineReleaser` and
+:class:`~repro.baselines.landmark.LandmarkReleaser` each have one
+release path (plus the exact scalar step for short blocks), and the
+seed loops in :mod:`repro.runtime.reference` — one ``derive_rng`` per
+window, ``.mean()`` distances, ``laplace_noise`` draws — are their
+oracle: whatever the stream contents, scheduler parameters, parent-rng
+kind, block split (blocks under the prefetch threshold and over a bound
+chunk alike) or a snapshot/restore mid-run, a release must end in the
+seed loop's ``final_state`` bit for bit, and landmark's
+``advance_block`` walk in its end state.  The streams mix 0/1 rows with
+real values spanning ±1e-6…±1e6, at two widths, so the bound
+certificate's slack is exercised across magnitudes.  BD/BA's
+constant-budget stretches are checked against their budget hooks, and
+sharded BD/BA replay must draw no randomness at all.
 """
 
 import copy
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import w_event
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
@@ -32,34 +34,39 @@ from repro.runtime import (
     ClusterExecutor,
     ShardedExecutor,
     StreamPipeline,
-    decisions,
     sharding,
 )
-from repro.runtime.reference import reference_w_event_perturb
+from repro.runtime.reference import (
+    reference_landmark_perturb,
+    reference_w_event_perturb,
+)
 from repro.runtime.rng_pool import IndexedRngPool
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 
-N_TYPES = 3
+#: The stress streams' widths: a narrow one and a wide one.
+WIDTHS = (3, 17)
 
-#: The stress streams' widths: the historical 3 types and a wide one.
-WIDTHS = (N_TYPES, 17)
+#: Block sizes of a split: straddling the prefetch threshold
+#: (:data:`~repro.baselines.w_event._PREFETCH_MIN` = 32) and the 32-row
+#: distance pass, and one block longer than a bound chunk.
+BLOCK_SIZES = (1, 31, 32, 33, 64, w_event._CHUNK_ROWS + 1)
 
-#: The kernel's default prefetch threshold is 32; these block sizes
-#: straddle it, exercising both the vectorized-uniform and the
-#: per-step-draw paths plus the off-by-one edges.
-BLOCK_SIZES = (1, 31, 32, 33)
+#: Streams this long span more than one bound chunk.
+LONG_ROWS = w_event._CHUNK_ROWS + 77
 
 
 @st.composite
 def stress_matrices(draw):
-    """Float statistics matrices from constant runs, random 0/1 segments
-    and real-valued segments spanning ±1e-6…±1e6."""
+    """Float statistics matrices from constant runs, 0/1 segments of
+    any occurrence rate and real-valued segments spanning
+    ±1e-6…±1e6; one in five is tiled past a bound chunk."""
     width = draw(st.sampled_from(WIDTHS))
     segments = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["zeros", "ones", "noise", "real"]),
+                st.sampled_from(["zeros", "ones", "bits", "real"]),
                 st.integers(min_value=1, max_value=40),
+                st.floats(min_value=0.15, max_value=0.5),
             ),
             min_size=1,
             max_size=5,
@@ -68,35 +75,22 @@ def stress_matrices(draw):
     seed = draw(st.integers(min_value=0, max_value=2**16))
     rng = np.random.default_rng(seed)
     rows = []
-    for kind, length in segments:
+    for kind, length, occurrence in segments:
         shape = (length, width)
         if kind == "zeros":
             rows.append(np.zeros(shape))
         elif kind == "ones":
             rows.append(np.ones(shape))
-        elif kind == "noise":
-            rows.append((rng.random(shape) < 0.5).astype(float))
+        elif kind == "bits":
+            rows.append((rng.random(shape) < occurrence).astype(float))
         else:
             magnitudes = 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
             rows.append(rng.choice([-1.0, 1.0], size=shape) * magnitudes)
-    return np.vstack(rows)
-
-
-@st.composite
-def block_plans(draw):
-    """A chunking of a run into prefetch-boundary block sizes."""
-    return draw(
-        st.lists(
-            st.sampled_from(BLOCK_SIZES), min_size=1, max_size=8
-        )
-    )
-
-
-mechanism_params = st.tuples(
-    st.floats(min_value=0.05, max_value=10.0),  # epsilon
-    st.integers(min_value=1, max_value=12),  # w
-    st.integers(min_value=0, max_value=1000),  # rng seed
-)
+    matrix = np.vstack(rows)
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        repeats = -(-LONG_ROWS // matrix.shape[0])
+        matrix = np.tile(matrix, (repeats, 1))[:LONG_ROWS]
+    return matrix
 
 
 def chunks(matrix, plan):
@@ -110,6 +104,72 @@ def chunks(matrix, plan):
         index += 1
 
 
+def parent_rng(kind, seed):
+    """A fresh parent of ``kind``: an int seed, a Generator or None."""
+    if kind == "generator":
+        return np.random.default_rng(seed)
+    return seed if kind == "int" else None
+
+
+class _Statistics:
+    """A float statistics matrix in the shape the seed loops read (an
+    indicator stream holds only 0/1 rows)."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def matrix_view(self):
+        return self.matrix
+
+    def with_matrix(self, matrix):
+        return matrix
+
+
+def seed_loop(mechanism, matrix, rng, mask=None):
+    """The seed loop's ``final_state`` over ``matrix``."""
+    final_state = {}
+    if mask is None:
+        reference_w_event_perturb(
+            mechanism, _Statistics(matrix), rng=rng, final_state=final_state
+        )
+    else:
+        reference_landmark_perturb(
+            mechanism,
+            _Statistics(matrix),
+            mask,
+            rng=rng,
+            final_state=final_state,
+        )
+    return final_state
+
+
+#: The per-timestamp trace columns, named as the w-event seed loop's
+#: ``final_state`` keys.
+TRACE_COLUMNS = ("published", "publication_budgets", "dissimilarity_budgets")
+
+
+def end_state(releaser):
+    """A releaser's state, keyed as the seed loops' ``final_state``."""
+    state = {"last_release": releaser.last_release, "t": releaser.t}
+    if isinstance(releaser, w_event.OnlineReleaser):
+        state["scheduler_state"] = releaser.scheduler_state
+        for column in TRACE_COLUMNS:
+            state[column] = getattr(releaser.trace, column)
+    else:
+        state["remaining_publication"] = releaser._remaining_publication
+        state["landmarks_left"] = releaser._landmarks_left
+    return state
+
+
+def assert_matches_seed_loop(state, expected):
+    """Every end-state key equal to the seed loop's, bit for bit."""
+    for key, value in state.items():
+        if isinstance(value, np.ndarray) or key in TRACE_COLUMNS:
+            assert np.array_equal(value, expected[key]), key
+        else:
+            assert value == expected[key], key
+
+
 def assert_snapshots_equal(left, right):
     assert left.keys() == right.keys()
     for key in left:
@@ -121,189 +181,94 @@ def assert_snapshots_equal(left, right):
             assert a == b, key
 
 
-def run_w_event(cls, epsilon, w, seed, matrix, plan, scan):
-    mechanism = cls(epsilon, w=w, scan=scan)
-    releaser = mechanism.online_releaser(
-        matrix.shape[1], rng=seed, horizon=matrix.shape[0]
-    )
-    released = [releaser.step_block(block) for block in chunks(matrix, plan)]
-    return releaser, np.vstack(released)
-
-
-class TestWEventScanIdentity:
-    @given(
-        matrix=stress_matrices(), params=mechanism_params, plan=block_plans()
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_bd_scan_bit_identical(self, matrix, params, plan):
-        self.check_scheduler(BudgetDistribution, matrix, params, plan)
-
-    @given(
-        matrix=stress_matrices(), params=mechanism_params, plan=block_plans()
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_ba_scan_bit_identical(self, matrix, params, plan):
-        self.check_scheduler(BudgetAbsorption, matrix, params, plan)
-
-    def check_scheduler(self, cls, matrix, params, plan):
-        epsilon, w, seed = params
-        baseline, expected = run_w_event(
-            cls, epsilon, w, seed, matrix, plan, "off"
-        )
-        for scan in ("margin", "exact"):
-            releaser, released = run_w_event(
-                cls, epsilon, w, seed, matrix, plan, scan
-            )
-            assert np.array_equal(released, expected), scan
-            assert np.array_equal(
-                releaser.trace.published, baseline.trace.published
-            )
-            assert np.array_equal(
-                releaser.trace.publication_budgets,
-                baseline.trace.publication_budgets,
-            )
-            assert np.array_equal(
-                releaser.trace.dissimilarity_budgets,
-                baseline.trace.dissimilarity_budgets,
-            )
-            assert releaser.scheduler_state == baseline.scheduler_state
-            assert_snapshots_equal(releaser.snapshot(), baseline.snapshot())
-
-    @given(
-        matrix=stress_matrices(),
-        params=mechanism_params,
-        cut_fraction=st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_restore_mid_block_matches_uninterrupted(
-        self, matrix, params, cut_fraction
-    ):
-        epsilon, w, seed = params
-        n = matrix.shape[0]
-        cut = min(n - 1, int(cut_fraction * n)) if n > 1 else 0
-        baseline, expected = run_w_event(
-            BudgetDistribution, epsilon, w, seed, matrix, [33], "off"
-        )
-        width = matrix.shape[1]
-        mechanism = BudgetDistribution(epsilon, w=w, scan="margin")
-        first = mechanism.online_releaser(width, rng=seed, horizon=n)
-        head = first.step_block(matrix[:cut])
-        checkpoint = first.snapshot()
-        second = mechanism.online_releaser(width, rng=seed, horizon=n)
-        second.restore(checkpoint)
-        tail = second.step_block(matrix[cut:])
-        assert np.array_equal(np.vstack([head, tail]), expected)
-        assert np.array_equal(second.trace.published, baseline.trace.published)
-        assert_snapshots_equal(second.snapshot(), baseline.snapshot())
-
-
-#: Publish-dense BD/BA draws.  The dissimilarity noise scale and the
-#: publish threshold both scale with 1/ε, so BD/BA publish on a steady
-#: share of rows at every ε — there is no depleted regime to skip.
-DENSE_EPSILONS = (0.1, 1.0, 8.0)
-DENSE_W = 40
-
-#: Block splits straddling the prefetch threshold and the 32-row
-#: distance pass, plus ``None`` for the whole run as one block.
-DENSE_SPLITS = (1, 31, 32, 33, 64, None)
-
-
 @st.composite
-def dense_runs(draw):
-    """``(epsilon, matrix, seed)`` with occurrence 0.15–0.5 per type."""
-    epsilon = draw(st.sampled_from(DENSE_EPSILONS))
-    occurrence = draw(st.floats(min_value=0.15, max_value=0.5))
-    n = draw(st.integers(min_value=1, max_value=160))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    rows = np.random.default_rng(seed).random((n, N_TYPES))
-    return epsilon, (rows < occurrence).astype(float), seed
+def release_runs(draw):
+    """A mechanism (BD, BA or landmark), its stream, the parent-rng
+    kind and seed, a block split and a snapshot cut."""
+    kind = draw(st.sampled_from(["bd", "ba", "landmark"]))
+    matrix = draw(stress_matrices())
+    epsilon = draw(st.floats(min_value=0.05, max_value=10.0))
+    n = matrix.shape[0]
+    mask = None
+    if kind == "landmark":
+        rho = draw(st.floats(min_value=0.1, max_value=0.9))
+        density = draw(st.floats(min_value=0.0, max_value=1.0))
+        mask_seed = draw(st.integers(min_value=0, max_value=2**16))
+        mask = np.random.default_rng(mask_seed).random(n) < density
+        mechanism = LandmarkPrivacy(epsilon, landmarks=mask, rho=rho)
+    else:
+        cls = BudgetDistribution if kind == "bd" else BudgetAbsorption
+        w = draw(st.integers(min_value=1, max_value=40))
+        mechanism = cls(epsilon, w=w)
+    rng_kind = draw(st.sampled_from(["int", "generator", "none"]))
+    seed = draw(st.integers(min_value=0, max_value=1000))
+    plan = draw(st.lists(st.sampled_from(BLOCK_SIZES), min_size=1, max_size=8))
+    cut = draw(st.integers(min_value=0, max_value=n))
+    return mechanism, matrix, mask, rng_kind, seed, plan, cut
 
 
-#: The per-timestamp trace columns, named as the seed loop's
-#: ``final_state`` keys.
-TRACE_COLUMNS = ("published", "publication_budgets", "dissimilarity_budgets")
-
-
-def assert_runs_equal(left, right):
-    """Releases, trace columns, scheduler state, last release and t."""
-    assert np.array_equal(left["released"], right["released"])
-    assert left["scheduler_state"] == right["scheduler_state"]
-    assert np.array_equal(left["last_release"], right["last_release"])
-    assert left["t"] == right["t"]
-    for column in TRACE_COLUMNS:
-        assert np.array_equal(left[column], right[column]), column
-
-
-def kernel_run(cls, epsilon, seed, matrix, split, scan):
-    plan = [split or max(1, matrix.shape[0])]
-    releaser, released = run_w_event(
-        cls, epsilon, DENSE_W, seed, matrix, plan, scan
-    )
-    return {
-        "released": released,
-        **{
-            column: getattr(releaser.trace, column)
-            for column in TRACE_COLUMNS
-        },
-        "scheduler_state": releaser.scheduler_state,
-        "last_release": releaser.last_release,
-        "t": releaser.t,
-    }
-
-
-class TestPublishDenseWEvent:
-    @given(
-        run=dense_runs(),
-        split=st.sampled_from(DENSE_SPLITS),
-        cls=st.sampled_from([BudgetDistribution, BudgetAbsorption]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_loop_and_seed_loop(self, run, split, cls):
-        epsilon, matrix, seed = run
-        expected = kernel_run(cls, epsilon, seed, matrix, split, "off")
-        for scan in ("margin", "exact"):
-            assert_runs_equal(
-                kernel_run(cls, epsilon, seed, matrix, split, scan), expected
-            )
-        seed_loop = {}
-        reference_w_event_perturb(
-            cls(epsilon, w=DENSE_W),
-            IndicatorStream(
-                EventAlphabet.numbered(N_TYPES), matrix.astype(bool)
-            ),
-            rng=seed,
-            final_state=seed_loop,
+class TestSeedLoopOracle:
+    @given(run=release_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_release_matches_seed_loop(self, run):
+        mechanism, matrix, mask, rng_kind, seed, plan, cut = run
+        n, width = matrix.shape
+        expected = seed_loop(
+            mechanism, matrix, parent_rng(rng_kind, seed), mask
         )
-        assert_runs_equal(expected, seed_loop)
+
+        def releaser():
+            return mechanism.online_releaser(
+                width, rng=parent_rng(rng_kind, seed), horizon=n
+            )
+
+        # Any split into blocks.
+        stepped = releaser()
+        released = [stepped.step_block(b) for b in chunks(matrix, plan)]
+        assert np.array_equal(np.vstack(released), expected["released"])
+        assert_matches_seed_loop(end_state(stepped), expected)
+
+        # A snapshot at the cut, restored onto a fresh releaser.
+        head = releaser()
+        released = [head.step_block(b) for b in chunks(matrix[:cut], plan)]
+        tail = releaser()
+        tail.restore(head.snapshot())
+        released += [tail.step_block(b) for b in chunks(matrix[cut:], plan)]
+        assert np.array_equal(np.vstack(released), expected["released"])
+        assert_matches_seed_loop(end_state(tail), expected)
+
+        if mask is not None:
+            # The checkpoint prepass walk ends in the same state, and
+            # its snapshot equals the stepped run's.
+            walked = releaser()
+            for block in chunks(matrix, plan):
+                walked.advance_block(block)
+            assert_matches_seed_loop(end_state(walked), expected)
+            assert_snapshots_equal(walked.snapshot(), stepped.snapshot())
+
+
+DENSE_W = 40
 
 
 @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
 def test_block_longer_than_a_chunk_matches_small_blocks(cls):
     """A block spanning several bound chunks (row norms and noises are
-    computed per chunk) equals the same rows stepped in 32-row blocks,
-    the scalar loop and the seed loop."""
-    n = 2 * decisions._CHUNK_ROWS + 77
+    computed per chunk) equals the same rows stepped in 32-row blocks
+    and the seed loop."""
+    n = 2 * w_event._CHUNK_ROWS + 77
     rng = np.random.default_rng(23)
     matrix = (rng.random((n, 5)) < 0.3).astype(float)
-    whole, released = run_w_event(cls, 1.0, DENSE_W, 4, matrix, [n], "margin")
-    small, small_released = run_w_event(
-        cls, 1.0, DENSE_W, 4, matrix, [32], "margin"
-    )
-    scalar, scalar_released = run_w_event(
-        cls, 1.0, DENSE_W, 4, matrix, [n], "off"
-    )
+    releasers = {}
+    for size in (n, 32):
+        releaser = cls(1.0, w=DENSE_W).online_releaser(5, rng=4, horizon=n)
+        released = [releaser.step_block(b) for b in chunks(matrix, [size])]
+        releasers[size] = releaser, np.vstack(released)
+    (whole, released), (small, small_released) = releasers.values()
     assert np.array_equal(released, small_released)
-    assert np.array_equal(released, scalar_released)
     assert_snapshots_equal(whole.snapshot(), small.snapshot())
-    assert_snapshots_equal(whole.snapshot(), scalar.snapshot())
-    seed_loop = {}
-    reference_w_event_perturb(
-        cls(1.0, w=DENSE_W),
-        IndicatorStream(EventAlphabet.numbered(5), matrix.astype(bool)),
-        rng=4,
-        final_state=seed_loop,
-    )
-    assert np.array_equal(released, seed_loop["released"])
+    expected = seed_loop(cls(1.0, w=DENSE_W), matrix, 4)
+    assert np.array_equal(released, expected["released"])
+    assert_matches_seed_loop(end_state(whole), expected)
 
 
 @st.composite
@@ -394,56 +359,3 @@ def test_sharded_replay_installs_no_child_generator(monkeypatch, backend, cls):
     assert sharded.released == batch.released
     assert sharded_spend <= epsilon
     assert sharded_spend == mechanism.last_trace.max_window_spend(DENSE_W)
-
-
-landmark_params = st.tuples(
-    st.floats(min_value=0.05, max_value=10.0),  # epsilon
-    st.floats(min_value=0.1, max_value=0.9),  # rho
-    st.integers(min_value=0, max_value=1000),  # rng seed
-    st.integers(min_value=0, max_value=2**16),  # mask seed
-    st.floats(min_value=0.0, max_value=1.0),  # landmark density
-)
-
-
-class TestLandmarkScanIdentity:
-    @given(
-        matrix=stress_matrices(), params=landmark_params, plan=block_plans()
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_landmark_scan_bit_identical(self, matrix, params, plan):
-        epsilon, rho, seed, mask_seed, density = params
-        n = matrix.shape[0]
-        mask = np.random.default_rng(mask_seed).random(n) < density
-        outputs = {}
-        snapshots = {}
-        for scan in ("off", "margin", "exact"):
-            mechanism = LandmarkPrivacy(
-                epsilon, landmarks=mask, rho=rho, scan=scan
-            )
-            releaser = mechanism.online_releaser(
-                matrix.shape[1], rng=seed, horizon=n
-            )
-            outputs[scan] = np.vstack(
-                [releaser.step_block(block) for block in chunks(matrix, plan)]
-            )
-            snapshots[scan] = releaser.snapshot()
-        for scan in ("margin", "exact"):
-            assert np.array_equal(outputs[scan], outputs["off"]), scan
-            assert_snapshots_equal(snapshots[scan], snapshots["off"])
-
-    @given(matrix=stress_matrices(), params=landmark_params)
-    @settings(max_examples=30, deadline=None)
-    def test_landmark_prepass_elision_matches_stepping(self, matrix, params):
-        """advance_block (regular rows hopped) ends in the same state."""
-        epsilon, rho, seed, mask_seed, density = params
-        n = matrix.shape[0]
-        mask = np.random.default_rng(mask_seed).random(n) < density
-        mechanism = LandmarkPrivacy(
-            epsilon, landmarks=mask, rho=rho, scan="margin"
-        )
-        width = matrix.shape[1]
-        stepped = mechanism.online_releaser(width, rng=seed, horizon=n)
-        stepped.step_block(matrix)
-        prepassed = mechanism.online_releaser(width, rng=seed, horizon=n)
-        prepassed.advance_block(matrix)
-        assert_snapshots_equal(prepassed.snapshot(), stepped.snapshot())

@@ -112,10 +112,10 @@ class TestMaskOverrun:
 
     N_MASK = 40
 
-    def releaser(self, scan):
+    def releaser(self):
         rng = np.random.default_rng(9)
         mask = rng.random(self.N_MASK) < 0.4
-        mechanism = LandmarkPrivacy(4.0, landmarks=mask, rho=0.5, scan=scan)
+        mechanism = LandmarkPrivacy(4.0, landmarks=mask, rho=0.5)
         return mechanism.online_releaser(4, rng=12, horizon=self.N_MASK)
 
     @staticmethod
@@ -131,18 +131,15 @@ class TestMaskOverrun:
 
     @pytest.mark.parametrize("method", ["step_block", "advance_block"])
     @pytest.mark.parametrize("start", [0, 25])
-    @pytest.mark.parametrize("scan", ["off", "margin"])
-    def test_block_past_mask_end_matches_row_stepping(
-        self, scan, start, method
-    ):
+    def test_block_past_mask_end_matches_row_stepping(self, start, method):
         matrix = (
             np.random.default_rng(3).random((self.N_MASK + 10, 4)) < 0.5
         ).astype(float)
-        stepped = self.releaser(scan)
+        stepped = self.releaser()
         with pytest.raises(ValueError, match="cannot step past it"):
             for row in matrix:
                 stepped.step_block(row[None])
-        blocked = self.releaser(scan)
+        blocked = self.releaser()
         blocked.step_block(matrix[:start])
         with pytest.raises(ValueError, match="cannot step past it"):
             getattr(blocked, method)(matrix[start:])

@@ -144,14 +144,27 @@ class TestEdgeCases:
             CsvSource(str(path)).bind(ALPHABET)
         assert str(excinfo.value) == message
 
-    def test_invalid_utf8_names_its_line(self, tmp_path):
-        # Past the header's first read, so bind() decodes only text.
+    @pytest.mark.parametrize("before, line", [(3000, 3002), (3, 5)])
+    def test_invalid_utf8_names_its_line(self, tmp_path, before, line):
+        # bind() decodes only the header line, so a bad byte fails when
+        # its row is read, far into the file or right after the header.
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"a,b,c\n" + b"1,0,1\n" * 3000 + b"1,\xe9,0\n")
+        path.write_bytes(
+            b"a,b,c\n" + b"1,0,1\n" * before + b"1,\xe9,0\n" + b"0,0,0\n"
+        )
         source = CsvSource(str(path)).bind(ALPHABET)
-        with pytest.raises(ValueError, match=r"latin1\.csv:3002: not UTF-8"):
+        message = rf"latin1\.csv:{line}: not UTF-8"
+        with pytest.raises(ValueError, match=message):
             source.indicator_stream()
         assert source._cursor.handle.closed
+
+    def test_invalid_utf8_header_names_line_one(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"a,\xe9,c\n1,0,1\n")
+        with pytest.raises(ValueError, match=r"header\.csv:1: not UTF-8"):
+            CsvSource(str(path)).bind(ALPHABET)
+        with pytest.raises(ValueError, match=r"header\.csv:1: not UTF-8"):
+            read_indicator_csv(str(path))
 
     def test_quote_left_open_is_not_a_value(self, tmp_path):
         # A row is one line: a quote that runs past the line end does

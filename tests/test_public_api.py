@@ -163,16 +163,12 @@ MECHANISM_KEYS = {
         "w",
         "pattern_epsilon",
         "conversion_mode",
-        "sensitivity",
-        "scan",
     ],
     "ba": [
         "epsilon",
         "w",
         "pattern_epsilon",
         "conversion_mode",
-        "sensitivity",
-        "scan",
     ],
     "landmark": [
         "epsilon",
@@ -180,8 +176,6 @@ MECHANISM_KEYS = {
         "landmarks",
         "conversion_mode",
         "rho",
-        "sensitivity",
-        "scan",
     ],
 }
 

@@ -1,28 +1,31 @@
-"""Unit tests for the decision kernel (repro.runtime.decisions).
+"""Unit tests for the w-event decision loop (repro.baselines.w_event).
 
-Covers the scan-mode check, the generator-word elision guarantee
-for certified skip runs (and landmark's prepass hop), the U==0
-exact-fallback path, audit mode's disagreement detection, the
-releasers' block-shape check, the scan-mode check at spec construction,
-and the columns ReleaseTrace derives from its publication log.
+Covers the generator-word elision guarantee for certified skip runs
+(and landmark's prepass hop), the U==0 exact-fallback path, the seed
+loop's detection of planted decision mutants, the bound certificate and
+constant-budget stretches, the releasers' block-shape check, the
+unknown-key errors of the removed ``scan=``/``sensitivity=`` keys, and
+the columns ReleaseTrace derives from its publication log.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.baselines import w_event
 from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
 from repro.baselines.w_event import ReleaseTrace
-from repro.runtime import decisions as decisions_module
-from repro.runtime.decisions import ScanMarginError, check_scan
+from repro.runtime.reference import reference_w_event_perturb
 from repro.runtime.rng_pool import IndexedRngPool
 from repro.service import (
     MechanismContext,
     ServiceSpec,
     build_mechanism_from_spec,
 )
-from repro.streams.indicator import EventAlphabet
+from repro.streams.indicator import EventAlphabet, IndicatorStream
 
 N_TYPES = 4
 
@@ -31,38 +34,31 @@ def constant_matrix(n, value=0.0):
     return np.full((n, N_TYPES), value, dtype=float)
 
 
-# ---------------------------------------------------------------------------
-# Scan mode
-# ---------------------------------------------------------------------------
-
-
-class TestScanConfig:
-    """The scan mode is a plain string, checked by ``check_scan``."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda **kw: BudgetDistribution(1.0, w=4, **kw),
-            lambda **kw: BudgetAbsorption(1.0, w=4, **kw),
-            lambda **kw: LandmarkPrivacy(1.0, **kw),
-        ],
+def seed_loop(mechanism, matrix, rng):
+    """The seed loop's ``final_state`` over a 0/1 ``matrix``."""
+    stream = IndicatorStream(
+        EventAlphabet.numbered(matrix.shape[1]), matrix.astype(bool)
     )
-    def test_default_is_margin(self, make):
-        assert make().scan == "margin"
-        assert make(scan="exact").scan == "exact"
+    final_state = {}
+    reference_w_event_perturb(
+        mechanism, stream, rng=rng, final_state=final_state
+    )
+    return final_state
 
-    def test_unknown_mode_lists_valid_modes(self):
-        with pytest.raises(ValueError, match="margin, exact, off"):
-            check_scan("speedy")
-        with pytest.raises(ValueError, match="margin, exact, off"):
-            BudgetDistribution(1.0, w=4, scan="speedy")
 
-    @pytest.mark.parametrize("scan", [None, 1.5, ("off",)])
-    def test_non_string_scan_is_rejected(self, scan):
-        with pytest.raises(TypeError, match="mode string"):
-            check_scan(scan)
-        with pytest.raises(TypeError, match="mode string"):
-            LandmarkPrivacy(1.0, scan=scan)
+def matches_seed_loop(releaser, released, expected):
+    """Whether a release ends exactly where the seed loop ends."""
+    return (
+        np.array_equal(released, expected["released"])
+        and np.array_equal(releaser.trace.published, expected["published"])
+        and np.array_equal(
+            releaser.trace.publication_budgets,
+            expected["publication_budgets"],
+        )
+        and releaser.scheduler_state == expected["scheduler_state"]
+        and np.array_equal(releaser.last_release, expected["last_release"])
+        and releaser.t == expected["t"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ class TestGeneratorElision:
     def test_certified_skip_runs_touch_no_generator(self, cls):
         n = 300
         matrix = constant_matrix(n)
-        mechanism = cls(1.0, w=20, scan="margin")
+        mechanism = cls(1.0, w=20)
         releaser = mechanism.online_releaser(N_TYPES, rng=11, horizon=n)
         requested = install_generator_counter(releaser)
         releaser.step_block(matrix)
@@ -103,20 +99,20 @@ class TestGeneratorElision:
     def test_below_prefetch_blocks_install_generator_per_drawing_row(self):
         # Blocks under prefetch_min get no uniform prefetch: every
         # budget-positive row must install its child generator, so
-        # installs strictly exceed the scan path's publication-only set.
+        # installs strictly exceed the long-block publication-only set.
         n = 304
         matrix = constant_matrix(n)
-        mechanism = BudgetDistribution(1.0, w=20, scan="margin")
+        mechanism = BudgetDistribution(1.0, w=20)
         releaser = mechanism.online_releaser(N_TYPES, rng=11, horizon=n)
         requested = install_generator_counter(releaser)
         small = [
             releaser.step_block(matrix[row : row + 8])
             for row in range(0, n, 8)
         ]
-        scanned = BudgetDistribution(
-            1.0, w=20, scan="margin"
-        ).online_releaser(N_TYPES, rng=11, horizon=n)
-        assert np.array_equal(np.vstack(small), scanned.step_block(matrix))
+        whole = BudgetDistribution(1.0, w=20).online_releaser(
+            N_TYPES, rng=11, horizon=n
+        )
+        assert np.array_equal(np.vstack(small), whole.step_block(matrix))
         assert len(requested) > len(
             [t for t in range(n) if releaser.trace.published[t]]
         )
@@ -126,9 +122,7 @@ class TestGeneratorElision:
         mask = np.zeros(n, dtype=bool)
         mask[[5, 40, 90]] = True
         matrix = constant_matrix(n)
-        mechanism = LandmarkPrivacy(
-            2.0, landmarks=mask, rho=0.5, scan="margin"
-        )
+        mechanism = LandmarkPrivacy(2.0, landmarks=mask, rho=0.5)
         releaser = mechanism.online_releaser(N_TYPES, rng=3, horizon=n)
         requested = install_generator_counter(releaser)
         releaser.advance_block(matrix)
@@ -147,8 +141,9 @@ class TestUniformZeroFallback:
     @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
     def test_zero_uniforms_fall_back_to_generator(self, cls, monkeypatch):
         """u <= 0 rows are BOUNDARY: numpy's laplace retries internally,
-        so only the real generator path reproduces the draw — all scan
-        modes must agree while consuming the same patched uniforms."""
+        so only the real generator path reproduces the draw — a release
+        whose prefetched uniforms all read 0 must still end where the
+        seed loop (which never prefetches) ends."""
         monkeypatch.setattr(
             IndexedRngPool,
             "first_uniforms",
@@ -157,111 +152,93 @@ class TestUniformZeroFallback:
         n = 64
         rng = np.random.default_rng(5)
         matrix = (rng.random((n, N_TYPES)) < 0.5).astype(float)
-        outputs = {}
-        for scan in ("off", "margin", "exact"):
-            mechanism = cls(2.0, w=8, scan=scan)
-            releaser = mechanism.online_releaser(
-                N_TYPES, rng=17, horizon=n
-            )
-            outputs[scan] = releaser.step_block(matrix)
-        np.testing.assert_array_equal(outputs["margin"], outputs["off"])
-        np.testing.assert_array_equal(outputs["exact"], outputs["off"])
+        releaser = cls(2.0, w=8).online_releaser(N_TYPES, rng=17, horizon=n)
+        released = releaser.step_block(matrix)
+        expected = seed_loop(cls(2.0, w=8), matrix, 17)
+        assert matches_seed_loop(releaser, released, expected)
 
 
 # ---------------------------------------------------------------------------
-# Audit mode
+# Planted decision mutants
 # ---------------------------------------------------------------------------
 
 
-class TestAuditMode:
-    def test_bogus_certification_raises_scan_margin_error(self, monkeypatch):
-        """scan=exact re-verifies every margin-decided row with the
-        scalar arithmetic; a distance pass that certifies publishing
-        rows as skips must be caught, not silently applied."""
+_LAPLACE_NOISE = w_event._laplace_noise
 
-        def certify_everything(rows, release):
-            # Every score falls below every threshold by more than any
-            # band: the margin decides each row as a certain skip.
-            return np.full(rows.shape[0], -np.inf)
+#: Decision helpers planted with wrong values.  Distances of -inf
+#: (+inf) decide every row reaching the distance pass as a skip (a
+#: publication); row norms of -inf or approximate noises of -1e6
+#: certify every row as a skip, and norms of 0 bound every distance to
+#: exactly ``b``, as if each row were all zeros; a sign-flipped exact
+#: noise decides the pass rows on the wrong side of their draw.
+MUTANTS = {
+    "distances-skip": (
+        "_release_distances",
+        lambda rows, release: np.full(rows.shape[0], -np.inf),
+    ),
+    "distances-publish": (
+        "_release_distances",
+        lambda rows, release: np.full(rows.shape[0], np.inf),
+    ),
+    "norms-skip": (
+        "_row_norms",
+        lambda rows: np.full(rows.shape[0], -np.inf),
+    ),
+    "norms-zero": ("_row_norms", lambda rows: np.zeros(rows.shape[0])),
+    "noises-skip": (
+        "_approximate_noises",
+        lambda uniforms, scale: np.full(uniforms.shape, -1e6),
+    ),
+    "noise-sign": (
+        "_laplace_noise",
+        lambda uniform, scale: -_LAPLACE_NOISE(uniform, scale),
+    ),
+}
 
-        monkeypatch.setattr(
-            decisions_module, "release_distances", certify_everything
-        )
-        n = 64
-        matrix = constant_matrix(n)
-        matrix[40:] = 1.0  # a drift the schedule must publish
-        mechanism = BudgetDistribution(8.0, w=4, scan="exact")
-        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
-        with pytest.raises(ScanMarginError, match="certified as a skip"):
-            releaser.step_block(matrix)
 
-    def test_bogus_certification_is_applied_without_audit(self, monkeypatch):
-        """The planted verdict really is the decision point: under
-        scan=margin the same bogus pass silently skips publications."""
-        monkeypatch.setattr(
-            decisions_module,
-            "release_distances",
-            lambda rows, release: np.full(rows.shape[0], -np.inf),
-        )
-        n = 64
-        matrix = constant_matrix(n)
-        matrix[40:] = 1.0
-        mechanism = BudgetDistribution(8.0, w=4, scan="margin")
-        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
-        releaser.step_block(matrix)
-        honest = BudgetDistribution(8.0, w=4, scan="off").online_releaser(
-            N_TYPES, rng=0, horizon=n
-        )
-        honest.step_block(matrix)
-        assert sum(releaser.trace.published) < sum(honest.trace.published)
+def drifting_matrix(n=512):
+    """Publish-dense 0/1 rows with a late drift the schedule must
+    publish."""
+    rng = np.random.default_rng(8)
+    matrix = (rng.random((n, N_TYPES)) < 0.3).astype(float)
+    matrix[n // 2 :] = 1.0
+    return matrix
 
-    def test_bogus_bound_raises_scan_margin_error(self, monkeypatch):
-        """scan=exact re-verifies every bound-certified row as well:
-        row norms that certify publishing rows as skips must be caught."""
-        monkeypatch.setattr(
-            decisions_module,
-            "row_norms",
-            lambda rows: np.full(rows.shape[0], -np.inf),
-        )
-        n = 64
-        matrix = constant_matrix(n)
-        matrix[40:] = 1.0
-        mechanism = BudgetDistribution(8.0, w=4, scan="exact")
-        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
-        with pytest.raises(ScanMarginError, match="certified as a skip"):
-            releaser.step_block(matrix)
 
-    def test_bogus_bound_is_applied_without_audit(self, monkeypatch):
-        """The bound is the decision point: under scan=margin the same
-        planted norms silently skip publications."""
-        monkeypatch.setattr(
-            decisions_module,
-            "row_norms",
-            lambda rows: np.full(rows.shape[0], -np.inf),
-        )
-        n = 64
-        matrix = constant_matrix(n)
-        matrix[40:] = 1.0
-        mechanism = BudgetDistribution(8.0, w=4, scan="margin")
-        releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
-        releaser.step_block(matrix)
-        honest = BudgetDistribution(8.0, w=4, scan="off").online_releaser(
-            N_TYPES, rng=0, horizon=n
-        )
-        honest.step_block(matrix)
-        assert sum(releaser.trace.published) < sum(honest.trace.published)
+def release_against_seed_loop(cls, mechanism=None):
+    """Release :func:`drifting_matrix` in one block; whether it ends
+    where the seed loop ends."""
+    matrix = drifting_matrix()
+    n = matrix.shape[0]
+    mechanism = mechanism or cls(8.0, w=4)
+    releaser = mechanism.online_releaser(N_TYPES, rng=0, horizon=n)
+    released = releaser.step_block(matrix)
+    expected = seed_loop(cls(8.0, w=4), matrix, 0)
+    return matches_seed_loop(releaser, released, expected)
 
-    def test_honest_scan_passes_audit(self):
-        n = 96
-        rng = np.random.default_rng(8)
-        matrix = (rng.random((n, N_TYPES)) < 0.4).astype(float)
-        mechanism = BudgetDistribution(4.0, w=6, scan="exact")
-        releaser = mechanism.online_releaser(N_TYPES, rng=2, horizon=n)
-        baseline = BudgetDistribution(4.0, w=6, scan="off")
-        expected = baseline.online_releaser(
-            N_TYPES, rng=2, horizon=n
-        ).step_block(matrix)
-        np.testing.assert_array_equal(releaser.step_block(matrix), expected)
+
+@pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
+class TestSeedLoopCatchesMutants:
+    """The seed loop is the release path's oracle: a helper that decides
+    rows wrongly must make the comparison fail, not slip through."""
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_fails_the_seed_loop_comparison(
+        self, cls, mutant, monkeypatch
+    ):
+        helper, replacement = MUTANTS[mutant]
+        monkeypatch.setattr(w_event, helper, replacement)
+        assert not release_against_seed_loop(cls)
+
+    def test_lying_budget_stretch_fails_the_seed_loop_comparison(self, cls):
+        """A scheduler whose ``_budget_until`` claims its budget never
+        changes skips the budget hook the seed loop calls every row."""
+        mechanism = cls(8.0, w=4)
+        mechanism._budget_until = lambda t, state: math.inf
+        assert not release_against_seed_loop(cls, mechanism)
+
+    def test_honest_helpers_pass_the_seed_loop_comparison(self, cls):
+        assert release_against_seed_loop(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +260,13 @@ class TestBoundCertificate:
         """Most rows are decided from the triangle-inequality bounds:
         far fewer distance passes run than there are publications."""
         passes = []
-        release_distances = decisions_module.release_distances
+        release_distances = w_event._release_distances
 
         def counting(rows, release):
             passes.append(rows.shape[0])
             return release_distances(rows, release)
 
-        monkeypatch.setattr(decisions_module, "release_distances", counting)
+        monkeypatch.setattr(w_event, "_release_distances", counting)
         n = 4000
         matrix = dense_matrix(n)
         releaser = cls(1.0, w=40).online_releaser(8, rng=1, horizon=n)
@@ -297,10 +274,8 @@ class TestBoundCertificate:
         publications = sum(releaser.trace.published)
         assert publications > n // 10
         assert len(passes) * 4 < publications
-        expected = cls(1.0, w=40, scan="off").online_releaser(
-            8, rng=1, horizon=n
-        )
-        np.testing.assert_array_equal(released, expected.step_block(matrix))
+        expected = seed_loop(cls(1.0, w=40), matrix, 1)
+        assert matches_seed_loop(releaser, released, expected)
 
     @pytest.mark.parametrize(
         "cls, share",
@@ -310,22 +285,26 @@ class TestBoundCertificate:
         """BD's budget only changes when a spend enters or leaves the
         window, BA's within a nullified stretch or once absorption is
         capped, so the release loop asks for it on far fewer rows than
-        the scalar loop, which asks on every row."""
-        calls = {"margin": 0, "off": 0}
+        the seed loop, which asks on every row."""
+        calls = {"release": 0, "seed": 0}
         n = 4000
         matrix = dense_matrix(n)
-        for scan in calls:
-            mechanism = cls(1.0, w=40, scan=scan)
+        for run in calls:
+            mechanism = cls(1.0, w=40)
             budget = mechanism._publication_budget
 
-            def counting(t, state, scan=scan, budget=budget):
-                calls[scan] += 1
+            def counting(t, state, run=run, budget=budget):
+                calls[run] += 1
                 return budget(t, state)
 
             monkeypatch.setattr(mechanism, "_publication_budget", counting)
-            mechanism.online_releaser(8, rng=1, horizon=n).step_block(matrix)
-        assert calls["off"] == n
-        assert calls["margin"] < share * n
+            if run == "seed":
+                seed_loop(mechanism, matrix, 1)
+            else:
+                releaser = mechanism.online_releaser(8, rng=1, horizon=n)
+                releaser.step_block(matrix)
+        assert calls["seed"] == n
+        assert calls["release"] < share * n
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +312,15 @@ class TestBoundCertificate:
 # ---------------------------------------------------------------------------
 
 
-def landmark_releaser(n, scan="margin"):
+def landmark_releaser(n):
     mask = np.zeros(n, dtype=bool)
     mask[::3] = True
-    mechanism = LandmarkPrivacy(1.0, landmarks=mask, rho=0.5, scan=scan)
+    mechanism = LandmarkPrivacy(1.0, landmarks=mask, rho=0.5)
     return mechanism.online_releaser(N_TYPES, rng=4, horizon=n)
 
 
-def w_event_releaser(n, scan="margin"):
-    mechanism = BudgetDistribution(1.0, w=8, scan=scan)
+def w_event_releaser(n):
+    mechanism = BudgetDistribution(1.0, w=8)
     return mechanism.online_releaser(N_TYPES, rng=4, horizon=n)
 
 
@@ -353,7 +332,6 @@ class TestBlockShape:
     @pytest.mark.parametrize(
         "shape", [(64, 1), (64, N_TYPES + 1), (64,), (2, 32, N_TYPES)]
     )
-    @pytest.mark.parametrize("scan", ["margin", "off"])
     @pytest.mark.parametrize(
         "make, method",
         [
@@ -362,10 +340,8 @@ class TestBlockShape:
             (w_event_releaser, "step_block"),
         ],
     )
-    def test_wrong_shape_raises_and_leaves_state(
-        self, make, method, scan, shape
-    ):
-        releaser = make(64, scan)
+    def test_wrong_shape_raises_and_leaves_state(self, make, method, shape):
+        releaser = make(64)
         with pytest.raises(
             ValueError, match=f"expected a vector of {N_TYPES} statistics"
         ):
@@ -396,67 +372,71 @@ def build_context():
     )
 
 
-class TestSpecGrammar:
-    def test_scan_keys_reach_the_mechanism(self):
-        context = build_context()
-        mechanism = build_mechanism_from_spec(
-            "bd:epsilon=1.0,w=10,scan=off", context
-        )
-        assert mechanism.scan == "off"
-        mechanism = build_mechanism_from_spec(
-            "ba:epsilon=0.5,w=8,scan=exact", context
-        )
-        assert mechanism.scan == "exact"
+#: The key=value keys of each sequential baseline's spec, as the
+#: unknown-key error lists them.
+VALID_KEYS = {
+    "bd": "conversion_mode, epsilon, pattern_epsilon, w",
+    "ba": "conversion_mode, epsilon, pattern_epsilon, w",
+    "landmark": "conversion_mode, epsilon, landmarks, pattern_epsilon, rho",
+}
 
-    def test_default_scan_config(self):
-        mechanism = build_mechanism_from_spec(
-            "bd:epsilon=1.0,w=10", build_context()
-        )
-        assert mechanism.scan == "margin"
+#: Keys no baseline takes: the removed release-mode and sensitivity
+#: settings, and two tunables that never were keys.
+UNKNOWN_KEYS = ("scan", "sensitivity", "margin", "prefetch")
 
-    def test_unknown_key_fails_at_parse_time_listing_keys(self):
-        with pytest.raises(ValueError, match="valid keys.*scan"):
-            build_mechanism_from_spec(
-                "bd:epsilon=1.0,w=10,scam=off", build_context()
-            )
 
-    @pytest.mark.parametrize(
-        "head",
-        ["bd:epsilon=1.0,w=10", "ba:epsilon=1.0,w=10", "landmark:epsilon=1.0"],
+def unknown_key_message(key, head):
+    return (
+        f"unknown key '{key}' for mechanism spec '{head}'; valid keys: "
+        f"{VALID_KEYS[head]}"
     )
-    def test_landmark_keeps_only_the_scan_key(self, head):
+
+
+class TestSpecGrammar:
+    def test_spec_keys_reach_the_mechanism(self):
         context = build_context()
-        mechanism = build_mechanism_from_spec(f"{head},scan=off", context)
-        assert mechanism.scan == "off"
-        for key in ("margin=1e-9", "prefetch=16"):
-            with pytest.raises(ValueError, match="valid keys.*scan"):
-                build_mechanism_from_spec(f"{head},{key}", context)
-            with pytest.raises(ValueError, match="valid keys.*scan"):
+        mechanism = build_mechanism_from_spec("bd:epsilon=1.0,w=10", context)
+        assert (mechanism.epsilon, mechanism.w) == (1.0, 10)
+        mechanism = build_mechanism_from_spec(
+            "landmark:epsilon=0.5,rho=0.25", context
+        )
+        assert (mechanism.epsilon, mechanism.rho) == (0.5, 0.25)
+        assert mechanism.sensitivity == 1.0
+
+    @pytest.mark.parametrize("key", UNKNOWN_KEYS)
+    @pytest.mark.parametrize("head", sorted(VALID_KEYS))
+    def test_unknown_key_fails_listing_valid_keys(self, head, key):
+        """In a spec string, at build and at ``ServiceSpec``
+        construction, and as a ``mechanism_options`` key."""
+        message = unknown_key_message(key, head)
+        with pytest.raises(ValueError) as excinfo:
+            build_mechanism_from_spec(
+                f"{head}:epsilon=1.0,{key}=off", build_context()
+            )
+        assert message in str(excinfo.value)
+        for spec_string, options in (
+            (f"{head}:epsilon=1.0,{key}=off", {}),
+            (head, {"epsilon": 1.0, key: "off"}),
+        ):
+            with pytest.raises(ValueError) as excinfo:
                 ServiceSpec(
                     alphabet=ALPHABET,
                     patterns=[("private", ("e1", "e2"))],
                     queries=[("q", ("e2", "e3"))],
-                    mechanism=f"{head},{key}",
+                    mechanism=spec_string,
+                    mechanism_options=options,
                 )
+            assert message in str(excinfo.value)
 
-    def test_unknown_scan_mode_lists_valid_modes(self):
-        with pytest.raises(ValueError, match="margin, exact, off"):
-            build_mechanism_from_spec(
-                "bd:epsilon=1.0,w=10,scan=speedy", build_context()
-            )
-
-    @pytest.mark.parametrize(
-        "head",
-        ["bd:epsilon=1.0,w=10", "ba:epsilon=1.0,w=10", "landmark:epsilon=1.0"],
-    )
-    def test_unknown_scan_mode_fails_at_spec_construction(self, head):
-        with pytest.raises(ValueError, match="margin, exact, off"):
-            ServiceSpec(
-                alphabet=ALPHABET,
-                patterns=[("private", ("e1", "e2"))],
-                queries=[("q", ("e2", "e3"))],
-                mechanism=f"{head},scan=speedy",
-            )
+    @pytest.mark.parametrize("key", ["scan", "sensitivity"])
+    def test_removed_keys_are_no_constructor_parameters(self, key):
+        for make in (
+            lambda **kw: BudgetDistribution(1.0, w=4, **kw),
+            lambda **kw: BudgetAbsorption(1.0, w=4, **kw),
+            lambda **kw: LandmarkPrivacy(1.0, **kw),
+        ):
+            with pytest.raises(TypeError, match=key):
+                make(**{key: "off"})
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +492,14 @@ class TestDerivedColumns:
         assert trace.max_window_spend(2) == pytest.approx(1.25 + 2 * 0.1)
 
     @pytest.mark.parametrize("cls", [BudgetDistribution, BudgetAbsorption])
-    @pytest.mark.parametrize("scan", ["margin", "off"])
-    def test_released_runs_log_only_publications(self, cls, scan):
+    @pytest.mark.parametrize("size", [7, 70])
+    def test_released_runs_log_only_publications(self, cls, size):
         rng = np.random.default_rng(2)
         matrix = (rng.random((300, N_TYPES)) < 0.3).astype(float)
-        mechanism = cls(1.0, w=8, scan=scan)
+        mechanism = cls(1.0, w=8)
         releaser = mechanism.online_releaser(N_TYPES, rng=5, horizon=300)
-        for start in range(0, 300, 70):
-            releaser.step_block(matrix[start : start + 70])
+        for start in range(0, 300, size):
+            releaser.step_block(matrix[start : start + size])
         trace = releaser.trace
         assert trace.steps == releaser.t == 300
         assert list(trace.times) == np.flatnonzero(trace.published).tolist()

@@ -36,6 +36,14 @@ def rngs(seed):
         yield None
 
 
+def fresh(rng):
+    """``rng`` itself, or a fresh copy of a Generator parent (whose
+    state one run consumes)."""
+    if isinstance(rng, np.random.Generator):
+        return np.random.default_rng(rng.bit_generator.seed_seq)
+    return rng
+
+
 class TestWEventParity:
     @pytest.mark.parametrize("mechanism_cls", [BudgetDistribution, BudgetAbsorption])
     @pytest.mark.parametrize("seed", [0, 7, 1234])
@@ -55,6 +63,39 @@ class TestWEventParity:
             )
             assert fast == reference
 
+    @pytest.mark.parametrize("mechanism_cls", [BudgetDistribution, BudgetAbsorption])
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_release_ends_in_the_seed_loop_state(
+        self, mechanism_cls, seed, stream
+    ):
+        """The raw released rows, the trace columns and the scheduler
+        state — not only the thresholded bits — match the seed loop."""
+        mechanism = mechanism_cls(1.2, w=8)
+        matrix = stream.matrix_view().astype(float)
+        for rng in rngs(seed):
+            expected = {}
+            reference_w_event_perturb(
+                mechanism, stream, rng=fresh(rng), final_state=expected
+            )
+            releaser = mechanism.online_releaser(
+                matrix.shape[1], rng=fresh(rng), horizon=matrix.shape[0]
+            )
+            released = releaser.step_block(matrix)
+            assert np.array_equal(released, expected["released"])
+            for column in (
+                "published",
+                "publication_budgets",
+                "dissimilarity_budgets",
+            ):
+                assert np.array_equal(
+                    getattr(releaser.trace, column), expected[column]
+                )
+            assert releaser.scheduler_state == expected["scheduler_state"]
+            assert np.array_equal(
+                releaser.last_release, expected["last_release"]
+            )
+            assert releaser.t == expected["t"]
+
 
 class TestLandmarkParity:
     @pytest.mark.parametrize("seed", [0, 5, 99])
@@ -73,6 +114,33 @@ class TestLandmarkParity:
         assert mechanism.perturb(stream, rng=4) == reference_landmark_perturb(
             mechanism, stream, mask, rng=4
         )
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    def test_release_ends_in_the_seed_loop_state(self, seed, stream):
+        """The raw released rows and the adaptive budget threading —
+        not only the thresholded bits — match the seed loop."""
+        mask = stream.column("e1")
+        mechanism = LandmarkPrivacy(1.5, landmarks=mask)
+        matrix = stream.matrix_view()
+        for rng in rngs(seed):
+            expected = {}
+            reference_landmark_perturb(
+                mechanism, stream, mask, rng=fresh(rng), final_state=expected
+            )
+            releaser = mechanism.online_releaser(
+                matrix.shape[1], rng=fresh(rng), horizon=matrix.shape[0]
+            )
+            released = releaser.step_block(matrix)
+            assert np.array_equal(released, expected["released"])
+            assert (
+                releaser._remaining_publication
+                == expected["remaining_publication"]
+            )
+            assert releaser._landmarks_left == expected["landmarks_left"]
+            assert np.array_equal(
+                releaser.last_release, expected["last_release"]
+            )
+            assert releaser.t == expected["t"]
 
 
 class TestDispatch:

@@ -3,6 +3,7 @@
 import asyncio
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -746,20 +747,25 @@ class TestElasticity:
         with pytest.raises(ValueError, match="unknown fields"):
             StreamGateway.from_json('{"format": 1, "tenants": [], "x": 1}')
 
-    def test_fleet_with_a_bad_scan_mode_fails_at_tenant_parsing(
-        self, monkeypatch
+    @pytest.mark.parametrize("key", ["scan", "sensitivity"])
+    def test_fleet_with_a_removed_key_fails_at_tenant_parsing(
+        self, monkeypatch, key
     ):
         from repro.service import TenantSpec
 
         tenant = TenantSpec(
             name="a",
             service=self._declarative_spec(1).with_(
-                mechanism="bd:epsilon=1.0,w=10,scan=off",
+                mechanism="bd:epsilon=1.0,w=10",
                 mechanism_options={},
             ),
         ).to_dict()
-        tenant["service"]["mechanism"] = "bd:epsilon=1.0,w=10,scan=speedy"
-        with pytest.raises(ValueError, match="margin, exact, off"):
+        tenant["service"]["mechanism"] = f"bd:epsilon=1.0,w=10,{key}=1"
+        message = (
+            f"unknown key '{key}' for mechanism spec 'bd'; valid keys: "
+            "conversion_mode, epsilon, pattern_epsilon, w"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
             TenantSpec.from_dict(tenant)
         added = []
         monkeypatch.setattr(
@@ -768,7 +774,7 @@ class TestElasticity:
             lambda gateway, *args, **kwargs: added.append(args),
         )
         document = json.dumps({"format": 1, "tenants": [tenant]})
-        with pytest.raises(ValueError, match="margin, exact, off"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             StreamGateway.from_json(document)
         assert added == []
 

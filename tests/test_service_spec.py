@@ -159,20 +159,24 @@ class TestMechanismOptions:
         assert "unknown key 'bogus' for mechanism spec 'bd'" in message
         assert "valid keys: conversion_mode, epsilon" in message
 
+    @pytest.mark.parametrize("key", ["scan", "sensitivity"])
     @pytest.mark.parametrize("mechanism", ["bd", "ba", "landmark"])
-    def test_unknown_scan_mode_fails_at_construction(self, mechanism):
-        with pytest.raises(ValueError, match="valid scan modes: margin"):
+    def test_removed_key_fails_at_construction(self, mechanism, key):
+        with pytest.raises(ValueError) as excinfo:
             small_spec(
                 mechanism=mechanism,
-                mechanism_options={"epsilon": 1.0, "scan": "speedy"},
+                mechanism_options={"epsilon": 1.0, key: "off"},
             )
+        message = str(excinfo.value)
+        assert f"unknown key '{key}' for mechanism spec" in message
+        assert "valid keys: conversion_mode, epsilon" in message
 
     @pytest.mark.parametrize(
         "mechanism, options",
         [
             ("uniform-ppm", {"epsilon": 2.0}),
             ("bd", {"epsilon": 1.0, "w": 40}),
-            ("bd", {"epsilon": 1.0, "w": 10, "scan": "off"}),
+            ("bd", {"epsilon": 1.0, "w": 10, "conversion_mode": "worst_case"}),
             ("user-rr", {"pattern_epsilon": 2.0, "n_windows": 50}),
         ],
     )
@@ -187,7 +191,7 @@ class TestMechanismOptions:
             name="a",
             service=small_spec(mechanism="bd", mechanism_options=self.BD),
         ).to_dict()
-        for bad in ({"scan": "speedy"}, {"bogus": 3}):
+        for bad in ({"scan": "off"}, {"sensitivity": 1.0}, {"bogus": 3}):
             tenant["service"]["mechanism_options"] = {**self.BD, **bad}
             document = json.dumps(tenant)
             with pytest.raises(ValueError, match="mechanism spec 'bd'"):
