@@ -246,16 +246,15 @@ def test_decision_scan(benchmark, results_dir, monkeypatch):
     assert bit_identical
 
     # -- landmark prepass: interleaved rounds, median paired ratio -----
-    # Each timed arm builds its releaser and walks the whole stream; the
-    # scalar arm ("off", its historical name) steps every row, the
-    # prepass ("margin") hops the regular ones.
-    def prepass(walk, share):
-        releaser = _releaser("landmark", n, share=share)
+    # Each timed arm walks the whole stream on a releaser built (mask
+    # and rng pool included) before the clock starts, so a round times
+    # the walk alone; the scalar arm ("off", its historical name) steps
+    # every row, the prepass ("margin") hops the regular ones.
+    def prepass(walk, releaser):
         if walk == "off":
             _scalar_walk(releaser, matrix)
         else:
             releaser.advance_block(matrix)
-        return releaser
 
     times = {}
     paired = {}
@@ -264,7 +263,8 @@ def test_decision_scan(benchmark, results_dir, monkeypatch):
         for _ in range(_ROUNDS):
             seconds = {}
             for walk in ("off", "margin"):
-                _, seconds[walk] = _timed(lambda: prepass(walk, share))
+                releaser = _releaser("landmark", n, share=share)
+                _, seconds[walk] = _timed(lambda: prepass(walk, releaser))
                 times.setdefault(f"{arm}/prepass/{walk}", []).append(
                     seconds[walk]
                 )

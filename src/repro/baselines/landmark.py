@@ -205,7 +205,7 @@ class LandmarkReleaser:
         self.last_release = (
             None if last_release is None else np.array(last_release, copy=True)
         )
-        self._children.restore(snapshot["rng"])
+        self._children.restore(snapshot["rng"], position=self.t)
 
 
 class LandmarkPrivacy(StreamMechanism):

@@ -619,7 +619,7 @@ class OnlineReleaser:
         self.trace.steps = self.t
         self.trace.times = array("q", times)
         self.trace.budgets = array("d", budgets)
-        self._children.restore(snapshot["rng"])
+        self._children.restore(snapshot["rng"], position=self.t)
 
 
 class WEventMechanism(StreamMechanism):

@@ -95,7 +95,8 @@ class AsyncSession:
         cls, core: _ReleaseCore, max_pending: int
     ) -> "AsyncSession":
         """A session carrying on ``core``'s release (no second
-        charge): how ``StreamService.pump`` serves a sync session."""
+        charge): how ``StreamService.pump`` serves a sync session, and
+        how ``StreamService.resume`` opens a restored core."""
         session = cls.__new__(cls)
         session._init(core, max_pending)
         return session

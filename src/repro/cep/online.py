@@ -29,7 +29,7 @@ with ``TypeError`` at session construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,14 +52,23 @@ class _ReleaseCore:
     keeps only its own ingestion logic.  ``stepper`` is ``None`` for an
     unprotected engine.  ``windows`` counts the windows released so
     far — callers advance it once a released block is fully handed
-    out.
+    out.  A core opened with a ``snapshot`` (of :meth:`snapshot`)
+    starts where it stood: its stepper adopts the snapshotted
+    generator states rather than deriving fresh ones for a
+    :meth:`restore` to overwrite.
     """
 
-    def __init__(self, engine: CEPEngine, rng: RngLike):
+    def __init__(
+        self, engine: CEPEngine, rng: RngLike, snapshot: Optional[Dict] = None
+    ):
         if not engine.queries:
             raise ValueError("the engine has no registered queries")
         self.pipeline = engine.service_pipeline()
         self.stepper = None
+        stepper_state = None
+        if snapshot is not None:
+            stepper_state = snapshot["stepper"]
+            _check_protection(engine.mechanism, stepper_state)
         if engine.mechanism is not None:
             # Sequential releasers historically draw from a dedicated
             # "online" child; per-window flip mechanisms draw from the
@@ -68,14 +77,14 @@ class _ReleaseCore:
             if hasattr(engine.mechanism, "online_releaser"):
                 rng = derive_rng(rng, "online")
             self.stepper = self.pipeline.runtime_mechanism.stepper(
-                engine.alphabet, rng=rng, horizon=None
+                engine.alphabet, rng=rng, horizon=None, snapshot=stepper_state
             )
         # A session is one release of the (growing) stream: charge the
         # engine's accountant once, up front, exactly like the batch
         # path does per process_indicators call — but only after the
         # stepper exists, so a rejected mechanism costs no budget.
         engine._charge_accountant()
-        self.windows = 0
+        self.windows = 0 if snapshot is None else int(snapshot["windows"])
 
     def release(
         self, rows: np.ndarray
@@ -97,14 +106,19 @@ class _ReleaseCore:
 
     def restore(self, snapshot: Dict) -> None:
         stepper_state = snapshot["stepper"]
-        if (self.stepper is None) != (stepper_state is None):
-            raise ValueError(
-                "checkpoint does not match this session's mechanism "
-                "(protected vs unprotected)"
-            )
+        _check_protection(self.stepper, stepper_state)
         if self.stepper is not None:
             self.stepper.restore(stepper_state)
         self.windows = int(snapshot["windows"])
+
+
+def _check_protection(protection, stepper_state) -> None:
+    """Refuse a snapshot taken under the other protection status."""
+    if (protection is None) != (stepper_state is None):
+        raise ValueError(
+            "checkpoint does not match this session's mechanism "
+            "(protected vs unprotected)"
+        )
 
 
 class OnlineSession:
@@ -112,6 +126,14 @@ class OnlineSession:
 
     def __init__(self, engine: CEPEngine, *, rng: RngLike = None):
         self._core = _ReleaseCore(engine, rng)
+
+    @classmethod
+    def _continuing(cls, core: _ReleaseCore) -> "OnlineSession":
+        """A session carrying on ``core``'s release (no second
+        charge): how ``StreamService.resume`` opens a restored core."""
+        session = cls.__new__(cls)
+        session._core = core
+        return session
 
     @property
     def windows_processed(self) -> int:

@@ -70,12 +70,16 @@ def write_indicator_csv(
 def _per_window(
     vectors: Dict[str, np.ndarray], windows: int
 ) -> List[Dict[str, bool]]:
-    """Per-query vectors of a block as one ``{query: bool}`` per window."""
+    """Per-query vectors of a block as one ``{query: bool}`` per window,
+    built in one pass: each window's dict from its ``(query, value)``
+    pairs, in query order."""
     if not vectors:
         return [{} for _ in range(windows)]
-    names = tuple(vectors)
-    columns = [np.asarray(vector).tolist() for vector in vectors.values()]
-    return [dict(zip(names, values)) for values in zip(*columns)]
+    pairs = [
+        zip(repeat(name), np.asarray(vector).tolist())
+        for name, vector in vectors.items()
+    ]
+    return list(map(dict, zip(*pairs)))
 
 
 class StreamSink:
@@ -452,13 +456,25 @@ class CallbackSink(StreamSink):
             )
         self._fn = fn
 
-    def _write(self, index, row, answers, truth) -> None:
-        if self._fn is None:
+    def write_block(self, start, rows, answers, truth=None) -> None:
+        """Call the callable on every window of the block in order,
+        directly; a call that raises leaves the windows before it
+        counted and the rest unwritten."""
+        self.alphabet  # open check
+        block = np.asarray(rows)
+        fn = self._fn
+        if fn is None and len(block):
             raise ValueError(
                 "the 'callback' sink has no callable bound; construct "
                 "CallbackSink(fn) and pass it at run time"
             )
-        self._fn(index, row, answers)
+        written = 0
+        try:
+            for row, verdict in zip(block, _per_window(answers, len(block))):
+                fn(start + written, row, verdict)
+                written += 1
+        finally:
+            self._count_written(written)
 
     def result(self):
         return {"windows": self.windows_written}

@@ -207,22 +207,30 @@ class StreamSource:
     # -- lifecycle -----------------------------------------------------
 
     def bind(self, alphabet: EventAlphabet) -> "StreamSource":
-        """Fix the service alphabet; validate the source against it."""
+        """Fix the service alphabet; validate the source against it.
+
+        Validation runs once: binding a bound source to the alphabet
+        it holds returns at once (every slice of a served stream binds
+        the same source again), and to another alphabet raises.
+        """
         if not isinstance(alphabet, EventAlphabet):
             raise TypeError(
                 f"alphabet must be EventAlphabet, got "
                 f"{type(alphabet).__name__}"
             )
-        if self._alphabet is not None and self._alphabet != alphabet:
-            raise ValueError(
-                "source is already bound to a different alphabet"
-            )
-        self._alphabet = alphabet
+        if self._alphabet is not None:
+            if self._alphabet != alphabet:
+                raise ValueError(
+                    "source is already bound to a different alphabet"
+                )
+            return self
+        # A source that fails validation stays unbound.
         self._bind(alphabet)
+        self._alphabet = alphabet
         return self
 
     def _bind(self, alphabet: EventAlphabet) -> None:
-        """Subclass hook: validate/prepare against the bound alphabet."""
+        """Subclass hook: validate against the alphabet, on first bind."""
 
     @property
     def alphabet(self) -> EventAlphabet:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.streams.indicator import EventAlphabet, IndicatorStream
-from repro.utils.rng import RngLike, derive_rng, ensure_rng
+from repro.utils.rng import RngLike, derive_rng, ensure_rng, generator_at
 
 
 class RuntimeMechanism:
@@ -70,9 +70,13 @@ class RuntimeMechanism:
         *,
         rng: RngLike = None,
         horizon: Optional[int] = None,
+        snapshot: Optional[dict] = None,
     ):
         """A chunk stepper reproducing ``perturb_batch`` bit for bit.
 
+        ``snapshot`` (a stepper's :meth:`snapshot`) builds the stepper
+        already restored to it, adopting its generator states instead
+        of first deriving the ones a ``restore`` would overwrite.
         Raises ``TypeError`` for mechanisms that only support batch
         perturbation.
         """
@@ -85,7 +89,7 @@ class RuntimeMechanism:
 class _IdentityRuntime(RuntimeMechanism):
     shardable = True
 
-    def stepper(self, alphabet, *, rng=None, horizon=None):
+    def stepper(self, alphabet, *, rng=None, horizon=None, snapshot=None):
         return _IdentityStepper()
 
 
@@ -113,6 +117,8 @@ class FlipStepper:
     per layer when layered, then ``derive_rng(parent, "rr-flip", type)``
     per column — and each chunk consumes the next slice of the same
     per-type child streams, so chunked and batch decisions coincide.
+    ``states`` (a snapshot's ``"children"``) starts every child at its
+    snapshotted state instead, deriving none.
     """
 
     def __init__(
@@ -122,12 +128,23 @@ class FlipStepper:
         rng: RngLike,
         *,
         layered: bool = False,
+        states: Optional[Sequence[Sequence[dict]]] = None,
     ):
+        if states is not None:
+            _check_layout(states, layers)
+
+        def children(position, types):
+            if states is not None:
+                return [generator_at(state) for state in states[position]]
+            parent = derive_rng(rng, "multi-ppm", position) if layered else rng
+            return [derive_rng(parent, "rr-flip", kind) for kind in types]
+
         self._plan: List[List] = []
         for position, flip_by_type in enumerate(layers):
-            parent = derive_rng(rng, "multi-ppm", position) if layered else rng
             entries = []
-            for event_type, probability in flip_by_type.items():
+            for (event_type, probability), child in zip(
+                flip_by_type.items(), children(position, flip_by_type)
+            ):
                 if not 0.0 <= probability <= 0.5:
                     raise ValueError(
                         f"flip probability for {event_type!r} must be in "
@@ -139,11 +156,7 @@ class FlipStepper:
                         f"[{event_type!r}]"
                     )
                 entries.append(
-                    (
-                        alphabet.index(event_type),
-                        probability,
-                        derive_rng(parent, "rr-flip", event_type),
-                    )
+                    (alphabet.index(event_type), probability, child)
                 )
             self._plan.append(entries)
 
@@ -185,16 +198,21 @@ class FlipStepper:
     def restore(self, snapshot: dict) -> None:
         """Put every per-type child back at the snapshotted position."""
         children = snapshot["children"]
-        if len(children) != len(self._plan) or any(
-            len(states) != len(entries)
-            for states, entries in zip(children, self._plan)
-        ):
-            raise ValueError(
-                "snapshot layer/type layout does not match this stepper"
-            )
+        _check_layout(children, self._plan)
         for entries, states in zip(self._plan, children):
             for (_column, _probability, child), state in zip(entries, states):
                 child.bit_generator.state = state
+
+
+def _check_layout(states: Sequence[Sequence], layers: Sequence) -> None:
+    """Refuse per-type child states laid out unlike ``layers``."""
+    if len(states) != len(layers) or any(
+        len(layer_states) != len(layer)
+        for layer_states, layer in zip(states, layers)
+    ):
+        raise ValueError(
+            "snapshot layer/type layout does not match this stepper"
+        )
 
 
 class _FlipRuntime(RuntimeMechanism):
@@ -207,12 +225,13 @@ class _FlipRuntime(RuntimeMechanism):
         self._layers = layers
         self._layered = layered
 
-    def stepper(self, alphabet, *, rng=None, horizon=None):
+    def stepper(self, alphabet, *, rng=None, horizon=None, snapshot=None):
         return FlipStepper(
             [layer() for layer in self._layers],
             alphabet,
             rng,
             layered=self._layered,
+            states=None if snapshot is None else snapshot["children"],
         )
 
 
@@ -221,7 +240,7 @@ class _MatrixRRRuntime(RuntimeMechanism):
 
     shardable = True
 
-    def stepper(self, alphabet, *, rng=None, horizon=None):
+    def stepper(self, alphabet, *, rng=None, horizon=None, snapshot=None):
         mechanism = self.mechanism
         if hasattr(mechanism, "flip_probability"):
             probability = mechanism.flip_probability
@@ -245,7 +264,12 @@ class _MatrixRRRuntime(RuntimeMechanism):
                 probability = epsilon_to_flip_probability(
                     mechanism.epsilon / bits
                 )
-        return _MatrixRRStepper(ensure_rng(rng), probability, len(alphabet))
+        generator = (
+            ensure_rng(rng)
+            if snapshot is None
+            else generator_at(snapshot["generator"])
+        )
+        return _MatrixRRStepper(generator, probability, len(alphabet))
 
 
 class _MatrixRRStepper:
@@ -284,10 +308,14 @@ class _SequentialRuntime(RuntimeMechanism):
 
     checkpointable = True
 
-    def stepper(self, alphabet, *, rng=None, horizon=None):
+    def stepper(self, alphabet, *, rng=None, horizon=None, snapshot=None):
+        # The releaser's rng pool derives lazily: restoring it moves
+        # the pool to the snapshot's position without deriving a child.
         releaser = self.mechanism.online_releaser(
             len(alphabet), rng=rng, horizon=horizon
         )
+        if snapshot is not None:
+            releaser.restore(snapshot)
         return _SequentialStepper(releaser, self.mechanism)
 
 

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.rng import RngLike, ensure_rng, fold_token
+from repro.utils.rng import RngLike, ensure_rng, fold_token, generator_at
 
 # SeedSequence hashing constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -247,6 +247,24 @@ def first_uniform_scalar(state: int, inc: int) -> float:
     return (out >> 11) * _DOUBLE_SCALE
 
 
+#: Largest discarded draw :func:`_skip_words` makes at once.
+_SKIP_CHUNK = 1 << 16
+
+
+def _skip_words(parent: np.random.Generator, count: int) -> None:
+    """Advance ``parent`` past ``count`` entropy-word draws.
+
+    A bounded draw rejects some raw words (Lemire's method), so the
+    bit generator's ``advance`` cannot skip them; discarding the same
+    draws lets numpy repeat its rejections exactly.  64-bit bounded
+    draws buffer nothing, so chunking them changes nothing.
+    """
+    while count > 0:
+        step = min(count, _SKIP_CHUNK)
+        parent.integers(0, _WORD_BOUND, size=step)
+        count -= step
+
+
 class IndexedRngPool:
     """Children of ``derive_rng(rng, *tokens, index)`` for ``index = 0..``.
 
@@ -262,12 +280,13 @@ class IndexedRngPool:
         parent entropy is drawn in one block of exactly ``count`` words,
         leaving the parent generator in the same state as ``count``
         sequential ``derive_rng`` calls would.  Without it, entropy is
-        prefetched in blocks of ``block`` (the children are still
-        bit-identical, but the parent runs ahead of the index actually
-        consumed — callers that hand the pool a *shared* generator and
-        keep drawing from it should pass ``count``).
+        prefetched: each extend covers the indices asked for plus one
+        ``block`` beyond (the children are still bit-identical, but the
+        parent runs ahead of the index actually consumed — callers that
+        hand the pool a *shared* generator and keep drawing from it
+        should pass ``count``).
     block:
-        Prefetch block size for the unknown-length mode.
+        Prefetch look-ahead for the unknown-length mode.
 
     ``generator(index)`` returns a shared :class:`numpy.random.Generator`
     whose state is the derived child's initial state.  The object is
@@ -317,11 +336,23 @@ class IndexedRngPool:
         #: inc) split into (hi, lo) halves.  Vectorized storage keeps
         #: derivation free of per-index Python work and lets
         #: :meth:`first_uniforms` replay outputs in one pass; capacity
-        #: doubles on growth, ``_n`` children are valid.
+        #: doubles on growth.  Children ``[_base, _n)`` are valid, the
+        #: first at row 0: a restored pool starts at its restored
+        #: position and derives the indices below it only when one is
+        #: asked for.
+        self._base = 0
         self._n = 0
         self._limbs = [np.zeros(0, dtype=np.uint64) for _ in range(4)]
         self._bit_generator = np.random.PCG64()
         self._generator = np.random.Generator(self._bit_generator)
+        #: The one state dict :meth:`generator` refills and installs.
+        self._pcg_state = {"state": 0, "inc": 0}
+        self._state = {
+            "bit_generator": "PCG64",
+            "state": self._pcg_state,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         if count:
             self._extend(count)
 
@@ -332,21 +363,18 @@ class IndexedRngPool:
         """The child generator for ``index`` (a reused, re-seeded object)."""
         if index < 0:
             raise IndexError(f"index must be non-negative, got {index}")
-        while index >= self._n:
-            self._extend(self._block)
+        if index >= self._n:
+            self._cover(index + 1)
+        elif index < self._base:
+            self._derive_below()
+        row = index - self._base
         state_hi, state_lo, inc_hi, inc_lo = self._limbs
         # ``item`` reads a limb straight into a Python int, skipping the
-        # numpy scalar that ``int(limbs[index])`` builds first.
-        self._bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {
-                "state": (state_hi.item(index) << 64)
-                | state_lo.item(index),
-                "inc": (inc_hi.item(index) << 64) | inc_lo.item(index),
-            },
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        # numpy scalar that ``int(limbs[row])`` builds first.
+        pcg_state = self._pcg_state
+        pcg_state["state"] = (state_hi.item(row) << 64) | state_lo.item(row)
+        pcg_state["inc"] = (inc_hi.item(row) << 64) | inc_lo.item(row)
+        self._bit_generator.state = self._state
         return self._generator
 
     # -- checkpointing -------------------------------------------------
@@ -359,7 +387,7 @@ class IndexedRngPool:
         the parent generator's pre-draw state (generator parents) —
         plus the token prefix, so the snapshot records only those and
         the number of children derived so far, and :meth:`restore`
-        re-derives the identical child streams on any pool with the
+        re-creates the identical child streams on any pool with the
         same tokens.  One exception: when a *shared* parent generator
         was drawn from by another consumer between the pool's lazy
         extends, replaying from the pre-draw state would weave those
@@ -378,6 +406,8 @@ class IndexedRngPool:
         elif not self._parent_interleaved:
             state["parent_initial_state"] = dict(self._parent_initial_state)
         else:
+            if self._base:
+                self._derive_below()
             state["limbs"] = [
                 np.array(limb[: self._n], copy=True)
                 for limb in self._limbs
@@ -385,13 +415,23 @@ class IndexedRngPool:
             state["parent_resume_state"] = self._parent.bit_generator.state
         return state
 
-    def restore(self, snapshot: dict) -> None:
-        """Re-derive the snapshotted pool's children on this pool.
+    def restore(self, snapshot: dict, *, position: int = None) -> None:
+        """Put this pool where the snapshotted pool stood.
 
         After restoring, ``generator(index)`` returns exactly the child
-        the snapshotted pool would return for every index — already
-        derived or not — and future extends draw the same parent words
-        an uninterrupted pool would have drawn.
+        the snapshotted pool would return for every index, and future
+        extends draw the same parent words an uninterrupted pool would
+        have drawn.  The pool resumes *at* ``position`` — the first
+        index its consumer will ask for (a releaser passes its step
+        count), by default the snapshot's ``n_derived``: a generator
+        parent is advanced past the ``position`` words before it
+        (discarded bounded draws, so numpy repeats its rejections
+        exactly) and nothing is derived until asked, so the first
+        block after a resume costs no more than the next.  Indices
+        below the position are derived on demand, the first time one
+        is asked for.  A pool already on the snapshot's derivation
+        source whose children reach the position keeps them; an
+        interleaved snapshot's limbs are adopted as they are.
         """
         tokens = list(snapshot["tokens"])
         if tokens != self._token_ints:
@@ -400,18 +440,8 @@ class IndexedRngPool:
                 f"derives under {self._token_ints}"
             )
         n_derived = int(snapshot["n_derived"])
-        if "fixed_word" in snapshot:
-            fixed_word = int(snapshot["fixed_word"])
-            if self._parent is None and self._fixed_word == fixed_word:
-                # Same derivation source: every index already coincides.
-                return
-            self._parent = None
-            self._parent_initial_state = None
-            self._parent_resume_state = None
-            self._parent_interleaved = False
-            self._fixed_word = fixed_word
-            self._reset_storage()
-            return
+        if position is None:
+            position = n_derived
         if "limbs" in snapshot:
             # Interleaved shared-parent snapshot: adopt the derived
             # states verbatim and resume the parent where it stood.
@@ -421,38 +451,52 @@ class IndexedRngPool:
             self._install_parent(dict(snapshot["parent_resume_state"]))
             self._parent_interleaved = True
             limbs = snapshot["limbs"]
-            self._reset_storage()
+            self._reset_storage(0)
             self._grow(n_derived)
-            for position in range(4):
-                self._limbs[position][:n_derived] = np.asarray(
-                    limbs[position], dtype=np.uint64
+            for row in range(4):
+                self._limbs[row][:n_derived] = np.asarray(
+                    limbs[row], dtype=np.uint64
                 )
             self._n = n_derived
             return
-        parent_state = dict(snapshot["parent_initial_state"])
-        if (
-            self._parent is not None
-            and not self._parent_interleaved
-            and self._parent_initial_state == parent_state
-        ):
-            return
-        self._install_parent(parent_state)
-        self._parent_initial_state = parent_state
-        self._reset_storage()
-        if n_derived:
-            self._extend(n_derived)
+        reaches = self._base <= position <= self._n
+        if "fixed_word" in snapshot:
+            fixed_word = int(snapshot["fixed_word"])
+            if (
+                self._parent is None
+                and self._fixed_word == fixed_word
+                and reaches
+            ):
+                return
+            self._parent = None
+            self._parent_initial_state = None
+            self._parent_resume_state = None
+            self._parent_interleaved = False
+            self._fixed_word = fixed_word
+        else:
+            parent_state = dict(snapshot["parent_initial_state"])
+            if (
+                self._parent is not None
+                and not self._parent_interleaved
+                and self._parent_initial_state == parent_state
+                and reaches
+            ):
+                return
+            self._install_parent(parent_state)
+            _skip_words(self._parent, position)
+            self._parent_resume_state = self._parent.bit_generator.state
+        self._reset_storage(position)
 
     def _install_parent(self, parent_state: dict) -> None:
-        bit_generator = np.random.PCG64()
-        bit_generator.state = parent_state
-        self._parent = np.random.Generator(bit_generator)
+        self._parent = generator_at(parent_state)
         self._parent_initial_state = parent_state
         self._parent_resume_state = parent_state
         self._parent_interleaved = False
         self._fixed_word = None
 
-    def _reset_storage(self) -> None:
-        self._n = 0
+    def _reset_storage(self, position: int) -> None:
+        """Empty the store; the next child derived is ``position``."""
+        self._base = self._n = position
         self._limbs = [np.zeros(0, dtype=np.uint64) for _ in range(4)]
 
     # -- derivation ----------------------------------------------------
@@ -477,16 +521,23 @@ class IndexedRngPool:
         entropy[:, -1] = indices[wide].astype(np.uint32)
         return wide, narrow, entropy
 
-    def _grow(self, n_total: int) -> None:
-        """Ensure limb-array capacity for ``n_total`` children."""
+    def _grow(self, rows: int) -> None:
+        """Ensure limb-array capacity for ``rows`` stored children."""
         capacity = self._limbs[0].shape[0]
-        if n_total <= capacity:
+        if rows <= capacity:
             return
-        new_capacity = max(2 * capacity, n_total)
+        new_capacity = max(2 * capacity, rows)
+        stored = self._n - self._base
         for position in range(4):
             grown = np.zeros(new_capacity, dtype=np.uint64)
-            grown[: self._n] = self._limbs[position][: self._n]
+            grown[:stored] = self._limbs[position][:stored]
             self._limbs[position] = grown
+
+    def _cover(self, stop: int) -> None:
+        """Derive through index ``stop - 1``; an extend it needs also
+        covers the next ``block`` indices."""
+        if stop > self._n:
+            self._extend(stop - self._n + self._block)
 
     def _extend(self, n_new: int) -> None:
         start = self._n
@@ -505,15 +556,42 @@ class IndexedRngPool:
             self._parent_resume_state = self._parent.bit_generator.state
         else:
             words = np.full(n_new, self._fixed_word, dtype=np.int64)
-        indices = np.arange(start, start + n_new, dtype=np.int64)
+        row = start - self._base
+        self._grow(row + n_new)
+        self._derive(
+            words, start, [limb[row : row + n_new] for limb in self._limbs]
+        )
+        self._n = start + n_new
+
+    def _derive_below(self) -> None:
+        """Derive the children below a restored position."""
+        base = self._base
+        if self._parent is None:
+            words = np.full(base, self._fixed_word, dtype=np.int64)
+        else:
+            replay = generator_at(self._parent_initial_state)
+            words = replay.integers(0, _WORD_BOUND, size=base)
+        below = [np.empty(base, dtype=np.uint64) for _ in range(4)]
+        self._derive(words, 0, below)
+        stored = self._n - base
+        self._limbs = [
+            np.concatenate((low, limb[:stored]))
+            for low, limb in zip(below, self._limbs)
+        ]
+        self._base = 0
+
+    def _derive(
+        self, words: np.ndarray, start: int, out: List[np.ndarray]
+    ) -> None:
+        """Child states of indices ``start, start + 1, ...`` from their
+        parent ``words``, written into the four limb arrays ``out``."""
+        indices = np.arange(start, start + words.shape[0], dtype=np.int64)
         wide, narrow, entropy = self._split_rows(words, indices)
-        self._grow(start + n_new)
-        window = slice(start, start + n_new)
         if entropy.shape[0]:
             material = seed_material_from_entropy(entropy)
             limbs = pcg64_limbs_from_seed_material(material)
             for position in range(4):
-                self._limbs[position][window][wide] = limbs[position]
+                out[position][wide] = limbs[position]
         mask64 = 0xFFFFFFFFFFFFFFFF
         for offset in np.nonzero(narrow)[0]:
             sequence = np.random.SeedSequence(
@@ -522,12 +600,10 @@ class IndexedRngPool:
             state, inc = pcg64_state_from_words(
                 sequence.generate_state(4, np.uint64)
             )
-            row = start + int(offset)
-            self._limbs[0][row] = state >> 64
-            self._limbs[1][row] = state & mask64
-            self._limbs[2][row] = inc >> 64
-            self._limbs[3][row] = inc & mask64
-        self._n = start + n_new
+            out[0][offset] = state >> 64
+            out[1][offset] = state & mask64
+            out[2][offset] = inc >> 64
+            out[3][offset] = inc & mask64
 
     def first_uniforms(self, start: int, stop: int) -> np.ndarray:
         """Each child's first ``next_double``, for indices [start, stop).
@@ -537,15 +613,20 @@ class IndexedRngPool:
         no per-index generator installs.  The sequential schedulers
         (BD/BA, landmark) precompute their per-timestamp dissimilarity
         uniforms through this, which is what makes their release loops
-        cheap enough to be worth sharding.
+        cheap enough to be worth sharding.  Indices past the derived
+        ones extend the pool by one call that also covers the next
+        ``block``, so a scheduler stepping block after block pays one
+        extend per ``block`` indices; on a restored pool a range at or
+        above the restored position derives nothing below it.
         """
         if start < 0 or stop < start:
             raise ValueError(f"invalid uniform range [{start}, {stop})")
-        while stop > self._n:
-            self._extend(max(self._block, stop - self._n))
+        self._cover(stop)
         if stop == start:
             return np.zeros(0)
-        window = slice(start, stop)
+        if start < self._base:
+            self._derive_below()
+        window = slice(start - self._base, stop - self._base)
         return first_uniforms_from_limbs(
             *(self._limbs[position][window] for position in range(4))
         )

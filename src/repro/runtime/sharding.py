@@ -281,9 +281,8 @@ def run_shard_from_checkpoint(
     released = decisions
     if released is None:
         stepper = pipeline.runtime_mechanism.stepper(
-            alphabet, rng=rng, horizon=horizon
+            alphabet, rng=rng, horizon=horizon, snapshot=snapshot
         )
-        stepper.restore(snapshot)
         released = stepper.step_block(rows)
     return _record(pipeline, rows, shard, released, outputs)
 

@@ -347,7 +347,12 @@ class StreamService:
         """
         from repro.cep.online import OnlineSession
 
-        session = OnlineSession(self._engine, rng=self._seeded(rng))
+        return self._hold_online(
+            OnlineSession(self._engine, rng=self._seeded(rng))
+        )
+
+    def _hold_online(self, session):
+        """Retain ``session`` as the open synchronous session."""
         self._session = session
         self._session_kind = "online"
         return session
@@ -637,18 +642,27 @@ class StreamService:
                 "checkpoint was taken under a different spec; resume "
                 "with the spec recorded in the checkpoint"
             )
+        from repro.cep.async_session import AsyncSession
+        from repro.cep.online import OnlineSession, _ReleaseCore
+
         service = cls(spec, history=history)
-        kind = checkpoint.get("kind", "online")
-        if kind == "async":
+        # The session opens at the snapshot: its generators adopt the
+        # snapshotted states, none is derived only to be overwritten,
+        # and the accountant is charged once, as on any open.
+        core = _ReleaseCore(
+            service._engine, service._seeded(None), checkpoint["session"]
+        )
+        if checkpoint.get("kind", "online") == "async":
             # Only the queue bound is a session option; older
             # checkpoints may carry retired ones, which are ignored.
             options = checkpoint.get("session_options") or {}
-            session = service.open_async_session(
-                max_pending=options.get("max_pending", 1024)
+            service._hold_async(
+                AsyncSession._continuing(
+                    core, options.get("max_pending", 1024)
+                )
             )
         else:
-            session = service.open_session()
-        session.restore(checkpoint["session"])
+            service._hold_online(OnlineSession._continuing(core))
         offset = checkpoint.get("source_offset")
         if source is not None or (
             offset is not None and spec.source is not None

@@ -41,6 +41,21 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     )
 
 
+#: Seeds a bit generator whose state is replaced right away (a fixed
+#: sequence spares it a draw of fresh OS entropy).
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
+def generator_at(state: dict) -> np.random.Generator:
+    """A generator standing at a bit-generator ``state``, as
+    ``generator.bit_generator.state`` returns it."""
+    bit_generator = getattr(np.random, state["bit_generator"])(
+        _PLACEHOLDER_SEED
+    )
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def fold_token(token: Union[int, str]) -> int:
     """One derivation token as the 63-bit entropy word ``derive_rng`` uses."""
     if isinstance(token, str):

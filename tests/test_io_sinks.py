@@ -420,22 +420,58 @@ class TestDefaultWriteBlock:
         assert sink.windows_written == 9
         assert [call[0] for call in sink.calls] == list(range(9))
 
-    def test_callback_sees_the_same_windows_either_way(self, stream):
-        names = self.QUERIES["three"]
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("queries", sorted(QUERIES))
+    def test_callback_sees_the_same_windows_either_way(
+        self, stream, queries, with_truth
+    ):
+        # The callback sink's block egress calls its function directly;
+        # it must still hand over what per-window writes would.
+        names = self.QUERIES[queries]
         answers = self.vectors(stream, names, 3)
+        truth = self.vectors(stream, names, 4) if with_truth else None
         seen = []
         for egress in (self.per_window, self.blocked):
             calls = []
             sink = CallbackSink(
                 lambda index, row, verdicts: calls.append(
-                    (index, row.tolist(), dict(verdicts))
+                    (index, row.tolist(), list(verdicts.items()))
                 )
             )
             sink.open(alphabet=ALPHABET, query_names=names)
-            egress(sink, stream, answers, None)
+            egress(sink, stream, answers, truth)
+            assert sink.windows_written == stream.n_windows
             seen.append(calls)
         assert seen[0] == seen[1]
-        assert len(seen[1]) == stream.n_windows
+        matrix = stream.matrix_view()
+        for index, (called, row, verdicts) in enumerate(seen[1]):
+            assert called == index
+            assert row == matrix[index].tolist()
+            assert [name for name, _value in verdicts] == list(names)
+            assert all(type(value) is bool for _name, value in verdicts)
+            assert [value for _name, value in verdicts] == [
+                bool(answers[name][index]) for name in names
+            ]
+
+    @pytest.mark.parametrize("fail_at", [0, 6, 13])
+    def test_failing_callback_block_counts_the_windows_before_it(
+        self, stream, fail_at
+    ):
+        names = self.QUERIES["three"]
+        answers = self.vectors(stream, names, 5)
+        calls = []
+
+        def callback(index, row, verdicts):
+            if index == fail_at:
+                raise OSError("egress down")
+            calls.append(index)
+
+        sink = CallbackSink(callback)
+        sink.open(alphabet=ALPHABET, query_names=names)
+        with pytest.raises(OSError, match="egress down"):
+            sink.write_block(0, stream.matrix_view(), answers)
+        assert sink.windows_written == fail_at
+        assert calls == list(range(fail_at))
 
 
 def per_window_egress(report, sink):

@@ -208,6 +208,128 @@ class TestSharedParentInterleaving:
         ] == draws
 
 
+def _parent(kind, seed=5):
+    return np.random.default_rng(seed) if kind == "generator" else (
+        None if kind == "none" else seed
+    )
+
+
+class TestRestoreAtPosition:
+    """A restored pool resumes at the snapshot's position: it derives
+    nothing below it until an index there is asked for."""
+
+    def restored(self, kind, monkeypatch, *, t_min=100):
+        """A snapshotted pool, a fresh pool restored from it, the
+        restored position, the expected children and a log of every
+        derivation (first index, count) on the fresh pool."""
+        source = IndexedRngPool(_parent(kind), "w-event", block=32)
+        source.first_uniforms(0, t_min)
+        t = len(source)
+        snapshot = source.snapshot()
+        # derive_rng reference: a shared generator parent advances one
+        # word per derivation; a seed parent re-seeds per call (for
+        # ``None`` that is fresh entropy, so the pool is the reference).
+        if kind == "generator":
+            parent = np.random.default_rng(5)
+            reference = [
+                derive_rng(parent, "w-event", index).random()
+                for index in range(t + 300)
+            ]
+        elif kind == "seed":
+            reference = [
+                derive_rng(5, "w-event", index).random()
+                for index in range(t + 300)
+            ]
+        else:
+            reference = [
+                source.generator(index).random() for index in range(t + 300)
+            ]
+        fresh = IndexedRngPool(_parent(kind, seed=9), "w-event", block=32)
+        derived = []
+        derive = IndexedRngPool._derive
+
+        def logging(pool, words, start, out):
+            if pool is fresh:
+                derived.append((start, len(words)))
+            return derive(pool, words, start, out)
+
+        monkeypatch.setattr(IndexedRngPool, "_derive", logging)
+        fresh.restore(snapshot)
+        return fresh, t, reference, derived
+
+    @pytest.mark.parametrize("kind", ["seed", "none", "generator"])
+    def test_first_uniforms_continue_at_the_position(self, kind, monkeypatch):
+        pool, t, reference, derived = self.restored(kind, monkeypatch)
+        assert len(pool) == t
+        assert derived == []
+        k = 70
+        assert np.array_equal(
+            pool.first_uniforms(t, t + k), reference[t : t + k]
+        )
+        # One extend, covering the range plus one block look-ahead.
+        assert derived == [(t, k + 32)]
+
+    @pytest.mark.parametrize("kind", ["seed", "none", "generator"])
+    def test_generators_below_at_and_above_the_position(
+        self, kind, monkeypatch
+    ):
+        pool, t, reference, derived = self.restored(kind, monkeypatch)
+        for index in (t, t + 1, t + 250):
+            assert pool.generator(index).random() == reference[index]
+        assert all(start >= t for start, _count in derived)
+        for index in (t - 1, 0, 17, t + 2):
+            assert pool.generator(index).random() == reference[index]
+        # The indices below t were derived once, on the first ask.
+        below = [entry for entry in derived if entry[0] < t]
+        assert below == [(0, t)]
+        assert np.array_equal(
+            pool.first_uniforms(0, t + 10), reference[: t + 10]
+        )
+
+    @pytest.mark.parametrize("kind", ["seed", "generator"])
+    def test_snapshot_of_a_restored_pool_restores_again(
+        self, kind, monkeypatch
+    ):
+        pool, t, reference, _derived = self.restored(kind, monkeypatch)
+        pool.first_uniforms(t, t + 40)
+        again = IndexedRngPool(_parent(kind, seed=3), "w-event")
+        again.restore(pool.snapshot())
+        assert np.array_equal(
+            again.first_uniforms(t - 5, t + 200), reference[t - 5 : t + 200]
+        )
+
+    @pytest.mark.parametrize("kind", ["seed", "generator"])
+    def test_restore_at_a_consumer_position(self, kind, monkeypatch):
+        # A releaser restores at its step count, below the snapshot's
+        # look-ahead: the pool starts there, deriving nothing below.
+        source = IndexedRngPool(_parent(kind), "w-event", block=64)
+        source.first_uniforms(0, 40)
+        assert len(source) > 40
+        expected = source.first_uniforms(40, 300)
+        fresh = IndexedRngPool(_parent(kind, seed=9), "w-event", block=64)
+        fresh.restore(source.snapshot(), position=40)
+        assert len(fresh) == 40
+        derived = []
+        derive = IndexedRngPool._derive
+
+        def logging(pool, words, start, out):
+            derived.append((start, len(words)))
+            return derive(pool, words, start, out)
+
+        monkeypatch.setattr(IndexedRngPool, "_derive", logging)
+        assert np.array_equal(fresh.first_uniforms(40, 300), expected)
+        assert derived == [(40, 260 + 64)]
+
+    def test_restore_leaves_a_further_pool_on_the_same_source(self):
+        pool = IndexedRngPool(np.random.default_rng(5), "w-event", block=8)
+        pool.first_uniforms(0, 20)
+        snapshot = pool.snapshot()
+        pool.first_uniforms(20, 90)
+        n = len(pool)
+        pool.restore(snapshot)
+        assert len(pool) == n
+
+
 class TestValidation:
     def test_negative_index_rejected(self):
         pool = IndexedRngPool(0, "x")

@@ -440,6 +440,116 @@ class TestCheckpointResume:
         assert resumed.session.windows_processed == 10
 
 
+class TestResumeAdoptsTheSnapshot:
+    """A resumed session opens at its snapshot: its generators take
+    the snapshotted states, and none is derived only to be replaced."""
+
+    CUT = 120
+
+    def run(self, spec):
+        """The uninterrupted answers, then the head's answers and a
+        pickled async checkpoint taken after :attr:`CUT` windows."""
+        import pickle
+
+        matrix = np.random.default_rng(11).random((300, len(ALPHABET))) < 0.45
+        uninterrupted = asyncio.run(spec.build().pump(matrix))
+        service = spec.build()
+        head = asyncio.run(service.pump(matrix[: self.CUT]))
+        checkpoint = pickle.loads(pickle.dumps(service.checkpoint()))
+        assert checkpoint["kind"] == "async"
+        return matrix, uninterrupted, head, checkpoint
+
+    def finish(self, spec, resumed, matrix, uninterrupted, head):
+        """Continue the resumed service; check the one charge (what
+        opening a session charges) and the bit-identical
+        continuation."""
+        opened = spec.build()
+        opened.open_async_session()
+        tail = asyncio.run(resumed.pump(matrix[self.CUT :]))
+        ledger = resumed.accountant.spends
+        assert len(ledger) == 1
+        assert [(spend.label, spend.epsilon) for spend in ledger] == [
+            (spend.label, spend.epsilon)
+            for spend in opened.accountant.spends
+        ]
+        assert resumed.session.windows_processed == matrix.shape[0]
+        for name, values in uninterrupted.items():
+            assert head[name] + tail[name] == values
+
+    def test_uniform_ppm_resume_derives_no_flip_child(self, monkeypatch):
+        from repro.runtime import adapters
+
+        spec = spec_for(seed=11, accounting=10.0)
+        matrix, uninterrupted, head, checkpoint = self.run(spec)
+        calls = []
+        derive_rng = adapters.derive_rng
+
+        def counting(rng, *tokens):
+            calls.append(tokens)
+            return derive_rng(rng, *tokens)
+
+        monkeypatch.setattr(adapters, "derive_rng", counting)
+        resumed = StreamService.resume(spec, checkpoint)
+        assert calls == []
+        self.finish(spec, resumed, matrix, uninterrupted, head)
+        # A session opened fresh does derive its flip children.
+        spec.build().open_async_session()
+        assert any("rr-flip" in tokens for tokens in calls)
+
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            ("event-rr", {"epsilon": 2.0}),
+            ("landmark", {"epsilon": 1.0, "landmarks": [True, False] * 150}),
+        ],
+    )
+    def test_every_stepper_kind_resumes_from_adopted_states(
+        self, mechanism, options
+    ):
+        # Matrix RR adopts its one generator's state; landmark restores
+        # its pool at the release position (flip and BD/BA: above).
+        spec = spec_for(
+            mechanism=mechanism,
+            mechanism_options=options,
+            seed=11,
+            accounting=10.0,
+        )
+        matrix, uninterrupted, head, checkpoint = self.run(spec)
+        resumed = StreamService.resume(spec, checkpoint)
+        self.finish(spec, resumed, matrix, uninterrupted, head)
+
+    @pytest.mark.parametrize("mechanism", ["bd", "ba"])
+    def test_sequential_resume_starts_the_pool_at_the_release(
+        self, mechanism, monkeypatch
+    ):
+        from repro.runtime.rng_pool import IndexedRngPool
+
+        spec = spec_for(
+            mechanism=mechanism,
+            mechanism_options={"epsilon": 1.0, "w": 10},
+            seed=11,
+            accounting=10.0,
+        )
+        matrix, uninterrupted, head, checkpoint = self.run(spec)
+        derived = []
+        derive = IndexedRngPool._derive
+
+        def logging(pool, words, start, out):
+            derived.append((start, len(words)))
+            return derive(pool, words, start, out)
+
+        monkeypatch.setattr(IndexedRngPool, "_derive", logging)
+        resumed = StreamService.resume(spec, checkpoint)
+        pool = resumed.session._core.stepper.releaser._children
+        assert len(pool) == self.CUT
+        assert derived == []
+        self.finish(spec, resumed, matrix, uninterrupted, head)
+        # The resumed tail is one block: one extend, from the release
+        # position on, with nothing below it re-derived.
+        assert len(derived) == 1
+        assert derived[0][0] == self.CUT
+
+
 class TestSweep:
     def test_sweep_bridges_into_workload_evaluation(self, stream):
         service = spec_for().build()

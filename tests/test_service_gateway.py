@@ -397,6 +397,61 @@ class TestCheckpointResume:
         assert gateway.windows_served() == {"a": 10, "b": 10}
 
 
+class TestBindOnce:
+    """A served source is validated when first bound, not again on
+    every slice that binds it."""
+
+    def test_sliced_csv_tenant_reads_each_header_once(
+        self, csv_specs, monkeypatch
+    ):
+        from repro.io import sources
+
+        expected = StreamGateway()
+        for name, spec in csv_specs.items():
+            expected.add_tenant(name, spec)
+        uninterrupted = expected.run()
+
+        reads = []
+        header = sources._csv_header
+
+        def counting(path):
+            reads.append(path)
+            return header(path)
+
+        monkeypatch.setattr(sources, "_csv_header", counting)
+        gateway = StreamGateway()
+        for name, spec in csv_specs.items():
+            gateway.add_tenant(name, spec)
+        served = {name: [] for name in csv_specs}
+        compiled = {name: [] for name in csv_specs}
+        for slice_number in range(5):
+            if slice_number == 3:
+                # A resume builds each tenant one new source.
+                served_so_far = gateway.results()
+                gateway = StreamGateway.resume(gateway.checkpoint())
+                for name in csv_specs:
+                    served[name].append(served_so_far[name])
+            asyncio.run(gateway.serve(max_windows=20))
+            for name in csv_specs:
+                source = gateway.service(name).last_source
+                if all(source is not seen for seen in compiled[name]):
+                    compiled[name].append(source)
+        for name, spec in csv_specs.items():
+            head = served[name][0]
+            tail = gateway.results()[name]
+            assert {q: head[q] + tail[q] for q in head} == uninterrupted[name]
+            path = spec.source[len("csv:"):]
+            assert len(compiled[name]) == 2
+            assert reads.count(path) == len(compiled[name])
+        assert len(reads) == 2 * len(csv_specs)
+
+        source = compiled["a"][-1]
+        assert source.bind(ALPHABET) is source
+        with pytest.raises(ValueError, match="different alphabet"):
+            source.bind(EventAlphabet.numbered(6))
+        assert len(reads) == 2 * len(csv_specs)
+
+
 class TestCrossLoopSlicedServing:
     """Sliced serving spans asyncio.run calls: each run() tears down
     its loop (killing drainer tasks), so the next slice must rebuild
