@@ -71,11 +71,7 @@ from repro.experiments import (
     run_fig4_synthetic,
     run_fig4_taxi,
 )
-from repro.mechanisms import (
-    LaplaceMechanism,
-    PrivacyAccountant,
-    RandomizedResponse,
-)
+from repro.mechanisms import PrivacyAccountant
 from repro.metrics import ConfusionCounts, DataQuality, mean_relative_error
 from repro.obs import (
     Counter,
@@ -196,7 +192,6 @@ __all__ = [
     "IndicatorStream",
     "KLEENE",
     "LandmarkPrivacy",
-    "LaplaceMechanism",
     "MetricsRegistry",
     "MonteCarloQualityEstimator",
     "MultiPatternPPM",
@@ -211,7 +206,6 @@ __all__ = [
     "PatternStream",
     "PrivacyAccountant",
     "QueueSource",
-    "RandomizedResponse",
     "RetryPolicy",
     "SEQ",
     "ServiceSpec",

@@ -15,13 +15,11 @@ from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.conversion import (
     BudgetConverter,
-    ConvertedBudget,
     ba_timestep_coefficient,
     bd_timestep_coefficient,
     event_level_timestep_coefficient,
     landmark_timestep_coefficient,
     native_epsilon_for_pattern,
-    pattern_epsilon_from_native,
     user_level_timestep_coefficient,
 )
 from repro.baselines.event_level import EventLevelRR
@@ -33,7 +31,6 @@ __all__ = [
     "BudgetAbsorption",
     "BudgetConverter",
     "BudgetDistribution",
-    "ConvertedBudget",
     "EventLevelRR",
     "LandmarkPrivacy",
     "ReleaseTrace",
@@ -46,6 +43,5 @@ __all__ = [
     "landmark_timestep_coefficient",
     "landmarks_from_pattern",
     "native_epsilon_for_pattern",
-    "pattern_epsilon_from_native",
     "user_level_timestep_coefficient",
 ]

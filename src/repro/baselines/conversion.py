@@ -37,8 +37,6 @@ both possible after a conversion" — e.g. BD's worst-case σ grows with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.utils.validation import (
     check_in_range,
     check_positive,
@@ -52,17 +50,6 @@ def _check_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     return mode
-
-
-@dataclass(frozen=True)
-class ConvertedBudget:
-    """Record of one conversion (for reporting and tests)."""
-
-    mechanism: str
-    native_epsilon: float
-    pattern_epsilon: float
-    pattern_length: int
-    mode: str
 
 
 # -- per-mechanism per-timestamp loss coefficients -----------------------------
@@ -134,15 +121,6 @@ def user_level_timestep_coefficient(n_windows: int, n_types: int) -> float:
 # -- conversions ---------------------------------------------------------------
 
 
-def pattern_epsilon_from_native(
-    native_epsilon: float, pattern_length: int, coefficient: float
-) -> float:
-    """``ε_pattern = m × σ(ε_native)`` for a linear σ."""
-    check_positive("native_epsilon", native_epsilon)
-    check_positive_int("pattern_length", pattern_length)
-    check_positive("coefficient", coefficient)
-    return pattern_length * coefficient * native_epsilon
-
 def native_epsilon_for_pattern(
     pattern_epsilon: float, pattern_length: int, coefficient: float
 ) -> float:
@@ -173,17 +151,6 @@ class BudgetConverter:
             bd_timestep_coefficient(w, mode=self.mode),
         )
 
-    def bd_pattern(self, native_epsilon: float, w: int) -> ConvertedBudget:
-        """Pattern-level ε of a BD instance with the given native budget."""
-        value = pattern_epsilon_from_native(
-            native_epsilon,
-            self.pattern_length,
-            bd_timestep_coefficient(w, mode=self.mode),
-        )
-        return ConvertedBudget(
-            "bd", native_epsilon, value, self.pattern_length, self.mode
-        )
-
     # BA -----------------------------------------------------------------
 
     def ba_native(self, pattern_epsilon: float, w: int) -> float:
@@ -192,17 +159,6 @@ class BudgetConverter:
             pattern_epsilon,
             self.pattern_length,
             ba_timestep_coefficient(w, mode=self.mode),
-        )
-
-    def ba_pattern(self, native_epsilon: float, w: int) -> ConvertedBudget:
-        """Pattern-level ε of a BA instance with the given native budget."""
-        value = pattern_epsilon_from_native(
-            native_epsilon,
-            self.pattern_length,
-            ba_timestep_coefficient(w, mode=self.mode),
-        )
-        return ConvertedBudget(
-            "ba", native_epsilon, value, self.pattern_length, self.mode
         )
 
     # Landmark --------------------------------------------------------------
@@ -215,19 +171,6 @@ class BudgetConverter:
             pattern_epsilon,
             self.pattern_length,
             landmark_timestep_coefficient(n_landmarks, rho=rho, mode=self.mode),
-        )
-
-    def landmark_pattern(
-        self, native_epsilon: float, n_landmarks: int, *, rho: float = 0.5
-    ) -> ConvertedBudget:
-        """Pattern-level ε of a landmark instance."""
-        value = pattern_epsilon_from_native(
-            native_epsilon,
-            self.pattern_length,
-            landmark_timestep_coefficient(n_landmarks, rho=rho, mode=self.mode),
-        )
-        return ConvertedBudget(
-            "landmark", native_epsilon, value, self.pattern_length, self.mode
         )
 
     # Event / user level -----------------------------------------------------

@@ -10,10 +10,7 @@ Included as a reference point beyond the paper's Fig. 4 set.
 from __future__ import annotations
 
 from repro.baselines.base import StreamMechanism
-from repro.mechanisms.randomized_response import (
-    RandomizedResponse,
-    epsilon_to_flip_probability,
-)
+from repro.mechanisms.randomized_response import epsilon_to_flip_probability
 from repro.streams.indicator import IndicatorStream
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -25,19 +22,17 @@ class EventLevelRR(StreamMechanism):
 
     def __init__(self, epsilon: float):
         super().__init__(epsilon)
-        self._mechanism = RandomizedResponse(
-            epsilon_to_flip_probability(epsilon)
-        )
+        self._flip_probability = epsilon_to_flip_probability(epsilon)
 
     @property
     def flip_probability(self) -> float:
         """The flip probability applied to every indicator bit."""
-        return self._mechanism.p
+        return self._flip_probability
 
     def perturb(
         self, stream: IndicatorStream, *, rng: RngLike = None
     ) -> IndicatorStream:
         generator = ensure_rng(rng)
         matrix = stream.matrix()
-        flips = generator.random(matrix.shape) < self._mechanism.p
+        flips = generator.random(matrix.shape) < self._flip_probability
         return stream.with_matrix(matrix ^ flips)

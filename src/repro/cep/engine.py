@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.cep.matcher import PatternMatcher, PatternStream
 from repro.cep.patterns import Pattern
 from repro.cep.queries import ContinuousQuery, QueryAnswer
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.runtime.pipeline import StreamPipeline
-from repro.runtime.stages import WindowStage
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.streams.stream import EventStream
 from repro.utils.rng import RngLike
@@ -330,48 +328,10 @@ class CEPEngine:
         from :mod:`repro.streams.windows`), reduces the windows to
         existence indicators over the engine alphabet, and answers every
         query (mechanism applied once, accounting charged if enabled).
-        Windowing and extraction run through the runtime's vectorized
-        stages.
         """
-        type_sets = WindowStage(window_assigner).type_sets(stream)
+        type_sets = [
+            window.event_types() for window in window_assigner.assign(stream)
+        ]
         pipeline = self.service_pipeline()
         indicators = pipeline.extractor.extract(type_sets)
         return self.process_indicators(indicators, rng=rng, executor=executor)
-
-    def match(
-        self,
-        stream: EventStream,
-        pattern: Pattern,
-        *,
-        within: Optional[float] = None,
-        contiguity: str = "skip-till-any",
-    ) -> PatternStream:
-        """Full CEP matching of one pattern over an event stream.
-
-        This path exercises the operator algebra (SEQ/AND/OR/NEG/KLEENE)
-        directly; it carries no privacy protection and is used to build
-        pattern streams and ground truth.
-        """
-        matcher = PatternMatcher(pattern, within=within, contiguity=contiguity)
-        return matcher.match_stream(stream)
-
-    def detect_all_patterns(
-        self, stream: EventStream, *, within: Optional[float] = None
-    ) -> PatternStream:
-        """Match every registered pattern (private and target) over events.
-
-        Returns the merged pattern stream ``S^P`` ordered by completion
-        (detection) time.
-        """
-        all_patterns = list(self._private_patterns.values()) + [
-            query.pattern for query in self._queries.values()
-        ]
-        merged = PatternStream()
-        completions = []
-        for pattern in all_patterns:
-            for match in self.match(stream, pattern, within=within):
-                completions.append((match.end, match.pattern_name, match))
-        completions.sort(key=lambda item: (item[0], item[1]))
-        for _end, _name, match in completions:
-            merged.append(match)
-        return merged

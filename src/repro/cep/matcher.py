@@ -85,26 +85,6 @@ class PatternStream:
     def append(self, match: PatternMatch) -> None:
         self._matches.append(match)
 
-    def of_pattern(self, pattern_name: str) -> "PatternStream":
-        """The sub-stream of instances of one pattern type."""
-        return PatternStream(
-            match for match in self._matches if match.pattern_name == pattern_name
-        )
-
-    def overlapping_pairs(self) -> List[Tuple[PatternMatch, PatternMatch]]:
-        """Pairs of distinct instances sharing at least one event.
-
-        These are the paper's *overlapping patterns*: instances whose
-        occurrences are correlated because they contain the same events.
-        """
-        pairs = []
-        for i, first in enumerate(self._matches):
-            first_events = set(first.events)
-            for second in self._matches[i + 1 :]:
-                if first_events & set(second.events):
-                    pairs.append((first, second))
-        return pairs
-
 
 @dataclass
 class _Run:
@@ -234,15 +214,3 @@ class PatternMatcher:
             return
         self._emitted.add(key)
         matches.append(PatternMatch(self.pattern.name, run.consumed))
-
-
-def match_pattern(
-    pattern: Pattern,
-    stream: EventStream,
-    *,
-    within: Optional[float] = None,
-    contiguity: str = "skip-till-any",
-) -> PatternStream:
-    """One-shot convenience: match ``pattern`` over ``stream``."""
-    matcher = PatternMatcher(pattern, within=within, contiguity=contiguity)
-    return matcher.feed(stream)

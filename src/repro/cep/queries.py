@@ -66,10 +66,6 @@ class QueryAnswer:
     def n_windows(self) -> int:
         return int(self.detections.shape[0])
 
-    def detected(self, window_index: int) -> bool:
-        """The answer for one window."""
-        return bool(self.detections[window_index])
-
     def detection_count(self) -> int:
         """Number of windows with a positive answer."""
         return int(self.detections.sum())

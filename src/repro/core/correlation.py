@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -91,10 +91,6 @@ class CorrelationReport:
     declared_elements: tuple
     proxies: tuple
     threshold: float
-
-    def proxy_types(self) -> List[str]:
-        """The discovered proxy event types, strongest first."""
-        return [proxy.event_type for proxy in self.proxies]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(

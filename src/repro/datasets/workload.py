@@ -71,11 +71,6 @@ class Workload:
                     )
 
     @property
-    def primary_private(self) -> Pattern:
-        """The first private pattern (workloads with a single one)."""
-        return self.private_patterns[0]
-
-    @property
     def max_private_length(self) -> int:
         """The longest private pattern's ``m`` (conversion worst case)."""
         return max(len(p.elements) for p in self.private_patterns)
@@ -110,70 +105,4 @@ class Workload:
         return max(
             self.private_patterns,
             key=lambda p: len(set(p.elements) & target_elements),
-        )
-
-    def overlap_summary(self) -> dict:
-        """How private and target patterns share event types.
-
-        The evaluation is only meaningful when they overlap
-        (Section VI-A.1); this summary is used by reports and sanity
-        tests.
-        """
-        private_elements = set(self.private_elements())
-        shared = {}
-        for pattern in self.target_patterns:
-            shared[pattern.name] = sorted(
-                private_elements & set(pattern.elements)
-            )
-        return {
-            "private_elements": sorted(private_elements),
-            "shared_by_target": shared,
-            "any_overlap": any(bool(v) for v in shared.values()),
-        }
-
-    def statistics(self):
-        """Workload statistics as a :class:`~repro.utils.tables.ResultTable`.
-
-        One row per pattern with its detection rate on the evaluation
-        stream, plus per-element occurrence rates — the numbers that
-        determine how hard the workload is (rare patterns are fragile
-        under flips; common ones are robust).
-        """
-        from repro.utils.tables import ResultTable
-
-        table = ResultTable(
-            ["kind", "name", "elements", "detection_rate"],
-            title=f"workload statistics: {self.name}",
-        )
-        n = max(1, self.stream.n_windows)
-        for kind, patterns in (
-            ("private", self.private_patterns),
-            ("target", self.target_patterns),
-        ):
-            for pattern in patterns:
-                count = self.stream.detection_count(list(pattern.elements))
-                table.add_row(
-                    kind=kind,
-                    name=pattern.name,
-                    elements=",".join(pattern.elements),
-                    detection_rate=count / n,
-                )
-        rates = self.stream.occurrence_rates()
-        for element in self.private_elements():
-            table.add_row(
-                kind="element",
-                name=element,
-                elements=element,
-                detection_rate=rates[element],
-            )
-        return table
-
-    def describe(self) -> str:
-        """One-paragraph human-readable summary."""
-        return (
-            f"workload {self.name!r}: {self.stream.n_windows} evaluation "
-            f"windows, {self.history.n_windows} history windows, "
-            f"{len(self.stream.alphabet)} event types, "
-            f"{len(self.private_patterns)} private / "
-            f"{len(self.target_patterns)} target patterns, w={self.w}"
         )

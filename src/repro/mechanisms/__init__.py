@@ -1,8 +1,8 @@
-"""Differential-privacy primitive mechanisms.
+"""Differential-privacy primitives.
 
-The building blocks used by the pattern-level PPMs (randomized response,
-Definition 5) and by the stream baselines (Laplace releases under
-w-event / landmark scheduling), plus a privacy accountant implementing
+The randomized-response budget conversions of Definition 5
+(:mod:`repro.mechanisms.randomized_response`) used by the pattern-level
+PPMs and the RR baselines, plus a privacy accountant implementing
 sequential and parallel composition.
 """
 
@@ -12,21 +12,10 @@ from repro.mechanisms.accountant import (
     Spend,
     composed_epsilon,
 )
-from repro.mechanisms.base import Mechanism
-from repro.mechanisms.exponential import ExponentialMechanism
-from repro.mechanisms.geometric import GeometricMechanism
-from repro.mechanisms.laplace import LaplaceMechanism, laplace_noise
-from repro.mechanisms.randomized_response import RandomizedResponse
 
 __all__ = [
     "BudgetExceededError",
-    "ExponentialMechanism",
-    "GeometricMechanism",
-    "LaplaceMechanism",
-    "Mechanism",
     "PrivacyAccountant",
-    "RandomizedResponse",
     "Spend",
     "composed_epsilon",
-    "laplace_noise",
 ]

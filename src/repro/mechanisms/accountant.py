@@ -10,7 +10,7 @@ on disjoint data (parallel composition) count their maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -87,13 +87,6 @@ class PrivacyAccountant:
         spend = Spend(label=label, epsilon=epsilon)
         self._spends.append(spend)
         return spend
-
-    def by_label(self) -> Dict[str, float]:
-        """Total ε per label."""
-        totals: Dict[str, float] = {}
-        for spend in self._spends:
-            totals[spend.label] = totals.get(spend.label, 0.0) + spend.epsilon
-        return totals
 
     def reset(self) -> None:
         """Clear the ledger (new accounting period)."""

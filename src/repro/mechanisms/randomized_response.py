@@ -17,12 +17,6 @@ the pattern-level guarantee.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
-
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive
 
 
 def epsilon_to_flip_probability(epsilon: float) -> float:
@@ -48,85 +42,3 @@ def flip_probability_to_epsilon(p: float) -> float:
             f"flip probability must be in (0, 1/2] for a finite budget, got {p}"
         )
     return math.log((1.0 - p) / p)
-
-
-class RandomizedResponse:
-    """Binary randomized response with flip probability ``p``.
-
-    Parameters
-    ----------
-    p:
-        Probability of reporting the opposite of the truth.  Must lie in
-        ``(0, 1/2]``: Theorem 1 requires ``p <= 1/2`` (flipping more
-        often than not would invert the signal), and ``p = 0`` would
-        spend an infinite budget.
-    """
-
-    def __init__(self, p: float):
-        if not 0.0 < p <= 0.5:
-            raise ValueError(f"p must be in (0, 1/2], got {p}")
-        self._p = float(p)
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "RandomizedResponse":
-        """Construct the mechanism spending a per-event budget ε."""
-        check_positive("epsilon", epsilon, allow_inf=False)
-        return cls(epsilon_to_flip_probability(epsilon))
-
-    @property
-    def p(self) -> float:
-        """The flip probability."""
-        return self._p
-
-    @property
-    def epsilon(self) -> float:
-        """The per-event budget ``ln((1 - p)/p)``."""
-        return flip_probability_to_epsilon(self._p)
-
-    @property
-    def name(self) -> str:
-        return "RandomizedResponse"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RandomizedResponse(p={self._p:g}, epsilon={self.epsilon:g})"
-
-    # -- responding -------------------------------------------------------
-
-    def respond(self, value: bool, *, rng: RngLike = None) -> bool:
-        """Answer for one indicator: truthful w.p. ``1 - p``."""
-        generator = ensure_rng(rng)
-        if generator.random() < self._p:
-            return not bool(value)
-        return bool(value)
-
-    def respond_vector(
-        self, values: Sequence[bool], *, rng: RngLike = None
-    ) -> np.ndarray:
-        """Answer for a vector of indicators (independent flips)."""
-        generator = ensure_rng(rng)
-        values = np.asarray(values, dtype=bool)
-        flips = generator.random(values.shape) < self._p
-        return values ^ flips
-
-    # -- estimation ---------------------------------------------------------
-
-    def unbiased_rate_estimate(self, responses: Sequence[bool]) -> float:
-        """Debiased estimate of the true positive rate from responses.
-
-        If the true rate is ``π``, responses are positive with
-        probability ``π(1 - p) + (1 - π)p``; inverting gives
-        ``π̂ = (mean - p) / (1 - 2p)`` (clipped to [0, 1]).  Undefined at
-        ``p = 1/2`` where responses carry no signal.
-        """
-        responses = np.asarray(responses, dtype=bool)
-        if responses.size == 0:
-            raise ValueError("cannot estimate a rate from zero responses")
-        if self._p == 0.5:
-            raise ValueError("p = 1/2 responses carry no information")
-        mean = float(responses.mean())
-        estimate = (mean - self._p) / (1.0 - 2.0 * self._p)
-        return min(1.0, max(0.0, estimate))
-
-    def truth_probability(self, value: bool, response: bool) -> float:
-        """``Pr[response | value]`` — used by the exact DP verifier."""
-        return 1.0 - self._p if bool(value) == bool(response) else self._p

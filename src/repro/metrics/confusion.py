@@ -117,10 +117,3 @@ class ConfusionCounts:
         if denominator == 0:
             return 1.0
         return self.tp / denominator
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of windows answered correctly (1 when empty)."""
-        if self.total == 0:
-            return 1.0
-        return (self.tp + self.tn) / self.total

@@ -48,10 +48,6 @@ class DataQuality:
         """The combined score ``Q``."""
         return quality_score(self.precision, self.recall, self.alpha)
 
-    def with_alpha(self, alpha: float) -> "DataQuality":
-        """The same measurements re-weighted with a different ``alpha``."""
-        return DataQuality(self.precision, self.recall, alpha)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DataQuality(P={self.precision:.4f}, R={self.recall:.4f}, "

@@ -45,7 +45,6 @@ from repro.runtime.shm import ArrayDescriptor, SegmentPlane
 from repro.runtime.stages import (
     IndicatorExtractor,
     QueryMatcher,
-    WindowStage,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "Shard",
     "ShardedExecutor",
     "StreamPipeline",
-    "WindowStage",
     "merge_results",
     "plan_shards",
     "runtime_mechanism",

@@ -27,7 +27,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.metrics.confusion import ConfusionCounts
-from repro.metrics.mre import mean_relative_error
 from repro.metrics.quality import DataQuality
 from repro.obs.tracing import trace_span
 from repro.runtime import sharding
@@ -56,10 +55,6 @@ class PipelineResult:
     def quality(self, alpha: float = 0.5) -> DataQuality:
         """Micro-averaged released-versus-truth quality ``Q``."""
         return DataQuality.from_confusion(self.confusion, alpha=alpha)
-
-    def mre(self, q_ordinary: float = 1.0, alpha: float = 0.5) -> float:
-        """``MRE_Q`` of this run against the ordinary quality."""
-        return mean_relative_error(q_ordinary, self.quality(alpha).q)
 
 
 class BatchExecutor:

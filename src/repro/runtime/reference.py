@@ -19,13 +19,21 @@ Do not use them in production paths; they are deliberately slow.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.mechanisms.laplace import laplace_noise
 from repro.streams.indicator import IndicatorStream
-from repro.utils.rng import RngLike, derive_rng
+from repro.utils.rng import RngLike, derive_rng, ensure_rng
+from repro.utils.validation import check_positive
+
+
+def laplace_noise(
+    rng: RngLike, scale: float, size: Union[int, tuple, None] = None
+) -> np.ndarray:
+    """Draw Laplace(0, scale) noise with an explicit generator."""
+    check_positive("scale", scale)
+    return ensure_rng(rng).laplace(loc=0.0, scale=scale, size=size)
 
 
 def reference_w_event_perturb(

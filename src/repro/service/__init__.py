@@ -6,8 +6,7 @@ mechanism spec, an executor spec, accounting, quality, seed — in a
 frozen, JSON-serializable :class:`ServiceSpec`, then compile it with
 ``spec.build()`` (or ``StreamService(spec)``) and drive the full
 lifecycle from the resulting :class:`StreamService`: batch runs,
-push-based and async sessions, checkpoint/resume, and evaluation
-sweeps.
+push-based and async sessions, and checkpoint/resume.
 
 Mechanisms and executors are chosen by *registered string specs*
 (``"uniform-ppm"``, ``"cluster:workers=8"``, ...); third-party backends

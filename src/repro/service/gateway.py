@@ -87,11 +87,6 @@ class TokenBucket:
         self._tokens = self.burst
         self._last = clock()
 
-    @property
-    def tokens(self) -> float:
-        """Tokens currently available (diagnostic)."""
-        return self._tokens
-
     def try_acquire(self) -> bool:
         """Spend one token if available; never blocks."""
         now = self._clock()

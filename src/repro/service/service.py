@@ -15,9 +15,7 @@ surface:
   connector* into a declarative *sink connector* (:mod:`repro.io`),
   with the async session's bounded queue (``max_pending``, the one
   serving setting) as the backpressure boundary; checkpoints
-  additionally capture the in-flight source offset;
-- :meth:`sweep` — the (mechanism × ε) evaluation grid, bridging into
-  :class:`~repro.experiments.runner.WorkloadEvaluation`.
+  additionally capture the in-flight source offset.
 
 Everything is driven by the spec's seed, so a service rebuilt from the
 same JSON blob reproduces its runs bit for bit.  The service alone
@@ -678,79 +676,3 @@ class StreamService:
                     compiled._offset = int(offset)
         service._sink_append = bool(checkpoint.get("sink_opened"))
         return service
-
-    # -- evaluation ----------------------------------------------------
-
-    def sweep(
-        self,
-        epsilon_grid,
-        *,
-        stream: IndicatorStream,
-        mechanisms=("uniform-ppm", "bd", "ba", "landmark", "event-rr",
-                    "user-rr"),
-        history: Optional[IndicatorStream] = None,
-        w: int = 10,
-        n_trials: int = 5,
-        conversion_mode: str = "worst_case",
-        rng: RngLike = None,
-        executor=None,
-    ) -> List:
-        """Evaluate mechanism specs over an ε grid on this service's
-        patterns and queries.
-
-        Bridges into the experiment harness: the spec's patterns and
-        queries plus the given evaluation ``stream`` form a
-        :class:`~repro.datasets.workload.Workload`, and every
-        (mechanism, ε) cell is built through the mechanism registry and
-        measured by
-        :meth:`~repro.experiments.runner.WorkloadEvaluation.sweep`.
-        ``history`` (or the service's build history) enables
-        ``"adaptive-ppm"`` cells.  ``executor`` runs each cell's
-        trials and is the sweep's one parallel layer: an executor
-        object or a registered executor spec string (``"sharded:..."``
-        or ``"cluster:..."`` run bit-identically to batch), defaulting
-        to this service's executor.
-        """
-        from repro.datasets.workload import Workload
-        from repro.experiments.runner import WorkloadEvaluation
-        from repro.service.registry import validate_mechanism_spec
-
-        history = history if history is not None else self._history
-        if history is None:
-            data_driven = [
-                mechanism
-                for mechanism in mechanisms
-                if validate_mechanism_spec(mechanism) == "adaptive-ppm"
-            ]
-            if data_driven:
-                raise ValueError(
-                    f"sweeping {data_driven} needs historical windows "
-                    "disjoint from the evaluation stream (fitting on "
-                    "the stream under evaluation would leak); pass "
-                    "history= here or at build time"
-                )
-        workload = Workload(
-            name="service",
-            stream=stream,
-            # Non-adaptive cells never read the history; reusing the
-            # evaluation stream keeps the workload constructible.
-            history=history if history is not None else stream,
-            private_patterns=list(self._spec.pattern_objects()),
-            target_patterns=[
-                query.pattern for query in self._spec.query_objects()
-            ],
-            w=w,
-        )
-        if isinstance(executor, str):
-            executor = build_executor_from_spec(executor)
-        elif executor is None:
-            executor = self._executor
-        return WorkloadEvaluation(workload).sweep(
-            epsilon_grid=epsilon_grid,
-            mechanisms=list(mechanisms),
-            alpha=self._spec.quality.alpha,
-            n_trials=n_trials,
-            conversion_mode=conversion_mode,
-            rng=self._seeded(rng),
-            executor=executor,
-        )

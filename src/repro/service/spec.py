@@ -47,13 +47,41 @@ __all__ = [
 ]
 
 #: Declarative window-assigner kinds accepted by ``ServiceSpec.window``
-#: and their positional parameters (see :mod:`repro.streams.windows`).
+#: and their positional parameter (see :mod:`repro.streams.windows`).
+#: Every kind puts each event into exactly one window, so a window's
+#: release spends the mechanism's ε once per event.
 _WINDOW_KINDS = {
-    "tumbling": ("width",),
-    "sliding": ("width", "slide"),
-    "count": ("size",),
-    "session": ("gap",),
+    "tumbling": "width",
+    "count": "size",
+    "session": "gap",
 }
+
+
+def _window_assigner(spec: str):
+    """The window assigner ``spec`` describes.
+
+    Fails on an unknown kind, a wrong argument count, or a value the
+    assigner itself rejects (a non-positive width, size or gap, a
+    non-integer count size), with that assigner's message.
+    """
+    from repro.service.registry import parse_spec
+    from repro.streams import windows
+
+    kind, args = parse_spec(spec)
+    if kind not in _WINDOW_KINDS:
+        raise ValueError(
+            f"unknown window spec {kind!r}; known window kinds: "
+            f"{', '.join(sorted(_WINDOW_KINDS))}"
+        )
+    if len(args) != 1:
+        raise ValueError(
+            f"window spec {spec!r} must be {kind}:<{_WINDOW_KINDS[kind]}>"
+        )
+    if kind == "tumbling":
+        return windows.TumblingWindows(args[0], emit_empty=True)
+    if kind == "count":
+        return windows.CountWindows(args[0])
+    return windows.SessionWindows(args[0])
 
 
 @dataclass(frozen=True)
@@ -302,8 +330,9 @@ class ServiceSpec:
         The consumers' quality requirement (``alpha`` /``max_mre``).
     window:
         Declarative window assigner for raw event streams:
-        ``"tumbling:10"``, ``"sliding:10:5"``, ``"count:25"``,
-        ``"session:3"`` (``None`` when the service is fed indicators).
+        ``"tumbling:10"``, ``"count:25"`` or ``"session:3"`` (``None``
+        when the service is fed indicators).  Checked at construction:
+        an unknown kind or a value the assigner rejects fails here.
     seed:
         Default randomness seed; the same spec JSON plus the same seed
         reproduces a run bit for bit.
@@ -411,7 +440,7 @@ class ServiceSpec:
             check_positive("accounting", self.accounting, allow_inf=True)
         object.__setattr__(self, "quality", _as_quality_spec(self.quality))
         if self.window is not None:
-            self._parse_window(self.window)
+            _window_assigner(self.window)
         if self.seed is not None:
             import numpy as np
 
@@ -425,28 +454,6 @@ class ServiceSpec:
                     f"{type(self.seed).__name__}"
                 )
 
-    # -- window grammar ------------------------------------------------
-
-    @staticmethod
-    def _parse_window(spec: str):
-        from repro.service.registry import parse_spec
-
-        kind, args = parse_spec(spec)
-        if kind not in _WINDOW_KINDS:
-            raise ValueError(
-                f"unknown window spec {kind!r}; known window kinds: "
-                f"{', '.join(sorted(_WINDOW_KINDS))}"
-            )
-        expected = _WINDOW_KINDS[kind]
-        if len(args) != len(expected) or not all(
-            isinstance(argument, (int, float)) for argument in args
-        ):
-            raise ValueError(
-                f"window spec {spec!r} must be "
-                f"{kind}:{':'.join('<%s>' % name for name in expected)}"
-            )
-        return kind, args
-
     def window_assigner(self):
         """The window assigner the ``window`` spec describes.
 
@@ -454,16 +461,7 @@ class ServiceSpec:
         """
         if self.window is None:
             return None
-        kind, args = self._parse_window(self.window)
-        from repro.streams import windows
-
-        if kind == "tumbling":
-            return windows.TumblingWindows(float(args[0]), emit_empty=True)
-        if kind == "sliding":
-            return windows.SlidingWindows(float(args[0]), float(args[1]))
-        if kind == "count":
-            return windows.CountWindows(int(args[0]))
-        return windows.SessionWindows(float(args[0]))
+        return _window_assigner(self.window)
 
     # -- compiled views ------------------------------------------------
 

@@ -11,12 +11,10 @@ the representation the pattern-level PPMs perturb.
 from repro.streams.events import DataTuple, Event
 from repro.streams.extraction import EventExtractor, extract_events
 from repro.streams.indicator import EventAlphabet, IndicatorStream
-from repro.streams.merge import merge_event_streams
 from repro.streams.stream import DataStream, EventStream
 from repro.streams.windows import (
     CountWindows,
     SessionWindows,
-    SlidingWindows,
     TumblingWindows,
     Window,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "EventStream",
     "IndicatorStream",
     "SessionWindows",
-    "SlidingWindows",
     "TumblingWindows",
     "Window",
     "extract_events",
-    "merge_event_streams",
 ]

@@ -124,28 +124,6 @@ class Event:
                 return val
         return default
 
-    def with_timestamp(self, timestamp: float) -> "Event":
-        """Return a copy of this event at a different timestamp."""
-        return Event(
-            self.event_type,
-            timestamp,
-            attributes=self.attributes,
-            source=self.source,
-        )
-
-    def with_type(self, event_type: str) -> "Event":
-        """Return a copy of this event with a different type symbol.
-
-        This is the elementary "replace one event" edit used by the
-        in-pattern neighbouring relation (Definition 1).
-        """
-        return Event(
-            event_type,
-            self.timestamp,
-            attributes=self.attributes,
-            source=self.source,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         extra = f", source={self.source!r}" if self.source else ""
         return f"Event({self.event_type!r}, t={self.timestamp:g}{extra})"

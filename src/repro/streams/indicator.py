@@ -234,15 +234,6 @@ class IndicatorStream:
         """The per-window indicator vector of one event type (copy)."""
         return self._matrix[:, self._alphabet.index(event_type)].copy()
 
-    def occurrence_rates(self) -> Dict[str, float]:
-        """Fraction of windows containing each event type."""
-        if self.n_windows == 0:
-            return {name: 0.0 for name in self._alphabet.types}
-        means = self._matrix.mean(axis=0)
-        return {
-            name: float(means[i]) for i, name in enumerate(self._alphabet.types)
-        }
-
     # -- detection and perturbation ------------------------------------
 
     def detect_all(self, event_types: Sequence[str]) -> np.ndarray:
@@ -278,23 +269,9 @@ class IndicatorStream:
         matrix[window_index, col] = ~matrix[window_index, col]
         return self.with_matrix(matrix)
 
-    def restrict(self, event_types: Sequence[str]) -> "IndicatorStream":
-        """Project onto a sub-alphabet (column subset, given order)."""
-        sub_alphabet = EventAlphabet(event_types)
-        cols = self._alphabet.indices(list(event_types))
-        return IndicatorStream(sub_alphabet, self._matrix[:, cols])
-
     def slice_windows(self, start: int, stop: int) -> "IndicatorStream":
         """Keep only windows ``start:stop`` (python slice semantics)."""
         return IndicatorStream(self._alphabet, self._matrix[start:stop])
-
-    def concatenate(self, other: "IndicatorStream") -> "IndicatorStream":
-        """Append another stream over the same alphabet."""
-        if self._alphabet != other._alphabet:
-            raise ValueError("cannot concatenate streams over different alphabets")
-        return IndicatorStream(
-            self._alphabet, np.vstack([self._matrix, other._matrix])
-        )
 
     def split(self, fraction: float) -> Tuple["IndicatorStream", "IndicatorStream"]:
         """Split into a leading ``fraction`` and the remainder.

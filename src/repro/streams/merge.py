@@ -1,77 +1,21 @@
-"""Merging event streams.
+"""Splitting a merged event stream by source.
 
 Section III-A: "When multiple data streams are given, we merge their
-corresponding event streams into one single event stream.  Events from
-different event streams with the same timestamps can be ordered
-arbitrarily" — we make that arbitrary order deterministic (stable by
-input stream position) so runs are reproducible.
+corresponding event streams into one single event stream."  Each
+event keeps the source it came from, so the merged stream can be split
+back into its per-source streams.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Sequence
-
-from repro.streams.events import Event
 from repro.streams.stream import EventStream
-
-
-def merge_event_streams(
-    streams: Sequence[EventStream], *, name: str = "merged"
-) -> EventStream:
-    """Merge several temporally ordered event streams into one.
-
-    The merge is a stable k-way merge on timestamps: ties are broken by
-    the position of the source stream in ``streams`` and then by the
-    event's position within its stream, so equal-timestamp events from
-    the same stream keep their relative order.
-    """
-    if not streams:
-        raise ValueError("at least one stream is required")
-    heap: List = []
-    iterators = [iter(stream) for stream in streams]
-    for stream_pos, iterator in enumerate(iterators):
-        event = next(iterator, None)
-        if event is not None:
-            heapq.heappush(heap, (event.timestamp, stream_pos, 0, id(event), event))
-    merged: List[Event] = []
-    counters = [1] * len(iterators)
-    while heap:
-        _ts, stream_pos, _event_pos, _tie, event = heapq.heappop(heap)
-        merged.append(event)
-        nxt = next(iterators[stream_pos], None)
-        if nxt is not None:
-            heapq.heappush(
-                heap,
-                (
-                    nxt.timestamp,
-                    stream_pos,
-                    counters[stream_pos],
-                    id(nxt),
-                    nxt,
-                ),
-            )
-            counters[stream_pos] += 1
-    return EventStream(merged, name=name)
-
-
-def interleave_round_robin(
-    streams: Sequence[EventStream], *, name: str = "interleaved"
-) -> EventStream:
-    """Merge streams that share identical timestamp grids, round-robin.
-
-    A convenience for synthetic workloads where several subjects emit on
-    the same clock; equivalent to :func:`merge_event_streams` but makes
-    the tie-breaking policy (subject order per tick) explicit.
-    """
-    return merge_event_streams(streams, name=name)
 
 
 def partition_by_source(stream: EventStream) -> dict:
     """Split a merged stream back into per-source streams.
 
-    Events without a source are grouped under ``None``.  Inverse (up to
-    tie order) of :func:`merge_event_streams` when sources are distinct.
+    Events without a source are grouped under ``None``; within a
+    source, events keep their order in ``stream``.
     """
     groups: dict = {}
     for event in stream:

@@ -1,16 +1,15 @@
 """Data streams and event streams.
 
 Streams are conceptually infinite; concretely they wrap any iterable and
-support lazy iteration, bounded materialization (:meth:`DataStream.take`)
-and replay (when built from a sequence).  :class:`EventStream` enforces
-the temporal-order invariant of Section III-A: ``e_{i+1}`` is extracted
-after ``e_i`` (non-decreasing timestamps).
+support lazy iteration and replay (when built from a sequence).
+:class:`EventStream` enforces the temporal-order invariant of Section
+III-A: ``e_{i+1}`` is extracted after ``e_i`` (non-decreasing
+timestamps).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.streams.events import DataTuple, Event
 
@@ -49,41 +48,9 @@ class DataStream:
         if self._materialized is None:
             raise TypeError(
                 "length of a factory-backed (potentially infinite) stream "
-                "is undefined; use take()"
+                "is undefined"
             )
         return len(self._materialized)
-
-    def take(self, count: int) -> List[DataTuple]:
-        """Materialize the first ``count`` tuples."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return list(itertools.islice(iter(self), count))
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[dict],
-        *,
-        timestamp_key: str = "timestamp",
-        source: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> "DataStream":
-        """Build a replayable stream from dict records.
-
-        ``timestamp_key`` names the field holding the timestamp; all other
-        fields become the tuple payload.
-        """
-        tuples = []
-        for record in records:
-            if timestamp_key not in record:
-                raise KeyError(
-                    f"record {record!r} is missing timestamp key {timestamp_key!r}"
-                )
-            payload = {k: v for k, v in record.items() if k != timestamp_key}
-            tuples.append(
-                DataTuple(record[timestamp_key], values=payload, source=source)
-            )
-        return cls(tuples, name=name)
 
 
 class EventStream:
@@ -134,43 +101,3 @@ class EventStream:
     def events(self) -> List[Event]:
         """The events as a list (copy)."""
         return list(self._events)
-
-    def event_types(self) -> List[str]:
-        """Distinct event types, in first-appearance order."""
-        seen = {}
-        for event in self._events:
-            seen.setdefault(event.event_type, None)
-        return list(seen)
-
-    def filter(self, predicate: Callable[[Event], bool]) -> "EventStream":
-        """Return the sub-stream of events satisfying ``predicate``."""
-        return EventStream(
-            (event for event in self._events if predicate(event)),
-            name=self.name,
-        )
-
-    def of_types(self, types: Sequence[str]) -> "EventStream":
-        """Return the sub-stream of events whose type is in ``types``."""
-        wanted = set(types)
-        return self.filter(lambda event: event.event_type in wanted)
-
-    def between(self, start: float, end: float) -> "EventStream":
-        """Return events with ``start <= timestamp <= end``."""
-        if end < start:
-            raise ValueError(f"end ({end}) must be >= start ({start})")
-        return self.filter(lambda event: start <= event.timestamp <= end)
-
-    def replace(self, index: int, event: Event) -> "EventStream":
-        """Return a copy with the event at ``index`` replaced.
-
-        The replacement must keep the stream temporally ordered; this is
-        the stream-level edit behind in-pattern neighbouring
-        (Definition 1).
-        """
-        events = list(self._events)
-        events[index] = event
-        return EventStream(events, name=self.name)
-
-    def timestamps(self) -> List[float]:
-        """All event timestamps, in order."""
-        return [event.timestamp for event in self._events]

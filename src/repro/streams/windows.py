@@ -1,11 +1,10 @@
 """Window assigners over event streams.
 
-Continuous queries over infinite streams are answered per window.  Four
-assigners are provided:
+Continuous queries over infinite streams are answered per window.  Three
+assigners are provided, each putting every event into exactly one
+window (so one window's release spends ε once per event):
 
 - :class:`TumblingWindows` — fixed-width, non-overlapping time windows;
-- :class:`SlidingWindows` — fixed-width windows advancing by a slide step
-  (overlapping when ``slide < width``);
 - :class:`CountWindows` — windows of a fixed number of events;
 - :class:`SessionWindows` — windows split at inactivity gaps (used for
   per-trip windows in the taxi workload).
@@ -53,10 +52,6 @@ class Window:
     def event_types(self) -> frozenset:
         """The set of event types present in the window."""
         return frozenset(event.event_type for event in self.events)
-
-    def contains_type(self, event_type: str) -> bool:
-        """Whether an event of ``event_type`` occurs in the window."""
-        return any(event.event_type == event_type for event in self.events)
 
 
 class TumblingWindows:
@@ -110,50 +105,6 @@ class TumblingWindows:
                     events=members,
                 )
             )
-        return windows
-
-
-class SlidingWindows:
-    """Fixed-width windows advancing by ``slide`` time units.
-
-    With ``slide == width`` this degenerates to tumbling windows; with
-    ``slide < width`` consecutive windows overlap and events are assigned
-    to every window covering them.
-    """
-
-    def __init__(
-        self,
-        width: float,
-        slide: float,
-        *,
-        origin: Optional[float] = None,
-    ):
-        self.width = check_positive("width", width)
-        self.slide = check_positive("slide", slide)
-        if self.slide > self.width:
-            raise ValueError(
-                f"slide ({slide}) must not exceed width ({width}); "
-                "larger slides would drop events"
-            )
-        self.origin = origin
-
-    def assign(self, stream: EventStream) -> List[Window]:
-        events = stream.events
-        if not events:
-            return []
-        origin = self.origin if self.origin is not None else events[0].timestamp
-        horizon = events[-1].timestamp
-        windows: List[Window] = []
-        start = origin
-        index = 0
-        while start <= horizon:
-            end = start + self.width
-            members = tuple(
-                event for event in events if start <= event.timestamp < end
-            )
-            windows.append(Window(index=index, start=start, end=end, events=members))
-            index += 1
-            start += self.slide
         return windows
 
 

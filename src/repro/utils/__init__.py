@@ -7,12 +7,8 @@ and derives child generators deterministically.
 
 from repro.utils.rng import (
     RngLike,
-    bernoulli,
-    bernoulli_vector,
     derive_rng,
     ensure_rng,
-    spawn_rngs,
-    stable_subsample,
 )
 from repro.utils.tables import ResultTable
 from repro.utils.validation import (
@@ -20,29 +16,21 @@ from repro.utils.validation import (
     check_fraction,
     check_in_range,
     check_non_negative,
-    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
-    check_type,
 )
 
 __all__ = [
     "ResultTable",
     "RngLike",
     "ValidationError",
-    "bernoulli",
-    "bernoulli_vector",
     "check_fraction",
     "check_in_range",
     "check_non_negative",
-    "check_non_negative_int",
     "check_positive",
     "check_positive_int",
     "check_probability",
-    "check_type",
     "derive_rng",
     "ensure_rng",
-    "spawn_rngs",
-    "stable_subsample",
 ]

@@ -3,14 +3,14 @@
 The library never touches :mod:`numpy.random`'s global state.  Every
 stochastic component accepts either an integer seed or an existing
 :class:`numpy.random.Generator`; :func:`ensure_rng` normalizes both into a
-generator, and :func:`derive_rng` / :func:`spawn_rngs` produce independent
-child generators so that adding a new consumer of randomness does not
-perturb the draws seen by existing ones.
+generator, and :func:`derive_rng` produces independent child generators
+so that adding a new consumer of randomness does not perturb the draws
+seen by existing ones.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -89,15 +89,6 @@ def derive_rng(rng: RngLike, *tokens: Union[int, str]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def spawn_rngs(rng: RngLike, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` mutually independent child generators."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(rng)
-    seed_seq = np.random.SeedSequence(int(parent.integers(0, 2**63 - 1)))
-    return [np.random.default_rng(child) for child in seed_seq.spawn(count)]
-
-
 _FOLD_CACHE: dict = {}
 
 
@@ -113,47 +104,3 @@ def _fold_string(text: str) -> int:
     folded = acc & (2**63 - 1)
     _FOLD_CACHE[text] = folded
     return folded
-
-
-def bernoulli(rng: np.random.Generator, probability: float) -> bool:
-    """Draw a single Bernoulli sample with the given success probability."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    if probability == 0.0:
-        return False
-    if probability == 1.0:
-        return True
-    return bool(rng.random() < probability)
-
-
-def bernoulli_vector(
-    rng: np.random.Generator, probabilities: Sequence[float]
-) -> np.ndarray:
-    """Draw independent Bernoulli samples, one per entry of ``probabilities``."""
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValueError("all probabilities must be in [0, 1]")
-    if probs.size == 0:
-        return np.zeros(0, dtype=bool)
-    return rng.random(probs.shape) < probs
-
-
-def stable_subsample(
-    rng: RngLike, items: Sequence, fraction: float
-) -> list:
-    """Return a deterministic random subsample of ``items``.
-
-    ``fraction`` of the items (rounded to the nearest integer, at least one
-    item when ``fraction > 0`` and ``items`` is non-empty) are selected
-    without replacement, preserving the original order.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    items = list(items)
-    if fraction == 0.0 or not items:
-        return []
-    count = max(1, int(round(fraction * len(items))))
-    count = min(count, len(items))
-    generator = ensure_rng(rng)
-    chosen = sorted(generator.choice(len(items), size=count, replace=False))
-    return [items[i] for i in chosen]

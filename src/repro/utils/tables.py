@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class ResultTable:
@@ -53,11 +53,6 @@ class ResultTable:
                 f"unknown column(s) {sorted(unknown)}; table has {self.columns}"
             )
         self._rows.append({col: values.get(col) for col in self.columns})
-
-    def add_rows(self, rows: Iterable[Mapping[str, Any]]) -> None:
-        """Append many rows from mappings."""
-        for row in rows:
-            self.add_row(**dict(row))
 
     def column(self, name: str) -> List[Any]:
         """Return all values of one column, in row order."""

@@ -9,26 +9,11 @@ instead of corrupting privacy accounting downstream.
 from __future__ import annotations
 
 import math
-from typing import Any, Tuple, Type, Union
+from typing import Any
 
 
 class ValidationError(ValueError):
     """Raised when a public API receives an invalid argument."""
-
-
-def check_type(
-    name: str, value: Any, expected: Union[Type, Tuple[Type, ...]]
-) -> Any:
-    """Check ``value`` is an instance of ``expected``; return it."""
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = " or ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
-        raise ValidationError(
-            f"{name} must be {names}, got {type(value).__name__}"
-        )
-    return value
 
 
 def _check_real(name: str, value: Any) -> float:
@@ -108,15 +93,4 @@ def check_positive_int(name: str, value: Any) -> int:
         )
     if value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def check_non_negative_int(name: str, value: Any) -> int:
-    """Check ``value`` is a non-negative integer; return it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(
-            f"{name} must be an int, got {type(value).__name__}"
-        )
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
     return value

@@ -109,5 +109,5 @@ class TestCarrierEquivalence:
         pattern = Pattern.of_types("p", "a", "b")
         ppm = EventStreamPPM.uniform(pattern, 1.0)
         perturbed = ppm.perturb(stream, TumblingWindows(10.0), rng=seed)
-        timestamps = perturbed.timestamps()
+        timestamps = [event.timestamp for event in perturbed]
         assert timestamps == sorted(timestamps)

@@ -46,7 +46,6 @@ class TestConfusionLaws:
         c = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
         assert 0.0 <= c.precision <= 1.0
         assert 0.0 <= c.recall <= 1.0
-        assert 0.0 <= c.accuracy <= 1.0
 
     @given(
         a=st.tuples(counts, counts, counts, counts),

@@ -9,10 +9,15 @@ to test the NFA machinery against.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cep.matcher import match_pattern
+from repro.cep.matcher import PatternMatcher
 from repro.cep.patterns import Pattern
 from repro.streams.events import Event
 from repro.streams.stream import EventStream
+
+
+def match_pattern(pattern, stream, **options):
+    return PatternMatcher(pattern, **options).feed(stream)
+
 
 SYMBOLS = ["a", "b", "c"]
 

@@ -7,9 +7,7 @@ from repro.cep.engine import CEPEngine, QualityRequirement
 from repro.cep.patterns import OR, Pattern
 from repro.cep.queries import ContinuousQuery
 from repro.core.uniform import UniformPatternPPM
-from repro.streams.events import Event
 from repro.streams.indicator import EventAlphabet, IndicatorStream
-from repro.streams.stream import EventStream
 
 
 @pytest.fixture
@@ -196,30 +194,3 @@ class TestServicePhase:
         )
         with pytest.raises(ValueError, match="non-sequential"):
             engine.process_indicators(stream200)
-
-
-class TestFullMatching:
-    def test_match_runs_cep_semantics(self, engine):
-        events = EventStream(
-            [Event("e1", 0.0), Event("e2", 1.0), Event("e3", 2.0)]
-        )
-        matches = engine.match(events, Pattern.of_types("p", "e1", "e3"))
-        assert len(matches) == 1
-
-    def test_detect_all_patterns_merges_by_completion(
-        self, ready_engine
-    ):
-        events = EventStream(
-            [
-                Event("e2", 0.0),
-                Event("e1", 1.0),
-                Event("e2", 2.0),
-                Event("e3", 3.0),
-                Event("e4", 4.0),
-            ]
-        )
-        merged = ready_engine.detect_all_patterns(events)
-        ends = [match.end for match in merged]
-        assert ends == sorted(ends)
-        names = {match.pattern_name for match in merged}
-        assert "private" in names and "target" in names

@@ -51,7 +51,9 @@ class TestAccounting:
         )
         engine = make_engine(mechanism=mechanism, accounting=10.0)
         engine.process_indicators(stream200, rng=0)
-        by_label = engine.accountant.by_label()
+        by_label = {
+            spend.label: spend.epsilon for spend in engine.accountant.spends
+        }
         assert by_label["release:private"] == pytest.approx(1.0)
         assert by_label["release:other"] == pytest.approx(0.5)
 

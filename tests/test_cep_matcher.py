@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.cep.matcher import PatternMatch, PatternMatcher, PatternStream, match_pattern
+from repro.cep.matcher import PatternMatch, PatternMatcher, PatternStream
 from repro.cep.patterns import AND, KLEENE, NEG, Pattern, SEQ
 from repro.streams.events import Event
 from repro.streams.stream import EventStream
+
+
+def match_pattern(pattern, stream, **options):
+    return PatternMatcher(pattern, **options).feed(stream)
 
 
 def stream_of(types):
@@ -184,28 +188,6 @@ class TestPatternMatchObject:
 
 
 class TestPatternStream:
-    def test_of_pattern_filters(self):
-        stream = PatternStream(
-            [
-                PatternMatch("p", (Event("a", 0.0),)),
-                PatternMatch("q", (Event("b", 1.0),)),
-            ]
-        )
-        assert len(stream.of_pattern("p")) == 1
-
-    def test_overlapping_pairs(self):
-        shared = Event("a", 0.0)
-        stream = PatternStream(
-            [
-                PatternMatch("p", (shared, Event("b", 1.0))),
-                PatternMatch("q", (shared, Event("c", 2.0))),
-                PatternMatch("r", (Event("d", 3.0),)),
-            ]
-        )
-        pairs = stream.overlapping_pairs()
-        assert len(pairs) == 1
-        assert {pairs[0][0].pattern_name, pairs[0][1].pattern_name} == {"p", "q"}
-
     def test_indexing(self):
         stream = PatternStream([PatternMatch("p", (Event("a", 0.0),))])
         assert stream[0].pattern_name == "p"

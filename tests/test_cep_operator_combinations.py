@@ -7,11 +7,15 @@ every supported nesting with hand-worked cases.
 
 import pytest
 
-from repro.cep.matcher import match_pattern
+from repro.cep.matcher import PatternMatcher
 from repro.cep.nfa import CompileError, compile_expr
 from repro.cep.patterns import AND, KLEENE, NEG, OR, Pattern, SEQ
 from repro.streams.events import Event
 from repro.streams.stream import EventStream
+
+
+def match_pattern(pattern, stream, **options):
+    return PatternMatcher(pattern, **options).feed(stream)
 
 
 def stream_of(*types):

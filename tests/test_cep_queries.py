@@ -33,8 +33,8 @@ class TestQueryAnswer:
     def test_detection_accessors(self):
         answer = QueryAnswer("q", np.array([True, False, True]))
         assert answer.n_windows == 3
-        assert answer.detected(0) is True
-        assert answer.detected(1) is False
+        assert bool(answer.detections[0]) is True
+        assert bool(answer.detections[1]) is False
         assert answer.detection_count() == 2
 
     def test_coerces_to_bool(self):

@@ -104,14 +104,14 @@ class TestDiscovery:
         report = discover_relevant_events(
             proxy_stream, private_pattern_12, threshold=0.3
         )
-        assert report.proxy_types() == ["e4"]
+        assert [proxy.event_type for proxy in report.proxies] == ["e4"]
         assert report.proxies[0].correlation > 0.8
 
     def test_threshold_filters(self, proxy_stream, private_pattern_12):
         strict = discover_relevant_events(
             proxy_stream, private_pattern_12, threshold=0.99
         )
-        assert strict.proxy_types() == []
+        assert [proxy.event_type for proxy in strict.proxies] == []
 
     def test_max_proxies_caps(self, proxy_stream, private_pattern_12):
         report = discover_relevant_events(
@@ -126,8 +126,8 @@ class TestDiscovery:
         report = discover_relevant_events(
             proxy_stream, private_pattern_12, threshold=0.0
         )
-        assert "e1" not in report.proxy_types()
-        assert "e2" not in report.proxy_types()
+        assert "e1" not in [proxy.event_type for proxy in report.proxies]
+        assert "e2" not in [proxy.event_type for proxy in report.proxies]
 
     def test_invalid_threshold(self, proxy_stream, private_pattern_12):
         with pytest.raises(Exception):

@@ -67,7 +67,7 @@ class TestPerturbation:
 
     def test_output_is_valid_event_stream(self, ppm, event_stream):
         perturbed = ppm.perturb(event_stream, TumblingWindows(10.0), rng=0)
-        timestamps = perturbed.timestamps()
+        timestamps = [event.timestamp for event in perturbed]
         assert timestamps == sorted(timestamps)
 
     def test_injected_events_marked_synthetic(self, ppm, event_stream):

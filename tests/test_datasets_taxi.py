@@ -169,12 +169,12 @@ class TestWorkloadAssembly:
 
     def test_private_and_target_overlap(self, config):
         workload = build_taxi_workload(config, rng=4)
-        summary = workload.overlap_summary()
-        assert summary["any_overlap"]
-        assert summary["shared_by_target"]["target_overlap_visit"] == [
-            "ov_enter",
-            "ov_in",
-        ]
+        private = set(workload.private_elements())
+        shared = {
+            pattern.name: sorted(private & set(pattern.elements))
+            for pattern in workload.target_patterns
+        }
+        assert shared["target_overlap_visit"] == ["ov_enter", "ov_in"]
 
     def test_history_fraction_split(self, config):
         workload = build_taxi_workload(config, rng=4)

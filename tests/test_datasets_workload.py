@@ -27,7 +27,7 @@ class TestConstruction:
             private_patterns=[private],
             target_patterns=[target],
         )
-        assert workload.primary_private is private
+        assert workload.private_patterns == [private]
 
     def test_requires_patterns(self, parts):
         evaluation, history, private, target = parts
@@ -83,12 +83,3 @@ class TestDerivedProperties:
         # "private" shares e2 with the target; "other" shares e4.  Both
         # share one element; ties break to the first.
         assert workload.most_overlapping_private().name == "private"
-
-    def test_overlap_summary(self, workload):
-        summary = workload.overlap_summary()
-        assert summary["any_overlap"]
-        assert "e2" in summary["shared_by_target"]["target"]
-
-    def test_describe_mentions_counts(self, workload):
-        text = workload.describe()
-        assert "150" in text and "50" in text

@@ -7,8 +7,6 @@ level (full Fig. 4 sweeps), where any internal consumer of global RNG
 state or dict-ordering-dependent draws would surface.
 """
 
-import pytest
-
 from repro.datasets.synthetic import SyntheticConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig4 import run_fig4_synthetic
@@ -61,25 +59,3 @@ class TestFullRunDeterminism:
             tiny_workload, "uniform", 2.0, n_trials=2, rng=9
         )
         assert lone.mre == repeated.mre
-
-
-class TestWorkloadStatistics:
-    def test_statistics_table(self, tiny_workload):
-        table = tiny_workload.statistics()
-        kinds = set(table.column("kind"))
-        assert kinds == {"private", "target", "element"}
-        for rate in table.column("detection_rate"):
-            assert 0.0 <= rate <= 1.0
-
-    def test_pattern_rows_match_detection_counts(self, tiny_workload):
-        table = tiny_workload.statistics()
-        for row in table.filter(kind="target"):
-            pattern = next(
-                p
-                for p in tiny_workload.target_patterns
-                if p.name == row["name"]
-            )
-            expected = tiny_workload.stream.detection_count(
-                list(pattern.elements)
-            ) / tiny_workload.stream.n_windows
-            assert row["detection_rate"] == pytest.approx(expected)

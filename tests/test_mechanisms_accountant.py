@@ -63,15 +63,6 @@ class TestPrivacyAccountant:
         accountant.spend("a", 0.9)
         assert not accountant.can_spend(0.2)
 
-    def test_by_label_aggregates(self):
-        accountant = PrivacyAccountant(2.0)
-        accountant.spend("pub", 0.5)
-        accountant.spend("pub", 0.3)
-        accountant.spend("dis", 0.1)
-        totals = accountant.by_label()
-        assert totals["pub"] == pytest.approx(0.8)
-        assert totals["dis"] == pytest.approx(0.1)
-
     def test_reset(self):
         accountant = PrivacyAccountant(1.0)
         accountant.spend("a", 1.0)

@@ -2,11 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.mechanisms.randomized_response import (
-    RandomizedResponse,
     epsilon_to_flip_probability,
     flip_probability_to_epsilon,
 )
@@ -45,63 +43,3 @@ class TestBudgetFlipConversion:
             for epsilon in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert probabilities == sorted(probabilities, reverse=True)
-
-
-class TestRandomizedResponse:
-    def test_p_bounds_enforced(self):
-        RandomizedResponse(0.5)
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.0)
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.51)
-
-    def test_from_epsilon(self):
-        mechanism = RandomizedResponse.from_epsilon(2.0)
-        assert mechanism.epsilon == pytest.approx(2.0)
-
-    def test_definition5_probabilities(self):
-        # Pr(R = j | I = j) = 1 - p; Pr(R = j | I = k) = p.
-        mechanism = RandomizedResponse(0.3)
-        assert mechanism.truth_probability(True, True) == pytest.approx(0.7)
-        assert mechanism.truth_probability(True, False) == pytest.approx(0.3)
-        assert mechanism.truth_probability(False, False) == pytest.approx(0.7)
-
-    def test_empirical_flip_rate(self):
-        mechanism = RandomizedResponse(0.25)
-        rng = np.random.default_rng(0)
-        responses = mechanism.respond_vector([True] * 20000, rng=rng)
-        flip_rate = 1.0 - responses.mean()
-        assert 0.22 < flip_rate < 0.28
-
-    def test_respond_deterministic_under_seed(self):
-        mechanism = RandomizedResponse(0.3)
-        assert mechanism.respond(True, rng=1) == mechanism.respond(True, rng=1)
-
-    def test_respond_vector_shape(self):
-        mechanism = RandomizedResponse(0.3)
-        values = np.array([True, False, True])
-        assert mechanism.respond_vector(values, rng=0).shape == (3,)
-
-    def test_unbiased_rate_estimate(self):
-        mechanism = RandomizedResponse(0.3)
-        rng = np.random.default_rng(5)
-        truth = rng.random(50000) < 0.4
-        responses = mechanism.respond_vector(truth, rng=rng)
-        estimate = mechanism.unbiased_rate_estimate(responses)
-        assert 0.37 < estimate < 0.43
-
-    def test_estimate_clipped_to_unit_interval(self):
-        mechanism = RandomizedResponse(0.49)
-        # All-true responses: raw estimate exceeds 1, must clip.
-        assert mechanism.unbiased_rate_estimate([True] * 10) == 1.0
-
-    def test_estimate_rejects_empty(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.3).unbiased_rate_estimate([])
-
-    def test_estimate_rejects_half(self):
-        with pytest.raises(ValueError):
-            RandomizedResponse(0.5).unbiased_rate_estimate([True])
-
-    def test_epsilon_of_half_is_zero(self):
-        assert RandomizedResponse(0.5).epsilon == pytest.approx(0.0)

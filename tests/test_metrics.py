@@ -50,11 +50,6 @@ class TestConfusionCounts:
         assert counts.positives == 4
         assert counts.detections == 3
 
-    def test_accuracy(self):
-        counts = ConfusionCounts(tp=1, fp=1, fn=1, tn=1)
-        assert counts.accuracy == pytest.approx(0.5)
-        assert ConfusionCounts().accuracy == 1.0
-
 
 class TestQuality:
     def test_eq3_formula(self):
@@ -73,11 +68,6 @@ class TestQuality:
         quality = DataQuality.from_confusion(counts, alpha=0.5)
         assert quality.precision == pytest.approx(0.5)
         assert quality.q == pytest.approx(0.5)
-
-    def test_with_alpha_reweights(self):
-        quality = DataQuality(precision=1.0, recall=0.0, alpha=0.5)
-        assert quality.with_alpha(1.0).q == pytest.approx(1.0)
-        assert quality.with_alpha(0.0).q == pytest.approx(0.0)
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(Exception):

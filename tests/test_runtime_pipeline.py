@@ -19,7 +19,6 @@ from repro.runtime import (
     QueryMatcher,
     ShardedExecutor,
     StreamPipeline,
-    WindowStage,
     merge_results,
     runtime_mechanism,
 )
@@ -36,7 +35,7 @@ from repro.streams.indicator import (
     indicator_matrix,
 )
 from repro.streams.stream import EventStream
-from repro.streams.windows import SessionWindows, TumblingWindows
+from repro.streams.windows import TumblingWindows
 
 
 @pytest.fixture
@@ -69,42 +68,6 @@ class TestIndicatorExtractor:
 
     def test_empty_input(self, alphabet6):
         assert IndicatorExtractor(alphabet6).extract([]).n_windows == 0
-
-
-class TestWindowStage:
-    def _events(self, spec):
-        return EventStream([Event(name, ts) for name, ts in spec])
-
-    @pytest.mark.parametrize("emit_empty", [False, True])
-    def test_tumbling_fast_path_matches_assign(self, emit_empty):
-        stream = self._events(
-            [("a", 0.0), ("b", 0.4), ("a", 2.5), ("c", 7.9), ("b", 8.0)]
-        )
-        assigner = TumblingWindows(1.0, emit_empty=emit_empty)
-        stage = WindowStage(assigner)
-        reference = [
-            window.event_types() for window in assigner.assign(stream)
-        ]
-        assert stage.type_sets(stream) == reference
-
-    def test_tumbling_origin_violation(self):
-        stream = self._events([("a", 1.0)])
-        stage = WindowStage(TumblingWindows(1.0, origin=5.0))
-        with pytest.raises(ValueError):
-            stage.type_sets(stream)
-
-    def test_general_assigner_falls_back(self):
-        stream = self._events([("a", 0.0), ("b", 0.5), ("c", 10.0)])
-        assigner = SessionWindows(gap=2.0)
-        stage = WindowStage(assigner)
-        reference = [
-            window.event_types() for window in assigner.assign(stream)
-        ]
-        assert stage.type_sets(stream) == reference
-
-    def test_rejects_non_assigner(self):
-        with pytest.raises(TypeError):
-            WindowStage(object())
 
 
 class TestQueryMatcher:
@@ -145,7 +108,6 @@ class TestPipelineConfusion:
         quality = result.quality()
         assert quality.precision == pytest.approx(2 / 3)
         assert quality.recall == pytest.approx(2 / 3)
-        assert result.mre(1.0) == pytest.approx(1 - quality.q)
 
     def test_summed_shard_counts_equal_batch(
         self, alphabet6, stream200, queries

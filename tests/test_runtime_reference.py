@@ -14,6 +14,7 @@ from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.baselines.landmark import LandmarkPrivacy
 from repro.runtime.reference import (
+    laplace_noise,
     reference_landmark_perturb,
     reference_perturb,
     reference_w_event_perturb,
@@ -153,3 +154,37 @@ class TestDispatch:
         assert reference_perturb(
             landmark, stream, rng=3
         ) == landmark.perturb(stream, rng=3)
+
+
+class TestLaplaceNoise:
+    """The reference loops' noise draw."""
+
+    def test_deterministic_under_seed(self):
+        assert laplace_noise(1, 2.0) == laplace_noise(1, 2.0)
+
+    def test_scale_rejected_non_positive(self):
+        with pytest.raises(ValueError, match="scale must be > 0"):
+            laplace_noise(0, 0.0)
+
+    def test_vector_shape(self):
+        noise = laplace_noise(0, 1.0, size=(3, 4))
+        assert noise.shape == (3, 4)
+
+    def test_empirical_mean_near_zero(self):
+        noise = laplace_noise(3, 1.0, size=20000)
+        assert abs(noise.mean()) < 0.05
+
+    def test_empirical_scale(self):
+        # Var of Laplace(b) is 2b^2.
+        noise = laplace_noise(4, 2.0, size=50000)
+        assert 7.0 < noise.var() < 9.0
+
+    def test_is_the_generators_own_draw(self):
+        # The oracle's bits are numpy's Laplace stream, drawn from the
+        # generator it is handed (not a copy), so consecutive draws
+        # continue one stream.
+        generator = np.random.default_rng(8)
+        expected = np.random.default_rng(8).laplace(0.0, 0.5, size=6)
+        first = laplace_noise(generator, 0.5, size=3)
+        second = laplace_noise(generator, 0.5, size=3)
+        assert np.array_equal(np.concatenate([first, second]), expected)

@@ -550,95 +550,6 @@ class TestResumeAdoptsTheSnapshot:
         assert derived[0][0] == self.CUT
 
 
-class TestSweep:
-    def test_sweep_bridges_into_workload_evaluation(self, stream):
-        service = spec_for().build()
-        results = service.sweep(
-            [1.0, 4.0],
-            stream=stream,
-            mechanisms=("uniform-ppm", "event-rr"),
-            n_trials=1,
-        )
-        assert len(results) == 4
-        kinds = {result.mechanism for result in results}
-        assert kinds == {"uniform-ppm", "event-rr"}
-        for result in results:
-            assert result.workload == "service"
-            assert 0.0 <= result.mre
-
-    def test_sweep_matches_direct_runner_sweep(self, stream):
-        from repro.datasets.workload import Workload
-        from repro.experiments.runner import WorkloadEvaluation
-
-        spec = spec_for()
-        service = spec.build()
-        via_service = service.sweep(
-            [2.0],
-            stream=stream,
-            mechanisms=("uniform-ppm",),
-            n_trials=2,
-        )
-        workload = Workload(
-            name="service",
-            stream=stream,
-            history=stream,
-            private_patterns=list(spec.pattern_objects()),
-            target_patterns=[
-                query.pattern for query in spec.query_objects()
-            ],
-            w=10,
-        )
-        direct = WorkloadEvaluation(workload).sweep(
-            epsilon_grid=[2.0],
-            mechanisms=["uniform-ppm"],
-            n_trials=2,
-            rng=spec.seed,
-        )
-        assert via_service == direct
-
-    def test_sweep_adaptive_without_history_rejected(self, stream):
-        service = spec_for().build()
-        with pytest.raises(ValueError, match="historical windows"):
-            service.sweep(
-                [1.0],
-                stream=stream,
-                mechanisms=("uniform-ppm", "adaptive-ppm"),
-                n_trials=1,
-            )
-
-    def test_sweep_adaptive_with_history_runs(self, stream):
-        rng = np.random.default_rng(8)
-        history = IndicatorStream(
-            EventAlphabet(ALPHABET), rng.random((40, 4)) < 0.45
-        )
-        results = spec_for().build().sweep(
-            [1.0],
-            stream=stream,
-            mechanisms=("adaptive-ppm",),
-            history=history,
-            n_trials=1,
-        )
-        assert len(results) == 1
-
-    def test_sweep_accepts_executor_spec_string(self, stream):
-        service = spec_for().build()
-        sharded = service.sweep(
-            [2.0],
-            stream=stream,
-            mechanisms=("uniform-ppm",),
-            n_trials=1,
-            executor="sharded:workers=2",
-        )
-        batch = service.sweep(
-            [2.0],
-            stream=stream,
-            mechanisms=("uniform-ppm",),
-            n_trials=1,
-            executor="batch",
-        )
-        assert sharded == batch
-
-
 class TestPluginRegistries:
     def test_third_party_mechanism_and_executor_hook_in(self, stream):
         @register_mechanism("test-identityish")
@@ -678,17 +589,18 @@ class TestPluginRegistries:
             def _clash(context):
                 """Never registered."""
 
-    def test_native_only_plugin_participates_in_sweeps(self, stream):
+    def test_native_only_plugin_participates_in_sweeps(self, tiny_workload):
         from repro.core.uniform import UniformPatternPPM
+        from repro.experiments.runner import sweep
 
         @register_mechanism("test-native-only")
         def _build_native_only(context, *, epsilon):
             """A plugin taking only its native budget."""
             return UniformPatternPPM(context.private_patterns[0], epsilon)
 
-        results = spec_for().build().sweep(
-            [2.0],
-            stream=stream,
+        results = sweep(
+            tiny_workload,
+            epsilon_grid=[2.0],
             mechanisms=("test-native-only",),
             n_trials=1,
         )

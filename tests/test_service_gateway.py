@@ -833,6 +833,50 @@ class TestElasticity:
             StreamGateway.from_json(document)
         assert added == []
 
+    def test_fleet_with_a_sliding_window_fails_at_tenant_parsing(self):
+        from repro.service import TenantSpec
+
+        tenant = TenantSpec(
+            name="a", service=self._declarative_spec(1)
+        ).to_dict()
+        tenant["service"]["window"] = "sliding:10:5"
+        message = (
+            "unknown window spec 'sliding'; known window kinds: "
+            "count, session, tumbling"
+        )
+        document = json.dumps({"format": 1, "tenants": [tenant]})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StreamGateway.from_json(document)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("tumbling:0", "width must be > 0, got 0.0"),
+            ("count:2.5", "size must be an int, got float"),
+            ("session:-2", "gap must be > 0, got -2.0"),
+        ],
+    )
+    def test_fleet_with_a_bad_window_value_fails_at_tenant_parsing(
+        self, monkeypatch, window, message
+    ):
+        # The tenant's spec fails as it is read, before it is added.
+        from repro.service import TenantSpec
+
+        tenant = TenantSpec(
+            name="a", service=self._declarative_spec(1)
+        ).to_dict()
+        tenant["service"]["window"] = window
+        added = []
+        monkeypatch.setattr(
+            StreamGateway,
+            "add_tenant",
+            lambda gateway, *args, **kwargs: added.append(args),
+        )
+        document = json.dumps({"format": 1, "tenants": [tenant]})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StreamGateway.from_json(document)
+        assert added == []
+
     def test_rate_limited_tenant_sheds_and_surfaces(self):
         # A frozen clock admits exactly the burst, sheds the rest.
         clock = lambda: 0.0  # noqa: E731

@@ -250,6 +250,76 @@ class TestEventStreamParity:
         )
         assert_reports_identical(report, expected)
 
+    @pytest.mark.parametrize(
+        "window", ["tumbling:10", "count:3", "session:3"]
+    )
+    @pytest.mark.parametrize(
+        "mechanism, options_factory",
+        [(mechanism, options) for mechanism, options, _i in MECHANISMS],
+        ids=[mechanism for mechanism, _o, _i in MECHANISMS],
+    )
+    def test_run_matches_run_indicators_on_the_windows(
+        self, events, history, window, mechanism, options_factory
+    ):
+        windows = ServiceSpec(
+            alphabet=ALPHABET, window=window
+        ).window_assigner().assign(events)
+        indicators = IndicatorStream.from_window_sets(
+            EventAlphabet(ALPHABET),
+            [window.event_types() for window in windows],
+        )
+        spec = ServiceSpec(
+            alphabet=ALPHABET,
+            patterns=[PRIVATE],
+            queries=[("q", TARGET)],
+            mechanism=mechanism,
+            mechanism_options=options_factory(indicators, history),
+            window=window,
+            seed=SEED,
+        )
+        service = spec.build(history=history)
+        report = service.run(events)
+        expected_service = spec.build(history=history)
+        expected = expected_service.run_indicators(indicators)
+        assert report.perturbed.n_windows == len(windows)
+        assert_reports_identical(report, expected)
+        assert_traces_identical(service.mechanism, expected_service.mechanism)
+
+    @pytest.mark.parametrize(
+        "window", ["tumbling:10", "count:3", "session:3"]
+    )
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [("uniform-ppm", {"epsilon": 2.0}), ("bd", {"epsilon": 1.0, "w": 10})],
+        ids=["uniform-ppm", "bd"],
+    )
+    def test_sharded_run_matches_batch_on_the_windows(
+        self, events, window, mechanism, options
+    ):
+        spec = ServiceSpec(
+            alphabet=ALPHABET,
+            patterns=[PRIVATE],
+            queries=[("q", TARGET)],
+            mechanism=mechanism,
+            mechanism_options=options,
+            window=window,
+            seed=SEED,
+        )
+        batch = spec.build()
+        sharded = spec.with_(executor="sharded:workers=3").build()
+        assert_reports_identical(sharded.run(events), batch.run(events))
+        assert_traces_identical(sharded.mechanism, batch.mechanism)
+
+    def test_event_before_the_window_origin_rejected(self, events):
+        spec = ServiceSpec(
+            alphabet=ALPHABET,
+            queries=[("q", TARGET)],
+            seed=SEED,
+        )
+        origin = TumblingWindows(10.0, origin=1000.0)
+        with pytest.raises(ValueError, match="precedes window origin 1000"):
+            spec.build().run(events, window=origin)
+
     def test_run_without_window_rejected(self, events):
         spec = ServiceSpec(
             alphabet=ALPHABET,

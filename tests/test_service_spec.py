@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -142,7 +143,109 @@ class TestUnknownSpecs:
         with pytest.raises(ValueError, match="window spec"):
             small_spec(window="tumbling")
         with pytest.raises(ValueError, match="window spec"):
-            small_spec(window="sliding:10")
+            small_spec(window="tumbling:10:5")
+
+    def test_sliding_windows_are_not_a_window_kind(self):
+        # Overlapping windows would release each event once per window
+        # covering it under the full epsilon.
+        message = (
+            "unknown window spec 'sliding'; known window kinds: "
+            "count, session, tumbling"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_spec(window="sliding:10:5")
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("tumbling:0", "width must be > 0, got 0.0"),
+            ("count:-3", "size must be > 0, got -3"),
+            ("session:-2", "gap must be > 0, got -2.0"),
+            ("count:2.5", "size must be an int, got float"),
+            ("tumbling:-1", "width must be > 0, got -1.0"),
+            ("tumbling:nan", "width must not be NaN"),
+            ("tumbling:inf", "width must be finite, got inf"),
+            ("tumbling:abc", "width must be a real number, got str"),
+            ("tumbling:", "width must be a real number, got str"),
+            ("count:0", "size must be > 0, got 0"),
+            ("count:1e3", "size must be an int, got float"),
+            ("count:inf", "size must be an int, got float"),
+            ("count:abc", "size must be an int, got str"),
+            ("session:0", "gap must be > 0, got 0.0"),
+            ("session:nan", "gap must not be NaN"),
+            ("session:inf", "gap must be finite, got inf"),
+            ("session:abc", "gap must be a real number, got str"),
+        ],
+    )
+    def test_window_values_fail_at_construction(self, window, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_spec(window=window)
+
+    @pytest.mark.parametrize(
+        "window, usage",
+        [
+            ("tumbling", "tumbling:<width>"),
+            ("count", "count:<size>"),
+            ("session", "session:<gap>"),
+            ("tumbling:10:5", "tumbling:<width>"),
+            ("count:3:1", "count:<size>"),
+            ("session:1:2", "session:<gap>"),
+        ],
+    )
+    def test_window_arity_fails_at_construction(self, window, usage):
+        message = f"window spec {window!r} must be {usage}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_spec(window=window)
+
+    @pytest.mark.parametrize(
+        "window, kind",
+        [
+            ("sliding:10", "sliding"),
+            ("hopping:3", "hopping"),
+            ("rolling:10", "rolling"),
+            (":10", ""),
+        ],
+    )
+    def test_unknown_window_kinds_list_the_known_ones(self, window, kind):
+        message = (
+            f"unknown window spec {kind!r}; known window kinds: "
+            "count, session, tumbling"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_spec(window=window)
+
+    @pytest.mark.parametrize(
+        "route", ["from_dict", "from_json", "with_", "tenant"]
+    )
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("tumbling:0", "width must be > 0"),
+            ("count:2.5", "size must be an int"),
+            ("session:-2", "gap must be > 0"),
+            ("sliding:10:5", "unknown window spec 'sliding'"),
+        ],
+        ids=["tumbling", "count", "session", "sliding"],
+    )
+    def test_every_construction_route_checks_the_window(
+        self, window, message, route
+    ):
+        # A spec document must fail where it is read, not at its first
+        # raw-event run.
+        from repro.service import TenantSpec
+
+        data = small_spec().to_dict()
+        data["window"] = window
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if route == "from_dict":
+                ServiceSpec.from_dict(data)
+            elif route == "from_json":
+                ServiceSpec.from_json(json.dumps(data))
+            elif route == "with_":
+                small_spec().with_(window=window)
+            else:
+                tenant = {"format": 1, "name": "a", "service": data}
+                TenantSpec.from_json(json.dumps(tenant))
 
 
 class TestMechanismOptions:
@@ -203,7 +306,6 @@ class TestWindowGrammar:
         "spec_string, expected_type",
         [
             ("tumbling:10", "TumblingWindows"),
-            ("sliding:10:5", "SlidingWindows"),
             ("count:25", "CountWindows"),
             ("session:3", "SessionWindows"),
         ],
@@ -211,6 +313,38 @@ class TestWindowGrammar:
     def test_window_specs_build_assigners(self, spec_string, expected_type):
         assigner = small_spec(window=spec_string).window_assigner()
         assert type(assigner).__name__ == expected_type
+
+    @pytest.mark.parametrize(
+        "spec_string, expected",
+        [
+            ("tumbling:10.5", {"width": 10.5, "origin": None}),
+            ("tumbling:1e-3", {"width": 0.001, "origin": None}),
+            ("count:1", {"size": 1, "drop_partial": False}),
+            ("count:25", {"size": 25, "drop_partial": False}),
+            ("session:0.25", {"gap": 0.25}),
+            ("session:3", {"gap": 3.0}),
+        ],
+    )
+    def test_window_spec_value_reaches_the_assigner(
+        self, spec_string, expected
+    ):
+        assigner = small_spec(window=spec_string).window_assigner()
+        for name, value in expected.items():
+            assert getattr(assigner, name) == value
+        if spec_string.startswith("tumbling:"):
+            # Empty windows keep per-window answers aligned with time.
+            assert assigner.emit_empty is True
+
+    @pytest.mark.parametrize(
+        "spec_string", ["tumbling:10", "count:25", "session:3"]
+    )
+    def test_window_spec_survives_json(self, spec_string):
+        spec = small_spec(window=spec_string)
+        rebuilt = ServiceSpec.from_json(spec.to_json())
+        assert rebuilt.window == spec_string
+        assert vars(rebuilt.window_assigner()) == vars(
+            spec.window_assigner()
+        )
 
     def test_no_window_returns_none(self):
         assert small_spec().window_assigner() is None

@@ -71,22 +71,5 @@ class TestEvent:
         e.attributes["k"] = 2
         assert e.attribute("k") == 1
 
-    def test_with_timestamp(self):
-        e = Event("a", 1.0, attributes={"k": 1}, source="s")
-        moved = e.with_timestamp(9.0)
-        assert moved.timestamp == 9.0
-        assert moved.event_type == "a"
-        assert moved.attribute("k") == 1
-        assert e.timestamp == 1.0  # original untouched
-
-    def test_with_type_is_the_definition1_edit(self):
-        # Replacing one event's type is the elementary edit behind
-        # in-pattern neighbouring (Definition 1).
-        e = Event("a", 1.0, attributes={"k": 1})
-        neighbour = e.with_type("b")
-        assert neighbour.event_type == "b"
-        assert neighbour.timestamp == e.timestamp
-        assert neighbour.attributes == e.attributes
-
     def test_attribute_default(self):
         assert Event("a", 0.0).attribute("none", "d") == "d"

@@ -11,13 +11,13 @@ from repro.streams.stream import DataStream
 
 @pytest.fixture
 def gps_stream():
-    records = [
-        {"timestamp": 0.0, "speed": 10},
-        {"timestamp": 1.0, "speed": 80},
-        {"timestamp": 2.0, "speed": 20},
-        {"timestamp": 3.0, "speed": 90},
-    ]
-    return DataStream.from_records(records, source="car")
+    speeds = [10, 80, 20, 90]
+    return DataStream(
+        [
+            DataTuple(float(t), values={"speed": speed}, source="car")
+            for t, speed in enumerate(speeds)
+        ]
+    )
 
 
 class TestEventExtractor:
@@ -85,7 +85,7 @@ class TestExtractEvents:
 
     def test_temporal_order_maintained(self, gps_stream):
         stream = extract_events(gps_stream, [EventExtractor("sample")])
-        timestamps = stream.timestamps()
+        timestamps = [event.timestamp for event in stream]
         assert timestamps == sorted(timestamps)
 
     def test_requires_extractors(self, gps_stream):

@@ -1,72 +1,19 @@
-"""Tests for repro.streams.merge — k-way stream merging."""
-
-import pytest
+"""Tests for repro.streams.merge (per-source split of a merged stream)."""
 
 from repro.streams.events import Event
-from repro.streams.merge import (
-    interleave_round_robin,
-    merge_event_streams,
-    partition_by_source,
-)
+from repro.streams.merge import partition_by_source
 from repro.streams.stream import EventStream
-
-
-def stream_of(source, timestamps):
-    return EventStream(
-        [Event(f"{source}-{i}", float(t), source=source) for i, t in enumerate(timestamps)]
-    )
-
-
-class TestMergeEventStreams:
-    def test_merges_in_timestamp_order(self):
-        merged = merge_event_streams(
-            [stream_of("a", [0, 4, 8]), stream_of("b", [1, 5])]
-        )
-        assert merged.timestamps() == [0.0, 1.0, 4.0, 5.0, 8.0]
-
-    def test_ties_broken_by_stream_position(self):
-        merged = merge_event_streams(
-            [stream_of("a", [1]), stream_of("b", [1])]
-        )
-        assert [e.source for e in merged] == ["a", "b"]
-
-    def test_preserves_within_stream_order_on_ties(self):
-        stream = EventStream(
-            [Event("x", 1.0, source="s"), Event("y", 1.0, source="s")]
-        )
-        merged = merge_event_streams([stream])
-        assert [e.event_type for e in merged] == ["x", "y"]
-
-    def test_result_is_valid_event_stream(self):
-        merged = merge_event_streams(
-            [stream_of("a", [0, 2]), stream_of("b", [1, 3])]
-        )
-        assert isinstance(merged, EventStream)
-        assert len(merged) == 4
-
-    def test_empty_streams_allowed(self):
-        merged = merge_event_streams([EventStream([]), stream_of("a", [1])])
-        assert len(merged) == 1
-
-    def test_requires_at_least_one_stream(self):
-        with pytest.raises(ValueError):
-            merge_event_streams([])
-
-    def test_deterministic(self):
-        streams = [stream_of("a", [0, 1, 1]), stream_of("b", [1, 1, 2])]
-        first = merge_event_streams(streams)
-        second = merge_event_streams(streams)
-        assert first == second
-
-    def test_interleave_alias(self):
-        streams = [stream_of("a", [0]), stream_of("b", [0])]
-        assert interleave_round_robin(streams) == merge_event_streams(streams)
 
 
 class TestPartitionBySource:
     def test_round_trip(self):
-        streams = [stream_of("a", [0, 2]), stream_of("b", [1])]
-        merged = merge_event_streams(streams)
+        merged = EventStream(
+            [
+                Event("e", 0.0, source="a"),
+                Event("e", 1.0, source="b"),
+                Event("e", 2.0, source="a"),
+            ]
+        )
         parts = partition_by_source(merged)
         assert set(parts) == {"a", "b"}
         assert len(parts["a"]) == 2

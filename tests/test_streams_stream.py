@@ -22,7 +22,7 @@ class TestDataStream:
             return (DataTuple(float(i)) for i in itertools.count())
 
         stream = DataStream(factory=factory)
-        assert len(stream.take(5)) == 5
+        assert len(list(itertools.islice(stream, 5))) == 5
 
     def test_factory_len_undefined(self):
         stream = DataStream(factory=lambda: iter(()))
@@ -34,30 +34,6 @@ class TestDataStream:
             DataStream()
         with pytest.raises(ValueError):
             DataStream([DataTuple(0)], factory=lambda: iter(()))
-
-    def test_take_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DataStream([DataTuple(0)]).take(-1)
-
-    def test_from_records(self):
-        stream = DataStream.from_records(
-            [{"timestamp": 1, "x": 5}, {"timestamp": 2, "x": 6}],
-            source="s1",
-        )
-        tuples = list(stream)
-        assert tuples[0].value("x") == 5
-        assert tuples[0].source == "s1"
-        assert "timestamp" not in tuples[0].values
-
-    def test_from_records_missing_timestamp(self):
-        with pytest.raises(KeyError):
-            DataStream.from_records([{"x": 5}])
-
-    def test_from_records_custom_timestamp_key(self):
-        stream = DataStream.from_records(
-            [{"t": 3, "x": 1}], timestamp_key="t"
-        )
-        assert list(stream)[0].timestamp == 3
 
 
 class TestEventStream:
@@ -85,37 +61,6 @@ class TestEventStream:
         sliced = abc_stream[2:4]
         assert isinstance(sliced, EventStream)
         assert [e.event_type for e in sliced] == ["b", "c"]
-
-    def test_event_types_first_appearance_order(self, abc_stream):
-        assert abc_stream.event_types() == ["a", "x", "b", "c"]
-
-    def test_filter(self, abc_stream):
-        only_a = abc_stream.filter(lambda e: e.event_type == "a")
-        assert len(only_a) == 2
-
-    def test_of_types(self, abc_stream):
-        sub = abc_stream.of_types(["a", "b"])
-        assert {e.event_type for e in sub} == {"a", "b"}
-
-    def test_between(self, abc_stream):
-        middle = abc_stream.between(2.0, 4.0)
-        assert [e.timestamp for e in middle] == [2.0, 3.0, 4.0]
-
-    def test_between_invalid_range(self, abc_stream):
-        with pytest.raises(ValueError):
-            abc_stream.between(4.0, 2.0)
-
-    def test_replace_keeps_order_check(self, abc_stream):
-        replaced = abc_stream.replace(1, Event("z", 1.0))
-        assert replaced[1].event_type == "z"
-        assert abc_stream[1].event_type == "x"  # original untouched
-
-    def test_replace_breaking_order_rejected(self, abc_stream):
-        with pytest.raises(ValueError):
-            abc_stream.replace(1, Event("z", 99.0))
-
-    def test_timestamps(self, abc_stream):
-        assert abc_stream.timestamps() == [float(i) for i in range(8)]
 
     def test_equality(self):
         a = EventStream([Event("a", 0.0)])

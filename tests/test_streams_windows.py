@@ -1,5 +1,7 @@
 """Tests for repro.streams.windows — window assigners."""
 
+import math
+
 import pytest
 
 from repro.streams.events import Event
@@ -7,7 +9,6 @@ from repro.streams.stream import EventStream
 from repro.streams.windows import (
     CountWindows,
     SessionWindows,
-    SlidingWindows,
     TumblingWindows,
 )
 
@@ -59,31 +60,6 @@ class TestTumblingWindows:
             TumblingWindows(0.0)
 
 
-class TestSlidingWindows:
-    def test_overlapping_assignment(self):
-        windows = SlidingWindows(10.0, 5.0).assign(stream_at([0, 7]))
-        # Window [0,10) holds both; [5,15) holds the second.
-        assert len(windows[0]) == 2
-        assert len(windows[1]) == 1
-
-    def test_slide_equal_width_is_tumbling(self):
-        events = stream_at([0, 3, 9, 10])
-        sliding = SlidingWindows(10.0, 10.0).assign(events)
-        tumbling = TumblingWindows(10.0).assign(events)
-        assert [len(w) for w in sliding] == [len(w) for w in tumbling]
-
-    def test_slide_larger_than_width_rejected(self):
-        with pytest.raises(ValueError):
-            SlidingWindows(5.0, 10.0)
-
-    def test_indices_sequential(self):
-        windows = SlidingWindows(10.0, 5.0).assign(stream_at(range(20)))
-        assert [w.index for w in windows] == list(range(len(windows)))
-
-    def test_empty_stream(self):
-        assert SlidingWindows(10.0, 5.0).assign(EventStream([])) == []
-
-
 class TestCountWindows:
     def test_fixed_size_chunks(self):
         windows = CountWindows(3).assign(stream_at(range(7)))
@@ -125,19 +101,63 @@ class TestSessionWindows:
         assert SessionWindows(5.0).assign(EventStream([])) == []
 
 
+class TestAssignerArguments:
+    """Each assigner rejects a bad parameter with the message a spec
+    string's ``window=`` value surfaces."""
+
+    @pytest.mark.parametrize(
+        "width, message",
+        [
+            (-1.0, "width must be > 0, got -1.0"),
+            (math.nan, "width must not be NaN"),
+            (math.inf, "width must be finite, got inf"),
+            ("10", "width must be a real number, got str"),
+            (True, "width must be a real number, got bool"),
+        ],
+    )
+    def test_tumbling_width_rejected(self, width, message):
+        with pytest.raises(ValueError, match=message):
+            TumblingWindows(width)
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            (0, "size must be > 0, got 0"),
+            (2.5, "size must be an int, got float"),
+            (3.0, "size must be an int, got float"),
+            ("3", "size must be an int, got str"),
+            (True, "size must be an int, got bool"),
+        ],
+    )
+    def test_count_size_rejected(self, size, message):
+        with pytest.raises(ValueError, match=message):
+            CountWindows(size)
+
+    @pytest.mark.parametrize(
+        "gap, message",
+        [
+            (0.0, "gap must be > 0, got 0.0"),
+            (-2, "gap must be > 0, got -2.0"),
+            (math.nan, "gap must not be NaN"),
+            (math.inf, "gap must be finite, got inf"),
+        ],
+    )
+    def test_session_gap_rejected(self, gap, message):
+        with pytest.raises(ValueError, match=message):
+            SessionWindows(gap)
+
+    def test_integer_width_and_gap_are_stored_as_floats(self):
+        assert TumblingWindows(10).width == 10.0
+        assert isinstance(TumblingWindows(10).width, float)
+        assert isinstance(SessionWindows(3).gap, float)
+
+
 class TestWindowObject:
     def test_event_types(self):
         window = TumblingWindows(10.0).assign(
             EventStream([Event("a", 0.0), Event("b", 1.0), Event("a", 2.0)])
         )[0]
         assert window.event_types() == frozenset({"a", "b"})
-
-    def test_contains_type(self):
-        window = TumblingWindows(10.0).assign(
-            EventStream([Event("a", 0.0)])
-        )[0]
-        assert window.contains_type("a")
-        assert not window.contains_type("b")
 
     def test_iteration(self):
         window = TumblingWindows(10.0).assign(stream_at([0, 1]))[0]

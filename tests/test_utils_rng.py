@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import (
-    bernoulli,
-    bernoulli_vector,
     derive_rng,
     ensure_rng,
-    spawn_rngs,
-    stable_subsample,
 )
 
 
@@ -70,76 +66,3 @@ class TestDeriveRng:
         derive_rng(9, "b")
         second = derive_rng(9, "a").random()
         assert first == second
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(0, 3)
-        draws = {round(child.random(), 12) for child in children}
-        assert len(draws) == 3
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestBernoulli:
-    def test_extremes(self):
-        generator = np.random.default_rng(0)
-        assert bernoulli(generator, 1.0) is True
-        assert bernoulli(generator, 0.0) is False
-
-    def test_out_of_range_rejected(self):
-        generator = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bernoulli(generator, 1.5)
-
-    def test_empirical_rate(self):
-        generator = np.random.default_rng(1)
-        draws = sum(bernoulli(generator, 0.3) for _ in range(5000))
-        assert 0.25 < draws / 5000 < 0.35
-
-    def test_vector_shape_and_rate(self):
-        generator = np.random.default_rng(2)
-        draws = bernoulli_vector(generator, [0.5] * 4000)
-        assert draws.shape == (4000,)
-        assert 0.45 < draws.mean() < 0.55
-
-    def test_vector_empty(self):
-        generator = np.random.default_rng(0)
-        assert bernoulli_vector(generator, []).size == 0
-
-    def test_vector_out_of_range_rejected(self):
-        generator = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bernoulli_vector(generator, [0.5, 2.0])
-
-
-class TestStableSubsample:
-    def test_fraction_zero_is_empty(self):
-        assert stable_subsample(0, [1, 2, 3], 0.0) == []
-
-    def test_fraction_one_is_everything(self):
-        assert stable_subsample(0, [1, 2, 3], 1.0) == [1, 2, 3]
-
-    def test_preserves_order(self):
-        sample = stable_subsample(3, list(range(100)), 0.3)
-        assert sample == sorted(sample)
-
-    def test_deterministic(self):
-        a = stable_subsample(5, list(range(50)), 0.5)
-        b = stable_subsample(5, list(range(50)), 0.5)
-        assert a == b
-
-    def test_at_least_one_when_positive_fraction(self):
-        assert len(stable_subsample(0, [1, 2, 3], 0.01)) == 1
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            stable_subsample(0, [1], 1.5)

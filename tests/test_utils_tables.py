@@ -41,11 +41,6 @@ class TestRows:
         table.rows[0]["mre"] = 999
         assert table.rows[0]["mre"] == 0.3
 
-    def test_add_rows_bulk(self):
-        t = ResultTable(["a"])
-        t.add_rows([{"a": 1}, {"a": 2}])
-        assert t.column("a") == [1, 2]
-
 
 class TestQueries:
     def test_column(self, table):

@@ -9,24 +9,10 @@ from repro.utils.validation import (
     check_fraction,
     check_in_range,
     check_non_negative,
-    check_non_negative_int,
     check_positive,
     check_positive_int,
     check_probability,
-    check_type,
 )
-
-
-class TestCheckType:
-    def test_accepts_matching(self):
-        assert check_type("x", 3, int) == 3
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValidationError, match="x must be int"):
-            check_type("x", "3", int)
-
-    def test_tuple_of_types(self):
-        assert check_type("x", 3.5, (int, float)) == 3.5
 
 
 class TestCheckPositive:
@@ -112,13 +98,6 @@ class TestIntChecks:
     def test_positive_int_rejects_bool(self):
         with pytest.raises(ValidationError):
             check_positive_int("n", True)
-
-    def test_non_negative_int_accepts_zero(self):
-        assert check_non_negative_int("n", 0) == 0
-
-    def test_non_negative_int_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            check_non_negative_int("n", -1)
 
 
 class TestErrorMessages:
