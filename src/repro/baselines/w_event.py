@@ -292,9 +292,9 @@ class OnlineReleaser:
 
     The per-timestamp randomness is ``derive_rng(rng, "w-event", t)``,
     drawn through an :class:`~repro.runtime.rng_pool.IndexedRngPool`:
-    bit-identical to per-step derivation, but the pool prefetches parent
-    entropy — exactly ``horizon`` words when the stream length is known
-    (the batch path), in blocks otherwise.
+    bit-identical to per-step derivation, but vectorized — the whole
+    ``horizon`` at once when the stream length is known (the batch
+    path), a block plus a look-ahead at a time otherwise.
 
     Sharded and cluster runs use one releaser as well: the parent
     releases the whole stream through it, exactly as the batch path

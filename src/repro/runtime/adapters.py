@@ -310,9 +310,12 @@ class _SequentialRuntime(RuntimeMechanism):
 
     def stepper(self, alphabet, *, rng=None, horizon=None, snapshot=None):
         # The releaser's rng pool derives lazily: restoring it moves
-        # the pool to the snapshot's position without deriving a child.
+        # the pool to the snapshot's position without deriving a child,
+        # so a restored stepper skips the up-front horizon derivation.
         releaser = self.mechanism.online_releaser(
-            len(alphabet), rng=rng, horizon=horizon
+            len(alphabet),
+            rng=rng,
+            horizon=horizon if snapshot is None else None,
         )
         if snapshot is not None:
             releaser.restore(snapshot)

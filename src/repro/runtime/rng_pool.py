@@ -265,6 +265,22 @@ def _skip_words(parent: np.random.Generator, count: int) -> None:
         count -= step
 
 
+#: Indices a derivation covers past the ones asked for, so a consumer
+#: stepping one index (or one short block) at a time pays one
+#: derivation per ``_LOOKAHEAD`` indices.
+_LOOKAHEAD = 512
+
+#: The snapshot layouts :meth:`IndexedRngPool.restore` reads.
+_SNAPSHOT_KEYS = (
+    frozenset({"tokens", "n_derived", "fixed_word"}),
+    frozenset({"tokens", "n_derived", "parent_initial_state"}),
+)
+
+
+def _no_limbs() -> List[np.ndarray]:
+    return [np.zeros(0, dtype=np.uint64) for _ in range(4)]
+
+
 class IndexedRngPool:
     """Children of ``derive_rng(rng, *tokens, index)`` for ``index = 0..``.
 
@@ -277,16 +293,18 @@ class IndexedRngPool:
         final token.
     count:
         When the number of children is known up front, pass it: the
-        parent entropy is drawn in one block of exactly ``count`` words,
-        leaving the parent generator in the same state as ``count``
-        sequential ``derive_rng`` calls would.  Without it, entropy is
-        prefetched: each extend covers the indices asked for plus one
-        ``block`` beyond (the children are still bit-identical, but the
-        parent runs ahead of the index actually consumed — callers that
-        hand the pool a *shared* generator and keep drawing from it
-        should pass ``count``).
-    block:
-        Prefetch look-ahead for the unknown-length mode.
+        children ``[0, count)`` are derived at construction from
+        exactly ``count`` words of a generator parent, leaving it in the
+        state ``count`` sequential ``derive_rng`` calls would.
+
+    The pool draws from a generator parent only for ``count``: every
+    other entropy word comes from a private replay of the parent's
+    pre-draw state (an int/``None`` parent gives every index one fixed
+    word), so the caller may go on drawing from its generator.  The
+    pool holds one window of children.  A request outside it moves the
+    window to the indices asked for plus :data:`_LOOKAHEAD` beyond,
+    keeping the children both windows share, so the pool's state does
+    not grow with the stream; a request below it re-derives from there.
 
     ``generator(index)`` returns a shared :class:`numpy.random.Generator`
     whose state is the derived child's initial state.  The object is
@@ -299,50 +317,24 @@ class IndexedRngPool:
         rng: RngLike,
         *tokens: Union[int, str],
         count: int = None,
-        block: int = 512,
     ):
         if count is not None and count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        if block <= 0:
-            raise ValueError(f"block must be positive, got {block}")
-        if isinstance(rng, np.random.Generator):
-            # A shared generator advances one word per derivation.  The
-            # parent's pre-draw state is stashed so a snapshot can later
-            # rebuild the identical pool (see :meth:`snapshot`), and the
-            # post-extend state is tracked so interleaved foreign draws
-            # from a *shared* parent are detected rather than silently
-            # breaking replay-from-initial-state.
-            self._parent = rng
-            self._parent_initial_state = rng.bit_generator.state
-            self._parent_resume_state = self._parent_initial_state
-            self._parent_interleaved = False
-            self._fixed_word: Optional[int] = None
-        else:
-            # derive_rng re-seeds a fresh parent from an int/None seed on
-            # every call, so each index sees the same first entropy word.
-            self._parent = None
-            self._parent_initial_state = None
-            self._parent_resume_state = None
-            self._parent_interleaved = False
-            self._fixed_word = int(
-                ensure_rng(rng).integers(0, _WORD_BOUND)
-            )
         self._token_ints = [fold_token(token) for token in tokens]
         self._token_words = [
             word for value in self._token_ints for word in _int_words32(value)
         ]
-        self._block = block
-        #: Derived child states as four uint64 limb arrays — (state,
-        #: inc) split into (hi, lo) halves.  Vectorized storage keeps
-        #: derivation free of per-index Python work and lets
-        #: :meth:`first_uniforms` replay outputs in one pass; capacity
-        #: doubles on growth.  Children ``[_base, _n)`` are valid, the
-        #: first at row 0: a restored pool starts at its restored
-        #: position and derives the indices below it only when one is
-        #: asked for.
-        self._base = 0
-        self._n = 0
-        self._limbs = [np.zeros(0, dtype=np.uint64) for _ in range(4)]
+        #: The held children ``[_lo, _hi)``, the first at row 0, as four
+        #: uint64 limb arrays — (state, inc) split into (hi, lo) halves.
+        #: Vectorized storage keeps derivation free of per-index Python
+        #: work and lets :meth:`first_uniforms` replay outputs in one
+        #: pass.
+        self._lo = self._hi = 0
+        self._limbs = _no_limbs()
+        #: A generator parent's private replay (built on first use) and
+        #: the entropy words it has drawn.
+        self._replay: Optional[np.random.Generator] = None
+        self._replay_at = 0
         self._bit_generator = np.random.PCG64()
         self._generator = np.random.Generator(self._bit_generator)
         #: The one state dict :meth:`generator` refills and installs.
@@ -353,21 +345,34 @@ class IndexedRngPool:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        if count:
-            self._extend(count)
+        if isinstance(rng, np.random.Generator):
+            self._fixed_word: Optional[int] = None
+            self._parent_initial_state = rng.bit_generator.state
+            if count:
+                # [0, count) comes from the caller's generator itself;
+                # the replay continues from where it then stands.
+                self._replay = rng
+                self._move(0, count)
+                self._replay = generator_at(rng.bit_generator.state)
+        else:
+            # derive_rng re-seeds a fresh parent from an int/None seed on
+            # every call, so each index sees the same first entropy word.
+            self._fixed_word = int(ensure_rng(rng).integers(0, _WORD_BOUND))
+            self._parent_initial_state = None
+            if count:
+                self._move(0, count)
 
     def __len__(self) -> int:
-        return self._n
+        """One past the last index held (a snapshot's ``n_derived``)."""
+        return self._hi
 
     def generator(self, index: int) -> np.random.Generator:
         """The child generator for ``index`` (a reused, re-seeded object)."""
         if index < 0:
             raise IndexError(f"index must be non-negative, got {index}")
-        if index >= self._n:
-            self._cover(index + 1)
-        elif index < self._base:
-            self._derive_below()
-        row = index - self._base
+        if not self._lo <= index < self._hi:
+            self._move(index, index + 1 + _LOOKAHEAD)
+        row = index - self._lo
         state_hi, state_lo, inc_hi, inc_lo = self._limbs
         # ``item`` reads a limb straight into a Python int, skipping the
         # numpy scalar that ``int(limbs[row])`` builds first.
@@ -377,129 +382,122 @@ class IndexedRngPool:
         self._bit_generator.state = self._state
         return self._generator
 
+    def first_uniforms(self, start: int, stop: int) -> np.ndarray:
+        """Each child's first ``next_double``, for indices [start, stop).
+
+        Bit-identical to ``generator(index).random()`` per index, but
+        computed in one vectorized pass over the stored state limbs —
+        no per-index generator installs.  The sequential schedulers
+        (BD/BA, landmark) precompute their per-timestamp dissimilarity
+        uniforms through this, which is what makes their release loops
+        cheap enough to be worth sharding.  A range past the held
+        window derives once, from the end of the held children through
+        ``stop`` plus the look-ahead, so a scheduler stepping block
+        after block pays one derivation per block.
+        """
+        if start < 0 or stop < start:
+            raise ValueError(f"invalid uniform range [{start}, {stop})")
+        if stop == start:
+            return np.zeros(0)
+        if start < self._lo or stop > self._hi:
+            self._move(start, stop + _LOOKAHEAD)
+        window = slice(start - self._lo, stop - self._lo)
+        return first_uniforms_from_limbs(
+            *(limb[window] for limb in self._limbs)
+        )
+
     # -- checkpointing -------------------------------------------------
 
     def snapshot(self) -> dict:
         """A picklable description of this pool's derivations.
 
-        The pool's children are normally fully determined by the
-        derivation source — the fixed entropy word (seed parents) or
-        the parent generator's pre-draw state (generator parents) —
-        plus the token prefix, so the snapshot records only those and
-        the number of children derived so far, and :meth:`restore`
-        re-creates the identical child streams on any pool with the
-        same tokens.  One exception: when a *shared* parent generator
-        was drawn from by another consumer between the pool's lazy
-        extends, replaying from the pre-draw state would weave those
-        foreign draws into the entropy words.  The pool detects that
-        (the parent no longer sits at its post-extend state when an
-        extend begins) and the snapshot then carries the derived state
-        limbs verbatim plus the parent's current state, staying exact
-        at the price of compactness.
+        The children are fully determined by the derivation source —
+        the fixed entropy word (seed parents) or the parent generator's
+        pre-draw state (generator parents) — plus the token prefix, so
+        the snapshot records only those and ``n_derived`` (one past the
+        last index held), and :meth:`restore` re-creates the identical
+        child streams on any pool with the same tokens.
         """
-        state = {
-            "tokens": list(self._token_ints),
-            "n_derived": self._n,
-        }
-        if self._parent is None:
+        state = {"tokens": list(self._token_ints), "n_derived": self._hi}
+        if self._fixed_word is not None:
             state["fixed_word"] = self._fixed_word
-        elif not self._parent_interleaved:
-            state["parent_initial_state"] = dict(self._parent_initial_state)
         else:
-            if self._base:
-                self._derive_below()
-            state["limbs"] = [
-                np.array(limb[: self._n], copy=True)
-                for limb in self._limbs
-            ]
-            state["parent_resume_state"] = self._parent.bit_generator.state
+            state["parent_initial_state"] = dict(self._parent_initial_state)
         return state
 
     def restore(self, snapshot: dict, *, position: int = None) -> None:
         """Put this pool where the snapshotted pool stood.
 
-        After restoring, ``generator(index)`` returns exactly the child
-        the snapshotted pool would return for every index, and future
-        extends draw the same parent words an uninterrupted pool would
-        have drawn.  The pool resumes *at* ``position`` — the first
-        index its consumer will ask for (a releaser passes its step
-        count), by default the snapshot's ``n_derived``: a generator
-        parent is advanced past the ``position`` words before it
-        (discarded bounded draws, so numpy repeats its rejections
-        exactly) and nothing is derived until asked, so the first
-        block after a resume costs no more than the next.  Indices
-        below the position are derived on demand, the first time one
-        is asked for.  A pool already on the snapshot's derivation
-        source whose children reach the position keeps them; an
-        interleaved snapshot's limbs are adopted as they are.
+        After restoring, ``generator(index)`` and :meth:`first_uniforms`
+        return exactly what the snapshotted pool would for every index.
+        The pool resumes *at* ``position`` — the first index its
+        consumer will ask for (a releaser passes its step count), by
+        default the snapshot's ``n_derived`` — holding no child, so a
+        restore derives nothing.  The first request derives from where
+        it starts: a generator parent's replay skips the words before
+        it by discarded bounded draws (numpy repeats its rejections
+        exactly), so the first block after a resume costs no more than
+        the next.
+
+        A snapshot of any other layout — one missing its derivation
+        source, or the limb-carrying layout older pools wrote for a
+        shared parent drawn from between their derivations — raises
+        ``ValueError`` and leaves the pool as it was.
         """
+        if frozenset(snapshot) not in _SNAPSHOT_KEYS:
+            raise ValueError(
+                f"cannot restore an rng-pool snapshot with keys "
+                f"{sorted(snapshot)}: expected 'tokens', 'n_derived' and "
+                f"one of 'fixed_word' or 'parent_initial_state'"
+            )
         tokens = list(snapshot["tokens"])
         if tokens != self._token_ints:
             raise ValueError(
                 f"snapshot was taken under rng tokens {tokens}, this pool "
                 f"derives under {self._token_ints}"
             )
-        n_derived = int(snapshot["n_derived"])
         if position is None:
-            position = n_derived
-        if "limbs" in snapshot:
-            # Interleaved shared-parent snapshot: adopt the derived
-            # states verbatim and resume the parent where it stood.
-            # The restored pool stays in limb-carrying snapshot mode —
-            # its early indices are no longer derivable from any single
-            # parent state.
-            self._install_parent(dict(snapshot["parent_resume_state"]))
-            self._parent_interleaved = True
-            limbs = snapshot["limbs"]
-            self._reset_storage(0)
-            self._grow(n_derived)
-            for row in range(4):
-                self._limbs[row][:n_derived] = np.asarray(
-                    limbs[row], dtype=np.uint64
-                )
-            self._n = n_derived
-            return
-        reaches = self._base <= position <= self._n
+            position = int(snapshot["n_derived"])
         if "fixed_word" in snapshot:
-            fixed_word = int(snapshot["fixed_word"])
-            if (
-                self._parent is None
-                and self._fixed_word == fixed_word
-                and reaches
-            ):
-                return
-            self._parent = None
+            self._fixed_word = int(snapshot["fixed_word"])
             self._parent_initial_state = None
-            self._parent_resume_state = None
-            self._parent_interleaved = False
-            self._fixed_word = fixed_word
         else:
-            parent_state = dict(snapshot["parent_initial_state"])
-            if (
-                self._parent is not None
-                and not self._parent_interleaved
-                and self._parent_initial_state == parent_state
-                and reaches
-            ):
-                return
-            self._install_parent(parent_state)
-            _skip_words(self._parent, position)
-            self._parent_resume_state = self._parent.bit_generator.state
-        self._reset_storage(position)
-
-    def _install_parent(self, parent_state: dict) -> None:
-        self._parent = generator_at(parent_state)
-        self._parent_initial_state = parent_state
-        self._parent_resume_state = parent_state
-        self._parent_interleaved = False
-        self._fixed_word = None
-
-    def _reset_storage(self, position: int) -> None:
-        """Empty the store; the next child derived is ``position``."""
-        self._base = self._n = position
-        self._limbs = [np.zeros(0, dtype=np.uint64) for _ in range(4)]
+            self._fixed_word = None
+            self._parent_initial_state = dict(
+                snapshot["parent_initial_state"]
+            )
+        self._replay = None
+        self._replay_at = 0
+        self._lo = self._hi = position
+        self._limbs = _no_limbs()
 
     # -- derivation ----------------------------------------------------
+
+    def _move(self, start: int, stop: int) -> None:
+        """Hold children ``[start, stop)``: keep those the held window
+        shares with it (``start`` inside, ``stop`` past its end) and
+        derive the rest."""
+        if self._lo <= start < self._hi:
+            fresh = self._derive(self._hi, stop)
+            kept = start - self._lo
+            self._limbs = [
+                np.concatenate((limb[kept:], new))
+                for limb, new in zip(self._limbs, fresh)
+            ]
+        else:
+            self._limbs = self._derive(start, stop)
+        self._lo, self._hi = start, stop
+
+    def _words(self, start: int, stop: int) -> np.ndarray:
+        """The parent entropy words of indices ``[start, stop)``."""
+        if self._fixed_word is not None:
+            return np.full(stop - start, self._fixed_word, dtype=np.int64)
+        if self._replay is None or start < self._replay_at:
+            self._replay = generator_at(self._parent_initial_state)
+            self._replay_at = 0
+        _skip_words(self._replay, start - self._replay_at)
+        self._replay_at = stop
+        return self._replay.integers(0, _WORD_BOUND, size=stop - start)
 
     def _split_rows(self, words: np.ndarray, indices: np.ndarray):
         """Wide/narrow row split plus the wide rows' entropy array.
@@ -521,71 +519,12 @@ class IndexedRngPool:
         entropy[:, -1] = indices[wide].astype(np.uint32)
         return wide, narrow, entropy
 
-    def _grow(self, rows: int) -> None:
-        """Ensure limb-array capacity for ``rows`` stored children."""
-        capacity = self._limbs[0].shape[0]
-        if rows <= capacity:
-            return
-        new_capacity = max(2 * capacity, rows)
-        stored = self._n - self._base
-        for position in range(4):
-            grown = np.zeros(new_capacity, dtype=np.uint64)
-            grown[:stored] = self._limbs[position][:stored]
-            self._limbs[position] = grown
-
-    def _cover(self, stop: int) -> None:
-        """Derive through index ``stop - 1``; an extend it needs also
-        covers the next ``block`` indices."""
-        if stop > self._n:
-            self._extend(stop - self._n + self._block)
-
-    def _extend(self, n_new: int) -> None:
-        start = self._n
-        if self._parent is not None:
-            if (
-                not self._parent_interleaved
-                and self._parent.bit_generator.state
-                != self._parent_resume_state
-            ):
-                # Another consumer drew from the shared parent between
-                # extends; replay-from-initial-state can no longer
-                # reproduce the entropy words, so snapshots must carry
-                # the derived limbs from here on.
-                self._parent_interleaved = True
-            words = self._parent.integers(0, _WORD_BOUND, size=n_new)
-            self._parent_resume_state = self._parent.bit_generator.state
-        else:
-            words = np.full(n_new, self._fixed_word, dtype=np.int64)
-        row = start - self._base
-        self._grow(row + n_new)
-        self._derive(
-            words, start, [limb[row : row + n_new] for limb in self._limbs]
-        )
-        self._n = start + n_new
-
-    def _derive_below(self) -> None:
-        """Derive the children below a restored position."""
-        base = self._base
-        if self._parent is None:
-            words = np.full(base, self._fixed_word, dtype=np.int64)
-        else:
-            replay = generator_at(self._parent_initial_state)
-            words = replay.integers(0, _WORD_BOUND, size=base)
-        below = [np.empty(base, dtype=np.uint64) for _ in range(4)]
-        self._derive(words, 0, below)
-        stored = self._n - base
-        self._limbs = [
-            np.concatenate((low, limb[:stored]))
-            for low, limb in zip(below, self._limbs)
-        ]
-        self._base = 0
-
-    def _derive(
-        self, words: np.ndarray, start: int, out: List[np.ndarray]
-    ) -> None:
-        """Child states of indices ``start, start + 1, ...`` from their
-        parent ``words``, written into the four limb arrays ``out``."""
-        indices = np.arange(start, start + words.shape[0], dtype=np.int64)
+    def _derive(self, start: int, stop: int) -> List[np.ndarray]:
+        """The child states of indices ``[start, stop)`` as four limb
+        arrays."""
+        words = self._words(start, stop)
+        indices = np.arange(start, stop, dtype=np.int64)
+        out = [np.empty(stop - start, dtype=np.uint64) for _ in range(4)]
         wide, narrow, entropy = self._split_rows(words, indices)
         if entropy.shape[0]:
             material = seed_material_from_entropy(entropy)
@@ -604,29 +543,4 @@ class IndexedRngPool:
             out[1][offset] = state & mask64
             out[2][offset] = inc >> 64
             out[3][offset] = inc & mask64
-
-    def first_uniforms(self, start: int, stop: int) -> np.ndarray:
-        """Each child's first ``next_double``, for indices [start, stop).
-
-        Bit-identical to ``generator(index).random()`` per index, but
-        computed in one vectorized pass over the stored state limbs —
-        no per-index generator installs.  The sequential schedulers
-        (BD/BA, landmark) precompute their per-timestamp dissimilarity
-        uniforms through this, which is what makes their release loops
-        cheap enough to be worth sharding.  Indices past the derived
-        ones extend the pool by one call that also covers the next
-        ``block``, so a scheduler stepping block after block pays one
-        extend per ``block`` indices; on a restored pool a range at or
-        above the restored position derives nothing below it.
-        """
-        if start < 0 or stop < start:
-            raise ValueError(f"invalid uniform range [{start}, {stop})")
-        self._cover(stop)
-        if stop == start:
-            return np.zeros(0)
-        if start < self._base:
-            self._derive_below()
-        window = slice(start - self._base, stop - self._base)
-        return first_uniforms_from_limbs(
-            *(self._limbs[position][window] for position in range(4))
-        )
+        return out

@@ -522,7 +522,7 @@ class TestResumeAdoptsTheSnapshot:
     def test_sequential_resume_starts_the_pool_at_the_release(
         self, mechanism, monkeypatch
     ):
-        from repro.runtime.rng_pool import IndexedRngPool
+        from repro.runtime.rng_pool import _LOOKAHEAD, IndexedRngPool
 
         spec = spec_for(
             mechanism=mechanism,
@@ -534,9 +534,9 @@ class TestResumeAdoptsTheSnapshot:
         derived = []
         derive = IndexedRngPool._derive
 
-        def logging(pool, words, start, out):
-            derived.append((start, len(words)))
-            return derive(pool, words, start, out)
+        def logging(pool, start, stop):
+            derived.append((start, stop))
+            return derive(pool, start, stop)
 
         monkeypatch.setattr(IndexedRngPool, "_derive", logging)
         resumed = StreamService.resume(spec, checkpoint)
@@ -544,10 +544,11 @@ class TestResumeAdoptsTheSnapshot:
         assert len(pool) == self.CUT
         assert derived == []
         self.finish(spec, resumed, matrix, uninterrupted, head)
-        # The resumed tail is one block: one extend, from the release
-        # position on, with nothing below it re-derived.
-        assert len(derived) == 1
-        assert derived[0][0] == self.CUT
+        # The resumed tail is one block: one derivation, from the
+        # release position through the block plus the look-ahead, with
+        # nothing below it re-derived.
+        tail = matrix.shape[0] - self.CUT
+        assert derived == [(self.CUT, self.CUT + tail + _LOOKAHEAD)]
 
 
 class TestPluginRegistries:

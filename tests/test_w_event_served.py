@@ -7,6 +7,8 @@ stitched run's trace must then hold the w-event invariant itself
 exactly once, and equal both the batch trace and the per-window
 columns of the seed release loop (``runtime/reference.py``), which
 appends them itself rather than deriving them from a publication log.
+A served releaser's rng pool also holds as many children after 100k
+windows as after 10k.
 """
 
 import asyncio
@@ -19,6 +21,7 @@ from repro.baselines.budget_absorption import BudgetAbsorption
 from repro.baselines.budget_distribution import BudgetDistribution
 from repro.io import write_indicator_csv
 from repro.runtime.reference import reference_w_event_perturb
+from repro.runtime.rng_pool import _LOOKAHEAD
 from repro.service import ServiceSpec, StreamService
 from repro.streams.indicator import EventAlphabet, IndicatorStream
 from repro.utils.rng import derive_rng
@@ -87,3 +90,31 @@ def test_sliced_resumed_serving_keeps_the_w_event_invariant(kind, tmp_path):
             served, getattr(batch.mechanism.last_trace, column)
         ), column
         assert served.tolist() == seed_loop[column], column
+
+
+@pytest.mark.parametrize("seed", [SEED, None])
+def test_served_pool_state_stays_flat(seed):
+    # A served releaser's rng pool holds one block of children plus the
+    # look-ahead, however long the stream runs.  (Its parent is always
+    # the session seed's "online" child generator.)
+    block = 1000
+    matrix = np.random.default_rng(9).random((100_000, 5)) < 0.4
+    spec = ServiceSpec(
+        alphabet=ALPHABET,
+        patterns=[("private", ("e1", "e2"))],
+        queries=[("q", ("e2", "e3"))],
+        mechanism=f"bd:epsilon={EPSILON},w={W}",
+        seed=seed,
+    )
+    service = StreamService(spec)
+
+    def stored():
+        pool = service.session._core.stepper.releaser._children
+        return [limb.size for limb in pool._limbs]
+
+    asyncio.run(service.pump(matrix[:10_000], max_pending=block))
+    after_10k = stored()
+    asyncio.run(service.pump(matrix[10_000:], max_pending=block))
+    assert service.session.windows_processed == 100_000
+    assert stored() == after_10k
+    assert max(after_10k) <= block + _LOOKAHEAD
